@@ -69,7 +69,7 @@ def test_parallel_selection_round_speedup_at_4_workers():
 @pytest.mark.perf
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4,
-    reason="overlap needs spare cores for the selection/prefetch threads",
+    reason="overlap needs a spare core for the selection thread",
 )
 def test_overlapped_epoch_speedup_vs_serial():
     # ISSUE 6 acceptance: overlapped NeSSA epochs >= 1.5x the serial
@@ -80,19 +80,6 @@ def test_overlapped_epoch_speedup_vs_serial():
     assert r.speedup_vs_seed is not None
     assert r.speedup_vs_seed >= 1.5, (
         f"overlapped epochs only {r.speedup_vs_seed:.2f}x vs serial schedule"
-    )
-
-
-@pytest.mark.perf
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="prefetch worker needs a spare core to hide gather+augment",
-)
-def test_loader_prefetch_hides_gather_cost():
-    r = bench.run_bench("pipeline.loader_prefetch", size="default", repeats=3)
-    assert r.speedup_vs_seed is not None
-    assert r.speedup_vs_seed >= 1.1, (
-        f"prefetching loader only {r.speedup_vs_seed:.2f}x vs in-thread gather"
     )
 
 

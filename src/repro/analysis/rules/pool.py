@@ -16,8 +16,7 @@ Accepted lifecycle shapes (mirroring NES004):
   behind a handed-off flag counts: the release call is what matters);
 - ownership transfer — binding to ``self.<attr>`` (the object's own
   teardown releases it), returning the lease (directly, or inside a
-  tuple/list, possibly nested — the prefetch loader ships leases to the
-  consumer as ``(batch, (x_lease, y_lease))``).
+  tuple/list, possibly nested, e.g. ``(batch, (x_lease, y_lease))``).
 """
 
 from __future__ import annotations

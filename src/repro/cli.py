@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from dataclasses import replace
 
 from repro.data.registry import DATASETS
 
@@ -110,13 +111,10 @@ def _cmd_train(args) -> int:
         return 2
 
     train_set, test_set = make_data(args.dataset, scale=args.scale, seed=args.data_seed)
-    base = TrainRecipe().scaled(args.epochs)
-    recipe = TrainRecipe(
-        epochs=args.epochs,
+    recipe = replace(
+        TrainRecipe().scaled(args.epochs),
         batch_size=args.batch_size,
         lr=args.lr,
-        lr_milestones=base.lr_milestones,
-        lr_gamma_div=base.lr_gamma_div,
         clip_grad_norm=5.0,
     )
     nessa_config = None
@@ -127,8 +125,6 @@ def _cmd_train(args) -> int:
             seed=args.seed,
             workers=args.workers,
             overlap=args.overlap,
-            stale_feedback=args.stale_feedback,
-            prefetch_depth=args.prefetch_depth,
             quantized_scoring=args.quantized_scoring,
         )
     with _traced(args.trace, run=f"train-{args.method}-{args.dataset}",
@@ -492,16 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "results are identical for any count)")
     train.add_argument("--overlap", action="store_true",
                        help="run NeSSA selection rounds on a background "
-                            "thread, overlapped with training")
-    train.add_argument("--stale-feedback", choices=["stale", "off"],
-                       default="stale",
-                       help="overlap policy: 'stale' scores with round t-1 "
-                            "weights (the paper's feedback latency); 'off' "
-                            "falls back to serial semantics (bit-identical)")
-    train.add_argument("--prefetch-depth", type=int, default=0,
-                       help="ready-batch queue depth of the prefetching "
-                            "loader (0 = serial in-thread loader; batch "
-                            "streams are identical for any depth)")
+                            "thread, overlapped with training; each round "
+                            "scores with round t-1 weights (the paper's "
+                            "feedback latency)")
     train.add_argument("--quantized-scoring", choices=["off", "int8"],
                        default="off",
                        help="run selection similarities through the int8 "

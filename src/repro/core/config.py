@@ -102,15 +102,9 @@ class NeSSAConfig:
         shrink factor, and the floor.
     overlap : run each selection round on a background thread while the
         previous subset trains (the paper's storage/compute concurrency,
-        Fig. 3).  Only effective together with ``stale_feedback="stale"``
-        — with ``"off"`` the trainer falls back to serial selection
-        semantics, which is the bit-identical equivalence mode.
-    stale_feedback : ``"stale"`` (overlapped rounds score candidates with
-        the round *t-1* quantized weights — the paper's feedback
-        latency) or ``"off"`` (strict serial semantics).
-    prefetch_depth : ready-batch queue depth of the prefetching loader;
-        0 keeps the serial in-thread loader.  Batch streams are
-        bit-identical for any depth.
+        Fig. 3); the round then scores candidates with the round *t-1*
+        quantized weights — the paper's feedback latency.  Off runs the
+        same schedule with a synchronous round.
     """
 
     subset_fraction: float = 0.3
@@ -140,8 +134,6 @@ class NeSSAConfig:
     min_subset_fraction: float = 0.1
 
     overlap: bool = False
-    stale_feedback: str = "stale"
-    prefetch_depth: int = 0
 
     seed: int = 0
 
@@ -167,10 +159,6 @@ class NeSSAConfig:
             raise ValueError("proxy_cache_entries must be >= 0")
         if self.quantized_scoring not in ("off", "int8"):
             raise ValueError("quantized_scoring must be 'off' or 'int8'")
-        if self.stale_feedback not in ("stale", "off"):
-            raise ValueError("stale_feedback must be 'stale' or 'off'")
-        if self.prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
 
     @property
     def similarity_dtype_bytes(self) -> int:

@@ -109,7 +109,7 @@ class NeSSASelector:
     def snapshot_candidates(self, dataset: Dataset) -> np.ndarray:
         """Candidate positions under the *current* biasing state.
 
-        The overlapped trainer calls this on the training thread before
+        An overlapped round calls this on the training thread before
         handing the round to a worker thread, so the worker never reads
         the (mutable) loss history: :meth:`select` with an explicit
         ``candidates`` array touches only state the training thread
@@ -117,8 +117,7 @@ class NeSSASelector:
         """
         if self.config.use_biasing:
             candidate_ids = self.loss_history.filter_candidates(dataset.ids)
-            id_set = set(int(i) for i in candidate_ids)
-            return np.flatnonzero([int(i) in id_set for i in dataset.ids])
+            return np.flatnonzero(np.isin(dataset.ids, candidate_ids))
         return np.arange(len(dataset), dtype=np.int64)
 
     def select(

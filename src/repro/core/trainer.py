@@ -1,6 +1,8 @@
 """Trainers: full-data, generic subset-selection, and the NeSSA loop.
 
-:class:`NeSSATrainer` implements the five steps of paper Figure 3:
+All three run the one epoch loop in :meth:`_BaseTrainer._run_epochs` and
+differ only in the phase hooks they fill in.  :class:`NeSSATrainer`
+implements the five steps of paper Figure 3:
 
 1. (storage) candidates live on the simulated SmartSSD — the trainer is
    pure ML; byte/time accounting happens in :mod:`repro.pipeline.system`
@@ -11,7 +13,7 @@
    pool (subset biasing) and the subset size (dynamic schedule);
 5. repeat for all epochs.
 
-:class:`SubsetTrainer` runs the same outer loop for the CPU baselines
+:class:`SubsetTrainer` fills the select phase for the CPU baselines
 (CRAIG, k-centers, random) — selection with the *live* model, no feedback
 quantization, no biasing — so Table 3/Figure 4 comparisons are
 apples-to-apples.
@@ -32,17 +34,27 @@ from repro.core.schedule import SubsetSizeSchedule
 from repro.core.selector import NeSSASelector
 from repro.data.dataset import Dataset, Subset
 from repro.data.loader import DataLoader
-from repro.data.prefetch import PrefetchingDataLoader
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.modules import Module
 from repro.nn.optim import SGD, MultiStepLR
-from repro.nn.scratch import BufferPool
+from repro.selection.craig import SelectionResult
 
 __all__ = ["FullTrainer", "SubsetTrainer", "NeSSATrainer"]
 
 
 class _BaseTrainer:
-    """Shared epoch machinery for all trainers."""
+    """The epoch loop; the hook defaults are the full-data run.
+
+    Per epoch: ``_before_epoch`` (biasing drop) → ``_select`` → train →
+    join the selection round → ``_after_train`` (record losses, feedback
+    sync, schedule update) → eval → one :class:`EpochRecord`.
+    """
+
+    name = "full"
+    selector = None
+    overlap = False
+    # EpochRecord fields mirrored onto the ``epoch`` span.
+    _epoch_attrs: tuple[str, ...] = ("train_loss", "test_accuracy", "samples_trained")
 
     def __init__(self, model: Module, recipe: TrainRecipe, seed: int = 0):
         self.model = model
@@ -60,6 +72,78 @@ class _BaseTrainer:
         self.scheduler = MultiStepLR(
             self.optimizer, recipe.lr_milestones, recipe.lr_gamma_div
         )
+
+    def _before_run(self) -> None:
+        """Once, before the first epoch."""
+
+    def _before_epoch(self, train_set: Dataset, epoch: int) -> int:
+        """Start-of-epoch pool maintenance; returns samples dropped."""
+        return 0
+
+    def _select(self, round_, train_set: Dataset, epoch: int) -> SelectionResult | None:
+        """This epoch's fresh selection, or None to keep the current subset."""
+        return None
+
+    def _after_train(
+        self, epoch: int, mean_loss: float, per_sample: np.ndarray, ids: np.ndarray
+    ) -> int:
+        """Post-training feedback; returns bytes shipped to the device."""
+        return 0
+
+    def _run_epochs(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
+        # Imported here: repro.pipeline's package init imports this module.
+        from repro.pipeline.overlap import AsyncSelectionRound
+
+        history = TrainingHistory(method=self.name)
+        self._before_run()
+        subset = train_set
+        with AsyncSelectionRound(self.selector, strict=not self.overlap) as round_:
+            for epoch in range(self.recipe.epochs):
+                epoch_t0 = time.perf_counter()
+                with obs.span("epoch", epoch=epoch, method=self.name) as ep:
+                    dropped = self._before_epoch(train_set, epoch)
+
+                    selection_s = 0.0
+                    select_t0 = time.perf_counter()
+                    result = self._select(round_, train_set, epoch)
+                    selected = result is not None
+                    if selected:
+                        selection_s = time.perf_counter() - select_t0
+                        weights = result.weights if result.weights.std() > 0 else None
+                        subset = Subset(train_set, result.positions, weights=weights)
+
+                    loader = DataLoader(
+                        subset, self.recipe.batch_size, shuffle=True, seed=self.seed + epoch
+                    )
+                    mean_loss, per_sample, ids = self._train_one_epoch(loader)
+
+                    # The join point: an overlapped round's worker reads
+                    # the feedback replica and proxy cache, so it must
+                    # land before _after_train mutates them.  Whatever
+                    # the training epoch failed to hide shows up as
+                    # selection time.
+                    selection_s += round_.join()
+                    feedback_bytes = self._after_train(epoch, mean_loss, per_sample, ids)
+
+                    record = EpochRecord(
+                        epoch=epoch,
+                        train_loss=mean_loss,
+                        test_accuracy=evaluate_accuracy(self.model, test_set),
+                        subset_size=len(subset),
+                        subset_fraction=len(subset) / len(train_set),
+                        samples_trained=len(subset),
+                        selection_ran=selected,
+                        selection_proxy_flops=result.proxy_flops if selected else 0.0,
+                        selection_pairwise_bytes=result.pairwise_bytes if selected else 0,
+                        feedback_bytes=feedback_bytes,
+                        dropped_samples=dropped,
+                        lr=self.scheduler.current_lr,
+                        selection_time_s=selection_s,
+                    )
+                    ep.set(**{attr: getattr(record, attr) for attr in self._epoch_attrs})
+                record.wall_time_s = time.perf_counter() - epoch_t0
+                history.append(record)
+        return history
 
     def _train_one_epoch(self, loader: DataLoader) -> tuple[float, np.ndarray, np.ndarray]:
         """One pass over the loader.
@@ -91,33 +175,8 @@ class _BaseTrainer:
 class FullTrainer(_BaseTrainer):
     """Train on the entire dataset every epoch — the paper's 'Goal' column."""
 
-    name = "full"
-
     def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
-        history = TrainingHistory(method=self.name)
-        loader = DataLoader(
-            train_set, self.recipe.batch_size, shuffle=True, seed=self.seed
-        )
-        for epoch in range(self.recipe.epochs):
-            epoch_t0 = time.perf_counter()
-            with obs.span("epoch", epoch=epoch, method=self.name) as ep:
-                mean_loss, _, _ = self._train_one_epoch(loader)
-                acc = evaluate_accuracy(self.model, test_set)
-                ep.set(train_loss=mean_loss, test_accuracy=acc,
-                       samples_trained=len(train_set))
-            history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=mean_loss,
-                    test_accuracy=acc,
-                    subset_size=len(train_set),
-                    subset_fraction=1.0,
-                    samples_trained=len(train_set),
-                    lr=self.scheduler.current_lr,
-                    wall_time_s=time.perf_counter() - epoch_t0,
-                )
-            )
-        return history
+        return self._run_epochs(train_set, test_set)
 
 
 class SubsetTrainer(_BaseTrainer):
@@ -127,6 +186,8 @@ class SubsetTrainer(_BaseTrainer):
     ``select(dataset, fraction, model) -> SelectionResult``; selection runs
     with the live target model (these baselines have no quantized replica).
     """
+
+    _epoch_attrs = ("train_loss", "test_accuracy", "subset_size", "subset_fraction")
 
     def __init__(
         self,
@@ -146,58 +207,12 @@ class SubsetTrainer(_BaseTrainer):
         self.name = getattr(selector, "name", "subset")
 
     def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
-        history = TrainingHistory(method=self.name)
-        subset: Subset | None = None
-        for epoch in range(self.recipe.epochs):
-            epoch_t0 = time.perf_counter()
-            selection_s = 0.0
-            with obs.span("epoch", epoch=epoch, method=self.name) as ep:
-                selection_ran = False
-                proxy_flops = 0.0
-                pairwise = 0
-                if subset is None or epoch % self.select_every == 0:
-                    select_t0 = time.perf_counter()
-                    with obs.span("selection_round", epoch=epoch) as sel:
-                        result = self.selector.select(
-                            train_set, self.subset_fraction, self.model
-                        )
-                        sel.set(
-                            pairwise_bytes=int(result.pairwise_bytes),
-                            proxy_flops=float(result.proxy_flops),
-                            selected=len(result.positions),
-                        )
-                    selection_s = time.perf_counter() - select_t0
-                    weights = result.weights if result.weights.std() > 0 else None
-                    subset = Subset(train_set, result.positions, weights=weights)
-                    selection_ran = True
-                    proxy_flops = result.proxy_flops
-                    pairwise = result.pairwise_bytes
+        return self._run_epochs(train_set, test_set)
 
-                loader = DataLoader(
-                    subset, self.recipe.batch_size, shuffle=True, seed=self.seed + epoch
-                )
-                mean_loss, _, _ = self._train_one_epoch(loader)
-                acc = evaluate_accuracy(self.model, test_set)
-                ep.set(train_loss=mean_loss, test_accuracy=acc,
-                       subset_size=len(subset),
-                       subset_fraction=len(subset) / len(train_set))
-            history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=mean_loss,
-                    test_accuracy=acc,
-                    subset_size=len(subset),
-                    subset_fraction=len(subset) / len(train_set),
-                    samples_trained=len(subset),
-                    selection_ran=selection_ran,
-                    selection_proxy_flops=proxy_flops,
-                    selection_pairwise_bytes=pairwise,
-                    lr=self.scheduler.current_lr,
-                    wall_time_s=time.perf_counter() - epoch_t0,
-                    selection_time_s=selection_s,
-                )
-            )
-        return history
+    def _select(self, round_, train_set, epoch):
+        if epoch % self.select_every:
+            return None
+        return round_.consume(train_set, self.subset_fraction, self.model, epoch)
 
 
 class NeSSATrainer(_BaseTrainer):
@@ -205,9 +220,19 @@ class NeSSATrainer(_BaseTrainer):
 
     ``model_factory`` builds the FPGA-side replica architecture (same as
     the target model's).
+
+    With ``config.overlap`` the selection round is asynchronous and epoch
+    *e* runs the paper's Fig. 3 schedule: consume the round launched
+    during epoch *e-1* (epoch 0 selects synchronously), launch epoch
+    *e+1*'s round on a worker thread — candidates snapshotted here, scored
+    with the feedback weights synced after epoch *e-1* (stale by one
+    round, as on the device) — train, and join before anything the
+    worker reads is mutated.  Without it the same calls run the round
+    synchronously at ``consume``.
     """
 
     name = "nessa"
+    _epoch_attrs = SubsetTrainer._epoch_attrs + ("dropped_samples",)
 
     def __init__(
         self,
@@ -218,6 +243,7 @@ class NeSSATrainer(_BaseTrainer):
     ):
         super().__init__(model, recipe, seed=config.seed)
         self.config = config
+        self.overlap = config.overlap
         chunk_select = config.partition_chunk_select or recipe.batch_size
         self.selector = NeSSASelector(config, chunk_select=chunk_select)
         self.feedback = FeedbackLoop(
@@ -230,205 +256,36 @@ class NeSSATrainer(_BaseTrainer):
             shrink=config.dynamic_shrink,
             enabled=config.dynamic_subset,
         )
-        # One pool for the whole run so epoch 2+ serves every batch
-        # buffer from the free list (depth queued + consumed + filling).
-        self._loader_pool = (
-            BufferPool(max_free_per_key=config.prefetch_depth + 2)
-            if config.prefetch_depth > 0
-            else None
-        )
-
-    def _make_loader(self, subset: Subset, epoch: int) -> DataLoader:
-        """The epoch's loader: prefetching when configured, else serial.
-
-        Both paths derive batch order from ``seed + epoch`` via the same
-        helper, so the streams are bit-identical at any depth.
-        """
-        if self.config.prefetch_depth > 0:
-            return PrefetchingDataLoader(
-                subset, self.recipe.batch_size, shuffle=True,
-                seed=self.config.seed + epoch,
-                depth=self.config.prefetch_depth, pool=self._loader_pool,
-            )
-        return DataLoader(
-            subset, self.recipe.batch_size, shuffle=True,
-            seed=self.config.seed + epoch,
-        )
 
     def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
-        if self.config.overlap:
-            return self._train_overlapped(train_set, test_set)
-        history = TrainingHistory(method=self.name)
+        return self._run_epochs(train_set, test_set)
+
+    def _before_run(self):
         # Initial feedback sync: the FPGA starts from the initial weights.
         # Recorded as run setup, not as a `feedback_quantize` link span —
         # no EpochRecord carries it, and `repro.cli report` reconciles
         # link bytes against the per-epoch ledger exactly.
         with obs.span("run_setup", method=self.name) as setup:
+            setup.set(feedback_sync_bytes=int(self.feedback.sync(self.model)))
+
+    def _before_epoch(self, train_set, epoch):
+        return self.selector.maybe_drop_learned(train_set, epoch)
+
+    def _select(self, round_, train_set, epoch):
+        fraction, model = self.schedule.fraction, self.feedback.selection_model
+        every = self.config.select_every
+        result = None
+        if epoch % every == 0:
+            result = round_.consume(train_set, fraction, model, epoch)
+        if epoch + 1 < self.recipe.epochs and (epoch + 1) % every == 0:
+            round_.launch(train_set, fraction, model, epoch + 1)
+        return result
+
+    def _after_train(self, epoch, mean_loss, per_sample, ids):
+        self.selector.record_epoch_losses(ids, per_sample)
+        # Step 4 of Figure 3: quantize + ship the updated weights back.
+        with obs.span("feedback_quantize", epoch=epoch) as fb:
             feedback_bytes = self.feedback.sync(self.model)
-            setup.set(feedback_sync_bytes=int(feedback_bytes))
-
-        subset: Subset | None = None
-        fraction = self.schedule.fraction
-        for epoch in range(self.recipe.epochs):
-            epoch_t0 = time.perf_counter()
-            selection_s = 0.0
-            with obs.span("epoch", epoch=epoch, method=self.name) as ep:
-                dropped = self.selector.maybe_drop_learned(train_set, epoch)
-
-                selection_ran = False
-                proxy_flops = 0.0
-                pairwise = 0
-                if subset is None or epoch % self.config.select_every == 0:
-                    select_t0 = time.perf_counter()
-                    with obs.span("selection_round", epoch=epoch) as sel:
-                        result = self.selector.select(
-                            train_set, fraction, self.feedback.selection_model
-                        )
-                        sel.set(
-                            pairwise_bytes=int(result.pairwise_bytes),
-                            proxy_flops=float(result.proxy_flops),
-                            selected=len(result.positions),
-                            fraction=float(fraction),
-                        )
-                    selection_s = time.perf_counter() - select_t0
-                    weights = result.weights if result.weights.std() > 0 else None
-                    subset = Subset(train_set, result.positions, weights=weights)
-                    selection_ran = True
-                    proxy_flops = result.proxy_flops
-                    pairwise = result.pairwise_bytes
-
-                loader = self._make_loader(subset, epoch)
-                mean_loss, per_sample, ids = self._train_one_epoch(loader)
-                self.selector.record_epoch_losses(ids, per_sample)
-
-                # Step 4 of Figure 3: quantize + ship the updated weights back.
-                with obs.span("feedback_quantize", epoch=epoch) as fb:
-                    feedback_bytes = self.feedback.sync(self.model)
-                    fb.set(link_bytes=int(feedback_bytes), bits=self.feedback.bits)
-                fraction = self.schedule.update(mean_loss)
-
-                acc = evaluate_accuracy(self.model, test_set)
-                ep.set(train_loss=mean_loss, test_accuracy=acc,
-                       subset_size=len(subset),
-                       subset_fraction=len(subset) / len(train_set),
-                       dropped_samples=dropped)
-            history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=mean_loss,
-                    test_accuracy=acc,
-                    subset_size=len(subset),
-                    subset_fraction=len(subset) / len(train_set),
-                    samples_trained=len(subset),
-                    selection_ran=selection_ran,
-                    selection_proxy_flops=proxy_flops,
-                    selection_pairwise_bytes=pairwise,
-                    feedback_bytes=feedback_bytes,
-                    dropped_samples=dropped,
-                    lr=self.scheduler.current_lr,
-                    wall_time_s=time.perf_counter() - epoch_t0,
-                    selection_time_s=selection_s,
-                )
-            )
-        return history
-
-    def _train_overlapped(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
-        """The NeSSA loop with selection hidden behind training.
-
-        Schedule per epoch *e* (``stale_feedback="stale"``):
-
-        1. apply the biasing drop, consume the round launched during
-           epoch *e-1* (epoch 0 selects synchronously);
-        2. launch epoch *e+1*'s round on a worker thread — candidates
-           snapshotted here, scored with the feedback weights synced
-           after epoch *e-1* (stale by one round, as on the device);
-        3. train epoch *e* — the overlap window;
-        4. join the round *before* recording losses / syncing feedback,
-           so the worker never races the state it reads.
-
-        With ``stale_feedback="off"`` the round runs synchronously at
-        step 1 (strict mode) and the loop reproduces :meth:`train`'s
-        serial history and trace bit-for-bit.
-        """
-        # Imported here: repro.pipeline's package init imports this module.
-        from repro.pipeline.overlap import AsyncSelectionRound
-
-        history = TrainingHistory(method=self.name)
-        with obs.span("run_setup", method=self.name) as setup:
-            feedback_bytes = self.feedback.sync(self.model)
-            setup.set(feedback_sync_bytes=int(feedback_bytes))
-
-        stale = self.config.stale_feedback == "stale"
-        subset: Subset | None = None
-        fraction = self.schedule.fraction
-        with AsyncSelectionRound(self.selector, strict=not stale) as round_:
-            for epoch in range(self.recipe.epochs):
-                epoch_t0 = time.perf_counter()
-                selection_s = 0.0
-                with obs.span("epoch", epoch=epoch, method=self.name) as ep:
-                    dropped = self.selector.maybe_drop_learned(train_set, epoch)
-
-                    selection_ran = False
-                    proxy_flops = 0.0
-                    pairwise = 0
-                    if subset is None or epoch % self.config.select_every == 0:
-                        select_t0 = time.perf_counter()
-                        result = round_.consume(
-                            train_set, fraction, self.feedback.selection_model, epoch
-                        )
-                        selection_s = time.perf_counter() - select_t0
-                        weights = result.weights if result.weights.std() > 0 else None
-                        subset = Subset(train_set, result.positions, weights=weights)
-                        selection_ran = True
-                        proxy_flops = result.proxy_flops
-                        pairwise = result.pairwise_bytes
-
-                    next_sel = epoch + 1
-                    if (
-                        stale
-                        and next_sel < self.recipe.epochs
-                        and next_sel % self.config.select_every == 0
-                    ):
-                        round_.launch(
-                            train_set, fraction, self.feedback.selection_model, next_sel
-                        )
-
-                    loader = self._make_loader(subset, epoch)
-                    mean_loss, per_sample, ids = self._train_one_epoch(loader)
-
-                    # The join point: the worker reads the feedback
-                    # replica and proxy cache, so it must land before the
-                    # sync below mutates them.  Whatever the training
-                    # epoch failed to hide shows up as selection time.
-                    selection_s += round_.join()
-
-                    self.selector.record_epoch_losses(ids, per_sample)
-                    with obs.span("feedback_quantize", epoch=epoch) as fb:
-                        feedback_bytes = self.feedback.sync(self.model)
-                        fb.set(link_bytes=int(feedback_bytes), bits=self.feedback.bits)
-                    fraction = self.schedule.update(mean_loss)
-
-                    acc = evaluate_accuracy(self.model, test_set)
-                    ep.set(train_loss=mean_loss, test_accuracy=acc,
-                           subset_size=len(subset),
-                           subset_fraction=len(subset) / len(train_set),
-                           dropped_samples=dropped)
-                history.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        train_loss=mean_loss,
-                        test_accuracy=acc,
-                        subset_size=len(subset),
-                        subset_fraction=len(subset) / len(train_set),
-                        samples_trained=len(subset),
-                        selection_ran=selection_ran,
-                        selection_proxy_flops=proxy_flops,
-                        selection_pairwise_bytes=pairwise,
-                        feedback_bytes=feedback_bytes,
-                        dropped_samples=dropped,
-                        lr=self.scheduler.current_lr,
-                        wall_time_s=time.perf_counter() - epoch_t0,
-                        selection_time_s=selection_s,
-                    )
-                )
-        return history
+            fb.set(link_bytes=int(feedback_bytes), bits=self.feedback.bits)
+        self.schedule.update(mean_loss)
+        return feedback_bytes

@@ -11,7 +11,6 @@ consume.
 from repro.data.augment import Compose, GaussianNoise, RandomCrop, RandomHorizontalFlip
 from repro.data.dataset import Dataset, Subset, stratified_split
 from repro.data.loader import DataLoader
-from repro.data.prefetch import PrefetchingDataLoader
 from repro.data.storage_format import DatasetLayout, load_dataset_bin, save_dataset_bin
 from repro.data.registry import (
     DATASETS,
@@ -30,7 +29,6 @@ __all__ = [
     "Subset",
     "stratified_split",
     "DataLoader",
-    "PrefetchingDataLoader",
     "SyntheticConfig",
     "SyntheticImageDataset",
     "make_train_test",

@@ -69,21 +69,11 @@ class DataLoader:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
-    def _epoch_order(self, epoch: int) -> np.ndarray:
-        """Sample visitation order for ``epoch``.
-
-        This is the single source of truth for batch composition — the
-        prefetching loader calls it too, which is what makes its batch
-        stream bit-identical to the serial one at any queue depth.
-        """
-        n = len(self.dataset)
-        if self.shuffle:
-            return np.random.default_rng(self.seed + epoch).permutation(n)
-        return np.arange(n)
-
     def __iter__(self) -> Iterator[Batch]:
         n = len(self.dataset)
-        order = self._epoch_order(self._epoch)
+        order = np.arange(n)
+        if self.shuffle:
+            order = np.random.default_rng(self.seed + self._epoch).permutation(n)
 
         weights = getattr(self.dataset, "weights", None)
         for start in range(0, n, self.batch_size):

@@ -19,8 +19,8 @@ lint rule enforces it.  A leaked lease is not a correctness bug (the
 array is simply garbage-collected and the pool re-allocates), but it
 silently re-introduces the churn the pool exists to remove.
 
-The pool is thread-safe: the prefetching loader leases from its worker
-thread and releases from the consumer thread.
+The pool is thread-safe: a lease may be taken on one thread and
+released on another.
 
 ``scratch_pool()`` returns the process-wide default pool used by
 :class:`repro.nn.modules.Conv2d` for its column buffers; pass

@@ -39,8 +39,8 @@ mismatch on a span present in both traces.
 way: counters exactly, gauges and timer totals with tolerance (timer
 *counts* exactly — the number of observations is structural).  Metric
 names present on one side only are structural drift unless a declared
-metric carve-out (prefix match: ``overlap.``, ``prefetch.``, ``shm.``,
-``qscore.``) covers the configuration asymmetry.
+metric carve-out (prefix match: ``overlap.``, ``shm.``, ``qscore.``)
+covers the configuration asymmetry.
 
 **Verdict.**  ``structural-drift`` (un-excused shape difference) >
 ``regressed`` (any value delta) > ``ok``.  ``repro.cli obsdiff A B
@@ -119,11 +119,6 @@ DEFAULT_CARVEOUTS = (
         "metric",
         "overlap.",
         "overlap only: launch/join accounting of the async round",
-    ),
-    CarveOut(
-        "metric",
-        "prefetch.",
-        "prefetching loader only (--prefetch-depth > 0)",
     ),
     CarveOut(
         "metric",

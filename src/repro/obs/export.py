@@ -56,14 +56,6 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
         "counter",
         "Selection rounds launched on the overlap worker thread",
     ),
-    "prefetch.batches": (
-        "counter",
-        "Batches served by the prefetching data loader",
-    ),
-    "prefetch.queue_wait": (
-        "timer",
-        "Consumer wait on the prefetching loader's ready-batch queue",
-    ),
     "proxy_cache.hits": (
         "counter",
         "Gradient-proxy cache hits",

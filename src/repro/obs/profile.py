@@ -112,8 +112,8 @@ def credit_bytes(attr: str, nbytes: int) -> None:
 
     No-op unless a tracer with an active memory profiler is installed
     and the calling thread is the (unmuted) tracer owner — pooled
-    buffers leased from the prefetch worker, which runs muted, stay out
-    of the training thread's span attribution.  ``attr`` must carry the
+    buffers leased on a muted worker thread stay out of the training
+    thread's span attribution.  ``attr`` must carry the
     ``mem_`` prefix so the diff/report layers classify it as profiling
     detail.
     """

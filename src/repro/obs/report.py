@@ -177,7 +177,7 @@ def render_report(trace: dict) -> str:
 
 
 def _render_pipeline_lines(metrics: dict | None) -> list[str]:
-    """Derived overlap / prefetch / qscore summary from the snapshot.
+    """Derived overlap / qscore summary from the snapshot.
 
     These were recorded since PRs 5-6 but never rendered; the raw
     counter/gauge/timer dumps below stay exhaustive — this block is the
@@ -200,12 +200,6 @@ def _render_pipeline_lines(metrics: dict | None) -> list[str]:
         if wait.get("count"):
             parts.append(f"join wait total {wait.get('total_s', 0.0):.4f}s")
         lines.append(f"overlap:  {', '.join(parts)}")
-    if "prefetch.batches" in counters:
-        queue_wait = timers.get("prefetch.queue_wait", {})
-        lines.append(
-            f"prefetch: {counters['prefetch.batches']:,d} batch(es) served, "
-            f"queue wait total {queue_wait.get('total_s', 0.0):.4f}s"
-        )
     if "qscore.block_hits" in counters or "qscore.block_misses" in counters:
         hits = counters.get("qscore.block_hits", 0)
         misses = counters.get("qscore.block_misses", 0)

@@ -262,10 +262,10 @@ def _render_key(key) -> str:
 _ACTIVE: Tracer | None = None
 
 # The tracer's span stack is owned by the thread that installed it; other
-# threads (the async-selection worker, the prefetch worker) must not push
-# onto it.  They run under ``suppress()`` and their work is represented by
-# a single completed span the owning thread forwards at the join point —
-# the same convention as cross-process unit spans.
+# threads (the async-selection worker) must not push onto it.  They run
+# under ``suppress()`` and their work is represented by a single completed
+# span the owning thread forwards at the join point — the same convention
+# as cross-process unit spans.
 _TLS = threading.local()
 
 

@@ -610,65 +610,21 @@ def _bench_proxy_cache_miss(size: str) -> BenchCase:
 
 # -- pipeline group: end-to-end epoch wall-clock ------------------------------
 #
-# Unlike the kernel groups these time whole training loops, so the
+# Unlike the kernel groups this times whole training loops, so the
 # "seed" side is the serial execution schedule on identical work, not an
-# old kernel.  Both benches need spare cores to show a win: on a 1-core
-# box the background threads only add contention, and the committed
+# old kernel.  It needs a spare core to show a win: on a 1-core
+# box the background thread only adds contention, and the committed
 # baseline honestly records ~1x (the >= 1.5x acceptance target is
 # asserted by benchmarks/test_perf_regression.py on >= 4 cores only,
 # PR 2's convention).
-
-
-@register_bench("pipeline.loader_prefetch", "pipeline")
-def _bench_loader_prefetch(size: str) -> BenchCase:
-    """One epoch of gather+augment+consume: prefetching vs in-thread loader.
-
-    The consumer does a small per-batch matmul standing in for the
-    training step; with a spare core the worker hides the gather and
-    augmentation behind it.  Loaders persist across repeats so the
-    prefetch side runs pool-warm (the steady state the pool exists for).
-    """
-    from repro.data.augment import Compose, GaussianNoise, RandomHorizontalFlip
-    from repro.data.dataset import Dataset
-    from repro.data.loader import DataLoader
-    from repro.data.prefetch import PrefetchingDataLoader
-
-    n, bs = (4096, 64) if size == "default" else (512, 32)
-    rng = np.random.default_rng(11)
-    ds = Dataset(
-        rng.normal(size=(n, 3, 8, 8)).astype(np.float32),
-        rng.integers(0, 4, size=n).astype(np.int64),
-        np.arange(n, dtype=np.int64),
-    )
-
-    def make_transform():
-        return Compose([RandomHorizontalFlip(0.5), GaussianNoise(0.05)], seed=12)
-
-    prefetching = PrefetchingDataLoader(
-        ds, bs, shuffle=True, seed=13, transform=make_transform(), depth=4
-    )
-    serial = DataLoader(ds, bs, shuffle=True, seed=13, transform=make_transform())
-
-    def consume(loader):
-        total = 0.0
-        for batch in loader:
-            flat = batch.x.reshape(len(batch), -1)
-            total += float((flat @ flat.T).trace())
-        return total
-
-    return BenchCase(
-        run=lambda: consume(prefetching),
-        seed_run=lambda: consume(serial),
-        params={"n": n, "batch_size": bs, "depth": 4},
-    )
 
 
 @register_bench("pipeline.serial_vs_overlap", "pipeline")
 def _bench_serial_vs_overlap(size: str) -> BenchCase:
     """Short NeSSA trainings: overlapped schedule vs the serial one.
 
-    ``run`` trains with ``overlap + stale feedback + prefetch``; the
-    seed side is the identical workload executed serially.  The sizes
+    ``run`` trains with ``overlap=True``; the seed side is the
+    identical workload with a synchronous round.  The sizes
     are tuned so one selection round costs about one training epoch —
     the regime where the paper's overlap wins (Fig. 3).
     """
@@ -685,10 +641,7 @@ def _bench_serial_vs_overlap(size: str) -> BenchCase:
         recipe = TrainRecipe(epochs=3, batch_size=32, lr_milestones=())
     train_set, test_set = make_train_test(syn)
     serial_cfg = NeSSAConfig(subset_fraction=0.3, seed=15)
-    overlap_cfg = NeSSAConfig(
-        subset_fraction=0.3, seed=15,
-        overlap=True, stale_feedback="stale", prefetch_depth=4,
-    )
+    overlap_cfg = NeSSAConfig(subset_fraction=0.3, seed=15, overlap=True)
 
     def train_once(config):
         num_classes = train_set.num_classes
@@ -709,7 +662,6 @@ def _bench_serial_vs_overlap(size: str) -> BenchCase:
             "n": len(train_set), "epochs": recipe.epochs,
             "batch_size": recipe.batch_size,
             "subset_fraction": serial_cfg.subset_fraction,
-            "prefetch_depth": overlap_cfg.prefetch_depth,
         },
     )
 

@@ -7,7 +7,7 @@ the examples all run through one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.metrics import TrainingHistory
@@ -57,17 +57,7 @@ def build_model(dataset_name: str, num_classes: int, seed: int = 0):
 
 def scaled_recipe(epochs: int, batch_size: int = 64) -> TrainRecipe:
     """The paper recipe compressed to ``epochs`` with a small-batch default."""
-    recipe = TrainRecipe().scaled(epochs)
-    return TrainRecipe(
-        epochs=recipe.epochs,
-        batch_size=batch_size,
-        lr=recipe.lr,
-        lr_milestones=recipe.lr_milestones,
-        lr_gamma_div=recipe.lr_gamma_div,
-        momentum=recipe.momentum,
-        weight_decay=recipe.weight_decay,
-        nesterov=recipe.nesterov,
-    )
+    return replace(TrainRecipe().scaled(epochs), batch_size=batch_size)
 
 
 def make_data(dataset_name: str, scale: float = 1.0, seed: int = 0) -> tuple[Dataset, Dataset]:

@@ -23,11 +23,11 @@ convention the parallel engine uses for cross-process unit spans.  The
 ``overlap.efficiency`` gauge records the fraction of each round's
 duration that was hidden behind training.
 
-Strict mode (``stale_feedback="off"``): :meth:`launch` becomes a no-op
-and :meth:`consume` runs the round synchronously with exactly the serial
-trainer's ``selection_round`` span — histories and traces are
-bit-identical to the serial loop, which is what the equivalence suite
-pins.
+Strict mode (``overlap`` off): :meth:`launch` becomes a no-op and
+:meth:`consume` runs the round synchronously under the one
+``selection_round`` span — the trainers' epoch loop makes the same calls
+either way, so the serial run *is* this schedule with a synchronous
+round.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class AsyncSelectionRound:
     Parameters
     ----------
     selector : a :class:`~repro.core.selector.NeSSASelector` (or any
-        object with ``snapshot_candidates`` / ``select``).
+        object with ``select``; :meth:`launch` also needs
+        ``snapshot_candidates``).
     strict : serial-semantics mode — never defers; :meth:`consume` runs
         the round synchronously at the call site.
     """
@@ -149,8 +150,7 @@ class AsyncSelectionRound:
         Overlapped path: returns the round launched during the previous
         epoch (joining first if the caller has not).  Synchronous path
         (strict mode, or nothing in flight — e.g. epoch 0): runs the
-        round now under the serial trainer's exact ``selection_round``
-        span, so strict traces diff clean against serial ones.
+        round now under the ``selection_round`` span.
         """
         if self._thread is not None:
             self.join()

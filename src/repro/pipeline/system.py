@@ -106,7 +106,7 @@ class SystemModel:
         # Host-side analog of NeSSA's device overlap (repro.pipeline.overlap):
         # when set, the CPU baselines run round t+1's selection while round
         # t's subset trains, so only the non-hidden excess is charged to the
-        # critical path (stale-feedback semantics, like the device).
+        # critical path (round t-1 feedback weights, like the device).
         self.host_overlap = host_overlap
         # "int8": the kernel's similarity lanes run packed int8 MACs on
         # double-pumped DSPs (the arm repro.selection.qscore executes on

@@ -590,7 +590,7 @@ class TestPoolLease:
         assert findings == []
 
     def test_conditional_handed_off_release_clean(self, run_rule):
-        # the prefetch loader's shape: released in finally unless the
+        # the hand-off shape: released in finally unless the
         # lease was handed off to the caller
         findings, _ = run_rule(
             """

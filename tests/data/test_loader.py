@@ -77,3 +77,35 @@ class TestDataLoader:
             for i, sample_id in enumerate(batch.ids):
                 assert np.array_equal(batch.x[i], ds.x[sample_id])
                 assert batch.y[i] == ds.y[sample_id]
+
+
+class TestEpochAdvancement:
+    """Regression tests for the peek bug: `_epoch` used to advance at
+    iterator *creation*, so `next(iter(loader))` silently skipped an
+    epoch's shuffle order."""
+
+    def test_only_full_consumption_advances(self):
+        ds = make_dataset(30)
+        loader = DataLoader(ds, batch_size=10, shuffle=True, seed=5)
+        assert loader.epochs_served == 0
+        next(iter(loader))  # abandoned peek
+        assert loader.epochs_served == 0
+        list(loader)
+        assert loader.epochs_served == 1
+        list(loader)
+        assert loader.epochs_served == 2
+
+    def test_peek_then_full_epoch_equals_clean_first_epoch(self):
+        ds = make_dataset(30)
+        clean = DataLoader(ds, batch_size=30, shuffle=True, seed=5)
+        peeked = DataLoader(ds, batch_size=30, shuffle=True, seed=5)
+        next(iter(peeked))
+        assert np.array_equal(
+            next(iter(clean)).ids, next(iter(peeked)).ids
+        )
+
+    def test_drop_last_tail_still_counts_as_consumed(self):
+        ds = make_dataset(23)
+        loader = DataLoader(ds, batch_size=5, drop_last=True)
+        list(loader)
+        assert loader.epochs_served == 1

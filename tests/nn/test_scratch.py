@@ -90,9 +90,8 @@ class TestLeaseBasics:
 
 class TestThreadSafety:
     def test_cross_thread_lease_release_accounting_stays_consistent(self):
-        # The prefetch topology: leases taken on one thread, released on
-        # another.  Hammer the pool from several threads and check the
-        # books balance.
+        # Hammer the pool from several threads and check the books
+        # balance.
         pool = BufferPool(max_free_per_key=8)
         errors = []
 
@@ -158,26 +157,34 @@ class TestProcessWidePool:
 
 class TestAllocationChurnVsSerial:
     def test_pooled_loader_churns_less_than_one_alloc_per_batch(self):
-        """The acceptance assertion: steady-state batch buffers come from
-        the pool, so allocation count is a small constant while the
-        serial path allocates per batch per epoch."""
-        from repro.data.dataset import Dataset
-        from repro.data.prefetch import PrefetchingDataLoader
+        """A producer thread fills pooled batch buffers and hands the
+        leases to the consumer thread, which releases them: steady-state
+        buffers come from the pool, so the allocation count is a small
+        constant while unpooled gathering allocates per batch."""
+        import queue
 
-        rng = np.random.default_rng(5)
-        n, bs, epochs = 64, 8, 4
-        ds = Dataset(
-            rng.normal(size=(n, 3, 4, 4)).astype(np.float32),
-            (np.arange(n) % 4).astype(np.int64),
-        )
-        loader = PrefetchingDataLoader(ds, batch_size=bs, depth=2)
-        for _ in range(epochs):
-            for _ in loader:
-                pass
-        batches_served = epochs * (n // bs)
-        stats = loader.pool.stats
-        # serial equivalent: one x + one y allocation per batch
-        serial_allocations = 2 * batches_served
-        assert stats["allocations"] < serial_allocations / 4
-        assert stats["allocations"] + stats["reuses"] == serial_allocations
+        pool = BufferPool(max_free_per_key=4)
+        batches, depth = 32, 2
+        ready = queue.Queue(maxsize=depth)
+
+        def produce():
+            for i in range(batches):
+                x, y = pool.lease((8, 3, 4, 4)), pool.lease((8,), np.int64)
+                x.array[:] = i
+                ready.put((x, y))
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        for i in range(batches):
+            x, y = ready.get(timeout=10)
+            assert x.array[0, 0, 0, 0] == i
+            x.release()
+            y.release()
+        producer.join(timeout=10)
+        assert not producer.is_alive()
+        stats = pool.stats
+        # unpooled equivalent: one x + one y allocation per batch
+        unpooled_allocations = 2 * batches
+        assert stats["allocations"] < unpooled_allocations / 4
+        assert stats["allocations"] + stats["reuses"] == unpooled_allocations
         assert stats["outstanding"] == 0

@@ -170,10 +170,10 @@ class TestMetricsReconciliation:
 
     def test_one_sided_carved_metric_is_excused(self):
         a = _trace([], metrics={"counters": {}})
-        b = _trace([], metrics={"counters": {"prefetch.batches": 12}})
+        b = _trace([], metrics={"counters": {"overlap.rounds_launched": 2}})
         diff = diff_traces(a, b)
         assert diff.verdict == "ok"
-        assert diff.excused[0]["carveout"] == "prefetch."
+        assert diff.excused[0]["carveout"] == "overlap."
 
     def test_timer_count_is_structural_total_is_wall(self):
         a = _trace([], metrics={"timers": {
@@ -261,7 +261,7 @@ class TestRealRunEquivalence:
         return {
             "serial_a": one(),
             "serial_b": one(),
-            "overlap": one(overlap=True, stale_feedback="stale"),
+            "overlap": one(overlap=True),
         }
 
     def test_identical_serial_runs_diff_exactly_clean(self, runs):
@@ -274,7 +274,7 @@ class TestRealRunEquivalence:
                     or diff.metric_deltas or diff.metric_drift)
 
     def test_overlap_vs_serial_is_never_structural_drift(self, runs):
-        # Losses differ (stale feedback), but every shape difference is
+        # Losses differ (round t-1 feedback), but every shape difference is
         # covered by a declared carve-out: the CI gate is exactly this.
         diff = diff_traces(runs["serial_a"], runs["overlap"],
                            tolerance=math.inf)

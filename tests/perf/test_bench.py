@@ -162,15 +162,8 @@ class TestCliBench:
 class TestPipelineGroup:
     def test_pipeline_benches_registered(self):
         names = bench.registered_benches("pipeline")
-        assert "pipeline.loader_prefetch" in names
         assert "pipeline.serial_vs_overlap" in names
         assert "pipeline" in bench.GROUPS
-
-    def test_loader_prefetch_tiny_runs_with_seed_side(self):
-        r = bench.run_bench("pipeline.loader_prefetch", size="tiny", repeats=1)
-        assert r.group == "pipeline"
-        assert r.median_s > 0
-        assert r.seed_median_s is not None  # serial reference executed
 
 
 class TestCheckRequiresCommittedBaseline:

@@ -1,15 +1,14 @@
-"""Overlapped selection: round mechanics + serial-equivalence guarantees.
+"""Overlapped selection: round mechanics + the overlapped schedule.
 
 Two layers of coverage:
 
 - :class:`AsyncSelectionRound` unit tests against a scripted selector
   (launch/join/consume lifecycle, error forwarding, strict mode);
-- end-to-end equivalence: the overlapped ``NeSSATrainer`` with
-  ``stale_feedback="off"`` must reproduce the serial trainer's
-  ``TrainingHistory`` exactly, for any prefetch depth, and its trace
-  must diff clean against serial modulo the overlap-only span names
-  (the same carve-out convention the parallel engine established for
-  ``shm_publish``).
+- end-to-end: ``NeSSATrainer`` with ``overlap=True`` selects on schedule
+  and its trace matches the synchronous run's modulo the overlap-only
+  span names (the same carve-out convention the parallel engine
+  established for ``shm_publish``).  Exact per-epoch histories of both
+  schedules are pinned by ``tests/core/test_golden_history.py``.
 """
 
 import time
@@ -25,9 +24,9 @@ from repro.nn.resnet import resnet20
 from repro.pipeline.overlap import AsyncSelectionRound
 from repro.selection.craig import SelectionResult
 
-# Spans that only one of the two schedules emits: the serial loop runs
-# selection inline (selection_round + its children), the stale overlap
-# loop mutes those on the worker and forwards one async_selection span.
+# Spans that only one of the two schedules emits: the synchronous round
+# runs selection inline (selection_round + its children), the overlapped
+# round mutes those on the worker and forwards one async_selection span.
 OVERLAP_ONLY_SPANS = {
     "selection_round",
     "proxy_compute",
@@ -142,7 +141,7 @@ class TestAsyncSelectionRound:
         assert attrs["hidden_s"] >= 0.0
 
 
-# -- end-to-end equivalence ---------------------------------------------------
+# -- end-to-end schedule -------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -181,58 +180,12 @@ def train_history(cfg, data, trace_to=None):
         trainer.selector.close()
     return history
 
-DETERMINISTIC_FIELDS = (
-    "epoch", "train_loss", "test_accuracy", "subset_size", "subset_fraction",
-    "samples_trained", "selection_ran", "selection_proxy_flops",
-    "selection_pairwise_bytes", "feedback_bytes", "dropped_samples", "lr",
-)
-
-
-def deterministic_view(history):
-    return [
-        tuple(getattr(r, f) for f in DETERMINISTIC_FIELDS) for r in history.records
-    ]
-
-
-@pytest.fixture(scope="module")
-def serial_history(data):
-    return train_history(config(), data)
-
 
 class TestOverlappedTrainerEquivalence:
-    @pytest.mark.parametrize(
-        "depth,workers", [(0, 1), (3, 1), (2, 2)]
-    )
-    def test_strict_mode_reproduces_serial_history(
-        self, data, serial_history, depth, workers
-    ):
-        overlapped = train_history(
-            config(
-                overlap=True, stale_feedback="off", prefetch_depth=depth,
-                workers=workers,
-            ),
-            data,
-        )
-        assert deterministic_view(overlapped) == deterministic_view(serial_history)
-
-    def test_strict_mode_trace_is_bit_identical_to_serial(self, data):
-        serial_spans, strict_spans = [], []
-        train_history(config(), data, trace_to=serial_spans)
-        train_history(
-            config(overlap=True, stale_feedback="off"), data, trace_to=strict_spans
-        )
-        assert [(r.id, r.name) for r in serial_spans] == [
-            (r.id, r.name) for r in strict_spans
-        ]
-
     def test_stale_mode_trace_matches_serial_modulo_overlap_spans(self, data):
         serial_spans, stale_spans = [], []
         train_history(config(), data, trace_to=serial_spans)
-        train_history(
-            config(overlap=True, stale_feedback="stale", prefetch_depth=2),
-            data,
-            trace_to=stale_spans,
-        )
+        train_history(config(overlap=True), data, trace_to=stale_spans)
         stale_names = {r.name for r in stale_spans}
         assert "async_selection" in stale_names
 
@@ -242,16 +195,9 @@ class TestOverlappedTrainerEquivalence:
         assert skeleton(serial_spans) == skeleton(stale_spans)
 
     def test_stale_mode_trains_and_selects_on_schedule(self, data):
-        history = train_history(
-            config(overlap=True, stale_feedback="stale", prefetch_depth=2), data
-        )
+        history = train_history(config(overlap=True), data)
         assert history.method == "nessa"
         assert [r.selection_ran for r in history.records] == [
             True, False, True, False,
         ]
         assert all(r.subset_size > 0 for r in history.records)
-
-    def test_prefetch_depth_alone_reproduces_serial_history(self, data, serial_history):
-        # prefetching without overlap: same serial schedule, pooled loader
-        prefetched = train_history(config(prefetch_depth=4), data)
-        assert deterministic_view(prefetched) == deterministic_view(serial_history)

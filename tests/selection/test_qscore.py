@@ -411,40 +411,3 @@ class TestSelectorIntegration:
                 ).pairwise_bytes
         # int8 similarity entries are 1 byte vs 4 on the fp32 host path.
         assert sizes["int8"] * 4 == sizes["off"]
-
-
-class TestOverlapIdentity:
-    def test_strict_overlap_matches_serial_under_int8(self):
-        """Overlap on/off with quantized scoring: strict mode bit-identity."""
-        from repro.core.config import TrainRecipe
-        from repro.core.trainer import NeSSATrainer
-        from repro.data.synthetic import SyntheticConfig, make_train_test
-        from repro.nn.resnet import resnet20
-
-        data = make_train_test(SyntheticConfig(
-            num_classes=4, num_samples=160, image_shape=(3, 8, 8), seed=9
-        ))
-        histories = []
-        for overlap in (False, True):
-            reset_default_block_cache()
-            cfg = NeSSAConfig(
-                subset_fraction=0.4, select_every=2, seed=0,
-                quantized_scoring="int8", overlap=overlap,
-                stale_feedback="off",
-            )
-            model = resnet20(num_classes=4, width=4, seed=13)
-            trainer = NeSSATrainer(
-                model, TrainRecipe(epochs=3, batch_size=32, lr=0.05,
-                                   lr_milestones=()),
-                cfg, lambda: resnet20(num_classes=4, width=4, seed=13),
-            )
-            try:
-                histories.append(trainer.train(*data))
-            finally:
-                trainer.selector.close()
-        serial, overlapped = histories
-        for a, b in zip(serial.records, overlapped.records):
-            assert a.train_loss == b.train_loss
-            assert a.test_accuracy == b.test_accuracy
-            assert a.subset_size == b.subset_size
-            assert a.selection_pairwise_bytes == b.selection_pairwise_bytes
