@@ -16,9 +16,8 @@ Training" (Prakriya et al., HotStorage '23):
 - ``repro.core`` — the NeSSA contribution: the selector with quantized-weight
   feedback, subset biasing, and dataset partitioning, plus trainers and the
   dynamic subset-size schedule.
-- ``repro.parallel`` — the multi-core selection engine: shared-memory
-  feature store, deterministic (class x chunk) work-unit scheduler,
-  persistent process-pool executor, and the proxy-reuse cache.
+- ``repro.parallel`` — selection work units: deterministic (class x chunk)
+  scheduler, the in-process executor, and the proxy-reuse cache.
 - ``repro.smartssd`` — a discrete-event simulator of the Samsung SmartSSD
   (NAND flash, KU15P FPGA resource model, P2P and host PCIe links).
 - ``repro.perf`` — GPU throughput catalogue and epoch-time decomposition used

@@ -75,19 +75,6 @@ EXAMPLES: dict[str, Example] = {
             "    pass\n"
         ),
     ),
-    "NES004": Example(
-        path=_ANY,
-        bad=(
-            "def leak(vectors):\n"
-            "    store = SharedFeatureStore(vectors)\n"
-            "    return store.vectors.sum()\n"
-        ),
-        good=(
-            "def ok(vectors):\n"
-            "    with SharedFeatureStore(vectors) as store:\n"
-            "        return store.vectors.sum()\n"
-        ),
-    ),
     "NES005": Example(
         path=_NN,
         bad=(

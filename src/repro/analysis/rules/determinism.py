@@ -1,13 +1,13 @@
 """NES001 — global-state randomness in determinism-critical modules.
 
-PR 2 made parallel selection bit-identical to serial by deriving every
-random choice from SeedSequence-keyed ``Generator`` streams.  Any code
-under ``repro.selection``, ``repro.parallel`` or ``repro.nn`` that draws
-from *global* RNG state — ``np.random.rand()`` and friends, the stdlib
-``random`` module, or an entropy-seeded ``default_rng()`` — silently
-breaks that contract: the result depends on call order, worker identity
-or wall clock.  The fix is always the same: accept a
-``np.random.Generator`` (threaded from config / SeedSequence) and use it.
+Selection derives every random choice from SeedSequence-keyed
+``Generator`` streams.  Any code under ``repro.selection``,
+``repro.parallel`` or ``repro.nn`` that draws from *global* RNG state —
+``np.random.rand()`` and friends, the stdlib ``random`` module, or an
+entropy-seeded ``default_rng()`` — silently breaks that contract: the
+result depends on call order or wall clock.  The fix is always the same:
+accept a ``np.random.Generator`` (threaded from config / SeedSequence)
+and use it.
 """
 
 from __future__ import annotations

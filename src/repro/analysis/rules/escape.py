@@ -17,8 +17,8 @@ rule closes that gap with the ProjectIndex's producer fixed point:
   *outside* the qscore module itself (inside it, NES008 already rules).
 
 Suppress with ``# lint: allow-f64-escape(reason)`` at the call site
-when the hot path is the documented fp64 reference (``precision=
-"float64"`` CRAIG mode) or the value is quantized before the kernels.
+when the hot path is the documented fp64 reference (CPU CRAIG) or the
+value is quantized before the kernels.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """NES003 — broad exception handlers that swallow errors silently.
 
 ``except Exception`` around a fallback is legitimate exactly when the
-fallback is the *designed* behaviour for a whole class of platform
-failures (no POSIX shm, no process pool) — and those sites must say so
-with ``# lint: allow-broad-except(reason)``.  Everywhere else a broad
-handler that neither re-raises nor logs turns real bugs (a typo'd
-attribute, a shape mismatch) into silently-wrong results — in a
-reproduction whose value is numerical trustworthiness, that is an
-invariant violation, not a style nit.
+fallback is the *designed* behaviour for a whole class of failures (a
+worker thread that must hand its error to the join point) — and those
+sites must say so with ``# lint: allow-broad-except(reason)``.
+Everywhere else a broad handler that neither re-raises nor logs turns
+real bugs (a typo'd attribute, a shape mismatch) into silently-wrong
+results — in a reproduction whose value is numerical trustworthiness,
+that is an invariant violation, not a style nit.
 """
 
 from __future__ import annotations

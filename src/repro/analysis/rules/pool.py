@@ -5,10 +5,9 @@ A :class:`~repro.nn.scratch.BufferLease` that escapes without a
 — but it silently re-introduces the steady-state allocation churn the
 pool exists to remove, and the pool's ``outstanding`` accounting drifts,
 which is exactly the failure mode the allocation-count tests gate on.
-Same dataflow shape as NES004's shared-memory check: every lease bound
-in a function scope must be released on *all* exits.
+Every lease bound in a function scope must be released on *all* exits.
 
-Accepted lifecycle shapes (mirroring NES004):
+Accepted lifecycle shapes:
 
 - ``with pool.lease(...) as lease: ...`` — the lease is a context
   manager;
@@ -25,9 +24,20 @@ import ast
 
 from repro.analysis.registry import Checker, register
 from repro.analysis.rules._util import dotted_name
-from repro.analysis.rules.shm import _own_nodes, _with_context_creations
 
 _CREATOR_TAILS = {"lease", "BufferLease"}
+
+
+def _own_nodes(func: ast.AST):
+    """Nodes belonging to ``func`` itself, excluding nested function bodies
+    (those scopes are visited on their own and must not be double-reported)."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def _is_lease_creation(node: ast.AST) -> bool:
@@ -79,16 +89,6 @@ def _name_is_returned(func: ast.AST, name: str) -> bool:
     return False
 
 
-def _returned_creations(func: ast.AST) -> set[ast.Call]:
-    returned: set[ast.Call] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Return) and node.value is not None:
-            for sub in ast.walk(node.value):
-                if isinstance(sub, ast.Call):
-                    returned.add(sub)
-    return returned
-
-
 @register
 class PoolLeaseChecker(Checker):
     rule = "NES007"
@@ -102,13 +102,14 @@ class PoolLeaseChecker(Checker):
         for func in ast.walk(ctx.tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            managed = _with_context_creations(func)
-            returned = _returned_creations(func)
+            # Only statements are inspected: a lease that is a `with` item
+            # or sits in a `return` expression is neither an Assign nor a
+            # bare Expr statement, so those shapes pass by construction.
             own = list(_own_nodes(func))
             for node in own:
                 if not isinstance(node, ast.Assign):
                     continue
-                if not _is_lease_creation(node.value) or node.value in managed:
+                if not _is_lease_creation(node.value):
                     continue
                 if all(isinstance(t, ast.Attribute) for t in node.targets):
                     continue  # self.<attr> = lease: owned by the object
@@ -129,12 +130,7 @@ class PoolLeaseChecker(Checker):
                     "hand ownership off (return / self-attribute)",
                 )
             for node in own:
-                if (
-                    isinstance(node, ast.Expr)
-                    and _is_lease_creation(node.value)
-                    and node.value not in managed
-                    and node.value not in returned
-                ):
+                if isinstance(node, ast.Expr) and _is_lease_creation(node.value):
                     yield self.finding(
                         ctx,
                         node,

@@ -1,18 +1,16 @@
 """NES009 — cross-thread shared-state writes without lock discipline.
 
 The overlapped pipeline (PR 5) runs selection on a daemon thread while
-the training thread keeps mutating trainer/selector state; the fork
-pool's serial fallback runs the same functions on the main thread that
-``pool.map`` otherwise runs in workers.  Any attribute written both
-from worker-reachable code and from main-thread code is a potential
-race unless the write is lock-guarded.
+the training thread keeps mutating trainer/selector state.  Any
+attribute written both from worker-reachable code and from main-thread
+code is a potential race unless the write is lock-guarded.
 
 The rule flags the *worker-side unguarded write sites*: for every
 ``(owner, attr)`` pair written in at least one worker-reachable
 function AND at least one main-reachable function, each worker-side
 write not lexically inside a ``with <lock>:`` block is reported.  A
-function reachable both ways (serial fallback) counts on both sides —
-that is the fork-pool case, not a false positive.
+function reachable both ways (a synchronous round runs the selector on
+the main thread) counts on both sides, not as a false positive.
 
 Suppress with ``# lint: allow-shared-state(reason)`` when an external
 happens-before edge (``Thread.join()`` before the main-thread access,

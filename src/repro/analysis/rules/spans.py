@@ -10,11 +10,10 @@ opened in between as its child.  This check requires each
 
 Factory shapes are exempt: a span call in return position hands the
 un-entered span to a caller who will ``with``-manage it (the
-module-level :func:`repro.obs.span` helper is exactly that shape) —
-the same ownership-transfer idea as NES004's returned-segment
-exemption.  Spans finished in pool workers cannot be ``with``-managed
-in the parent at all; forward those through
-:meth:`~repro.obs.tracer.Tracer.add_completed` instead.
+module-level :func:`repro.obs.span` helper is exactly that shape).
+Spans timed outside the tracer cannot be ``with``-managed at all;
+forward those through :meth:`~repro.obs.tracer.Tracer.add_completed`
+instead.
 """
 
 from __future__ import annotations
@@ -75,6 +74,6 @@ class SpanWithChecker(Checker):
                 "span created outside a `with` statement: its record is "
                 "only emitted on __exit__, and children opened before "
                 "entry are misattributed",
-                hint="use `with obs.span(...) as sp:`; spans finished in "
-                "pool workers go through Tracer.add_completed()",
+                hint="use `with obs.span(...) as sp:`; spans timed "
+                "elsewhere go through Tracer.add_completed()",
             )

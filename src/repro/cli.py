@@ -123,7 +123,6 @@ def _cmd_train(args) -> int:
             subset_fraction=args.fraction or DATASETS[args.dataset].subset_fraction,
             biasing_drop_period=max(3, args.epochs // 3),
             seed=args.seed,
-            workers=args.workers,
             overlap=args.overlap,
             quantized_scoring=args.quantized_scoring,
         )
@@ -162,7 +161,6 @@ def _cmd_system(args) -> int:
         return 2
     model = SystemModel(
         args.dataset,
-        selection_workers=args.workers,
         host_overlap=args.overlap,
         quantized_scoring=args.quantized_scoring,
     )
@@ -239,9 +237,6 @@ def _cmd_bench(args) -> int:
     if args.tolerance < 0:
         print("bench: --tolerance must be >= 0")
         return 2
-    if args.workers is not None and args.workers < 1:
-        print("bench: --workers must be >= 1")
-        return 2
     if not _trace_flags_ok(args):
         return 2
     groups = list(bench.GROUPS) if args.group == "all" else [args.group]
@@ -258,7 +253,6 @@ def _cmd_bench(args) -> int:
                 repeats=args.repeats,
                 warmup=args.warmup,
                 with_seed=not args.no_seed,
-                max_workers=args.workers,
             )
             for r in results:
                 speedup = (f"  {r.speedup_vs_seed:5.2f}x vs seed"
@@ -483,9 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=1)
     train.add_argument("--data-seed", type=int, default=3)
     train.add_argument("--save-history", default=None, metavar="PATH")
-    train.add_argument("--workers", type=int, default=1,
-                       help="selection-engine process count (1 = serial; "
-                            "results are identical for any count)")
     train.add_argument("--overlap", action="store_true",
                        help="run NeSSA selection rounds on a background "
                             "thread, overlapped with training; each round "
@@ -501,15 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record a repro.obs run-trace (JSONL) to PATH")
     train.add_argument("--profile-mem", action="store_true",
                        help="attribute memory to trace spans (tracemalloc + "
-                            "pool/shm credits; requires --trace)")
+                            "scratch-pool credits; requires --trace)")
     train.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write the final metrics snapshot in Prometheus "
                             "text format to PATH")
 
     system = sub.add_parser("system", help="price the per-epoch strategies")
     system.add_argument("--dataset", choices=sorted(DATASETS), default="cifar10")
-    system.add_argument("--workers", type=int, default=1,
-                        help="host-CPU cores modelled for CPU-side selection")
     system.add_argument("--overlap", action="store_true",
                         help="model host-side selection/training overlap for "
                              "the CPU baselines (NeSSA always overlaps "
@@ -551,8 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="baseline directory for --check (default: --out-dir)")
     bench.add_argument("--tolerance", type=float, default=0.5,
                        help="allowed fractional slowdown before a check fails")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="skip parallel benches needing more workers than this")
     bench.add_argument("--trace", default=None, metavar="PATH",
                        help="record a repro.obs run-trace (JSONL) to PATH")
     bench.add_argument("--profile-mem", action="store_true",

@@ -78,9 +78,6 @@ class NeSSAConfig:
     use_partitioning : dataset partitioning (§3.2.3).
     partition_chunk_select : samples selected per chunk (*m*; the paper
         uses the mini-batch size, and the trainer defaults it to that).
-    workers : process count for the parallel selection engine
-        (:mod:`repro.parallel`); 1 keeps selection serial in-process.
-        Parallel results are bit-identical to serial for any count.
     similarity_precision : entry dtype of the similarity tiles the
         accounting charges against on-chip memory — ``"float32"`` (the
         FPGA kernel's fp32 tile), ``"float64"`` (host-side block-tiled
@@ -123,7 +120,6 @@ class NeSSAConfig:
     use_partitioning: bool = True
     partition_chunk_select: int | None = None
 
-    workers: int = 1
     similarity_precision: str = "float32"
     proxy_cache_entries: int = 4
     quantized_scoring: str = "off"
@@ -148,8 +144,6 @@ class NeSSAConfig:
             raise ValueError("feedback_bits must be in [2, 32]")
         if not 0.0 < self.min_subset_fraction <= self.subset_fraction:
             raise ValueError("min_subset_fraction must be in (0, subset_fraction]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.similarity_precision not in _SIMILARITY_DTYPE_BYTES:
             raise ValueError(
                 "similarity_precision must be one of "

@@ -11,11 +11,10 @@ at the start of an epoch (system step 2 in Figure 3):
    §3.2.2 — the :class:`~repro.selection.biasing.LossHistory` is fed by
    the trainer);
 3. flatten the per-class facility-location work into independent
-   (class x chunk) units (:mod:`repro.parallel.scheduler`) and run them —
-   serially, or fanned out over the
-   :class:`~repro.parallel.engine.SelectionExecutor`'s process pool with
-   proxies in shared memory.  Unit RNG streams are keyed, not shared, so
-   the two paths are bit-identical for any worker count;
+   (class x chunk) units (:mod:`repro.parallel.scheduler`) and run them
+   in order on the :class:`~repro.parallel.engine.SelectionExecutor`.
+   Unit RNG streams are keyed, not shared, so a unit's picks never
+   depend on the units run before it;
 4. return medoid positions + CRAIG weights, plus the accounting the
    storage model consumes (proxy FLOPs, largest similarity buffer at the
    config's similarity dtype).
@@ -47,22 +46,13 @@ class NeSSASelector:
     config : the NeSSA knobs; :class:`~repro.core.config.NeSSAConfig`.
     chunk_select : per-chunk selection count *m* for partitioning; the
         trainer passes the mini-batch size per the paper's convention.
-    workers : overrides ``config.workers`` (process count of the
-        selection engine; 1 = serial).  Selections are bit-identical
-        across worker counts — see DESIGN.md §4.
     """
 
     name = "nessa"
 
-    def __init__(
-        self,
-        config: NeSSAConfig,
-        chunk_select: int | None = None,
-        workers: int | None = None,
-    ):
+    def __init__(self, config: NeSSAConfig, chunk_select: int | None = None):
         self.config = config
         self.chunk_select = chunk_select or config.partition_chunk_select
-        self.workers = config.workers if workers is None else max(1, workers)
         self.rng = np.random.default_rng(config.seed)
         self.loss_history = LossHistory(
             window=config.biasing_window,
@@ -75,7 +65,7 @@ class NeSSASelector:
             if config.proxy_cache_entries > 0
             else None
         )
-        self.executor = SelectionExecutor(self.workers)
+        self.executor = SelectionExecutor()
         self.last_pairwise_bytes = 0
         self._round = 0
 
@@ -157,10 +147,9 @@ class NeSSASelector:
         labels = dataset.y[candidates]
 
         # Quantized scoring: collapse the proxies to int8 buckets up
-        # front.  The engine then ships 1-byte rows through shared
-        # memory, and the bucket digests key both the chunk permutation
-        # (stable partition across unchanged rounds) and the similarity
-        # block cache.
+        # front.  The units then score 1-byte rows, and the bucket
+        # digests key both the chunk permutation (stable partition
+        # across unchanged rounds) and the similarity block cache.
         vectors = proxy.vectors
         perm_entropy = None
         scales = None
@@ -194,13 +183,8 @@ class NeSSASelector:
             scoring=scoring,
             scales=scales,
         )
-        with obs.span(
-            "chunk_select",
-            units=len(units),
-            workers=self.executor.workers,
-            parallel=self.executor.is_parallel,
-        ):
-            outcomes = self.executor.run_units(vectors, units, spec, labels=labels)
+        with obs.span("chunk_select", units=len(units)):
+            outcomes = self.executor.run_units(vectors, units, spec)
         obs.metrics().counter("selection.units_executed").inc(len(units))
         obs.metrics().counter("selection.rounds").inc()
 
@@ -243,13 +227,3 @@ class NeSSASelector:
         """Run :meth:`select` and wrap the result as a weighted Subset."""
         result = self.select(dataset, fraction, model)
         return Subset(dataset, result.positions, weights=result.weights)
-
-    def close(self) -> None:
-        """Release the engine's process pool (no-op for serial selectors)."""
-        self.executor.close()
-
-    def __enter__(self) -> "NeSSASelector":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

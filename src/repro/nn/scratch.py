@@ -12,9 +12,8 @@ warm-up epoch every lease is served from the pool and the per-epoch
 allocation count for pooled buffers drops to zero
 (``tests/nn/test_scratch.py`` asserts this against the serial path).
 
-Leases follow the same lifecycle discipline as shared-memory segments
-(NES004): they must be ``with``-managed, released in a ``try/finally``,
-or ownership-transferred (bound to an attribute / returned) — the NES007
+Leases must be ``with``-managed, released in a ``try/finally``, or
+ownership-transferred (bound to an attribute / returned) — the NES007
 lint rule enforces it.  A leaked lease is not a correctness bug (the
 array is simply garbage-collected and the pool re-allocates), but it
 silently re-introduces the churn the pool exists to remove.

@@ -19,7 +19,7 @@ One import point for the observability subsystem:
   (``repro.cli obsdiff``), with declared carve-outs for known
   configuration asymmetries.
 - :mod:`repro.obs.profile` — opt-in per-span memory attribution
-  (tracemalloc + explicit pool/shm credits) and collapsed-stack
+  (tracemalloc + explicit scratch-pool credits) and collapsed-stack
   flamegraph export (``repro.cli report --flame``).
 - :mod:`repro.obs.export` — the declared metric table (NES011's
   source of truth) and Prometheus text-format snapshot export

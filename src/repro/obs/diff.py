@@ -11,8 +11,8 @@ instead of bench-file archaeology.
 
 **Alignment and classification.**  Spans pair by id; unpaired spans are
 ``added`` (only in B) or ``removed`` (only in A).  Known structural
-asymmetries between *configurations* — the parallel-only ``shm_publish``
-span, the overlap-only ``async_selection`` span, the synchronous
+asymmetries between *configurations* — the overlap-only
+``async_selection`` span, the synchronous
 ``selection_round`` subtree that overlap moves onto a muted worker
 thread — are **declared** as :class:`CarveOut` entries rather than
 special-cased inline: an unpaired span whose own name *or any ancestor
@@ -31,15 +31,13 @@ mismatch on a span present in both traces.
   when both sides sit under ``min_dur_s`` (sub-millisecond spans jitter
   multiples without meaning anything).
 - everything else — bytes, MACs, counters, labels — compared
-  **exactly**; any delta (or one-sided presence) is a regression,
-  unless the key is a declared ``attr`` carve-out (``workers``,
-  ``parallel`` — configuration labels, not measurements).
+  **exactly**; any delta (or one-sided presence) is a regression.
 
 **Metrics reconciliation.**  The final snapshot line diffs the same
 way: counters exactly, gauges and timer totals with tolerance (timer
 *counts* exactly — the number of observations is structural).  Metric
 names present on one side only are structural drift unless a declared
-metric carve-out (prefix match: ``overlap.``, ``shm.``, ``qscore.``)
+metric carve-out (prefix match: ``overlap.``, ``qscore.``)
 covers the configuration asymmetry.
 
 **Verdict.**  ``structural-drift`` (un-excused shape difference) >
@@ -82,11 +80,7 @@ class CarveOut:
       carrying that frame anywhere on their id path, i.e. the span and
       its whole subtree;
     - ``"metric"`` — ``match`` is a metric-name *prefix* covering
-      one-sided presence in the snapshot (never a value mismatch);
-    - ``"attr"`` — ``match`` is an exact span-attribute key that
-      records *configuration* rather than measurement (``workers``,
-      ``parallel``): its exact-compare mismatches are excused, since
-      cross-configuration diffs are the tool's whole point.
+      one-sided presence in the snapshot (never a value mismatch).
     """
 
     scope: str
@@ -95,12 +89,6 @@ class CarveOut:
 
 
 DEFAULT_CARVEOUTS = (
-    CarveOut(
-        "span",
-        "shm_publish",
-        "parallel engine only: a --workers N > 1 run publishes proxy "
-        "state to POSIX shared memory before fanning units out",
-    ),
     CarveOut(
         "span",
         "async_selection",
@@ -122,25 +110,8 @@ DEFAULT_CARVEOUTS = (
     ),
     CarveOut(
         "metric",
-        "shm.",
-        "parallel engine only: shared-memory publish accounting",
-    ),
-    CarveOut(
-        "metric",
         "qscore.",
         "int8 quantized scoring only (--quantized-scoring int8)",
-    ),
-    CarveOut(
-        "attr",
-        "workers",
-        "configuration label on chunk_select: the --workers the run "
-        "was asked for, not a measurement",
-    ),
-    CarveOut(
-        "attr",
-        "parallel",
-        "configuration label on chunk_select: whether the executor "
-        "fanned out, implied by --workers",
     ),
     CarveOut(
         "metric",
@@ -166,13 +137,6 @@ def _span_carveout(span_id: str, carveouts) -> CarveOut | None:
 def _metric_carveout(name: str, carveouts) -> CarveOut | None:
     for carve in carveouts:
         if carve.scope == "metric" and name.startswith(carve.match):
-            return carve
-    return None
-
-
-def _attr_carveout(key: str, carveouts) -> CarveOut | None:
-    for carve in carveouts:
-        if carve.scope == "attr" and carve.match == key:
             return carve
     return None
 
@@ -287,8 +251,7 @@ class TraceDiff:
         return "\n".join(lines)
 
 
-def _compare_span_attrs(span_id, attrs_a, attrs_b, carveouts,
-                        diff: TraceDiff) -> None:
+def _compare_span_attrs(span_id, attrs_a, attrs_b, diff: TraceDiff) -> None:
     for key in sorted(set(attrs_a) | set(attrs_b)):
         in_a, in_b = key in attrs_a, key in attrs_b
         va, vb = attrs_a.get(key), attrs_b.get(key)
@@ -315,13 +278,6 @@ def _compare_span_attrs(span_id, attrs_a, attrs_b, carveouts,
                 )
             continue
         if (not (in_a and in_b)) or va != vb:
-            carve = _attr_carveout(key, carveouts)
-            if carve is not None:
-                diff.excused.append(
-                    {"kind": "attr", "id": f"{span_id}.{key}",
-                     "side": "value", "carveout": carve.match}
-                )
-                continue
             diff.attr_deltas.append(
                 {"id": span_id, "attr": key,
                  "a": va if in_a else "<absent>",
@@ -453,8 +409,7 @@ def diff_traces(
                  "b": float(dur_b), "ratio": _ratio(dur_a, dur_b)}
             )
         _compare_span_attrs(
-            span_id, span_a.get("attrs") or {}, span_b.get("attrs") or {},
-            carveouts, diff,
+            span_id, span_a.get("attrs") or {}, span_b.get("attrs") or {}, diff
         )
 
     _compare_metrics(a.get("metrics"), b.get("metrics"), carveouts, diff)

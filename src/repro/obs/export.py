@@ -92,14 +92,6 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
         "counter",
         "(class x chunk) work units executed across selection rounds",
     ),
-    "shm.bytes_published": (
-        "counter",
-        "Bytes published to POSIX shared memory for selection pool workers",
-    ),
-    "shm.segments_published": (
-        "counter",
-        "Shared-memory segments published for selection pool workers",
-    ),
 }
 
 

@@ -8,12 +8,10 @@ with no allocation and no dict lookups.  ``repro.cli``'s ``--trace``
 flags install a real :class:`MetricsRegistry` for the run and dump its
 snapshot into the trace file's final JSONL line.
 
-Names are dotted (``proxy_cache.hits``, ``shm.bytes_published``);
+Names are dotted (``proxy_cache.hits``, ``selection.rounds``);
 instruments are created on first use and accumulate for the registry's
-lifetime.  Everything here is stdlib-only and single-process — pool
-workers do not write metrics (their work is accounted by the spans the
-engine forwards) — but the overlapped pipeline (PR 5) *does* write
-from its selection thread, so real instruments guard their mutations
+lifetime.  Everything here is stdlib-only and single-process, but the
+overlapped pipeline (PR 5) *does* write from its selection thread, so real instruments guard their mutations
 with a lock.  The null-registry fast path stays lock-free: disabled
 mode is still one global read plus one no-op call.
 """

@@ -22,12 +22,11 @@ Two mechanisms:
   tracer cannot see through tracemalloc deltas alone because they are
   pooled or live outside the Python heap: :class:`repro.nn.scratch.
   BufferPool` credits ``mem_pool_lease_bytes`` / ``mem_pool_release_
-  bytes`` on lease/release and the parallel engine credits
-  ``mem_shm_bytes`` for published shared-memory segments.  All
-  profiling attrs share the ``mem_`` prefix: the report excludes them
-  from the data-moved byte columns and the diff engine compares them
-  with tolerance (and excuses their absence, which is how schema-1 and
-  profiling-off traces stay comparable).
+  bytes`` on lease/release.  All profiling attrs share the ``mem_``
+  prefix: the report excludes them from the data-moved byte columns and
+  the diff engine compares them with tolerance (and excuses their
+  absence, which is how schema-1 and profiling-off traces stay
+  comparable).
 
 The flamegraph exporter (:func:`to_folded_stacks`) renders a span list
 as collapsed-stack text — ``epoch;selection_round;unit 1234`` per line —

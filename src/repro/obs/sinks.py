@@ -18,7 +18,7 @@ Schema history — readers accept every schema back to 1 and reject only
 - **2** — meta gains ``profile_mem``; under ``--profile-mem``, spans
   carry ``mem_net_bytes`` / ``mem_peak_bytes`` (tracemalloc attribution
   to the innermost open span) and the explicit ``mem_pool_lease_bytes``
-  / ``mem_pool_release_bytes`` / ``mem_shm_bytes`` credits.  The
+  / ``mem_pool_release_bytes`` credits.  The
   migration shim for schema 1 is exactly "memory attrs are absent":
   ``profile_mem`` defaults to False and no span carries ``mem_*`` keys,
   which the diff engine already treats as "not profiled on this side".
@@ -26,9 +26,8 @@ Schema history — readers accept every schema back to 1 and reject only
 The Chrome export emits complete events (``"ph": "X"``) in the
 ``trace_event`` JSON-object format that ``chrome://tracing`` and
 Perfetto load directly: microsecond timestamps from ``start_s``, the
-span tree flattened onto tracks by process (forwarded worker spans keep
-their worker pid as ``tid`` so the pool's parallelism is visible), and
-span attributes under ``args``.
+span tree flattened onto tracks (a forwarded span that names a
+``worker`` pid gets it as ``tid``), and span attributes under ``args``.
 """
 
 from __future__ import annotations

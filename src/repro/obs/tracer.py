@@ -2,8 +2,7 @@
 
 A :class:`Tracer` records one run as a tree of timestamped **spans**
 (``epoch``, ``selection_round``, ``proxy_compute``, ``chunk_select``,
-``shm_publish``, ``feedback_quantize``, ``io_replay``, per-unit worker
-spans, …), each carrying structured attributes (bytes moved, FLOPs,
+``feedback_quantize``, ``io_replay``, per-unit spans, …), each carrying structured attributes (bytes moved, FLOPs,
 cache hits, subset fractions).  Two properties matter more than the
 timestamps:
 
@@ -11,9 +10,9 @@ timestamps:
   ``epoch#3/selection_round#0/unit@1-0-2-1`` — where the ``#n`` suffix
   is a per-(parent, name) sequence number and the ``@key`` form is used
   for spans whose identity comes from a caller-supplied key (the
-  parallel engine keys unit spans on :attr:`WorkUnit.seed_key`).  Ids
-  never involve wall clock, thread ids or worker pids, so traces from a
-  ``--workers 4`` run diff cleanly against a serial one.
+  selection executor keys unit spans on :attr:`WorkUnit.seed_key`).  Ids
+  never involve wall clock, thread ids or pids, so traces of the same
+  config align span for span.
 - **Zero-overhead no-op mode.**  Instrumented code calls the
   module-level :func:`span` helper; when no tracer is installed it
   returns a shared do-nothing context manager — one global read and one
@@ -21,9 +20,9 @@ timestamps:
 
 Spans are *context managers by contract*: ``with obs.span(...) as sp``.
 The NES006 lint rule enforces this (manual ``start()``/``end()`` pairs
-are how spans leak open on error paths).  Cross-process spans from pool
-workers cannot be ``with``-managed in the parent; they are forwarded as
-already-completed records via :meth:`Tracer.add_completed`.
+are how spans leak open on error paths).  Spans timed outside the
+tracer (per-unit spans, the overlapped round's summary) are forwarded
+as already-completed records via :meth:`Tracer.add_completed`.
 """
 
 from __future__ import annotations
@@ -51,9 +50,9 @@ class SpanRecord:
 
     ``start_s`` is seconds since the tracer's construction (its epoch),
     so records serialize small and Chrome-trace timestamps are direct.
-    ``worker`` is the pid of the process that executed the span when it
-    was forwarded from a pool worker, else ``None`` — informational
-    only; it never contributes to the id.
+    ``worker`` is the pid of the process that executed the span when a
+    forwarder names one, else ``None`` — informational only; it never
+    contributes to the id.
     """
 
     id: str
@@ -225,13 +224,12 @@ class Tracer:
         parent_id: str | None = None,
         **attrs,
     ) -> SpanRecord:
-        """Ingest an already-finished span (forwarded from a pool worker).
+        """Ingest an already-finished span (timed by its forwarder).
 
-        ``start`` is an absolute :func:`time.perf_counter` reading from
-        the executing process (fork children share the parent's
-        monotonic clock); ``None`` stamps "now".  The id is derived from
-        ``key`` when given — the engine passes :attr:`WorkUnit.seed_key`
-        so unit spans are identical for any worker count.
+        ``start`` is an absolute :func:`time.perf_counter` reading;
+        ``None`` stamps "now".  The id is derived from ``key`` when
+        given — the executor passes :attr:`WorkUnit.seed_key`, so a
+        unit's span id never depends on execution order.
         """
         if parent_id is None:
             parent_id = self.current_id

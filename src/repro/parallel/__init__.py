@@ -1,35 +1,21 @@
-"""Multi-core selection engine: shared-memory fan-out over (class x chunk).
+"""Selection work units: deterministic (class x chunk) planning, the
+in-process executor that runs them, and the proxy-reuse cache.
 
-The paper's FPGA realizes selection as spatially parallel compute units;
-this package is the CPU analogue — see DESIGN.md §4 for the executor,
-shared-memory layout, cache keying, and determinism strategy.
+See DESIGN.md §4 for the scheduler, the determinism contract and the
+cache keying.
 """
 
 from repro.parallel.cache import ProxyCache, model_weights_digest
-from repro.parallel.engine import (
-    SelectionExecutor,
-    SelectionSpec,
-    default_workers,
-    execute_unit,
-)
+from repro.parallel.engine import SelectionExecutor, SelectionSpec, execute_unit
 from repro.parallel.scheduler import WorkUnit, plan_selection_round, unit_rng
-from repro.parallel.store import (
-    SharedFeatureStore,
-    StoreHandle,
-    shared_memory_available,
-)
 
 __all__ = [
     "ProxyCache",
     "model_weights_digest",
     "SelectionExecutor",
     "SelectionSpec",
-    "default_workers",
     "execute_unit",
     "WorkUnit",
     "plan_selection_round",
     "unit_rng",
-    "SharedFeatureStore",
-    "StoreHandle",
-    "shared_memory_available",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic work-unit planning for the parallel selection engine.
+"""Deterministic work-unit planning for a selection round.
 
 A NeSSA selection round is a grid of independent facility-location
 problems: one per (class, partition chunk).  :func:`plan_selection_round`
@@ -7,9 +7,9 @@ runs, deriving every random choice (chunk permutations, stochastic-greedy
 streams) from a :class:`numpy.random.SeedSequence` keyed on
 ``(seed, round, class rank, chunk index)`` instead of from one shared
 generator consumed in execution order.  Because a unit's randomness
-depends only on its key, executing units serially, across 2 workers, or
-across 8 workers produces *bit-identical* selections — the equivalence
-suite in ``tests/parallel`` asserts exactly that.
+depends only on its key, a unit run alone produces *bit-identical*
+picks to the same unit run inside the round — the equivalence suite in
+``tests/parallel`` asserts exactly that.
 
 The per-chunk quotas reuse :func:`repro.selection.partition.plan_chunk_takes`,
 so the flattened grid selects exactly the same counts as the serial
@@ -33,8 +33,7 @@ class WorkUnit:
 
     Attributes
     ----------
-    order : assembly rank — results concatenate in this order, so output
-        layout never depends on which worker finished first.
+    order : assembly rank — results concatenate in this order.
     label : the class label (bookkeeping / debugging).
     positions : candidate-row indices (into the round's proxy matrix)
         belonging to this chunk, sorted ascending.
@@ -57,7 +56,7 @@ class WorkUnit:
 
 
 def unit_rng(seed_key: tuple) -> np.random.Generator:
-    """The unit's private RNG stream (worker-count independent)."""
+    """The unit's private RNG stream (a function of the key alone)."""
     return np.random.default_rng(np.random.SeedSequence(list(seed_key)))
 
 

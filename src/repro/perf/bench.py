@@ -52,7 +52,6 @@ GROUPS = ("selection", "nn", "parallel", "pipeline", "qscore")
 SIZES = ("tiny", "default")
 DEFAULT_TOLERANCE = 0.5
 SCHEMA_VERSION = 2  # v2 added peak_rss_bytes; compare() tolerates v1 docs
-PARALLEL_WORKER_COUNTS = (1, 2, 4, 8)
 
 
 @dataclass
@@ -62,14 +61,12 @@ class BenchCase:
     ``run`` is the optimized kernel under test; ``seed_run`` (optional)
     is the seed implementation on the same inputs, used to report the
     before/after speedup.  ``params`` records the input sizes for the
-    JSON output.  ``cleanup`` (optional) releases resources the case
-    holds open (e.g. the parallel engine's process pool) after timing.
+    JSON output.
     """
 
     run: Callable[[], object]
     seed_run: Callable[[], object] | None = None
     params: dict = field(default_factory=dict)
-    cleanup: Callable[[], None] | None = None
 
 
 @dataclass
@@ -92,16 +89,10 @@ class BenchResult:
 
 
 _REGISTRY: dict[str, tuple[str, Callable[[str], BenchCase]]] = {}
-_BENCH_WORKERS: dict[str, int] = {}  # parallel benches: pool size per name
 
 
-def register_bench(name: str, group: str, workers: int | None = None):
-    """Decorator registering ``make(size) -> BenchCase`` under ``name``.
-
-    ``workers`` tags benches that spin up a process pool of that size,
-    so ``run_group(..., max_workers=N)`` can skip fan-outs wider than
-    the machine (or the user's ``--workers`` cap) supports.
-    """
+def register_bench(name: str, group: str):
+    """Decorator registering ``make(size) -> BenchCase`` under ``name``."""
     if group not in GROUPS:
         raise ValueError(f"unknown bench group {group!r} (use one of {GROUPS})")
 
@@ -109,8 +100,6 @@ def register_bench(name: str, group: str, workers: int | None = None):
         if name in _REGISTRY:
             raise ValueError(f"bench {name!r} already registered")
         _REGISTRY[name] = (group, make)
-        if workers is not None:
-            _BENCH_WORKERS[name] = workers
         return make
 
     return decorator
@@ -186,23 +175,19 @@ def run_bench(
     group, make = _REGISTRY[name]
     case = make(size)
 
-    try:
-        with obs.span("bench", bench=name, group=group, size=size) as sp:
-            _reset_peak_rss()
-            times = _time(case.run, repeats, warmup)
-            peak_rss = _read_peak_rss_bytes()
-            seed_median = None
-            speedup = None
-            if with_seed and case.seed_run is not None:
-                # The seed kernels are the slow side; half the repeats keeps the
-                # total bench wall-clock reasonable without hurting the median.
-                seed_times = _time(case.seed_run, max(1, repeats // 2), warmup)
-                seed_median = statistics.median(seed_times)
-                speedup = seed_median / statistics.median(times)
-            sp.set(median_s=statistics.median(times), repeats=repeats)
-    finally:
-        if case.cleanup is not None:
-            case.cleanup()
+    with obs.span("bench", bench=name, group=group, size=size) as sp:
+        _reset_peak_rss()
+        times = _time(case.run, repeats, warmup)
+        peak_rss = _read_peak_rss_bytes()
+        seed_median = None
+        speedup = None
+        if with_seed and case.seed_run is not None:
+            # The seed kernels are the slow side; half the repeats keeps the
+            # total bench wall-clock reasonable without hurting the median.
+            seed_times = _time(case.seed_run, max(1, repeats // 2), warmup)
+            seed_median = statistics.median(seed_times)
+            speedup = seed_median / statistics.median(times)
+        sp.set(median_s=statistics.median(times), repeats=repeats)
 
     return BenchResult(
         name=name,
@@ -227,17 +212,11 @@ def run_group(
     repeats: int = 5,
     warmup: int = 1,
     with_seed: bool = True,
-    max_workers: int | None = None,
 ) -> list[BenchResult]:
-    """Run every bench registered under ``group``.
-
-    ``max_workers`` skips benches whose registered pool size exceeds it
-    (the parallel group's 8-worker case on a 4-core box, say).
-    """
+    """Run every bench registered under ``group``."""
     return [
         run_bench(name, size=size, repeats=repeats, warmup=warmup, with_seed=with_seed)
         for name in registered_benches(group)
-        if max_workers is None or _BENCH_WORKERS.get(name, 1) <= max_workers
     ]
 
 
@@ -485,18 +464,14 @@ def _bench_conv2d_fwd_bwd(size: str) -> BenchCase:
     return BenchCase(run=run, seed_run=seed_run, params=params)
 
 
-# -- parallel group: the multi-core selection engine -------------------------
+# -- parallel group: selection work units + proxy cache ----------------------
 #
-# The w1 case is the serial baseline on identical work units; wN cases
-# time the same round fanned over a persistent N-worker pool with the
-# proxy matrix in shared memory.  Speedup tracks physical cores — on a
-# 1-core CI box expect parity (pool overhead only), on a 4-core machine
-# the acceptance target is >= 2.5x for w4 (benchmarks/test_perf_regression.py
-# asserts it where the hardware allows).  Pools are created in the
-# warmup call and torn down by the case's cleanup hook.
+# ``selection_round_w1`` keeps the name its committed baseline was
+# recorded under: one planned round through SelectionExecutor.run_units.
 
 
-def _parallel_round_case(size: str, workers: int) -> BenchCase:
+@register_bench("parallel.selection_round_w1", "parallel")
+def _bench_selection_round(size: str) -> BenchCase:
     from repro.parallel.engine import SelectionExecutor, SelectionSpec
     from repro.parallel.scheduler import plan_selection_round
 
@@ -510,53 +485,12 @@ def _parallel_round_case(size: str, workers: int) -> BenchCase:
         labels, k, seed=0, round_index=0, chunk_select=m
     )
     spec = SelectionSpec()
-    executor = SelectionExecutor(workers)
+    executor = SelectionExecutor()
     return BenchCase(
-        run=lambda: executor.run_units(vectors, units, spec, labels=labels),
+        run=lambda: executor.run_units(vectors, units, spec),
         params={"n": n, "d": d, "classes": classes, "k": k,
-                "chunk_select": m, "workers": workers, "units": len(units)},
-        cleanup=executor.close,
+                "chunk_select": m, "units": len(units)},
     )
-
-
-def _register_parallel_round(workers: int):
-    @register_bench(f"parallel.selection_round_w{workers}", "parallel",
-                    workers=workers)
-    def _bench(size: str, _w=workers) -> BenchCase:
-        return _parallel_round_case(size, _w)
-
-
-for _w in PARALLEL_WORKER_COUNTS:
-    _register_parallel_round(_w)
-
-
-@register_bench("parallel.store_attach", "parallel")
-def _bench_store_attach(size: str) -> BenchCase:
-    """Publish + attach + full-read round-trip of the shared-memory store.
-
-    The full read keeps the timing dominated by deterministic copy work
-    rather than by shm_open/mmap syscall jitter, which at sub-ms scale
-    is noisy enough to trip the regression tolerance on shared machines.
-    """
-    from repro.parallel.store import SharedFeatureStore
-
-    n, d = (20000, 32) if size == "default" else (200, 8)
-    vectors = np.random.default_rng(7).normal(size=(n, d))
-    labels = np.arange(n, dtype=np.int64)
-
-    def run():
-        store = SharedFeatureStore(vectors, labels)
-        try:
-            attached = SharedFeatureStore.attach(store.handle)
-            try:
-                return float(np.asarray(attached.vectors).sum())
-            finally:
-                attached.close()
-        finally:
-            store.close()
-            store.unlink()
-
-    return BenchCase(run=run, params={"n": n, "d": d})
 
 
 def _proxy_cache_inputs(size: str):
@@ -650,10 +584,7 @@ def _bench_serial_vs_overlap(size: str) -> BenchCase:
             model, recipe, config,
             lambda: resnet20(num_classes=num_classes, width=4, seed=16),
         )
-        try:
-            return trainer.train(train_set, test_set)
-        finally:
-            trainer.selector.close()
+        return trainer.train(train_set, test_set)
 
     return BenchCase(
         run=lambda: train_once(overlap_cfg),

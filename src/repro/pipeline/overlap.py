@@ -19,7 +19,7 @@ Tracing: the selector's spans are thread-local-muted on the worker
 (``obs.suppress()``, the tracer's span stack is single-threaded by
 design) and the whole round surfaces as one completed ``async_selection``
 span forwarded from the training thread at the join point — the same
-convention the parallel engine uses for cross-process unit spans.  The
+convention the selection executor uses for per-unit spans.  The
 ``overlap.efficiency`` gauge records the fraction of each round's
 duration that was hidden behind training.
 

@@ -83,14 +83,11 @@ class SystemModel:
         cpu_gflops: float = 300.0,
         ingest: HostIngestModel | None = None,
         batch_size: int = 128,
-        selection_workers: int = 1,
         host_overlap: bool = False,
         quantized_scoring: str = "off",
     ):
         if isinstance(dataset, str):
             dataset = DATASETS[dataset]
-        if selection_workers < 1:
-            raise ValueError("selection_workers must be >= 1")
         if quantized_scoring not in ("off", "int8"):
             raise ValueError("quantized_scoring must be 'off' or 'int8'")
         self.dataset = dataset
@@ -99,10 +96,6 @@ class SystemModel:
         self.cpu_flops = cpu_gflops * 1e9
         self.ingest = ingest or HostIngestModel()
         self.batch_size = batch_size
-        # Host-CPU cores the parallel selection engine (repro.parallel)
-        # fans the per-class greedy over; the independent (class x chunk)
-        # units scale near-linearly, matching the FPGA's spatial lanes.
-        self.selection_workers = selection_workers
         # Host-side analog of NeSSA's device overlap (repro.pipeline.overlap):
         # when set, the CPU baselines run round t+1's selection while round
         # t's subset trains, so only the non-hidden excess is charged to the
@@ -172,7 +165,7 @@ class SystemModel:
         per_class = n / max(1, self.dataset.num_classes)
         k_class = k / max(1, self.dataset.num_classes)
         greedy_flops = self.dataset.num_classes * (per_class * k_class * 10 * 2)
-        select = proxy + greedy_flops / (self.cpu_flops * self.selection_workers)
+        select = proxy + greedy_flops / self.cpu_flops
         train = self._train_time(k)
         if self.host_overlap:
             select = max(0.0, select - train)
@@ -194,7 +187,7 @@ class SystemModel:
         pool_ingest = self._ingest_images(n)
         proxy = self.compute.epoch_compute_time(n, self.forward_flops) / 3.0
         scan_flops = float(n) * k * 512 * 2
-        select = proxy + scan_flops / (self.cpu_flops * self.selection_workers)
+        select = proxy + scan_flops / self.cpu_flops
         train = self._train_time(k)
         if self.host_overlap:
             select = max(0.0, select - train)

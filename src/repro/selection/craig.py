@@ -53,9 +53,6 @@ def craig_select_class(
     method: str = "lazy",
     epsilon: float = 0.1,
     rng: np.random.Generator | None = None,
-    precision: str = "float64",
-    block_size: int | None = None,
-    memory_budget_bytes: int | None = None,
     similarity_dtype_bytes: int = 4,
     scoring: str = "off",
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -63,10 +60,9 @@ def craig_select_class(
 
     Distances come from the Gram-matrix identity (one GEMM, ``O(N^2)``
     peak additional memory) rather than the ``N x N x D`` broadcast; see
-    :mod:`repro.selection.pairwise` for the ``precision`` / ``block_size``
-    / ``memory_budget_bytes`` knobs (fp32 mode and Section 3.2.3-style
-    tile bounding).  The similarity construction guarantees non-negative
-    entries, so the maximizers skip their ``O(N^2)`` validation scan.
+    :mod:`repro.selection.pairwise`.  The similarity construction
+    guarantees non-negative entries, so the maximizers skip their
+    ``O(N^2)`` validation scan.
 
     Returns ``(local_indices, weights, pairwise_bytes)`` where
     ``pairwise_bytes`` is the similarity-matrix footprint at
@@ -78,7 +74,7 @@ def craig_select_class(
     ``scoring="int8"`` routes the whole similarity stage through
     :mod:`repro.selection.qscore`: the bucket is quantized with a
     symmetric scale and distances come from the int8 GEMM (with the
-    cross-round block cache); ``precision`` is ignored on that path.
+    cross-round block cache).
     """
     if similarity_dtype_bytes < 1:
         raise ValueError("similarity_dtype_bytes must be >= 1")
@@ -99,17 +95,10 @@ def craig_select_class(
             method=method,
             epsilon=epsilon,
             rng=rng,
-            block_size=block_size,
-            memory_budget_bytes=memory_budget_bytes,
             similarity_dtype_bytes=similarity_dtype_bytes,
         )
         return sel, weights, n * n * similarity_dtype_bytes
-    distances = pairwise_distances(
-        vectors,
-        precision=precision,
-        block_size=block_size,
-        memory_budget_bytes=memory_budget_bytes,
-    )
+    distances = pairwise_distances(vectors)
     similarity = similarity_from_distances(distances)
     if method == "lazy":
         sel = lazy_greedy(similarity, k, validate=False)
@@ -137,15 +126,11 @@ class CraigSelector:
         method: str = "lazy",
         epsilon: float = 0.1,
         seed: int = 0,
-        precision: str = "float64",
-        memory_budget_bytes: int | None = None,
         scoring: str = "off",
     ):
         self.method = method
         self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)
-        self.precision = precision
-        self.memory_budget_bytes = memory_budget_bytes
         self.scoring = scoring
 
     def select(
@@ -178,9 +163,7 @@ class CraigSelector:
         labels = dataset.y[candidates]
         positions, weights, pairwise = [], [], 0
         unique_labels = np.unique(labels)
-        with obs.span(
-            "chunk_select", units=len(unique_labels), workers=1, parallel=False
-        ):
+        with obs.span("chunk_select", units=len(unique_labels)):
             for label in unique_labels:
                 local = np.flatnonzero(labels == label)
                 k_c = max(1, int(round(k_total * len(local) / len(candidates))))
@@ -191,8 +174,6 @@ class CraigSelector:
                     method=self.method,
                     epsilon=self.epsilon,
                     rng=self.rng,
-                    precision=self.precision,
-                    memory_budget_bytes=self.memory_budget_bytes,
                     scoring=self.scoring,
                 )
                 positions.append(candidates[local[sel]])

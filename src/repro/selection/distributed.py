@@ -26,19 +26,18 @@ from repro.selection.facility import (
     medoid_weights,
     similarity_from_distances,
 )
+from repro.selection.pairwise import pairwise_distances
 
 __all__ = ["greedi_select", "pairwise_similarity"]
 
 
 def pairwise_similarity(vectors: np.ndarray, c0: float | None = None) -> np.ndarray:
     """Euclidean-distance facility-location similarities for row vectors."""
-    diffs = vectors[:, None, :] - vectors[None, :, :]
-    distances = np.sqrt((diffs**2).sum(axis=2))
-    return similarity_from_distances(distances, c0=c0)
+    return similarity_from_distances(pairwise_distances(vectors), c0=c0)
 
 
 def _shard_select(shard_vectors: np.ndarray, k: int, maximizer) -> np.ndarray:
-    """Round-1 per-machine greedy (module-level so workers can run it)."""
+    """Round-1 per-machine greedy."""
     local_k = min(k, shard_vectors.shape[0])
     sim = pairwise_similarity(shard_vectors)
     return maximizer(sim, local_k)
@@ -50,7 +49,6 @@ def greedi_select(
     num_machines: int,
     rng: np.random.Generator | None = None,
     maximizer: Callable[[np.ndarray, int], np.ndarray] = lazy_greedy,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-round distributed facility-location selection.
 
@@ -58,13 +56,6 @@ def greedi_select(
     medoid cluster sizes computed over the *full* set (the final
     machine sees every point's assignment, as the paper's aggregation
     step does).
-
-    ``workers > 1`` fans the round-1 per-machine selections out over the
-    :class:`~repro.parallel.engine.SelectionExecutor` process pool —
-    each "machine" genuinely runs concurrently, with the proxy matrix
-    shared zero-copy.  Shard composition is fixed before the fan-out and
-    each shard's greedy is deterministic, so results match serial
-    execution exactly.
     """
     n = vectors.shape[0]
     if k < 1:
@@ -77,21 +68,13 @@ def greedi_select(
         return indices, medoid_weights(sim, indices)
     rng = rng or np.random.default_rng(0)
 
-    # Round 1: shard and select k per machine (fanned out when workers > 1).
+    # Round 1: shard and select k per machine.
     shards = [
         shard
         for shard in np.array_split(rng.permutation(n), min(num_machines, n))
         if len(shard)
     ]
-    if workers > 1:
-        from repro.parallel.engine import SelectionExecutor
-
-        with SelectionExecutor(workers) as executor:
-            picks = executor.map_chunks(
-                vectors, shards, _shard_select, fn_args=(k, maximizer)
-            )
-    else:
-        picks = [_shard_select(vectors[shard], k, maximizer) for shard in shards]
+    picks = [_shard_select(vectors[shard], k, maximizer) for shard in shards]
     candidates = [shard[picked] for shard, picked in zip(shards, picks)]
     pool = np.unique(np.concatenate(candidates))
 

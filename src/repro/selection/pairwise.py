@@ -13,19 +13,9 @@ GEMM.  This module computes the same matrix through the Gram identity
     ``d^2(i, j) = ||v_i||^2 + ||v_j||^2 - 2 <v_i, v_j>``
 
 so the heavy lifting is a single ``V @ V.T`` matrix multiply and the
-peak additional memory is the ``O(N^2)`` result itself.  For pools whose
-Gram tile should not be materialized in one piece (mirroring the paper's
-Section 3.2.3 chunking story, where the FPGA's on-chip memory bounds the
-similarity tile), a block-tiled mode computes the matrix in
-``block_size x block_size`` tiles with an ``O(B^2 + B*D)`` workspace.
-
-Precision:
-
-- ``precision="float64"`` (default) matches the broadcast formulation to
-  ~1e-12 relative error (identical dot products, different rounding).
-- ``precision="float32"`` runs the GEMM in fp32 — the documented
-  tolerance is ~1e-3 absolute on unit-scale inputs, which leaves
-  selection orders unchanged for non-degenerate pools.
+peak additional memory is the ``O(N^2)`` result itself.  The result is
+float64 and matches the broadcast formulation to ~1e-12 relative error
+(identical dot products, different rounding).
 
 ``naive_pairwise_distances`` keeps the seed broadcast implementation as
 the reference for equivalence tests and before/after benchmarks.
@@ -35,13 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "pairwise_distances",
-    "naive_pairwise_distances",
-    "auto_block_size",
-]
-
-_PRECISIONS = {"float64": np.float64, "float32": np.float32}
+__all__ = ["pairwise_distances", "naive_pairwise_distances"]
 
 
 def naive_pairwise_distances(vectors: np.ndarray) -> np.ndarray:
@@ -51,84 +35,25 @@ def naive_pairwise_distances(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt((diffs**2).sum(axis=2))
 
 
-def auto_block_size(
-    n: int, d: int, itemsize: int, memory_budget_bytes: int | None
-) -> int | None:
-    """Largest block size whose tile workspace fits ``memory_budget_bytes``.
-
-    The blocked path's transient workspace is one ``B x B`` Gram tile
-    plus two ``B x D`` operand views; the budget bounds their sum.
-    Returns ``None`` when no budget is given or the whole pool fits
-    unblocked (workspace ``N^2 + N*D``), i.e. no tiling is needed.
-    """
-    if memory_budget_bytes is None:
-        return None
-    if memory_budget_bytes <= 0:
-        raise ValueError("memory budget must be positive")
-    if (n * n + n * d) * itemsize <= memory_budget_bytes:
-        return None
-    # Solve B^2 + 2*B*D <= budget/itemsize for B.
-    budget = memory_budget_bytes / itemsize
-    b = int(np.floor(np.sqrt(budget + d * d) - d))
-    return max(1, min(b, n))
-
-
-def pairwise_distances(
-    vectors: np.ndarray,
-    precision: str = "float64",
-    block_size: int | None = None,
-    memory_budget_bytes: int | None = None,
-) -> np.ndarray:
+def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix via the Gram identity (one GEMM).
 
-    Parameters
-    ----------
-    vectors : ``(N, D)`` pool of proxy vectors.
-    precision : ``"float64"`` (default, matches the broadcast to ~1e-12)
-        or ``"float32"`` (faster, ~1e-3 documented absolute tolerance).
-    block_size : compute the matrix in ``B x B`` Gram tiles, bounding
-        transient workspace to ``O(B^2 + B*D)`` beyond the output.
-    memory_budget_bytes : derive ``block_size`` from a workspace budget
-        (ignored when ``block_size`` is given explicitly).
-
-    Returns the symmetric ``(N, N)`` distance matrix with an exactly
-    zero diagonal, in the requested precision.
+    ``vectors`` is the ``(N, D)`` pool of proxy vectors.  Returns the
+    symmetric float64 ``(N, N)`` distance matrix with an exactly zero
+    diagonal.
     """
-    if precision not in _PRECISIONS:
-        raise ValueError(f"unknown precision {precision!r} (use 'float64' or 'float32')")
-    if block_size is not None and block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    dtype = _PRECISIONS[precision]
-    v = np.ascontiguousarray(vectors, dtype=dtype)
+    v = np.ascontiguousarray(vectors, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError("vectors must be a 2-D (N, D) array")
-    n, d = v.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=dtype)
-
-    if block_size is None and memory_budget_bytes is not None:
-        block_size = auto_block_size(n, d, v.itemsize, memory_budget_bytes)
+    if v.shape[0] == 0:
+        return np.zeros((0, 0), dtype=np.float64)
 
     sq_norms = np.einsum("ij,ij->i", v, v)
-    if block_size is None or block_size >= n:
-        # One GEMM; the product buffer doubles as the output.
-        out = v @ v.T
-        out *= -2.0
-        out += sq_norms[:, None]
-        out += sq_norms[None, :]
-    else:
-        out = np.empty((n, n), dtype=dtype)
-        for i0 in range(0, n, block_size):
-            i1 = min(i0 + block_size, n)
-            for j0 in range(i0, n, block_size):
-                j1 = min(j0 + block_size, n)
-                tile = v[i0:i1] @ v[j0:j1].T
-                tile *= -2.0
-                tile += sq_norms[i0:i1, None]
-                tile += sq_norms[None, j0:j1]
-                out[i0:i1, j0:j1] = tile
-                if j0 > i0:
-                    out[j0:j1, i0:i1] = tile.T
+    # One GEMM; the product buffer doubles as the output.
+    out = v @ v.T
+    out *= -2.0
+    out += sq_norms[:, None]
+    out += sq_norms[None, :]
     # Rounding can leave tiny negatives where distances vanish.
     np.maximum(out, 0.0, out=out)
     np.sqrt(out, out=out)

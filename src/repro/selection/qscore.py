@@ -41,6 +41,7 @@ within 1% and top-k overlap >= 95% of the fp32 selection.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -49,7 +50,6 @@ import numpy as np
 
 from repro.nn.quantize import quantize_tensor
 from repro.selection.facility import lazy_greedy, medoid_weights, stochastic_greedy
-from repro.selection.pairwise import auto_block_size
 
 __all__ = [
     "QuantizedProxySet",
@@ -182,6 +182,24 @@ def _gram_tile(a: np.ndarray, b: np.ndarray, d_seg: int) -> np.ndarray:
     return acc
 
 
+def _auto_block_size(n: int, d: int, itemsize: int, memory_budget_bytes: int) -> int | None:
+    """Largest block size whose tile workspace fits ``memory_budget_bytes``.
+
+    The blocked path's transient workspace is one ``B x B`` Gram tile
+    plus two ``B x D`` operand views; the budget bounds their sum.
+    Returns ``None`` when the whole pool fits unblocked (workspace
+    ``N^2 + N*D``), i.e. no tiling is needed.
+    """
+    if memory_budget_bytes <= 0:
+        raise ValueError("memory budget must be positive")
+    if (n * n + n * d) * itemsize <= memory_budget_bytes:
+        return None
+    # Solve B^2 + 2*B*D <= budget/itemsize for B.
+    budget = memory_budget_bytes / itemsize
+    b = int(math.sqrt(budget + d * d) - d)
+    return max(1, min(b, n))
+
+
 def _squared_int_distances(
     q: np.ndarray, qmax: int, block_size: int | None
 ) -> np.ndarray:
@@ -237,9 +255,9 @@ def int8_similarity(
     if n == 0:
         return np.zeros((0, 0), dtype=np.float32), 0
     if block_size is None and memory_budget_bytes is not None:
-        # Budget the int32 workspace like pairwise.auto_block_size does
-        # its float tiles (the f32 operand views have the same itemsize).
-        block_size = auto_block_size(n, d, 4, memory_budget_bytes)
+        # Budget the int32 workspace (the f32 operand views have the
+        # same itemsize).
+        block_size = _auto_block_size(n, d, 4, memory_budget_bytes)
     d2 = _squared_int_distances(q.astype(np.int8, copy=False), qmax, block_size)
     dist = np.sqrt(d2.astype(np.float32))
     dist *= np.float32(scale)
@@ -363,10 +381,8 @@ class SimilarityBlockCache:
         }
 
 
-# The process-default cache.  Pool workers fork with a (cold or warm)
-# copy and then accumulate privately — the pool is persistent across
-# rounds, so each worker's copy still serves cross-round hits; the
-# serial path uses this very instance.
+# The process-default cache: every selection round in the process
+# scores through this instance, which is what serves cross-round hits.
 _DEFAULT_CACHE = SimilarityBlockCache()
 
 

@@ -72,11 +72,11 @@ class TestFilters:
 
 
 class TestRegistry:
-    def test_all_fourteen_rules_registered(self):
+    def test_all_thirteen_rules_registered(self):
         assert rule_ids() == [
-            "NES001", "NES002", "NES003", "NES004", "NES005", "NES006",
-            "NES007", "NES008", "NES009", "NES010", "NES011", "NES012",
-            "NES013", "NES014",
+            "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
+            "NES008", "NES009", "NES010", "NES011", "NES012", "NES013",
+            "NES014",
         ]
 
     def test_every_checker_has_pragma_and_description(self):

@@ -219,97 +219,6 @@ class TestBroadExcept:
         assert len(findings) == 1
 
 
-# -- NES004 shm lifecycle -----------------------------------------------------
-
-
-class TestShmLifecycle:
-    def test_unreleased_creation_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            def leak(vectors):
-                store = SharedFeatureStore(vectors)
-                return store.vectors.sum()
-            """,
-            OUT,
-            "NES004",
-        )
-        assert len(findings) == 1
-        assert "'store'" in findings[0].message
-
-    def test_bare_expression_creation_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            def leak():
-                SharedMemory(create=True, size=8)
-            """,
-            OUT,
-            "NES004",
-        )
-        assert len(findings) == 1
-        assert "immediately" in findings[0].message
-
-    def test_try_finally_release_clean(self, run_rule):
-        findings, _ = run_rule(
-            """
-            def ok(vectors):
-                store = SharedFeatureStore(vectors)
-                try:
-                    return store.vectors.sum()
-                finally:
-                    store.close()
-                    store.unlink()
-            """,
-            OUT,
-            "NES004",
-        )
-        assert findings == []
-
-    def test_with_block_clean(self, run_rule):
-        findings, _ = run_rule(
-            """
-            def ok(vectors):
-                with SharedFeatureStore(vectors) as store:
-                    return store.vectors.sum()
-            """,
-            OUT,
-            "NES004",
-        )
-        assert findings == []
-
-    def test_self_attribute_and_return_ownership_clean(self, run_rule):
-        findings, _ = run_rule(
-            """
-            class Holder:
-                def __init__(self, vectors):
-                    self._store = SharedFeatureStore(vectors)
-
-            def make(vectors):
-                store = SharedFeatureStore(vectors)
-                return store
-
-            def make_direct(vectors):
-                return SharedFeatureStore(vectors)
-            """,
-            OUT,
-            "NES004",
-        )
-        assert findings == []
-
-    def test_nested_function_not_double_reported(self, run_rule):
-        findings, _ = run_rule(
-            """
-            def outer(vectors):
-                def inner():
-                    store = SharedFeatureStore(vectors)
-                    return store.vectors.sum()
-                return inner
-            """,
-            OUT,
-            "NES004",
-        )
-        assert len(findings) == 1
-
-
 # -- NES005 shape contracts ---------------------------------------------------
 
 
@@ -623,6 +532,20 @@ class TestPoolLease:
             "NES007",
         )
         assert findings == []
+
+    def test_nested_function_not_double_reported(self, run_rule):
+        findings, _ = run_rule(
+            """
+            def outer(pool):
+                def inner():
+                    lease = pool.lease((4, 4))
+                    return lease.array.sum()
+                return inner
+            """,
+            NN,
+            "NES007",
+        )
+        assert len(findings) == 1
 
     def test_self_attribute_transfers_ownership(self, run_rule):
         findings, _ = run_rule(

@@ -23,16 +23,6 @@ VIOLATIONS = {
         "repro/anywhere/bad.py",
         "try:\n    work()\nexcept Exception:\n    pass\n",
     ),
-    "NES004": (
-        "repro/anywhere/bad.py",
-        textwrap.dedent(
-            """
-            def leak(vectors):
-                store = SharedFeatureStore(vectors)
-                return store.vectors.sum()
-            """
-        ),
-    ),
     "NES005": (
         "repro/nn/bad.py",
         "class Layer:\n    def forward(self, x):\n        return x\n",
@@ -132,7 +122,7 @@ class TestSelfLint:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in (
-            "NES001", "NES002", "NES003", "NES004", "NES005", "NES006",
+            "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
             "NES009", "NES010", "NES011",
         ):
             assert rule in out

@@ -79,11 +79,7 @@ def run_case(name):
             subset_fraction=0.4, biasing_window=2, biasing_drop_period=2, seed=3,
             **NESSA_CASES[name],
         )
-        trainer = NeSSATrainer(model(), recipe, config, model)
-        try:
-            history = trainer.train(train_set, test_set)
-        finally:
-            trainer.selector.close()
+        history = NeSSATrainer(model(), recipe, config, model).train(train_set, test_set)
     return [{f: exact(getattr(r, f)) for f in FIELDS} for r in history.records]
 
 

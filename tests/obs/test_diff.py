@@ -63,11 +63,11 @@ class TestAlignment:
 
     def test_carved_span_is_excused_not_drift(self):
         a = _trace([_span("epoch#0")])
-        b = _trace([_span("epoch#0"), _span("epoch#0/shm_publish#0")])
+        b = _trace([_span("epoch#0"), _span("epoch#0/async_selection#0")])
         diff = diff_traces(a, b)
         assert diff.verdict == "ok"
         assert diff.added == []
-        assert [e["carveout"] for e in diff.excused] == ["shm_publish"]
+        assert [e["carveout"] for e in diff.excused] == ["async_selection"]
 
     def test_carveout_covers_whole_subtree_via_ancestor_frame(self):
         # A child of a carved frame is excused even though its own name
@@ -203,14 +203,14 @@ class TestCarveOutDeclarations:
     def test_defaults_are_frozen_declarations_with_reasons(self):
         for carve in DEFAULT_CARVEOUTS:
             assert isinstance(carve, CarveOut)
-            assert carve.scope in ("span", "metric", "attr")
+            assert carve.scope in ("span", "metric")
             assert carve.reason
         names = {c.match for c in DEFAULT_CARVEOUTS if c.scope == "span"}
-        assert {"shm_publish", "async_selection", "selection_round"} <= names
+        assert {"async_selection", "selection_round"} <= names
 
     def test_custom_carveout_list_replaces_defaults(self):
         a = _trace([_span("epoch#0")])
-        b = _trace([_span("epoch#0"), _span("epoch#0/shm_publish#0")])
+        b = _trace([_span("epoch#0"), _span("epoch#0/async_selection#0")])
         diff = diff_traces(a, b, carveouts=())
         assert diff.verdict == "structural-drift"
 
@@ -284,45 +284,6 @@ class TestRealRunEquivalence:
         declared = {c.match for c in DEFAULT_CARVEOUTS}
         assert applied <= declared
         assert "selection_round" in applied
-
-    def test_worker_counts_diff_clean_modulo_shm_carveouts(self, runs):
-        from repro.core.selector import NeSSASelector
-        from repro.parallel.store import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("POSIX shared memory unavailable")
-        train, _ = make_train_test(
-            SyntheticConfig(
-                num_classes=4, num_samples=320, image_shape=(3, 8, 8), seed=7
-            )
-        )
-        model = resnet20(num_classes=4, width=4, seed=3)
-        traces = {}
-        for workers in (1, 2, 4):
-            tracer = obs.Tracer(run="select")
-            registry = obs.MetricsRegistry()
-            obs.set_tracer(tracer)
-            obs.set_metrics(registry)
-            try:
-                config = NeSSAConfig(
-                    subset_fraction=0.25, use_biasing=False, seed=5,
-                    workers=workers,
-                )
-                with NeSSASelector(config, chunk_select=16) as selector:
-                    selector.select(train, 0.25, model)
-            finally:
-                obs.set_tracer(None)
-                obs.set_metrics(None)
-            traces[workers] = _trace(
-                [r.to_dict() for r in tracer.records],
-                metrics=registry.snapshot(), run="select",
-            )
-        for workers in (2, 4):
-            diff = diff_traces(traces[1], traces[workers],
-                               tolerance=math.inf)
-            assert diff.verdict == "ok", diff.render()
-            applied = {e["carveout"] for e in diff.excused}
-            assert applied <= {"shm_publish", "shm.", "workers", "parallel"}
 
 
 class TestObsdiffCLI:

@@ -34,7 +34,7 @@ class TestMetricTable:
 
 class TestPrometheusRendering:
     SNAPSHOT = {
-        "counters": {"selection.rounds": 3, "shm.bytes_published": 4096},
+        "counters": {"selection.rounds": 3, "proxy_cache.misses": 4096},
         "gauges": {"overlap.efficiency": 0.875},
         "timers": {"overlap.join_wait": {"count": 2, "total_s": 0.25,
                                          "mean_s": 0.125}},

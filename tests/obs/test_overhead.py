@@ -19,8 +19,8 @@ from repro.obs.tracer import NOOP_SPAN
 ROOT = Path(__file__).resolve().parents[2]
 
 # Worst-case obs operations in one *disabled* selection round: a handful
-# of span() calls (epoch, selection_round, proxy_compute, chunk_select,
-# shm_publish), two enabled() checks and a few counter increments —
+# of span() calls (epoch, selection_round, proxy_compute, chunk_select),
+# a forwarded span per unit, two enabled() checks and a few counter increments —
 # bounded far above reality.
 OPS_PER_ROUND = 100
 
@@ -74,8 +74,7 @@ class TestNoOpOverhead:
         units = plan_selection_round(labels, 20, seed=0, round_index=0,
                                      chunk_select=8)
         tracer = obs.Tracer()
-        with SelectionExecutor(1) as executor:
-            executor.run_units(vectors, units, SelectionSpec())
+        SelectionExecutor().run_units(vectors, units, SelectionSpec())
         # no tracer installed -> nothing recorded anywhere
         assert tracer.records == []
         assert obs.get_tracer() is None

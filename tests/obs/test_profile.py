@@ -118,11 +118,11 @@ class TestCreditBytes:
         assert "mem_pool_lease_bytes" not in _record(t, "round").attrs
 
     def test_noop_without_tracer_or_open_span(self):
-        obs.credit_bytes("mem_shm_bytes", 123)  # no tracer: must not raise
+        obs.credit_bytes("mem_pool_lease_bytes", 123)  # no tracer: must not raise
         t = obs.Tracer(run="prof", profile_mem=True)
         obs.set_tracer(t)
         try:
-            obs.credit_bytes("mem_shm_bytes", 123)  # empty stack
+            obs.credit_bytes("mem_pool_lease_bytes", 123)  # empty stack
         finally:
             t.profiler.stop()
         assert t.records == []
@@ -133,10 +133,10 @@ class TestCreditBytes:
         try:
             with obs.span("round"):
                 with obs.suppress():
-                    obs.credit_bytes("mem_shm_bytes", 999)
+                    obs.credit_bytes("mem_pool_lease_bytes", 999)
         finally:
             t.profiler.stop()
-        assert "mem_shm_bytes" not in _record(t, "round").attrs
+        assert "mem_pool_lease_bytes" not in _record(t, "round").attrs
 
 
 class TestFoldedStacks:
@@ -212,8 +212,7 @@ class TestRealProfiledRun:
         obs.set_tracer(t)
         try:
             config = NeSSAConfig(subset_fraction=0.25, use_biasing=False, seed=5)
-            with NeSSASelector(config, chunk_select=16) as selector:
-                selector.select(train, 0.25, model)
+            NeSSASelector(config, chunk_select=16).select(train, 0.25, model)
         finally:
             obs.set_tracer(None)
             t.profiler.stop()

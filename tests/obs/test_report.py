@@ -1,6 +1,5 @@
 """Trace aggregation: the report table and its exact byte reconciliation."""
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -197,77 +196,3 @@ class TestRealRunReconciliation:
         assert f"{history.data_movement_bytes:,d}" in out
         assert "selection overhead" in out
         assert "proxy_cache.misses" in out
-
-
-class TestParallelTraceDeterminism:
-    """--workers 4 and --workers 1 must produce identical span identities."""
-
-    @pytest.fixture(scope="class")
-    def traces(self, request):
-        from repro.core.selector import NeSSASelector
-        from repro.parallel.store import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("POSIX shared memory unavailable")
-        train, _ = make_train_test(
-            SyntheticConfig(
-                num_classes=4, num_samples=320, image_shape=(3, 8, 8), seed=7
-            )
-        )
-        model = resnet20(num_classes=4, width=4, seed=3)
-        out = {}
-        for workers in (1, 4):
-            tracer = obs.Tracer(run=f"w{workers}")
-            obs.set_tracer(tracer)
-            try:
-                config = NeSSAConfig(
-                    subset_fraction=0.25, use_biasing=False, seed=5, workers=workers
-                )
-                with NeSSASelector(config, chunk_select=16) as selector:
-                    result = selector.select(train, 0.25, model)
-            finally:
-                obs.set_tracer(None)
-            out[workers] = (tracer, result)
-        return out
-
-    def test_span_ids_identical_modulo_parallel_only_phases(self, traces):
-        ids = {
-            w: [r.id for r in t.records if r.name != "shm_publish"]
-            for w, (t, _) in traces.items()
-        }
-        assert ids[1] == ids[4]
-        assert any("unit@" in i for i in ids[1])
-
-    def test_unit_spans_carry_identical_structure(self, traces):
-        def structure(tracer):
-            return {
-                r.id: (
-                    r.attrs["order"],
-                    r.attrs["label"],
-                    r.attrs["take"],
-                    r.attrs["rows"],
-                    r.attrs["sim_bytes"],
-                )
-                for r in tracer.records
-                if r.name == "unit"
-            }
-
-        s1 = structure(traces[1][0])
-        s4 = structure(traces[4][0])
-        assert s1 == s4
-        assert len(s1) > 1
-
-    def test_worker_pids_recorded_but_not_in_ids(self, traces):
-        workers4 = {
-            r.worker for r in traces[4][0].records if r.name == "unit"
-        }
-        assert workers4 and None not in workers4
-        for tracer, _ in traces.values():
-            for r in tracer.records:
-                if r.worker is not None:
-                    assert str(r.worker) not in r.id
-
-    def test_selected_positions_identical(self, traces):
-        assert np.array_equal(
-            traces[1][1].positions, traces[4][1].positions
-        )

@@ -1,169 +1,130 @@
-"""Parallel ≡ serial: the engine's determinism contract, asserted bitwise.
-
-These tests run real process pools (2 and 4 workers) even on single-core
-machines — determinism must hold regardless of how the OS schedules the
-workers, and fork-based pools are cheap enough to spin up per test.
-"""
+"""The executor's determinism contract: a round equals its units, run alone."""
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.config import NeSSAConfig
 from repro.core.selector import NeSSASelector
-from repro.parallel.engine import SelectionExecutor, SelectionSpec, execute_unit
-from repro.parallel.scheduler import plan_selection_round
-from repro.parallel.store import shared_memory_available
-from repro.selection.distributed import greedi_select
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
+from repro.parallel.engine import SelectionExecutor, SelectionSpec
+from repro.parallel.scheduler import plan_selection_round, unit_rng
+from repro.selection.craig import craig_select_class
+from repro.selection.qscore import (
+    quantize_proxies,
+    reset_default_block_cache,
+    select_class_quantized,
 )
 
-WORKER_COUNTS = (1, 2, 4)
+
+def _planned_round(seed):
+    gen = np.random.default_rng(seed)
+    vectors = gen.normal(size=(160, 6))
+    labels = gen.integers(0, 4, size=160)
+    units = plan_selection_round(labels, 48, seed=seed, round_index=0,
+                                 chunk_select=8)
+    return vectors, labels, units
 
 
-def _serial_outcomes(vectors, units, spec):
-    return [execute_unit(vectors[u.positions], u, spec) for u in units]
+def _run_units(vectors, units, spec, traced):
+    if not traced:
+        return SelectionExecutor().run_units(vectors, units, spec), None
+    tracer = obs.Tracer(run="equivalence")
+    previous = obs.set_tracer(tracer)
+    try:
+        return SelectionExecutor().run_units(vectors, units, spec), tracer
+    finally:
+        obs.set_tracer(previous)
 
 
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("method", ["lazy", "stochastic"])
+@pytest.mark.parametrize("seed", [0, 7, 21])
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("method", ["lazy", "stochastic"])
-    @pytest.mark.parametrize("seed", [0, 7, 21])
-    def test_run_units_bit_identical_across_worker_counts(self, method, seed):
-        gen = np.random.default_rng(seed)
-        vectors = gen.normal(size=(160, 6))
-        labels = gen.integers(0, 4, size=160)
-        units = plan_selection_round(labels, 48, seed=seed, round_index=0,
-                                     chunk_select=8)
+    """``run_units`` is exactly the per-unit kernel on the unit's rows with
+    the unit's own keyed stream, assembled in ``WorkUnit.order``."""
+
+    def test_run_units_equals_per_unit_craig(self, method, seed, traced):
+        vectors, _, units = _planned_round(seed)
         spec = SelectionSpec(method=method, epsilon=0.2)
-        reference = _serial_outcomes(vectors, units, spec)
-        for workers in WORKER_COUNTS:
-            with SelectionExecutor(workers) as executor:
-                got = executor.run_units(vectors, units, spec, labels=labels)
-            assert len(got) == len(reference)
-            for (sel_a, w_a, b_a), (sel_b, w_b, b_b) in zip(got, reference):
-                assert np.array_equal(sel_a, sel_b)
-                assert np.array_equal(w_a, w_b)  # bitwise, not approx
-                assert b_a == b_b
+        got, tracer = _run_units(vectors, units, spec, traced)
+        assert [u.order for u in units] == list(range(len(units)))
+        assert len(got) == len(units)
+        for unit, (sel, w, nbytes) in zip(units, got):
+            ref_sel, ref_w, ref_bytes = craig_select_class(
+                vectors[unit.positions], unit.take, method=method, epsilon=0.2,
+                rng=unit_rng(unit.seed_key),
+            )
+            assert np.array_equal(sel, ref_sel)
+            assert np.array_equal(w, ref_w)  # bitwise, not approx
+            assert nbytes == ref_bytes
+        if traced:
+            # one span per unit, in order, identified by the unit's seed
+            # key and carrying its structure
+            assert [
+                (r.id, r.worker, r.attrs["order"], r.attrs["label"],
+                 r.attrs["take"], r.attrs["rows"], r.attrs["sim_bytes"])
+                for r in tracer.records
+            ] == [
+                ("unit@" + "-".join(map(str, u.seed_key)), None, u.order,
+                 u.label, u.take, len(u.positions), out[2])
+                for u, out in zip(units, got)
+            ]
 
-    def test_executor_reuse_across_rounds(self):
-        # The pool persists between rounds; later rounds must not see
-        # stale shared-memory mappings from earlier ones.
-        gen = np.random.default_rng(3)
-        spec = SelectionSpec()
-        with SelectionExecutor(2) as executor:
-            for round_index in range(3):
-                vectors = gen.normal(size=(120, 5))
-                labels = gen.integers(0, 3, size=120)
-                units = plan_selection_round(labels, 30, seed=1,
-                                             round_index=round_index,
-                                             chunk_select=8)
-                got = executor.run_units(vectors, units, spec, labels=labels)
-                ref = _serial_outcomes(vectors, units, spec)
-                for (sel_a, w_a, _), (sel_b, w_b, _) in zip(got, ref):
-                    assert np.array_equal(sel_a, sel_b)
-                    assert np.array_equal(w_a, w_b)
-
-    def test_serial_fallback_reports_reason(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.engine.shared_memory_available", lambda: False
-        )
-        executor = SelectionExecutor(4)
-        assert not executor.is_parallel
-        assert "shared memory" in executor.fallback_reason
+    def test_run_units_equals_per_unit_quantized(self, method, seed, traced):
+        vectors, labels, units = _planned_round(seed)
+        qset = quantize_proxies(vectors, labels)
+        spec = SelectionSpec(method=method, epsilon=0.2, scoring="int8",
+                             similarity_dtype_bytes=1, scales=qset.scales)
+        reset_default_block_cache()
+        got, _ = _run_units(qset.q, units, spec, traced)
+        reset_default_block_cache()
+        for unit, outcome in zip(units, got):
+            ref = select_class_quantized(
+                qset.q[unit.positions], qset.scales[unit.label], unit.take,
+                method=method, epsilon=0.2, rng=unit_rng(unit.seed_key),
+                similarity_dtype_bytes=1,
+            )
+            assert np.array_equal(outcome[0], ref[0])
+            assert np.array_equal(outcome[1], ref[1])
+            assert outcome[2] == ref[2]
+            assert outcome[3] == ref[3]
+        reset_default_block_cache()
 
 
 class TestSelectorEquivalence:
-    @pytest.mark.parametrize("method", ["lazy", "stochastic"])
-    @pytest.mark.parametrize("seed", [1, 13])
-    def test_full_selector_identical_across_worker_counts(
-        self, train_test_split, tiny_model, method, seed
-    ):
-        train, _ = train_test_split
-        reference = None
-        for workers in WORKER_COUNTS:
-            config = NeSSAConfig(
-                subset_fraction=0.25,
-                selection_method=method,
-                use_biasing=False,
-                seed=seed,
-                workers=workers,
-            )
-            with NeSSASelector(config, chunk_select=16) as selector:
-                result = selector.select(train, 0.25, tiny_model)
-            if reference is None:
-                reference = result
-                continue
-            assert np.array_equal(result.positions, reference.positions)
-            assert np.array_equal(result.weights, reference.weights)
-            assert result.pairwise_bytes == reference.pairwise_bytes
-
-    def test_multi_round_selector_stays_equivalent(self, train_test_split, tiny_model):
-        # Round indices advance the unit seed keys; both paths must agree
-        # on every round, not just the first.
-        train, _ = train_test_split
-        results = {}
-        for workers in (1, 2):
-            config = NeSSAConfig(subset_fraction=0.2, use_biasing=False,
-                                 seed=4, workers=workers)
-            with NeSSASelector(config, chunk_select=16) as selector:
-                results[workers] = [
-                    selector.select(train, 0.2, tiny_model) for _ in range(3)
-                ]
-        for serial, parallel in zip(results[1], results[2]):
-            assert np.array_equal(serial.positions, parallel.positions)
-            assert np.array_equal(serial.weights, parallel.weights)
-
     def test_rounds_differ_from_each_other(self, train_test_split, tiny_model):
-        # Sanity: the multi-round test above is vacuous if every round
-        # picked identical positions.  chunk_select must be well below the
+        # Round indices advance the unit seed keys, so consecutive rounds
+        # pick differently.  chunk_select must be well below the
         # per-class budget so each class has several chunks and the
         # round-keyed permutation can change what lands where.
         train, _ = train_test_split
         config = NeSSAConfig(subset_fraction=0.3, use_biasing=False, seed=4)
-        with NeSSASelector(config, chunk_select=4) as selector:
-            a = selector.select(train, 0.3, tiny_model)
-            b = selector.select(train, 0.3, tiny_model)
+        selector = NeSSASelector(config, chunk_select=4)
+        a = selector.select(train, 0.3, tiny_model)
+        b = selector.select(train, 0.3, tiny_model)
         assert not np.array_equal(a.positions, b.positions)
 
 
-class TestGreediEquivalence:
-    def test_greedi_workers_match_serial(self):
-        vectors = np.random.default_rng(9).normal(size=(90, 5))
-        serial_idx, serial_w = greedi_select(
-            vectors, 12, num_machines=3, rng=np.random.default_rng(0)
-        )
-        par_idx, par_w = greedi_select(
-            vectors, 12, num_machines=3, rng=np.random.default_rng(0), workers=2
-        )
-        assert np.array_equal(serial_idx, par_idx)
-        assert np.array_equal(serial_w, par_w)
-
-
 class TestCacheMetricsSurfacing:
-    """ProxyCache hits/misses surface identically for serial and parallel."""
+    """ProxyCache hits/misses surface in the registry and the selector stats."""
 
-    def _run_rounds(self, train, model, workers):
-        from repro import obs
-
+    def _run_rounds(self, train, model):
         registry = obs.MetricsRegistry()
         previous = obs.set_metrics(registry)
         try:
-            config = NeSSAConfig(subset_fraction=0.2, use_biasing=False,
-                                 seed=4, workers=workers)
-            with NeSSASelector(config, chunk_select=16) as selector:
-                for _ in range(3):
-                    selector.select(train, 0.2, model)
-                stats = selector.proxy_cache_stats
+            config = NeSSAConfig(subset_fraction=0.2, use_biasing=False, seed=4)
+            selector = NeSSASelector(config, chunk_select=16)
+            for _ in range(3):
+                selector.select(train, 0.2, model)
+            stats = selector.proxy_cache_stats
         finally:
             obs.set_metrics(previous)
         return registry.snapshot()["counters"], stats
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_registry_counters_match_instance_stats(self, workers,
-                                                    train_test_split, tiny_model):
+    def test_registry_counters_match_instance_stats(self, train_test_split,
+                                                    tiny_model):
         train, _ = train_test_split
-        counters, stats = self._run_rounds(train, tiny_model, workers)
+        counters, stats = self._run_rounds(train, tiny_model)
         # Same (weights, pool, mode) every round: 1 miss, then 2 hits.
         assert stats["misses"] == 1
         assert stats["hits"] == 2
@@ -172,33 +133,20 @@ class TestCacheMetricsSurfacing:
         assert counters["proxy_cache.hits"] == stats["hits"]
         assert counters["selection.rounds"] == 3
 
-    def test_hit_pattern_is_worker_count_invariant(self, train_test_split,
-                                                   tiny_model):
+    def test_hit_pattern_is_repeatable(self, train_test_split, tiny_model):
+        # Each selector owns its cache: a second fresh selector sees the
+        # same miss-then-hits ledger, not state leaked from the first.
         train, _ = train_test_split
-        outcomes = {
-            w: self._run_rounds(train, tiny_model, w) for w in WORKER_COUNTS
-        }
-
-        def cache_view(counters):
-            # shm.* counters are parallel-only by design; the cache and
-            # selection ledgers must not depend on the worker count.
-            return {
-                k: v
-                for k, v in counters.items()
-                if k.startswith(("proxy_cache.", "selection."))
-            }
-
-        reference_counters, reference_stats = outcomes[WORKER_COUNTS[0]]
-        for counters, stats in outcomes.values():
-            assert cache_view(counters) == cache_view(reference_counters)
-            assert stats == reference_stats
+        assert self._run_rounds(train, tiny_model) == self._run_rounds(
+            train, tiny_model
+        )
 
     def test_disabled_cache_reports_zero_stats(self, train_test_split, tiny_model):
         train, _ = train_test_split
         config = NeSSAConfig(subset_fraction=0.2, use_biasing=False, seed=4,
                              proxy_cache_entries=0)
-        with NeSSASelector(config, chunk_select=16) as selector:
-            selector.select(train, 0.2, tiny_model)
-            stats = selector.proxy_cache_stats
+        selector = NeSSASelector(config, chunk_select=16)
+        selector.select(train, 0.2, tiny_model)
+        stats = selector.proxy_cache_stats
         assert stats["lookups"] == 0
         assert stats["hit_rate"] == 0.0

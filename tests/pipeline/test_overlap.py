@@ -6,8 +6,7 @@ Two layers of coverage:
   (launch/join/consume lifecycle, error forwarding, strict mode);
 - end-to-end: ``NeSSATrainer`` with ``overlap=True`` selects on schedule
   and its trace matches the synchronous run's modulo the overlap-only
-  span names (the same carve-out convention the parallel engine
-  established for ``shm_publish``).  Exact per-epoch histories of both
+  span names (declared carve-outs in :mod:`repro.obs.diff`).  Exact per-epoch histories of both
   schedules are pinned by ``tests/core/test_golden_history.py``.
 """
 
@@ -177,7 +176,6 @@ def train_history(cfg, data, trace_to=None):
         if tracer is not None:
             obs.set_tracer(None)
             trace_to.extend(tracer.records)
-        trainer.selector.close()
     return history
 
 

@@ -13,11 +13,7 @@ from repro.selection.facility import (
     medoid_weights,
     similarity_from_distances,
 )
-from repro.selection.pairwise import (
-    auto_block_size,
-    naive_pairwise_distances,
-    pairwise_distances,
-)
+from repro.selection.pairwise import naive_pairwise_distances, pairwise_distances
 
 
 def random_vectors(n, d, seed=0):
@@ -30,29 +26,6 @@ class TestGramEqualsNaive:
         np.testing.assert_allclose(
             pairwise_distances(v), naive_pairwise_distances(v), rtol=0, atol=1e-10
         )
-
-    def test_float32_within_documented_tolerance(self):
-        v = random_vectors(200, 16, seed=1)
-        d32 = pairwise_distances(v, precision="float32")
-        assert d32.dtype == np.float32
-        np.testing.assert_allclose(d32, naive_pairwise_distances(v), rtol=1e-3, atol=1e-3)
-
-    def test_blocked_equals_unblocked(self):
-        # BLAS may sum tile GEMMs in a different order than the full GEMM,
-        # so equality holds to last-bit rounding, not bitwise.
-        v = random_vectors(157, 7, seed=2)  # n not a multiple of the block
-        full = pairwise_distances(v)
-        for block in (1, 16, 50, 157, 400):
-            np.testing.assert_allclose(
-                pairwise_distances(v, block_size=block), full, rtol=0, atol=1e-12
-            )
-
-    def test_memory_budget_selects_blocking(self):
-        v = random_vectors(100, 5, seed=3)
-        # 16 KB < (n^2 + n*d) * 8 bytes, so the budget forces tiling.
-        assert auto_block_size(100, 5, 8, 16 * 1024) is not None
-        tight = pairwise_distances(v, memory_budget_bytes=16 * 1024)
-        np.testing.assert_allclose(tight, pairwise_distances(v), rtol=0, atol=1e-12)
 
     @given(n=st.integers(2, 60), d=st.integers(1, 12))
     @settings(max_examples=25, deadline=None)
@@ -73,28 +46,9 @@ class TestDistanceInvariants:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.zeros(5))
-        with pytest.raises(ValueError):
-            pairwise_distances(np.zeros((4, 3)), precision="float16")
-        with pytest.raises(ValueError):
-            pairwise_distances(np.zeros((4, 3)), block_size=0)
 
     def test_single_point(self):
         assert pairwise_distances(np.ones((1, 3))).shape == (1, 1)
-
-
-class TestAutoBlockSize:
-    def test_no_blocking_when_budget_fits(self):
-        assert auto_block_size(100, 10, 8, None) is None
-        assert auto_block_size(100, 10, 8, 10**9) is None
-
-    def test_tight_budget_yields_small_blocks(self):
-        b = auto_block_size(10_000, 10, 8, 64 * 1024)
-        assert b is not None and 1 <= b < 10_000
-
-    def test_block_workspace_fits_budget(self):
-        n, d, itemsize, budget = 5000, 32, 8, 10**6
-        b = auto_block_size(n, d, itemsize, budget)
-        assert (b * b + 2 * b * d) * itemsize <= budget
 
 
 class TestPeakMemory:
@@ -133,23 +87,3 @@ class TestCraigPipelineEquivalence:
         np.testing.assert_array_equal(sel, ref_sel)
         np.testing.assert_array_equal(w, ref_w)
         assert nbytes == 150 * 150 * 4
-
-    def test_blocked_matches_seed_pipeline(self):
-        v = random_vectors(90, 6, seed=7)
-        sel, w, _ = craig_select_class(v, 12, block_size=32)
-        ref_sel, ref_w = self.seed_pipeline(v, 12)
-        np.testing.assert_array_equal(sel, ref_sel)
-        np.testing.assert_array_equal(w, ref_w)
-
-    def test_float32_selects_same_medoids(self):
-        # fp32 rounding may reorder near-ties, so compare objective value,
-        # not the exact index sequence.
-        from repro.selection.facility import facility_location_value
-
-        v = random_vectors(120, 8, seed=8)
-        sel64, _, _ = craig_select_class(v, 15)
-        sel32, _, _ = craig_select_class(v, 15, precision="float32")
-        s = similarity_from_distances(naive_pairwise_distances(v))
-        v64 = facility_location_value(s, sel64)
-        v32 = facility_location_value(s, sel32)
-        assert v32 >= 0.999 * v64

@@ -11,8 +11,7 @@ Three layers of guarantees:
   scenarios (where selection has actual structure to recover);
 - **reuse correctness** — the cross-round block cache and the memoized
   greedy results are content-addressed, so hits are bit-identical to
-  recomputes; selections stay bit-identical across worker counts and
-  with the overlap pipeline in strict mode.
+  recomputes.
 """
 
 import numpy as np
@@ -20,7 +19,6 @@ import pytest
 
 from repro.core.config import NeSSAConfig
 from repro.core.selector import NeSSASelector
-from repro.parallel.store import shared_memory_available
 from repro.selection.facility import (
     lazy_greedy,
     medoid_weights,
@@ -31,6 +29,7 @@ from repro.selection.qscore import (
     INT8_BITS,
     QuantizedProxySet,
     SimilarityBlockCache,
+    _auto_block_size,
     bucket_digest,
     default_block_cache,
     int8_similarity,
@@ -180,6 +179,20 @@ class TestInt8Similarity:
 
 
 # -- the cross-round cache ----------------------------------------------------
+
+
+class TestAutoBlockSize:
+    def test_no_blocking_when_budget_fits(self):
+        assert _auto_block_size(100, 10, 4, 10**9) is None
+
+    def test_tight_budget_yields_small_blocks(self):
+        b = _auto_block_size(10_000, 10, 4, 64 * 1024)
+        assert b is not None and 1 <= b < 10_000
+
+    def test_block_workspace_fits_budget(self):
+        n, d, itemsize, budget = 5000, 32, 4, 10**6
+        b = _auto_block_size(n, d, itemsize, budget)
+        assert (b * b + 2 * b * d) * itemsize <= budget
 
 
 class TestSimilarityBlockCache:
@@ -336,36 +349,17 @@ def _int8_config(**overrides):
 
 
 class TestSelectorIntegration:
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="POSIX shared memory unavailable"
-    )
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_bit_identical_across_worker_counts(
-        self, train_test_split, tiny_model, workers
-    ):
-        train, _ = train_test_split
-        results = []
-        for count in (1, workers):
-            reset_default_block_cache()
-            with NeSSASelector(_int8_config(workers=count),
-                               chunk_select=16) as selector:
-                results.append(selector.select(train, 0.25, tiny_model))
-        serial, parallel = results
-        assert np.array_equal(serial.positions, parallel.positions)
-        assert np.array_equal(serial.weights, parallel.weights)
-        assert serial.pairwise_bytes == parallel.pairwise_bytes
-
     def test_unchanged_feedback_round_skips_all_blocks(
         self, train_test_split, tiny_model
     ):
         """Late-epoch scenario: identical feedback => 100% block skips and
         a bit-identical selection, with zero MACs executed."""
         train, _ = train_test_split
-        with NeSSASelector(_int8_config(), chunk_select=16) as selector:
-            first = selector.select(train, 0.25, tiny_model)
-            cold = selector.qscore_stats
-            second = selector.select(train, 0.25, tiny_model)
-            warm = selector.qscore_stats
+        selector = NeSSASelector(_int8_config(), chunk_select=16)
+        first = selector.select(train, 0.25, tiny_model)
+        cold = selector.qscore_stats
+        second = selector.select(train, 0.25, tiny_model)
+        warm = selector.qscore_stats
         assert cold["block_misses"] == cold["blocks"] > 0
         assert warm["block_hits"] == warm["blocks"]
         assert warm["block_hits"] / warm["blocks"] >= 0.5  # the acceptance bar
@@ -380,21 +374,21 @@ class TestSelectorIntegration:
         from repro.nn.resnet import resnet20
 
         train, _ = train_test_split
-        with NeSSASelector(_int8_config(proxy_cache_entries=0),
-                           chunk_select=16) as selector:
-            selector.select(train, 0.25, tiny_model)
-            other = resnet20(num_classes=4, width=4, seed=99)
-            selector.select(train, 0.25, other)
-            stats = selector.qscore_stats
+        selector = NeSSASelector(_int8_config(proxy_cache_entries=0),
+                                 chunk_select=16)
+        selector.select(train, 0.25, tiny_model)
+        other = resnet20(num_classes=4, width=4, seed=99)
+        selector.select(train, 0.25, other)
+        stats = selector.qscore_stats
         assert stats["block_misses"] == stats["blocks"]
 
     def test_off_mode_reports_no_qscore_stats(
         self, train_test_split, tiny_model
     ):
         train, _ = train_test_split
-        with NeSSASelector(_int8_config(quantized_scoring="off"),
-                           chunk_select=16) as selector:
-            result = selector.select(train, 0.25, tiny_model)
+        selector = NeSSASelector(_int8_config(quantized_scoring="off"),
+                                 chunk_select=16)
+        result = selector.select(train, 0.25, tiny_model)
         assert selector.qscore_stats is None
         assert result.positions.size > 0
 
@@ -404,10 +398,8 @@ class TestSelectorIntegration:
         train, _ = train_test_split
         sizes = {}
         for scoring in ("off", "int8"):
-            with NeSSASelector(_int8_config(quantized_scoring=scoring),
-                               chunk_select=16) as selector:
-                sizes[scoring] = selector.select(
-                    train, 0.25, tiny_model
-                ).pairwise_bytes
+            selector = NeSSASelector(_int8_config(quantized_scoring=scoring),
+                                     chunk_select=16)
+            sizes[scoring] = selector.select(train, 0.25, tiny_model).pairwise_bytes
         # int8 similarity entries are 1 byte vs 4 on the fp32 host path.
         assert sizes["int8"] * 4 == sizes["off"]
