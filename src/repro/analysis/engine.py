@@ -1,9 +1,9 @@
 """The per-file visitor pipeline driving every registered checker.
 
-:func:`lint_paths` walks the given files/directories, parses each
-``*.py`` once with stdlib :mod:`ast`, builds a :class:`FileContext`
-(tree + source lines + pragma map) and hands it to every checker.  The
-engine owns the cross-cutting mechanics so rules stay small:
+:func:`lint_source` parses one file with stdlib :mod:`ast`, builds a
+:class:`FileContext` (tree + source lines + pragma map) and hands it to
+every per-file checker.  The engine owns the cross-cutting mechanics so
+rules stay small:
 
 - **pragma suppression** — ``# lint: allow-<name>(reason)`` on the
   offending line or the line directly above it silences the rule whose
@@ -17,9 +17,8 @@ engine owns the cross-cutting mechanics so rules stay small:
   no matter which directory the scan runs from.  Trees without a
   marker (test fixtures) fall back to scan-arg-relative recording.
 
-:func:`lint_paths` itself lives in :mod:`repro.analysis.scan` (it owns
-caching, parallelism and the project-level rules) and is re-exported
-here for compatibility.
+:func:`lint_paths` lives in :mod:`repro.analysis.scan`: it owns the
+file walk and the project-level rule.
 """
 
 from __future__ import annotations

@@ -170,33 +170,6 @@ EXAMPLES: dict[str, Example] = {
             "        threading.Thread(target=self._run).start()\n"
         ),
     ),
-    "NES010": Example(
-        path=_ANY,
-        bad=(
-            "import numpy as np\n"
-            "\n"
-            "def make_proxies():\n"
-            "    return np.zeros(4).astype(np.float64)\n"
-            "\n"
-            "def craig_select_class(vectors):\n"
-            "    return vectors\n"
-            "\n"
-            "def select_round():\n"
-            "    return craig_select_class(make_proxies())\n"
-        ),
-        good=(
-            "import numpy as np\n"
-            "\n"
-            "def make_proxies():\n"
-            "    return np.zeros(4).astype(np.float32)\n"
-            "\n"
-            "def craig_select_class(vectors):\n"
-            "    return vectors\n"
-            "\n"
-            "def select_round():\n"
-            "    return craig_select_class(make_proxies())\n"
-        ),
-    ),
     "NES011": Example(
         path=_ANY,
         bad=(
@@ -210,63 +183,6 @@ EXAMPLES: dict[str, Example] = {
             "\n"
             "def record():\n"
             "    obs.metrics().counter(\"selection.rounds\").inc()\n"
-        ),
-    ),
-    "NES012": Example(
-        path=_SEL,
-        bad=(
-            "def mix(a):\n"
-            "    x = a.reshape(4, 8)\n"
-            "    y = a.reshape(4, 4)\n"
-            "    return x @ y\n"
-        ),
-        good=(
-            "def mix(a):\n"
-            "    x = a.reshape(4, 8)\n"
-            "    y = a.reshape(8, 4)\n"
-            "    return x @ y\n"
-        ),
-    ),
-    "NES013": Example(
-        path=_NN,
-        bad=(
-            "from repro.nn.contracts import shape_contract\n"
-            "\n"
-            "class Pool:\n"
-            "    @shape_contract(\"N,C,H,W -> N,C\")\n"
-            "    def forward(self, x):\n"
-            "        return x.mean(axis=3)\n"
-        ),
-        good=(
-            "from repro.nn.contracts import shape_contract\n"
-            "\n"
-            "class Pool:\n"
-            "    @shape_contract(\"N,C,H,W -> N,C\")\n"
-            "    def forward(self, x):\n"
-            "        return x.mean(axis=(2, 3))\n"
-        ),
-    ),
-    "NES014": Example(
-        path=_ANY,
-        bad=(
-            "import numpy as np\n"
-            "\n"
-            "def craig_select_class(vectors):\n"
-            "    return vectors\n"
-            "\n"
-            "def pick(a):\n"
-            "    v = a.astype(np.float64)\n"
-            "    return craig_select_class(v)\n"
-        ),
-        good=(
-            "import numpy as np\n"
-            "\n"
-            "def craig_select_class(vectors):\n"
-            "    return vectors\n"
-            "\n"
-            "def pick(a):\n"
-            "    v = a.astype(np.float32)\n"
-            "    return craig_select_class(v)\n"
         ),
     ),
 }

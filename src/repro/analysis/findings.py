@@ -39,9 +39,6 @@ class Finding:
     hint: str = ""
     severity: str = "error"
     fingerprint: str = field(default="", compare=False)
-    # witness chain for flow rules: [{"path", "line", "message"}, ...]
-    # rendered into SARIF relatedLocations (producer first, sink last)
-    related: list = field(default_factory=list, compare=False)
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
@@ -56,7 +53,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
             "fingerprint": self.fingerprint,
-            "related": self.related,
         }
 
     def render(self) -> str:

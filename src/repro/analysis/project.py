@@ -1,20 +1,17 @@
 """Whole-program index over the repro source tree (stdlib ``ast`` only).
 
-The per-file rules (NES001–NES008) cannot see the bug class that
-overlapped execution creates: state mutated from both the training
-thread and the async selection worker, or a float64 value minted in one
-module flowing into the int8 scoring path of another.  This module
-builds the cross-file facts those rules need:
+The per-file rules cannot see the bug class that overlapped execution
+creates: state mutated from both the training thread and the async
+selection worker.  This module builds the cross-file facts NES009
+needs:
 
 - :class:`FileIndex` — one file's contribution: imports, classes,
-  function summaries (call sites, attribute writes, return-value
-  origins).  Fully JSON-serializable so ``.lint_cache.json`` can store
-  it per content hash and skip re-parsing unchanged files.
+  function summaries (call sites, attribute writes).
 - :class:`ProjectIndex` — the assembled program: a module/symbol table,
   a conservative call graph (explicit calls, ``self.x()`` dispatch,
   attribute-type inference, class-hierarchy-analysis fallback), spawn
-  edges (``threading.Thread(target=...)``, fork-pool submissions),
-  worker/main reachability closures and a float64-producer fixed point.
+  edges (``threading.Thread(target=...)``, pool submissions) and
+  worker/main reachability closures.
 
 Precision choices are deliberately conservative-but-bounded:
 
@@ -25,9 +22,6 @@ Precision choices are deliberately conservative-but-bounded:
 - unresolved method calls fall back to class-hierarchy analysis: every
   project method of that name, but only when at most
   :data:`CHA_LIMIT` classes define it and the name is not a dunder.
-- float64 taint enters through explicit markers only
-  (``.astype(np.float64)``, ``np.float64(...)``, ``dtype=np.float64``);
-  implicit-default allocations stay NES002's per-file domain.
 """
 
 from __future__ import annotations
@@ -78,13 +72,6 @@ _POOL_SUBMIT = {
     "map", "map_async", "imap", "imap_unordered",
     "apply", "apply_async", "starmap", "starmap_async", "submit",
 }
-_F64_NAMES = {"float64", "double"}
-_KNOWN_DTYPES = {
-    "float16", "float32", "float64", "double", "half", "single",
-    "int8", "int16", "int32", "int64", "uint8", "uint16", "uint32",
-    "uint64", "bool_", "intp",
-}
-_TAINT_PASSES = 8
 
 
 def module_name_for_path(path: str) -> str:
@@ -114,29 +101,13 @@ class CallSite:
     local whose class is known (annotation or constructor assignment),
     ``r:<inner>:<meth>`` for a method on another call's result
     (resolved through the inner callee's return annotation), and
-    ``m:<meth>`` for a method call on an arbitrary value.  ``origins``
-    are the taint origins flowing in through the arguments (``f64`` or
-    call-target encodings).
+    ``m:<meth>`` for a method call on an arbitrary value.
     """
 
     target: str
     line: int
     col: int
     kind: str = "call"  # "call" | "spawn"
-    origins: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target, "line": self.line, "col": self.col,
-            "kind": self.kind, "origins": self.origins,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CallSite":
-        return cls(
-            target=d["target"], line=d["line"], col=d["col"],
-            kind=d["kind"], origins=list(d["origins"]),
-        )
 
 
 @dataclass
@@ -154,19 +125,6 @@ class AttrWrite:
     col: int
     locked: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "owner": self.owner, "attr": self.attr, "line": self.line,
-            "col": self.col, "locked": self.locked,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttrWrite":
-        return cls(
-            owner=d["owner"], attr=d["attr"], line=d["line"],
-            col=d["col"], locked=d["locked"],
-        )
-
 
 @dataclass
 class FunctionSummary:
@@ -179,27 +137,6 @@ class FunctionSummary:
     return_type: str = ""  # annotated return class (resolved dotted)
     calls: list[CallSite] = field(default_factory=list)
     writes: list[AttrWrite] = field(default_factory=list)
-    return_origins: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname, "path": self.path,
-            "line": self.line, "cls": self.cls,
-            "return_type": self.return_type,
-            "calls": [c.to_dict() for c in self.calls],
-            "writes": [w.to_dict() for w in self.writes],
-            "return_origins": self.return_origins,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionSummary":
-        return cls(
-            qualname=d["qualname"], path=d["path"], line=d["line"],
-            cls=d["cls"], return_type=d.get("return_type", ""),
-            calls=[CallSite.from_dict(c) for c in d["calls"]],
-            writes=[AttrWrite.from_dict(w) for w in d["writes"]],
-            return_origins=list(d["return_origins"]),
-        )
 
 
 @dataclass
@@ -212,29 +149,6 @@ class FileIndex:
     classes: dict = field(default_factory=dict)  # class qualname -> {meth: fn}
     attr_types: dict = field(default_factory=dict)  # cls -> {attr: "q:.."|"?"}
     functions: dict = field(default_factory=dict)  # qualname -> FunctionSummary
-    absint: dict | None = None  # lowered shape/dtype mini-IR (absint module)
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path, "module": self.module,
-            "imports": self.imports, "classes": self.classes,
-            "attr_types": self.attr_types,
-            "functions": {q: s.to_dict() for q, s in self.functions.items()},
-            "absint": self.absint,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FileIndex":
-        return cls(
-            path=d["path"], module=d["module"], imports=dict(d["imports"]),
-            classes={k: dict(v) for k, v in d["classes"].items()},
-            attr_types={k: dict(v) for k, v in d["attr_types"].items()},
-            functions={
-                q: FunctionSummary.from_dict(s)
-                for q, s in d["functions"].items()
-            },
-            absint=d.get("absint"),
-        )
 
 
 def _dotted(node: ast.AST) -> str:
@@ -270,10 +184,6 @@ class _Indexer(ast.NodeVisitor):
         self._lock_depth = 0
         self._globals_declared: list[set] = []  # per-fn `global` names
         self._var_types: list[dict] = []  # per-fn: local name -> class dotted
-        # per-fn taint work: (targets, value expr) + return exprs + raw calls
-        self._assigns: list[list] = []
-        self._returns: list[list] = []
-        self._raw_calls: list[list] = []  # (CallSite, [arg exprs])
 
     # -- scope helpers -------------------------------------------------
 
@@ -446,9 +356,6 @@ class _Indexer(ast.NodeVisitor):
         self._fn_stack.append(summary)
         self._local_defs.append({})
         self._globals_declared.append(set())
-        self._assigns.append([])
-        self._returns.append([])
-        self._raw_calls.append([])
         var_types: dict = {}
         args = node.args
         for arg in (
@@ -463,13 +370,9 @@ class _Indexer(ast.NodeVisitor):
         for stmt in node.body:
             self.visit(stmt)
         self._lock_depth = outer_lock
-        self._finalize_taint(summary)
         self._fn_stack.pop()
         self._local_defs.pop()
         self._globals_declared.pop()
-        self._assigns.pop()
-        self._returns.pop()
-        self._raw_calls.pop()
         self._var_types.pop()
 
     visit_FunctionDef = _visit_function
@@ -536,17 +439,12 @@ class _Indexer(ast.NodeVisitor):
                 for elt in target.elts:
                     self._record_write_target(elt)
         self._note_attr_type(node)
-        if self._assigns:
-            names = [
-                t.id for t in node.targets if isinstance(t, ast.Name)
-            ]
-            if names:
-                self._assigns[-1].append((names, node.value))
-            if isinstance(node.value, ast.Call):
-                typed = self._result_class(node.value)
-                if typed:
-                    for name in names:
-                        self._var_types[-1][name] = typed
+        if self._var_types and isinstance(node.value, ast.Call):
+            typed = self._result_class(node.value)
+            if typed:
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        self._var_types[-1][target.id] = typed
         self.visit(node.value)
         for target in node.targets:
             if isinstance(target, (ast.Subscript, ast.Attribute)):
@@ -554,8 +452,6 @@ class _Indexer(ast.NodeVisitor):
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._record_write_target(node.target)
-        if self._assigns and isinstance(node.target, ast.Name):
-            self._assigns[-1].append(([node.target.id], node.value))
         self.visit(node.value)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -565,13 +461,6 @@ class _Indexer(ast.NodeVisitor):
                 self._var_types[-1][node.target.id] = typed
         if node.value is not None:
             self._record_write_target(node.target)
-            if self._assigns and isinstance(node.target, ast.Name):
-                self._assigns[-1].append(([node.target.id], node.value))
-            self.visit(node.value)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        if self._returns and node.value is not None:
-            self._returns[-1].append(node.value)
             self.visit(node.value)
 
     def _note_attr_type(self, node: ast.Assign) -> None:
@@ -615,14 +504,9 @@ class _Indexer(ast.NodeVisitor):
                 ))
             encoded = self._encode_callable(node.func)
             if encoded:
-                site = CallSite(
+                summary.calls.append(CallSite(
                     target=encoded, line=node.lineno, col=node.col_offset + 1,
-                )
-                summary.calls.append(site)
-                args = list(node.args) + [
-                    kw.value for kw in node.keywords if kw.value is not None
-                ]
-                self._raw_calls[-1].append((site, args))
+                ))
         self.generic_visit(node)
 
     def _spawn_target(self, node: ast.Call) -> str:
@@ -640,108 +524,6 @@ class _Indexer(ast.NodeVisitor):
             if target:
                 return target
         return ""
-
-    # -- taint (flow-insensitive, per function) ------------------------
-
-    def _dtype_kind(self, expr: ast.AST) -> str:
-        """"f64" / "other" for recognised dtype expressions, "" unknown."""
-        name = _dotted(expr)
-        if name:
-            last = name.rsplit(".", 1)[-1]
-            if last in _F64_NAMES:
-                return "f64"
-            if last in _KNOWN_DTYPES:
-                return "other"
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            if expr.value in _F64_NAMES:
-                return "f64"
-            if expr.value in _KNOWN_DTYPES:
-                return "other"
-        return ""
-
-    def _expr_origins(self, expr: ast.AST, env: dict) -> set:
-        if isinstance(expr, ast.Name):
-            return set(env.get(expr.id, ()))
-        if isinstance(expr, ast.Attribute):
-            return self._expr_origins(expr.value, env)
-        if isinstance(expr, ast.Call):
-            return self._call_origins(expr, env)
-        if isinstance(expr, (ast.BinOp,)):
-            return self._expr_origins(expr.left, env) | self._expr_origins(
-                expr.right, env
-            )
-        if isinstance(expr, ast.UnaryOp):
-            return self._expr_origins(expr.operand, env)
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            out: set = set()
-            for elt in expr.elts:
-                out |= self._expr_origins(elt, env)
-            return out
-        if isinstance(expr, ast.Subscript):
-            return self._expr_origins(expr.value, env)
-        if isinstance(expr, ast.IfExp):
-            return self._expr_origins(expr.body, env) | self._expr_origins(
-                expr.orelse, env
-            )
-        if isinstance(expr, ast.Starred):
-            return self._expr_origins(expr.value, env)
-        if isinstance(expr, ast.NamedExpr):
-            return self._expr_origins(expr.value, env)
-        return set()
-
-    def _call_origins(self, call: ast.Call, env: dict) -> set:
-        func = call.func
-        # .astype(dtype): explicit f64 taints, explicit other clears,
-        # unknown dtype preserves whatever the base value carried
-        if isinstance(func, ast.Attribute) and func.attr == "astype" and call.args:
-            kind = self._dtype_kind(call.args[0])
-            if kind == "f64":
-                return {"f64"}
-            if kind == "other":
-                return set()
-            return self._expr_origins(func.value, env)
-        encoded = self._encode_callable(func)
-        last = ""
-        if isinstance(func, ast.Name):
-            last = func.id
-        elif isinstance(func, ast.Attribute):
-            last = func.attr
-        if last in _F64_NAMES:
-            return {"f64"}
-        for kw in call.keywords:
-            if kw.arg == "dtype" and self._dtype_kind(kw.value) == "f64":
-                return {"f64"}
-        if last and last[0].isupper():
-            # container heuristic: CamelCase constructors carry their
-            # argument taint through (GradientProxy(vectors=f64) is hot)
-            out: set = set()
-            for arg in list(call.args) + [k.value for k in call.keywords]:
-                out |= self._expr_origins(arg, env)
-            return out
-        return {encoded} if encoded else set()
-
-    def _finalize_taint(self, summary: FunctionSummary) -> None:
-        assigns = self._assigns[-1]
-        env: dict = {}
-        for _ in range(_TAINT_PASSES):
-            changed = False
-            for names, value in assigns:
-                origins = self._expr_origins(value, env)
-                for name in names:
-                    if not origins <= env.get(name, set()):
-                        env.setdefault(name, set()).update(origins)
-                        changed = True
-            if not changed:
-                break
-        returns: set = set()
-        for expr in self._returns[-1]:
-            returns |= self._expr_origins(expr, env)
-        summary.return_origins = sorted(returns)
-        for site, args in self._raw_calls[-1]:
-            origins: set = set()
-            for arg in args:
-                origins |= self._expr_origins(arg, env)
-            site.origins = sorted(origins)
 
 
 def build_file_index(source: str, path: str) -> FileIndex | None:
@@ -764,13 +546,6 @@ def build_file_index(source: str, path: str) -> FileIndex | None:
                 else stmt.name
             )
     indexer.visit(tree)
-    # lower every function to the shape/dtype mini-IR (absint rides the
-    # same per-file cache entry and fork-pool fan-out as the summaries)
-    from repro.analysis.absint import lower_module
-
-    indexer.index.absint = lower_module(
-        tree, indexer.index.module, path, indexer.index.imports
-    )
     return indexer.index
 
 
@@ -800,7 +575,6 @@ class ProjectIndex:
         self._resolve_cache: dict[str, frozenset] = {}
         self._worker: dict[str, str] | None = None
         self._main: set | None = None
-        self._producers: set | None = None
 
     # -- call-target resolution ----------------------------------------
 
@@ -955,44 +729,6 @@ class ProjectIndex:
             }
             self._main = set(self._closure(roots, follow_spawns=False))
         return self._main
-
-    # -- float64 producers ---------------------------------------------
-
-    def f64_producers(self) -> set:
-        """Functions whose return value carries float64 taint."""
-        if self._producers is None:
-            producers: set = set()
-            changed = True
-            while changed:
-                changed = False
-                for qualname, summary in self.functions.items():
-                    if qualname in producers:
-                        continue
-                    for origin in summary.return_origins:
-                        if self._origin_tainted(origin, producers):
-                            producers.add(qualname)
-                            changed = True
-                            break
-            self._producers = producers
-        return self._producers
-
-    def _origin_tainted(self, origin: str, producers: set) -> bool:
-        if origin == "f64":
-            return True
-        return any(fn in producers for fn in self.resolve(origin))
-
-    def origin_tainted(self, origin: str) -> bool:
-        return self._origin_tainted(origin, self.f64_producers())
-
-    def taint_witness(self, origin: str) -> str:
-        """Human-readable producer for a tainted origin."""
-        if origin == "f64":
-            return "a float64 cast/allocation in this function"
-        producers = self.f64_producers()
-        for fn in sorted(self.resolve(origin)):
-            if fn in producers:
-                return fn
-        return origin
 
     # -- shared-state writes -------------------------------------------
 

@@ -10,22 +10,16 @@
 | NES007 | allow-pool-lease       | buffer-pool leases released on all exit paths |
 | NES008 | allow-upcast           | no float64 creation/upcast inside selection/qscore |
 | NES009 | allow-shared-state     | no unlocked cross-thread attribute writes (project) |
-| NES010 | allow-f64-escape       | no float64 flow into qscore/craig hot paths (project) |
 | NES011 | allow-dynamic-metric   | metric names are declared dotted literals (METRIC_TABLE) |
-| NES012 | allow-shape            | no provable shape error in selection/nn/parallel (project) |
-| NES013 | allow-shape-conformance| forward bodies implement their @shape_contract (project) |
-| NES014 | allow-dtype-drift      | no inferred float64 past declared precision into sinks (project) |
 
 (NES000 is the engine's parse-failure pseudo-rule; it has no pragma and
-cannot be baselined.  NES009/NES010 are whole-program rules driven by
-:mod:`repro.analysis.project`; NES012–NES014 ride the abstract
-interpreter in :mod:`repro.analysis.absint`.)
+cannot be baselined.  NES009 is the whole-program rule, driven by
+:mod:`repro.analysis.project`.  The gaps in the numbering are retired
+ids; they are not reused.)
 """
 
 from repro.analysis.rules import (  # noqa: F401 - imports register checkers
-    absint_rules,
     determinism,
-    escape,
     exceptions,
     metricnames,
     pool,

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import ast
 
-__all__ = ["dotted_name", "in_module", "numpy_aliases", "module_aliases"]
+__all__ = [
+    "ALLOCATORS",
+    "dotted_name",
+    "in_module",
+    "numpy_aliases",
+    "module_aliases",
+]
+
+# numpy allocator -> positional index where dtype may appear (NES002, NES008)
+ALLOCATORS = {"zeros": 1, "empty": 1, "ones": 1, "full": 2, "eye": 3}
 
 
 def dotted_name(node: ast.AST) -> str | None:

@@ -15,16 +15,18 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.registry import Checker, register
-from repro.analysis.rules._util import dotted_name, in_module, numpy_aliases
+from repro.analysis.rules._util import (
+    ALLOCATORS,
+    dotted_name,
+    in_module,
+    numpy_aliases,
+)
 
 SCOPE = (
     "repro/selection/",
     "repro/parallel/",
     "repro/smartssd/kernel.py",
 )
-
-# allocator -> positional index where dtype may appear
-_ALLOCATORS = {"zeros": 1, "empty": 1, "ones": 1, "full": 2, "eye": 3}
 
 
 @register
@@ -52,8 +54,8 @@ class PrecisionChecker(Checker):
                 continue
             fn = parts[1]
             has_dtype_kw = any(kw.arg == "dtype" for kw in node.keywords)
-            if fn in _ALLOCATORS:
-                if has_dtype_kw or len(node.args) > _ALLOCATORS[fn]:
+            if fn in ALLOCATORS:
+                if has_dtype_kw or len(node.args) > ALLOCATORS[fn]:
                     continue
                 yield self.finding(
                     ctx,

@@ -30,12 +30,14 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.registry import Checker, register
-from repro.analysis.rules._util import dotted_name, in_module, numpy_aliases
+from repro.analysis.rules._util import (
+    ALLOCATORS,
+    dotted_name,
+    in_module,
+    numpy_aliases,
+)
 
 SCOPE = ("repro/selection/qscore",)
-
-# allocator -> positional index where dtype may appear (mirrors NES002)
-_ALLOCATORS = {"zeros": 1, "empty": 1, "ones": 1, "full": 2, "eye": 3}
 
 
 @register
@@ -100,8 +102,8 @@ class UpcastChecker(Checker):
                 )
                 return
             dtype_args = [kw.value for kw in node.keywords if kw.arg == "dtype"]
-            if fn in _ALLOCATORS and len(node.args) > _ALLOCATORS[fn]:
-                dtype_args.append(node.args[_ALLOCATORS[fn]])
+            if fn in ALLOCATORS and len(node.args) > ALLOCATORS[fn]:
+                dtype_args.append(node.args[ALLOCATORS[fn]])
             for arg in dtype_args:
                 if self._is_float64(arg, np_names):
                     yield self.finding(

@@ -66,18 +66,6 @@ def _result(finding) -> dict:
     }
     if finding.fingerprint:
         result["partialFingerprints"] = {_FINGERPRINT_KEY: finding.fingerprint}
-    related = getattr(finding, "related", None)
-    if related:
-        result["relatedLocations"] = [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": step.get("path", "")},
-                    "region": {"startLine": max(1, step.get("line", 1))},
-                },
-                "message": {"text": step.get("message", "")},
-            }
-            for step in related
-        ]
     return result
 
 

@@ -1,34 +1,18 @@
-"""Scan orchestration: file walk, cache, parallelism, project rules.
+"""Scan orchestration: the one path behind ``repro.cli lint``.
 
-:func:`lint_paths` is the one entry point behind ``repro.cli lint``.
-It walks the scan arguments, lints each file with the per-file rules
-(reusing ``.lint_cache.json`` entries for unchanged files when a cache
-path is given), assembles the per-file indexes into a
-:class:`~repro.analysis.project.ProjectIndex`, runs the project rules
-(NES009/NES010) over it, and returns deterministically ordered
-findings regardless of worker count or cache state.
-
-Parallelism: with ``jobs > 1`` the per-file work (read + parse + rule
-pass + index build) fans out over a fork pool; the assembled results
-are merged and sorted, so the output is byte-identical to a serial
-scan.  Project rules always run in-process — they need the whole
-index.
-
-``changed_only`` scopes *reporting* to files ``git diff`` touched
-(plus untracked files) while still building the full project index, so
-cross-file rules keep seeing the whole program; outside a git tree it
-degrades to a full scan.
+:func:`lint_paths` walks the scan arguments, lints each file with the
+per-file rules and indexes it, assembles the per-file indexes into a
+:class:`~repro.analysis.project.ProjectIndex`, runs the project rule
+(NES009) over it, and returns the findings sorted by
+(path, line, col, rule) — the same tree always yields the same list.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
 
 from repro.analysis import findings as findings_mod
-from repro.analysis.cache import LintCache, content_hash
 from repro.analysis.engine import (
-    _find_repo_root,
     _iter_python_files,
     _parse_pragmas,
     _record_path,
@@ -38,24 +22,12 @@ from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectIndex, build_file_index
 from repro.analysis.registry import all_checkers
 
-__all__ = ["lint_paths", "git_changed_paths"]
-
-
-def _process_file(job: tuple) -> tuple:
-    """Per-file unit of work; top-level so fork pools can pickle it."""
-    file_path, recorded_path = job
-    with open(file_path, "rb") as f:
-        data = f.read()
-    file_hash = content_hash(data)
-    source = data.decode("utf-8")
-    kept, suppressed = lint_source(source, recorded_path, checkers=all_checkers())
-    index = build_file_index(source, recorded_path)
-    return recorded_path, file_hash, kept, suppressed, index
+__all__ = ["lint_paths"]
 
 
 def _discover(paths: list) -> list:
     """(file_path, recorded_path) for every python file, deduplicated."""
-    jobs: list = []
+    files: list = []
     seen: set = set()
     for scan_arg in paths:
         if not os.path.exists(scan_arg):
@@ -65,52 +37,8 @@ def _discover(paths: list) -> list:
             if real in seen:
                 continue
             seen.add(real)
-            jobs.append((file_path, _record_path(file_path, scan_arg)))
-    return jobs
-
-
-def git_changed_paths(paths: list):
-    """Repo-root-relative paths ``git`` considers touched, or ``None``
-    when there is no usable git tree (caller falls back to full scan)."""
-    for scan_arg in paths:
-        if os.path.exists(scan_arg):
-            start = os.path.realpath(scan_arg)
-            if os.path.isfile(start):
-                start = os.path.dirname(start)
-            root = _find_repo_root(start)
-            if root is None or not os.path.isdir(os.path.join(root, ".git")):
-                return None
-            try:
-                diff = subprocess.run(
-                    ["git", "diff", "--name-only", "HEAD"],
-                    cwd=root, capture_output=True, text=True, timeout=30,
-                )
-                untracked = subprocess.run(
-                    ["git", "ls-files", "--others", "--exclude-standard"],
-                    cwd=root, capture_output=True, text=True, timeout=30,
-                )
-            except (OSError, subprocess.SubprocessError):
-                return None
-            if diff.returncode != 0 or untracked.returncode != 0:
-                return None
-            changed = set()
-            for blob in (diff.stdout, untracked.stdout):
-                changed.update(line.strip() for line in blob.splitlines() if line.strip())
-            return changed
-    return None
-
-
-def _run_jobs(jobs: list, n_jobs: int) -> list:
-    if n_jobs > 1 and len(jobs) > 1:
-        try:
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=n_jobs) as pool:
-                return pool.map(_process_file, jobs)
-        except (ImportError, OSError, ValueError):
-            pass  # platforms without fork degrade to a serial scan
-    return [_process_file(job) for job in jobs]
+            files.append((file_path, _record_path(file_path, scan_arg)))
+    return files
 
 
 def _rule_enabled(rule: str, select, ignore) -> bool:
@@ -123,40 +51,18 @@ def _rule_enabled(rule: str, select, ignore) -> bool:
     return True
 
 
-class _SourceInfo:
-    """Lazy per-file (lines, pragmas) for project-finding plumbing."""
-
-    def __init__(self, path_map: dict):
-        self._path_map = path_map
-        self._memo: dict = {}
-
-    def get(self, recorded_path: str) -> tuple:
-        cached = self._memo.get(recorded_path)
-        if cached is not None:
-            return cached
-        lines: list = []
-        file_path = self._path_map.get(recorded_path)
-        if file_path is not None:
-            try:
-                with open(file_path, encoding="utf-8") as f:
-                    lines = f.read().splitlines()
-            except OSError:
-                lines = []
-        info = (lines, _parse_pragmas(lines))
-        self._memo[recorded_path] = info
-        return info
-
-
-def _run_project_rules(file_indexes: list, sources: _SourceInfo) -> tuple:
+def _run_project_rules(checkers: list, file_indexes: list, sources: dict) -> tuple:
+    """Project findings as (kept, suppressed); ``sources`` maps a
+    recorded path to its text, for fingerprints and pragmas."""
     kept: list = []
     suppressed: list = []
-    project_checkers = [c for c in all_checkers() if c.project]
+    project_checkers = [c for c in checkers if c.project]
     if not project_checkers or not file_indexes:
         return kept, suppressed
     index = ProjectIndex(file_indexes)
     for checker in project_checkers:
         for finding in checker.check_project(index):
-            lines, pragmas = sources.get(finding.path)
+            lines = sources.get(finding.path, "").splitlines()
             line_text = (
                 lines[finding.line - 1]
                 if 1 <= finding.line <= len(lines)
@@ -167,6 +73,7 @@ def _run_project_rules(file_indexes: list, sources: _SourceInfo) -> tuple:
             )
             allowed = False
             if checker.pragma:
+                pragmas = _parse_pragmas(lines)
                 for candidate in (finding.line, finding.line - 1):
                     reason = pragmas.get(candidate, {}).get(checker.pragma)
                     if reason is not None and reason.strip():
@@ -176,79 +83,36 @@ def _run_project_rules(file_indexes: list, sources: _SourceInfo) -> tuple:
     return kept, suppressed
 
 
-def lint_paths(
-    paths: list,
-    select=None,
-    ignore=None,
-    jobs: int = 1,
-    cache_path: str | None = None,
-    changed_only: bool = False,
-    stats: dict | None = None,
-) -> tuple:
+def lint_paths(paths: list, select=None, ignore=None) -> tuple:
     """Lint every python file under ``paths``; returns (findings, suppressed).
 
     ``select``/``ignore`` filter by rule id (``select`` wins first,
     then ``ignore`` subtracts; NES000 parse errors always survive).
-    ``jobs`` fans the per-file work over a fork pool; ``cache_path``
-    enables the incremental cache; ``changed_only`` scopes reporting to
-    git-touched files.  Output ordering is deterministic across all of
-    them.
     """
-    jobs_list = _discover(paths)
-    path_map = {recorded: file_path for file_path, recorded in jobs_list}
-
-    cache = LintCache.load(cache_path) if cache_path else None
+    checkers = all_checkers()
     findings: list = []
     suppressed: list = []
     file_indexes: list = []
-    misses: list = []
-    n_cached = 0
-    for file_path, recorded in jobs_list:
-        hit = None
-        if cache is not None:
-            with open(file_path, "rb") as f:
-                file_hash = content_hash(f.read())
-            hit = cache.get(recorded, file_hash)
-        if hit is not None:
-            kept, supp, index = hit
-            findings.extend(kept)
-            suppressed.extend(supp)
-            if index is not None:
-                file_indexes.append(index)
-            n_cached += 1
-        else:
-            misses.append((file_path, recorded))
-
-    for recorded, file_hash, kept, supp, index in _run_jobs(misses, jobs):
+    sources: dict = {}
+    for file_path, recorded in _discover(paths):
+        with open(file_path, encoding="utf-8") as f:
+            source = f.read()
+        sources[recorded] = source
+        kept, supp = lint_source(source, recorded, checkers=checkers)
         findings.extend(kept)
         suppressed.extend(supp)
+        index = build_file_index(source, recorded)
         if index is not None:
             file_indexes.append(index)
-        if cache is not None:
-            cache.put(recorded, file_hash, kept, supp, index)
 
-    sources = _SourceInfo(path_map)
-    proj_kept, proj_supp = _run_project_rules(file_indexes, sources)
+    proj_kept, proj_supp = _run_project_rules(checkers, file_indexes, sources)
     findings.extend(proj_kept)
     suppressed.extend(proj_supp)
 
-    if cache is not None:
-        cache.save()
+    def enabled_sorted(found: list) -> list:
+        return sorted(
+            (f for f in found if _rule_enabled(f.rule, select, ignore)),
+            key=Finding.sort_key,
+        )
 
-    if stats is not None:
-        stats["files"] = len(jobs_list)
-        stats["cached"] = n_cached
-        stats["parsed"] = len(misses)
-
-    changed = git_changed_paths(paths) if changed_only else None
-
-    def passes(f: Finding) -> bool:
-        if changed is not None and f.path not in changed:
-            return False
-        return _rule_enabled(f.rule, select, ignore)
-
-    findings = sorted((f for f in findings if passes(f)), key=Finding.sort_key)
-    suppressed = sorted(
-        (f for f in suppressed if passes(f)), key=Finding.sort_key
-    )
-    return findings, suppressed
+    return enabled_sorted(findings), enabled_sorted(suppressed)

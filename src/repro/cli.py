@@ -9,15 +9,12 @@ Commands
 ``scaling``  the multi-SmartSSD scaling curve (the paper's future work).
 ``bench``    run the hot-path microbenchmarks; ``--check`` compares to the
              committed BENCH_*.json baselines and exits non-zero on regression.
-``lint``     run the repro.analysis static invariant checks (NES001-NES011,
-             including the whole-program race and float64-escape rules)
+``lint``     run the repro.analysis static invariant checks (nine rules:
+             eight per-file, plus the whole-program race rule NES009)
              against the source tree; exits non-zero on findings not covered
              by the committed baseline; ``--check-baseline`` instead verifies
-             every baseline entry carries a justification.  ``--jobs N``
-             fans the scan over processes, ``--changed-only`` scopes it to
-             git-touched files, ``--format sarif`` exports SARIF 2.1.0, and
-             unchanged files are skipped via ``.lint_cache.json``
-             (``--no-cache`` disables).
+             every baseline entry carries a justification;
+             ``--format sarif`` exports SARIF 2.1.0.
 ``report``   aggregate a ``--trace`` JSONL run-trace into the paper's
              headline table (time per phase, bytes over the link,
              selection overhead); ``--chrome`` converts it for Perfetto,
@@ -344,16 +341,9 @@ def _cmd_lint(args) -> int:
 
     select = set(args.select.split(",")) if args.select else None
     ignore = set(args.ignore.split(",")) if args.ignore else None
-    stats: dict = {}
     try:
         findings, suppressed = lint_paths(
-            args.paths,
-            select=select,
-            ignore=ignore,
-            jobs=args.jobs,
-            cache_path=None if args.no_cache else args.cache,
-            changed_only=args.changed_only,
-            stats=stats,
+            args.paths, select=select, ignore=ignore
         )
     except FileNotFoundError as exc:
         print(f"lint: {exc}")
@@ -399,9 +389,7 @@ def _cmd_lint(args) -> int:
             print(f.render())
         print(
             f"lint: {len(findings)} new finding(s), {matched} baselined, "
-            f"{len(suppressed)} pragma-suppressed "
-            f"[{stats.get('files', 0)} file(s): {stats.get('cached', 0)} cached, "
-            f"{stats.get('parsed', 0)} parsed]"
+            f"{len(suppressed)} pragma-suppressed"
         )
     return 1 if findings else 0
 
@@ -588,15 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=["text", "json", "sarif"], default="text")
     lint.add_argument("--output", default=None, metavar="PATH",
                       help="write json/sarif output to PATH instead of stdout")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="fan per-file linting over N processes (default: 1)")
-    lint.add_argument("--changed-only", action="store_true",
-                      help="report only files git considers changed "
-                           "(falls back to a full scan outside a git tree)")
-    lint.add_argument("--cache", default=".lint_cache.json", metavar="PATH",
-                      help="incremental cache file (default: .lint_cache.json)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the incremental cache for this run")
     lint.add_argument("--baseline", default="LINT_BASELINE.json",
                       help="baseline file of grandfathered findings")
     lint.add_argument("--no-baseline", action="store_true",

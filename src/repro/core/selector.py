@@ -155,8 +155,7 @@ class NeSSASelector:
         scales = None
         if scoring == "int8":
             with obs.span("qscore_quantize", candidates=int(len(labels))) as qsp:
-                # lint: allow-f64-escape(quantize_proxies IS the fp64-to-int8 boundary: scales are computed at full precision, then rows collapse to 1-byte buckets)
-                qset = quantize_proxies(proxy.vectors, labels)  # lint: allow-dtype-drift(same boundary: the quantizer consumes fp64 proxies by design)
+                qset = quantize_proxies(proxy.vectors, labels)
                 qsp.set(dequant_error=qset.dequant_error, classes=len(qset.scales))
             obs.metrics().gauge("qscore.dequant_error").set(qset.dequant_error)
             vectors = qset.q

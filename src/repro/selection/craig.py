@@ -167,8 +167,7 @@ class CraigSelector:
             for label in unique_labels:
                 local = np.flatnonzero(labels == label)
                 k_c = max(1, int(round(k_total * len(local) / len(candidates))))
-                # lint: allow-f64-escape(CPU CRAIG is the paper's full-precision reference arm; float64 proxies here are the accuracy baseline the int8 path is judged against)
-                sel, w, nbytes = craig_select_class(  # lint: allow-dtype-drift(reference arm runs at full precision by design)
+                sel, w, nbytes = craig_select_class(
                     proxy.vectors[local],
                     k_c,
                     method=self.method,

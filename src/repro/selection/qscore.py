@@ -15,8 +15,7 @@ counts) while scoring in fp32/fp64.  This module executes it:
    entirely in integer arithmetic via the Gram identity
    (``d2 = |qi|^2 + |qj|^2 - 2 qi.qj``) and the one dequantization the
    math needs is a single rescale at the end
-   (``dist = scale * sqrt(d2)``), block-tiled like
-   :mod:`repro.selection.pairwise`.  No float64 intermediate ever exists
+   (``dist = scale * sqrt(d2)``).  No float64 intermediate ever exists
    (NES008 enforces this statically).  The GEMM itself runs through the
    float32 BLAS with the inner dimension segmented so every partial dot
    product stays below 2**24 — float32 holds such integers exactly, so
@@ -41,7 +40,6 @@ within 1% and top-k overlap >= 95% of the fp32 selection.
 from __future__ import annotations
 
 import hashlib
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -182,27 +180,7 @@ def _gram_tile(a: np.ndarray, b: np.ndarray, d_seg: int) -> np.ndarray:
     return acc
 
 
-def _auto_block_size(n: int, d: int, itemsize: int, memory_budget_bytes: int) -> int | None:
-    """Largest block size whose tile workspace fits ``memory_budget_bytes``.
-
-    The blocked path's transient workspace is one ``B x B`` Gram tile
-    plus two ``B x D`` operand views; the budget bounds their sum.
-    Returns ``None`` when the whole pool fits unblocked (workspace
-    ``N^2 + N*D``), i.e. no tiling is needed.
-    """
-    if memory_budget_bytes <= 0:
-        raise ValueError("memory budget must be positive")
-    if (n * n + n * d) * itemsize <= memory_budget_bytes:
-        return None
-    # Solve B^2 + 2*B*D <= budget/itemsize for B.
-    budget = memory_budget_bytes / itemsize
-    b = int(math.sqrt(budget + d * d) - d)
-    return max(1, min(b, n))
-
-
-def _squared_int_distances(
-    q: np.ndarray, qmax: int, block_size: int | None
-) -> np.ndarray:
+def _squared_int_distances(q: np.ndarray, qmax: int) -> np.ndarray:
     """All-pairs squared distances of int8 rows, exactly, in int32."""
     n, d = q.shape
     if 4 * d * qmax * qmax >= 2**31:
@@ -213,28 +191,17 @@ def _squared_int_distances(
     qi = q.astype(np.int32)
     sq = (qi * qi).sum(axis=1, dtype=np.int32)
     d_seg = max(1, _F32_EXACT_LIMIT // (qmax * qmax))
-    out = np.empty((n, n), dtype=np.int32)
-    step = n if block_size is None or block_size >= n else block_size
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        for j0 in range(i0, n, step):
-            j1 = min(j0 + step, n)
-            tile = _gram_tile(qf[i0:i1], qf[j0:j1], d_seg)
-            tile *= -2
-            tile += sq[i0:i1, None]
-            tile += sq[None, j0:j1]
-            out[i0:i1, j0:j1] = tile
-            if j0 > i0:
-                out[j0:j1, i0:i1] = tile.T
-    return out
+    d2 = _gram_tile(qf, qf, d_seg)
+    d2 *= -2
+    d2 += sq[:, None]
+    d2 += sq[None, :]
+    return d2
 
 
 def int8_similarity(
     q: np.ndarray,
     scale: float,
     bits: int = INT8_BITS,
-    block_size: int | None = None,
-    memory_budget_bytes: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Facility-location similarities of one quantized bucket.
 
@@ -254,11 +221,7 @@ def int8_similarity(
     n, d = q.shape
     if n == 0:
         return np.zeros((0, 0), dtype=np.float32), 0
-    if block_size is None and memory_budget_bytes is not None:
-        # Budget the int32 workspace (the f32 operand views have the
-        # same itemsize).
-        block_size = _auto_block_size(n, d, 4, memory_budget_bytes)
-    d2 = _squared_int_distances(q.astype(np.int8, copy=False), qmax, block_size)
+    d2 = _squared_int_distances(q.astype(np.int8, copy=False), qmax)
     dist = np.sqrt(d2.astype(np.float32))
     dist *= np.float32(scale)
     c0 = np.float32(dist.max())
@@ -406,8 +369,6 @@ def select_class_quantized(
     epsilon: float = 0.1,
     rng: np.random.Generator | None = None,
     bits: int = INT8_BITS,
-    block_size: int | None = None,
-    memory_budget_bytes: int | None = None,
     similarity_dtype_bytes: int = 1,
     cache: SimilarityBlockCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, dict]:
@@ -459,13 +420,7 @@ def select_class_quantized(
             }
             return sel, weights, pairwise_bytes, stats
     if similarity is None:
-        similarity, macs = int8_similarity(
-            q,
-            scale,
-            bits=bits,
-            block_size=block_size,
-            memory_budget_bytes=memory_budget_bytes,
-        )
+        similarity, macs = int8_similarity(q, scale, bits=bits)
         cache.put(digest, similarity)
     if method == "lazy":
         sel = lazy_greedy(similarity, k, validate=False)

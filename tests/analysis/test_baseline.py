@@ -204,7 +204,6 @@ class TestWriteBaselineIdempotence:
         args = [
             "lint", str(tmp_path),
             "--write-baseline", "--baseline", str(baseline),
-            "--no-cache",
         ]
         assert main(args) == 0
         first = baseline.read_text()
@@ -222,7 +221,6 @@ class TestWriteBaselineIdempotence:
         args = [
             "lint", str(tmp_path),
             "--write-baseline", "--baseline", str(baseline),
-            "--no-cache",
         ]
         assert main(args) == 0
         assert len(json.loads(baseline.read_text())["findings"]) == 1

@@ -72,11 +72,10 @@ class TestFilters:
 
 
 class TestRegistry:
-    def test_all_thirteen_rules_registered(self):
+    def test_all_nine_rules_registered(self):
         assert rule_ids() == [
             "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
-            "NES008", "NES009", "NES010", "NES011", "NES012", "NES013",
-            "NES014",
+            "NES008", "NES009", "NES011",
         ]
 
     def test_every_checker_has_pragma_and_description(self):
@@ -87,7 +86,6 @@ class TestRegistry:
     def test_project_rules_flagged_as_such(self):
         by_rule = {c.rule: c for c in all_checkers()}
         assert by_rule["NES009"].project
-        assert by_rule["NES010"].project
         assert not by_rule["NES003"].project
 
 

@@ -45,9 +45,9 @@ class TestExamplesAreLive:
 
 class TestRendering:
     def test_explain_mentions_description_pragma_and_examples(self):
-        text = explain_rule("NES012")
-        assert "NES012" in text
-        assert "allow-shape(reason)" in text
+        text = explain_rule("NES009")
+        assert "NES009" in text
+        assert "allow-shared-state(reason)" in text
         assert "required" in text
         assert "violates" in text and "clean:" in text
 
@@ -55,15 +55,15 @@ class TestRendering:
         assert explain_rule("NES999") is None
 
     def test_lowercase_rule_id_accepted(self):
-        assert explain_rule("nes013") is not None
+        assert explain_rule("nes005") is not None
 
 
 class TestCli:
     def test_cli_explain_prints_rule(self, capsys):
-        assert main(["lint", "--explain", "NES014"]) == 0
+        assert main(["lint", "--explain", "NES008"]) == 0
         out = capsys.readouterr().out
-        assert "NES014" in out
-        assert "allow-dtype-drift(reason)" in out
+        assert "NES008" in out
+        assert "allow-upcast(reason)" in out
 
     def test_cli_explain_unknown_rule_exits_2(self, capsys):
         assert main(["lint", "--explain", "NES999"]) == 2

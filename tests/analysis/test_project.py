@@ -1,9 +1,9 @@
-"""ProjectIndex mechanics: imports, dispatch, spawn edges, reachability, taint.
+"""ProjectIndex mechanics: imports, dispatch, spawn edges, reachability.
 
 Each test builds a tiny in-memory project (dict of path -> source) and
 asserts on the assembled :class:`~repro.analysis.project.ProjectIndex`
-directly — the NES009/NES010 rule behaviour built on top is covered by
-``test_races.py`` / ``test_escape.py``.
+directly — the NES009 rule behaviour built on top is covered by
+``test_races.py``.
 """
 
 import textwrap
@@ -267,87 +267,3 @@ class TestSpawnsAndReachability:
         assert "repro.a.Round.launch" in main
         # _run is only ever entered via the thread spawn
         assert "repro.a.Round._run" not in main
-
-
-class TestFloat64Taint:
-    def test_astype_marks_a_producer(self):
-        index = build({
-            "src/repro/a.py": """
-            import numpy as np
-
-            def make():
-                return np.zeros(4).astype(np.float64)
-            """,
-        })
-        assert any(
-            index.origin_tainted(origin)
-            for origin in index.functions["repro.a.make"].return_origins
-        )
-
-    def test_taint_propagates_through_wrappers(self):
-        index = build({
-            "src/repro/a.py": """
-            import numpy as np
-
-            def deep():
-                return np.float64(1.0)
-
-            def wrapper():
-                return deep()
-            """,
-        })
-        assert any(
-            index.origin_tainted(origin)
-            for origin in index.functions["repro.a.wrapper"].return_origins
-        )
-
-    def test_astype_float32_clears_taint(self):
-        index = build({
-            "src/repro/a.py": """
-            import numpy as np
-
-            def make():
-                wide = np.zeros(4).astype(np.float64)
-                return wide.astype(np.float32)
-            """,
-        })
-        assert not any(
-            index.origin_tainted(origin)
-            for origin in index.functions["repro.a.make"].return_origins
-        )
-
-    def test_dtype_kwarg_marks_a_producer(self):
-        index = build({
-            "src/repro/a.py": """
-            import numpy as np
-
-            def make():
-                return np.zeros(4, dtype=np.float64)
-            """,
-        })
-        assert any(
-            index.origin_tainted(origin)
-            for origin in index.functions["repro.a.make"].return_origins
-        )
-
-
-class TestIndexSerialization:
-    def test_file_index_round_trips_through_dict(self):
-        from repro.analysis.project import FileIndex
-
-        source = """
-        import threading
-
-        class Round:
-            def launch(self):
-                threading.Thread(target=self._run).start()
-
-            def _run(self):
-                self.done = True
-        """
-        original = build_file_index(textwrap.dedent(source), "src/repro/a.py")
-        revived = FileIndex.from_dict(original.to_dict())
-        assert revived.to_dict() == original.to_dict()
-        # a project built from revived indexes behaves identically
-        worker = ProjectIndex([revived]).worker_reachable()
-        assert "repro.a.Round._run" in worker

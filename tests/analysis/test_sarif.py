@@ -46,7 +46,7 @@ class TestCliRoundTrip:
         code = main(
             [
                 "lint", str(tmp_path),
-                "--no-baseline", "--no-cache",
+                "--no-baseline",
                 "--format", "sarif", "--output", str(out_file),
             ]
         )
@@ -57,7 +57,6 @@ class TestCliRoundTrip:
 
     def test_sarif_to_stdout(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(BAD_EXCEPT)
-        main(["lint", str(tmp_path), "--no-baseline", "--no-cache",
-              "--format", "sarif"])
+        main(["lint", str(tmp_path), "--no-baseline", "--format", "sarif"])
         log = json.loads(capsys.readouterr().out)
         assert log["version"] == "2.1.0"

@@ -39,8 +39,7 @@ VIOLATIONS = {
             """
         ),
     ),
-    # project rules: NES009 needs a thread-spawn edge, NES010 a float64
-    # producer flowing into a hot selection function
+    # the project rule needs a thread-spawn edge
     "NES009": (
         "repro/anywhere/bad.py",
         textwrap.dedent(
@@ -60,24 +59,6 @@ VIOLATIONS = {
                 def start(self):
                     t = threading.Thread(target=self.run)
                     t.start()
-            """
-        ),
-    ),
-    "NES010": (
-        "repro/anywhere/bad.py",
-        textwrap.dedent(
-            """
-            import numpy as np
-
-            def make_proxies():
-                return np.zeros(4).astype(np.float64)
-
-            def craig_select_class(vectors):
-                return vectors
-
-            def select_round():
-                vectors = make_proxies()
-                return craig_select_class(vectors)
             """
         ),
     ),
@@ -123,7 +104,7 @@ class TestSelfLint:
         out = capsys.readouterr().out
         for rule in (
             "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
-            "NES009", "NES010", "NES011",
+            "NES008", "NES009", "NES011",
         ):
             assert rule in out
 

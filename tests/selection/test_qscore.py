@@ -29,7 +29,6 @@ from repro.selection.qscore import (
     INT8_BITS,
     QuantizedProxySet,
     SimilarityBlockCache,
-    _auto_block_size,
     bucket_digest,
     default_block_cache,
     int8_similarity,
@@ -156,14 +155,6 @@ class TestInt8Similarity:
         expected = np.float32(dist.max()) - dist
         assert np.array_equal(sim, expected)
 
-    def test_block_tiling_is_identical(self, rng):
-        q, scale, _ = quantize_class_rows(rng.normal(size=(70, 8)))
-        full, _ = int8_similarity(q, scale)
-        tiled, _ = int8_similarity(q, scale, block_size=16)
-        budgeted, _ = int8_similarity(q, scale, memory_budget_bytes=16 * 1024)
-        assert np.array_equal(full, tiled)
-        assert np.array_equal(full, budgeted)
-
     def test_rejects_float_input(self, rng):
         with pytest.raises(TypeError):
             int8_similarity(rng.normal(size=(4, 4)), 0.5)
@@ -179,20 +170,6 @@ class TestInt8Similarity:
 
 
 # -- the cross-round cache ----------------------------------------------------
-
-
-class TestAutoBlockSize:
-    def test_no_blocking_when_budget_fits(self):
-        assert _auto_block_size(100, 10, 4, 10**9) is None
-
-    def test_tight_budget_yields_small_blocks(self):
-        b = _auto_block_size(10_000, 10, 4, 64 * 1024)
-        assert b is not None and 1 <= b < 10_000
-
-    def test_block_workspace_fits_budget(self):
-        n, d, itemsize, budget = 5000, 32, 4, 10**6
-        b = _auto_block_size(n, d, itemsize, budget)
-        assert (b * b + 2 * b * d) * itemsize <= budget
 
 
 class TestSimilarityBlockCache:
