@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.nn.inference import eval_forward
 from repro.nn.modules import Module
 
 __all__ = ["EpochRecord", "TrainingHistory", "evaluate_accuracy"]
@@ -163,17 +164,12 @@ class TrainingHistory:
 
 
 def evaluate_accuracy(model: Module, dataset: Dataset, batch_size: int = 512) -> float:
-    """Top-1 accuracy of ``model`` on ``dataset`` (eval mode, batched)."""
-    was_training = model.training
-    model.eval()
+    """Top-1 accuracy of ``model`` on ``dataset`` (eval-mode forward, batched)."""
     correct = 0
-    try:
+    with eval_forward(model) as (forward, _):
         for start in range(0, len(dataset), batch_size):
             x = dataset.x[start : start + batch_size]
             y = dataset.y[start : start + batch_size]
-            pred = model(x).argmax(axis=1)
+            pred = forward(x).argmax(axis=1)
             correct += int((pred == y).sum())
-    finally:
-        if was_training:
-            model.train()
     return correct / max(1, len(dataset))

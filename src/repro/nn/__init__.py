@@ -38,6 +38,7 @@ from repro.nn.optim import SGD, ConstantLR, MultiStepLR
 from repro.nn.scratch import BufferLease, BufferPool, scratch_pool, set_scratch_pool
 from repro.nn.quantize import QuantizedModel, dequantize_tensor, quantize_tensor
 from repro.nn.resnet import BasicBlock, Bottleneck, ResNet, resnet18, resnet20, resnet50
+from repro.nn.inference import InferencePlan
 from repro.nn.serialize import load_history, load_model, save_history, save_model
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "resnet20",
     "resnet18",
     "resnet50",
+    "InferencePlan",
     "save_model",
     "load_model",
     "save_history",

@@ -140,12 +140,12 @@ class QuantizedModel:
         src_bufs = dict(source.named_buffers())
         for name, buf in self.model.named_buffers():
             buf[...] = src_bufs[name]
+        self.model.eval()
         self.synced = True
         return quantized_state_bytes(source, self.bits)
 
     @shape_contract("N,C,H,W -> N,L")
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self.model.eval()
         if self.activation_bits is None or not hasattr(self.model, "stages"):
             return self.model(x)
         return self.model.fc(self.features(x))
@@ -153,7 +153,6 @@ class QuantizedModel:
     __call__ = forward
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        self.model.eval()
         if self.activation_bits is None or not hasattr(self.model, "stages"):
             return self.model.features(x)
         # Staged forward with fake-quantized activations at stage

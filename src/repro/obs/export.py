@@ -40,6 +40,10 @@ __all__ = [
 # through repro.obs.metrics appears here (NES011-enforced).  Types:
 # "counter" / "gauge" map 1:1; "timer" exports as a summary.
 METRIC_TABLE: dict[str, tuple[str, str]] = {
+    "nn.inference.module_fallbacks": (
+        "counter",
+        "Eval-mode passes (proxy or accuracy) that ran model(x) instead of the fused InferencePlan",
+    ),
     "overlap.efficiency": (
         "gauge",
         "Fraction of the last overlapped selection round hidden behind training",

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
+from repro.nn.inference import eval_forward
 from repro.nn.loss import CrossEntropyLoss
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
@@ -73,7 +74,8 @@ def compute_gradient_proxies(
     ``model`` is any callable with torch-like ``__call__`` (logits) and,
     for the feature-norm mode, a ``features`` method — in practice either
     the live target model or its :class:`~repro.nn.quantize.QuantizedModel`
-    snapshot.  Runs in eval mode semantics (no caching, no BN updates).
+    snapshot.  Runs in eval mode semantics (no caching, no BN updates); a
+    ResNet goes through the fused :class:`~repro.nn.inference.InferencePlan`.
 
     ``cache`` is an optional :class:`~repro.parallel.cache.ProxyCache`:
     when the digest of the model's weights and the candidate-pool ids
@@ -100,53 +102,38 @@ def compute_gradient_proxies(
             if cached is not None:
                 sp.set(cache_hit=True, flops=float(cached.flops))
                 return cached
-        proxy = _forward_proxies(model, x, y, ids, n, batch_size, mode)
-        sp.set(cache_hit=False, flops=float(proxy.flops))
+        proxy, engine = _forward_proxies(model, x, y, ids, n, batch_size, mode)
+        sp.set(cache_hit=False, flops=float(proxy.flops), engine=engine)
     if cache is not None:
         cache.put(cache_key, proxy)
     return proxy
 
 
-def _forward_proxies(model, x, y, ids, n, batch_size, mode) -> GradientProxy:
-    """The uncached forward pass behind :func:`compute_gradient_proxies`."""
+def _forward_proxies(model, x, y, ids, n, batch_size, mode) -> tuple[GradientProxy, str]:
+    """The uncached forward pass: the proxy and the engine (``eval_forward``) that ran it."""
     inner = getattr(model, "model", model)
-    was_training = getattr(inner, "training", False)
-    if hasattr(inner, "eval"):
-        inner.eval()
-    try:
-        vec_chunks, loss_chunks = [], []
+    vec_chunks, loss_chunks = [], []
+    with eval_forward(model) as (forward, engine):
         for start in range(0, n, batch_size):
             xb = x[start : start + batch_size]
             yb = y[start : start + batch_size]
             if mode == "logits_x_feature_norm":
-                feats = model.features(xb)
-                logits = _head(model)(feats)
+                feats = forward.features(xb)
+                logits = forward.head(feats) if engine == "fused" else inner.fc(feats)
                 scale = np.linalg.norm(feats, axis=1, keepdims=True)
             else:
-                logits = model(xb)
+                logits = forward(xb)
                 scale = None
             grads = CrossEntropyLoss.last_layer_gradients(logits, yb)
             if scale is not None:
                 grads = grads * scale
             vec_chunks.append(grads)
             loss_chunks.append(CrossEntropyLoss.per_sample_losses(logits, yb))
-    finally:
-        if was_training and hasattr(inner, "train"):
-            inner.train()
 
     vectors = np.concatenate(vec_chunks).astype(np.float64)
     losses = np.concatenate(loss_chunks).astype(np.float64)
     flops = _forward_flops(inner, x.shape) * n
-    return GradientProxy(vectors=vectors, losses=losses, ids=np.asarray(ids), flops=flops)
-
-
-def _head(model):
-    """The classification head of a ResNet-like model."""
-    inner = getattr(model, "model", model)
-    fc = getattr(inner, "fc", None)
-    if fc is None:
-        raise AttributeError("feature-norm proxy mode needs a model with a .fc head")
-    return fc
+    return GradientProxy(vectors=vectors, losses=losses, ids=np.asarray(ids), flops=flops), engine
 
 
 def _forward_flops(model, x_shape: tuple) -> float:

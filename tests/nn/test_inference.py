@@ -1,0 +1,221 @@
+"""The fused eval-mode forward against the module forward it replaces."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.core.metrics import evaluate_accuracy
+from repro.data.dataset import Dataset
+from repro.data.synthetic import SyntheticConfig, make_train_test
+from repro.nn.inference import InferencePlan, eval_forward
+from repro.nn.loss import CrossEntropyLoss
+from repro.nn.modules import BatchNorm2d, Flatten, Linear, Parameter, Sequential
+from repro.nn.quantize import QuantizedModel
+from repro.nn.resnet import resnet20
+from repro.nn.scratch import scratch_pool
+from repro.perf.flops import model_forward_flops
+from repro.pipeline.experiment import build_model
+from repro.selection.craig import CraigSelector
+from repro.selection.gradients import compute_gradient_proxies
+
+# One registry dataset per Table 1 architecture, as build_model makes them:
+# resnet20(w6), resnet18(w6), resnet50(w4).
+ARCH_DATASETS = ("cifar10", "cifar100", "imagenet100")
+REL_TOL = 1e-5
+
+
+def randomise_bn(model, rng):
+    """A trained-looking BN state, including the awkward corners."""
+    for module in model.modules():
+        if isinstance(module, BatchNorm2d):
+            c = module.num_features
+            module.running_mean[:] = rng.normal(0.0, 0.5, c)
+            module.running_var[:] = rng.uniform(1e-3, 4.0, c)
+            gamma = rng.normal(0.0, 1.0, c)  # negative scales included
+            gamma[rng.integers(c)] = 0.0
+            module.weight.data[:] = gamma
+            module.bias.data[:] = rng.normal(0.0, 0.5, c)
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= REL_TOL * np.abs(want).max()
+
+
+def snapshot(model):
+    """Everything a forward pass could disturb, by value or by identity."""
+    return {
+        "state": {k: v.tobytes() for k, v in model.state_dict().items()},
+        "training": [m.training for m in model.modules()],
+        "caches": [id(getattr(m, "_cache", None)) for m in model.modules()],
+    }
+
+
+class Opaque:
+    """Hides a ResNet's type, so ``eval_forward`` takes the module path."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __call__(self, x):
+        return self._inner(x)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestEquivalence:
+    @given(
+        dataset=st.sampled_from(ARCH_DATASETS),
+        size=st.sampled_from([5, 7, 8]),
+        batch=st.sampled_from([1, 3, 16]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_logits_and_features_match_module_eval(self, dataset, size, batch, seed):
+        rng = np.random.default_rng(seed)
+        model = build_model(dataset, num_classes=7, seed=seed).eval()
+        randomise_bn(model, rng)
+        x = rng.normal(size=(batch, 3, size, size)).astype(np.float32)
+        plan = InferencePlan(model)
+        assert_close(plan(x), model(x))
+        assert_close(plan.features(x), model.features(x))
+        assert_close(plan.head(plan.features(x)), plan(x))
+
+    def test_conv_bias_is_folded(self, rng):
+        model = resnet20(num_classes=4, width=4, seed=1).eval()
+        randomise_bn(model, rng)
+        conv = model.stages[1][0].shortcut[0]
+        conv.bias = Parameter(rng.normal(size=conv.out_channels), name="conv.bias")
+        model.stem_conv.bias = Parameter(rng.normal(size=4), name="conv.bias")
+        x = rng.normal(size=(5, 3, 8, 8)).astype(np.float32)
+        assert_close(InferencePlan(model)(x), model(x))
+
+    def test_output_is_float32_and_contiguous(self, tiny_model, rng):
+        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
+        plan = InferencePlan(tiny_model)
+        for out in (plan(x), plan.features(x)):
+            assert out.dtype == np.float32 and out.flags.c_contiguous
+
+
+class TestNoSideEffects:
+    @pytest.mark.parametrize("training", [True, False])
+    def test_model_is_untouched(self, tiny_model, rng, training):
+        model = tiny_model.train() if training else tiny_model.eval()
+        x = rng.normal(size=(6, 3, 8, 8)).astype(np.float32)
+        if training:
+            model(x)  # fill the backward caches
+        before, outstanding = snapshot(model), scratch_pool().outstanding
+        InferencePlan(model)(x)
+        evaluate_accuracy(model, Dataset(x, np.zeros(6, dtype=np.int64)))
+        compute_gradient_proxies(model, x, np.zeros(6, dtype=np.int64))
+        assert snapshot(model) == before
+        assert scratch_pool().outstanding == outstanding
+
+    def test_interleaved_plan_call_leaves_grads_alone(self, rng):
+        x = rng.normal(size=(8, 3, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 4, 8)
+
+        def grads(interleave):
+            model, loss = resnet20(num_classes=4, width=4, seed=3), CrossEntropyLoss()
+            loss(model(x), y)
+            if interleave:
+                InferencePlan(model)(x[:3])
+            model.backward(loss.backward())
+            return [p.grad.copy() for p in model.parameters()]
+
+        for with_plan, without in zip(grads(True), grads(False)):
+            assert np.array_equal(with_plan, without)
+
+    def test_plan_reads_weights_at_construction(self, tiny_model, rng):
+        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
+        source = resnet20(num_classes=4, width=4, seed=9)
+        replica = QuantizedModel(tiny_model, bits=8)
+        before = InferencePlan(replica.model)(x)
+        replica.sync_from(source)  # what feedback does between rounds
+        after = InferencePlan(replica.model)(x)
+        assert not np.array_equal(before, after)
+        assert_close(after, replica(x))
+
+
+class TestEvalForward:
+    def test_resnet_and_fp32_replica_are_fused(self, tiny_model):
+        for model in (tiny_model, QuantizedModel(tiny_model, bits=8)):
+            with eval_forward(model) as (forward, engine):
+                assert engine == "fused" and isinstance(forward, InferencePlan)
+
+    def test_fallback_toggles_eval_and_counts(self, rng):
+        mlp = Sequential(Flatten(), Linear(12, 3, rng=rng)).train()
+        registry = obs.MetricsRegistry()
+        previous = obs.set_metrics(registry)
+        try:
+            with eval_forward(mlp) as (forward, engine):
+                assert engine == "module" and forward is mlp and not mlp.training
+            with pytest.raises(RuntimeError), eval_forward(mlp):
+                raise RuntimeError("mid-pass failure")
+        finally:
+            obs.set_metrics(previous)
+        assert mlp.training and all(m.training for m in mlp.modules())
+        assert registry.snapshot()["counters"]["nn.inference.module_fallbacks"] == 2
+
+    def test_evaluate_accuracy_matches_module_path(self, train_test_split, tiny_model, rng):
+        _, test_set = train_test_split
+        randomise_bn(tiny_model, rng)
+        assert evaluate_accuracy(tiny_model, test_set, batch_size=50) == evaluate_accuracy(
+            Opaque(tiny_model), test_set, batch_size=50
+        )
+
+
+class TestProxies:
+    @pytest.mark.parametrize("mode", ["logits", "logits_x_feature_norm"])
+    def test_same_proxies_as_module_path(self, small_dataset, tiny_model, rng, mode):
+        randomise_bn(tiny_model, rng)
+        x, y, ids = small_dataset.x[:70], small_dataset.y[:70], small_dataset.ids[:70] + 1000
+        # 70 = 2 * 32 + 6: the tail batch is short
+        fused = compute_gradient_proxies(tiny_model, x, y, ids=ids, batch_size=32, mode=mode)
+        module = compute_gradient_proxies(Opaque(tiny_model), x, y, ids=ids, batch_size=32, mode=mode)
+        assert np.array_equal(fused.ids, ids)
+        assert fused.vectors.dtype == fused.losses.dtype == np.float64
+        assert fused.flops == model_forward_flops(tiny_model, x.shape[1:]) * 70
+        assert_close(fused.vectors, module.vectors)
+        assert_close(fused.losses, module.losses)
+
+    def test_span_names_the_engine(self, small_dataset, tiny_model):
+        x, y = small_dataset.x[:8], small_dataset.y[:8]
+        tracer = obs.Tracer(run="engine")
+        previous = obs.set_tracer(tracer)
+        try:
+            compute_gradient_proxies(tiny_model, x, y)
+            compute_gradient_proxies(QuantizedModel(tiny_model, activation_bits=8), x, y)
+        finally:
+            obs.set_tracer(previous)
+        spans = [sp for sp in tracer.records if sp.name == "proxy_compute"]
+        assert [sp.attrs["engine"] for sp in spans] == ["fused", "module"]
+        assert all(sp.attrs["cache_hit"] is False and sp.attrs["candidates"] == 8 for sp in spans)
+
+    @pytest.mark.parametrize("mode", ["logits", "logits_x_feature_norm"])
+    def test_activation_quantized_replica_keeps_its_proxies(self, small_dataset, mode):
+        """That ablation arm stays on the module path: same numbers as calling it directly."""
+        x, y = small_dataset.x[:40], small_dataset.y[:40]
+        replica = QuantizedModel(resnet20(num_classes=4, width=4, seed=2), activation_bits=8)
+        replica.sync_from(resnet20(num_classes=4, width=4, seed=5))
+        proxy = compute_gradient_proxies(replica, x, y, batch_size=16, mode=mode)
+        feats = np.concatenate([replica.features(x[s : s + 16]) for s in range(0, 40, 16)])
+        logits = replica.model.fc(feats)
+        want = CrossEntropyLoss.last_layer_gradients(logits, y)
+        if mode == "logits_x_feature_norm":
+            want = want * np.linalg.norm(feats, axis=1, keepdims=True)
+        assert np.array_equal(proxy.vectors, want.astype(np.float64))
+
+    def test_golden_seed_selection_is_unchanged(self):
+        """The golden-history problem: fused and module proxies pick the same subset."""
+        train_set, _ = make_train_test(
+            SyntheticConfig(num_classes=4, num_samples=240, image_shape=(3, 8, 8), seed=21)
+        )
+        model = resnet20(num_classes=4, width=4, seed=13)
+        fused = CraigSelector(seed=3).select(train_set, 0.4, model)
+        module = CraigSelector(seed=3).select(train_set, 0.4, Opaque(model))
+        assert np.array_equal(fused.positions, module.positions)
+        assert np.array_equal(fused.weights, module.weights)

@@ -23,3 +23,24 @@ def test_shims_install_and_restore_cleanly():
             assert vars(owner)[attr] is not original
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original
+
+
+def test_traced_twins_pass_the_drivers_checks(tmp_path, monkeypatch):
+    """What the driver runs, at smoke size: no failed job, traced or untraced.
+
+    A traced twin executes ``selection_failures`` and ``layer_metrics``
+    (which index span attributes by name) and must reproduce its
+    untraced twin's accuracy curve and ``bytes_moved`` exactly.
+    """
+    from benchmarks.e2e import harness
+
+    monkeypatch.setattr(harness, "OUT_DIR", tmp_path)  # traces and records.jsonl
+    names = ["nessa-c10", "craig-c10"]
+    result = harness.measure(
+        names, seed=1, runs=1, jobs=dict.fromkeys(names, 1), traced_jobs=1, size="smoke"
+    )
+    for name in names:
+        workload = result["workloads"][name]
+        assert workload["attempted"] == 2
+        assert workload["failed"] == 0
+        assert workload["failures"] == []
