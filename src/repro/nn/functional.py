@@ -1,28 +1,46 @@
 """Low-level numpy kernels: convolution via im2col, pooling, activations.
 
-All kernels operate on arrays shaped ``(N, C, H, W)`` (batch, channels,
-height, width) in float32 and come in forward/backward pairs.  The backward
-functions take the upstream gradient and whatever cached values the forward
-pass produced, mirroring how the module layer in :mod:`repro.nn.modules`
-drives them.
+All kernels take and return arrays shaped ``(N, C, H, W)`` (batch,
+channels, height, width) and come in forward/backward pairs.  The
+backward functions take the upstream gradient and whatever cached values
+the forward pass produced, mirroring how the module layer in
+:mod:`repro.nn.modules` drives them.
 
 Performance notes
 -----------------
-``im2col`` is built from a zero-copy ``np.lib.stride_tricks.as_strided``
-window view followed by a single reshape-copy, replacing the seed's
-``kernel^2`` Python-loop slice fills (the loop is kept as
-``_im2col_loop`` / ``_col2im_loop`` for equivalence tests and
-before/after benchmarks — the strided version is bit-identical).
+**Memory format.**  The convolution and batchnorm kernels work on a
+*batch-innermost* buffer: the ``(N, C, H, W)`` array they return is a
+``.transpose(3, 0, 1, 2)`` view of a C-contiguous ``(C, H, W, N)``
+buffer, the layout :class:`repro.nn.inference.InferencePlan` uses.
+:func:`channel_major` hands a kernel that buffer — a free view when the
+producer was another ``repro.nn`` kernel, one copy (counted in
+``nn.layout.repacks``) for a foreign NCHW array such as the loader's
+batch — so values never depend on the strides of the input.  Elementwise
+ops (ReLU, the residual adds) preserve the format on their own: numpy's
+``order='K'`` keeps the operands' common strides.
 
-Convolution and pooling run on a *blocked* column layout
-``(N, C*K*K, OH*OW)`` (:func:`im2col_blocked`): because that layout is a
-free reshape of the strided window copy, the forward pass is one batched
-GEMM with **no** transpose-gathers on either the columns or the output,
-and the backward pass reuses the forward's column buffer (threaded
-through the ``cols`` cache that :class:`repro.nn.modules.Conv2d` holds
-per batch) plus a scatter-add that reads contiguous blocks.  The public
-:func:`im2col`/:func:`col2im` pair keeps the seed's row-major
-``(N*OH*OW, C*K*K)`` layout and exact numerics.
+**Convolution.**  With the batch innermost, im2col
+(:func:`_im2col_channel_major`) is ``k*k`` slice copies whose contiguous
+run is ``OW*N`` (stride 1) or ``N`` (stride 2) floats, and the column
+buffer is one ``(C*k*k, OH*OW*N)`` matrix for the whole batch.  Forward
+is a single GEMM ``(C_out, C*k*k) @ cols``; backward is two.
+``grad_weight`` is the gradient against ``cols``, which also does the
+sum over the batch.  ``grad_x`` at stride 1 is the same im2col + GEMM
+applied to the gradient with the flipped kernel (a stride-1
+convolution's input gradient is a stride-1 convolution); at stride 2 it
+is the column gradient ``W.T @ g``, written over the dead column buffer
+and folded back by ``k*k`` strided slice adds.  A 1x1 stride-1
+convolution is its own column matrix in both directions: no im2col, no
+scatter.  The column buffer is threaded from forward to backward through
+the cache that :class:`repro.nn.modules.Conv2d` holds per batch.
+
+**Row-major pair.**  The public :func:`im2col`/:func:`col2im` pair keeps
+the seed's row-major ``(N*OH*OW, C*K*K)`` layout and exact numerics, on
+a zero-copy ``as_strided`` window view; ``_im2col_loop`` /
+``_col2im_loop`` are the seed's slice loops, kept as test oracles and
+benchmark baselines.  The pooling kernels use the per-sample blocked
+layout ``(N, C*K*K, OH*OW)`` (:func:`im2col_blocked`), which reads the
+same window view for any input strides.
 """
 
 from __future__ import annotations
@@ -30,11 +48,15 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from repro import obs
+
 __all__ = [
+    "channel_major",
     "im2col",
     "col2im",
     "im2col_blocked",
     "col2im_blocked",
+    "conv2d_cols_shape",
     "conv2d",
     "conv2d_backward",
     "max_pool2d",
@@ -51,6 +73,21 @@ __all__ = [
 def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     """Spatial output size of a conv/pool window sweep."""
     return (size + 2 * pad - kernel) // stride + 1
+
+
+def channel_major(x: np.ndarray) -> np.ndarray:
+    """The C-contiguous ``(C, H, W, N)`` buffer of an ``(N, C, H, W)`` array.
+
+    A view when ``x`` already has the batch-innermost memory format (the
+    output of another ``repro.nn`` kernel); otherwise one copy, counted in
+    ``nn.layout.repacks``.  ``buffer.transpose(3, 0, 1, 2)`` is the way
+    back and never copies.
+    """
+    buffer = x.transpose(1, 2, 3, 0)
+    if buffer.flags.c_contiguous:
+        return buffer
+    obs.metrics().counter("nn.layout.repacks").inc()
+    return np.ascontiguousarray(buffer)
 
 
 def _pad2d(x: np.ndarray, pad: int) -> np.ndarray:
@@ -112,28 +149,18 @@ def col2im(
 
 
 def im2col_blocked(
-    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0,
-    out: np.ndarray | None = None,
+    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Unfold into the blocked ``(N, C*K*K, OH*OW)`` layout.
+    """Unfold into the per-sample blocked ``(N, C*K*K, OH*OW)`` layout.
 
     This layout is a free reshape of the contiguous window copy — no
-    transpose-gather — and GEMMs directly against a ``(C_out, C*K*K)``
-    filter bank, producing output already in channel-major order.
-    Returns ``(cols, (oh, ow))``.
-
-    ``out``, when given, receives the column copy instead of a fresh
-    allocation — a C-contiguous ``(N, C*K*K, OH*OW)`` buffer of ``x``'s
-    dtype (the :mod:`repro.nn.scratch` pool leases these); the copy is
-    bit-identical either way.
+    transpose-gather — and keeps each sample's windows together, which is
+    what the pooling kernels reduce over.  Returns ``(cols, (oh, ow))``.
     """
     n, c, h, w = x.shape
     oh = _out_size(h, kernel, stride, pad)
     ow = _out_size(w, kernel, stride, pad)
     view = _window_view(_pad2d(x, pad), kernel, stride)
-    if out is not None:
-        np.copyto(out.reshape(n, c, kernel, kernel, oh, ow), view)
-        return out, (oh, ow)
     cols = np.ascontiguousarray(view).reshape(n, c * kernel * kernel, oh * ow)
     return cols, (oh, ow)
 
@@ -221,6 +248,49 @@ def _col2im_loop(
     return x
 
 
+def _im2col_channel_major(
+    x: np.ndarray, kernel: int, stride: int, pad: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Unfold a ``(C, H, W, N)`` buffer into the ``(C*k*k, OH*OW*N)`` column matrix.
+
+    ``k*k`` slice copies of the zero-padded input, into ``out`` when given.
+    A 1x1 stride-1 kernel needs no copy: the (padded) input reshaped is
+    the column matrix and ``out`` is left untouched.  Returns
+    ``(cols, (oh, ow))``.
+    """
+    c, h, w, n = x.shape
+    oh = _out_size(h, kernel, stride, pad)
+    ow = _out_size(w, kernel, stride, pad)
+    if pad:
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+        padded[:, pad : pad + h, pad : pad + w] = x
+        x = padded
+    if kernel == 1 and stride == 1:
+        return x.reshape(c, -1), (oh, ow)
+    if out is None:
+        out = np.empty((c * kernel * kernel, oh * ow * n), dtype=x.dtype)
+    windows = out.reshape(c, kernel, kernel, oh, ow, n)
+    for ky in range(kernel):
+        rows = slice(ky, ky + stride * oh, stride)
+        for kx in range(kernel):
+            windows[:, ky, kx] = x[:, rows, kx : kx + stride * ow : stride]
+    return out, (oh, ow)
+
+
+def conv2d_cols_shape(x_shape: tuple, kernel: int, stride: int = 1, pad: int = 0):
+    """Shape of the column buffer :func:`conv2d` fills for an ``x_shape`` input.
+
+    ``None`` for a 1x1 stride-1 kernel, which reads its input as the
+    column matrix and fills nothing.
+    """
+    if kernel == 1 and stride == 1:
+        return None
+    n, c, h, w = x_shape
+    oh = _out_size(h, kernel, stride, pad)
+    ow = _out_size(w, kernel, stride, pad)
+    return (c * kernel * kernel, oh * ow * n)
+
+
 def conv2d(
     x: np.ndarray,
     weight: np.ndarray,
@@ -231,20 +301,22 @@ def conv2d(
 ) -> tuple[np.ndarray, np.ndarray]:
     """2-D convolution. ``weight`` is ``(C_out, C_in, K, K)``.
 
-    Returns ``(output, cols)`` where ``cols`` is the blocked
-    ``(N, C*K*K, OH*OW)`` column buffer (:func:`im2col_blocked`) that the
-    backward pass reuses — the forward builds it once per batch and
-    :class:`repro.nn.modules.Conv2d` threads it through, so backward
+    Returns ``(output, cols)``: the output in the batch-innermost memory
+    format and the ``(C*K*K, OH*OW*N)`` column matrix that
+    :func:`conv2d_backward` takes — the forward builds it once per batch
+    and :class:`repro.nn.modules.Conv2d` threads it through, so backward
     never re-derives columns.  ``cols_out`` lets the caller supply that
-    buffer (a pooled scratch lease) instead of allocating it per batch.
+    buffer (a pooled scratch lease of :func:`conv2d_cols_shape`) instead
+    of allocating it per batch.  For a 1x1 stride-1 kernel ``cols`` is a
+    view of the input's buffer.
     """
     n = x.shape[0]
     c_out, _, k, _ = weight.shape
-    cols, (oh, ow) = im2col_blocked(x, k, stride, pad, out=cols_out)
-    out = np.matmul(weight.reshape(c_out, -1), cols)  # (n, c_out, oh*ow)
+    cols, (oh, ow) = _im2col_channel_major(channel_major(x), k, stride, pad, out=cols_out)
+    out = weight.reshape(c_out, -1) @ cols  # (c_out, oh*ow*n)
     if bias is not None:
         out += bias[:, None]
-    return out.reshape(n, c_out, oh, ow), cols
+    return out.reshape(c_out, oh, ow, n).transpose(3, 0, 1, 2), cols
 
 
 def conv2d_backward(
@@ -256,40 +328,48 @@ def conv2d_backward(
     pad: int = 0,
     with_bias: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Backward pass of :func:`conv2d` given its blocked column cache.
+    """Backward pass of :func:`conv2d` given its column matrix.
 
     Returns ``(grad_x, grad_weight, grad_bias)``; ``grad_bias`` is ``None``
-    unless ``with_bias`` is set.  ``grad_weight`` is one batched GEMM on
-    the blocked layout.  ``grad_x`` fuses the column gradient with its
-    scatter: each kernel position's ``(C_in, C_out)`` filter slice
-    multiplies the output gradient and accumulates straight into the
-    padded input-gradient buffer, so the ``(N, C*K*K, OH*OW)`` column
-    gradient is never materialized.
+    unless ``with_bias`` is set.  ``grad_weight`` is one GEMM of the
+    gradient against ``cols`` (the sum over the batch happens inside it)
+    and ``grad_x`` is one more:
+
+    - at stride 1 the input gradient is itself a stride-1 convolution —
+      of ``grad_out``, zero-padded by ``k - 1 - pad``, with the kernel
+      flipped and its channel axes swapped — so it is an im2col of the
+      gradient (``k*k`` slice copies) and a GEMM, with no scatter;
+    - at larger strides it is the column gradient ``W.T @ g``, folded
+      back onto the input grid by ``k*k`` strided slice adds.  This
+      branch **writes over** ``cols`` (dead once ``grad_weight`` has read
+      it), so it allocates nothing the size of the columns.
     """
     c_out, c_in, k, _ = weight.shape
     n, _, h, w = x_shape
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
-    g = grad_out.reshape(n, c_out, -1)  # (n, c_out, oh*ow), free reshape
+    g = channel_major(grad_out)
+    oh, ow = g.shape[1], g.shape[2]
+    g_mat = g.reshape(c_out, -1)
 
-    grad_weight = (
-        np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, k, k)
-    )
-    grad_bias = grad_out.sum(axis=(0, 2, 3)) if with_bias else None
+    # (cols @ g.T).T rather than g @ cols.T: same product, but OpenBLAS
+    # runs the tall-output shape 1.3-2x faster at these channel counts.
+    grad_weight = (cols @ g_mat.T).T.reshape(weight.shape)
+    grad_bias = g_mat.sum(axis=1) if with_bias else None
 
-    grad_x = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
-    for ky in range(k):
-        y_max = ky + stride * oh
-        for kx in range(k):
-            x_max = kx + stride * ow
-            contrib = np.matmul(weight[:, :, ky, kx].T, g).reshape(n, c_in, oh, ow)
-            target = grad_x[:, :, ky:y_max:stride, kx:x_max:stride]
-            if ky == 0 and kx == 0:
-                target[...] = contrib  # buffer is calloc-zero: skip the read pass
-            else:
-                target += contrib
-    if pad > 0:
-        grad_x = grad_x[:, :, pad : pad + h, pad : pad + w]
-    return grad_x, grad_weight, grad_bias
+    if stride == 1 and pad < k:
+        flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+        g_cols, _ = _im2col_channel_major(g, k, 1, k - 1 - pad)
+        grad_x = (flipped @ g_cols).reshape(c_in, h, w, n)
+    else:
+        windows = np.matmul(weight.reshape(c_out, -1).T, g_mat, out=cols)
+        windows = windows.reshape(c_in, k, k, oh, ow, n)
+        grad_x = np.zeros((c_in, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
+        for ky in range(k):
+            rows = slice(ky, ky + stride * oh, stride)
+            for kx in range(k):
+                grad_x[:, rows, kx : kx + stride * ow : stride] += windows[:, ky, kx]
+        if pad:
+            grad_x = np.ascontiguousarray(grad_x[:, pad : pad + h, pad : pad + w])
+    return grad_x.transpose(3, 0, 1, 2), grad_weight, grad_bias
 
 
 def max_pool2d(

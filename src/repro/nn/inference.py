@@ -24,6 +24,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro import obs
+from repro.nn.functional import _im2col_channel_major
 from repro.nn.modules import BatchNorm2d, Conv2d, Identity
 from repro.nn.resnet import ResNet
 
@@ -43,22 +44,9 @@ def _fold(conv: Conv2d, bn: BatchNorm2d) -> tuple:
 def _conv(x: np.ndarray, folded: tuple, residual=None, relu: bool = True) -> np.ndarray:
     """Folded conv + bias (+ ``residual``) (+ ReLU) on a ``(C, H, W, N)`` activation."""
     matrix, bias, k, stride, pad = folded
-    c, h, w, n = x.shape
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
-    if pad:
-        padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
-        padded[:, pad : pad + h, pad : pad + w] = x
-        x = padded
-    if k == 1 and stride == 1:
-        cols = x
-    else:
-        cols = np.empty((c, k, k, oh, ow, n), dtype=x.dtype)
-        for ky in range(k):
-            rows = slice(ky, ky + stride * oh, stride)
-            for kx in range(k):
-                cols[:, ky, kx] = x[:, rows, kx : kx + stride * ow : stride]
-    out = matrix @ cols.reshape(matrix.shape[1], -1)
+    n = x.shape[3]
+    cols, (oh, ow) = _im2col_channel_major(x, k, stride, pad)
+    out = matrix @ cols
     out += bias
     out = out.reshape(-1, oh, ow, n)
     if residual is not None:

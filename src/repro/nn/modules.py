@@ -173,6 +173,11 @@ def _kaiming_init(shape: tuple, fan_in: int, rng: np.random.Generator) -> np.nda
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
+def _batch_innermost(x: np.ndarray) -> np.ndarray:
+    """``x`` in the memory format the spatial modules emit (see ``F.channel_major``)."""
+    return F.channel_major(x).transpose(3, 0, 1, 2)
+
+
 class Conv2d(Module):
     """2-D convolution (square kernels, no dilation/groups — all the ResNets need)."""
 
@@ -205,21 +210,18 @@ class Conv2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.bias is not None else None
         pool = scratch_pool()
-        if pool is None:
+        cols_shape = F.conv2d_cols_shape(x.shape, self.kernel_size, self.stride, self.padding)
+        if pool is None or cols_shape is None:
             out, cols = F.conv2d(x, self.weight.data, bias, self.stride, self.padding)
             if self.training:
                 self._release_cache()
                 self._cache = (cols, x.shape, None)
             return out
 
-        # Pooled path: the blocked column buffer comes from the scratch
-        # arena.  In train mode the lease rides in the cache and is
-        # released by backward(); otherwise it returns here.
-        n, c, h, w = x.shape
-        k = self.kernel_size
-        oh = (h + 2 * self.padding - k) // self.stride + 1
-        ow = (w + 2 * self.padding - k) // self.stride + 1
-        lease = pool.lease((n, c * k * k, oh * ow), x.dtype)
+        # Pooled path: the column buffer comes from the scratch arena.
+        # In train mode the lease rides in the cache and is released by
+        # backward(); otherwise it returns here.
+        lease = pool.lease(cols_shape, x.dtype)
         handed_off = False
         try:
             out, cols = F.conv2d(
@@ -333,9 +335,17 @@ class BatchNorm2d(Module):
 
     @shape_contract("N,C,H,W -> N,C,H,W")
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # One contiguous row per channel: every reduction below is a row
+        # reduction and every temporary is written in place.
+        rows = F.channel_major(x)
+        shape = rows.shape
+        rows = rows.reshape(self.num_features, -1)
+        out = np.empty_like(rows)
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            m = rows.shape[1]
+            mean = rows.sum(axis=1) / m
+            x_hat = rows - mean[:, None]
+            var = np.multiply(x_hat, x_hat, out=out).sum(axis=1) / m
             self.running_mean = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
             ).astype(np.float32)
@@ -345,32 +355,39 @@ class BatchNorm2d(Module):
         else:
             mean = self.running_mean
             var = self.running_var
+            x_hat = rows - mean[:, None]
 
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = self.weight.data[None, :, None, None] * x_hat + self.bias.data[None, :, None, None]
+        x_hat *= inv_std[:, None]
+        np.multiply(x_hat, self.weight.data[:, None], out=out)
+        out += self.bias.data[:, None]
         if self.training:
             self._cache = (x_hat, inv_std)
-        return out
+        return out.reshape(shape).transpose(3, 0, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or in eval mode)")
         x_hat, inv_std = self._cache
         self._cache = None
-        n, _, h, w = grad_out.shape
-        m = n * h * w
+        g = F.channel_major(grad_out)
+        shape = g.shape
+        g = g.reshape(self.num_features, -1)
+        m = g.shape[1]
 
-        self.weight.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
-        self.bias.grad += grad_out.sum(axis=(0, 2, 3))
+        grad_x = g * x_hat
+        sum_gx = grad_x.sum(axis=1)
+        sum_g = g.sum(axis=1)
+        self.weight.grad += sum_gx
+        self.bias.grad += sum_g
 
-        gamma = self.weight.data[None, :, None, None]
-        grad_xhat = grad_out * gamma
-        # Standard batchnorm backward: subtract the batch-mean components.
-        sum_g = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (grad_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        grad_x = (grad_xhat - sum_g / m - x_hat * sum_gx / m) * inv_std[None, :, None, None]
-        return grad_x
+        # Standard batchnorm backward: subtract the batch-mean components,
+        #   gamma * inv_std * (g - mean(g) - x_hat * mean(g * x_hat)).
+        np.multiply(x_hat, (sum_gx / m)[:, None], out=grad_x)
+        np.subtract(g, grad_x, out=grad_x)
+        grad_x -= (sum_g / m)[:, None]
+        grad_x *= (self.weight.data * inv_std)[:, None]
+        return grad_x.reshape(shape).transpose(3, 0, 1, 2)
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features})"
@@ -411,14 +428,16 @@ class MaxPool2d(Module):
         out, argmax = F.max_pool2d(x, self.kernel_size, self.stride)
         if self.training:
             self._cache = (argmax, x.shape)
-        return out
+        return _batch_innermost(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or in eval mode)")
         argmax, x_shape = self._cache
         self._cache = None
-        return F.max_pool2d_backward(grad_out, argmax, x_shape, self.kernel_size, self.stride)
+        return _batch_innermost(
+            F.max_pool2d_backward(grad_out, argmax, x_shape, self.kernel_size, self.stride)
+        )
 
 
 class AvgPool2d(Module):
@@ -434,14 +453,16 @@ class AvgPool2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x.shape
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
+        return _batch_innermost(F.avg_pool2d(x, self.kernel_size, self.stride))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or in eval mode)")
         x_shape = self._cache
         self._cache = None
-        return F.avg_pool2d_backward(grad_out, x_shape, self.kernel_size, self.stride)
+        return _batch_innermost(
+            F.avg_pool2d_backward(grad_out, x_shape, self.kernel_size, self.stride)
+        )
 
 
 class GlobalAvgPool2d(Module):
@@ -455,15 +476,18 @@ class GlobalAvgPool2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x.shape
-        return x.mean(axis=(2, 3))
+        n, c, h, w = x.shape
+        pooled = F.channel_major(x).reshape(c, h * w, n).mean(axis=1)
+        return np.ascontiguousarray(pooled.T)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or in eval mode)")
         n, c, h, w = self._cache
         self._cache = None
-        grad = grad_out[:, :, None, None] / (h * w)
-        return np.broadcast_to(grad, (n, c, h, w)).astype(grad_out.dtype)
+        grad = np.empty((c, h, w, n), dtype=grad_out.dtype)
+        grad[...] = (grad_out.T / (h * w))[:, None, None, :]
+        return grad.transpose(3, 0, 1, 2)
 
 
 class Flatten(Module):
@@ -484,7 +508,8 @@ class Flatten(Module):
             raise RuntimeError("backward called before forward (or in eval mode)")
         shape = self._cache
         self._cache = None
-        return grad_out.reshape(shape)
+        grad = grad_out.reshape(shape)
+        return _batch_innermost(grad) if len(shape) == 4 else grad
 
 
 class Identity(Module):

@@ -61,7 +61,7 @@ class BasicBlock(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.relu1(self.bn1(self.conv1(x)))
         out = self.bn2(self.conv2(out))
-        out = out + self.shortcut(x)
+        out += self.shortcut(x)  # bn output is fresh: add in place, keep its memory format
         return self.relu2(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -72,7 +72,8 @@ class BasicBlock(Module):
         grad_main = self.relu1.backward(grad_main)
         grad_main = self.bn1.backward(grad_main)
         grad_main = self.conv1.backward(grad_main)
-        return grad_main + grad_short
+        grad_main += grad_short
+        return grad_main
 
 
 class Bottleneck(Module):
@@ -112,7 +113,7 @@ class Bottleneck(Module):
         out = self.relu1(self.bn1(self.conv1(x)))
         out = self.relu2(self.bn2(self.conv2(out)))
         out = self.bn3(self.conv3(out))
-        out = out + self.shortcut(x)
+        out += self.shortcut(x)  # bn output is fresh: add in place, keep its memory format
         return self.relu3(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -126,7 +127,8 @@ class Bottleneck(Module):
         grad_main = self.relu1.backward(grad_main)
         grad_main = self.bn1.backward(grad_main)
         grad_main = self.conv1.backward(grad_main)
-        return grad_main + grad_short
+        grad_main += grad_short
+        return grad_main
 
 
 class ResNet(Module):

@@ -1,7 +1,7 @@
 """Reusable scratch buffers: lease/return instead of allocate/collect.
 
 The steady-state training loop allocates the same large arrays every
-batch — the conv layers' blocked im2col column buffers and the loader's
+batch — the conv layers' im2col column matrices and the loader's
 gathered ``x``/``y`` batch pair — and immediately drops them, so the
 allocator churns through hundreds of megabytes per epoch for buffers
 whose shapes never change.  :class:`BufferPool` is a small keyed arena

@@ -44,6 +44,10 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
         "counter",
         "Eval-mode passes (proxy or accuracy) that ran model(x) instead of the fused InferencePlan",
     ),
+    "nn.layout.repacks": (
+        "counter",
+        "Arrays copied into the batch-innermost (C, H, W, N) memory format by F.channel_major",
+    ),
     "overlap.efficiency": (
         "gauge",
         "Fraction of the last overlapped selection round hidden behind training",

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
@@ -180,6 +180,104 @@ class TestBlockedConvEquivalence:
         np.testing.assert_allclose(grad_w, ref_w, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(grad_x, ref_x, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(grad_b, g_flat.sum(axis=0), rtol=1e-12)
+
+
+def _in_format(x, memory):
+    """``x``'s values in one of the memory formats a kernel may be handed."""
+    if memory == "nchw":
+        return np.ascontiguousarray(x)
+    if memory == "batch_innermost":
+        return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    wide = np.zeros(x.shape[:3] + (2 * x.shape[3] + 1,), dtype=x.dtype)
+    wide[..., 1::2] = x
+    return wide[..., 1::2]  # non-contiguous slice of a wider array
+
+
+class TestConvAgainstSeedOracle:
+    """``conv2d`` / ``conv2d_backward`` against the seed im2col-GEMM and col2im.
+
+    The kernels repack whatever they are handed, so values must not
+    depend on the strides of ``x`` or ``grad_out``; the output is always
+    in the batch-innermost memory format.
+    """
+
+    @given(
+        kernel=st.sampled_from([1, 3]),
+        stride=st.sampled_from([1, 2]),
+        pad=st.sampled_from([0, 1]),
+        with_bias=st.booleans(),
+        n=st.sampled_from([1, 3, 16]),
+        h=st.sampled_from([1, 2, 5, 8]),
+        w=st.sampled_from([1, 2, 5, 8]),
+        x_memory=st.sampled_from(["nchw", "batch_innermost", "slice"]),
+        g_memory=st.sampled_from(["nchw", "batch_innermost", "slice"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_forward_and_backward_match(
+        self, kernel, stride, pad, with_bias, n, h, w, x_memory, g_memory, dtype
+    ):
+        assume(min(h, w) + 2 * pad >= kernel)
+        c_in, c_out = 3, 4
+        rng = np.random.default_rng([kernel, stride, pad, n, h, w])
+        x = rng.normal(size=(n, c_in, h, w)).astype(dtype)
+        weight = rng.normal(size=(c_out, c_in, kernel, kernel)).astype(dtype)
+        bias = rng.normal(size=c_out).astype(dtype) if with_bias else None
+        oh = (h + 2 * pad - kernel) // stride + 1
+        ow = (w + 2 * pad - kernel) // stride + 1
+        g = rng.normal(size=(n, c_out, oh, ow)).astype(dtype)
+        # float32: rtol 1e-5 plus the rounding of a sum of up to N*OH*OW terms
+        tol = dict(rtol=1e-5, atol=1e-4) if dtype is np.float32 else dict(rtol=1e-10, atol=1e-10)
+
+        seed_cols = F._im2col_loop(x, kernel, stride, pad)  # (n*oh*ow, c_in*k*k)
+        w_mat = weight.reshape(c_out, -1)
+        ref_out = (seed_cols @ w_mat.T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
+        if with_bias:
+            ref_out = ref_out + bias[None, :, None, None]
+        g_flat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+        ref_w = (g_flat.T @ seed_cols).reshape(weight.shape)
+        ref_x = F._col2im_loop(g_flat @ w_mat, x.shape, kernel, stride, pad)
+
+        out, cols = F.conv2d(_in_format(x, x_memory), weight, bias, stride, pad)
+        assert out.shape == ref_out.shape and out.dtype == dtype
+        assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+        np.testing.assert_allclose(out, ref_out, **tol)
+
+        grad_x, grad_w, grad_b = F.conv2d_backward(
+            _in_format(g, g_memory), cols, x.shape, weight, stride, pad, with_bias=with_bias
+        )
+        assert grad_x.shape == x.shape and grad_x.dtype == dtype
+        assert grad_x.transpose(1, 2, 3, 0).flags.c_contiguous
+        np.testing.assert_allclose(grad_x, ref_x, **tol)
+        np.testing.assert_allclose(grad_w, ref_w, **tol)
+        if with_bias:
+            np.testing.assert_allclose(grad_b, g_flat.sum(axis=0), **tol)
+        else:
+            assert grad_b is None
+
+    def test_pooled_column_buffer_gives_the_same_values(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(3, 2, 5, 5)).astype(np.float32)
+        weight = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
+        shape = F.conv2d_cols_shape(x.shape, 3, 2, 1)
+        assert shape == (2 * 9, 3 * 3 * 3)
+        buffer = np.full(shape, np.nan, dtype=np.float32)
+        out, cols = F.conv2d(x, weight, stride=2, pad=1, cols_out=buffer)
+        assert cols is buffer
+        np.testing.assert_array_equal(out, F.conv2d(x, weight, stride=2, pad=1)[0])
+
+    def test_pointwise_conv_reads_its_input_as_the_columns(self):
+        x = _in_format(
+            np.random.default_rng(15).normal(size=(4, 3, 2, 2)).astype(np.float32),
+            "batch_innermost",
+        )
+        weight = np.ones((5, 3, 1, 1), dtype=np.float32)
+        assert F.conv2d_cols_shape(x.shape, 1, 1, 0) is None
+        _, cols = F.conv2d(x, weight)
+        assert np.shares_memory(cols, x)
+        before = x.copy()
+        F.conv2d_backward(np.ones((4, 5, 2, 2), dtype=np.float32), cols, x.shape, weight)
+        np.testing.assert_array_equal(x, before)  # backward must not write over it
 
 
 class TestPooling:

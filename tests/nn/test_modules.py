@@ -163,6 +163,96 @@ class TestBatchNorm:
         assert out[0, 0, 0, 0] == pytest.approx((4.0 - 2.0) / 2.0, abs=1e-3)
 
 
+def _oracle_batchnorm(x, g, gamma, beta, running_mean, running_var, eps, momentum):
+    """Train-mode batchnorm as the seed wrote it: reductions over axes (0, 2, 3)."""
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    grad_xhat = g * gamma[None, :, None, None]
+    sum_g = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
+    sum_gx = (grad_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+    return {
+        "out": out,
+        "grad_x": (grad_xhat - sum_g / m - x_hat * sum_gx / m) * inv_std[None, :, None, None],
+        "grad_gamma": (g * x_hat).sum(axis=(0, 2, 3)),
+        "grad_beta": g.sum(axis=(0, 2, 3)),
+        "running_mean": (1 - momentum) * running_mean + momentum * mean,
+        "running_var": (1 - momentum) * running_var + momentum * var,
+    }
+
+
+class TestBatchNormRowwise:
+    """The row-wise ``(C, N*H*W)`` batchnorm against the ``(0, 2, 3)`` formulas."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(64, 6, 8, 8), (32, 6, 8, 8), (3, 5, 2, 3), (1, 4, 1, 1), (16, 24, 1, 1)],
+        ids=["batch", "tail-batch", "odd", "single-value", "1x1"],
+    )
+    @pytest.mark.parametrize("memory", ["nchw", "batch_innermost"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_step_matches_oracle(self, shape, memory, dtype):
+        rng = np.random.default_rng(shape)
+        c = shape[1]
+        x = rng.normal(1.5, 2.0, size=shape).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        bn = BatchNorm2d(c)
+        bn.weight.data[:] = rng.normal(1.0, 0.5, c)
+        bn.bias.data[:] = rng.normal(0.0, 0.5, c)
+        bn.running_mean[:] = rng.normal(0.0, 0.5, c)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, c)
+        want = _oracle_batchnorm(
+            x.astype(np.float64), g.astype(np.float64),
+            bn.weight.data.astype(np.float64), bn.bias.data.astype(np.float64),
+            bn.running_mean.astype(np.float64), bn.running_var.astype(np.float64),
+            bn.eps, bn.momentum,
+        )
+
+        def fmt(a):
+            if memory == "nchw":
+                return a
+            return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+        out = bn(fmt(x))
+        grad_x = bn.backward(fmt(g))
+        tol = dict(rtol=1e-4, atol=1e-5) if dtype is np.float32 else dict(rtol=1e-6, atol=1e-7)
+        assert out.shape == shape and grad_x.shape == shape
+        assert out.dtype == dtype and grad_x.dtype == dtype
+        np.testing.assert_allclose(out, want["out"], **tol)
+        np.testing.assert_allclose(grad_x, want["grad_x"], **tol)
+        np.testing.assert_allclose(bn.weight.grad, want["grad_gamma"], rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(bn.bias.grad, want["grad_beta"], rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(bn.running_mean, want["running_mean"], rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(bn.running_var, want["running_var"], rtol=1e-5, atol=1e-6)
+        assert bn.running_mean.dtype == np.float32 and bn.running_var.dtype == np.float32
+
+    def test_single_value_batch_has_zero_variance(self):
+        """N*H*W == 1: var is 0, x_hat is 0, the output is beta and no gradient flows."""
+        bn = BatchNorm2d(3)
+        bn.bias.data[:] = [0.5, -1.0, 2.0]
+        x = np.array([3.0, -4.0, 7.0], dtype=np.float32).reshape(1, 3, 1, 1)
+        out = bn(x)
+        np.testing.assert_array_equal(out.ravel(), bn.bias.data)
+        np.testing.assert_allclose(bn.running_var, 0.9)
+        grad = bn.backward(np.ones_like(x))
+        np.testing.assert_array_equal(grad, np.zeros_like(x))
+        np.testing.assert_array_equal(bn.weight.grad, np.zeros(3, dtype=np.float32))
+
+    def test_input_is_not_modified(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
+        g = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
+        x0, g0 = x.copy(), g.copy()
+        bn = BatchNorm2d(2)
+        bn(x)
+        bn.backward(g)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(g, g0)
+
+
 class TestShapes:
     @pytest.mark.parametrize(
         "layer,in_shape,out_shape",

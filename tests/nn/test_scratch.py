@@ -131,8 +131,9 @@ class TestProcessWidePool:
         assert scratch_pool() is previous
 
     def test_conv_scratch_allocations_flat_after_warmup(self):
-        # Conv2d leases its im2col column buffer from the process pool;
-        # repeated same-shape forwards must not allocate fresh scratch.
+        # Conv2d leases its (C*k*k, OH*OW*N) im2col column matrix from the
+        # process pool; repeated same-shape forwards must not allocate
+        # fresh scratch.
         from repro.nn.modules import Conv2d
 
         pool = BufferPool()
@@ -147,6 +148,7 @@ class TestProcessWidePool:
             conv.forward(x)
             allocs_warm = pool.stats["allocations"]
             assert 0 < allocs_warm <= 2
+            assert conv._cache[0].shape == (3 * 9, 8 * 8 * 4)
             for _ in range(5):
                 conv.forward(x)
             assert pool.stats["allocations"] == allocs_warm
