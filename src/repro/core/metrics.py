@@ -166,7 +166,7 @@ class TrainingHistory:
 def evaluate_accuracy(model: Module, dataset: Dataset, batch_size: int = 512) -> float:
     """Top-1 accuracy of ``model`` on ``dataset`` (eval-mode forward, batched)."""
     correct = 0
-    with eval_forward(model) as (forward, _):
+    with eval_forward(model, dataset.x.shape[1:]) as (forward, _):
         for start in range(0, len(dataset), batch_size):
             x = dataset.x[start : start + batch_size]
             y = dataset.y[start : start + batch_size]

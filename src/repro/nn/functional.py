@@ -11,13 +11,14 @@ Performance notes
 **Memory format.**  The convolution and batchnorm kernels work on a
 *batch-innermost* buffer: the ``(N, C, H, W)`` array they return is a
 ``.transpose(3, 0, 1, 2)`` view of a C-contiguous ``(C, H, W, N)``
-buffer, the layout :class:`repro.nn.inference.InferencePlan` uses.
-:func:`channel_major` hands a kernel that buffer — a free view when the
-producer was another ``repro.nn`` kernel, one copy (counted in
+buffer.  :func:`channel_major` hands a kernel that buffer — a free view
+when the producer was another ``repro.nn`` kernel, one copy (counted in
 ``nn.layout.repacks``) for a foreign NCHW array such as the loader's
 batch — so values never depend on the strides of the input.  Elementwise
 ops (ReLU, the residual adds) preserve the format on their own: numpy's
-``order='K'`` keeps the operands' common strides.
+``order='K'`` keeps the operands' common strides.  The eval-only
+:class:`repro.nn.inference.InferencePlan` has its own layout, rows
+outermost (``(H+2, C, W, N)``), and no im2col.
 
 **Convolution.**  With the batch innermost, im2col
 (:func:`_im2col_channel_major`) is ``k*k`` slice copies whose contiguous

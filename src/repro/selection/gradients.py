@@ -113,7 +113,7 @@ def _forward_proxies(model, x, y, ids, n, batch_size, mode) -> tuple[GradientPro
     """The uncached forward pass: the proxy and the engine (``eval_forward``) that ran it."""
     inner = getattr(model, "model", model)
     vec_chunks, loss_chunks = [], []
-    with eval_forward(model) as (forward, engine):
+    with eval_forward(model, x.shape[1:]) as (forward, engine):
         for start in range(0, n, batch_size):
             xb = x[start : start + batch_size]
             yb = y[start : start + batch_size]

@@ -35,7 +35,7 @@ def test_traced_twins_pass_the_drivers_checks(tmp_path, monkeypatch):
     from benchmarks.e2e import harness
 
     monkeypatch.setattr(harness, "OUT_DIR", tmp_path)  # traces and records.jsonl
-    names = ["full-c10", "nessa-c10", "craig-c10"]
+    names = ["full-c10", "nessa-c10", "craig-c10", "nessa-c100-f10"]
     result = harness.measure(
         names, seed=1, runs=1, jobs=dict.fromkeys(names, 1), traced_jobs=1, size="smoke"
     )
