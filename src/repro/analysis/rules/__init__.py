@@ -9,13 +9,11 @@
 | NES006 | allow-span-with        | obs spans are with-managed at the call site |
 | NES007 | allow-pool-lease       | buffer-pool leases released on all exit paths |
 | NES008 | allow-upcast           | no float64 creation/upcast inside selection/qscore |
-| NES009 | allow-shared-state     | no unlocked cross-thread attribute writes (project) |
 | NES011 | allow-dynamic-metric   | metric names are declared dotted literals (METRIC_TABLE) |
 
 (NES000 is the engine's parse-failure pseudo-rule; it has no pragma and
-cannot be baselined.  NES009 is the whole-program rule, driven by
-:mod:`repro.analysis.project`.  The gaps in the numbering are retired
-ids; they are not reused.)
+cannot be baselined.  The gaps in the numbering are retired ids; they
+are not reused.)
 """
 
 from repro.analysis.rules import (  # noqa: F401 - imports register checkers
@@ -24,7 +22,6 @@ from repro.analysis.rules import (  # noqa: F401 - imports register checkers
     metricnames,
     pool,
     precision,
-    races,
     shape,
     spans,
     upcast,

@@ -35,10 +35,7 @@ def _rule_descriptors() -> list:
                 "name": type(checker).__name__,
                 "shortDescription": {"text": checker.description},
                 "defaultConfiguration": {"level": "error"},
-                "properties": {
-                    "pragma": f"lint: allow-{checker.pragma}(reason)",
-                    "scope": "project" if checker.project else "file",
-                },
+                "properties": {"pragma": f"lint: allow-{checker.pragma}(reason)"},
             }
         )
     return rules

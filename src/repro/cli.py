@@ -9,11 +9,11 @@ Commands
 ``scaling``  the multi-SmartSSD scaling curve (the paper's future work).
 ``bench``    run the hot-path microbenchmarks; ``--check`` compares to the
              committed BENCH_*.json baselines and exits non-zero on regression.
-``lint``     run the repro.analysis static invariant checks (nine rules:
-             eight per-file, plus the whole-program race rule NES009)
-             against the source tree; exits non-zero on findings not covered
-             by the committed baseline; ``--check-baseline`` instead verifies
-             every baseline entry carries a justification;
+``lint``     run the repro.analysis static invariant checks (eight
+             per-file rules) against the source tree; exits non-zero on
+             findings not covered by the committed baseline;
+             ``--check-baseline`` instead verifies every baseline entry
+             carries a justification;
              ``--format sarif`` exports SARIF 2.1.0.
 ``report``   aggregate a ``--trace`` JSONL run-trace into the paper's
              headline table (time per phase, bytes over the link,
@@ -120,7 +120,6 @@ def _cmd_train(args) -> int:
             subset_fraction=args.fraction or DATASETS[args.dataset].subset_fraction,
             biasing_drop_period=max(3, args.epochs // 3),
             seed=args.seed,
-            overlap=args.overlap,
             quantized_scoring=args.quantized_scoring,
         )
     with _traced(args.trace, run=f"train-{args.method}-{args.dataset}",
@@ -263,8 +262,8 @@ def _cmd_bench(args) -> int:
                                              f"BENCH_{group}.json")
                 if not os.path.exists(baseline_path):
                     # A missing baseline is a broken gate, not a pass: new
-                    # groups must commit one (silently skipping is how the
-                    # pipeline group would have dodged regression checking).
+                    # groups must commit one, or they dodge regression
+                    # checking silently.
                     print(f"  MISSING BASELINE for group {group!r} at "
                           f"{baseline_path} — run bench without --check and "
                           "commit the result")
@@ -465,11 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=1)
     train.add_argument("--data-seed", type=int, default=3)
     train.add_argument("--save-history", default=None, metavar="PATH")
-    train.add_argument("--overlap", action="store_true",
-                       help="run NeSSA selection rounds on a background "
-                            "thread, overlapped with training; each round "
-                            "scores with round t-1 weights (the paper's "
-                            "feedback latency)")
     train.add_argument("--quantized-scoring", choices=["off", "int8"],
                        default="off",
                        help="run selection similarities through the int8 "
@@ -512,8 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run hot-path microbenchmarks")
     bench.add_argument("--group",
-                       choices=["selection", "nn", "parallel", "pipeline",
-                                "qscore", "all"],
+                       choices=["selection", "nn", "parallel", "qscore", "all"],
                        default="all")
     bench.add_argument("--size", choices=["tiny", "default"], default="default")
     bench.add_argument("--repeats", type=int, default=5)

@@ -97,11 +97,6 @@ class NeSSAConfig:
     dynamic_threshold / dynamic_shrink / min_subset_fraction : stall
         threshold on the relative per-epoch loss reduction, multiplicative
         shrink factor, and the floor.
-    overlap : run each selection round on a background thread while the
-        previous subset trains (the paper's storage/compute concurrency,
-        Fig. 3); the round then scores candidates with the round *t-1*
-        quantized weights — the paper's feedback latency.  Off runs the
-        same schedule with a synchronous round.
     """
 
     subset_fraction: float = 0.3
@@ -128,8 +123,6 @@ class NeSSAConfig:
     dynamic_threshold: float = 0.02
     dynamic_shrink: float = 0.9
     min_subset_fraction: float = 0.1
-
-    overlap: bool = False
 
     seed: int = 0
 

@@ -99,38 +99,27 @@ class NeSSASelector:
     def snapshot_candidates(self, dataset: Dataset) -> np.ndarray:
         """Candidate positions under the *current* biasing state.
 
-        An overlapped round calls this on the training thread before
-        handing the round to a worker thread, so the worker never reads
-        the (mutable) loss history: :meth:`select` with an explicit
-        ``candidates`` array touches only state the training thread
-        leaves alone during the overlap window.
+        :meth:`select` takes its pool from here at the start of every
+        round: every position whose sample the loss history has not yet
+        dropped as learned (all positions when biasing is off).
         """
         if self.config.use_biasing:
             candidate_ids = self.loss_history.filter_candidates(dataset.ids)
             return np.flatnonzero(np.isin(dataset.ids, candidate_ids))
         return np.arange(len(dataset), dtype=np.int64)
 
-    def select(
-        self,
-        dataset: Dataset,
-        fraction: float,
-        model,
-        candidates: np.ndarray | None = None,
-    ) -> SelectionResult:
+    def select(self, dataset: Dataset, fraction: float, model) -> SelectionResult:
         """One selection round over ``dataset`` at the given fraction.
 
         ``model`` must be the quantized feedback replica when feedback is
         on (the trainer guarantees this); passing the live model emulates
-        a hypothetical unquantized FPGA.  ``candidates`` substitutes a
-        pool snapshot taken earlier with :meth:`snapshot_candidates`
-        (overlapped rounds); ``None`` snapshots now — the two are
-        identical when the biasing state has not changed in between.
+        a hypothetical unquantized FPGA.  The candidate pool is
+        :meth:`snapshot_candidates` at the time of the call.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
 
-        if candidates is None:
-            candidates = self.snapshot_candidates(dataset)
+        candidates = self.snapshot_candidates(dataset)
 
         scoring = self.config.quantized_scoring
         proxy = compute_gradient_proxies(
@@ -173,7 +162,6 @@ class NeSSASelector:
             chunk_select=chunk_select,
             perm_entropy=perm_entropy,
         )
-        # lint: allow-shared-state(one round in flight: AsyncSelectionRound.launch refuses a second round and its join precedes the trainer's next select call)
         self._round += 1
         spec = SelectionSpec(
             method=self.config.selection_method,
@@ -195,7 +183,6 @@ class NeSSASelector:
             weights.append(w)
             max_pairwise = max(max_pairwise, nbytes)
 
-        # lint: allow-shared-state(one round in flight: written by the single active select call, read by the trainer only after join)
         self.last_pairwise_bytes = max_pairwise
         return SelectionResult(
             positions=np.concatenate(positions) if positions else np.zeros(0, np.int64),

@@ -46,13 +46,12 @@ class _BaseTrainer:
     """The epoch loop; the hook defaults are the full-data run.
 
     Per epoch: ``_before_epoch`` (biasing drop) → ``_select`` → train →
-    join the selection round → ``_after_train`` (record losses, feedback
-    sync, schedule update) → eval → one :class:`EpochRecord`.
+    ``_after_train`` (record losses, feedback sync, schedule update) →
+    eval → one :class:`EpochRecord`.
     """
 
     name = "full"
     selector = None
-    overlap = False
     # EpochRecord fields mirrored onto the ``epoch`` span.
     _epoch_attrs: tuple[str, ...] = ("train_loss", "test_accuracy", "samples_trained")
 
@@ -80,9 +79,23 @@ class _BaseTrainer:
         """Start-of-epoch pool maintenance; returns samples dropped."""
         return 0
 
-    def _select(self, round_, train_set: Dataset, epoch: int) -> SelectionResult | None:
+    def _select(self, train_set: Dataset, epoch: int) -> SelectionResult | None:
         """This epoch's fresh selection, or None to keep the current subset."""
         return None
+
+    def _selection_round(
+        self, train_set: Dataset, fraction: float, model, epoch: int
+    ) -> SelectionResult:
+        """One selection round under the ``selection_round`` span."""
+        with obs.span("selection_round", epoch=epoch) as sel:
+            result = self.selector.select(train_set, fraction, model)
+            sel.set(
+                pairwise_bytes=int(result.pairwise_bytes),
+                proxy_flops=float(result.proxy_flops),
+                selected=len(result.positions),
+                fraction=float(fraction),
+            )
+        return result
 
     def _after_train(
         self, epoch: int, mean_loss: float, per_sample: np.ndarray, ids: np.ndarray
@@ -91,58 +104,47 @@ class _BaseTrainer:
         return 0
 
     def _run_epochs(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
-        # Imported here: repro.pipeline's package init imports this module.
-        from repro.pipeline.overlap import AsyncSelectionRound
-
         history = TrainingHistory(method=self.name)
         self._before_run()
         subset = train_set
-        with AsyncSelectionRound(self.selector, strict=not self.overlap) as round_:
-            for epoch in range(self.recipe.epochs):
-                epoch_t0 = time.perf_counter()
-                with obs.span("epoch", epoch=epoch, method=self.name) as ep:
-                    dropped = self._before_epoch(train_set, epoch)
+        for epoch in range(self.recipe.epochs):
+            epoch_t0 = time.perf_counter()
+            with obs.span("epoch", epoch=epoch, method=self.name) as ep:
+                dropped = self._before_epoch(train_set, epoch)
 
-                    selection_s = 0.0
-                    select_t0 = time.perf_counter()
-                    result = self._select(round_, train_set, epoch)
-                    selected = result is not None
-                    if selected:
-                        selection_s = time.perf_counter() - select_t0
-                        weights = result.weights if result.weights.std() > 0 else None
-                        subset = Subset(train_set, result.positions, weights=weights)
+                selection_s = 0.0
+                select_t0 = time.perf_counter()
+                result = self._select(train_set, epoch)
+                selected = result is not None
+                if selected:
+                    selection_s = time.perf_counter() - select_t0
+                    weights = result.weights if result.weights.std() > 0 else None
+                    subset = Subset(train_set, result.positions, weights=weights)
 
-                    loader = DataLoader(
-                        subset, self.recipe.batch_size, shuffle=True, seed=self.seed + epoch
-                    )
-                    mean_loss, per_sample, ids = self._train_one_epoch(loader)
+                loader = DataLoader(
+                    subset, self.recipe.batch_size, shuffle=True, seed=self.seed + epoch
+                )
+                mean_loss, per_sample, ids = self._train_one_epoch(loader)
+                feedback_bytes = self._after_train(epoch, mean_loss, per_sample, ids)
 
-                    # The join point: an overlapped round's worker reads
-                    # the feedback replica and proxy cache, so it must
-                    # land before _after_train mutates them.  Whatever
-                    # the training epoch failed to hide shows up as
-                    # selection time.
-                    selection_s += round_.join()
-                    feedback_bytes = self._after_train(epoch, mean_loss, per_sample, ids)
-
-                    record = EpochRecord(
-                        epoch=epoch,
-                        train_loss=mean_loss,
-                        test_accuracy=evaluate_accuracy(self.model, test_set),
-                        subset_size=len(subset),
-                        subset_fraction=len(subset) / len(train_set),
-                        samples_trained=len(subset),
-                        selection_ran=selected,
-                        selection_proxy_flops=result.proxy_flops if selected else 0.0,
-                        selection_pairwise_bytes=result.pairwise_bytes if selected else 0,
-                        feedback_bytes=feedback_bytes,
-                        dropped_samples=dropped,
-                        lr=self.scheduler.current_lr,
-                        selection_time_s=selection_s,
-                    )
-                    ep.set(**{attr: getattr(record, attr) for attr in self._epoch_attrs})
-                record.wall_time_s = time.perf_counter() - epoch_t0
-                history.append(record)
+                record = EpochRecord(
+                    epoch=epoch,
+                    train_loss=mean_loss,
+                    test_accuracy=evaluate_accuracy(self.model, test_set),
+                    subset_size=len(subset),
+                    subset_fraction=len(subset) / len(train_set),
+                    samples_trained=len(subset),
+                    selection_ran=selected,
+                    selection_proxy_flops=result.proxy_flops if selected else 0.0,
+                    selection_pairwise_bytes=result.pairwise_bytes if selected else 0,
+                    feedback_bytes=feedback_bytes,
+                    dropped_samples=dropped,
+                    lr=self.scheduler.current_lr,
+                    selection_time_s=selection_s,
+                )
+                ep.set(**{attr: getattr(record, attr) for attr in self._epoch_attrs})
+            record.wall_time_s = time.perf_counter() - epoch_t0
+            history.append(record)
         return history
 
     def _train_one_epoch(self, loader: DataLoader) -> tuple[float, np.ndarray, np.ndarray]:
@@ -209,10 +211,10 @@ class SubsetTrainer(_BaseTrainer):
     def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
         return self._run_epochs(train_set, test_set)
 
-    def _select(self, round_, train_set, epoch):
+    def _select(self, train_set, epoch):
         if epoch % self.select_every:
             return None
-        return round_.consume(train_set, self.subset_fraction, self.model, epoch)
+        return self._selection_round(train_set, self.subset_fraction, self.model, epoch)
 
 
 class NeSSATrainer(_BaseTrainer):
@@ -220,15 +222,6 @@ class NeSSATrainer(_BaseTrainer):
 
     ``model_factory`` builds the FPGA-side replica architecture (same as
     the target model's).
-
-    With ``config.overlap`` the selection round is asynchronous and epoch
-    *e* runs the paper's Fig. 3 schedule: consume the round launched
-    during epoch *e-1* (epoch 0 selects synchronously), launch epoch
-    *e+1*'s round on a worker thread — candidates snapshotted here, scored
-    with the feedback weights synced after epoch *e-1* (stale by one
-    round, as on the device) — train, and join before anything the
-    worker reads is mutated.  Without it the same calls run the round
-    synchronously at ``consume``.
     """
 
     name = "nessa"
@@ -243,7 +236,6 @@ class NeSSATrainer(_BaseTrainer):
     ):
         super().__init__(model, recipe, seed=config.seed)
         self.config = config
-        self.overlap = config.overlap
         chunk_select = config.partition_chunk_select or recipe.batch_size
         self.selector = NeSSASelector(config, chunk_select=chunk_select)
         self.feedback = FeedbackLoop(
@@ -271,15 +263,12 @@ class NeSSATrainer(_BaseTrainer):
     def _before_epoch(self, train_set, epoch):
         return self.selector.maybe_drop_learned(train_set, epoch)
 
-    def _select(self, round_, train_set, epoch):
-        fraction, model = self.schedule.fraction, self.feedback.selection_model
-        every = self.config.select_every
-        result = None
-        if epoch % every == 0:
-            result = round_.consume(train_set, fraction, model, epoch)
-        if epoch + 1 < self.recipe.epochs and (epoch + 1) % every == 0:
-            round_.launch(train_set, fraction, model, epoch + 1)
-        return result
+    def _select(self, train_set, epoch):
+        if epoch % self.config.select_every:
+            return None
+        return self._selection_round(
+            train_set, self.schedule.fraction, self.feedback.selection_model, epoch
+        )
 
     def _after_train(self, epoch, mean_loss, per_sample, ids):
         self.selector.record_epoch_losses(ids, per_sample)

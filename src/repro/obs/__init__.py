@@ -76,7 +76,6 @@ from repro.obs.tracer import (
     get_tracer,
     set_tracer,
     span,
-    suppress,
 )
 
 __all__ = [
@@ -114,5 +113,4 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "span",
-    "suppress",
 ]

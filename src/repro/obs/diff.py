@@ -10,15 +10,9 @@ move more bytes than the reference?" as a machine-checkable verdict
 instead of bench-file archaeology.
 
 **Alignment and classification.**  Spans pair by id; unpaired spans are
-``added`` (only in B) or ``removed`` (only in A).  Known structural
-asymmetries between *configurations* — the overlap-only
-``async_selection`` span, the synchronous
-``selection_round`` subtree that overlap moves onto a muted worker
-thread — are **declared** as :class:`CarveOut` entries rather than
-special-cased inline: an unpaired span whose own name *or any ancestor
-frame on its id path* matches a declared span carve-out is excused (the
-whole subtree moves together).  Carve-outs never excuse a *value*
-mismatch on a span present in both traces.
+``added`` (only in B) or ``removed`` (only in A) and always count as
+structural drift.  Value mismatches on a span present in both traces
+are classified by attribute below.
 
 **Attribute comparison.**  Three classes, by key convention:
 
@@ -37,16 +31,16 @@ mismatch on a span present in both traces.
 way: counters exactly, gauges and timer totals with tolerance (timer
 *counts* exactly — the number of observations is structural).  Metric
 names present on one side only are structural drift unless a declared
-metric carve-out (prefix match: ``overlap.``, ``qscore.``)
-covers the configuration asymmetry.
+:class:`CarveOut` (a metric-name prefix, today only ``qscore.``) covers
+the configuration asymmetry.  Carve-outs never excuse a value mismatch
+on a metric present in both snapshots.
 
 **Verdict.**  ``structural-drift`` (un-excused shape difference) >
 ``regressed`` (any value delta) > ``ok``.  ``repro.cli obsdiff A B
 --fail-on <verdict>`` exits non-zero at or above the named severity —
-CI diffs a serial trace against an overlapped one with ``--fail-on
-structural-drift`` (value deltas are expected across configs) and a
-fresh trace against the committed reference with ``--tolerance inf``
-(wall times float, bytes and counters must match exactly).
+CI diffs a fresh trace against the committed reference with
+``--tolerance inf`` (wall times float, bytes and counters must match
+exactly).
 """
 
 from __future__ import annotations
@@ -54,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.obs.profile import span_frames
 from repro.obs.sinks import read_trace
 
 __all__ = [
@@ -72,71 +65,26 @@ VERDICTS = ("ok", "regressed", "structural-drift")
 
 @dataclass(frozen=True)
 class CarveOut:
-    """One declared, expected structural asymmetry between configurations.
+    """One declared, expected metric asymmetry between configurations.
 
-    ``scope`` is one of:
-
-    - ``"span"`` — ``match`` is a span *name*; covers unpaired spans
-      carrying that frame anywhere on their id path, i.e. the span and
-      its whole subtree;
-    - ``"metric"`` — ``match`` is a metric-name *prefix* covering
-      one-sided presence in the snapshot (never a value mismatch).
+    ``match`` is a metric-name *prefix* covering one-sided presence in
+    the snapshot (never a value mismatch).
     """
 
-    scope: str
     match: str
     reason: str
 
 
 DEFAULT_CARVEOUTS = (
-    CarveOut(
-        "span",
-        "async_selection",
-        "overlap only: the summary span forwarded at the join point of "
-        "a selection round that ran on the worker thread",
-    ),
-    CarveOut(
-        "span",
-        "selection_round",
-        "overlap (stale) runs rounds on a muted worker thread, so the "
-        "synchronous selection_round subtree exists only on the "
-        "non-overlapped side (the epoch-0 round, which both run "
-        "synchronously, still pairs and compares)",
-    ),
-    CarveOut(
-        "metric",
-        "overlap.",
-        "overlap only: launch/join accounting of the async round",
-    ),
-    CarveOut(
-        "metric",
-        "qscore.",
-        "int8 quantized scoring only (--quantized-scoring int8)",
-    ),
-    CarveOut(
-        "metric",
-        "proxy_cache.hits",
-        "counters appear in the snapshot only once incremented: a "
-        "serial all-miss run never records a hit, while overlap's "
-        "stale scoring reuses cached proxies (miss *counts* still "
-        "value-compare whenever both sides record them)",
-    ),
+    CarveOut("qscore.", "int8 quantized scoring only (--quantized-scoring int8)"),
 )
 
 _EMPTY_SNAPSHOT = {"counters": {}, "gauges": {}, "timers": {}}
 
 
-def _span_carveout(span_id: str, carveouts) -> CarveOut | None:
-    frames = set(span_frames(span_id))
-    for carve in carveouts:
-        if carve.scope == "span" and carve.match in frames:
-            return carve
-    return None
-
-
 def _metric_carveout(name: str, carveouts) -> CarveOut | None:
     for carve in carveouts:
-        if carve.scope == "metric" and name.startswith(carve.match):
+        if name.startswith(carve.match):
             return carve
     return None
 
@@ -367,30 +315,8 @@ def diff_traces(
                 )
             table[span["id"]] = span
 
-    for span in a["spans"]:
-        span_id = span["id"]
-        if span_id in spans_b:
-            continue
-        carve = _span_carveout(span_id, carveouts)
-        if carve is not None:
-            diff.excused.append(
-                {"kind": "span", "id": span_id, "side": "removed",
-                 "carveout": carve.match}
-            )
-        else:
-            diff.removed.append(span_id)
-    for span in b["spans"]:
-        span_id = span["id"]
-        if span_id in spans_a:
-            continue
-        carve = _span_carveout(span_id, carveouts)
-        if carve is not None:
-            diff.excused.append(
-                {"kind": "span", "id": span_id, "side": "added",
-                 "carveout": carve.match}
-            )
-        else:
-            diff.added.append(span_id)
+    diff.removed = [sp["id"] for sp in a["spans"] if sp["id"] not in spans_b]
+    diff.added = [sp["id"] for sp in b["spans"] if sp["id"] not in spans_a]
 
     for span_id, span_a in spans_a.items():
         span_b = spans_b.get(span_id)

@@ -48,22 +48,6 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
         "counter",
         "Arrays copied into the batch-innermost (C, H, W, N) memory format by F.channel_major",
     ),
-    "overlap.efficiency": (
-        "gauge",
-        "Fraction of the last overlapped selection round hidden behind training",
-    ),
-    "overlap.join_wait": (
-        "timer",
-        "Training-thread block at the async-selection join point",
-    ),
-    "overlap.round_duration": (
-        "timer",
-        "Wall duration of overlapped selection rounds (launch to join)",
-    ),
-    "overlap.rounds_launched": (
-        "counter",
-        "Selection rounds launched on the overlap worker thread",
-    ),
     "proxy_cache.hits": (
         "counter",
         "Gradient-proxy cache hits",

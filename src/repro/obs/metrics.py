@@ -10,10 +10,11 @@ snapshot into the trace file's final JSONL line.
 
 Names are dotted (``proxy_cache.hits``, ``selection.rounds``);
 instruments are created on first use and accumulate for the registry's
-lifetime.  Everything here is stdlib-only and single-process, but the
-overlapped pipeline (PR 5) *does* write from its selection thread, so real instruments guard their mutations
-with a lock.  The null-registry fast path stays lock-free: disabled
-mode is still one global read plus one no-op call.
+lifetime.  Everything here is stdlib-only and single-process.  Each
+real instrument's read-modify-write goes through its own lock, so an
+update is atomic from any thread that holds the registry.  The
+null-registry fast path stays lock-free: disabled mode is still one
+global read plus one no-op call.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ FLAME_WEIGHTS = ("wall", "bytes", "allocs")
 
 
 class SpanMemoryProfiler:
-    """tracemalloc boundary accounting for one tracer (owning thread only).
+    """tracemalloc boundary accounting for one tracer.
 
     Starts :mod:`tracemalloc` on construction (remembering whether it
     was already tracing, so :meth:`stop` never turns off someone else's
@@ -109,17 +109,14 @@ class SpanMemoryProfiler:
 def credit_bytes(attr: str, nbytes: int) -> None:
     """Add ``nbytes`` to ``attr`` on the innermost open span.
 
-    No-op unless a tracer with an active memory profiler is installed
-    and the calling thread is the (unmuted) tracer owner — pooled
-    buffers leased on a muted worker thread stay out of the training
-    thread's span attribution.  ``attr`` must carry the
-    ``mem_`` prefix so the diff/report layers classify it as profiling
-    detail.
+    No-op unless a tracer with an active memory profiler is installed.
+    ``attr`` must carry the ``mem_`` prefix so the diff/report layers
+    classify it as profiling detail.
     """
     from repro.obs import tracer as tracer_mod
 
     active = tracer_mod.get_tracer()
-    if active is None or active.profiler is None or tracer_mod._muted():
+    if active is None or active.profiler is None:
         return
     stack = active._stack
     if not stack:

@@ -177,39 +177,21 @@ def render_report(trace: dict) -> str:
 
 
 def _render_pipeline_lines(metrics: dict | None) -> list[str]:
-    """Derived overlap / qscore summary from the snapshot.
+    """Derived qscore summary from the snapshot.
 
-    These were recorded since PRs 5-6 but never rendered; the raw
-    counter/gauge/timer dumps below stay exhaustive — this block is the
-    at-a-glance reading of the pipeline's behaviour.
+    The raw counter/gauge/timer dumps below stay exhaustive — this line
+    is the at-a-glance reading of the quantized-scoring caches.
     """
-    if not metrics:
+    counters = (metrics or {}).get("counters") or {}
+    if "qscore.block_hits" not in counters and "qscore.block_misses" not in counters:
         return []
-    counters = metrics.get("counters") or {}
-    gauges = metrics.get("gauges") or {}
-    timers = metrics.get("timers") or {}
-    lines: list[str] = []
-
-    if "overlap.efficiency" in gauges or "overlap.rounds_launched" in counters:
-        launched = counters.get("overlap.rounds_launched", 0)
-        efficiency = gauges.get("overlap.efficiency")
-        wait = timers.get("overlap.join_wait", {})
-        parts = [f"{launched} round(s) overlapped"]
-        if efficiency is not None:
-            parts.append(f"last round {100 * efficiency:.1f}% hidden")
-        if wait.get("count"):
-            parts.append(f"join wait total {wait.get('total_s', 0.0):.4f}s")
-        lines.append(f"overlap:  {', '.join(parts)}")
-    if "qscore.block_hits" in counters or "qscore.block_misses" in counters:
-        hits = counters.get("qscore.block_hits", 0)
-        misses = counters.get("qscore.block_misses", 0)
-        blocks = hits + misses
-        rate = (100 * hits / blocks) if blocks else 0.0
-        lines.append(
-            f"qscore:   {hits:,d} block hit(s) / {misses:,d} miss(es) "
-            f"({rate:.1f}% hit rate), "
-            f"{counters.get('qscore.select_hits', 0):,d} select hit(s)"
-        )
-    if lines:
-        lines.insert(0, "")
-    return lines
+    hits = counters.get("qscore.block_hits", 0)
+    misses = counters.get("qscore.block_misses", 0)
+    blocks = hits + misses
+    rate = (100 * hits / blocks) if blocks else 0.0
+    return [
+        "",
+        f"qscore:   {hits:,d} block hit(s) / {misses:,d} miss(es) "
+        f"({rate:.1f}% hit rate), "
+        f"{counters.get('qscore.select_hits', 0):,d} select hit(s)",
+    ]

@@ -21,13 +21,12 @@ timestamps:
 Spans are *context managers by contract*: ``with obs.span(...) as sp``.
 The NES006 lint rule enforces this (manual ``start()``/``end()`` pairs
 are how spans leak open on error paths).  Spans timed outside the
-tracer (per-unit spans, the overlapped round's summary) are forwarded
-as already-completed records via :meth:`Tracer.add_completed`.
+tracer (per-unit spans) are forwarded as already-completed records via
+:meth:`Tracer.add_completed`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +39,6 @@ __all__ = [
     "enabled",
     "get_tracer",
     "set_tracer",
-    "suppress",
 ]
 
 
@@ -166,7 +164,6 @@ class Tracer:
             suffix = f"{name}@{_render_key(key)}"
         else:
             seq = self._seq.get((parent_id, name), 0)
-            # lint: allow-shared-state(the selection thread runs under obs.suppress, so only the training thread ever reaches id derivation)
             self._seq[(parent_id, name)] = seq + 1
             suffix = f"{name}#{seq}"
         return suffix if parent_id is None else f"{parent_id}/{suffix}"
@@ -259,47 +256,10 @@ def _render_key(key) -> str:
 
 _ACTIVE: Tracer | None = None
 
-# The tracer's span stack is owned by the thread that installed it; other
-# threads (the async-selection worker) must not push onto it.  They run
-# under ``suppress()`` and their work is represented by a single completed
-# span the owning thread forwards at the join point — the same convention
-# as cross-process unit spans.
-_TLS = threading.local()
-
-
-class _Suppress:
-    """Reentrant thread-local tracing mute; ``with obs.suppress(): ...``."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_Suppress":
-        _TLS.mute = getattr(_TLS, "mute", 0) + 1
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _TLS.mute -= 1
-        return False
-
-
-_SUPPRESS = _Suppress()
-
-
-def suppress() -> _Suppress:
-    """Mute span emission on the *current thread* while the block runs.
-
-    Worker threads wrap their body in this so the shared (thread-unsafe)
-    span stack is only ever touched by the tracer's owning thread.
-    """
-    return _SUPPRESS
-
-
-def _muted() -> bool:
-    return getattr(_TLS, "mute", 0) > 0
-
 
 def enabled() -> bool:
-    """Is a tracer installed (and not muted on this thread)?"""
-    return _ACTIVE is not None and not _muted()
+    """Is a tracer installed?"""
+    return _ACTIVE is not None
 
 
 def get_tracer() -> Tracer | None:
@@ -321,12 +281,12 @@ def span(name: str, key=None, **attrs):
     why this factory is exempt from NES006's call-site check only via
     the return position below.
     """
-    if _ACTIVE is None or _muted():
+    if _ACTIVE is None:
         return NOOP_SPAN
     return _ACTIVE.span(name, key=key, **attrs)
 
 
 def add_completed(name: str, key=None, **kwargs) -> None:
     """Forward a completed span to the active tracer (no-op when disabled)."""
-    if _ACTIVE is not None and not _muted():
+    if _ACTIVE is not None:
         _ACTIVE.add_completed(name, key=key, **kwargs)

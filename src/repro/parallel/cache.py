@@ -75,9 +75,8 @@ class ProxyCache:
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict[str, object] = OrderedDict()
-        # the overlapped pipeline's selection thread shares this cache
-        # with main-thread selection calls; LRU reordering and the
-        # hit/miss counters are not atomic, so mutations take the lock
+        # LRU reordering and the hit/miss counters are not atomic;
+        # every mutation takes the lock, so a lookup is one atomic step
         self._lock = threading.Lock()
 
     def __len__(self) -> int:

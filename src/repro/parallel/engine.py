@@ -92,9 +92,8 @@ class SelectionExecutor:
         # ``parallel.fallbacks``
         self.fallback_reason: str | None = None
         self.last_qscore_stats: dict | None = None
-        # the overlapped pipeline drives run_units from its selection
-        # thread while the trainer may read the stats from the main
-        # thread; stats writes go through this lock
+        # stats writes go through this lock, so a reader never sees
+        # a half-updated roll-up
         self._lock = threading.Lock()
 
     def run_units(

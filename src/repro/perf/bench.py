@@ -1,7 +1,7 @@
 """Microbenchmark harness with regression checking for the hot-path kernels.
 
 Each bench is registered under a dotted name inside a group
-(``selection``, ``nn``, ``parallel``, ``pipeline``, or ``qscore``) and
+(``selection``, ``nn``, ``parallel``, or ``qscore``) and
 builds its inputs once, outside the timed region.  :func:`run_bench` runs warmup + repeated timed calls and reports
 median / p90 / min / mean wall-clock seconds.  Where the seed
 implementation of a kernel is still available (kept as a reference —
@@ -48,7 +48,7 @@ __all__ = [
     "compare",
 ]
 
-GROUPS = ("selection", "nn", "parallel", "pipeline", "qscore")
+GROUPS = ("selection", "nn", "parallel", "qscore")
 SIZES = ("tiny", "default")
 DEFAULT_TOLERANCE = 0.5
 SCHEMA_VERSION = 2  # v2 added peak_rss_bytes; compare() tolerates v1 docs
@@ -540,61 +540,6 @@ def _bench_proxy_cache_miss(size: str) -> BenchCase:
         )
 
     return BenchCase(run=run, params=params)
-
-
-# -- pipeline group: end-to-end epoch wall-clock ------------------------------
-#
-# Unlike the kernel groups this times whole training loops, so the
-# "seed" side is the serial execution schedule on identical work, not an
-# old kernel.  It needs a spare core to show a win: on a 1-core
-# box the background thread only adds contention, and the committed
-# baseline honestly records ~1x (the >= 1.5x acceptance target is
-# asserted by benchmarks/test_perf_regression.py on >= 4 cores only,
-# PR 2's convention).
-
-
-@register_bench("pipeline.serial_vs_overlap", "pipeline")
-def _bench_serial_vs_overlap(size: str) -> BenchCase:
-    """Short NeSSA trainings: overlapped schedule vs the serial one.
-
-    ``run`` trains with ``overlap=True``; the seed side is the
-    identical workload with a synchronous round.  The sizes
-    are tuned so one selection round costs about one training epoch —
-    the regime where the paper's overlap wins (Fig. 3).
-    """
-    from repro.core.config import NeSSAConfig, TrainRecipe
-    from repro.core.trainer import NeSSATrainer
-    from repro.data.synthetic import SyntheticConfig, make_train_test
-    from repro.nn.resnet import resnet20
-
-    if size == "default":
-        syn = SyntheticConfig(num_classes=4, num_samples=1200, seed=14)
-        recipe = TrainRecipe(epochs=5, batch_size=64, lr_milestones=())
-    else:
-        syn = SyntheticConfig(num_classes=4, num_samples=240, seed=14)
-        recipe = TrainRecipe(epochs=3, batch_size=32, lr_milestones=())
-    train_set, test_set = make_train_test(syn)
-    serial_cfg = NeSSAConfig(subset_fraction=0.3, seed=15)
-    overlap_cfg = NeSSAConfig(subset_fraction=0.3, seed=15, overlap=True)
-
-    def train_once(config):
-        num_classes = train_set.num_classes
-        model = resnet20(num_classes=num_classes, width=4, seed=16)
-        trainer = NeSSATrainer(
-            model, recipe, config,
-            lambda: resnet20(num_classes=num_classes, width=4, seed=16),
-        )
-        return trainer.train(train_set, test_set)
-
-    return BenchCase(
-        run=lambda: train_once(overlap_cfg),
-        seed_run=lambda: train_once(serial_cfg),
-        params={
-            "n": len(train_set), "epochs": recipe.epochs,
-            "batch_size": recipe.batch_size,
-            "subset_fraction": serial_cfg.subset_fraction,
-        },
-    )
 
 
 # -- qscore group: the int8 quantized scoring engine --------------------------

@@ -19,7 +19,6 @@ from repro.pipeline.experiment import (
     scaled_recipe,
 )
 from repro.pipeline.multidevice import MultiDeviceSystem, ScalingPoint
-from repro.pipeline.overlap import AsyncSelectionRound
 from repro.pipeline.system import (
     EpochTiming,
     SystemModel,
@@ -38,7 +37,6 @@ __all__ = [
     "scaled_recipe",
     "MultiDeviceSystem",
     "ScalingPoint",
-    "AsyncSelectionRound",
     "cosimulate",
     "CosimResult",
 ]

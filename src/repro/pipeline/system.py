@@ -96,9 +96,9 @@ class SystemModel:
         self.cpu_flops = cpu_gflops * 1e9
         self.ingest = ingest or HostIngestModel()
         self.batch_size = batch_size
-        # Host-side analog of NeSSA's device overlap (repro.pipeline.overlap):
-        # when set, the CPU baselines run round t+1's selection while round
-        # t's subset trains, so only the non-hidden excess is charged to the
+        # Modelled host-side analog of NeSSA's device overlap: when set,
+        # the CPU baselines run round t+1's selection while round t's
+        # subset trains, so only the non-hidden excess is charged to the
         # critical path (round t-1 feedback weights, like the device).
         self.host_overlap = host_overlap
         # "int8": the kernel's similarity lanes run packed int8 MACs on

@@ -93,10 +93,9 @@ class ForgettingEventsSelector:
         self._last_correct: dict[int, bool] = {}
         self._forget_counts: dict[int, int] = {}
         self._ever_correct: dict[int, bool] = {}
-        # select() runs its own evaluation pass through observe(); when
-        # driven from the overlapped pipeline's selection thread that
-        # races the trainer's per-epoch observe() calls, so the counter
-        # update is guarded
+        # select() runs its own evaluation pass through observe(), as
+        # does the trainer once per epoch; each observe() updates the
+        # three tables as one step under the lock
         self._lock = threading.Lock()
 
     def observe(self, ids: np.ndarray, correct: np.ndarray) -> None:

@@ -251,10 +251,10 @@ class SimilarityBlockCache:
     to the quantized bucket changes the digest).  Entries also memoize
     deterministic greedy results per ``(k, method)`` — a repeated digest
     in a late epoch skips the maximizer as well as the GEMM.
-    Thread-safe: the overlap pipeline's selection thread and the
-    training thread may both touch the process-default instance.  Cached
-    arrays are returned as-is and must be treated read-only (the greedy
-    maximizers never write into their similarity input).
+    Thread-safe: every lookup and insert on the process-default
+    instance runs under its lock.  Cached arrays are returned as-is and
+    must be treated read-only (the greedy maximizers never write into
+    their similarity input).
     """
 
     def __init__(self, max_entries: int = 256):

@@ -72,21 +72,16 @@ class TestFilters:
 
 
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_eight_rules_registered(self):
         assert rule_ids() == [
             "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
-            "NES008", "NES009", "NES011",
+            "NES008", "NES011",
         ]
 
     def test_every_checker_has_pragma_and_description(self):
         for checker in all_checkers():
             assert checker.pragma
             assert checker.description
-
-    def test_project_rules_flagged_as_such(self):
-        by_rule = {c.rule: c for c in all_checkers()}
-        assert by_rule["NES009"].project
-        assert not by_rule["NES003"].project
 
 
 class TestPathRecording:

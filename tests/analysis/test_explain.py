@@ -2,8 +2,8 @@
 
 Each rule's violating snippet must trigger exactly that rule and its
 clean twin must not, linted at the example's recorded path through the
-full pipeline (project rules included) — so the help text can never
-drift from the checkers.
+full scan pipeline — so the help text can never drift from the
+checkers.
 """
 
 import textwrap
@@ -45,9 +45,9 @@ class TestExamplesAreLive:
 
 class TestRendering:
     def test_explain_mentions_description_pragma_and_examples(self):
-        text = explain_rule("NES009")
-        assert "NES009" in text
-        assert "allow-shared-state(reason)" in text
+        text = explain_rule("NES006")
+        assert "NES006" in text
+        assert "allow-span-with(reason)" in text
         assert "required" in text
         assert "violates" in text and "clean:" in text
 

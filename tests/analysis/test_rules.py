@@ -771,7 +771,7 @@ class TestMetricNames:
 
             def record(mode):
                 obs.metrics().counter("qscore." + mode).inc()
-                obs.metrics().gauge(f"overlap.{mode}").set(1.0)
+                obs.metrics().gauge(f"selection.{mode}").set(1.0)
             """,
             self.PATH,
             "NES011",
@@ -815,8 +815,7 @@ class TestMetricNames:
             def record():
                 reg = obs.metrics()
                 reg.counter("selection.rounds").inc()
-                reg.gauge("overlap.efficiency").set(0.5)
-                reg.timer("overlap.join_wait").observe(0.1)
+                reg.gauge("qscore.dequant_error").set(0.5)
             """,
             self.PATH,
             "NES011",

@@ -1,5 +1,6 @@
 """The repo must pass its own linter — and seeded violations must fail it."""
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -36,29 +37,6 @@ VIOLATIONS = {
             def f():
                 sp = obs.span("epoch")
                 sp.set(x=1)
-            """
-        ),
-    ),
-    # the project rule needs a thread-spawn edge
-    "NES009": (
-        "repro/anywhere/bad.py",
-        textwrap.dedent(
-            """
-            import threading
-
-            class Worker:
-                def __init__(self):
-                    self.count = 0
-
-                def run(self):
-                    self.count += 1
-
-                def reset(self):
-                    self.count = 0
-
-                def start(self):
-                    t = threading.Thread(target=self.run)
-                    t.start()
             """
         ),
     ),
@@ -104,12 +82,40 @@ class TestSelfLint:
         out = capsys.readouterr().out
         for rule in (
             "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
-            "NES008", "NES009", "NES011",
+            "NES008", "NES011",
         ):
             assert rule in out
 
     def test_missing_path_exits_2(self, capsys):
         assert main(["lint", "no/such/path"]) == 2
+
+    def test_source_starts_no_threads_or_processes(self):
+        # Nothing in src/repro spawns a thread or a process; that is why
+        # the tree needs no cross-thread race rule and no per-thread
+        # tracing mute.  Locks (threading.Lock) stay allowed.
+        def banned(name):
+            return name == "threading.Thread" or any(
+                name == mod or name.startswith(mod + ".")
+                for mod in ("concurrent.futures", "multiprocessing", "_thread")
+            )
+
+        offenders = []
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [ast.unparse(node)]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                    for name in names
+                    if banned(name)
+                ]
+        assert offenders == []
 
 
 class TestSeededViolations:

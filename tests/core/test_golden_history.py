@@ -5,8 +5,8 @@ four hand-written epoch loops (``python tests/core/test_golden_history.py``
 rewrites it from whatever trainer is checked out).  Every deterministic
 ``EpochRecord`` field must match exactly — floats are compared through
 ``float.hex`` — for the full-data loop, the three live-model baselines
-and NeSSA under each schedule (every epoch, ``select_every=2``, the
-overlapped Fig. 3 schedule, int8 scoring).
+and NeSSA under each schedule (every epoch, ``select_every=2``, int8
+scoring).
 """
 
 import json
@@ -41,11 +41,7 @@ SELECTORS = {
 NESSA_CASES = {
     "nessa": {},
     "nessa-every2": {"select_every": 2},
-    "nessa-overlap": {"overlap": True},
     "nessa-int8": {"select_every": 2, "quantized_scoring": "int8"},
-    "nessa-int8-overlap": {
-        "select_every": 2, "quantized_scoring": "int8", "overlap": True,
-    },
 }
 
 CASES = ("full", *SELECTORS, *NESSA_CASES)

@@ -11,9 +11,7 @@ from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.trainer import NeSSATrainer
 from repro.data.synthetic import SyntheticConfig, make_train_test
 from repro.nn.resnet import resnet20
-from repro.obs.diff import DEFAULT_CARVEOUTS, VERDICTS, CarveOut, diff_traces
-
-STRUCTURAL = VERDICTS.index("structural-drift")
+from repro.obs.diff import DEFAULT_CARVEOUTS, CarveOut, diff_traces
 
 
 def _span(span_id, name=None, dur_s=0.01, attrs=None, parent=None):
@@ -61,29 +59,9 @@ class TestAlignment:
         assert diff.removed == ["epoch#0/mystery#0"]
         assert diff.verdict == "structural-drift"
 
-    def test_carved_span_is_excused_not_drift(self):
-        a = _trace([_span("epoch#0")])
-        b = _trace([_span("epoch#0"), _span("epoch#0/async_selection#0")])
-        diff = diff_traces(a, b)
-        assert diff.verdict == "ok"
-        assert diff.added == []
-        assert [e["carveout"] for e in diff.excused] == ["async_selection"]
-
-    def test_carveout_covers_whole_subtree_via_ancestor_frame(self):
-        # A child of a carved frame is excused even though its own name
-        # is not carved: the subtree moves with its root.
-        a = _trace([_span("epoch#1")])
-        b = _trace([
-            _span("epoch#1"),
-            _span("epoch#1/selection_round#0/unit@1-0-2", name="unit"),
-        ])
-        diff = diff_traces(a, b)
-        assert diff.verdict == "ok"
-        assert diff.excused and diff.excused[0]["carveout"] == "selection_round"
-
     def test_carveout_never_excuses_value_mismatch_on_matched_span(self):
-        # selection_round is a declared carve-out, but only for *presence*:
-        # a round both sides ran still byte-compares exactly.
+        # A round both sides ran byte-compares exactly; carve-outs only
+        # ever excuse one-sided metric presence.
         a = _trace([_span("selection_round#0", attrs={"pairwise_bytes": 100})])
         b = _trace([_span("selection_round#0", attrs={"pairwise_bytes": 200})])
         diff = diff_traces(a, b)
@@ -91,8 +69,8 @@ class TestAlignment:
         assert diff.attr_deltas[0]["attr"] == "pairwise_bytes"
 
     def test_run_label_and_schema_mismatch_are_noted(self):
-        a = _trace([_span("epoch#0")], run="serial", schema=1)
-        b = _trace([_span("epoch#0")], run="overlap", schema=2)
+        a = _trace([_span("epoch#0")], run="reference", schema=1)
+        b = _trace([_span("epoch#0")], run="fresh", schema=2)
         diff = diff_traces(a, b)
         assert diff.verdict == "ok"
         assert any("run labels differ" in n for n in diff.notes)
@@ -170,27 +148,30 @@ class TestMetricsReconciliation:
 
     def test_one_sided_carved_metric_is_excused(self):
         a = _trace([], metrics={"counters": {}})
-        b = _trace([], metrics={"counters": {"overlap.rounds_launched": 2}})
+        b = _trace([], metrics={"counters": {"qscore.block_hits": 2}})
         diff = diff_traces(a, b)
         assert diff.verdict == "ok"
-        assert diff.excused[0]["carveout"] == "overlap."
+        assert diff.excused[0]["carveout"] == "qscore."
+        # presence on both sides: the value still compares exactly
+        c = _trace([], metrics={"counters": {"qscore.block_hits": 3}})
+        assert diff_traces(b, c).verdict == "regressed"
 
     def test_timer_count_is_structural_total_is_wall(self):
         a = _trace([], metrics={"timers": {
-            "overlap.join_wait": {"count": 2, "total_s": 0.10}}})
+            "phase.wait": {"count": 2, "total_s": 0.10}}})
         slower = _trace([], metrics={"timers": {
-            "overlap.join_wait": {"count": 2, "total_s": 0.50}}})
+            "phase.wait": {"count": 2, "total_s": 0.50}}})
         recount = _trace([], metrics={"timers": {
-            "overlap.join_wait": {"count": 3, "total_s": 0.10}}})
+            "phase.wait": {"count": 3, "total_s": 0.10}}})
         assert diff_traces(a, slower, tolerance=0.25).verdict == "regressed"
         assert diff_traces(a, slower, tolerance=math.inf).verdict == "ok"
         # an extra observation is a structural fact, never excused by inf
         assert diff_traces(a, recount, tolerance=math.inf).verdict == "regressed"
 
     def test_gauge_compares_with_symmetric_tolerance(self):
-        a = _trace([], metrics={"gauges": {"overlap.efficiency": 0.80}})
-        near = _trace([], metrics={"gauges": {"overlap.efficiency": 0.85}})
-        far = _trace([], metrics={"gauges": {"overlap.efficiency": 0.10}})
+        a = _trace([], metrics={"gauges": {"qscore.dequant_error": 0.80}})
+        near = _trace([], metrics={"gauges": {"qscore.dequant_error": 0.85}})
+        far = _trace([], metrics={"gauges": {"qscore.dequant_error": 0.10}})
         assert diff_traces(a, near, tolerance=0.25).verdict == "ok"
         assert diff_traces(a, far, tolerance=0.25).verdict == "regressed"
         assert diff_traces(far, a, tolerance=0.25).verdict == "regressed"
@@ -203,14 +184,12 @@ class TestCarveOutDeclarations:
     def test_defaults_are_frozen_declarations_with_reasons(self):
         for carve in DEFAULT_CARVEOUTS:
             assert isinstance(carve, CarveOut)
-            assert carve.scope in ("span", "metric")
             assert carve.reason
-        names = {c.match for c in DEFAULT_CARVEOUTS if c.scope == "span"}
-        assert {"async_selection", "selection_round"} <= names
+        assert [c.match for c in DEFAULT_CARVEOUTS] == ["qscore."]
 
     def test_custom_carveout_list_replaces_defaults(self):
-        a = _trace([_span("epoch#0")])
-        b = _trace([_span("epoch#0"), _span("epoch#0/async_selection#0")])
+        a = _trace([], metrics={"counters": {}})
+        b = _trace([], metrics={"counters": {"qscore.block_hits": 2}})
         diff = diff_traces(a, b, carveouts=())
         assert diff.verdict == "structural-drift"
 
@@ -235,10 +214,8 @@ class TestRealRunEquivalence:
             lr_gamma_div=base.lr_gamma_div,
         )
 
-        def one(**overrides):
-            config = NeSSAConfig(
-                subset_fraction=0.3, biasing_drop_period=3, seed=0, **overrides
-            )
+        def one():
+            config = NeSSAConfig(subset_fraction=0.3, biasing_drop_period=3, seed=0)
 
             def factory():
                 return resnet20(num_classes=4, width=4, seed=13)
@@ -258,11 +235,7 @@ class TestRealRunEquivalence:
                 run="diff-test",
             )
 
-        return {
-            "serial_a": one(),
-            "serial_b": one(),
-            "overlap": one(overlap=True),
-        }
+        return {"serial_a": one(), "serial_b": one()}
 
     def test_identical_serial_runs_diff_exactly_clean(self, runs):
         diff = diff_traces(runs["serial_a"], runs["serial_b"],
@@ -272,18 +245,6 @@ class TestRealRunEquivalence:
         assert not (diff.added or diff.removed or diff.excused
                     or diff.attr_deltas or diff.mem_deltas
                     or diff.metric_deltas or diff.metric_drift)
-
-    def test_overlap_vs_serial_is_never_structural_drift(self, runs):
-        # Losses differ (round t-1 feedback), but every shape difference is
-        # covered by a declared carve-out: the CI gate is exactly this.
-        diff = diff_traces(runs["serial_a"], runs["overlap"],
-                           tolerance=math.inf)
-        assert diff.severity < STRUCTURAL
-        assert not (diff.added or diff.removed or diff.metric_drift)
-        applied = {e["carveout"] for e in diff.excused}
-        declared = {c.match for c in DEFAULT_CARVEOUTS}
-        assert applied <= declared
-        assert "selection_round" in applied
 
 
 class TestObsdiffCLI:

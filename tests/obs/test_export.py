@@ -35,30 +35,32 @@ class TestMetricTable:
 class TestPrometheusRendering:
     SNAPSHOT = {
         "counters": {"selection.rounds": 3, "proxy_cache.misses": 4096},
-        "gauges": {"overlap.efficiency": 0.875},
-        "timers": {"overlap.join_wait": {"count": 2, "total_s": 0.25,
-                                         "mean_s": 0.125}},
+        "gauges": {"qscore.dequant_error": 0.875},
+        "timers": {"phase.wait": {"count": 2, "total_s": 0.25, "mean_s": 0.125}},
     }
 
     def test_names_flatten_under_repro_prefix(self):
         assert prometheus_name("proxy_cache.hits", "counter") == \
             "repro_proxy_cache_hits"
-        assert prometheus_name("overlap.join_wait", "timer") == \
-            "repro_overlap_join_wait_seconds"
+        assert prometheus_name("phase.wait", "timer") == \
+            "repro_phase_wait_seconds"
 
-    def test_format_shape(self):
+    def test_format_shape(self, monkeypatch):
+        # No timer is declared in the shipped table; declare one here so
+        # the summary rendering is exercised.
+        monkeypatch.setitem(METRIC_TABLE, "phase.wait", ("timer", "Test wait"))
         out = render_prometheus(self.SNAPSHOT)
         lines = out.splitlines()
         assert out.endswith("\n")
         assert "# HELP repro_selection_rounds Selection rounds executed" in lines
         assert "# TYPE repro_selection_rounds counter" in lines
         assert "repro_selection_rounds 3" in lines
-        assert "# TYPE repro_overlap_efficiency gauge" in lines
-        assert "repro_overlap_efficiency 0.875" in lines
+        assert "# TYPE repro_qscore_dequant_error gauge" in lines
+        assert "repro_qscore_dequant_error 0.875" in lines
         # timers export as summaries: _count + _sum under _seconds
-        assert "# TYPE repro_overlap_join_wait_seconds summary" in lines
-        assert "repro_overlap_join_wait_seconds_count 2" in lines
-        assert "repro_overlap_join_wait_seconds_sum 0.25" in lines
+        assert "# TYPE repro_phase_wait_seconds summary" in lines
+        assert "repro_phase_wait_seconds_count 2" in lines
+        assert "repro_phase_wait_seconds_sum 0.25" in lines
         for line in lines:
             if not line.startswith("#"):
                 assert _SAMPLE_RE.match(line), line

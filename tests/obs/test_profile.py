@@ -127,17 +127,6 @@ class TestCreditBytes:
             t.profiler.stop()
         assert t.records == []
 
-    def test_muted_thread_credits_nothing(self):
-        t = obs.Tracer(run="prof", profile_mem=True)
-        obs.set_tracer(t)
-        try:
-            with obs.span("round"):
-                with obs.suppress():
-                    obs.credit_bytes("mem_pool_lease_bytes", 999)
-        finally:
-            t.profiler.stop()
-        assert "mem_pool_lease_bytes" not in _record(t, "round").attrs
-
 
 class TestFoldedStacks:
     SPANS = [

@@ -72,16 +72,12 @@ class TestDerivedPipelineLines:
 
     def test_overlap_qscore_surfaced(self):
         out = self._render({
-            "counters": {"overlap.rounds_launched": 3,
-                         "qscore.block_hits": 6, "qscore.block_misses": 2,
+            "counters": {"qscore.block_hits": 6, "qscore.block_misses": 2,
                          "qscore.select_hits": 1},
-            "gauges": {"overlap.efficiency": 0.82},
-            "timers": {"overlap.join_wait": {"count": 3, "total_s": 0.5,
-                                             "mean_s": 0.1667}},
+            "gauges": {"qscore.dequant_error": 0.02},
+            "timers": {"phase.wait": {"count": 3, "total_s": 0.5,
+                                      "mean_s": 0.1667}},
         })
-        assert "overlap:  3 round(s) overlapped" in out
-        assert "last round 82.0% hidden" in out
-        assert "join wait total 0.5000s" in out
         assert "qscore:   6 block hit(s) / 2 miss(es) (75.0% hit rate)" in out
         assert "1 select hit(s)" in out
         # the raw sections still dump everything
@@ -89,7 +85,6 @@ class TestDerivedPipelineLines:
 
     def test_no_pipeline_metrics_no_derived_lines(self):
         out = self._render({"counters": {"selection.rounds": 2}})
-        assert "overlap:" not in out
         assert "qscore:" not in out
 
     def test_memory_section_only_with_mem_attrs(self):

@@ -109,57 +109,3 @@ class TestGlobals:
             pass
         assert [r.name for r in tracer.records] == ["epoch"]
 
-
-class TestSuppress:
-    """Thread-local muting: the overlap worker's spans must not touch the
-    training thread's span stack (it is single-threaded by design)."""
-
-    def test_spans_inside_suppress_are_dropped(self, tracer):
-        with obs.span("before"):
-            pass
-        with obs.suppress():
-            assert not obs.enabled()
-            assert obs.span("hidden") is NOOP_SPAN
-            with obs.span("hidden_too"):
-                pass
-            obs.add_completed("unit", key=(1,), dur_s=0.0)
-        with obs.span("after"):
-            pass
-        assert [r.name for r in tracer.records] == ["before", "after"]
-
-    def test_suppress_is_reentrant(self, tracer):
-        with obs.suppress():
-            with obs.suppress():
-                pass
-            # inner exit must not unmute the outer block
-            with obs.span("still_hidden"):
-                pass
-        with obs.span("visible"):
-            pass
-        assert [r.name for r in tracer.records] == ["visible"]
-
-    def test_suppress_is_thread_local(self, tracer):
-        import threading
-
-        done = threading.Event()
-
-        def worker():
-            with obs.suppress():
-                with obs.span("worker_span"):
-                    done.wait(timeout=5.0)
-
-        t = threading.Thread(target=worker)
-        t.start()
-        try:
-            # the worker's mute must not leak into this thread
-            with obs.span("main_span"):
-                pass
-        finally:
-            done.set()
-            t.join()
-        assert [r.name for r in tracer.records] == ["main_span"]
-
-    def test_suppress_without_tracer_is_harmless(self):
-        with obs.suppress():
-            with obs.span("nothing"):
-                pass

@@ -159,24 +159,17 @@ class TestCliBench:
         assert "MISSING BASELINE" in capsys.readouterr().out
 
 
-class TestPipelineGroup:
-    def test_pipeline_benches_registered(self):
-        names = bench.registered_benches("pipeline")
-        assert "pipeline.serial_vs_overlap" in names
-        assert "pipeline" in bench.GROUPS
-
-
 class TestCheckRequiresCommittedBaseline:
     def test_present_baseline_within_tolerance_passes(self, tmp_path, capsys):
         from repro.cli import main
 
         rc = main([
-            "bench", "--group", "pipeline", "--size", "tiny", "--repeats", "1",
+            "bench", "--group", "parallel", "--size", "tiny", "--repeats", "1",
             "--no-seed", "--out-dir", str(tmp_path),
         ])
         assert rc == 0
         rc = main([
-            "bench", "--group", "pipeline", "--size", "tiny", "--repeats", "1",
+            "bench", "--group", "parallel", "--size", "tiny", "--repeats", "1",
             "--no-seed", "--check", "--tolerance", "1000", "--baseline-dir",
             str(tmp_path),
         ])
