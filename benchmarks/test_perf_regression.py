@@ -43,28 +43,3 @@ def test_pairwise_distances_speedup_vs_seed():
     assert r.speedup_vs_seed >= 2.0, (
         f"pairwise distances only {r.speedup_vs_seed:.2f}x vs seed broadcast"
     )
-
-
-@pytest.mark.perf
-def test_qscore_late_epoch_round_speedup_vs_float_path():
-    # ISSUE 7 acceptance: a full selection round under int8 quantized
-    # scoring >= 2x the float host path at the reference size, in the
-    # late-epoch scenario the engine targets (3 of 4 class digests
-    # unchanged, blocks + memoized greedy served from the rescore
-    # cache).  Not parallelism-dependent, so no core gating.
-    r = bench.run_bench("qscore.late_epoch_round", size="default", repeats=3)
-    assert r.speedup_vs_seed is not None
-    assert r.speedup_vs_seed >= 2.0, (
-        f"late-epoch quantized round only {r.speedup_vs_seed:.2f}x vs float path"
-    )
-
-
-@pytest.mark.perf
-def test_qscore_warm_cache_round_is_orders_faster():
-    # A fully-warm round (every digest repeated) must be dominated by
-    # digest lookups, not recompute.
-    r = bench.run_bench("qscore.warm_cache_round", size="default", repeats=3)
-    assert r.speedup_vs_seed is not None
-    assert r.speedup_vs_seed >= 10.0, (
-        f"warm rescore round only {r.speedup_vs_seed:.2f}x vs cold recompute"
-    )

@@ -32,7 +32,6 @@ class Example:
 
 
 _SEL = "repro/selection/mod.py"
-_QS = "repro/selection/qscore.py"
 _NN = "repro/nn/blocks.py"
 _ANY = "repro/data/mod.py"
 
@@ -121,28 +120,13 @@ EXAMPLES: dict[str, Example] = {
             "        return lease.array.sum()\n"
         ),
     ),
-    "NES008": Example(
-        path=_QS,
-        bad=(
-            "import numpy as np\n"
-            "\n"
-            "def f(q):\n"
-            "    return q.astype(np.float64)\n"
-        ),
-        good=(
-            "import numpy as np\n"
-            "\n"
-            "def f(q):\n"
-            "    return q.astype(np.float32)\n"
-        ),
-    ),
     "NES011": Example(
         path=_ANY,
         bad=(
             "from repro import obs\n"
             "\n"
             "def record(mode):\n"
-            "    obs.metrics().counter(\"qscore.\" + mode).inc()\n"
+            "    obs.metrics().counter(\"selection.\" + mode).inc()\n"
         ),
         good=(
             "from repro import obs\n"

@@ -8,7 +8,6 @@
 | NES005 | allow-shape-contract   | public nn forwards carry composing shape contracts |
 | NES006 | allow-span-with        | obs spans are with-managed at the call site |
 | NES007 | allow-pool-lease       | buffer-pool leases released on all exit paths |
-| NES008 | allow-upcast           | no float64 creation/upcast inside selection/qscore |
 | NES011 | allow-dynamic-metric   | metric names are declared dotted literals (METRIC_TABLE) |
 
 (NES000 is the engine's parse-failure pseudo-rule; it has no pragma and
@@ -24,5 +23,4 @@ from repro.analysis.rules import (  # noqa: F401 - imports register checkers
     precision,
     shape,
     spans,
-    upcast,
 )

@@ -12,7 +12,7 @@ __all__ = [
     "module_aliases",
 ]
 
-# numpy allocator -> positional index where dtype may appear (NES002, NES008)
+# numpy allocator -> positional index where dtype may appear (NES002)
 ALLOCATORS = {"zeros": 1, "empty": 1, "ones": 1, "full": 2, "eye": 3}
 
 

@@ -1,23 +1,18 @@
 """NES011 — metric names are declared dotted-namespace string literals.
 
 The Prometheus exporter derives its ``# HELP`` / ``# TYPE`` lines from
-:data:`repro.obs.export.METRIC_TABLE`, the diff engine's metric
-carve-outs are audited against it, and the report's derived pipeline
-lines key on exact names — all of which breaks silently if a call site
-invents a name at runtime (``f"qscore.{mode}_hits"``) or records one
-the table never declared.  This check requires the first argument of
-every ``*.counter(...)`` / ``*.gauge(...)`` / ``*.timer(...)`` call to
-be a dotted-namespace string *literal* present in the table, so the
-exported series set is knowable without running the code.
+:data:`repro.obs.export.METRIC_TABLE`, which breaks silently if a call
+site invents a name at runtime (``f"selection.{mode}_hits"``) or
+records one the table never declared.  This check requires the first
+argument of every ``*.counter(...)`` / ``*.gauge(...)`` /
+``*.timer(...)`` call to be a dotted-namespace string *literal* present
+in the table, so the exported series set is knowable without running
+the code.
 
 Dynamic names that are genuinely needed (a test fixture sweeping
 synthetic series, say) take the escape hatch::
 
     reg.counter(name)  # lint: allow-dynamic-metric(fixture sweeps synthetic series)
-
-The table itself lives outside :mod:`repro.analysis`, so the lint
-cache's engine signature hashes ``repro/obs/export.py`` too — editing
-the table invalidates cached verdicts exactly like editing a rule.
 """
 
 from __future__ import annotations
@@ -64,8 +59,7 @@ class MetricNameChecker(Checker):
                     node,
                     f".{func.attr}(...) metric name is not a string literal: "
                     "runtime-built names never reach METRIC_TABLE, so the "
-                    "exporter emits them untyped and the diff carve-outs "
-                    "cannot be audited",
+                    "exporter emits them untyped",
                     hint="pass a dotted literal declared in "
                     "repro.obs.export.METRIC_TABLE",
                 )

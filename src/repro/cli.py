@@ -120,7 +120,6 @@ def _cmd_train(args) -> int:
             subset_fraction=args.fraction or DATASETS[args.dataset].subset_fraction,
             biasing_drop_period=max(3, args.epochs // 3),
             seed=args.seed,
-            quantized_scoring=args.quantized_scoring,
         )
     with _traced(args.trace, run=f"train-{args.method}-{args.dataset}",
                  profile_mem=args.profile_mem, metrics_out=args.metrics_out):
@@ -155,11 +154,7 @@ def _cmd_system(args) -> int:
 
     if not _trace_flags_ok(args):
         return 2
-    model = SystemModel(
-        args.dataset,
-        host_overlap=args.overlap,
-        quantized_scoring=args.quantized_scoring,
-    )
+    model = SystemModel(args.dataset, host_overlap=args.overlap)
     with _traced(args.trace, run=f"system-{args.dataset}",
                  profile_mem=args.profile_mem, metrics_out=args.metrics_out):
         pricers = {
@@ -464,12 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=1)
     train.add_argument("--data-seed", type=int, default=3)
     train.add_argument("--save-history", default=None, metavar="PATH")
-    train.add_argument("--quantized-scoring", choices=["off", "int8"],
-                       default="off",
-                       help="run selection similarities through the int8 "
-                            "quantized scoring engine (repro.selection.qscore) "
-                            "with the cross-round block cache; 'off' keeps "
-                            "the fp32 host path")
     train.add_argument("--trace", default=None, metavar="PATH",
                        help="record a repro.obs run-trace (JSONL) to PATH")
     train.add_argument("--profile-mem", action="store_true",
@@ -485,11 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="model host-side selection/training overlap for "
                              "the CPU baselines (NeSSA always overlaps "
                              "on-device)")
-    system.add_argument("--quantized-scoring", choices=["off", "int8"],
-                        default="off",
-                        help="price the NeSSA kernel's int8 similarity-lane "
-                             "arm (packed MACs on double-pumped DSPs) instead "
-                             "of the fp32 lanes")
     system.add_argument("--trace", default=None, metavar="PATH",
                         help="record a repro.obs run-trace (JSONL) to PATH")
     system.add_argument("--profile-mem", action="store_true",
@@ -506,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run hot-path microbenchmarks")
     bench.add_argument("--group",
-                       choices=["selection", "nn", "parallel", "qscore", "all"],
+                       choices=["selection", "nn", "parallel", "all"],
                        default="all")
     bench.add_argument("--size", choices=["tiny", "default"], default="default")
     bench.add_argument("--repeats", type=int, default=5)

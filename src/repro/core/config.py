@@ -85,13 +85,6 @@ class NeSSAConfig:
     proxy_cache_entries : LRU capacity of the proxy-reuse cache (skips
         the selection forward pass when the quantized feedback weights
         and candidate pool are unchanged); 0 disables caching.
-    quantized_scoring : ``"int8"`` runs the similarity stage through the
-        quantized scoring engine (:mod:`repro.selection.qscore`) — int8
-        proxies with per-class symmetric scales, integer-GEMM distances
-        and the cross-round block cache, mirroring the Table 4 kernel —
-        or ``"off"`` for the fp32/fp64 host path.  Forces 1-byte
-        similarity-tile accounting regardless of
-        ``similarity_precision``.
     dynamic_subset : shrink the subset when the loss-reduction rate stalls
         (introduction contribution 4).
     dynamic_threshold / dynamic_shrink / min_subset_fraction : stall
@@ -117,7 +110,6 @@ class NeSSAConfig:
 
     similarity_precision: str = "float32"
     proxy_cache_entries: int = 4
-    quantized_scoring: str = "off"
 
     dynamic_subset: bool = False
     dynamic_threshold: float = 0.02
@@ -144,18 +136,10 @@ class NeSSAConfig:
             )
         if self.proxy_cache_entries < 0:
             raise ValueError("proxy_cache_entries must be >= 0")
-        if self.quantized_scoring not in ("off", "int8"):
-            raise ValueError("quantized_scoring must be 'off' or 'int8'")
 
     @property
     def similarity_dtype_bytes(self) -> int:
-        """Bytes per similarity-matrix entry under ``similarity_precision``.
-
-        The int8 quantized scoring engine stores 1-byte entries by
-        construction, so it overrides the precision knob.
-        """
-        if self.quantized_scoring == "int8":
-            return _SIMILARITY_DTYPE_BYTES["int8"]
+        """Bytes per similarity-matrix entry under ``similarity_precision``."""
         return _SIMILARITY_DTYPE_BYTES[self.similarity_precision]
 
     def vanilla(self) -> "NeSSAConfig":

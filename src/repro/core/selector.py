@@ -33,7 +33,6 @@ from repro.parallel.scheduler import plan_selection_round
 from repro.selection.biasing import LossHistory
 from repro.selection.craig import SelectionResult
 from repro.selection.gradients import compute_gradient_proxies
-from repro.selection.qscore import quantize_proxies
 
 __all__ = ["NeSSASelector"]
 
@@ -121,35 +120,17 @@ class NeSSASelector:
 
         candidates = self.snapshot_candidates(dataset)
 
-        scoring = self.config.quantized_scoring
         proxy = compute_gradient_proxies(
             model,
             dataset.x[candidates],
             dataset.y[candidates],
             ids=dataset.ids[candidates],
             cache=self.proxy_cache,
-            scoring="int8" if scoring == "int8" else "fp32",
         )
 
         k_total = max(1, int(round(fraction * len(dataset))))
         k_total = min(k_total, len(candidates))
         labels = dataset.y[candidates]
-
-        # Quantized scoring: collapse the proxies to int8 buckets up
-        # front.  The units then score 1-byte rows, and the bucket
-        # digests key both the chunk permutation (stable partition
-        # across unchanged rounds) and the similarity block cache.
-        vectors = proxy.vectors
-        perm_entropy = None
-        scales = None
-        if scoring == "int8":
-            with obs.span("qscore_quantize", candidates=int(len(labels))) as qsp:
-                qset = quantize_proxies(proxy.vectors, labels)
-                qsp.set(dequant_error=qset.dequant_error, classes=len(qset.scales))
-            obs.metrics().gauge("qscore.dequant_error").set(qset.dequant_error)
-            vectors = qset.q
-            perm_entropy = qset.perm_entropy
-            scales = qset.scales
 
         chunk_select = None
         if self.config.use_partitioning:
@@ -160,25 +141,21 @@ class NeSSASelector:
             seed=self.config.seed,
             round_index=self._round,
             chunk_select=chunk_select,
-            perm_entropy=perm_entropy,
         )
         self._round += 1
         spec = SelectionSpec(
             method=self.config.selection_method,
             epsilon=self.config.stochastic_epsilon,
             similarity_dtype_bytes=self.config.similarity_dtype_bytes,
-            scoring=scoring,
-            scales=scales,
         )
         with obs.span("chunk_select", units=len(units)):
-            outcomes = self.executor.run_units(vectors, units, spec)
+            outcomes = self.executor.run_units(proxy.vectors, units, spec)
         obs.metrics().counter("selection.units_executed").inc(len(units))
         obs.metrics().counter("selection.rounds").inc()
 
         positions, weights = [], []
         max_pairwise = 0
-        for unit, outcome in zip(units, outcomes):
-            sel, w, nbytes = outcome[:3]
+        for unit, (sel, w, nbytes) in zip(units, outcomes):
             positions.append(candidates[unit.positions[sel]])
             weights.append(w)
             max_pairwise = max(max_pairwise, nbytes)
@@ -190,16 +167,6 @@ class NeSSASelector:
             pairwise_bytes=max_pairwise,
             proxy_flops=proxy.flops,
         )
-
-    @property
-    def qscore_stats(self) -> dict | None:
-        """Last round's quantized-scoring accounting (None when off).
-
-        ``block_hits`` / ``block_misses`` count (class, chunk) similarity
-        blocks served from the cross-round rescore cache vs recomputed;
-        ``macs`` the int8 multiply-accumulates actually executed.
-        """
-        return self.executor.last_qscore_stats
 
     @property
     def proxy_cache_stats(self) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.nn.functional import log_softmax, softmax
 
 __all__ = ["CrossEntropyLoss"]
@@ -23,7 +24,10 @@ class CrossEntropyLoss:
 
     CRAIG trains on a weighted subset (each medoid stands in for its
     cluster), so the loss accepts per-sample weights; the gradient passed
-    back to the network is scaled accordingly.
+    back to the network is scaled accordingly.  A batch whose weights sum
+    to 0 carries no signal: its loss is ``0.0``, its gradient is zero and
+    the ``nn.loss.zero_weight_batches`` counter records it, instead of a
+    0/0 NaN that would poison the model for the rest of the run.
     """
 
     def __init__(self):
@@ -45,7 +49,12 @@ class CrossEntropyLoss:
             loss = float(per_sample.mean())
         else:
             weights = np.asarray(weights, dtype=np.float64)
-            loss = float((per_sample * weights).sum() / weights.sum())
+            total = weights.sum()
+            if total == 0:
+                obs.metrics().counter("nn.loss.zero_weight_batches").inc()
+                loss = 0.0
+            else:
+                loss = float((per_sample * weights).sum() / total)
         self._cache = (logits, targets, weights)
         return loss
 
@@ -63,7 +72,11 @@ class CrossEntropyLoss:
         if weights is None:
             grad /= n
         else:
-            grad *= (weights / weights.sum())[:, None]
+            total = weights.sum()
+            if total == 0:
+                grad[...] = 0.0
+            else:
+                grad *= (weights / total)[:, None]
         return grad.astype(np.float32)
 
     @staticmethod

@@ -16,8 +16,7 @@ One import point for the observability subsystem:
   headline table (``repro.cli report``).
 - :mod:`repro.obs.diff` — align two traces by deterministic span id
   and emit an ``ok`` / ``regressed`` / ``structural-drift`` verdict
-  (``repro.cli obsdiff``), with declared carve-outs for known
-  configuration asymmetries.
+  (``repro.cli obsdiff``).
 - :mod:`repro.obs.profile` — opt-in per-span memory attribution
   (tracemalloc + explicit scratch-pool credits) and collapsed-stack
   flamegraph export (``repro.cli report --flame``).
@@ -33,8 +32,6 @@ uninstrumented timings (``tests/obs/test_overhead.py``).
 """
 
 from repro.obs.diff import (
-    CarveOut,
-    DEFAULT_CARVEOUTS,
     TraceDiff,
     diff_trace_files,
     diff_traces,
@@ -79,8 +76,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "CarveOut",
-    "DEFAULT_CARVEOUTS",
     "TraceDiff",
     "diff_trace_files",
     "diff_traces",

@@ -29,13 +29,12 @@ are classified by attribute below.
 
 **Metrics reconciliation.**  The final snapshot line diffs the same
 way: counters exactly, gauges and timer totals with tolerance (timer
-*counts* exactly — the number of observations is structural).  Metric
-names present on one side only are structural drift unless a declared
-:class:`CarveOut` (a metric-name prefix, today only ``qscore.``) covers
-the configuration asymmetry.  Carve-outs never excuse a value mismatch
-on a metric present in both snapshots.
+*counts* exactly — the number of observations is structural).  A metric
+name present on one side only is always structural drift: two runs of
+one configuration record the same metric names, so there is nothing to
+excuse.
 
-**Verdict.**  ``structural-drift`` (un-excused shape difference) >
+**Verdict.**  ``structural-drift`` (any shape difference) >
 ``regressed`` (any value delta) > ``ok``.  ``repro.cli obsdiff A B
 --fail-on <verdict>`` exits non-zero at or above the named severity —
 CI diffs a fresh trace against the committed reference with
@@ -51,8 +50,6 @@ from dataclasses import dataclass, field
 from repro.obs.sinks import read_trace
 
 __all__ = [
-    "CarveOut",
-    "DEFAULT_CARVEOUTS",
     "TraceDiff",
     "diff_traces",
     "diff_trace_files",
@@ -63,30 +60,7 @@ __all__ = [
 VERDICTS = ("ok", "regressed", "structural-drift")
 
 
-@dataclass(frozen=True)
-class CarveOut:
-    """One declared, expected metric asymmetry between configurations.
-
-    ``match`` is a metric-name *prefix* covering one-sided presence in
-    the snapshot (never a value mismatch).
-    """
-
-    match: str
-    reason: str
-
-
-DEFAULT_CARVEOUTS = (
-    CarveOut("qscore.", "int8 quantized scoring only (--quantized-scoring int8)"),
-)
-
 _EMPTY_SNAPSHOT = {"counters": {}, "gauges": {}, "timers": {}}
-
-
-def _metric_carveout(name: str, carveouts) -> CarveOut | None:
-    for carve in carveouts:
-        if name.startswith(carve.match):
-            return carve
-    return None
 
 
 def _exceeds(a: float, b: float, tolerance: float) -> bool:
@@ -110,7 +84,6 @@ class TraceDiff:
     matched: int = 0
     added: list = field(default_factory=list)
     removed: list = field(default_factory=list)
-    excused: list = field(default_factory=list)
     attr_deltas: list = field(default_factory=list)
     time_deltas: list = field(default_factory=list)
     mem_deltas: list = field(default_factory=list)
@@ -130,7 +103,6 @@ class TraceDiff:
             "matched": self.matched,
             "added": self.added,
             "removed": self.removed,
-            "excused": self.excused,
             "attr_deltas": self.attr_deltas,
             "time_deltas": self.time_deltas,
             "mem_deltas": self.mem_deltas,
@@ -146,24 +118,17 @@ class TraceDiff:
         lines = [
             f"verdict: {self.verdict}",
             f"spans: {self.matched} matched, {len(self.added)} added, "
-            f"{len(self.removed)} removed, {len(self.excused)} excused "
+            f"{len(self.removed)} removed "
             f"(wall tolerance +{tol}, floor {self.min_dur_s * 1e3:.1f}ms)",
         ]
         for note in self.notes:
             lines.append(f"note: {note}")
         if self.added:
-            lines.append("added spans (undeclared):")
+            lines.append("added spans:")
             lines.extend(f"  + {span_id}" for span_id in self.added)
         if self.removed:
-            lines.append("removed spans (undeclared):")
+            lines.append("removed spans:")
             lines.extend(f"  - {span_id}" for span_id in self.removed)
-        if self.excused:
-            lines.append("carve-outs applied:")
-            counts: dict[str, int] = {}
-            for entry in self.excused:
-                counts[entry["carveout"]] = counts.get(entry["carveout"], 0) + 1
-            for name, count in sorted(counts.items()):
-                lines.append(f"  {name} x{count}")
         if self.attr_deltas:
             lines.append("attribute deltas (exact-compare class):")
             for d in self.attr_deltas:
@@ -191,10 +156,10 @@ class TraceDiff:
                     f"  {d['kind']} {d['name']}: {d['a']!r} -> {d['b']!r}"
                 )
         if self.metric_drift:
-            lines.append("metrics present on one side only (undeclared):")
+            lines.append("metrics present on one side only:")
             for d in self.metric_drift:
                 lines.append(f"  {d['side']}: {d['kind']} {d['name']}")
-        if self.verdict == "ok" and not self.excused:
+        if self.verdict == "ok":
             lines.append("traces are equivalent")
         return "\n".join(lines)
 
@@ -233,7 +198,7 @@ def _compare_span_attrs(span_id, attrs_a, attrs_b, diff: TraceDiff) -> None:
             )
 
 
-def _compare_metrics(ma, mb, carveouts, diff: TraceDiff) -> None:
+def _compare_metrics(ma, mb, diff: TraceDiff) -> None:
     ma = ma or _EMPTY_SNAPSHOT
     mb = mb or _EMPTY_SNAPSHOT
     for kind in ("counters", "gauges", "timers"):
@@ -242,17 +207,10 @@ def _compare_metrics(ma, mb, carveouts, diff: TraceDiff) -> None:
         for name in sorted(set(section_a) | set(section_b)):
             in_a, in_b = name in section_a, name in section_b
             if not (in_a and in_b):
-                side = "only in A" if in_a else "only in B"
-                carve = _metric_carveout(name, carveouts)
-                if carve is not None:
-                    diff.excused.append(
-                        {"kind": "metric", "id": name, "side": side,
-                         "carveout": carve.match}
-                    )
-                else:
-                    diff.metric_drift.append(
-                        {"kind": kind[:-1], "name": name, "side": side}
-                    )
+                diff.metric_drift.append(
+                    {"kind": kind[:-1], "name": name,
+                     "side": "only in A" if in_a else "only in B"}
+                )
                 continue
             va, vb = section_a[name], section_b[name]
             if kind == "counters":
@@ -286,7 +244,6 @@ def diff_traces(
     *,
     tolerance: float = 0.25,
     min_dur_s: float = 0.005,
-    carveouts=DEFAULT_CARVEOUTS,
 ) -> TraceDiff:
     """Diff two loaded traces (:func:`repro.obs.read_trace` output)."""
     if tolerance < 0:
@@ -338,7 +295,7 @@ def diff_traces(
             span_id, span_a.get("attrs") or {}, span_b.get("attrs") or {}, diff
         )
 
-    _compare_metrics(a.get("metrics"), b.get("metrics"), carveouts, diff)
+    _compare_metrics(a.get("metrics"), b.get("metrics"), diff)
 
     if diff.added or diff.removed or diff.metric_drift:
         diff.verdict = "structural-drift"

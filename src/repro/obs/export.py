@@ -13,8 +13,7 @@ it, and the NES011 lint rule statically enforces that every
 ``metrics().counter/gauge/timer(...)`` call site passes a dotted-
 namespace string *literal* declared here — no f-string or concatenated
 metric names, so the exported series set is knowable without running
-the code (and the diff engine's metric carve-outs can be audited
-against it).
+the code.
 
 **Mapping.**  Dotted names flatten to underscores under a ``repro_``
 prefix (``proxy_cache.hits`` → ``repro_proxy_cache_hits``).  Counters
@@ -48,6 +47,10 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
         "counter",
         "Arrays copied into the batch-innermost (C, H, W, N) memory format by F.channel_major",
     ),
+    "nn.loss.zero_weight_batches": (
+        "counter",
+        "Weighted loss batches whose weights sum to 0 (loss 0, zero gradient)",
+    ),
     "proxy_cache.hits": (
         "counter",
         "Gradient-proxy cache hits",
@@ -55,26 +58,6 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
     "proxy_cache.misses": (
         "counter",
         "Gradient-proxy cache misses",
-    ),
-    "qscore.block_hits": (
-        "counter",
-        "Quantized-scoring similarity blocks served from the cross-round cache",
-    ),
-    "qscore.block_misses": (
-        "counter",
-        "Quantized-scoring similarity blocks computed from scratch",
-    ),
-    "qscore.dequant_error": (
-        "gauge",
-        "Max abs dequantization error of the last quantized proxy set",
-    ),
-    "qscore.macs": (
-        "counter",
-        "int8 multiply-accumulates executed by the quantized scoring engine",
-    ),
-    "qscore.select_hits": (
-        "counter",
-        "Lazy-greedy selection results reused from the cross-round cache",
     ),
     "selection.rounds": (
         "counter",

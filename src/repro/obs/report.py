@@ -152,7 +152,6 @@ def render_report(trace: dict) -> str:
             )
 
     metrics = trace.get("metrics")
-    lines.extend(_render_pipeline_lines(metrics))
     if metrics and metrics.get("counters"):
         lines.append("")
         lines.append("counters:")
@@ -174,24 +173,3 @@ def render_report(trace: dict) -> str:
                 f"{timer.get('mean_s', 0.0):>10.5f}"
             )
     return "\n".join(lines)
-
-
-def _render_pipeline_lines(metrics: dict | None) -> list[str]:
-    """Derived qscore summary from the snapshot.
-
-    The raw counter/gauge/timer dumps below stay exhaustive — this line
-    is the at-a-glance reading of the quantized-scoring caches.
-    """
-    counters = (metrics or {}).get("counters") or {}
-    if "qscore.block_hits" not in counters and "qscore.block_misses" not in counters:
-        return []
-    hits = counters.get("qscore.block_hits", 0)
-    misses = counters.get("qscore.block_misses", 0)
-    blocks = hits + misses
-    rate = (100 * hits / blocks) if blocks else 0.0
-    return [
-        "",
-        f"qscore:   {hits:,d} block hit(s) / {misses:,d} miss(es) "
-        f"({rate:.1f}% hit rate), "
-        f"{counters.get('qscore.select_hits', 0):,d} select hit(s)",
-    ]

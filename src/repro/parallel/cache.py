@@ -82,12 +82,11 @@ class ProxyCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def key(self, model, ids: np.ndarray, mode: str, scoring: str = "fp32") -> str | None:
+    def key(self, model, ids: np.ndarray, mode: str) -> str | None:
         """Cache key for (feedback weights, candidate pool, proxy mode).
 
-        ``scoring`` and the replica's quantization bit widths are part of
-        the digest: results produced for the fp32 scoring path and the
-        int8 path (or for replicas quantized at different widths) must
+        The replica's quantization bit widths are part of the digest:
+        results produced for replicas quantized at different widths must
         never collide under one key, even when their dequantized weight
         bytes happen to agree.
         """
@@ -97,7 +96,6 @@ class ProxyCache:
         h = hashlib.blake2b(digest_size=16)
         h.update(weights.encode())
         h.update(mode.encode())
-        h.update(str(scoring).encode())
         h.update(
             repr(
                 (getattr(model, "bits", None), getattr(model, "activation_bits", None))

@@ -11,7 +11,6 @@ take, seed_key, spec)`` — never on which units ran before it.
 
 from __future__ import annotations
 
-import threading
 import time
 
 import numpy as np
@@ -34,17 +33,11 @@ class SelectionSpec(dict):
         method: str = "lazy",
         epsilon: float = 0.1,
         similarity_dtype_bytes: int = 4,
-        scoring: str = "off",
-        qbits: int = 8,
-        scales: dict | None = None,
     ):
         super().__init__(
             method=method,
             epsilon=epsilon,
             similarity_dtype_bytes=similarity_dtype_bytes,
-            scoring=scoring,
-            qbits=qbits,
-            scales=scales,
         )
 
 
@@ -54,24 +47,8 @@ def execute_unit(
     """Run one work unit on its chunk's vectors.
 
     ``vectors`` are the *chunk's* rows (already gathered).  Returns
-    ``(chunk-local indices, weights, pairwise_bytes)`` — with a fourth
-    per-unit stats dict appended on the quantized scoring path
-    (``spec["scoring"] == "int8"``, where ``vectors`` are the int8 rows
-    and ``spec["scales"]`` maps the unit's label to its dequant scale).
+    ``(chunk-local indices, weights, pairwise_bytes)``.
     """
-    if spec.get("scoring") == "int8":
-        from repro.selection.qscore import select_class_quantized
-
-        return select_class_quantized(
-            vectors,
-            spec["scales"][unit.label],
-            unit.take,
-            method=spec["method"],
-            epsilon=spec["epsilon"],
-            rng=unit_rng(unit.seed_key),
-            bits=spec["qbits"],
-            similarity_dtype_bytes=spec["similarity_dtype_bytes"],
-        )
     from repro.selection.craig import craig_select_class
 
     return craig_select_class(
@@ -85,16 +62,12 @@ def execute_unit(
 
 
 class SelectionExecutor:
-    """Runs a selection round's work units and rolls up their accounting."""
+    """Runs a selection round's work units, one ``unit`` span each."""
 
     def __init__(self):
         # always None: benchmarks/e2e/shims.py reads it to count
         # ``parallel.fallbacks``
         self.fallback_reason: str | None = None
-        self.last_qscore_stats: dict | None = None
-        # stats writes go through this lock, so a reader never sees
-        # a half-updated roll-up
-        self._lock = threading.Lock()
 
     def run_units(
         self,
@@ -104,11 +77,8 @@ class SelectionExecutor:
     ) -> list[tuple[np.ndarray, np.ndarray, int]]:
         """Execute every unit; results ordered by :attr:`WorkUnit.order`.
 
-        ``vectors`` are the round's float64 proxies, or the int8 rows
-        under quantized scoring.
+        ``vectors`` are the round's float64 proxies.
         """
-        if not units:
-            return []
         results = []
         for u in units:
             start = time.perf_counter()
@@ -117,31 +87,6 @@ class SelectionExecutor:
                 u, result, start=start, dur_s=time.perf_counter() - start
             )
             results.append(result)
-        return self._note_qscore(results, spec)
-
-    def _note_qscore(self, results: list, spec: SelectionSpec) -> list:
-        """Roll the units' returned qscore hit/miss/MAC accounting up
-        into the metrics registry and :attr:`last_qscore_stats`."""
-        if spec.get("scoring") != "int8":
-            with self._lock:
-                self.last_qscore_stats = None
-            return results
-        hits = sum(1 for r in results if r[3]["cache_hit"])
-        misses = len(results) - hits
-        select_hits = sum(1 for r in results if r[3].get("select_hit"))
-        macs = sum(r[3]["macs"] for r in results)
-        obs.metrics().counter("qscore.block_hits").inc(hits)
-        obs.metrics().counter("qscore.block_misses").inc(misses)
-        obs.metrics().counter("qscore.select_hits").inc(select_hits)
-        obs.metrics().counter("qscore.macs").inc(macs)
-        with self._lock:
-            self.last_qscore_stats = {
-                "block_hits": hits,
-                "block_misses": misses,
-                "select_hits": select_hits,
-                "blocks": len(results),
-                "macs": macs,
-            }
         return results
 
     @staticmethod

@@ -67,7 +67,6 @@ def plan_selection_round(
     seed: int,
     round_index: int,
     chunk_select: int | None = None,
-    perm_entropy: dict | None = None,
 ) -> list[WorkUnit]:
     """Flatten one selection round into independent work units.
 
@@ -77,15 +76,6 @@ def plan_selection_round(
     :meth:`repro.core.selector.NeSSASelector.select` always did.
     ``chunk_select`` enables §3.2.3 partitioning with *m* picks per chunk;
     ``None`` plans one whole-class unit per class.
-
-    ``perm_entropy`` optionally maps a class label to the entropy int
-    that replaces ``round_index`` in that class's key.  The quantized
-    scoring engine passes its bucket digests
-    (:attr:`repro.selection.qscore.QuantizedProxySet.perm_entropy`):
-    rounds whose quantized feedback did not change a class then plan the
-    *same* chunk partition, so the cross-round similarity cache can hit;
-    any weight change alters the digest and reshuffles as before.
-    Classes absent from the mapping fall back to ``round_index``.
 
     Returns units in assembly order (classes in ``np.unique`` order,
     chunks in partition order).
@@ -105,10 +95,7 @@ def plan_selection_round(
         local = np.flatnonzero(labels == label)
         k_c = max(1, int(round(k_total * len(local) / n)))
         k_c = min(k_c, len(local))
-        entropy = round_index
-        if perm_entropy is not None:
-            entropy = perm_entropy.get(int(label), round_index)
-        class_key = (seed, entropy, class_rank)
+        class_key = (seed, round_index, class_rank)
 
         if chunk_select is None:
             units.append(

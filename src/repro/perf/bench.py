@@ -1,8 +1,9 @@
 """Microbenchmark harness with regression checking for the hot-path kernels.
 
 Each bench is registered under a dotted name inside a group
-(``selection``, ``nn``, ``parallel``, or ``qscore``) and
-builds its inputs once, outside the timed region.  :func:`run_bench` runs warmup + repeated timed calls and reports
+(``selection``, ``nn`` or ``parallel``) and builds its inputs once,
+outside the timed region.  :func:`run_bench` runs warmup + repeated
+timed calls and reports
 median / p90 / min / mean wall-clock seconds.  Where the seed
 implementation of a kernel is still available (kept as a reference —
 ``naive_pairwise_distances``, ``lazy_greedy_reference``,
@@ -24,7 +25,6 @@ where the kernel allows).
 
 from __future__ import annotations
 
-import itertools
 import json
 import statistics
 import time
@@ -48,7 +48,7 @@ __all__ = [
     "compare",
 ]
 
-GROUPS = ("selection", "nn", "parallel", "qscore")
+GROUPS = ("selection", "nn", "parallel")
 SIZES = ("tiny", "default")
 DEFAULT_TOLERANCE = 0.5
 SCHEMA_VERSION = 2  # v2 added peak_rss_bytes; compare() tolerates v1 docs
@@ -540,168 +540,3 @@ def _bench_proxy_cache_miss(size: str) -> BenchCase:
         )
 
     return BenchCase(run=run, params=params)
-
-
-# -- qscore group: the int8 quantized scoring engine --------------------------
-#
-# Unlike the kernel groups, the "seed" side here is not an old
-# implementation but the repo's fp32/fp64 host scoring path on identical
-# buckets — speedup_vs_seed is therefore the int8-engine-vs-float claim
-# itself.  The headline case (``qscore.late_epoch_round``, acceptance
-# target >= 2x at the default size, asserted by
-# benchmarks/test_perf_regression.py) prices the scenario the engine is
-# built for: a late-epoch round where most classes' quantized feedback
-# repeated the previous round's digest, so their similarity blocks AND
-# memoized greedy results are served from the cross-round cache while
-# the float path recomputes every class from scratch (its chunk
-# permutations are round-keyed, so it has no reuse to exploit).  The
-# cold case reports the reuse-free int8-vs-float ratio honestly; the
-# warm case prices the pure digest-hit fast path.
-
-
-def _qscore_inputs(size: str):
-    n, d, classes, k = (2000, 10, 4, 300) if size == "default" else (200, 8, 4, 40)
-    rng = np.random.default_rng(21)
-    vectors = rng.normal(size=(n, d))
-    labels = np.sort(rng.integers(0, classes, size=n))
-    class_ids = np.unique(labels)
-    buckets = [vectors[labels == c] for c in class_ids]
-    take = [max(1, int(round(k * len(b) / n))) for b in buckets]
-    params = {"n": n, "d": d, "classes": int(len(class_ids)), "k": k}
-    return buckets, take, params
-
-
-def _fp_round(buckets, take):
-    """The repo's float host path: per-class pairwise + greedy, no reuse."""
-    from repro.selection.facility import (
-        lazy_greedy,
-        medoid_weights,
-        similarity_from_distances,
-    )
-    from repro.selection.pairwise import pairwise_distances
-
-    out = []
-    for rows, k_c in zip(buckets, take):
-        similarity = similarity_from_distances(pairwise_distances(rows))
-        sel = lazy_greedy(similarity, k_c, validate=False)
-        out.append((sel, medoid_weights(similarity, sel)))
-    return out
-
-
-@register_bench("qscore.late_epoch_round", "qscore")
-def _bench_qscore_late_epoch(size: str) -> BenchCase:
-    """Full selection round, late-epoch: 3 of 4 class digests unchanged.
-
-    Every round re-quantizes all classes (that cost is honest and paid),
-    but only the drifting class misses the cache; the three stable
-    classes skip GEMM + greedy via the digest.  The drifting class takes
-    a genuinely-new bucket each call from a pregenerated pool so repeats
-    never warm it into a hit.
-    """
-    from repro.selection.qscore import (
-        SimilarityBlockCache,
-        quantize_class_rows,
-        select_class_quantized,
-    )
-
-    buckets, take, params = _qscore_inputs(size)
-    stable_rows, stable_take = buckets[1:], take[1:]
-    warm = SimilarityBlockCache()
-    for rows, k_c in zip(stable_rows, stable_take):
-        q, scale, _ = quantize_class_rows(rows)
-        select_class_quantized(q, scale, k_c, cache=warm)
-    drift_rng = np.random.default_rng(77)
-    drift_pool = [
-        buckets[0] + 0.05 * drift_rng.normal(size=buckets[0].shape)
-        for _ in range(64)
-    ]
-    calls = itertools.count()
-
-    def run():
-        rows = drift_pool[next(calls) % len(drift_pool)]
-        out = []
-        q, scale, _ = quantize_class_rows(rows)
-        out.append(select_class_quantized(q, scale, take[0], cache=warm)[:2])
-        for stable, k_c in zip(stable_rows, stable_take):
-            q, scale, _ = quantize_class_rows(stable)
-            out.append(select_class_quantized(q, scale, k_c, cache=warm)[:2])
-        return out
-
-    return BenchCase(
-        run=run,
-        seed_run=lambda: _fp_round(buckets, take),
-        params={**params, "stable_classes": len(stable_rows), "drift_classes": 1},
-    )
-
-
-@register_bench("qscore.cold_selection_round", "qscore")
-def _bench_qscore_cold(size: str) -> BenchCase:
-    """Cold quantized round (quantize + int8 GEMM + greedy) vs float path."""
-    from repro.selection.qscore import (
-        SimilarityBlockCache,
-        quantize_class_rows,
-        select_class_quantized,
-    )
-
-    buckets, take, params = _qscore_inputs(size)
-
-    def run():
-        cache = SimilarityBlockCache()
-        out = []
-        for rows, k_c in zip(buckets, take):
-            q, scale, _ = quantize_class_rows(rows)
-            sel, w, _, _ = select_class_quantized(q, scale, k_c, cache=cache)
-            out.append((sel, w))
-        return out
-
-    return BenchCase(
-        run=run, seed_run=lambda: _fp_round(buckets, take), params=params
-    )
-
-
-@register_bench("qscore.warm_cache_round", "qscore")
-def _bench_qscore_warm(size: str) -> BenchCase:
-    """Cross-round digest hit (block + memoized greedy) vs cold recompute."""
-    from repro.selection.qscore import (
-        SimilarityBlockCache,
-        quantize_class_rows,
-        select_class_quantized,
-    )
-
-    buckets, take, params = _qscore_inputs(size)
-    quantized = [
-        (quantize_class_rows(rows), k_c) for rows, k_c in zip(buckets, take)
-    ]
-    warm = SimilarityBlockCache()
-    for (q, scale, _), k_c in quantized:
-        select_class_quantized(q, scale, k_c, cache=warm)
-
-    def run():
-        return [
-            select_class_quantized(q, scale, k_c, cache=warm)[:2]
-            for (q, scale, _), k_c in quantized
-        ]
-
-    def seed_run():
-        cold = SimilarityBlockCache()
-        return [
-            select_class_quantized(q, scale, k_c, cache=cold)[:2]
-            for (q, scale, _), k_c in quantized
-        ]
-
-    return BenchCase(run=run, seed_run=seed_run, params=params)
-
-
-@register_bench("qscore.quantize_proxies", "qscore")
-def _bench_qscore_quantize(size: str) -> BenchCase:
-    """Per-class symmetric quantization of one round's proxy matrix."""
-    from repro.selection.qscore import quantize_proxies
-
-    buckets, _, params = _qscore_inputs(size)
-    vectors = np.concatenate(buckets, axis=0)
-    labels = np.concatenate(
-        [np.full(len(b), i, dtype=np.int64) for i, b in enumerate(buckets)]
-    )
-    return BenchCase(
-        run=lambda: quantize_proxies(vectors, labels), params=params
-    )

@@ -84,12 +84,9 @@ class SystemModel:
         ingest: HostIngestModel | None = None,
         batch_size: int = 128,
         host_overlap: bool = False,
-        quantized_scoring: str = "off",
     ):
         if isinstance(dataset, str):
             dataset = DATASETS[dataset]
-        if quantized_scoring not in ("off", "int8"):
-            raise ValueError("quantized_scoring must be 'off' or 'int8'")
         self.dataset = dataset
         self.gpu = gpu or v100()
         self.ssd = ssd or SmartSSD()
@@ -101,10 +98,6 @@ class SystemModel:
         # subset trains, so only the non-hidden excess is charged to the
         # critical path (round t-1 feedback weights, like the device).
         self.host_overlap = host_overlap
-        # "int8": the kernel's similarity lanes run packed int8 MACs on
-        # double-pumped DSPs (the arm repro.selection.qscore executes on
-        # the host); "off": the fp32 lane of the baseline Table 4 kernel.
-        self.quantized_scoring = quantized_scoring
         self.forward_flops = MODEL_FORWARD_FLOPS[dataset.name]
         self.compute = GPUComputeModel(self.gpu)
 
@@ -257,7 +250,6 @@ class SystemModel:
             subset_size=k,
             chunk_size=min(self.ssd.kernel.max_chunk_for_onchip(), 512),
             batch_bytes=batch_bytes,
-            quantized=self.quantized_scoring == "int8",
         )
 
         # Amortized embedding refresh: thumbnail-capped quantized forward

@@ -54,7 +54,6 @@ def craig_select_class(
     epsilon: float = 0.1,
     rng: np.random.Generator | None = None,
     similarity_dtype_bytes: int = 4,
-    scoring: str = "off",
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Select ``k`` medoids from one class's proxy vectors.
 
@@ -67,37 +66,15 @@ def craig_select_class(
     Returns ``(local_indices, weights, pairwise_bytes)`` where
     ``pairwise_bytes`` is the similarity-matrix footprint at
     ``similarity_dtype_bytes`` per entry (4 for the default fp32 path; the
-    config-driven value for float64 / int8-quantized similarity kernels),
-    i.e. what would have to fit in the FPGA's on-chip memory without
-    partitioning.
-
-    ``scoring="int8"`` routes the whole similarity stage through
-    :mod:`repro.selection.qscore`: the bucket is quantized with a
-    symmetric scale and distances come from the int8 GEMM (with the
-    cross-round block cache).
+    config-driven value for float64 / int8 similarity tiles), i.e. what
+    would have to fit in the FPGA's on-chip memory without partitioning.
     """
     if similarity_dtype_bytes < 1:
         raise ValueError("similarity_dtype_bytes must be >= 1")
-    if scoring not in ("off", "int8"):
-        raise ValueError(f"unknown scoring {scoring!r} (use 'off' or 'int8')")
     n = vectors.shape[0]
     if n == 0:
         return (np.zeros(0, np.int64), np.zeros(0, np.float64), 0)
     k = min(k, n)
-    if scoring == "int8":
-        from repro.selection.qscore import quantize_class_rows, select_class_quantized
-
-        q, scale, _ = quantize_class_rows(vectors)
-        sel, weights, _, _stats = select_class_quantized(
-            q,
-            scale,
-            k,
-            method=method,
-            epsilon=epsilon,
-            rng=rng,
-            similarity_dtype_bytes=similarity_dtype_bytes,
-        )
-        return sel, weights, n * n * similarity_dtype_bytes
     distances = pairwise_distances(vectors)
     similarity = similarity_from_distances(distances)
     if method == "lazy":
@@ -126,12 +103,10 @@ class CraigSelector:
         method: str = "lazy",
         epsilon: float = 0.1,
         seed: int = 0,
-        scoring: str = "off",
     ):
         self.method = method
         self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)
-        self.scoring = scoring
 
     def select(
         self,
@@ -173,7 +148,6 @@ class CraigSelector:
                     method=self.method,
                     epsilon=self.epsilon,
                     rng=self.rng,
-                    scoring=self.scoring,
                 )
                 positions.append(candidates[local[sel]])
                 weights.append(w)

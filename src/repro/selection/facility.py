@@ -94,8 +94,8 @@ def lazy_greedy(
     sim_rows = np.ascontiguousarray(similarity.T)
     # current_best[i] = max_{j in S} s[i, j].  Accumulate in the input's
     # own float dtype: a float64 buffer would silently upcast every
-    # refresh pass of a float32 similarity (the int8 scoring path's
-    # output) back to double width.
+    # refresh pass of a float32 similarity (e.g. a float32 proxy
+    # matrix's) back to double width.
     current_best = np.zeros(n, dtype=_float_dtype(similarity))
     gains = similarity.sum(axis=0)  # gain of each singleton from F(empty)=0
     heap = [(-g, j, 0) for j, g in enumerate(gains)]  # (neg gain, idx, round evaluated)
@@ -213,8 +213,8 @@ def _float_dtype(similarity: np.ndarray) -> np.dtype:
     """The accumulator dtype matching ``similarity`` (float64 for ints).
 
     Keeps the maximizers dtype-preserving: float64 inputs behave
-    bit-identically to before, float32 inputs (the quantized scoring
-    engine) stay float32 end-to-end instead of paying a hidden upcast.
+    bit-identically to before, float32 inputs stay float32 end-to-end
+    instead of paying a hidden upcast.
     """
     dtype = np.asarray(similarity).dtype
     if np.issubdtype(dtype, np.floating):

@@ -67,7 +67,6 @@ def compute_gradient_proxies(
     batch_size: int = 256,
     mode: str = "logits",
     cache: ProxyCache | None = None,
-    scoring: str = "fp32",
 ) -> GradientProxy:
     """Run the selection model forward and derive per-sample proxies.
 
@@ -82,10 +81,6 @@ def compute_gradient_proxies(
     matches a cached round (nothing changed between biasing drops), the
     forward pass is skipped entirely and the cached proxy returned.
     Models whose weights cannot be digested bypass the cache.
-
-    ``scoring`` names the downstream scoring path (``"fp32"`` or
-    ``"int8"``); it participates in the cache key so the two paths'
-    entries can never collide.
     """
     if mode not in ("logits", "logits_x_feature_norm"):
         raise ValueError(f"unknown proxy mode: {mode!r}")
@@ -94,9 +89,7 @@ def compute_gradient_proxies(
         ids = np.arange(n, dtype=np.int64)
 
     with obs.span("proxy_compute", candidates=int(n), mode=mode) as sp:
-        cache_key = (
-            cache.key(model, ids, mode, scoring=scoring) if cache is not None else None
-        )
+        cache_key = cache.key(model, ids, mode) if cache is not None else None
         if cache_key is not None:
             cached = cache.get(cache_key)
             if cached is not None:

@@ -121,23 +121,16 @@ class SmartSSD:
         subset_size: int,
         chunk_size: int,
         batch_bytes: float | None = None,
-        quantized: bool = False,
     ) -> SelectionTiming:
         """One near-storage selection round (steps 1-2 of paper Figure 3).
 
         Candidate streaming from flash overlaps the kernel's compute
         pipeline, so the round takes ``max(stream, kernel)`` plus one
-        batch of fill latency.  ``quantized`` prices the int8
-        similarity-lane arm of the kernel.
+        batch of fill latency.
         """
         stream = self.p2p_read_time(candidate_bytes, batch_bytes=batch_bytes)
         kernel = self.kernel.selection_time(
-            num_candidates,
-            flops_per_sample,
-            proxy_dim,
-            subset_size,
-            chunk_size,
-            quantized=quantized,
+            num_candidates, flops_per_sample, proxy_dim, subset_size, chunk_size
         )
         fill = self.p2p.request_latency_s
         total = max(stream, kernel) + fill

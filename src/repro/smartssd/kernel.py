@@ -130,12 +130,9 @@ class SelectionKernel:
     def similarity_macs(self, chunk_size: int, proxy_dim: int, num_chunks: int = 1) -> int:
         """Multiply-accumulates the similarity lanes execute for the tiles.
 
-        ``chunk² * d`` per chunk — the pairwise Gram GEMM.  This count is
-        calibrated against the host's now-real int8 operator: for the
-        same chunk geometry,
-        :func:`repro.selection.qscore.int8_similarity` reports exactly
-        this many MACs (``tests/smartssd`` asserts the identity), so the
-        cycle model and the executed kernel agree operation-for-operation.
+        ``chunk² * d`` per chunk — the pairwise Gram GEMM that
+        :func:`repro.selection.pairwise.pairwise_distances` runs on the
+        host for the same chunk geometry.
         """
         if chunk_size > self.config.chunk_capacity:
             raise ValueError(
@@ -146,26 +143,13 @@ class SelectionKernel:
             raise ValueError("negative work")
         return chunk_size * chunk_size * proxy_dim * num_chunks
 
-    def similarity_time(
-        self,
-        chunk_size: int,
-        proxy_dim: int,
-        num_chunks: int = 1,
-        quantized: bool = False,
-    ) -> float:
+    def similarity_time(self, chunk_size: int, proxy_dim: int, num_chunks: int = 1) -> float:
         """Seconds to fill the pairwise tiles: chunk² distances, d cycles each lane.
 
-        ``quantized=True`` models the int8 similarity lanes with the same
-        DSP optimizations as the MAC array (packed int8 MACs on
-        double-pumped DSP columns) — the kernel arm the host's
-        :mod:`repro.selection.qscore` engine mirrors.  The default fp32
-        lane executes one MAC per lane-cycle.
+        Each fp32 lane executes one MAC per cycle.
         """
         ops = float(self.similarity_macs(chunk_size, proxy_dim, num_chunks))
-        lane_macs_per_cycle = 1
-        if quantized:
-            lane_macs_per_cycle = self.config.int8_packing * self.config.dsp_clock_multiple
-        return ops / (self.config.similarity_lanes * lane_macs_per_cycle * self.fpga.clock_hz)
+        return ops / (self.config.similarity_lanes * self.fpga.clock_hz)
 
     def greedy_time(self, chunk_size: int, k_per_chunk: int, num_chunks: int = 1) -> float:
         """Seconds for the facility-location greedy scans."""
@@ -179,13 +163,10 @@ class SelectionKernel:
         proxy_dim: int,
         subset_size: int,
         chunk_size: int,
-        quantized: bool = False,
     ) -> float:
         """End-to-end kernel time for one selection round.
 
         The forward pass dominates; similarity/greedy run per chunk.
-        ``quantized`` selects the int8 similarity-lane arm (see
-        :meth:`similarity_time`).
         """
         chunk_size = min(chunk_size, self.config.chunk_capacity)
         chunk_size = max(1, min(chunk_size, num_candidates))
@@ -193,7 +174,7 @@ class SelectionKernel:
         k_per_chunk = max(1, -(-subset_size // num_chunks))
         return (
             self.forward_time(num_candidates, flops_per_sample)
-            + self.similarity_time(chunk_size, proxy_dim, num_chunks, quantized=quantized)
+            + self.similarity_time(chunk_size, proxy_dim, num_chunks)
             + self.greedy_time(chunk_size, k_per_chunk, num_chunks)
         )
 

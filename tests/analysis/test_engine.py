@@ -72,10 +72,10 @@ class TestFilters:
 
 
 class TestRegistry:
-    def test_all_eight_rules_registered(self):
+    def test_all_seven_rules_registered(self):
         assert rule_ids() == [
             "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
-            "NES008", "NES011",
+            "NES011",
         ]
 
     def test_every_checker_has_pragma_and_description(self):

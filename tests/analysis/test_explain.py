@@ -60,10 +60,10 @@ class TestRendering:
 
 class TestCli:
     def test_cli_explain_prints_rule(self, capsys):
-        assert main(["lint", "--explain", "NES008"]) == 0
+        assert main(["lint", "--explain", "NES007"]) == 0
         out = capsys.readouterr().out
-        assert "NES008" in out
-        assert "allow-upcast(reason)" in out
+        assert "NES007" in out
+        assert "allow-pool-lease(reason)" in out
 
     def test_cli_explain_unknown_rule_exits_2(self, capsys):
         assert main(["lint", "--explain", "NES999"]) == 2

@@ -602,165 +602,6 @@ class TestPoolLease:
         assert len(findings) == 1
 
 
-# -- NES008 qscore upcast guard -----------------------------------------------
-
-QS = "src/repro/selection/qscore.py"
-
-
-class TestQscoreUpcast:
-    def test_astype_float64_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            import numpy as np
-
-            def f(q):
-                return q.astype(np.float64)
-            """,
-            QS,
-            "NES008",
-        )
-        assert len(findings) == 1
-        assert "astype" in findings[0].message
-
-    def test_astype_string_and_bare_float_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            import numpy as np
-
-            def f(q):
-                a = q.astype("float64")
-                return a + q.astype(float)
-            """,
-            QS,
-            "NES008",
-        )
-        assert len(findings) == 2
-
-    def test_np_float64_call_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            import numpy as np
-
-            def f(scale):
-                return np.float64(scale)
-            """,
-            QS,
-            "NES008",
-        )
-        assert len(findings) == 1
-
-    def test_float64_dtype_kwarg_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            import numpy as np
-
-            def f(n):
-                return np.zeros(n, dtype=np.float64)
-            """,
-            QS,
-            "NES008",
-        )
-        assert len(findings) == 1
-
-    def test_float64_positional_dtype_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            import numpy as np
-
-            def f(n):
-                return np.zeros(n, np.float64)
-            """,
-            QS,
-            "NES008",
-        )
-        assert len(findings) == 1
-
-    def test_unguarded_sqrt_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            import numpy as np
-
-            def f(d2):
-                return np.sqrt(d2)
-            """,
-            QS,
-            "NES008",
-        )
-        assert len(findings) == 1
-        assert "sqrt" in findings[0].message
-
-    def test_guarded_sqrt_clean(self, run_rule):
-        findings, _ = run_rule(
-            """
-            import numpy as np
-
-            def f(d2, x):
-                a = np.sqrt(d2.astype(np.float32))
-                return a + np.sqrt(np.float32(x))
-            """,
-            QS,
-            "NES008",
-        )
-        assert findings == []
-
-    def test_similarity_from_distances_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            from repro.selection.facility import similarity_from_distances
-
-            def f(dist):
-                return similarity_from_distances(dist)
-            """,
-            QS,
-            "NES008",
-        )
-        assert len(findings) == 1
-        assert "fp64 reference" in findings[0].message
-
-    def test_float32_everything_clean(self, run_rule):
-        findings, _ = run_rule(
-            """
-            import numpy as np
-
-            def f(q, scale):
-                acc = np.zeros((4, 4), dtype=np.int32)
-                dist = np.sqrt(acc.astype(np.float32))
-                dist *= np.float32(scale)
-                return dist.astype(np.float32)
-            """,
-            QS,
-            "NES008",
-        )
-        assert findings == []
-
-    def test_out_of_scope_ignored(self, run_rule):
-        findings, _ = run_rule(
-            """
-            import numpy as np
-
-            def f(q):
-                return np.sqrt(q.astype(np.float64))
-            """,
-            SEL,
-            "NES008",
-        )
-        assert findings == []
-
-    def test_pragma_suppresses(self, run_rule):
-        findings, suppressed = run_rule(
-            """
-            import numpy as np
-
-            def f():
-                return np.zeros(0, np.float64)  # lint: allow-upcast(weights contract)
-            """,
-            QS,
-            "NES008",
-        )
-        assert findings == []
-        assert len(suppressed) == 1
-
-
 class TestMetricNames:
     PATH = "repro/anywhere/mod.py"
 
@@ -770,7 +611,7 @@ class TestMetricNames:
             from repro import obs
 
             def record(mode):
-                obs.metrics().counter("qscore." + mode).inc()
+                obs.metrics().counter("selection." + mode).inc()
                 obs.metrics().gauge(f"selection.{mode}").set(1.0)
             """,
             self.PATH,
@@ -815,7 +656,7 @@ class TestMetricNames:
             def record():
                 reg = obs.metrics()
                 reg.counter("selection.rounds").inc()
-                reg.gauge("qscore.dequant_error").set(0.5)
+                reg.counter("nn.loss.zero_weight_batches").inc()
             """,
             self.PATH,
             "NES011",

@@ -47,7 +47,7 @@ VIOLATIONS = {
             from repro import obs
 
             def record(mode):
-                obs.metrics().counter("qscore." + mode).inc()
+                obs.metrics().counter("selection." + mode).inc()
             """
         ),
     ),
@@ -82,9 +82,10 @@ class TestSelfLint:
         out = capsys.readouterr().out
         for rule in (
             "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
-            "NES008", "NES011",
+            "NES011",
         ):
             assert rule in out
+        assert "NES008" not in out
 
     def test_missing_path_exits_2(self, capsys):
         assert main(["lint", "no/such/path"]) == 2

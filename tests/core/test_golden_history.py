@@ -5,8 +5,7 @@ four hand-written epoch loops (``python tests/core/test_golden_history.py``
 rewrites it from whatever trainer is checked out).  Every deterministic
 ``EpochRecord`` field must match exactly — floats are compared through
 ``float.hex`` — for the full-data loop, the three live-model baselines
-and NeSSA under each schedule (every epoch, ``select_every=2``, int8
-scoring).
+and NeSSA under each schedule (every epoch, ``select_every=2``).
 """
 
 import json
@@ -20,7 +19,6 @@ from repro.data.synthetic import SyntheticConfig, make_train_test
 from repro.nn.resnet import resnet20
 from repro.selection.craig import CraigSelector
 from repro.selection.kcenters import KCentersSelector
-from repro.selection.qscore import reset_default_block_cache
 from repro.selection.random_sel import RandomSelector
 
 FIXTURE = Path(__file__).with_name("golden_history.json")
@@ -41,7 +39,6 @@ SELECTORS = {
 NESSA_CASES = {
     "nessa": {},
     "nessa-every2": {"select_every": 2},
-    "nessa-int8": {"select_every": 2, "quantized_scoring": "int8"},
 }
 
 CASES = ("full", *SELECTORS, *NESSA_CASES)
@@ -70,7 +67,6 @@ def run_case(name):
         )
         history = trainer.train(train_set, test_set)
     else:
-        reset_default_block_cache()
         config = NeSSAConfig(
             subset_fraction=0.4, biasing_window=2, biasing_drop_period=2, seed=3,
             **NESSA_CASES[name],

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.modules import (
     AvgPool2d,
@@ -335,6 +336,36 @@ class TestLoss:
         l2[2, 1] += eps
         loss1 = crit(l2, y, weights=w)
         assert grad[2, 1] == pytest.approx((loss1 - loss0) / eps, rel=1e-3)
+
+    def test_zero_weight_batch_is_zero_loss_zero_grad_and_counted(self):
+        # a batch of only zero-weight medoids once gave 0/0 = NaN
+        registry = obs.MetricsRegistry()
+        previous = obs.set_metrics(registry)
+        try:
+            crit = CrossEntropyLoss()
+            logits = np.random.default_rng(14).normal(size=(4, 3))
+            loss = crit(logits, np.array([0, 1, 2, 0]), weights=np.zeros(4))
+            grad = crit.backward()
+        finally:
+            obs.set_metrics(previous)
+        assert loss == 0.0
+        assert grad.shape == (4, 3) and not grad.any()
+        assert registry.snapshot()["counters"]["nn.loss.zero_weight_batches"] == 1
+
+    def test_zero_weight_batch_leaves_the_model_finite(self):
+        from repro.nn.optim import SGD
+
+        net = Linear(3, 2)
+        opt = SGD(net.parameters(), lr=0.1)
+        crit = CrossEntropyLoss()
+        x = np.random.default_rng(15).normal(size=(5, 3)).astype(np.float32)
+        for weights in (np.zeros(5), np.ones(5)):
+            opt.zero_grad()
+            crit(net(x), np.array([0, 1, 0, 1, 0]), weights=weights)
+            net.backward(crit.backward())
+            opt.step()
+        assert all(np.isfinite(p.data).all() for p in net.parameters())
+        assert np.isfinite(crit(net(x), np.zeros(5, dtype=np.int64)))
 
     def test_per_sample_losses_match_mean(self):
         rng = np.random.default_rng(12)

@@ -1,4 +1,4 @@
-"""Cross-run trace diff: alignment, carve-outs, verdicts, CLI gates."""
+"""Cross-run trace diff: alignment, verdicts, CLI gates."""
 
 import json
 import math
@@ -11,7 +11,7 @@ from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.trainer import NeSSATrainer
 from repro.data.synthetic import SyntheticConfig, make_train_test
 from repro.nn.resnet import resnet20
-from repro.obs.diff import DEFAULT_CARVEOUTS, CarveOut, diff_traces
+from repro.obs.diff import diff_traces
 
 
 def _span(span_id, name=None, dur_s=0.01, attrs=None, parent=None):
@@ -58,15 +58,6 @@ class TestAlignment:
         diff = diff_traces(b, a)
         assert diff.removed == ["epoch#0/mystery#0"]
         assert diff.verdict == "structural-drift"
-
-    def test_carveout_never_excuses_value_mismatch_on_matched_span(self):
-        # A round both sides ran byte-compares exactly; carve-outs only
-        # ever excuse one-sided metric presence.
-        a = _trace([_span("selection_round#0", attrs={"pairwise_bytes": 100})])
-        b = _trace([_span("selection_round#0", attrs={"pairwise_bytes": 200})])
-        diff = diff_traces(a, b)
-        assert diff.verdict == "regressed"
-        assert diff.attr_deltas[0]["attr"] == "pairwise_bytes"
 
     def test_run_label_and_schema_mismatch_are_noted(self):
         a = _trace([_span("epoch#0")], run="reference", schema=1)
@@ -146,15 +137,18 @@ class TestMetricsReconciliation:
         assert diff.verdict == "structural-drift"
         assert diff.metric_drift[0]["name"] == "weird.thing"
 
-    def test_one_sided_carved_metric_is_excused(self):
+    def test_one_sided_declared_metric_is_drift_both_ways(self):
+        # no metric is excused for being one-sided, declared or not
         a = _trace([], metrics={"counters": {}})
-        b = _trace([], metrics={"counters": {"qscore.block_hits": 2}})
-        diff = diff_traces(a, b)
-        assert diff.verdict == "ok"
-        assert diff.excused[0]["carveout"] == "qscore."
-        # presence on both sides: the value still compares exactly
-        c = _trace([], metrics={"counters": {"qscore.block_hits": 3}})
-        assert diff_traces(b, c).verdict == "regressed"
+        b = _trace([], metrics={"counters": {"nn.loss.zero_weight_batches": 2}})
+        for x, y, side in ((a, b, "only in B"), (b, a, "only in A")):
+            diff = diff_traces(x, y, tolerance=math.inf)
+            assert diff.verdict == "structural-drift"
+            assert diff.metric_drift == [
+                {"kind": "counter", "name": "nn.loss.zero_weight_batches",
+                 "side": side}
+            ]
+            assert "nn.loss.zero_weight_batches" in diff.render()
 
     def test_timer_count_is_structural_total_is_wall(self):
         a = _trace([], metrics={"timers": {
@@ -169,29 +163,15 @@ class TestMetricsReconciliation:
         assert diff_traces(a, recount, tolerance=math.inf).verdict == "regressed"
 
     def test_gauge_compares_with_symmetric_tolerance(self):
-        a = _trace([], metrics={"gauges": {"qscore.dequant_error": 0.80}})
-        near = _trace([], metrics={"gauges": {"qscore.dequant_error": 0.85}})
-        far = _trace([], metrics={"gauges": {"qscore.dequant_error": 0.10}})
+        a = _trace([], metrics={"gauges": {"phase.level": 0.80}})
+        near = _trace([], metrics={"gauges": {"phase.level": 0.85}})
+        far = _trace([], metrics={"gauges": {"phase.level": 0.10}})
         assert diff_traces(a, near, tolerance=0.25).verdict == "ok"
         assert diff_traces(a, far, tolerance=0.25).verdict == "regressed"
         assert diff_traces(far, a, tolerance=0.25).verdict == "regressed"
 
     def test_missing_snapshot_on_both_sides_is_ok(self):
         assert diff_traces(_trace([]), _trace([])).verdict == "ok"
-
-
-class TestCarveOutDeclarations:
-    def test_defaults_are_frozen_declarations_with_reasons(self):
-        for carve in DEFAULT_CARVEOUTS:
-            assert isinstance(carve, CarveOut)
-            assert carve.reason
-        assert [c.match for c in DEFAULT_CARVEOUTS] == ["qscore."]
-
-    def test_custom_carveout_list_replaces_defaults(self):
-        a = _trace([], metrics={"counters": {}})
-        b = _trace([], metrics={"counters": {"qscore.block_hits": 2}})
-        diff = diff_traces(a, b, carveouts=())
-        assert diff.verdict == "structural-drift"
 
 
 class TestRealRunEquivalence:
@@ -242,7 +222,7 @@ class TestRealRunEquivalence:
                            tolerance=math.inf)
         assert diff.verdict == "ok"
         assert diff.matched > 10
-        assert not (diff.added or diff.removed or diff.excused
+        assert not (diff.added or diff.removed
                     or diff.attr_deltas or diff.mem_deltas
                     or diff.metric_deltas or diff.metric_drift)
 

@@ -35,7 +35,7 @@ class TestMetricTable:
 class TestPrometheusRendering:
     SNAPSHOT = {
         "counters": {"selection.rounds": 3, "proxy_cache.misses": 4096},
-        "gauges": {"qscore.dequant_error": 0.875},
+        "gauges": {"phase.level": 0.875},
         "timers": {"phase.wait": {"count": 2, "total_s": 0.25, "mean_s": 0.125}},
     }
 
@@ -46,8 +46,9 @@ class TestPrometheusRendering:
             "repro_phase_wait_seconds"
 
     def test_format_shape(self, monkeypatch):
-        # No timer is declared in the shipped table; declare one here so
-        # the summary rendering is exercised.
+        # No gauge or timer is declared in the shipped table; declare one
+        # of each here so the gauge and summary renderings are exercised.
+        monkeypatch.setitem(METRIC_TABLE, "phase.level", ("gauge", "Test level"))
         monkeypatch.setitem(METRIC_TABLE, "phase.wait", ("timer", "Test wait"))
         out = render_prometheus(self.SNAPSHOT)
         lines = out.splitlines()
@@ -55,8 +56,8 @@ class TestPrometheusRendering:
         assert "# HELP repro_selection_rounds Selection rounds executed" in lines
         assert "# TYPE repro_selection_rounds counter" in lines
         assert "repro_selection_rounds 3" in lines
-        assert "# TYPE repro_qscore_dequant_error gauge" in lines
-        assert "repro_qscore_dequant_error 0.875" in lines
+        assert "# TYPE repro_phase_level gauge" in lines
+        assert "repro_phase_level 0.875" in lines
         # timers export as summaries: _count + _sum under _seconds
         assert "# TYPE repro_phase_wait_seconds summary" in lines
         assert "repro_phase_wait_seconds_count 2" in lines

@@ -149,32 +149,15 @@ class TestComputeProxiesWithCache:
 
 
 class TestScoringKeySeparation:
-    def test_int8_and_fp32_keys_never_collide(self, tiny_model):
-        cache = ProxyCache()
-        ids = np.arange(10)
-        assert cache.key(tiny_model, ids, "logits", scoring="fp32") != cache.key(
-            tiny_model, ids, "logits", scoring="int8"
-        )
-
-    def test_default_scoring_is_fp32(self, tiny_model):
-        cache = ProxyCache()
-        ids = np.arange(10)
-        assert cache.key(tiny_model, ids, "logits") == cache.key(
-            tiny_model, ids, "logits", scoring="fp32"
-        )
-
     def test_replica_bit_width_is_part_of_the_key(self, tiny_model):
         from repro.nn.quantize import QuantizedModel
 
         cache = ProxyCache()
         ids = np.arange(10)
         # Same dequantized weights could coincide across bit widths; the
-        # key must still differ because the scoring path reads the bits.
+        # key must still differ because the proxy pass reads the bits.
         eight = QuantizedModel(tiny_model, bits=8)
         four = QuantizedModel(tiny_model, bits=4)
         acts = QuantizedModel(tiny_model, bits=8, activation_bits=8)
-        keys = {
-            cache.key(m, ids, "logits", scoring="int8")
-            for m in (eight, four, acts)
-        }
+        keys = {cache.key(m, ids, "logits") for m in (eight, four, acts)}
         assert len(keys) == 3

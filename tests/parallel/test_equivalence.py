@@ -9,11 +9,6 @@ from repro.core.selector import NeSSASelector
 from repro.parallel.engine import SelectionExecutor, SelectionSpec
 from repro.parallel.scheduler import plan_selection_round, unit_rng
 from repro.selection.craig import craig_select_class
-from repro.selection.qscore import (
-    quantize_proxies,
-    reset_default_block_cache,
-    select_class_quantized,
-)
 
 
 def _planned_round(seed):
@@ -22,7 +17,7 @@ def _planned_round(seed):
     labels = gen.integers(0, 4, size=160)
     units = plan_selection_round(labels, 48, seed=seed, round_index=0,
                                  chunk_select=8)
-    return vectors, labels, units
+    return vectors, units
 
 
 def _run_units(vectors, units, spec, traced):
@@ -44,7 +39,7 @@ class TestEngineEquivalence:
     the unit's own keyed stream, assembled in ``WorkUnit.order``."""
 
     def test_run_units_equals_per_unit_craig(self, method, seed, traced):
-        vectors, _, units = _planned_round(seed)
+        vectors, units = _planned_round(seed)
         spec = SelectionSpec(method=method, epsilon=0.2)
         got, tracer = _run_units(vectors, units, spec, traced)
         assert [u.order for u in units] == list(range(len(units)))
@@ -69,26 +64,6 @@ class TestEngineEquivalence:
                  u.label, u.take, len(u.positions), out[2])
                 for u, out in zip(units, got)
             ]
-
-    def test_run_units_equals_per_unit_quantized(self, method, seed, traced):
-        vectors, labels, units = _planned_round(seed)
-        qset = quantize_proxies(vectors, labels)
-        spec = SelectionSpec(method=method, epsilon=0.2, scoring="int8",
-                             similarity_dtype_bytes=1, scales=qset.scales)
-        reset_default_block_cache()
-        got, _ = _run_units(qset.q, units, spec, traced)
-        reset_default_block_cache()
-        for unit, outcome in zip(units, got):
-            ref = select_class_quantized(
-                qset.q[unit.positions], qset.scales[unit.label], unit.take,
-                method=method, epsilon=0.2, rng=unit_rng(unit.seed_key),
-                similarity_dtype_bytes=1,
-            )
-            assert np.array_equal(outcome[0], ref[0])
-            assert np.array_equal(outcome[1], ref[1])
-            assert outcome[2] == ref[2]
-            assert outcome[3] == ref[3]
-        reset_default_block_cache()
 
 
 class TestSelectorEquivalence:

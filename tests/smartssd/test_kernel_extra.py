@@ -1,6 +1,5 @@
 """Additional kernel-model coverage: timing composition and scaling."""
 
-import numpy as np
 import pytest
 
 from repro.smartssd.kernel import KernelConfig, SelectionKernel
@@ -57,17 +56,7 @@ class TestKernelScaling:
 
 
 class TestSimilarityMacCalibration:
-    """The cycle model's MAC count equals what the host operator executes."""
-
-    def test_macs_match_qscore_operator(self):
-        from repro.selection.qscore import int8_similarity, quantize_class_rows
-
-        kernel = SelectionKernel()
-        rng = np.random.default_rng(4)
-        for chunk, d in ((32, 10), (128, 16), (257, 8)):
-            q, scale, _ = quantize_class_rows(rng.normal(size=(chunk, d)))
-            _, macs = int8_similarity(q, scale)
-            assert macs == kernel.similarity_macs(chunk, d)
+    """The cycle model's MAC count: chunk² · d per chunk, on-chip chunks only."""
 
     def test_macs_scale_linearly_with_chunks(self):
         kernel = SelectionKernel()
@@ -77,12 +66,3 @@ class TestSimilarityMacCalibration:
     def test_negative_work_rejected(self):
         with pytest.raises(ValueError):
             SelectionKernel().similarity_macs(-1, 10)
-
-    def test_quantized_lane_speedup_is_packing_times_pumping(self):
-        kernel = SelectionKernel()
-        fp = kernel.similarity_time(128, 10, num_chunks=4)
-        q = kernel.similarity_time(128, 10, num_chunks=4, quantized=True)
-        expected = kernel.config.int8_packing * kernel.config.dsp_clock_multiple
-        assert fp / q == pytest.approx(expected)
-        assert kernel.selection_time(4096, 1e6, 10, 512, 128, quantized=True) < \
-            kernel.selection_time(4096, 1e6, 10, 512, 128)
