@@ -7,9 +7,7 @@ Commands
 ``system``   price the per-epoch strategies for a dataset (Figure 4 view).
 ``kernel``   synthesize the selection kernel and print Table 4.
 ``scaling``  the multi-SmartSSD scaling curve (the paper's future work).
-``bench``    run the hot-path microbenchmarks; ``--check`` compares to the
-             committed BENCH_*.json baselines and exits non-zero on regression.
-``lint``     run the repro.analysis static invariant checks (eight
+``lint``     run the repro.analysis static invariant checks (seven
              per-file rules) against the source tree; exits non-zero on
              findings not covered by the committed baseline;
              ``--check-baseline`` instead verifies every baseline entry
@@ -26,7 +24,7 @@ Commands
              ``--tolerance`` the relative wall-time slack (``inf`` to
              ignore timing entirely — the exact byte/counter gate).
 
-``train``, ``system`` and ``bench`` accept ``--trace PATH``: a
+``train`` and ``system`` accept ``--trace PATH``: a
 :mod:`repro.obs` tracer + metrics registry is installed for the run and
 the JSONL trace (spans + final metrics snapshot) is written to PATH.
 ``--profile-mem`` (requires ``--trace``) additionally attributes memory
@@ -215,74 +213,6 @@ def _cmd_scaling(args) -> int:
         print(f"  {point.num_devices:>2d}  {point.epoch_time:8.2f}s "
               f"{point.speedup_vs_single:6.2f}x  {100 * point.efficiency:5.1f}%")
     return 0
-
-
-def _cmd_bench(args) -> int:
-    import os
-
-    from repro.perf import bench
-
-    if args.repeats < 1 or args.warmup < 0:
-        print("bench: --repeats must be >= 1 and --warmup must be >= 0")
-        return 2
-    if args.tolerance < 0:
-        print("bench: --tolerance must be >= 0")
-        return 2
-    if not _trace_flags_ok(args):
-        return 2
-    groups = list(bench.GROUPS) if args.group == "all" else [args.group]
-    if not args.check:
-        os.makedirs(args.out_dir, exist_ok=True)
-    regressed = []
-    missing = []
-    with _traced(args.trace, run=f"bench-{args.group}",
-                 profile_mem=args.profile_mem, metrics_out=args.metrics_out):
-        for group in groups:
-            results = bench.run_group(
-                group,
-                size=args.size,
-                repeats=args.repeats,
-                warmup=args.warmup,
-                with_seed=not args.no_seed,
-            )
-            for r in results:
-                speedup = (f"  {r.speedup_vs_seed:5.2f}x vs seed"
-                           if r.speedup_vs_seed else "")
-                print(f"  {r.name:32s} median={r.median_s * 1e3:9.3f}ms "
-                      f"p90={r.p90_s * 1e3:9.3f}ms{speedup}")
-
-            out_path = os.path.join(args.out_dir, f"BENCH_{group}.json")
-            if args.check:
-                baseline_path = os.path.join(args.baseline_dir or args.out_dir,
-                                             f"BENCH_{group}.json")
-                if not os.path.exists(baseline_path):
-                    # A missing baseline is a broken gate, not a pass: new
-                    # groups must commit one, or they dodge regression
-                    # checking silently.
-                    print(f"  MISSING BASELINE for group {group!r} at "
-                          f"{baseline_path} — run bench without --check and "
-                          "commit the result")
-                    missing.append(group)
-                    continue
-                for row in bench.compare(results, bench.load_results(baseline_path),
-                                         tolerance=args.tolerance):
-                    if row["regressed"]:
-                        regressed.append(row)
-                        print(f"  REGRESSION {row['name']}: "
-                              f"{row['current_median_s'] * 1e3:.3f}ms vs baseline "
-                              f"{row['baseline_median_s'] * 1e3:.3f}ms "
-                              f"({row['ratio']:.2f}x, "
-                              f"tolerance {1 + args.tolerance:.2f}x)")
-            else:
-                bench.write_results(out_path, results)
-                print(f"  wrote {out_path}")
-
-    if missing:
-        print(f"{len(missing)} group(s) missing a committed baseline: "
-              f"{', '.join(missing)}")
-    if regressed:
-        print(f"{len(regressed)} bench(es) regressed beyond tolerance")
-    return 1 if (regressed or missing) else 0
 
 
 def _cmd_lint(args) -> int:
@@ -488,31 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     scaling.add_argument("--dataset", choices=sorted(DATASETS), default="imagenet100")
     scaling.add_argument("--max-devices", type=int, default=8)
 
-    bench = sub.add_parser("bench", help="run hot-path microbenchmarks")
-    bench.add_argument("--group",
-                       choices=["selection", "nn", "parallel", "all"],
-                       default="all")
-    bench.add_argument("--size", choices=["tiny", "default"], default="default")
-    bench.add_argument("--repeats", type=int, default=5)
-    bench.add_argument("--warmup", type=int, default=1)
-    bench.add_argument("--no-seed", action="store_true",
-                       help="skip timing the seed reference implementations")
-    bench.add_argument("--out-dir", default=".",
-                       help="directory for BENCH_<group>.json results")
-    bench.add_argument("--check", action="store_true",
-                       help="compare against baselines instead of writing results")
-    bench.add_argument("--baseline-dir", default=None,
-                       help="baseline directory for --check (default: --out-dir)")
-    bench.add_argument("--tolerance", type=float, default=0.5,
-                       help="allowed fractional slowdown before a check fails")
-    bench.add_argument("--trace", default=None, metavar="PATH",
-                       help="record a repro.obs run-trace (JSONL) to PATH")
-    bench.add_argument("--profile-mem", action="store_true",
-                       help="attribute memory to trace spans (requires --trace)")
-    bench.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the final metrics snapshot in Prometheus "
-                            "text format to PATH")
-
     report = sub.add_parser("report", help="aggregate a recorded run-trace")
     report.add_argument("trace", metavar="TRACE",
                         help="JSONL trace written by a --trace run")
@@ -583,7 +488,6 @@ def main(argv=None) -> int:
         "system": _cmd_system,
         "kernel": _cmd_kernel,
         "scaling": _cmd_scaling,
-        "bench": _cmd_bench,
         "lint": _cmd_lint,
         "report": _cmd_report,
         "obsdiff": _cmd_obsdiff,

@@ -75,9 +75,8 @@ class NeSSAConfig:
     use_biasing : subset biasing (§3.2.2).
     biasing_window / biasing_drop_period / biasing_drop_quantile : the
         5-epoch loss window and 20-epoch conservative drop period.
-    use_partitioning : dataset partitioning (§3.2.3).
-    partition_chunk_select : samples selected per chunk (*m*; the paper
-        uses the mini-batch size, and the trainer defaults it to that).
+    use_partitioning : dataset partitioning (§3.2.3); the trainer selects
+        *m* = the mini-batch size per chunk, the paper's convention.
     similarity_precision : entry dtype of the similarity tiles the
         accounting charges against on-chip memory — ``"float32"`` (the
         FPGA kernel's fp32 tile), ``"float64"`` (host-side block-tiled
@@ -106,7 +105,6 @@ class NeSSAConfig:
     biasing_drop_quantile: float = 0.3
 
     use_partitioning: bool = True
-    partition_chunk_select: int | None = None
 
     similarity_precision: str = "float32"
     proxy_cache_entries: int = 4

@@ -51,7 +51,7 @@ class NeSSASelector:
 
     def __init__(self, config: NeSSAConfig, chunk_select: int | None = None):
         self.config = config
-        self.chunk_select = chunk_select or config.partition_chunk_select
+        self.chunk_select = chunk_select
         self.rng = np.random.default_rng(config.seed)
         self.loss_history = LossHistory(
             window=config.biasing_window,

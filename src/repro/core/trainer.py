@@ -236,8 +236,7 @@ class NeSSATrainer(_BaseTrainer):
     ):
         super().__init__(model, recipe, seed=config.seed)
         self.config = config
-        chunk_select = config.partition_chunk_select or recipe.batch_size
-        self.selector = NeSSASelector(config, chunk_select=chunk_select)
+        self.selector = NeSSASelector(config, chunk_select=recipe.batch_size)
         self.feedback = FeedbackLoop(
             model_factory, bits=config.feedback_bits, enabled=config.use_feedback
         )

@@ -9,10 +9,8 @@ and int8 weight quantization for the FPGA feedback loop.
 
 from repro.nn.functional import (
     avg_pool2d,
-    col2im,
     conv2d,
     conv2d_backward,
-    im2col,
     log_softmax,
     max_pool2d,
     max_pool2d_backward,
@@ -42,8 +40,6 @@ from repro.nn.inference import InferencePlan
 from repro.nn.serialize import load_history, load_model, save_history, save_model
 
 __all__ = [
-    "im2col",
-    "col2im",
     "conv2d",
     "conv2d_backward",
     "max_pool2d",

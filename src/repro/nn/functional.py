@@ -35,13 +35,11 @@ convolution is its own column matrix in both directions: no im2col, no
 scatter.  The column buffer is threaded from forward to backward through
 the cache that :class:`repro.nn.modules.Conv2d` holds per batch.
 
-**Row-major pair.**  The public :func:`im2col`/:func:`col2im` pair keeps
-the seed's row-major ``(N*OH*OW, C*K*K)`` layout and exact numerics, on
-a zero-copy ``as_strided`` window view; ``_im2col_loop`` /
-``_col2im_loop`` are the seed's slice loops, kept as test oracles and
-benchmark baselines.  The pooling kernels use the per-sample blocked
-layout ``(N, C*K*K, OH*OW)`` (:func:`im2col_blocked`), which reads the
-same window view for any input strides.
+**Pooling and the oracles.**  The pooling kernels use the per-sample
+blocked layout ``(N, C*K*K, OH*OW)`` (:func:`im2col_blocked`), one copy
+of a zero-copy ``as_strided`` window view for any input strides.
+``_im2col_loop`` / ``_col2im_loop`` are the seed's slice loops in the
+row-major ``(N*OH*OW, C*K*K)`` layout, kept as test oracles.
 """
 
 from __future__ import annotations
@@ -53,8 +51,6 @@ from repro import obs
 
 __all__ = [
     "channel_major",
-    "im2col",
-    "col2im",
     "im2col_blocked",
     "col2im_blocked",
     "conv2d_cols_shape",
@@ -114,41 +110,6 @@ def _window_view(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     )
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Unfold ``(N, C, H, W)`` into ``(N * OH * OW, C * kernel * kernel)``.
-
-    Each row is one receptive field, so a convolution becomes a single
-    matrix multiply against the flattened filter bank.  Built from a
-    strided window view and one contiguous copy; bit-identical to the
-    seed loop (``_im2col_loop``).
-    """
-    n, c, h, w = x.shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    view = _window_view(_pad2d(x, pad), kernel, stride)
-    cols = np.ascontiguousarray(view)
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
-
-
-def col2im(
-    cols: np.ndarray,
-    x_shape: tuple,
-    kernel: int,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """Fold the im2col matrix back to ``(N, C, H, W)``, summing overlaps.
-
-    This is the adjoint of :func:`im2col` and therefore exactly the gradient
-    routing a convolution's backward pass needs.
-    """
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    cols = cols.reshape(n, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    return _scatter_windows(cols, x_shape, kernel, stride, pad)
-
-
 def im2col_blocked(
     x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0
 ) -> tuple[np.ndarray, tuple[int, int]]:
@@ -175,9 +136,8 @@ def col2im_blocked(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col_blocked`: fold ``(N, C*K*K, OH*OW)`` back.
 
-    Unlike :func:`col2im`, the kernel-position slices here are contiguous
-    reads, which makes the scatter-add memory-bandwidth bound instead of
-    gather-bound.
+    The kernel-position slices here are contiguous reads, which makes the
+    scatter-add memory-bandwidth bound instead of gather-bound.
     """
     n, c, h, w = x_shape
     oh = _out_size(h, kernel, stride, pad)
@@ -209,7 +169,7 @@ def _scatter_windows(
 
 
 def _im2col_loop(x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Seed ``kernel^2``-slice im2col (reference for tests/benchmarks)."""
+    """Seed ``kernel^2``-slice im2col (test oracle)."""
     n, c, h, w = x.shape
     oh = _out_size(h, kernel, stride, pad)
     ow = _out_size(w, kernel, stride, pad)
@@ -232,7 +192,7 @@ def _col2im_loop(
     stride: int = 1,
     pad: int = 0,
 ) -> np.ndarray:
-    """Seed ``kernel^2``-slice col2im (reference for tests/benchmarks)."""
+    """Seed ``kernel^2``-slice col2im (test oracle)."""
     n, c, h, w = x_shape
     oh = _out_size(h, kernel, stride, pad)
     ow = _out_size(w, kernel, stride, pad)

@@ -7,7 +7,7 @@ counters and work-unit seed keys — never wall clock, thread ids or pids
 work as the identically-named span in run B.  This module exploits that
 to answer "did this change make round 3 slower, leak scratch memory, or
 move more bytes than the reference?" as a machine-checkable verdict
-instead of bench-file archaeology.
+instead of a by-eye comparison of two timing logs.
 
 **Alignment and classification.**  Spans pair by id; unpaired spans are
 ``added`` (only in B) or ``removed`` (only in A) and always count as

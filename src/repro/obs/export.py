@@ -1,8 +1,8 @@
 """Prometheus text-format snapshot export for the metrics registry.
 
-``repro.cli train ... --metrics-out prom.txt`` (also ``system`` and
-``bench``) writes the run's final :class:`~repro.obs.metrics.
-MetricsRegistry` snapshot in the Prometheus *text exposition format*
+``repro.cli train ... --metrics-out prom.txt`` (also ``system``) writes
+the run's final :class:`~repro.obs.metrics.MetricsRegistry` snapshot
+in the Prometheus *text exposition format*
 (version 0.0.4) — the format ``promtool check metrics``, node-exporter
 textfile collectors and Pushgateway ingest directly.
 

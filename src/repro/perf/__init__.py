@@ -6,23 +6,8 @@ device throughput envelopes with a small-model utilization penalty, and a
 host data-ingest model (storage read + decode + collate) — calibrated
 against the figures' published anchor points (Figure 2's 5.4%/40.4%
 data-movement shares, Figure 6's link throughputs).
-
-:mod:`repro.perf.bench` adds measured (not modeled) microbenchmarks of
-the repo's own hot-path kernels, with committed-baseline regression
-checking via ``repro.cli bench --check``.
 """
 
-from repro.perf.bench import (
-    BenchCase,
-    BenchResult,
-    compare,
-    load_results,
-    register_bench,
-    registered_benches,
-    run_bench,
-    run_group,
-    write_results,
-)
 from repro.perf.flops import (
     MODEL_ZOO,
     ZooModel,
@@ -57,13 +42,4 @@ __all__ = [
     "epoch_time_breakdown",
     "SuitabilityReport",
     "analyze_selection_workload",
-    "BenchCase",
-    "BenchResult",
-    "register_bench",
-    "registered_benches",
-    "run_bench",
-    "run_group",
-    "write_results",
-    "load_results",
-    "compare",
 ]

@@ -122,10 +122,10 @@ def lazy_greedy(
 
 
 def lazy_greedy_reference(similarity: np.ndarray, k: int) -> np.ndarray:
-    """The seed one-entry-at-a-time lazy greedy (equivalence oracle).
+    """The seed one-entry-at-a-time lazy greedy (test oracle).
 
     Kept verbatim so tests can prove :func:`lazy_greedy` returns the
-    identical selection order, and benchmarks can record before/after.
+    identical selection order.
     """
     n = _check(similarity, k, validate=True)
     if k >= n:

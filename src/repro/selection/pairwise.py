@@ -18,7 +18,7 @@ float64 and matches the broadcast formulation to ~1e-12 relative error
 (identical dot products, different rounding).
 
 ``naive_pairwise_distances`` keeps the seed broadcast implementation as
-the reference for equivalence tests and before/after benchmarks.
+the test oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = ["pairwise_distances", "naive_pairwise_distances"]
 
 
 def naive_pairwise_distances(vectors: np.ndarray) -> np.ndarray:
-    """The seed ``N x N x D`` broadcast formulation (reference only)."""
+    """The seed ``N x N x D`` broadcast formulation (test oracle)."""
     vectors = np.asarray(vectors, dtype=np.float64)
     diffs = vectors[:, None, :] - vectors[None, :, :]
     return np.sqrt((diffs**2).sum(axis=2))

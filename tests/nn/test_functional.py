@@ -8,30 +8,39 @@ from hypothesis import strategies as st
 from repro.nn import functional as F
 
 
+def _rows(cols, oh, ow):
+    """Blocked ``(N, C*K*K, OH*OW)`` columns in the oracle's row-major layout."""
+    n, ckk, _ = cols.shape
+    return cols.reshape(n, ckk, oh, ow).transpose(0, 2, 3, 1).reshape(-1, ckk)
+
+
 class TestIm2Col:
+    """The blocked unfold/fold pair the pooling kernels run on."""
+
     def test_roundtrip_shapes(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
-        cols = F.im2col(x, kernel=3, stride=1, pad=1)
-        assert cols.shape == (2 * 8 * 8, 3 * 9)
+        cols, (oh, ow) = F.im2col_blocked(x, kernel=3, stride=1, pad=1)
+        assert cols.shape == (2, 3 * 9, 8 * 8)
+        assert (oh, ow) == (8, 8)
 
     def test_stride_reduces_output(self):
         x = np.ones((1, 1, 8, 8), dtype=np.float32)
-        cols = F.im2col(x, kernel=2, stride=2)
-        assert cols.shape == (16, 4)
+        cols, _ = F.im2col_blocked(x, kernel=2, stride=2)
+        assert cols.shape == (1, 4, 16)
 
     def test_identity_kernel_one(self):
         x = np.random.default_rng(1).normal(size=(1, 2, 4, 4)).astype(np.float32)
-        cols = F.im2col(x, kernel=1)
-        assert np.allclose(cols.reshape(16, 2), x.transpose(0, 2, 3, 1).reshape(16, 2))
+        cols, _ = F.im2col_blocked(x, kernel=1)
+        np.testing.assert_array_equal(cols, x.reshape(1, 2, 16))
 
     def test_col2im_is_adjoint_of_im2col(self):
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float64)
-        cols = F.im2col(x, kernel=3, stride=1, pad=1)
+        cols, _ = F.im2col_blocked(x, kernel=3, stride=1, pad=1)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
-        rhs = float((x * F.col2im(y, x.shape, 3, 1, 1)).sum())
+        rhs = float((x * F.col2im_blocked(y, x.shape, 3, 1, 1)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     @given(
@@ -44,10 +53,10 @@ class TestIm2Col:
     def test_adjoint_property(self, kernel, stride, pad, h):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + pad + h)
         x = rng.normal(size=(1, 2, h, h))
-        cols = F.im2col(x, kernel, stride, pad)
+        cols, _ = F.im2col_blocked(x, kernel, stride, pad)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
-        rhs = float((x * F.col2im(y, x.shape, kernel, stride, pad)).sum())
+        rhs = float((x * F.col2im_blocked(y, x.shape, kernel, stride, pad)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -60,8 +69,9 @@ class TestStridedIm2ColEquivalence:
     def test_im2col_matches_loop(self, kernel, stride, pad):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + pad)
         x = rng.normal(size=(2, 3, 11, 11)).astype(np.float32)
+        cols, (oh, ow) = F.im2col_blocked(x, kernel, stride, pad)
         np.testing.assert_array_equal(
-            F.im2col(x, kernel, stride, pad), F._im2col_loop(x, kernel, stride, pad)
+            _rows(cols, oh, ow), F._im2col_loop(x, kernel, stride, pad)
         )
 
     @pytest.mark.parametrize("kernel", [1, 2, 3])
@@ -70,25 +80,25 @@ class TestStridedIm2ColEquivalence:
     def test_col2im_matches_loop(self, kernel, stride, pad):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + pad + 1)
         x_shape = (2, 3, 9, 9)
-        cols_shape = F._im2col_loop(np.zeros(x_shape), kernel, stride, pad).shape
-        cols = rng.normal(size=cols_shape)
+        rows_shape = F._im2col_loop(np.zeros(x_shape), kernel, stride, pad).shape
+        rows = rng.normal(size=rows_shape)
+        blocked = rows.reshape(2, -1, rows.shape[1]).transpose(0, 2, 1)
         np.testing.assert_array_equal(
-            F.col2im(cols, x_shape, kernel, stride, pad),
-            F._col2im_loop(cols, x_shape, kernel, stride, pad),
+            F.col2im_blocked(blocked, x_shape, kernel, stride, pad),
+            F._col2im_loop(rows, x_shape, kernel, stride, pad),
         )
 
     def test_rectangular_input(self):
         x = np.random.default_rng(8).normal(size=(1, 2, 6, 10)).astype(np.float32)
-        np.testing.assert_array_equal(F.im2col(x, 3, 2, 1), F._im2col_loop(x, 3, 2, 1))
+        cols, (oh, ow) = F.im2col_blocked(x, 3, 2, 1)
+        np.testing.assert_array_equal(_rows(cols, oh, ow), F._im2col_loop(x, 3, 2, 1))
 
     def test_blocked_layout_is_reshape_of_windows(self):
-        """Blocked cols carry the same values as the public layout."""
+        """Blocked cols carry the same values as the oracle's row-major layout."""
         x = np.random.default_rng(9).normal(size=(2, 3, 8, 8)).astype(np.float32)
         cols, (oh, ow) = F.im2col_blocked(x, 3, 1, 1)
         assert cols.shape == (2, 3 * 9, oh * ow)
-        public = F.im2col(x, 3, 1, 1)  # (n*oh*ow, c*k*k)
-        regather = cols.reshape(2, 3 * 9, oh, ow).transpose(0, 2, 3, 1).reshape(-1, 27)
-        np.testing.assert_array_equal(regather, public)
+        np.testing.assert_array_equal(_rows(cols, oh, ow), F._im2col_loop(x, 3, 1, 1))
 
     def test_col2im_blocked_is_adjoint(self):
         rng = np.random.default_rng(10)

@@ -25,10 +25,10 @@ class TestRectangularInputs:
     def test_im2col_col2im_rectangular_adjoint(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 2, 5, 9))
-        cols = F.im2col(x, kernel=3, stride=2, pad=1)
+        cols, _ = F.im2col_blocked(x, kernel=3, stride=2, pad=1)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
-        rhs = float((x * F.col2im(y, x.shape, 3, 2, 1)).sum())
+        rhs = float((x * F.col2im_blocked(y, x.shape, 3, 2, 1)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_resnet_accepts_rectangular(self):
