@@ -38,7 +38,7 @@ def test_ablation_lazy_greedy_cost(benchmark):
 def test_ablation_stochastic_greedy_cost(benchmark):
     s = make_similarity(N)
     rng = np.random.default_rng(1)
-    sel = benchmark(stochastic_greedy, s, K, 0.1, rng)
+    sel = benchmark(stochastic_greedy, s, K, 0.1, rng=rng)
     assert len(sel) == K
 
 

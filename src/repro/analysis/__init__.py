@@ -13,25 +13,18 @@ machine-checks them with a stdlib-``ast`` engine:
 - :mod:`repro.analysis.registry` — checker registry (one class per rule);
 - :mod:`repro.analysis.rules` — the seven rule implementations
   (NES001–NES003, NES005–NES007, NES011);
-- :mod:`repro.analysis.findings` — structured findings + fingerprints;
-- :mod:`repro.analysis.baseline` — grandfathered-finding baseline file;
-- :mod:`repro.analysis.explain` — ``--explain`` example pairs;
-- :mod:`repro.analysis.sarif` — SARIF 2.1.0 export for CI annotation.
+- :mod:`repro.analysis.findings` — structured findings;
+- :mod:`repro.analysis.explain` — ``--explain`` example pairs.
 
-Entry point: ``python -m repro.cli lint`` (see ``--help``); inline
+The gate is the tier-1 test ``tests/analysis/test_selflint.py``: the
+``src`` tree must lint clean.  Command line: ``python -m repro.analysis
+[paths...] [--select RULES] [--list-rules] [--explain RULE]``.  Inline
 suppression: ``# lint: allow-<pragma>(reason)`` with a mandatory reason.
 """
 
-from repro.analysis.baseline import (
-    load_baseline,
-    partition_findings,
-    unjustified_entries,
-    write_baseline,
-)
 from repro.analysis.engine import lint_source
 from repro.analysis.findings import Finding
 from repro.analysis.registry import all_checkers, rule_ids
-from repro.analysis.sarif import build_sarif
 from repro.analysis.scan import lint_paths
 
 __all__ = [
@@ -40,9 +33,4 @@ __all__ = [
     "rule_ids",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "write_baseline",
-    "unjustified_entries",
-    "partition_findings",
-    "build_sarif",
 ]

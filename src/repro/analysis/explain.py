@@ -1,4 +1,4 @@
-"""``repro.cli lint --explain NESxxx`` — one rule, explained.
+"""``python -m repro.analysis --explain NESxxx`` — one rule, explained.
 
 Each rule gets a minimal violating/clean example pair distilled from its
 test fixtures (``tests/analysis``), shown together with the rule's

@@ -6,11 +6,11 @@ registers every checker here.  Each checker declares:
 - ``rule`` — the id (``NES001``…), unique;
 - ``pragma`` — the ``# lint: allow-<pragma>(reason)`` name that
   suppresses it inline;
-- ``description`` — one line for ``lint --list-rules`` and the docs.
+- ``description`` — one line for ``--list-rules`` and the docs.
 
 ``check(ctx)`` yields :class:`~repro.analysis.findings.Finding`s for one
-parsed file; the engine handles pragma suppression, fingerprints,
-baselines and ordering.
+parsed file; the engine handles pragma suppression and the scan handles
+rule selection and ordering.
 """
 
 from __future__ import annotations

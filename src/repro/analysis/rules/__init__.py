@@ -11,7 +11,7 @@
 | NES011 | allow-dynamic-metric   | metric names are declared dotted literals (METRIC_TABLE) |
 
 (NES000 is the engine's parse-failure pseudo-rule; it has no pragma and
-cannot be baselined.  The gaps in the numbering are retired ids; they
+survives every ``--select``.  The gaps in the numbering are retired ids; they
 are not reused.)
 """
 

@@ -1,19 +1,38 @@
-"""Scan orchestration: the one path behind ``repro.cli lint``.
+"""Scan orchestration: the one path behind ``python -m repro.analysis``.
 
 :func:`lint_paths` walks the scan arguments, lints each file with the
 per-file rules, and returns the findings sorted by (path, line, col,
-rule) — the same tree always yields the same list.
+rule) — the same tree always yields the same list.  Each file is
+recorded under the path it was walked at, in posix form; rules scope on
+path fragments (``repro/selection/``), so any spelling of the scan
+argument works.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.analysis.engine import _iter_python_files, _record_path, lint_source
+from repro.analysis.engine import lint_source
 from repro.analysis.findings import Finding
 from repro.analysis.registry import all_checkers
 
 __all__ = ["lint_paths"]
+
+_SKIP_DIRS = {"__pycache__", "node_modules", "venv"}
+
+
+def _iter_python_files(scan_arg: str):
+    base = os.path.normpath(scan_arg)
+    if os.path.isfile(base):
+        yield base
+        return
+    for dirpath, dirnames, filenames in os.walk(base):
+        dirnames[:] = sorted(
+            d for d in dirnames if d not in _SKIP_DIRS and not d.startswith(".")
+        )
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                yield os.path.join(dirpath, filename)
 
 
 def _discover(paths: list) -> list:
@@ -22,33 +41,34 @@ def _discover(paths: list) -> list:
     seen: set = set()
     for scan_arg in paths:
         if not os.path.exists(scan_arg):
-            raise FileNotFoundError(f"lint path does not exist: {scan_arg}")
-        for file_path in _iter_python_files(scan_arg):
+            raise FileNotFoundError(f"path does not exist: {scan_arg}")
+        for file_path in _iter_python_files(str(scan_arg)):
             real = os.path.realpath(file_path)
             if real in seen:
                 continue
             seen.add(real)
-            files.append((file_path, _record_path(file_path, scan_arg)))
+            files.append((file_path, file_path.replace(os.sep, "/")))
     return files
 
 
-def _rule_enabled(rule: str, select, ignore) -> bool:
-    if rule == "NES000":
-        return True
-    if select is not None and rule not in select:
-        return False
-    if ignore is not None and rule in ignore:
-        return False
-    return True
-
-
-def lint_paths(paths: list, select=None, ignore=None) -> tuple:
+def lint_paths(paths: list, select=None) -> tuple:
     """Lint every python file under ``paths``; returns (findings, suppressed).
 
-    ``select``/``ignore`` filter by rule id (``select`` wins first,
-    then ``ignore`` subtracts; NES000 parse errors always survive).
+    ``select`` keeps only the given rule ids (case-insensitive; NES000
+    parse errors always survive).  An id no checker owns raises
+    :class:`ValueError` naming the valid ones, so a typo cannot
+    silently lint nothing.
     """
     checkers = all_checkers()
+    if select is not None:
+        select = {rule.strip().upper() for rule in select}
+        known = {c.rule for c in checkers}
+        unknown = sorted(select - known)
+        if unknown:
+            raise ValueError(
+                f"unknown rule id(s) {', '.join(unknown)}; "
+                f"valid: {', '.join(sorted(known))}"
+            )
     findings: list = []
     suppressed: list = []
     for file_path, recorded in _discover(paths):
@@ -60,7 +80,8 @@ def lint_paths(paths: list, select=None, ignore=None) -> tuple:
 
     def enabled_sorted(found: list) -> list:
         return sorted(
-            (f for f in found if _rule_enabled(f.rule, select, ignore)),
+            (f for f in found
+             if select is None or f.rule == "NES000" or f.rule in select),
             key=Finding.sort_key,
         )
 

@@ -7,12 +7,6 @@ Commands
 ``system``   price the per-epoch strategies for a dataset (Figure 4 view).
 ``kernel``   synthesize the selection kernel and print Table 4.
 ``scaling``  the multi-SmartSSD scaling curve (the paper's future work).
-``lint``     run the repro.analysis static invariant checks (seven
-             per-file rules) against the source tree; exits non-zero on
-             findings not covered by the committed baseline;
-             ``--check-baseline`` instead verifies every baseline entry
-             carries a justification;
-             ``--format sarif`` exports SARIF 2.1.0.
 ``report``   aggregate a ``--trace`` JSONL run-trace into the paper's
              headline table (time per phase, bytes over the link,
              selection overhead); ``--chrome`` converts it for Perfetto,
@@ -215,109 +209,6 @@ def _cmd_scaling(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    import json
-    import os
-
-    from repro.analysis import (
-        all_checkers,
-        lint_paths,
-        load_baseline,
-        partition_findings,
-        unjustified_entries,
-        write_baseline,
-    )
-
-    if args.list_rules:
-        for checker in all_checkers():
-            print(f"{checker.rule}  allow-{checker.pragma:18s} {checker.description}")
-        return 0
-
-    if args.explain:
-        from repro.analysis.explain import explain_rule
-
-        text = explain_rule(args.explain)
-        if text is None:
-            print(f"lint: unknown rule {args.explain!r} "
-                  "(try --list-rules)")
-            return 2
-        print(text, end="")
-        return 0
-
-    if args.check_baseline:
-        if not os.path.exists(args.baseline):
-            print(f"lint: no baseline at {args.baseline}; nothing to check")
-            return 0
-        try:
-            bad = unjustified_entries(args.baseline)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"lint: {exc}")
-            return 2
-        for entry in bad:
-            print(f"{entry['path']}:{entry.get('line', '?')}: {entry['rule']} "
-                  "baselined without justification")
-        if bad:
-            print(f"lint: {len(bad)} unjustified baseline entr"
-                  f"{'y' if len(bad) == 1 else 'ies'} in {args.baseline}")
-            return 1
-        print(f"lint: every {args.baseline} entry is justified")
-        return 0
-
-    select = set(args.select.split(",")) if args.select else None
-    ignore = set(args.ignore.split(",")) if args.ignore else None
-    try:
-        findings, suppressed = lint_paths(
-            args.paths, select=select, ignore=ignore
-        )
-    except FileNotFoundError as exc:
-        print(f"lint: {exc}")
-        return 2
-
-    matched = 0
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(
-            f"wrote {len(findings)} finding(s) to {args.baseline} — "
-            "edit each entry's justification before committing"
-        )
-        return 0
-    if not args.no_baseline and os.path.exists(args.baseline):
-        findings, matched = partition_findings(findings, load_baseline(args.baseline))
-
-    if args.format == "sarif":
-        from repro.analysis import build_sarif
-
-        payload = json.dumps(build_sarif(findings), indent=2)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as f:
-                f.write(payload + "\n")
-            print(f"lint: wrote SARIF log ({len(findings)} result(s)) to {args.output}")
-        else:
-            print(payload)
-    elif args.format == "json":
-        payload = json.dumps(
-            {
-                "findings": [f.to_dict() for f in findings],
-                "baseline_matched": matched,
-                "suppressed": len(suppressed),
-            },
-            indent=2,
-        )
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as f:
-                f.write(payload + "\n")
-        else:
-            print(payload)
-    else:
-        for f in findings:
-            print(f.render())
-        print(
-            f"lint: {len(findings)} new finding(s), {matched} baselined, "
-            f"{len(suppressed)} pragma-suppressed"
-        )
-    return 1 if findings else 0
-
-
 def _cmd_report(args) -> int:
     from repro import obs
 
@@ -452,31 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="lowest verdict that exits non-zero "
                               "(default: regressed)")
 
-    lint = sub.add_parser("lint", help="run the static invariant checks")
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files/directories to lint (default: src)")
-    lint.add_argument("--format", choices=["text", "json", "sarif"], default="text")
-    lint.add_argument("--output", default=None, metavar="PATH",
-                      help="write json/sarif output to PATH instead of stdout")
-    lint.add_argument("--baseline", default="LINT_BASELINE.json",
-                      help="baseline file of grandfathered findings")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="report every finding, ignoring the baseline")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="snapshot current findings into --baseline and exit 0")
-    lint.add_argument("--check-baseline", action="store_true",
-                      help="fail if any --baseline entry lacks a justification "
-                           "(CI gate; runs instead of linting)")
-    lint.add_argument("--select", default=None, metavar="RULES",
-                      help="comma-separated rule ids to run (e.g. NES001,NES003)")
-    lint.add_argument("--ignore", default=None, metavar="RULES",
-                      help="comma-separated rule ids to skip")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule table and exit")
-    lint.add_argument("--explain", default=None, metavar="RULE",
-                      help="print one rule's description, pragma and a "
-                           "minimal violating/clean example pair, then exit")
-
     return parser
 
 
@@ -488,7 +354,6 @@ def main(argv=None) -> int:
         "system": _cmd_system,
         "kernel": _cmd_kernel,
         "scaling": _cmd_scaling,
-        "lint": _cmd_lint,
         "report": _cmd_report,
         "obsdiff": _cmd_obsdiff,
     }

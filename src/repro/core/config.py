@@ -123,6 +123,8 @@ class NeSSAConfig:
             raise ValueError("select_every must be >= 1")
         if self.selection_method not in ("lazy", "stochastic"):
             raise ValueError("selection_method must be 'lazy' or 'stochastic'")
+        if not 0.0 < self.stochastic_epsilon < 1.0:
+            raise ValueError("stochastic_epsilon must be in (0, 1)")
         if not 2 <= self.feedback_bits <= 32:
             raise ValueError("feedback_bits must be in [2, 32]")
         if not 0.0 < self.min_subset_fraction <= self.subset_fraction:

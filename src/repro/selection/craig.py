@@ -80,7 +80,9 @@ def craig_select_class(
     if method == "lazy":
         sel = lazy_greedy(similarity, k, validate=False)
     elif method == "stochastic":
-        sel = stochastic_greedy(similarity, k, epsilon=epsilon, rng=rng, validate=False)
+        if rng is None:
+            raise ValueError("method 'stochastic' needs a seeded rng")
+        sel =stochastic_greedy(similarity, k, epsilon=epsilon, rng=rng, validate=False)
     else:
         raise ValueError(f"unknown method {method!r} (use 'lazy' or 'stochastic')")
     weights = medoid_weights(similarity, sel)

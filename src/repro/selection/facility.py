@@ -152,26 +152,22 @@ def stochastic_greedy(
     similarity: np.ndarray,
     k: int,
     epsilon: float = 0.1,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     validate: bool = True,
 ) -> np.ndarray:
     """Stochastic ("lazier than lazy") greedy facility-location maximization.
 
     Each of the k steps draws ``ceil(n/k * ln(1/epsilon))`` random unselected
-    candidates and takes the best marginal gain among them.
-
-    Callers that need reproducible selections must pass ``rng``; the
-    default is a freshly-seeded generator, so repeated calls without one
-    are deliberately *not* deterministic (every serious caller — the
-    selectors, the benchmarks — threads an explicit generator through).
+    candidates and takes the best marginal gain among them.  ``rng`` is
+    required: selection is seeded per (class x chunk) unit, so the same
+    generator state always yields the same medoids.
     """
     n = _check(similarity, k, validate)
-    if k >= n:
-        return np.arange(n, dtype=np.int64)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    if rng is None:
-        rng = np.random.default_rng()
+    if k >= n:
+        return np.arange(n, dtype=np.int64)
 
     sample_size = int(np.ceil(n / k * np.log(1.0 / epsilon)))
     sample_size = max(1, min(sample_size, n))

@@ -59,12 +59,16 @@ class TestParseFailures:
 
 
 class TestFilters:
-    def test_select_and_ignore(self, tmp_path):
+    def test_select(self, tmp_path):
         (tmp_path / "bad.py").write_text(BAD_EXCEPT)
         findings, _ = lint_paths([str(tmp_path)], select={"NES003"})
         assert [f.rule for f in findings] == ["NES003"]
-        findings, _ = lint_paths([str(tmp_path)], ignore={"NES003"})
+        findings, _ = lint_paths([str(tmp_path)], select={"NES001"})
         assert findings == []
+
+    def test_unknown_select_id_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="NES03"):
+            lint_paths([str(tmp_path)], select={"NES03"})
 
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
@@ -85,11 +89,16 @@ class TestRegistry:
 
 
 class TestPathRecording:
-    def test_paths_recorded_relative_to_scan_arg(self, tmp_path):
+    def test_paths_recorded_as_walked(self, tmp_path, monkeypatch):
         pkg = tmp_path / "proj" / "sub"
         pkg.mkdir(parents=True)
         (pkg / "bad.py").write_text(BAD_EXCEPT)
         findings, _ = lint_paths([str(tmp_path / "proj")])
+        assert [f.path for f in findings] == [(pkg / "bad.py").as_posix()]
+        monkeypatch.chdir(tmp_path)
+        findings, _ = lint_paths(["proj"])
+        assert [f.path for f in findings] == ["proj/sub/bad.py"]
+        findings, _ = lint_paths(["proj/sub/bad.py"])
         assert [f.path for f in findings] == ["proj/sub/bad.py"]
 
     def test_duplicate_scan_args_deduplicated(self, tmp_path):

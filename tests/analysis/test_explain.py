@@ -1,4 +1,4 @@
-"""``lint --explain`` examples are live: every pair must lint as shown.
+"""``--explain`` examples are live: every pair must lint as shown.
 
 Each rule's violating snippet must trigger exactly that rule and its
 clean twin must not, linted at the example's recorded path through the
@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import all_checkers, lint_paths
 from repro.analysis.explain import EXAMPLES, explain_rule
-from repro.cli import main
+from repro.analysis.__main__ import main
 
 
 def _lint_example(tmp_path, example, snippet):
@@ -60,11 +60,11 @@ class TestRendering:
 
 class TestCli:
     def test_cli_explain_prints_rule(self, capsys):
-        assert main(["lint", "--explain", "NES007"]) == 0
+        assert main(["--explain", "NES007"]) == 0
         out = capsys.readouterr().out
         assert "NES007" in out
         assert "allow-pool-lease(reason)" in out
 
     def test_cli_explain_unknown_rule_exits_2(self, capsys):
-        assert main(["lint", "--explain", "NES999"]) == 2
+        assert main(["--explain", "NES999"]) == 2
         assert "unknown rule" in capsys.readouterr().out

@@ -20,13 +20,10 @@ def test_same_tree_same_sorted_findings_and_pragmas_suppress(tmp_path):
     first, first_supp = lint_paths([str(tmp_path)])
     second, second_supp = lint_paths([str(tmp_path)])
 
-    assert [f.to_dict() for f in second] == [f.to_dict() for f in first]
-    assert [f.to_dict() for f in second_supp] == [
-        f.to_dict() for f in first_supp
-    ]
+    assert second == first
+    assert second_supp == first_supp
     assert first == sorted(first, key=Finding.sort_key)
     assert [f.rule for f in first] == ["NES003"] * 4
     # the pragma'd finding is suppressed, not dropped
     assert [f.rule for f in first_supp] == ["NES003"]
     assert first_supp[0].path.endswith("/justified.py")
-    assert all(f.fingerprint for f in first + first_supp)

@@ -1,4 +1,7 @@
-"""The repo must pass its own linter — and seeded violations must fail it."""
+"""The repo must pass its own linter — and seeded violations must fail it.
+
+This is the lint gate: tier-1 fails on any finding in ``src``.
+"""
 
 import ast
 import textwrap
@@ -6,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.analysis import lint_paths
+from repro.analysis.__main__ import main
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -40,6 +44,10 @@ VIOLATIONS = {
             """
         ),
     ),
+    "NES007": (
+        "repro/nn/bad.py",
+        "def f(pool):\n    lease = pool.lease((4, 4))\n    return lease.array.sum()\n",
+    ),
     "NES011": (
         "repro/anywhere/bad.py",
         textwrap.dedent(
@@ -55,30 +63,18 @@ VIOLATIONS = {
 
 
 class TestSelfLint:
-    def test_repo_tree_is_clean_under_committed_baseline(self, capsys):
-        code = main(
-            [
-                "lint",
-                str(ROOT / "src"),
-                "--baseline",
-                str(ROOT / "LINT_BASELINE.json"),
-            ]
+    def test_repo_tree_is_clean(self):
+        findings, _ = lint_paths([ROOT / "src"])
+        assert findings == [], "self-lint failed:\n" + "\n".join(
+            f.render() for f in findings
         )
-        out = capsys.readouterr().out
-        assert code == 0, f"self-lint failed:\n{out}"
-        assert "0 new finding(s)" in out
 
-    def test_repo_tree_without_baseline_reports_only_grandfathered(self, capsys):
-        code = main(["lint", str(ROOT / "src"), "--no-baseline"])
-        out = capsys.readouterr().out
-        assert code == 1
-        # The single grandfathered finding: facility.py's documented
-        # entropy-seeded API default.
-        assert out.count("NES001") == 1
-        assert "facility.py" in out
+    def test_cli_on_repo_tree_exits_0(self, capsys):
+        assert main([str(ROOT / "src")]) == 0
+        assert "lint: 0 finding(s)" in capsys.readouterr().out
 
     def test_list_rules_prints_table(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
+        assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in (
             "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
@@ -88,7 +84,7 @@ class TestSelfLint:
         assert "NES008" not in out
 
     def test_missing_path_exits_2(self, capsys):
-        assert main(["lint", "no/such/path"]) == 2
+        assert main(["no/such/path"]) == 2
 
     def test_source_starts_no_threads_or_processes(self):
         # Nothing in src/repro spawns a thread or a process; that is why
@@ -119,31 +115,43 @@ class TestSelfLint:
         assert offenders == []
 
 
+def _seed(tmp_path, rule):
+    relpath, source = VIOLATIONS[rule]
+    target = tmp_path / relpath
+    target.parent.mkdir(parents=True)
+    target.write_text(source)
+    return target
+
+
 class TestSeededViolations:
     @pytest.mark.parametrize("rule", sorted(VIOLATIONS))
     def test_each_rule_fails_lint(self, rule, tmp_path, capsys):
-        relpath, source = VIOLATIONS[rule]
-        target = tmp_path / relpath
-        target.parent.mkdir(parents=True)
-        target.write_text(source)
-        code = main(
-            ["lint", str(tmp_path), "--no-baseline", "--select", rule, "--format", "json"]
-        )
+        target = _seed(tmp_path, rule)
+        code = main([str(tmp_path), "--select", rule])
         out = capsys.readouterr().out
         assert code == 1
-        assert rule in out
+        assert f"{target.as_posix()}:" in out
+        assert f" {rule} " in out
 
-    def test_json_output_shape(self, tmp_path, capsys):
-        import json
-
-        relpath, source = VIOLATIONS["NES003"]
-        target = tmp_path / relpath
+    def test_violation_in_a_copied_selection_module_is_named(self, tmp_path):
+        # The self-lint failure message names file, line and rule.
+        target = tmp_path / "src/repro/selection/facility.py"
         target.parent.mkdir(parents=True)
-        target.write_text(source)
-        main(["lint", str(tmp_path), "--no-baseline", "--format", "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"findings", "baseline_matched", "suppressed"}
-        (finding,) = doc["findings"]
-        assert finding["rule"] == "NES003"
-        assert finding["line"] == 3
-        assert finding["fingerprint"]
+        source = (ROOT / "src/repro/selection/facility.py").read_text()
+        target.write_text(source + "x = np.random.rand(3)\n")
+        (finding,) = lint_paths([tmp_path / "src"])[0]
+        line = source.count("\n") + 1
+        assert finding.render().startswith(f"{target.as_posix()}:{line}:5: NES001 ")
+
+    @pytest.mark.parametrize("select", ["nes003", "NES001, nes003"])
+    def test_select_ids_are_case_insensitive(self, select, tmp_path, capsys):
+        _seed(tmp_path, "NES003")
+        assert main([str(tmp_path), "--select", select]) == 1
+        assert " NES003 " in capsys.readouterr().out
+
+    def test_unknown_select_id_exits_2_naming_valid_ids(self, tmp_path, capsys):
+        _seed(tmp_path, "NES003")
+        assert main([str(tmp_path), "--select", "NES03"]) == 2
+        out = capsys.readouterr().out
+        assert "NES03" in out
+        assert "valid: NES001, NES002, NES003" in out

@@ -68,6 +68,12 @@ class TestNeSSAConfig:
         with pytest.raises(ValueError):
             NeSSAConfig(subset_fraction=0.2, min_subset_fraction=0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 5.0, -0.1])
+    def test_rejects_stochastic_epsilon_outside_unit_interval(self, eps):
+        # at construction, not at the first stochastic selection round
+        with pytest.raises(ValueError, match="stochastic_epsilon"):
+            NeSSAConfig(stochastic_epsilon=eps)
+
 
 class TestSubsetSizeSchedule:
     def test_no_shrink_while_improving(self):

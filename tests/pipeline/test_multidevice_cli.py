@@ -66,8 +66,7 @@ class TestCLI:
         parser = build_parser()
         sub = next(a for a in parser._actions if a.dest == "command")
         assert set(sub.choices) == {
-            "info", "train", "system", "kernel", "scaling", "lint", "report",
-            "obsdiff",
+            "info", "train", "system", "kernel", "scaling", "report", "obsdiff",
         }
 
     def test_info_runs(self, capsys):

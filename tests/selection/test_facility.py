@@ -138,7 +138,7 @@ class TestValidateFlag:
     def test_stochastic_validate_false(self):
         s = np.array([[1.0, -0.1], [-0.1, 1.0]])
         with pytest.raises(ValueError):
-            stochastic_greedy(s, 1)
+            stochastic_greedy(s, 1, rng=np.random.default_rng(0))
         stochastic_greedy(s, 1, rng=np.random.default_rng(0), validate=False)
 
 
@@ -166,7 +166,10 @@ class TestStochasticGreedy:
         s = random_similarity(10)
         for eps in (0.0, 1.0, -1.0):
             with pytest.raises(ValueError):
-                stochastic_greedy(s, 2, epsilon=eps)
+                stochastic_greedy(s, 2, epsilon=eps, rng=np.random.default_rng(0))
+        # checked before the k >= n shortcut, not only when sampling
+        with pytest.raises(ValueError):
+            stochastic_greedy(np.eye(6), 99, epsilon=0.0, rng=np.random.default_rng(0))
 
     def test_k_geq_n_selects_everything(self):
         s = random_similarity(6)

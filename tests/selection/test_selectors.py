@@ -70,6 +70,10 @@ class TestCraigSelectClass:
         assert len(sel) == 8
         assert w.sum() == pytest.approx(40)
 
+    def test_stochastic_without_rng_raises(self):
+        with pytest.raises(ValueError, match="seeded rng"):
+            craig_select_class(np.eye(5), 2, method="stochastic")
+
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError):
             craig_select_class(np.zeros((5, 2)), 2, method="magic")
