@@ -1,13 +1,13 @@
 """NES011 — metric names are declared dotted-namespace string literals.
 
-The Prometheus exporter derives its ``# HELP`` / ``# TYPE`` lines from
-:data:`repro.obs.export.METRIC_TABLE`, which breaks silently if a call
-site invents a name at runtime (``f"selection.{mode}_hits"``) or
-records one the table never declared.  This check requires the first
-argument of every ``*.counter(...)`` / ``*.gauge(...)`` /
-``*.timer(...)`` call to be a dotted-namespace string *literal* present
-in the table, so the exported series set is knowable without running
-the code.
+``repro.cli report`` prints a trace's metrics by name and ``obsdiff``
+aligns two snapshots by name, so a call site that invents a name at
+runtime (``f"selection.{mode}_hits"``) or records one
+:data:`repro.obs.metrics.METRIC_TABLE` never declared makes a series
+that no reader can anticipate.  This check requires the first argument
+of every ``*.counter(...)`` / ``*.gauge(...)`` call to be a
+dotted-namespace string *literal* present in the table, so the set of
+metric names is knowable without running the code.
 
 Dynamic names that are genuinely needed (a test fixture sweeping
 synthetic series, say) take the escape hatch::
@@ -21,14 +21,14 @@ import ast
 
 from repro.analysis.registry import Checker, register
 
-_METRIC_METHODS = ("counter", "gauge", "timer")
+_METRIC_METHODS = ("counter", "gauge")
 
 
 def _metric_table() -> dict:
     # Imported lazily: the analysis package must stay importable (and
     # its per-file workers cheap) without pulling the obs subsystem in
     # until a file actually records metrics.
-    from repro.obs.export import METRIC_TABLE
+    from repro.obs.metrics import METRIC_TABLE
 
     return METRIC_TABLE
 
@@ -39,7 +39,7 @@ class MetricNameChecker(Checker):
     pragma = "dynamic-metric"
     description = (
         "metric names are dotted string literals declared in "
-        "repro.obs.export.METRIC_TABLE"
+        "repro.obs.metrics.METRIC_TABLE"
     )
 
     def check(self, ctx):
@@ -58,10 +58,10 @@ class MetricNameChecker(Checker):
                     ctx,
                     node,
                     f".{func.attr}(...) metric name is not a string literal: "
-                    "runtime-built names never reach METRIC_TABLE, so the "
-                    "exporter emits them untyped",
+                    "runtime-built names never reach METRIC_TABLE, so no "
+                    "reader of the trace can anticipate them",
                     hint="pass a dotted literal declared in "
-                    "repro.obs.export.METRIC_TABLE",
+                    "repro.obs.metrics.METRIC_TABLE",
                 )
                 continue
             name = arg.value
@@ -72,7 +72,7 @@ class MetricNameChecker(Checker):
                     f"metric name {name!r} is not dotted-namespace "
                     "(subsystem.metric)",
                     hint="name it <subsystem>.<metric> and declare it in "
-                    "repro.obs.export.METRIC_TABLE",
+                    "repro.obs.metrics.METRIC_TABLE",
                 )
                 continue
             if table is None:
@@ -82,7 +82,6 @@ class MetricNameChecker(Checker):
                     ctx,
                     node,
                     f"metric name {name!r} is not declared in "
-                    "repro.obs.export.METRIC_TABLE",
-                    hint="add a (type, help) entry to METRIC_TABLE so the "
-                    "Prometheus exporter can type it",
+                    "repro.obs.metrics.METRIC_TABLE",
+                    hint="add a (type, help) entry to METRIC_TABLE",
                 )

@@ -11,7 +11,7 @@ Commands
              headline table (time per phase, bytes over the link,
              selection overhead); ``--chrome`` converts it for Perfetto,
              ``--flame`` writes a collapsed-stack flamegraph
-             (``--flame-weight wall|bytes|allocs``).
+             (``--flame-weight wall|bytes``).
 ``obsdiff``  align two JSONL run-traces by deterministic span id and
              report an ``ok`` / ``regressed`` / ``structural-drift``
              verdict; ``--fail-on`` picks the exit-nonzero threshold,
@@ -21,9 +21,6 @@ Commands
 ``train`` and ``system`` accept ``--trace PATH``: a
 :mod:`repro.obs` tracer + metrics registry is installed for the run and
 the JSONL trace (spans + final metrics snapshot) is written to PATH.
-``--profile-mem`` (requires ``--trace``) additionally attributes memory
-to spans (schema-2 ``mem_*`` attrs); ``--metrics-out PATH`` writes the
-final metrics snapshot in Prometheus text format.
 """
 
 from __future__ import annotations
@@ -39,44 +36,25 @@ __all__ = ["main"]
 
 
 @contextlib.contextmanager
-def _traced(path: str | None, run: str, profile_mem: bool = False,
-            metrics_out: str | None = None):
-    """Install tracer + metrics for the body, then write the outputs.
-
-    A tracer is installed only when ``path`` is given; a metrics registry
-    when either ``path`` or ``metrics_out`` is (``--metrics-out`` without
-    ``--trace`` still snapshots the run's counters).
-    """
-    if not path and not metrics_out:
+def _traced(path: str | None, run: str):
+    """Under ``--trace PATH``, install tracer + metrics for the body and
+    write the JSONL trace to PATH afterwards; otherwise do nothing."""
+    if not path:
         yield
         return
     from repro import obs
 
-    tracer = obs.Tracer(run=run, profile_mem=profile_mem) if path else None
+    tracer = obs.Tracer(run=run)
     registry = obs.MetricsRegistry()
-    prev_tracer = obs.set_tracer(tracer) if tracer else None
+    prev_tracer = obs.set_tracer(tracer)
     prev_metrics = obs.set_metrics(registry)
     try:
         yield
     finally:
         obs.set_metrics(prev_metrics)
-        if tracer is not None:
-            obs.set_tracer(prev_tracer)
-            if tracer.profiler is not None:
-                tracer.profiler.stop()
-            obs.write_jsonl(path, tracer, registry)
-            print(f"trace written to {path}")
-        if metrics_out:
-            obs.write_prometheus(metrics_out, registry.snapshot())
-            print(f"metrics snapshot written to {metrics_out}")
-
-
-def _trace_flags_ok(args) -> bool:
-    if args.profile_mem and not args.trace:
-        print("--profile-mem requires --trace (memory attribution lands "
-              "on trace spans)")
-        return False
-    return True
+        obs.set_tracer(prev_tracer)
+        obs.write_jsonl(path, tracer, registry)
+        print(f"trace written to {path}")
 
 
 def _cmd_info(args) -> int:
@@ -96,9 +74,6 @@ def _cmd_train(args) -> int:
     from repro.core.config import NeSSAConfig, TrainRecipe
     from repro.pipeline.experiment import make_data, run_method
 
-    if not _trace_flags_ok(args):
-        return 2
-
     train_set, test_set = make_data(args.dataset, scale=args.scale, seed=args.data_seed)
     recipe = replace(
         TrainRecipe().scaled(args.epochs),
@@ -113,8 +88,7 @@ def _cmd_train(args) -> int:
             biasing_drop_period=max(3, args.epochs // 3),
             seed=args.seed,
         )
-    with _traced(args.trace, run=f"train-{args.method}-{args.dataset}",
-                 profile_mem=args.profile_mem, metrics_out=args.metrics_out):
+    with _traced(args.trace, run=f"train-{args.method}-{args.dataset}"):
         result = run_method(
             args.dataset,
             args.method,
@@ -144,11 +118,8 @@ def _cmd_system(args) -> int:
     from repro import obs
     from repro.pipeline.system import SystemModel, average_speedups, data_movement_summary
 
-    if not _trace_flags_ok(args):
-        return 2
     model = SystemModel(args.dataset, host_overlap=args.overlap)
-    with _traced(args.trace, run=f"system-{args.dataset}",
-                 profile_mem=args.profile_mem, metrics_out=args.metrics_out):
+    with _traced(args.trace, run=f"system-{args.dataset}"):
         pricers = {
             "full": model.full_epoch,
             "craig": model.craig_epoch,
@@ -282,12 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--save-history", default=None, metavar="PATH")
     train.add_argument("--trace", default=None, metavar="PATH",
                        help="record a repro.obs run-trace (JSONL) to PATH")
-    train.add_argument("--profile-mem", action="store_true",
-                       help="attribute memory to trace spans (tracemalloc + "
-                            "scratch-pool credits; requires --trace)")
-    train.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the final metrics snapshot in Prometheus "
-                            "text format to PATH")
 
     system = sub.add_parser("system", help="price the per-epoch strategies")
     system.add_argument("--dataset", choices=sorted(DATASETS), default="cifar10")
@@ -297,11 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "on-device)")
     system.add_argument("--trace", default=None, metavar="PATH",
                         help="record a repro.obs run-trace (JSONL) to PATH")
-    system.add_argument("--profile-mem", action="store_true",
-                        help="attribute memory to trace spans (requires --trace)")
-    system.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write the final metrics snapshot in Prometheus "
-                             "text format to PATH")
 
     sub.add_parser("kernel", help="synthesize the selection kernel (Table 4)")
 
@@ -318,11 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--flame", default=None, metavar="PATH",
                         help="also write a collapsed-stack flamegraph "
                              "(flamegraph.pl / speedscope folded format)")
-    report.add_argument("--flame-weight", choices=["wall", "bytes", "allocs"],
+    report.add_argument("--flame-weight", choices=["wall", "bytes"],
                         default="wall",
-                        help="flame weight: self wall-time (default), "
-                             "data-movement bytes, or --profile-mem net "
-                             "allocations")
+                        help="flame weight: self wall-time (default) or "
+                             "data-movement bytes")
 
     obsdiff = sub.add_parser(
         "obsdiff", help="diff two recorded run-traces (regression gate)")
@@ -331,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     obsdiff.add_argument("trace_b", metavar="TRACE_B",
                          help="candidate JSONL trace")
     obsdiff.add_argument("--tolerance", type=float, default=0.25,
-                         help="allowed relative wall-time slowdown per span/"
-                              "timer (default 0.25; 'inf' ignores timing)")
+                         help="allowed relative wall-time slowdown per span "
+                              "(default 0.25; 'inf' ignores timing)")
     obsdiff.add_argument("--min-dur", type=float, default=0.005,
                          help="ignore wall-time deltas when both sides are "
                               "below this many seconds (default 0.005)")

@@ -33,8 +33,6 @@ import threading
 
 import numpy as np
 
-from repro.obs.profile import credit_bytes
-
 __all__ = ["BufferLease", "BufferPool", "scratch_pool", "set_scratch_pool"]
 
 
@@ -113,11 +111,9 @@ class BufferPool:
             self.outstanding += 1
         if array is None:
             array = np.empty(key[0], dtype=np.dtype(dtype))
-        credit_bytes("mem_pool_lease_bytes", array.nbytes)
         return BufferLease(array, self, key)
 
     def _return(self, key, array: np.ndarray) -> None:
-        credit_bytes("mem_pool_release_bytes", array.nbytes)
         with self._lock:
             self.outstanding -= 1
             stack = self._free.setdefault(key, [])

@@ -6,23 +6,19 @@ One import point for the observability subsystem:
   deterministic tree-path ids (``epoch#0/selection_round#0/unit@…``);
   the module-level :func:`span` helper is a zero-overhead no-op until
   :func:`set_tracer` installs a :class:`Tracer`.
-- :mod:`repro.obs.metrics` — process-wide counters / gauges / timers
-  behind :func:`metrics`, null-object no-ops until :func:`set_metrics`
-  installs a :class:`MetricsRegistry`.
+- :mod:`repro.obs.metrics` — process-wide counters / gauges behind
+  :func:`metrics`, null-object no-ops until :func:`set_metrics` installs
+  a :class:`MetricsRegistry`; :data:`METRIC_TABLE` declares every
+  metric name (NES011's source of truth).
 - :mod:`repro.obs.sinks` — JSONL run-trace files (schema 2; schema-1
-  traces read through a migration shim), Chrome ``trace_event`` export
-  (``chrome://tracing`` / Perfetto), text summary.
+  traces still read), Chrome ``trace_event`` export
+  (``chrome://tracing`` / Perfetto), collapsed-stack flamegraphs
+  (``repro.cli report --flame``), text summary.
 - :mod:`repro.obs.report` — aggregate a trace into the paper's
   headline table (``repro.cli report``).
 - :mod:`repro.obs.diff` — align two traces by deterministic span id
   and emit an ``ok`` / ``regressed`` / ``structural-drift`` verdict
   (``repro.cli obsdiff``).
-- :mod:`repro.obs.profile` — opt-in per-span memory attribution
-  (tracemalloc + explicit scratch-pool credits) and collapsed-stack
-  flamegraph export (``repro.cli report --flame``).
-- :mod:`repro.obs.export` — the declared metric table (NES011's
-  source of truth) and Prometheus text-format snapshot export
-  (``--metrics-out``).
 
 Instrumented call sites only ever pay for what is installed: with no
 tracer and no registry, ``obs.span(...)`` returns a shared no-op
@@ -36,32 +32,23 @@ from repro.obs.diff import (
     diff_trace_files,
     diff_traces,
 )
-from repro.obs.export import (
-    METRIC_TABLE,
-    render_prometheus,
-    write_prometheus,
-)
 from repro.obs.metrics import (
+    METRIC_TABLE,
     Counter,
     Gauge,
     MetricsRegistry,
     NullRegistry,
-    Timer,
     metrics,
     set_metrics,
-)
-from repro.obs.profile import (
-    SpanMemoryProfiler,
-    credit_bytes,
-    to_folded_stacks,
-    write_folded,
 )
 from repro.obs.report import aggregate_trace, render_report
 from repro.obs.sinks import (
     read_trace,
     render_summary,
     to_chrome_trace,
+    to_folded_stacks,
     write_chrome_trace,
+    write_folded,
     write_jsonl,
 )
 from repro.obs.tracer import (
@@ -80,17 +67,10 @@ __all__ = [
     "diff_trace_files",
     "diff_traces",
     "METRIC_TABLE",
-    "render_prometheus",
-    "write_prometheus",
-    "SpanMemoryProfiler",
-    "credit_bytes",
-    "to_folded_stacks",
-    "write_folded",
     "Counter",
     "Gauge",
     "MetricsRegistry",
     "NullRegistry",
-    "Timer",
     "metrics",
     "set_metrics",
     "aggregate_trace",
@@ -98,7 +78,9 @@ __all__ = [
     "read_trace",
     "render_summary",
     "to_chrome_trace",
+    "to_folded_stacks",
     "write_chrome_trace",
+    "write_folded",
     "write_jsonl",
     "Span",
     "SpanRecord",

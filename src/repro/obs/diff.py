@@ -5,8 +5,8 @@ counters and work-unit seed keys — never wall clock, thread ids or pids
 — so two traces of the same config align *structurally*: span
 ``epoch#3/selection_round#0/unit@1-0-2-1`` in run A is the same logical
 work as the identically-named span in run B.  This module exploits that
-to answer "did this change make round 3 slower, leak scratch memory, or
-move more bytes than the reference?" as a machine-checkable verdict
+to answer "did this change make round 3 slower, or move more bytes
+than the reference?" as a machine-checkable verdict
 instead of a by-eye comparison of two timing logs.
 
 **Alignment and classification.**  Spans pair by id; unpaired spans are
@@ -14,12 +14,8 @@ instead of a by-eye comparison of two timing logs.
 structural drift.  Value mismatches on a span present in both traces
 are classified by attribute below.
 
-**Attribute comparison.**  Three classes, by key convention:
+**Attribute comparison.**  Two classes, by key convention:
 
-- ``mem_*`` (schema-2 profiling attrs) — compared with the relative
-  tolerance, flagged only on *growth* (B above A); absence on either
-  side is excused, which is how a ``--profile-mem`` trace diffs cleanly
-  against a schema-1 or profiling-off trace.
 - ``*_s`` wall times (including ``dur_s``) — compared with the
   relative tolerance, flagged only on slowdown, and skipped entirely
   when both sides sit under ``min_dur_s`` (sub-millisecond spans jitter
@@ -28,18 +24,16 @@ are classified by attribute below.
   **exactly**; any delta (or one-sided presence) is a regression.
 
 **Metrics reconciliation.**  The final snapshot line diffs the same
-way: counters exactly, gauges and timer totals with tolerance (timer
-*counts* exactly — the number of observations is structural).  A metric
-name present on one side only is always structural drift: two runs of
-one configuration record the same metric names, so there is nothing to
-excuse.
+way: counters exactly, gauges with tolerance.  A metric name present on
+one side only is always structural drift: two runs of one configuration
+record the same metric names, so there is nothing to excuse.
 
 **Verdict.**  ``structural-drift`` (any shape difference) >
 ``regressed`` (any value delta) > ``ok``.  ``repro.cli obsdiff A B
 --fail-on <verdict>`` exits non-zero at or above the named severity —
-CI diffs a fresh trace against the committed reference with
-``--tolerance inf`` (wall times float, bytes and counters must match
-exactly).
+``tests/obs/test_reference_trace.py`` diffs a fresh trace against the
+committed reference with ``--tolerance inf`` (wall times float, bytes
+and counters must match exactly).
 """
 
 from __future__ import annotations
@@ -60,7 +54,7 @@ __all__ = [
 VERDICTS = ("ok", "regressed", "structural-drift")
 
 
-_EMPTY_SNAPSHOT = {"counters": {}, "gauges": {}, "timers": {}}
+_EMPTY_SNAPSHOT = {"counters": {}, "gauges": {}}
 
 
 def _exceeds(a: float, b: float, tolerance: float) -> bool:
@@ -86,7 +80,6 @@ class TraceDiff:
     removed: list = field(default_factory=list)
     attr_deltas: list = field(default_factory=list)
     time_deltas: list = field(default_factory=list)
-    mem_deltas: list = field(default_factory=list)
     metric_deltas: list = field(default_factory=list)
     metric_drift: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -105,7 +98,6 @@ class TraceDiff:
             "removed": self.removed,
             "attr_deltas": self.attr_deltas,
             "time_deltas": self.time_deltas,
-            "mem_deltas": self.mem_deltas,
             "metric_deltas": self.metric_deltas,
             "metric_drift": self.metric_drift,
             "notes": self.notes,
@@ -143,12 +135,6 @@ class TraceDiff:
                     f"  {d['id']} {d['attr']}: {d['a']:.4f}s -> "
                     f"{d['b']:.4f}s{ratio}"
                 )
-        if self.mem_deltas:
-            lines.append(f"memory growth (> +{tol}):")
-            for d in self.mem_deltas:
-                lines.append(
-                    f"  {d['id']} {d['attr']}: {d['a']:,d} -> {d['b']:,d} bytes"
-                )
         if self.metric_deltas:
             lines.append("metric deltas:")
             for d in self.metric_deltas:
@@ -168,18 +154,6 @@ def _compare_span_attrs(span_id, attrs_a, attrs_b, diff: TraceDiff) -> None:
     for key in sorted(set(attrs_a) | set(attrs_b)):
         in_a, in_b = key in attrs_a, key in attrs_b
         va, vb = attrs_a.get(key), attrs_b.get(key)
-        if key.startswith("mem_"):
-            if not (in_a and in_b):
-                continue  # profiling-off / schema-1 side: excused by design
-            try:
-                fa, fb = float(va), float(vb)
-            except (TypeError, ValueError):
-                continue
-            if _exceeds(fa, fb, diff.tolerance):
-                diff.mem_deltas.append(
-                    {"id": span_id, "attr": key, "a": int(fa), "b": int(fb)}
-                )
-            continue
         if key.endswith("_s") and isinstance(va, (int, float)) \
                 and isinstance(vb, (int, float)) and in_a and in_b:
             if max(va, vb) < diff.min_dur_s:
@@ -201,7 +175,7 @@ def _compare_span_attrs(span_id, attrs_a, attrs_b, diff: TraceDiff) -> None:
 def _compare_metrics(ma, mb, diff: TraceDiff) -> None:
     ma = ma or _EMPTY_SNAPSHOT
     mb = mb or _EMPTY_SNAPSHOT
-    for kind in ("counters", "gauges", "timers"):
+    for kind in ("counters", "gauges"):
         section_a = ma.get(kind) or {}
         section_b = mb.get(kind) or {}
         for name in sorted(set(section_a) | set(section_b)):
@@ -218,23 +192,11 @@ def _compare_metrics(ma, mb, diff: TraceDiff) -> None:
                     diff.metric_deltas.append(
                         {"kind": "counter", "name": name, "a": va, "b": vb}
                     )
-            elif kind == "gauges":
+            else:
                 lo, hi = min(va, vb), max(va, vb)
                 if _exceeds(lo, hi, diff.tolerance):
                     diff.metric_deltas.append(
                         {"kind": "gauge", "name": name, "a": va, "b": vb}
-                    )
-            else:  # timers: observation count is structural, totals are wall
-                if va.get("count") != vb.get("count"):
-                    diff.metric_deltas.append(
-                        {"kind": "timer", "name": f"{name}.count",
-                         "a": va.get("count"), "b": vb.get("count")}
-                    )
-                ta, tb = va.get("total_s", 0.0), vb.get("total_s", 0.0)
-                if max(ta, tb) >= diff.min_dur_s and _exceeds(ta, tb, diff.tolerance):
-                    diff.time_deltas.append(
-                        {"id": f"metrics/{name}", "attr": "total_s",
-                         "a": float(ta), "b": float(tb), "ratio": _ratio(ta, tb)}
                     )
 
 
@@ -257,10 +219,7 @@ def diff_traces(
     schema_a = a["meta"].get("schema")
     schema_b = b["meta"].get("schema")
     if schema_a != schema_b:
-        diff.notes.append(
-            f"schemas differ: {schema_a} vs {schema_b} "
-            "(memory attrs compared only where present on both sides)"
-        )
+        diff.notes.append(f"schemas differ: {schema_a} vs {schema_b}")
 
     spans_a: dict[str, dict] = {}
     spans_b: dict[str, dict] = {}
@@ -299,8 +258,7 @@ def diff_traces(
 
     if diff.added or diff.removed or diff.metric_drift:
         diff.verdict = "structural-drift"
-    elif (diff.attr_deltas or diff.time_deltas or diff.mem_deltas
-          or diff.metric_deltas):
+    elif diff.attr_deltas or diff.time_deltas or diff.metric_deltas:
         diff.verdict = "regressed"
     else:
         diff.verdict = "ok"

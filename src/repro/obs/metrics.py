@@ -1,11 +1,11 @@
-"""Process-wide metrics registry: counters, gauges, histogram timers.
+"""Process-wide metrics registry: counters and gauges.
 
 Instrumented code reaches the registry through :func:`metrics`; by
 default that returns the shared :class:`NullRegistry`, whose
-``counter()`` / ``gauge()`` / ``timer()`` hand back do-nothing
-singletons — disabled-mode cost is one global read plus one no-op call,
-with no allocation and no dict lookups.  ``repro.cli``'s ``--trace``
-flags install a real :class:`MetricsRegistry` for the run and dump its
+``counter()`` / ``gauge()`` hand back do-nothing singletons —
+disabled-mode cost is one global read plus one no-op call, with no
+allocation and no dict lookups.  ``repro.cli``'s ``--trace`` flag
+installs a real :class:`MetricsRegistry` for the run and dumps its
 snapshot into the trace file's final JSONL line.
 
 Names are dotted (``proxy_cache.hits``, ``selection.rounds``);
@@ -15,6 +15,14 @@ real instrument's read-modify-write goes through its own lock, so an
 update is atomic from any thread that holds the registry.  The
 null-registry fast path stays lock-free: disabled mode is still one
 global read plus one no-op call.
+
+**The metric table.**  :data:`METRIC_TABLE` is the single declaration
+point for every metric name the codebase records: ``name -> (type,
+help)``.  The NES011 lint rule statically enforces that every
+``metrics().counter/gauge(...)`` call site passes a dotted-namespace
+string *literal* declared here, so the set of names a trace can carry
+— the keys ``report`` prints and ``obsdiff`` aligns on — is knowable
+without running the code.
 """
 
 from __future__ import annotations
@@ -22,15 +30,48 @@ from __future__ import annotations
 import threading
 
 __all__ = [
+    "METRIC_TABLE",
     "Counter",
     "Gauge",
-    "Timer",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
     "metrics",
     "set_metrics",
 ]
+
+# The single source of truth for metric identity: every name recorded
+# through this registry appears here (NES011-enforced).
+METRIC_TABLE: dict[str, tuple[str, str]] = {
+    "nn.inference.module_fallbacks": (
+        "counter",
+        "Eval-mode passes (proxy or accuracy) that ran model(x) instead of the fused InferencePlan",
+    ),
+    "nn.layout.repacks": (
+        "counter",
+        "Arrays copied into the batch-innermost (C, H, W, N) memory format by F.channel_major",
+    ),
+    "nn.loss.zero_weight_batches": (
+        "counter",
+        "Weighted loss batches whose weights sum to 0 (loss 0, zero gradient)",
+    ),
+    "proxy_cache.hits": (
+        "counter",
+        "Gradient-proxy cache hits",
+    ),
+    "proxy_cache.misses": (
+        "counter",
+        "Gradient-proxy cache misses",
+    ),
+    "selection.rounds": (
+        "counter",
+        "Selection rounds executed",
+    ),
+    "selection.units_executed": (
+        "counter",
+        "(class x chunk) work units executed across selection rounds",
+    ),
+}
 
 
 class Counter:
@@ -65,49 +106,12 @@ class Gauge:
             self.value = float(value)
 
 
-class Timer:
-    """Streaming histogram of durations (count / total / min / max)."""
-
-    __slots__ = ("name", "count", "total_s", "min_s", "max_s", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total_s = 0.0
-        self.min_s = float("inf")
-        self.max_s = 0.0
-        self._lock = threading.Lock()
-
-    def observe(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("durations must be >= 0")
-        with self._lock:
-            self.count += 1
-            self.total_s += seconds
-            self.min_s = min(self.min_s, seconds)
-            self.max_s = max(self.max_s, seconds)
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total_s": self.total_s,
-            "mean_s": self.mean_s,
-            "min_s": self.min_s if self.count else 0.0,
-            "max_s": self.max_s,
-        }
-
-
 class MetricsRegistry:
     """Named instruments, created on first use."""
 
     def __init__(self):
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, Timer] = {}
         self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
@@ -124,27 +128,18 @@ class MetricsRegistry:
                 instrument = self._gauges.setdefault(name, Gauge(name))
         return instrument
 
-    def timer(self, name: str) -> Timer:
-        instrument = self._timers.get(name)
-        if instrument is None:
-            with self._lock:
-                instrument = self._timers.setdefault(name, Timer(name))
-        return instrument
-
     def snapshot(self) -> dict:
         """JSON-able dump of every instrument's current state."""
         with self._lock:
             return {
                 "counters": {n: c.value for n, c in sorted(self._counters.items())},
                 "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-                "timers": {n: t.to_dict() for n, t in sorted(self._timers.items())},
             }
 
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
 
 
 class _NullCounter:
@@ -161,16 +156,8 @@ class _NullGauge:
         pass
 
 
-class _NullTimer:
-    __slots__ = ()
-
-    def observe(self, seconds: float) -> None:
-        pass
-
-
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
-_NULL_TIMER = _NullTimer()
 
 
 class NullRegistry:
@@ -182,11 +169,8 @@ class NullRegistry:
     def gauge(self, name: str) -> _NullGauge:
         return _NULL_GAUGE
 
-    def timer(self, name: str) -> _NullTimer:
-        return _NULL_TIMER
-
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "timers": {}}
+        return {"counters": {}, "gauges": {}}
 
     def reset(self) -> None:
         pass

@@ -48,20 +48,12 @@ def aggregate_trace(spans: list[dict]) -> dict:
           "link_bytes":         sum of every span's link_bytes,
           "pairwise_bytes":     sum of every span's pairwise_bytes,
           "data_moved_bytes":   link_bytes + pairwise_bytes,
-          "memory":             {name: {"net_bytes", "peak_bytes"}} for
-                                phases carrying schema-2 `mem_*` attrs
-                                (net summed, peak maxed; empty without
-                                `--profile-mem`),
         }
-
-    ``mem_*`` attrs are profiling detail, not data movement: they feed
-    the ``memory`` roll-up and stay out of the per-phase byte sums.
 
     Phases are ordered by first appearance in the trace, which follows
     completion order and therefore diffs cleanly between runs.
     """
     phases: dict[str, dict] = {}
-    memory: dict[str, dict] = {}
     totals = {attr: 0 for attr in _DATA_MOVED_ATTRS}
     for span in spans:
         phase = phases.get(span["name"])
@@ -80,15 +72,6 @@ def aggregate_trace(spans: list[dict]) -> dict:
                 value = int(value)
             except (TypeError, ValueError):
                 continue
-            if key.startswith("mem_"):
-                mem = memory.setdefault(
-                    span["name"], {"net_bytes": 0, "peak_bytes": 0}
-                )
-                if key == "mem_net_bytes":
-                    mem["net_bytes"] += value
-                elif key == "mem_peak_bytes":
-                    mem["peak_bytes"] = max(mem["peak_bytes"], value)
-                continue
             phase["bytes"][key] = phase["bytes"].get(key, 0) + value
             if key in totals:
                 totals[key] += value
@@ -106,7 +89,6 @@ def aggregate_trace(spans: list[dict]) -> dict:
         "link_bytes": totals["link_bytes"],
         "pairwise_bytes": totals["pairwise_bytes"],
         "data_moved_bytes": sum(totals.values()),
-        "memory": memory,
     }
 
 
@@ -141,16 +123,6 @@ def render_report(trace: dict) -> str:
             "of epoch time"
         )
 
-    if agg["memory"]:
-        lines.append("")
-        lines.append(f"{'memory (--profile-mem)':22s} {'net alloc':>14s} "
-                     f"{'peak':>14s}")
-        for name, mem in agg["memory"].items():
-            lines.append(
-                f"  {name:20s} {mem['net_bytes']:>14,d} "
-                f"{mem['peak_bytes']:>14,d}"
-            )
-
     metrics = trace.get("metrics")
     if metrics and metrics.get("counters"):
         lines.append("")
@@ -162,14 +134,4 @@ def render_report(trace: dict) -> str:
         lines.append("gauges:")
         for name, value in metrics["gauges"].items():
             lines.append(f"  {name:30s} {value:>14.4f}")
-    if metrics and metrics.get("timers"):
-        lines.append("")
-        lines.append(f"timers:{'':25s} {'count':>7s} {'total_s':>10s} "
-                     f"{'mean_s':>10s}")
-        for name, timer in metrics["timers"].items():
-            lines.append(
-                f"  {name:30s} {timer.get('count', 0):>6d} "
-                f"{timer.get('total_s', 0.0):>10.4f} "
-                f"{timer.get('mean_s', 0.0):>10.5f}"
-            )
     return "\n".join(lines)

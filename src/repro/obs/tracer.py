@@ -48,9 +48,6 @@ class SpanRecord:
 
     ``start_s`` is seconds since the tracer's construction (its epoch),
     so records serialize small and Chrome-trace timestamps are direct.
-    ``worker`` is the pid of the process that executed the span when a
-    forwarder names one, else ``None`` — informational only; it never
-    contributes to the id.
     """
 
     id: str
@@ -59,7 +56,6 @@ class SpanRecord:
     start_s: float
     dur_s: float
     attrs: dict = field(default_factory=dict)
-    worker: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -70,7 +66,6 @@ class SpanRecord:
             "start_s": self.start_s,
             "dur_s": self.dur_s,
             "attrs": self.attrs,
-            "worker": self.worker,
         }
 
 
@@ -137,25 +132,13 @@ class Tracer:
     meta : extra JSON-able metadata for the trace header.
     """
 
-    def __init__(
-        self,
-        run: str = "run",
-        meta: dict | None = None,
-        profile_mem: bool = False,
-    ):
+    def __init__(self, run: str = "run", meta: dict | None = None):
         self.run = run
         self.meta = dict(meta or {})
         self.records: list[SpanRecord] = []
         self.t0 = time.perf_counter()
         self._stack: list[Span] = []
         self._seq: dict[tuple[str | None, str], int] = {}
-        self.profiler = None
-        if profile_mem:
-            # Imported on demand: a profiler-less tracer never touches
-            # tracemalloc, keeping the no-op overhead contract intact.
-            from repro.obs.profile import SpanMemoryProfiler
-
-            self.profiler = SpanMemoryProfiler()
 
     # -- id derivation -------------------------------------------------------
 
@@ -192,18 +175,11 @@ class Tracer:
         return Span(self, record)
 
     def _enter(self, sp: Span) -> None:
-        if self.profiler is not None:
-            # Close the parent's attribution interval before the child
-            # starts accumulating (innermost-open-span attribution).
-            self.profiler.boundary(self._stack[-1] if self._stack else None)
         self._stack.append(sp)
         sp.record.start_s = time.perf_counter() - self.t0
 
     def _exit(self, sp: Span) -> None:
         sp.record.dur_s = time.perf_counter() - self.t0 - sp.record.start_s
-        if self.profiler is not None:
-            self.profiler.boundary(sp)
-            self.profiler.finalize(sp)
         # Tolerate exception-driven unwinding: pop through to this span.
         while self._stack:
             top = self._stack.pop()
@@ -217,7 +193,6 @@ class Tracer:
         key=None,
         start: float | None = None,
         dur_s: float = 0.0,
-        worker: int | None = None,
         parent_id: str | None = None,
         **attrs,
     ) -> SpanRecord:
@@ -239,7 +214,6 @@ class Tracer:
             start_s=start - self.t0,
             dur_s=dur_s,
             attrs=dict(attrs),
-            worker=worker,
         )
         self.records.append(record)
         return record

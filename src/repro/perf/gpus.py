@@ -24,7 +24,7 @@ class GPUSpec:
     name: str
     fp32_tflops: float
     tensor_tflops: float  # mixed-precision tensor-core peak (0 if none)
-    mem_bandwidth_gbps: float
+    memory_bandwidth_gbps: float
     power_watts: float
     max_utilization: float = 0.35  # sustained fraction of peak in training
     small_model_flops: float = 30e6  # forward FLOPs where utilization halves
@@ -55,16 +55,16 @@ class GPUSpec:
 def v100() -> GPUSpec:
     """NVIDIA V100 (the paper's Figure 2 profiling device)."""
     return GPUSpec("v100", fp32_tflops=14.0, tensor_tflops=112.0,
-                   mem_bandwidth_gbps=900.0, power_watts=300.0)
+                   memory_bandwidth_gbps=900.0, power_watts=300.0)
 
 
 def a100() -> GPUSpec:
     """NVIDIA A100 (Figure 1's device; 250 W per the paper's Section 2.2)."""
     return GPUSpec("a100", fp32_tflops=19.5, tensor_tflops=312.0,
-                   mem_bandwidth_gbps=1555.0, power_watts=250.0)
+                   memory_bandwidth_gbps=1555.0, power_watts=250.0)
 
 
 def k1200() -> GPUSpec:
     """NVIDIA K1200 (the 45 W low-power comparison point in Section 2.2)."""
     return GPUSpec("k1200", fp32_tflops=1.1, tensor_tflops=0.0,
-                   mem_bandwidth_gbps=80.0, power_watts=45.0)
+                   memory_bandwidth_gbps=80.0, power_watts=45.0)

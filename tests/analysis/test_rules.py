@@ -640,7 +640,7 @@ class TestMetricNames:
             from repro import obs
 
             def record():
-                obs.metrics().timer("rogue.series").observe(0.1)
+                obs.metrics().gauge("rogue.series").set(0.1)
             """,
             self.PATH,
             "NES011",

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -37,37 +39,6 @@ class TestSystemTrace:
         assert obs.get_tracer() is None
         assert not obs.enabled()
 
-
-class TestProfileAndExportFlags:
-    def test_profile_mem_requires_trace(self, capsys):
-        assert main(["system", "--profile-mem"]) == 2
-        assert "--profile-mem requires --trace" in capsys.readouterr().out
-
-    def test_profiled_system_trace_carries_mem_attrs(self, tmp_path, capsys):
-        from repro import obs
-
-        trace_path = tmp_path / "system.jsonl"
-        assert main(["system", "--trace", str(trace_path),
-                     "--profile-mem"]) == 0
-        capsys.readouterr()
-        trace = obs.read_trace(trace_path)
-        assert trace["meta"]["profile_mem"] is True
-        assert all("mem_net_bytes" in s["attrs"] for s in trace["spans"])
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
-
-    def test_metrics_out_writes_prometheus_text(self, tmp_path, capsys):
-        prom_path = tmp_path / "metrics.prom"
-        assert main(["system", "--metrics-out", str(prom_path)]) == 0
-        assert "metrics snapshot written" in capsys.readouterr().out
-        text = prom_path.read_text()
-        # the system command prices strategies without touching the
-        # instrumented training counters, so the snapshot may be empty;
-        # what matters is the file exists and any content is well-formed
-        for line in text.splitlines():
-            assert line.startswith(("# HELP", "# TYPE", "repro_"))
-
     def test_report_flame_writes_folded_stacks(self, tmp_path, capsys):
         trace_path = tmp_path / "system.jsonl"
         flame_path = tmp_path / "system.folded"
@@ -98,3 +69,29 @@ class TestReportErrors:
         empty.write_text('{"kind": "meta", "schema": 1, "run": "idle"}\n')
         assert main(["report", str(empty)]) == 0
         assert "no spans" in capsys.readouterr().out
+
+
+_META = '{"kind": "meta", "schema": 2, "run": "x"}'
+_GOOD_SPAN = ('{"kind": "span", "id": "epoch#0", "name": "epoch", '
+              '"parent": null, "start_s": 0.0, "dur_s": 1.0, "attrs": {}}')
+
+
+class TestMalformedTraces:
+    """An unreadable trace exits 2 with a message, never a traceback
+    (for obsdiff, exit 1 would read as a regression)."""
+
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        _GOOD_SPAN.replace('"dur_s": 1.0, ', ""),
+        _GOOD_SPAN.replace('"id": "epoch#0", ', ""),
+    ], ids=["non-object-line", "span-without-dur_s", "span-without-id"])
+    @pytest.mark.parametrize("command", ["report", "obsdiff"])
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, command, line):
+        good = tmp_path / "good.jsonl"
+        good.write_text(f"{_META}\n{_GOOD_SPAN}\n")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f"{_META}\n{line}\n")
+        argv = [command, str(bad)] if command == "report" else \
+            [command, str(good), str(bad)]
+        assert main(argv) == 2
+        assert f"{command}: line 2:" in capsys.readouterr().out

@@ -1,9 +1,10 @@
-"""Metrics registry: instruments, snapshots, and the null no-op mode."""
+"""Metrics registry: instruments, snapshots, the null no-op mode, and the
+declared metric table."""
 
 import pytest
 
 from repro import obs
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import METRIC_TABLE, NULL_REGISTRY
 
 
 class TestInstruments:
@@ -17,7 +18,7 @@ class TestInstruments:
 
     def test_same_name_returns_same_instrument(self, registry):
         assert registry.counter("a") is registry.counter("a")
-        assert registry.timer("t") is registry.timer("t")
+        assert registry.gauge("g") is registry.gauge("g")
 
     def test_gauge_last_write_wins(self, registry):
         g = registry.gauge("subset.fraction")
@@ -25,29 +26,13 @@ class TestInstruments:
         g.set(0.21)
         assert g.value == 0.21
 
-    def test_timer_statistics(self, registry):
-        t = registry.timer("round")
-        for s in (0.1, 0.3, 0.2):
-            t.observe(s)
-        d = t.to_dict()
-        assert d["count"] == 3
-        assert d["total_s"] == pytest.approx(0.6)
-        assert d["mean_s"] == pytest.approx(0.2)
-        assert d["min_s"] == pytest.approx(0.1)
-        assert d["max_s"] == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            t.observe(-0.1)
-
     def test_snapshot_is_sorted_and_jsonable(self, registry):
         registry.counter("b").inc(2)
         registry.counter("a").inc(1)
         registry.gauge("g").set(1.5)
-        registry.timer("t").observe(0.1)
         snap = registry.snapshot()
         assert list(snap["counters"]) == ["a", "b"]
-        assert snap["counters"] == {"a": 1, "b": 2}
-        assert snap["gauges"] == {"g": 1.5}
-        assert snap["timers"]["t"]["count"] == 1
+        assert snap == {"counters": {"a": 1, "b": 2}, "gauges": {"g": 1.5}}
 
     def test_reset_clears_everything(self, registry):
         registry.counter("a").inc()
@@ -64,8 +49,7 @@ class TestNullMode:
         assert null.counter("x") is null.counter("y")
         null.counter("x").inc(10)
         null.gauge("g").set(3.0)
-        null.timer("t").observe(1.0)
-        assert null.snapshot() == {"counters": {}, "gauges": {}, "timers": {}}
+        assert null.snapshot() == {"counters": {}, "gauges": {}}
 
     def test_set_metrics_installs_and_restores(self):
         real = obs.MetricsRegistry()
@@ -75,3 +59,26 @@ class TestNullMode:
         assert real.counter("hit").value == 1
         assert obs.set_metrics(None) is real
         assert obs.metrics() is NULL_REGISTRY
+
+
+class TestMetricTable:
+    def test_every_entry_is_dotted_with_type_and_help(self):
+        for name, (kind, help_text) in METRIC_TABLE.items():
+            assert "." in name, name
+            assert kind in ("counter", "gauge"), name
+            assert help_text and "\n" not in help_text, name
+
+    def test_every_recorded_metric_name_is_declared(self):
+        # The NES011 lint rule enforces this statically over src/; this
+        # is the dynamic cross-check on one real instrumented component.
+        registry = obs.MetricsRegistry()
+        obs.set_metrics(registry)
+        try:
+            from repro.parallel.cache import ProxyCache
+
+            assert ProxyCache().get("no-such-key") is None
+        finally:
+            obs.set_metrics(None)
+        snap = registry.snapshot()
+        for name in snap["counters"]:
+            assert name in METRIC_TABLE

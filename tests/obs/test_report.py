@@ -19,7 +19,6 @@ def _span(name, dur_s=0.0, attrs=None):
         "start_s": 0.0,
         "dur_s": dur_s,
         "attrs": attrs or {},
-        "worker": None,
     }
 
 
@@ -74,37 +73,6 @@ class TestDerivedPipelineLines:
         out = self._render({"counters": {"selection.rounds": 2}})
         # the snapshot ends the report as the raw dump, nothing derived
         assert out.split("\n\n")[-1].split() == ["counters:", "selection.rounds", "2"]
-
-    def test_memory_section_only_with_mem_attrs(self):
-        spans = [_span("epoch", dur_s=1.0,
-                       attrs={"mem_net_bytes": 1000, "mem_peak_bytes": 5000,
-                              "link_bytes": 64})]
-        out = render_report({"meta": {"run": "t"}, "spans": spans,
-                             "metrics": None})
-        assert "memory (--profile-mem)" in out
-        assert "5,000" in out
-        out = render_report({
-            "meta": {"run": "t"},
-            "spans": [_span("epoch", dur_s=1.0, attrs={"link_bytes": 64})],
-            "metrics": None,
-        })
-        assert "memory" not in out
-
-    def test_mem_attrs_stay_out_of_byte_columns(self):
-        spans = [_span("epoch", attrs={"link_bytes": 10,
-                                       "mem_net_bytes": 10_000_000})]
-        agg = aggregate_trace(spans)
-        assert agg["phases"]["epoch"]["bytes"] == {"link_bytes": 10}
-        assert agg["data_moved_bytes"] == 10
-        assert agg["memory"]["epoch"]["net_bytes"] == 10_000_000
-
-    def test_memory_peak_maxes_and_net_sums(self):
-        spans = [
-            _span("epoch", attrs={"mem_net_bytes": 100, "mem_peak_bytes": 900}),
-            _span("epoch", attrs={"mem_net_bytes": 50, "mem_peak_bytes": 300}),
-        ]
-        agg = aggregate_trace(spans)
-        assert agg["memory"]["epoch"] == {"net_bytes": 150, "peak_bytes": 900}
 
 
 class TestRealRunReconciliation:

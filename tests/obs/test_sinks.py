@@ -1,4 +1,5 @@
-"""Sinks: JSONL round-trip fidelity and Chrome trace_event schema validity."""
+"""Sinks: JSONL round-trip fidelity, Chrome trace_event schema validity
+and the collapsed-stack flamegraph exporter."""
 
 import json
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs.sinks import SCHEMA_VERSION
+from repro.obs.sinks import SCHEMA_VERSION, span_frames, to_folded_stacks
 
 
 def _record_run(tracer):
@@ -14,7 +15,7 @@ def _record_run(tracer):
         with obs.span("selection_round") as sel:
             sel.set(pairwise_bytes=np.int64(4096), selected=np.int32(12))
         ep.set(train_loss=np.float64(1.25))
-    tracer.add_completed("unit", key=(1, 0, 0, 0), worker=777, dur_s=0.5)
+    tracer.add_completed("unit", key=(1, 0, 0, 0), dur_s=0.5)
 
 
 class TestJsonlRoundTrip:
@@ -41,7 +42,9 @@ class TestJsonlRoundTrip:
         sel = trace["spans"][0]
         assert sel["parent"] == "epoch#0"
         assert sel["attrs"] == {"pairwise_bytes": 4096, "selected": 12}
-        assert trace["spans"][2]["worker"] == 777
+        assert set(trace["spans"][2]) == {
+            "kind", "id", "name", "parent", "start_s", "dur_s", "attrs"
+        }
 
     def test_numpy_attrs_serialize_to_plain_json(self, tmp_path, tracer):
         _record_run(tracer)
@@ -67,8 +70,7 @@ class TestJsonlRoundTrip:
             with pytest.raises(ValueError, match="schema"):
                 obs.read_trace(path)
 
-    def test_schema_1_read_through_migration_shim(self, tmp_path):
-        # A pre-profiling trace: no profile_mem key, no mem_* attrs.
+    def test_schema_1_trace_still_reads(self, tmp_path):
         path = tmp_path / "old.jsonl"
         path.write_text(
             '{"kind": "meta", "schema": 1, "run": "legacy"}\n'
@@ -78,17 +80,24 @@ class TestJsonlRoundTrip:
         )
         trace = obs.read_trace(path)
         assert trace["meta"]["schema"] == 1
-        assert trace["meta"]["profile_mem"] is False
-        assert len(trace["spans"]) == 1
+        assert [s["id"] for s in trace["spans"]] == ["epoch#0"]
 
-    def test_current_schema_records_profile_mem_flag(self, tmp_path):
-        for profile_mem in (False, True):
-            t = obs.Tracer(run="t", profile_mem=profile_mem)
-            if t.profiler is not None:
-                t.profiler.stop()
-            path = tmp_path / f"t{profile_mem}.jsonl"
-            obs.write_jsonl(path, t)
-            assert obs.read_trace(path)["meta"]["profile_mem"] is profile_mem
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "line 2: not a JSON object"),
+        ('{"kind": "span", "id": "e#0", "name": "e", "start_s": 0.0}',
+         "line 2: span lacks dur_s"),
+        ('{"kind": "span", "name": "e", "start_s": 0.0, "dur_s": 1.0}',
+         "line 2: span lacks id"),
+        ("{not json", "line 2: not JSON"),
+    ])
+    def test_malformed_line_rejected_naming_line_number(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"kind": "meta", "schema": %d, "run": "x"}\n%s\n'
+            % (SCHEMA_VERSION, line)
+        )
+        with pytest.raises(ValueError, match=message):
+            obs.read_trace(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -126,9 +135,8 @@ class TestChromeExport:
             assert event["ts"] == pytest.approx(record.start_s * 1e6)
             assert event["dur"] == pytest.approx(max(0.0, record.dur_s) * 1e6)
             assert event["pid"] == 0
+            assert event["tid"] == 0
             assert event["args"]["id"] == record.id
-        worker_event = next(e for e in events if e["name"] == "unit")
-        assert worker_event["tid"] == 777
 
     def test_written_file_is_loadable_json(self, tmp_path, tracer):
         _record_run(tracer)
@@ -157,3 +165,53 @@ class TestChromeExport:
         assert "run: test" in out
         for name in ("epoch", "selection_round", "unit"):
             assert name in out
+
+
+class TestFoldedStacks:
+    SPANS = [
+        {"id": "epoch#0", "name": "epoch", "parent": None,
+         "dur_s": 1.0, "attrs": {}},
+        {"id": "epoch#0/selection_round#0", "name": "selection_round",
+         "parent": "epoch#0", "dur_s": 0.4,
+         "attrs": {"pairwise_bytes": 640, "sim_bytes": 640}},
+        {"id": "epoch#0/selection_round#0/unit@1-0-2", "name": "unit",
+         "parent": "epoch#0/selection_round#0", "dur_s": 0.1,
+         "attrs": {"sim_bytes": 320}},
+    ]
+
+    def test_span_frames_strip_seq_and_key_suffixes(self):
+        assert span_frames("epoch#1/selection_round#0/unit@1-0-2-1") == [
+            "epoch", "selection_round", "unit",
+        ]
+
+    def test_wall_weights_are_self_time_microseconds(self):
+        folded = dict(
+            line.rsplit(" ", 1)
+            for line in to_folded_stacks(self.SPANS, weight="wall").splitlines()
+        )
+        assert int(folded["epoch"]) == pytest.approx(600_000, rel=0.01)
+        assert int(folded["epoch;selection_round"]) == pytest.approx(
+            300_000, rel=0.01
+        )
+        assert int(folded["epoch;selection_round;unit"]) == pytest.approx(
+            100_000, rel=0.01
+        )
+
+    def test_byte_weights_skip_sim_bytes(self):
+        out = to_folded_stacks(self.SPANS, weight="bytes")
+        # pairwise_bytes counts; sim_bytes (per-unit share) does not —
+        # the unit span drops out entirely.
+        assert out == "epoch;selection_round 640"
+
+    def test_same_stack_aggregates(self):
+        spans = [
+            {"id": "epoch#0", "name": "epoch", "parent": None,
+             "dur_s": 1.0, "attrs": {}},
+            {"id": "epoch#1", "name": "epoch", "parent": None,
+             "dur_s": 2.0, "attrs": {}},
+        ]
+        assert to_folded_stacks(spans, weight="wall") == "epoch 3000000"
+
+    def test_unknown_weight_rejected(self):
+        with pytest.raises(ValueError):
+            to_folded_stacks([], weight="calories")

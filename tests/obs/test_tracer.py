@@ -66,24 +66,17 @@ class TestAddCompleted:
     def test_forwarded_span_keyed_and_parented(self, tracer):
         with obs.span("chunk_select"):
             obs.add_completed(
-                "unit", key=(9, 0, 1, 0), start=None, dur_s=0.25, worker=4242, take=5
+                "unit", key=(9, 0, 1, 0), start=None, dur_s=0.25, take=5
             )
         unit = tracer.records[0]
         assert unit.id == "chunk_select#0/unit@9-0-1-0"
         assert unit.parent_id == "chunk_select#0"
-        assert unit.worker == 4242
         assert unit.dur_s == 0.25
         assert unit.attrs == {"take": 5}
 
     def test_explicit_parent_overrides_stack(self, tracer):
         tracer.add_completed("unit", key=(1,), parent_id="elsewhere#0", dur_s=0.0)
         assert tracer.records[0].id == "elsewhere#0/unit@1"
-
-    def test_worker_pid_never_contributes_to_id(self, tracer):
-        a = tracer.add_completed("unit", key=(1, 2), worker=111, dur_s=0.0)
-        tracer2 = obs.Tracer()
-        b = tracer2.add_completed("unit", key=(1, 2), worker=999, dur_s=0.0)
-        assert a.id == b.id
 
 
 class TestGlobals:

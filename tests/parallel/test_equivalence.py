@@ -56,11 +56,11 @@ class TestEngineEquivalence:
             # one span per unit, in order, identified by the unit's seed
             # key and carrying its structure
             assert [
-                (r.id, r.worker, r.attrs["order"], r.attrs["label"],
+                (r.id, r.attrs["order"], r.attrs["label"],
                  r.attrs["take"], r.attrs["rows"], r.attrs["sim_bytes"])
                 for r in tracer.records
             ] == [
-                ("unit@" + "-".join(map(str, u.seed_key)), None, u.order,
+                ("unit@" + "-".join(map(str, u.seed_key)), u.order,
                  u.label, u.take, len(u.positions), out[2])
                 for u, out in zip(units, got)
             ]

@@ -43,7 +43,7 @@ class TestGPUSpecs:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GPUSpec("bad", fp32_tflops=0.0, tensor_tflops=0, mem_bandwidth_gbps=1, power_watts=1)
+            GPUSpec("bad", fp32_tflops=0.0, tensor_tflops=0, memory_bandwidth_gbps=1, power_watts=1)
         with pytest.raises(ValueError):
             v100().utilization(0.0)
 
