@@ -41,7 +41,7 @@ def main():
     model = resnet20(num_classes=10, width=6, seed=1)
 
     print("selecting a 28% subset with CRAIG ...")
-    result = CraigSelector(seed=0).select(train_set, 0.28, model)
+    result = CraigSelector().select(train_set, 0.28, model)
     selected_ids = train_set.ids[result.positions]
     print(f"  {len(selected_ids)} of {len(train_set)} samples selected\n")
 

@@ -57,7 +57,7 @@ def main():
     results["full (goal)"] = (goal.stable_accuracy(), 1.0)
 
     for name, selector in [
-        ("craig", CraigSelector(seed=1)),
+        ("craig", CraigSelector()),
         ("kcenters", KCentersSelector(seed=1)),
         ("random", RandomSelector(seed=1)),
     ]:

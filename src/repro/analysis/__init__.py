@@ -2,9 +2,9 @@
 
 The reproduction's trustworthiness rests on invariants no unit test
 watches continuously: selection must be deterministic (seeded
-generators only), allocated dtypes must match the
-``similarity_precision`` byte accounting, errors must not be silently
-swallowed, and nn forward shapes must compose.  This package
+generators only), allocated dtypes must match the similarity-tile
+byte accounting, errors must not be silently swallowed, and nn forward
+shapes must compose.  This package
 machine-checks them with a stdlib-``ast`` engine:
 
 - :mod:`repro.analysis.engine` — per-file visitor pipeline + pragmas;

@@ -1,10 +1,9 @@
 """NES002 — implicit float64 creation in dtype-accounted hot paths.
 
-``NeSSAConfig.similarity_precision`` flows into
-``chunk_pairwise_bytes`` / the SmartSSD kernel byte model (PR 1/2): the
-bytes the cost model charges are derived from a *declared* dtype.  An
-allocation like ``np.zeros(n)`` in those modules silently materializes
-float64, so the arrays the code actually touches no longer match what
+``chunk_pairwise_bytes`` and the SmartSSD kernel byte model charge the
+fp32 similarity tile: the bytes the cost model charges are derived from
+a *declared* dtype.  An allocation like ``np.zeros(n)`` in those modules
+silently materializes float64, so the arrays the code actually touches no longer match what
 the accounting claims — and a float64 intermediate entering an fp32
 pipeline also changes rounding, which can flip selection order.  Every
 allocation in the accounted modules must name its dtype.
@@ -35,8 +34,8 @@ class PrecisionChecker(Checker):
     pragma = "implicit-float64"
     description = (
         "numpy allocation without an explicit dtype (or np.array over bare "
-        "float literals) in modules whose byte accounting assumes the "
-        "configured similarity_precision"
+        "float literals) in modules whose byte accounting assumes a "
+        "declared dtype"
     )
 
     def check(self, ctx):
@@ -61,9 +60,8 @@ class PrecisionChecker(Checker):
                     ctx,
                     node,
                     f"np.{fn}(...) without dtype= materializes float64 here, "
-                    "which the similarity_precision byte accounting does not "
-                    "model",
-                    hint="pass dtype= matching the configured precision "
+                    "which the byte accounting does not model",
+                    hint="pass dtype= matching the accounted dtype "
                     "(or np.float64 if 8-byte entries are intended and "
                     "accounted)",
                 )
@@ -74,7 +72,7 @@ class PrecisionChecker(Checker):
                         node,
                         "np.array over bare float literals defaults to "
                         "float64 — the accounted dtype must be explicit",
-                        hint="pass dtype= matching the configured precision",
+                        hint="pass dtype= matching the accounted dtype",
                     )
 
     @staticmethod

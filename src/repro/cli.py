@@ -57,6 +57,20 @@ def _traced(path: str | None, run: str):
         print(f"trace written to {path}")
 
 
+def _fraction(text: str) -> float:
+    """argparse type: a subset fraction in (0, 1]."""
+    if not 0.0 < float(text) <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return float(text)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def _cmd_info(args) -> int:
     print(f"{'dataset':13s} {'classes':>7s} {'train':>8s} {'B/image':>8s} "
           f"{'model':>9s} {'full%':>6s} {'nessa%':>7s} {'subset%':>8s}")
@@ -243,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["full", "nessa", "nessa-vanilla", "nessa-sb", "nessa-pa",
                  "craig", "kcenters", "random"],
     )
-    train.add_argument("--fraction", type=float, default=None)
-    train.add_argument("--epochs", type=int, default=24)
+    train.add_argument("--fraction", type=_fraction, default=None)
+    train.add_argument("--epochs", type=_positive_int, default=24)
     train.add_argument("--batch-size", type=int, default=64)
     train.add_argument("--lr", type=float, default=0.03)
     train.add_argument("--scale", type=float, default=0.6)

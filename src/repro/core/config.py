@@ -16,11 +16,6 @@ from dataclasses import dataclass, field, replace
 
 __all__ = ["TrainRecipe", "NeSSAConfig"]
 
-# Similarity-tile entry widths the accounting understands (paper fp32
-# tiles, host float64 block-tiled selection, int8 quantized kernel).
-_SIMILARITY_DTYPE_BYTES = {"float64": 8, "float32": 4, "int8": 1}
-
-
 @dataclass(frozen=True)
 class TrainRecipe:
     """The paper's training recipe (Section 4.1)."""
@@ -66,8 +61,6 @@ class NeSSAConfig:
     subset_fraction : initial fraction of the candidate pool to select.
     select_every : epochs between re-selections (the paper re-selects at
         the start of every epoch; values > 1 amortize selection cost).
-    selection_method : ``"lazy"`` or ``"stochastic"`` facility-location
-        maximization.
     feedback_bits : quantization width of the weight feedback (§3.2.1);
         32 disables quantization error (fp32 feedback ablation).
     use_feedback : ship updated weights back each round; off means the
@@ -77,10 +70,6 @@ class NeSSAConfig:
         5-epoch loss window and 20-epoch conservative drop period.
     use_partitioning : dataset partitioning (§3.2.3); the trainer selects
         *m* = the mini-batch size per chunk, the paper's convention.
-    similarity_precision : entry dtype of the similarity tiles the
-        accounting charges against on-chip memory — ``"float32"`` (the
-        FPGA kernel's fp32 tile), ``"float64"`` (host-side block-tiled
-        path), or ``"int8"`` (quantized-similarity kernel).
     proxy_cache_entries : LRU capacity of the proxy-reuse cache (skips
         the selection forward pass when the quantized feedback weights
         and candidate pool are unchanged); 0 disables caching.
@@ -93,8 +82,6 @@ class NeSSAConfig:
 
     subset_fraction: float = 0.3
     select_every: int = 1
-    selection_method: str = "lazy"
-    stochastic_epsilon: float = 0.1
 
     use_feedback: bool = True
     feedback_bits: int = 8
@@ -106,7 +93,6 @@ class NeSSAConfig:
 
     use_partitioning: bool = True
 
-    similarity_precision: str = "float32"
     proxy_cache_entries: int = 4
 
     dynamic_subset: bool = False
@@ -121,26 +107,14 @@ class NeSSAConfig:
             raise ValueError("subset_fraction must be in (0, 1]")
         if self.select_every < 1:
             raise ValueError("select_every must be >= 1")
-        if self.selection_method not in ("lazy", "stochastic"):
-            raise ValueError("selection_method must be 'lazy' or 'stochastic'")
-        if not 0.0 < self.stochastic_epsilon < 1.0:
-            raise ValueError("stochastic_epsilon must be in (0, 1)")
         if not 2 <= self.feedback_bits <= 32:
             raise ValueError("feedback_bits must be in [2, 32]")
-        if not 0.0 < self.min_subset_fraction <= self.subset_fraction:
+        if self.dynamic_subset and not (
+            0.0 < self.min_subset_fraction <= self.subset_fraction
+        ):
             raise ValueError("min_subset_fraction must be in (0, subset_fraction]")
-        if self.similarity_precision not in _SIMILARITY_DTYPE_BYTES:
-            raise ValueError(
-                "similarity_precision must be one of "
-                f"{sorted(_SIMILARITY_DTYPE_BYTES)}"
-            )
         if self.proxy_cache_entries < 0:
             raise ValueError("proxy_cache_entries must be >= 0")
-
-    @property
-    def similarity_dtype_bytes(self) -> int:
-        """Bytes per similarity-matrix entry under ``similarity_precision``."""
-        return _SIMILARITY_DTYPE_BYTES[self.similarity_precision]
 
     def vanilla(self) -> "NeSSAConfig":
         """NeSSA without SB and PA — Table 3's 'Vanilla' column."""

@@ -28,7 +28,10 @@ class SubsetSizeSchedule:
         patience: int = 2,
         enabled: bool = True,
     ):
-        if not 0.0 < min_fraction <= initial_fraction <= 1.0:
+        if not 0.0 < initial_fraction <= 1.0:
+            raise ValueError("initial_fraction must be in (0, 1]")
+        # the floor only matters to a schedule that shrinks
+        if enabled and not 0.0 < min_fraction <= initial_fraction:
             raise ValueError("need 0 < min_fraction <= initial_fraction <= 1")
         if not 0.0 < shrink < 1.0:
             raise ValueError("shrink must be in (0, 1)")

@@ -13,11 +13,10 @@ at the start of an epoch (system step 2 in Figure 3):
 3. flatten the per-class facility-location work into independent
    (class x chunk) units (:mod:`repro.parallel.scheduler`) and run them
    in order on the :class:`~repro.parallel.engine.SelectionExecutor`.
-   Unit RNG streams are keyed, not shared, so a unit's picks never
-   depend on the units run before it;
+   Chunk permutations are keyed, not drawn from a shared stream, so a
+   unit's picks never depend on the units run before it;
 4. return medoid positions + CRAIG weights, plus the accounting the
-   storage model consumes (proxy FLOPs, largest similarity buffer at the
-   config's similarity dtype).
+   storage model consumes (proxy FLOPs, largest fp32 similarity tile).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro import obs
 from repro.core.config import NeSSAConfig
 from repro.data.dataset import Dataset, Subset
 from repro.parallel.cache import ProxyCache
-from repro.parallel.engine import SelectionExecutor, SelectionSpec
+from repro.parallel.engine import SelectionExecutor
 from repro.parallel.scheduler import plan_selection_round
 from repro.selection.biasing import LossHistory
 from repro.selection.craig import SelectionResult
@@ -143,13 +142,8 @@ class NeSSASelector:
             chunk_select=chunk_select,
         )
         self._round += 1
-        spec = SelectionSpec(
-            method=self.config.selection_method,
-            epsilon=self.config.stochastic_epsilon,
-            similarity_dtype_bytes=self.config.similarity_dtype_bytes,
-        )
         with obs.span("chunk_select", units=len(units)):
-            outcomes = self.executor.run_units(proxy.vectors, units, spec)
+            outcomes = self.executor.run_units(proxy.vectors, units)
         obs.metrics().counter("selection.units_executed").inc(len(units))
         obs.metrics().counter("selection.rounds").inc()
 

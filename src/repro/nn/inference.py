@@ -154,16 +154,13 @@ class InferencePlan:
             out = convs[-1](out, residual=skip)
         return np.ascontiguousarray(out[1:-1].mean(axis=(0, 2)).T)
 
-    def head(self, features: np.ndarray) -> np.ndarray:
-        """Logits from the output of :meth:`features`."""
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Logits: :meth:`features` through the fc head."""
         weight_t, bias = self._fc
-        out = features @ weight_t
+        out = self.features(x) @ weight_t
         if bias is not None:
             out += bias
         return out
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.head(self.features(x))
 
 
 @contextmanager
@@ -173,12 +170,12 @@ def eval_forward(model, image_shape: tuple[int, int, int]):
     ``image_shape`` is the ``(C, H, W)`` of every input the pass will see.
     ``engine`` is ``"fused"`` — ``forward`` is a fresh :class:`InferencePlan`
     for that shape — when ``model``, or the replica inside a
-    ``QuantizedModel`` with fp32 activations, is a ``ResNet``.  Anything
+    ``QuantizedModel``, is a ``ResNet``.  Anything
     else is ``"module"``: ``model`` itself, in eval mode for the duration
     and counted in ``nn.inference.module_fallbacks``.
     """
     inner = getattr(model, "model", model)
-    if isinstance(inner, ResNet) and getattr(model, "activation_bits", None) is None:
+    if isinstance(inner, ResNet):
         yield InferencePlan(inner, image_shape), "fused"
         return
     obs.metrics().counter("nn.inference.module_fallbacks").inc()

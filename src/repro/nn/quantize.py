@@ -101,20 +101,12 @@ class QuantizedModel:
     The wrapped model's parameters are replaced by dequantized copies of
     the source model's weights at snapshot time (:meth:`sync_from`), so the
     selector's forward passes see the same rounding the FPGA would.
-
-    ``activation_bits`` additionally fake-quantizes activations at the
-    stage boundaries of ResNet-like models (stem output and each stage
-    output), emulating the int8 activation path of the real kernel; the
-    default ``None`` keeps activations in fp32 (weight-only
-    quantization).
+    Quantization is weight-only: activations stay fp32.
     """
 
-    def __init__(self, model: Module, bits: int = 8, activation_bits: int | None = None):
-        if activation_bits is not None and not 2 <= activation_bits <= 16:
-            raise ValueError("activation_bits must be in [2, 16] (or None)")
+    def __init__(self, model: Module, bits: int = 8):
         self.model = model
         self.bits = bits
-        self.activation_bits = activation_bits
         self.model.eval()
         self.synced = False
 
@@ -146,24 +138,6 @@ class QuantizedModel:
 
     @shape_contract("N,C,H,W -> N,L")
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.activation_bits is None or not hasattr(self.model, "stages"):
-            return self.model(x)
-        return self.model.fc(self.features(x))
+        return self.model(x)
 
     __call__ = forward
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        if self.activation_bits is None or not hasattr(self.model, "stages"):
-            return self.model.features(x)
-        # Staged forward with fake-quantized activations at stage
-        # boundaries — the int8 activation path of the FPGA kernel.
-        out = self._fake_quant(x)
-        out = self.model.stem_relu(self.model.stem_bn(self.model.stem_conv(out)))
-        out = self._fake_quant(out)
-        for stage in self.model.stages:
-            out = self._fake_quant(stage(out))
-        return self.model.pool(out)
-
-    def _fake_quant(self, x: np.ndarray) -> np.ndarray:
-        q, scale = quantize_tensor(x, bits=self.activation_bits, per_channel=False)
-        return dequantize_tensor(q, scale)

@@ -11,9 +11,8 @@ both, so an unchanged pair costs one hash instead of one forward pass.
 
 Invalidation is structural, not temporal: any weight update (the digest
 covers every parameter and buffer byte of the replica) or any pool
-mutation (the digest covers the candidate id array and the proxy mode)
-produces a different key.  ``tests/parallel`` property-tests both
-invalidation axes.
+mutation (the digest covers the candidate id array) produces a
+different key.  ``tests/parallel`` property-tests both invalidation axes.
 """
 
 from __future__ import annotations
@@ -82,10 +81,10 @@ class ProxyCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def key(self, model, ids: np.ndarray, mode: str) -> str | None:
-        """Cache key for (feedback weights, candidate pool, proxy mode).
+    def key(self, model, ids: np.ndarray) -> str | None:
+        """Cache key for (feedback weights, candidate pool).
 
-        The replica's quantization bit widths are part of the digest:
+        The replica's quantization bit width is part of the digest:
         results produced for replicas quantized at different widths must
         never collide under one key, even when their dequantized weight
         bytes happen to agree.
@@ -95,12 +94,7 @@ class ProxyCache:
             return None
         h = hashlib.blake2b(digest_size=16)
         h.update(weights.encode())
-        h.update(mode.encode())
-        h.update(
-            repr(
-                (getattr(model, "bits", None), getattr(model, "activation_bits", None))
-            ).encode()
-        )
+        h.update(repr(getattr(model, "bits", None)).encode())
         h.update(np.ascontiguousarray(np.asarray(ids)).tobytes())
         return h.hexdigest()
 

@@ -5,8 +5,8 @@ facility-location problems — one per (class x chunk) work unit, the
 paper's §3.2.3 partitioning.  :class:`SelectionExecutor` runs a planned
 round's units in-process, in :attr:`WorkUnit.order`.
 
-Determinism contract: a unit's result depends only on ``(vectors rows,
-take, seed_key, spec)`` — never on which units ran before it.
+Determinism contract: a unit's result depends only on its ``(vectors
+rows, take)`` — never on which units ran before it.
 """
 
 from __future__ import annotations
@@ -16,34 +16,12 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.parallel.scheduler import WorkUnit, unit_rng
+from repro.parallel.scheduler import WorkUnit
 
-__all__ = ["SelectionSpec", "SelectionExecutor", "execute_unit"]
-
-
-class SelectionSpec(dict):
-    """Per-round selection parameters handed to every unit.
-
-    A thin dict subclass so the call-site reads declaratively; keys
-    mirror :func:`repro.selection.craig.craig_select_class` kwargs.
-    """
-
-    def __init__(
-        self,
-        method: str = "lazy",
-        epsilon: float = 0.1,
-        similarity_dtype_bytes: int = 4,
-    ):
-        super().__init__(
-            method=method,
-            epsilon=epsilon,
-            similarity_dtype_bytes=similarity_dtype_bytes,
-        )
+__all__ = ["SelectionExecutor", "execute_unit"]
 
 
-def execute_unit(
-    vectors: np.ndarray, unit: WorkUnit, spec: SelectionSpec
-) -> tuple:
+def execute_unit(vectors: np.ndarray, unit: WorkUnit) -> tuple:
     """Run one work unit on its chunk's vectors.
 
     ``vectors`` are the *chunk's* rows (already gathered).  Returns
@@ -51,14 +29,7 @@ def execute_unit(
     """
     from repro.selection.craig import craig_select_class
 
-    return craig_select_class(
-        vectors,
-        unit.take,
-        method=spec["method"],
-        epsilon=spec["epsilon"],
-        rng=unit_rng(unit.seed_key),
-        similarity_dtype_bytes=spec["similarity_dtype_bytes"],
-    )
+    return craig_select_class(vectors, unit.take)
 
 
 class SelectionExecutor:
@@ -70,10 +41,7 @@ class SelectionExecutor:
         self.fallback_reason: str | None = None
 
     def run_units(
-        self,
-        vectors: np.ndarray,
-        units: list[WorkUnit],
-        spec: SelectionSpec,
+        self, vectors: np.ndarray, units: list[WorkUnit]
     ) -> list[tuple[np.ndarray, np.ndarray, int]]:
         """Execute every unit; results ordered by :attr:`WorkUnit.order`.
 
@@ -82,7 +50,7 @@ class SelectionExecutor:
         results = []
         for u in units:
             start = time.perf_counter()
-            result = execute_unit(vectors[u.positions], u, spec)
+            result = execute_unit(vectors[u.positions], u)
             self._forward_unit_span(
                 u, result, start=start, dur_s=time.perf_counter() - start
             )

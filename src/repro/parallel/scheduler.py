@@ -3,13 +3,13 @@
 A NeSSA selection round is a grid of independent facility-location
 problems: one per (class, partition chunk).  :func:`plan_selection_round`
 flattens that grid into :class:`WorkUnit` records *before* any work
-runs, deriving every random choice (chunk permutations, stochastic-greedy
-streams) from a :class:`numpy.random.SeedSequence` keyed on
-``(seed, round, class rank, chunk index)`` instead of from one shared
-generator consumed in execution order.  Because a unit's randomness
-depends only on its key, a unit run alone produces *bit-identical*
-picks to the same unit run inside the round — the equivalence suite in
-``tests/parallel`` asserts exactly that.
+runs, deriving its one random choice (each class's chunk permutation)
+from a :class:`numpy.random.SeedSequence` keyed on ``(seed, round, class
+rank)`` instead of from one shared generator consumed in execution
+order.  A unit's picks depend only on its rows and quota, so a unit run
+alone produces *bit-identical* picks to the same unit run inside the
+round — the equivalence suite in ``tests/parallel`` asserts exactly
+that.
 
 The per-chunk quotas reuse :func:`repro.selection.partition.plan_chunk_takes`,
 so the flattened grid selects exactly the same counts as the serial
@@ -38,8 +38,8 @@ class WorkUnit:
     positions : candidate-row indices (into the round's proxy matrix)
         belonging to this chunk, sorted ascending.
     take : how many medoids to select from this chunk.
-    seed_key : entropy tuple for this unit's RNG stream; see
-        :func:`unit_rng`.
+    seed_key : ``(seed, round, class rank, chunk index)``, the unit's
+        deterministic identity (its ``unit`` span key).
     """
 
     order: int

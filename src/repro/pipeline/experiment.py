@@ -111,7 +111,7 @@ def run_method(
         return ExperimentResult(dataset_name, method, fraction, history)
 
     selectors = {
-        "craig": lambda: CraigSelector(seed=seed),
+        "craig": CraigSelector,
         "kcenters": lambda: KCentersSelector(seed=seed),
         "random": lambda: RandomSelector(seed=seed),
     }

@@ -18,10 +18,11 @@ from repro.selection.facility import (
     lazy_greedy,
     medoid_weights,
     similarity_from_distances,
-    stochastic_greedy,
+    stochastic_greedy,  # noqa: F401 - benchmarks/e2e/shims.py patches it by name
 )
 from repro.selection.gradients import compute_gradient_proxies
 from repro.selection.pairwise import pairwise_distances
+from repro.selection.partition import chunk_pairwise_bytes
 
 __all__ = ["SelectionResult", "craig_select_class", "CraigSelector"]
 
@@ -47,47 +48,29 @@ class SelectionResult:
             raise ValueError("positions and weights must align")
 
 
-def craig_select_class(
-    vectors: np.ndarray,
-    k: int,
-    method: str = "lazy",
-    epsilon: float = 0.1,
-    rng: np.random.Generator | None = None,
-    similarity_dtype_bytes: int = 4,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Select ``k`` medoids from one class's proxy vectors.
+def craig_select_class(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Select ``k`` medoids from one class's proxy vectors by lazy greedy.
 
     Distances come from the Gram-matrix identity (one GEMM, ``O(N^2)``
     peak additional memory) rather than the ``N x N x D`` broadcast; see
     :mod:`repro.selection.pairwise`.  The similarity construction
-    guarantees non-negative entries, so the maximizers skip their
+    guarantees non-negative entries, so the maximizer skips its
     ``O(N^2)`` validation scan.
 
     Returns ``(local_indices, weights, pairwise_bytes)`` where
-    ``pairwise_bytes`` is the similarity-matrix footprint at
-    ``similarity_dtype_bytes`` per entry (4 for the default fp32 path; the
-    config-driven value for float64 / int8 similarity tiles), i.e. what
+    ``pairwise_bytes`` is the fp32 similarity-tile footprint
+    (:func:`~repro.selection.partition.chunk_pairwise_bytes`), i.e. what
     would have to fit in the FPGA's on-chip memory without partitioning.
     """
-    if similarity_dtype_bytes < 1:
-        raise ValueError("similarity_dtype_bytes must be >= 1")
     n = vectors.shape[0]
     if n == 0:
         return (np.zeros(0, np.int64), np.zeros(0, np.float64), 0)
     k = min(k, n)
     distances = pairwise_distances(vectors)
     similarity = similarity_from_distances(distances)
-    if method == "lazy":
-        sel = lazy_greedy(similarity, k, validate=False)
-    elif method == "stochastic":
-        if rng is None:
-            raise ValueError("method 'stochastic' needs a seeded rng")
-        sel =stochastic_greedy(similarity, k, epsilon=epsilon, rng=rng, validate=False)
-    else:
-        raise ValueError(f"unknown method {method!r} (use 'lazy' or 'stochastic')")
+    sel = lazy_greedy(similarity, k, validate=False)
     weights = medoid_weights(similarity, sel)
-    pairwise_bytes = n * n * similarity_dtype_bytes
-    return sel, weights, pairwise_bytes
+    return sel, weights, chunk_pairwise_bytes(n)
 
 
 class CraigSelector:
@@ -99,16 +82,6 @@ class CraigSelector:
     """
 
     name = "craig"
-
-    def __init__(
-        self,
-        method: str = "lazy",
-        epsilon: float = 0.1,
-        seed: int = 0,
-    ):
-        self.method = method
-        self.epsilon = epsilon
-        self.rng = np.random.default_rng(seed)
 
     def select(
         self,
@@ -144,13 +117,7 @@ class CraigSelector:
             for label in unique_labels:
                 local = np.flatnonzero(labels == label)
                 k_c = max(1, int(round(k_total * len(local) / len(candidates))))
-                sel, w, nbytes = craig_select_class(
-                    proxy.vectors[local],
-                    k_c,
-                    method=self.method,
-                    epsilon=self.epsilon,
-                    rng=self.rng,
-                )
+                sel, w, nbytes = craig_select_class(proxy.vectors[local], k_c)
                 positions.append(candidates[local[sel]])
                 weights.append(w)
                 pairwise = max(pairwise, nbytes)

@@ -5,15 +5,8 @@ key observation (inherited by NeSSA) is that for a softmax + cross-entropy
 head, the gradient w.r.t. the *last layer's* input upper-bounds the
 variation of the full gradient, and that gradient is ``softmax(z) -
 onehot(y)`` — computable from a forward pass alone.  NeSSA runs exactly
-this forward pass on the FPGA with the quantized feedback model.
-
-``mode``:
-
-- ``"logits"`` (default, what CRAIG uses) — the (num_classes,)-dim
-  last-layer gradient.
-- ``"logits_x_feature_norm"`` — the same vector scaled by the penultimate
-  embedding norm, which tracks ``||outer(g, h)||`` (the true last-layer
-  weight-gradient norm) without materializing the outer product.
+this forward pass on the FPGA with the quantized feedback model, and the
+(num_classes,)-dim vector is the proxy.
 """
 
 from __future__ import annotations
@@ -65,16 +58,15 @@ def compute_gradient_proxies(
     y: np.ndarray,
     ids: np.ndarray | None = None,
     batch_size: int = 256,
-    mode: str = "logits",
     cache: ProxyCache | None = None,
 ) -> GradientProxy:
     """Run the selection model forward and derive per-sample proxies.
 
-    ``model`` is any callable with torch-like ``__call__`` (logits) and,
-    for the feature-norm mode, a ``features`` method — in practice either
-    the live target model or its :class:`~repro.nn.quantize.QuantizedModel`
-    snapshot.  Runs in eval mode semantics (no caching, no BN updates); a
-    ResNet goes through the fused :class:`~repro.nn.inference.InferencePlan`.
+    ``model`` is any callable with torch-like ``__call__`` (logits) — in
+    practice either the live target model or its
+    :class:`~repro.nn.quantize.QuantizedModel` snapshot.  Runs in eval
+    mode semantics (no caching, no BN updates); a ResNet goes through the
+    fused :class:`~repro.nn.inference.InferencePlan`.
 
     ``cache`` is an optional :class:`~repro.parallel.cache.ProxyCache`:
     when the digest of the model's weights and the candidate-pool ids
@@ -82,27 +74,25 @@ def compute_gradient_proxies(
     forward pass is skipped entirely and the cached proxy returned.
     Models whose weights cannot be digested bypass the cache.
     """
-    if mode not in ("logits", "logits_x_feature_norm"):
-        raise ValueError(f"unknown proxy mode: {mode!r}")
     n = x.shape[0]
     if ids is None:
         ids = np.arange(n, dtype=np.int64)
 
-    with obs.span("proxy_compute", candidates=int(n), mode=mode) as sp:
-        cache_key = cache.key(model, ids, mode) if cache is not None else None
+    with obs.span("proxy_compute", candidates=int(n)) as sp:
+        cache_key = cache.key(model, ids) if cache is not None else None
         if cache_key is not None:
             cached = cache.get(cache_key)
             if cached is not None:
                 sp.set(cache_hit=True, flops=float(cached.flops))
                 return cached
-        proxy, engine = _forward_proxies(model, x, y, ids, n, batch_size, mode)
+        proxy, engine = _forward_proxies(model, x, y, ids, n, batch_size)
         sp.set(cache_hit=False, flops=float(proxy.flops), engine=engine)
     if cache is not None:
         cache.put(cache_key, proxy)
     return proxy
 
 
-def _forward_proxies(model, x, y, ids, n, batch_size, mode) -> tuple[GradientProxy, str]:
+def _forward_proxies(model, x, y, ids, n, batch_size) -> tuple[GradientProxy, str]:
     """The uncached forward pass: the proxy and the engine (``eval_forward``) that ran it."""
     inner = getattr(model, "model", model)
     vec_chunks, loss_chunks = [], []
@@ -110,17 +100,8 @@ def _forward_proxies(model, x, y, ids, n, batch_size, mode) -> tuple[GradientPro
         for start in range(0, n, batch_size):
             xb = x[start : start + batch_size]
             yb = y[start : start + batch_size]
-            if mode == "logits_x_feature_norm":
-                feats = forward.features(xb)
-                logits = forward.head(feats) if engine == "fused" else inner.fc(feats)
-                scale = np.linalg.norm(feats, axis=1, keepdims=True)
-            else:
-                logits = forward(xb)
-                scale = None
-            grads = CrossEntropyLoss.last_layer_gradients(logits, yb)
-            if scale is not None:
-                grads = grads * scale
-            vec_chunks.append(grads)
+            logits = forward(xb)
+            vec_chunks.append(CrossEntropyLoss.last_layer_gradients(logits, yb))
             loss_chunks.append(CrossEntropyLoss.per_sample_losses(logits, yb))
 
     vectors = np.concatenate(vec_chunks).astype(np.float64)

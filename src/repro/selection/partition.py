@@ -38,17 +38,13 @@ def partition_positions(
     return [np.sort(chunk) for chunk in np.array_split(perm, num_chunks)]
 
 
-def chunk_pairwise_bytes(chunk_size: int, dtype_bytes: int = 4) -> int:
+def chunk_pairwise_bytes(chunk_size: int) -> int:
     """On-chip bytes required for one chunk's similarity matrix.
 
-    ``dtype_bytes`` is the similarity-entry width — callers should pass
-    :attr:`repro.core.config.NeSSAConfig.similarity_dtype_bytes` (4 for
-    the fp32 path, 8 for float64 block-tiled selection, 1 for the int8
-    quantized-similarity kernel) rather than assuming fp32.
+    The one definition of the similarity-entry width: the FPGA kernel's
+    fp32 tile, 4 bytes per entry.
     """
-    if dtype_bytes < 1:
-        raise ValueError("dtype_bytes must be >= 1")
-    return chunk_size * chunk_size * dtype_bytes
+    return chunk_size * chunk_size * 4
 
 
 def plan_chunk_takes(chunk_sizes: list[int], k: int, chunk_select: int) -> list[int]:

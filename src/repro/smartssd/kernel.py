@@ -20,8 +20,10 @@ The benchmark asserts the match within 1 percentage point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from repro.selection.partition import chunk_pairwise_bytes
 from repro.smartssd.fpga import FPGASpec, KU15P
 
 __all__ = ["KernelConfig", "SelectionKernel"]
@@ -178,26 +180,15 @@ class SelectionKernel:
             + self.greedy_time(chunk_size, k_per_chunk, num_chunks)
         )
 
-    def chunk_tile_bytes(self, chunk_size: int, dtype_bytes: int = 4) -> int:
-        """On-chip bytes one chunk's similarity tile needs.
+    def chunk_tile_bytes(self, chunk_size: int) -> int:
+        """On-chip bytes one chunk's fp32 similarity tile needs."""
+        return chunk_pairwise_bytes(chunk_size)
 
-        ``dtype_bytes`` is the similarity-entry width from the selection
-        config (:attr:`repro.core.config.NeSSAConfig.similarity_dtype_bytes`);
-        the default 4 models the kernel's fp32 tile.
-        """
-        if dtype_bytes < 1:
-            raise ValueError("dtype_bytes must be >= 1")
-        return chunk_size * chunk_size * dtype_bytes
-
-    def max_chunk_for_onchip(self, dtype_bytes: int = 4) -> int:
+    def max_chunk_for_onchip(self) -> int:
         """Largest chunk whose similarity tile fits the on-chip budget."""
-        import math
-
-        if dtype_bytes < 1:
-            raise ValueError("dtype_bytes must be >= 1")
         return min(
             self.config.chunk_capacity,
-            int(math.floor((self.fpga.onchip_bytes / dtype_bytes) ** 0.5)),
+            int(math.floor((self.fpga.onchip_bytes / chunk_pairwise_bytes(1)) ** 0.5)),
         )
 
     def energy_joules(self, seconds: float) -> float:

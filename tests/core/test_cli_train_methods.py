@@ -31,3 +31,27 @@ def test_cli_train_saves_history(tmp_path, capsys):
 
     history = load_history(path)
     assert history.epochs == 2
+
+
+def test_cli_nessa_trains_below_the_dynamic_floor(capsys):
+    code = main([
+        "train", "--method", "nessa", "--fraction", "0.05", "--epochs", "2",
+        "--scale", "0.02",
+    ])
+    assert code == 0
+    assert "nessa on cifar10" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--fraction", "0"), ("--fraction", "-1"), ("--fraction", "1.5"),
+     ("--epochs", "0")],
+)
+@pytest.mark.parametrize("method", ["nessa", "random"])
+def test_cli_rejects_out_of_range_flags(flag, value, method, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--method", method, "--scale", "0.02", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}:" in err

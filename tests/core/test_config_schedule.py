@@ -62,17 +62,14 @@ class TestNeSSAConfig:
         with pytest.raises(ValueError):
             NeSSAConfig(subset_fraction=0.0)
         with pytest.raises(ValueError):
-            NeSSAConfig(selection_method="bogus")
-        with pytest.raises(ValueError):
             NeSSAConfig(feedback_bits=1)
         with pytest.raises(ValueError):
-            NeSSAConfig(subset_fraction=0.2, min_subset_fraction=0.5)
+            NeSSAConfig(subset_fraction=0.2, min_subset_fraction=0.5, dynamic_subset=True)
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, 5.0, -0.1])
-    def test_rejects_stochastic_epsilon_outside_unit_interval(self, eps):
-        # at construction, not at the first stochastic selection round
-        with pytest.raises(ValueError, match="stochastic_epsilon"):
-            NeSSAConfig(stochastic_epsilon=eps)
+    def test_fraction_below_the_dynamic_floor_without_the_schedule(self):
+        # min_subset_fraction is the dynamic schedule's floor; with the
+        # schedule off it must not cap how small a fixed subset can be
+        assert NeSSAConfig(subset_fraction=0.05).subset_fraction == 0.05
 
 
 class TestSubsetSizeSchedule:
@@ -95,6 +92,10 @@ class TestSubsetSizeSchedule:
         for _ in range(10):
             frac = s.update(1.0)
         assert frac == pytest.approx(0.25)
+
+    def test_disabled_schedule_ignores_the_floor(self):
+        s = SubsetSizeSchedule(0.05, enabled=False)
+        assert s.update(1.0) == pytest.approx(0.05)
 
     def test_disabled_schedule_is_constant(self):
         s = SubsetSizeSchedule(0.3, enabled=False)

@@ -125,9 +125,3 @@ class TestNeSSASelector:
         train, _ = train_test_split
         with pytest.raises(ValueError):
             self._selector().select(train, 1.5, tiny_model)
-
-    def test_stochastic_method_runs(self, train_test_split, tiny_model):
-        train, _ = train_test_split
-        sel = self._selector(selection_method="stochastic")
-        res = sel.select(train, 0.2, tiny_model)
-        assert len(res.positions) > 0

@@ -30,9 +30,9 @@ FIELDS = (
 )
 
 SELECTORS = {
-    "random": RandomSelector,
+    "random": lambda: RandomSelector(seed=3),
     "craig": CraigSelector,
-    "kcenters": KCentersSelector,
+    "kcenters": lambda: KCentersSelector(seed=3),
 }
 
 # Drop period 2 so the biasing drop fires inside a 5-epoch run.
@@ -63,7 +63,7 @@ def run_case(name):
         history = FullTrainer(model(), recipe, seed=3).train(train_set, test_set)
     elif name in SELECTORS:
         trainer = SubsetTrainer(
-            model(), recipe, SELECTORS[name](seed=3), subset_fraction=0.4, seed=3
+            model(), recipe, SELECTORS[name](), subset_fraction=0.4, seed=3
         )
         history = trainer.train(train_set, test_set)
     else:

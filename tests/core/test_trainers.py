@@ -76,7 +76,7 @@ class TestSubsetTrainer:
     def test_select_every_amortizes(self, data):
         train, test = data
         t = SubsetTrainer(
-            factory(), recipe(), CraigSelector(seed=0), 0.3, select_every=3, seed=0
+            factory(), recipe(), CraigSelector(), 0.3, select_every=3, seed=0
         )
         history = t.train(train, test)
         ran = [r.selection_ran for r in history.records]
@@ -84,7 +84,7 @@ class TestSubsetTrainer:
 
     def test_craig_weights_reach_loader(self, data):
         train, test = data
-        t = SubsetTrainer(factory(), recipe(3), CraigSelector(seed=0), 0.3, seed=0)
+        t = SubsetTrainer(factory(), recipe(3), CraigSelector(), 0.3, seed=0)
         history = t.train(train, test)
         assert history.method == "craig"
         assert history.records[0].selection_proxy_flops > 0
@@ -139,6 +139,15 @@ class TestNeSSATrainer:
         fracs = [r.subset_fraction for r in history.records]
         assert fracs[-1] < fracs[0]
         assert min(fracs) >= 0.1 - 0.02
+
+    def test_trains_below_the_dynamic_floor(self, data):
+        # 0.05 < min_subset_fraction's default 0.1; with the dynamic
+        # schedule off that floor does not apply
+        train, test = data
+        trainer = NeSSATrainer(factory(), recipe(2), self._config(subset_fraction=0.05), factory)
+        history = trainer.train(train, test)
+        assert all(0.0 < r.subset_fraction < 0.1 for r in history.records)
+        assert history.total_samples_trained > 0
 
     def test_no_feedback_ablation_runs(self, data):
         train, test = data

@@ -116,54 +116,6 @@ class TestQuantizedModel:
         assert b8 >= model.num_parameters()
 
 
-class TestActivationQuantization:
-    def test_int8_activations_stay_close_to_fp32(self):
-        rng = np.random.default_rng(5)
-        src = resnet20(num_classes=4, width=4, seed=1)
-        plain = QuantizedModel(resnet20(num_classes=4, width=4, seed=2), bits=8)
-        acts = QuantizedModel(
-            resnet20(num_classes=4, width=4, seed=3), bits=8, activation_bits=8
-        )
-        plain.sync_from(src)
-        acts.sync_from(src)
-        x = rng.normal(size=(8, 3, 8, 8)).astype(np.float32)
-        ref = plain(x)
-        out = acts(x)
-        assert out.shape == ref.shape
-        assert np.abs(ref - out).max() < 0.5 * np.abs(ref).max()
-
-    def test_lower_activation_bits_more_error(self):
-        rng = np.random.default_rng(6)
-        src = resnet20(num_classes=4, width=4, seed=1)
-        x = rng.normal(size=(16, 3, 8, 8)).astype(np.float32)
-        fp = QuantizedModel(resnet20(num_classes=4, width=4, seed=2), bits=32)
-        fp.sync_from(src)
-        ref = fp(x)
-        errors = []
-        for abits in (4, 8):
-            qm = QuantizedModel(
-                resnet20(num_classes=4, width=4, seed=4), bits=32, activation_bits=abits
-            )
-            qm.sync_from(src)
-            errors.append(float(np.abs(qm(x) - ref).mean()))
-        assert errors[0] > errors[1]
-
-    def test_features_shape_preserved(self):
-        src = resnet20(num_classes=4, width=4, seed=1)
-        qm = QuantizedModel(
-            resnet20(num_classes=4, width=4, seed=2), bits=8, activation_bits=8
-        )
-        qm.sync_from(src)
-        x = np.zeros((3, 3, 8, 8), dtype=np.float32)
-        assert qm.features(x).shape == (3, qm.model.embedding_dim)
-
-    def test_invalid_activation_bits_rejected(self):
-        with pytest.raises(ValueError):
-            QuantizedModel(resnet20(num_classes=4, width=4), activation_bits=1)
-        with pytest.raises(ValueError):
-            QuantizedModel(resnet20(num_classes=4, width=4), activation_bits=32)
-
-
 class TestDegenerateScales:
     """Edge cases of the scale computation: empty, constant, subnormal."""
 

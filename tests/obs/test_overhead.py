@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs.tracer import NOOP_SPAN
-from repro.parallel.engine import SelectionExecutor, SelectionSpec
+from repro.parallel.engine import SelectionExecutor
 from repro.parallel.scheduler import plan_selection_round
 
 # Worst-case obs operations in one *disabled* selection round: a handful
@@ -58,11 +58,11 @@ class TestNoOpOverhead:
         labels = np.sort(rng.integers(0, 4, size=2000))
         units = plan_selection_round(labels, 300, seed=0, round_index=0,
                                      chunk_select=32)
-        executor, spec = SelectionExecutor(), SelectionSpec()
+        executor = SelectionExecutor()
         times = []
         for _ in range(5):
             t0 = time.perf_counter()
-            executor.run_units(vectors, units, spec)
+            executor.run_units(vectors, units)
             times.append(time.perf_counter() - t0)
         round_median = statistics.median(times)
         overhead = OPS_PER_ROUND * per_op
@@ -78,7 +78,7 @@ class TestNoOpOverhead:
         units = plan_selection_round(labels, 20, seed=0, round_index=0,
                                      chunk_select=8)
         tracer = obs.Tracer()
-        SelectionExecutor().run_units(vectors, units, SelectionSpec())
+        SelectionExecutor().run_units(vectors, units)
         # no tracer installed -> nothing recorded anywhere
         assert tracer.records == []
         assert obs.get_tracer() is None

@@ -37,13 +37,13 @@ class TestProxyCacheKey:
     def test_invalidates_on_weight_change(self, tiny_model):
         cache = ProxyCache()
         ids = np.arange(10)
-        before = cache.key(tiny_model, ids, "logits")
+        before = cache.key(tiny_model, ids)
         _first_param(tiny_model).data.flat[0] += 1e-3
-        assert cache.key(tiny_model, ids, "logits") != before
+        assert cache.key(tiny_model, ids) != before
 
     def test_invalidates_on_pool_mutation(self, tiny_model):
         cache = ProxyCache()
-        base = cache.key(tiny_model, np.arange(10), "logits")
+        base = cache.key(tiny_model, np.arange(10))
         # Any mutation of the candidate pool — grow, shrink, reorder,
         # substitute — must produce a fresh key.
         for mutated in (
@@ -52,17 +52,10 @@ class TestProxyCacheKey:
             np.arange(10)[::-1].copy(),
             np.concatenate([np.arange(9), [99]]),
         ):
-            assert cache.key(tiny_model, mutated, "logits") != base
-
-    def test_invalidates_on_mode_change(self, tiny_model):
-        cache = ProxyCache()
-        ids = np.arange(10)
-        assert cache.key(tiny_model, ids, "logits") != cache.key(
-            tiny_model, ids, "logits_x_feature_norm"
-        )
+            assert cache.key(tiny_model, mutated) != base
 
     def test_undigestable_model_yields_no_key(self):
-        assert ProxyCache().key(lambda x: x, np.arange(4), "logits") is None
+        assert ProxyCache().key(lambda x: x, np.arange(4)) is None
 
 
 class TestProxyCacheStore:
@@ -158,6 +151,4 @@ class TestScoringKeySeparation:
         # key must still differ because the proxy pass reads the bits.
         eight = QuantizedModel(tiny_model, bits=8)
         four = QuantizedModel(tiny_model, bits=4)
-        acts = QuantizedModel(tiny_model, bits=8, activation_bits=8)
-        keys = {cache.key(m, ids, "logits") for m in (eight, four, acts)}
-        assert len(keys) == 3
+        assert cache.key(eight, ids) != cache.key(four, ids)

@@ -6,8 +6,8 @@ import pytest
 from repro import obs
 from repro.core.config import NeSSAConfig
 from repro.core.selector import NeSSASelector
-from repro.parallel.engine import SelectionExecutor, SelectionSpec
-from repro.parallel.scheduler import plan_selection_round, unit_rng
+from repro.parallel.engine import SelectionExecutor
+from repro.parallel.scheduler import plan_selection_round
 from repro.selection.craig import craig_select_class
 
 
@@ -20,34 +20,31 @@ def _planned_round(seed):
     return vectors, units
 
 
-def _run_units(vectors, units, spec, traced):
+def _run_units(vectors, units, traced):
     if not traced:
-        return SelectionExecutor().run_units(vectors, units, spec), None
+        return SelectionExecutor().run_units(vectors, units), None
     tracer = obs.Tracer(run="equivalence")
     previous = obs.set_tracer(tracer)
     try:
-        return SelectionExecutor().run_units(vectors, units, spec), tracer
+        return SelectionExecutor().run_units(vectors, units), tracer
     finally:
         obs.set_tracer(previous)
 
 
 @pytest.mark.parametrize("traced", [False, True])
-@pytest.mark.parametrize("method", ["lazy", "stochastic"])
 @pytest.mark.parametrize("seed", [0, 7, 21])
 class TestEngineEquivalence:
-    """``run_units`` is exactly the per-unit kernel on the unit's rows with
-    the unit's own keyed stream, assembled in ``WorkUnit.order``."""
+    """``run_units`` is exactly the per-unit kernel on the unit's rows,
+    assembled in ``WorkUnit.order``."""
 
-    def test_run_units_equals_per_unit_craig(self, method, seed, traced):
+    def test_run_units_equals_per_unit_craig(self, seed, traced):
         vectors, units = _planned_round(seed)
-        spec = SelectionSpec(method=method, epsilon=0.2)
-        got, tracer = _run_units(vectors, units, spec, traced)
+        got, tracer = _run_units(vectors, units, traced)
         assert [u.order for u in units] == list(range(len(units)))
         assert len(got) == len(units)
         for unit, (sel, w, nbytes) in zip(units, got):
             ref_sel, ref_w, ref_bytes = craig_select_class(
-                vectors[unit.positions], unit.take, method=method, epsilon=0.2,
-                rng=unit_rng(unit.seed_key),
+                vectors[unit.positions], unit.take
             )
             assert np.array_equal(sel, ref_sel)
             assert np.array_equal(w, ref_w)  # bitwise, not approx

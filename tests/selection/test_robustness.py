@@ -65,14 +65,14 @@ class TestClassImbalance:
     def test_craig_keeps_minority_class(self):
         ds = self._imbalanced()
         model = resnet20(num_classes=2, width=4, seed=0)
-        res = CraigSelector(seed=0).select(ds, 0.1, model)
+        res = CraigSelector().select(ds, 0.1, model)
         assert 1 in set(ds.y[res.positions])
 
     def test_fraction_larger_than_minority(self):
         """Requesting 90% still respects the tiny class."""
         ds = self._imbalanced()
         model = resnet20(num_classes=2, width=4, seed=0)
-        res = CraigSelector(seed=0).select(ds, 0.9, model)
+        res = CraigSelector().select(ds, 0.9, model)
         minority = (ds.y[res.positions] == 1).sum()
         assert minority >= 5
 

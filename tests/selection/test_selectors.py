@@ -6,7 +6,9 @@ import pytest
 from repro.selection.craig import CraigSelector, craig_select_class
 from repro.selection.gradients import compute_gradient_proxies
 from repro.selection.kcenters import KCentersSelector, k_centers
+from repro.selection.partition import chunk_pairwise_bytes
 from repro.selection.random_sel import RandomSelector
+from repro.smartssd.kernel import SelectionKernel
 
 
 class TestGradientProxies:
@@ -23,25 +25,11 @@ class TestGradientProxies:
         proxy = compute_gradient_proxies(tiny_model, train.x, train.y)
         assert np.allclose(proxy.vectors.sum(axis=1), 0.0, atol=1e-5)
 
-    def test_feature_norm_mode_scales(self, train_test_split, tiny_model):
-        train, _ = train_test_split
-        base = compute_gradient_proxies(tiny_model, train.x, train.y, mode="logits")
-        scaled = compute_gradient_proxies(
-            tiny_model, train.x, train.y, mode="logits_x_feature_norm"
-        )
-        assert base.vectors.shape == scaled.vectors.shape
-        assert not np.allclose(base.vectors, scaled.vectors)
-
     def test_batching_invariant(self, train_test_split, tiny_model):
         train, _ = train_test_split
         a = compute_gradient_proxies(tiny_model, train.x, train.y, batch_size=32)
         b = compute_gradient_proxies(tiny_model, train.x, train.y, batch_size=999)
         assert np.allclose(a.vectors, b.vectors, atol=1e-6)
-
-    def test_unknown_mode_raises(self, train_test_split, tiny_model):
-        train, _ = train_test_split
-        with pytest.raises(ValueError):
-            compute_gradient_proxies(tiny_model, train.x, train.y, mode="bogus")
 
     def test_restores_training_mode(self, train_test_split, tiny_model):
         train, _ = train_test_split
@@ -63,50 +51,44 @@ class TestCraigSelectClass:
         sel, w, nbytes = craig_select_class(np.zeros((0, 4)), 3)
         assert sel.size == 0 and w.size == 0 and nbytes == 0
 
-    def test_stochastic_method(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=(40, 6))
-        sel, w, _ = craig_select_class(v, 8, method="stochastic", rng=np.random.default_rng(2))
-        assert len(sel) == 8
-        assert w.sum() == pytest.approx(40)
-
-    def test_stochastic_without_rng_raises(self):
-        with pytest.raises(ValueError, match="seeded rng"):
-            craig_select_class(np.eye(5), 2, method="stochastic")
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError):
-            craig_select_class(np.zeros((5, 2)), 2, method="magic")
+    def test_pairwise_bytes_is_the_kernel_tile(self):
+        """One similarity-entry width: CRAIG, partitioning and the kernel agree."""
+        v = np.random.default_rng(1).normal(size=(37, 6))
+        assert (
+            craig_select_class(v, 5)[2]
+            == chunk_pairwise_bytes(37)
+            == SelectionKernel().chunk_tile_bytes(37)
+        )
 
 
 class TestCraigSelector:
     def test_selects_requested_fraction(self, train_test_split, tiny_model):
         train, _ = train_test_split
-        res = CraigSelector(seed=0).select(train, 0.25, tiny_model)
+        res = CraigSelector().select(train, 0.25, tiny_model)
         assert abs(len(res.positions) - 0.25 * len(train)) <= train.num_classes
         assert res.weights.sum() == pytest.approx(len(train), rel=0.05)
 
     def test_positions_unique_and_valid(self, train_test_split, tiny_model):
         train, _ = train_test_split
-        res = CraigSelector(seed=0).select(train, 0.3, tiny_model)
+        res = CraigSelector().select(train, 0.3, tiny_model)
         assert len(np.unique(res.positions)) == len(res.positions)
         assert res.positions.max() < len(train)
 
     def test_every_class_represented(self, train_test_split, tiny_model):
         train, _ = train_test_split
-        res = CraigSelector(seed=0).select(train, 0.1, tiny_model)
+        res = CraigSelector().select(train, 0.1, tiny_model)
         labels = set(train.y[res.positions])
         assert labels == set(range(train.num_classes))
 
     def test_candidate_restriction_respected(self, train_test_split, tiny_model):
         train, _ = train_test_split
         candidates = np.arange(0, len(train), 2)
-        res = CraigSelector(seed=0).select(train, 0.3, tiny_model, candidates=candidates)
+        res = CraigSelector().select(train, 0.3, tiny_model, candidates=candidates)
         assert set(res.positions) <= set(candidates)
 
     def test_subset_wrapper_carries_weights(self, train_test_split, tiny_model):
         train, _ = train_test_split
-        sub = CraigSelector(seed=0).subset(train, 0.2, tiny_model)
+        sub = CraigSelector().subset(train, 0.2, tiny_model)
         assert sub.weights is not None
         assert len(sub.weights) == len(sub)
 
@@ -119,7 +101,7 @@ class TestCraigSelector:
         """Facility location must cover every generator cluster at 25%."""
         train, _ = train_test_split
         parent = train.parent
-        res = CraigSelector(seed=0).select(train, 0.25, tiny_model)
+        res = CraigSelector().select(train, 0.25, tiny_model)
         picked_clusters = set(parent.cluster_ids[train.ids[res.positions]])
         all_clusters = set(parent.cluster_ids[train.ids])
         assert len(picked_clusters) >= 0.9 * len(all_clusters)
