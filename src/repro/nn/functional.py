@@ -1,4 +1,4 @@
-"""Low-level numpy kernels: convolution via im2col, pooling, activations.
+"""Low-level numpy kernels: convolution by row operator, pooling, activations.
 
 All kernels take and return arrays shaped ``(N, C, H, W)`` (batch,
 channels, height, width) and come in forward/backward pairs.  The
@@ -16,24 +16,31 @@ when the producer was another ``repro.nn`` kernel, one copy (counted in
 ``nn.layout.repacks``) for a foreign NCHW array such as the loader's
 batch — so values never depend on the strides of the input.  Elementwise
 ops (ReLU, the residual adds) preserve the format on their own: numpy's
-``order='K'`` keeps the operands' common strides.  The eval-only
-:class:`repro.nn.inference.InferencePlan` has its own layout, rows
-outermost (``(H+2, C, W, N)``), and no im2col.
+``order='K'`` keeps the operands' common strides.
 
-**Convolution.**  With the batch innermost, im2col
-(:func:`_im2col_channel_major`) is ``k*k`` slice copies whose contiguous
-run is ``OW*N`` (stride 1) or ``N`` (stride 2) floats, and the column
-buffer is one ``(C*k*k, OH*OW*N)`` matrix for the whole batch.  Forward
-is a single GEMM ``(C_out, C*k*k) @ cols``; backward is two.
-``grad_weight`` is the gradient against ``cols``, which also does the
-sum over the batch.  ``grad_x`` at stride 1 is the same im2col + GEMM
-applied to the gradient with the flipped kernel (a stride-1
-convolution's input gradient is a stride-1 convolution); at stride 2 it
-is the column gradient ``W.T @ g``, written over the dead column buffer
-and folded back by ``k*k`` strided slice adds.  A 1x1 stride-1
-convolution is its own column matrix in both directions: no im2col, no
-scatter.  The column buffer is threaded from forward to backward through
-the cache that :class:`repro.nn.modules.Conv2d` holds per batch.
+**Convolution.**  Training and the eval-only
+:class:`repro.nn.inference.InferencePlan` run one formulation.  Inside
+the conv the activations are rows outermost, ``(rows, C, W, N)``, so the
+``k`` input rows an output row reads are one contiguous ``(k*C*W, N)``
+slab and :func:`row_windows` is a zero-copy view of all of them.  The
+:func:`row_operator` is the ``(C_out*OW, k*C*W)`` matrix that maps such
+a slab to one output row, the width's zero padding built in as zero
+columns; it is rebuilt from the kernel every forward (no state, no
+index maps: :func:`_taps` writes each kernel column as one strided
+diagonal).  Forward copies the input once into a zero-row-padded
+``(H+2*pad, C, W, N)`` buffer, runs one broadcast ``matmul`` of the
+operator against the windows and copies the result back to
+``(C_out, OH, OW, N)``.  Backward is two more broadcast ``matmul``
+calls over the same windows: ``Σ_oy g_row · window_rowᵀ`` is the
+operator's gradient, summed back onto the kernel along the same
+diagonals, and ``opᵀ @ g_rows`` is each output row's gradient on its
+``k`` input rows, folded onto the row grid by ``k`` strided row adds at
+either stride.  What :class:`repro.nn.modules.Conv2d` holds from forward
+to backward is the row buffer and the operator, not a
+``(C*k*k, OH*OW*N)`` column matrix.  An unpadded 1x1 kernel only mixes
+channels (its row operator would be ``W`` times the useful MACs), so it
+is a ``(C_out, C)`` GEMM over the ``(C, OH*OW*N)`` pixels, which at
+stride 1 are the input's own buffer.
 
 **Pooling and the oracles.**  The pooling kernels use the per-sample
 blocked layout ``(N, C*K*K, OH*OW)`` (:func:`im2col_blocked`), one copy
@@ -53,7 +60,8 @@ __all__ = [
     "channel_major",
     "im2col_blocked",
     "col2im_blocked",
-    "conv2d_cols_shape",
+    "row_operator",
+    "row_windows",
     "conv2d",
     "conv2d_backward",
     "max_pool2d",
@@ -209,47 +217,56 @@ def _col2im_loop(
     return x
 
 
-def _im2col_channel_major(
-    x: np.ndarray, kernel: int, stride: int, pad: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Unfold a ``(C, H, W, N)`` buffer into the ``(C*k*k, OH*OW*N)`` column matrix.
+def row_operator(weight: np.ndarray, stride: int, pad: int, width: int) -> np.ndarray:
+    """The ``(C_out*OW, k*C*W)`` row operator of a ``(C_out, C, k, k)`` kernel.
 
-    ``k*k`` slice copies of the zero-padded input, into ``out`` when given.
-    A 1x1 stride-1 kernel needs no copy: the (padded) input reshaped is
-    the column matrix and ``out`` is left untouched.  Returns
-    ``(cols, (oh, ow))``.
+    It maps ``k`` consecutive input rows, flattened from ``(k, C, W)``, to
+    one output row flattened from ``(C_out, OW)``, for inputs ``width``
+    columns wide.  The width's zero padding is zero columns of it; the
+    height's is the caller's (zero rows in the buffer).  Built with one
+    strided assignment per kernel column (:func:`_taps`), in ``weight``'s
+    dtype.
     """
-    c, h, w, n = x.shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    if pad:
-        padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
-        padded[:, pad : pad + h, pad : pad + w] = x
-        x = padded
-    if kernel == 1 and stride == 1:
-        return x.reshape(c, -1), (oh, ow)
-    if out is None:
-        out = np.empty((c * kernel * kernel, oh * ow * n), dtype=x.dtype)
-    windows = out.reshape(c, kernel, kernel, oh, ow, n)
-    for ky in range(kernel):
-        rows = slice(ky, ky + stride * oh, stride)
-        for kx in range(kernel):
-            windows[:, ky, kx] = x[:, rows, kx : kx + stride * ow : stride]
-    return out, (oh, ow)
+    c_out, c, k, _ = weight.shape
+    ow = _out_size(width, k, stride, pad)
+    op = np.zeros((c_out, ow, k, c, width), dtype=weight.dtype)
+    for kx, taps in _taps(op, stride, pad):
+        taps[...] = weight[:, None, :, :, kx].transpose(0, 1, 3, 2)
+    return op.reshape(c_out * ow, k * c * width)
 
 
-def conv2d_cols_shape(x_shape: tuple, kernel: int, stride: int = 1, pad: int = 0):
-    """Shape of the column buffer :func:`conv2d` fills for an ``x_shape`` input.
+def _taps(op: np.ndarray, stride: int, pad: int):
+    """Yield ``(kx, view)``: the entries of ``op`` that hold kernel column ``kx``.
 
-    ``None`` for a 1x1 stride-1 kernel, which reads its input as the
-    column matrix and fills nothing.
+    ``op`` is a C-contiguous ``(C_out, OW, k, C, W)`` operator.  Output
+    column ``ox`` reads input column ``ox*stride - pad + kx``, so for a
+    fixed ``kx`` the entries ``op[:, ox, :, :, ox*stride - pad + kx]`` over
+    the ``ox`` whose column is inside the image are a strided diagonal: one
+    zero-copy ``(C_out, n, k, C)`` view, yielded only when ``n > 0``.
     """
-    if kernel == 1 and stride == 1:
-        return None
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    return (c * kernel * kernel, oh * ow * n)
+    c_out, ow, k, c, w = op.shape
+    s_co, s_ox, s_ky, s_c, s_ix = op.strides
+    for kx in range(k):
+        first = max(0, -((kx - pad) // stride))  # smallest ox with ix >= 0
+        stop = min(ow, (w - 1 + pad - kx) // stride + 1)  # past the last with ix < w
+        if stop > first:
+            offset = first * s_ox + (first * stride - pad + kx) * s_ix
+            strides = (s_co, s_ox + stride * s_ix, s_ky, s_c)
+            yield kx, np.ndarray((c_out, stop - first, k, c), op.dtype, op, offset, strides)
+
+
+def row_windows(rows: np.ndarray, k: int, stride: int, first: int, oh: int) -> np.ndarray:
+    """The ``(OH, k*C*W, N)`` input blocks of a C-contiguous ``(rows, C, W, N)`` buffer.
+
+    Block ``oy`` is rows ``first + oy*stride`` to ``... + k - 1``: with the
+    batch innermost they are one contiguous ``(k*C*W, N)`` slab, so the
+    blocks are a zero-copy view that ``np.matmul`` takes as ``OH`` GEMM
+    operands.  Built directly rather than through ``sliding_window_view``,
+    whose argument handling costs more than a small conv's GEMM.
+    """
+    row, _, column, item = rows.strides
+    shape = (oh, k * rows.shape[1] * rows.shape[2], rows.shape[3])
+    return np.ndarray(shape, rows.dtype, rows, first * row, (stride * row, column, item))
 
 
 def conv2d(
@@ -258,79 +275,106 @@ def conv2d(
     bias: np.ndarray | None = None,
     stride: int = 1,
     pad: int = 0,
-    cols_out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, object]:
     """2-D convolution. ``weight`` is ``(C_out, C_in, K, K)``.
 
-    Returns ``(output, cols)``: the output in the batch-innermost memory
-    format and the ``(C*K*K, OH*OW*N)`` column matrix that
-    :func:`conv2d_backward` takes — the forward builds it once per batch
-    and :class:`repro.nn.modules.Conv2d` threads it through, so backward
-    never re-derives columns.  ``cols_out`` lets the caller supply that
-    buffer (a pooled scratch lease of :func:`conv2d_cols_shape`) instead
-    of allocating it per batch.  For a 1x1 stride-1 kernel ``cols`` is a
-    view of the input's buffer.
+    Returns ``(output, cache)``: the output in the batch-innermost memory
+    format and what :func:`conv2d_backward` needs, which
+    :class:`repro.nn.modules.Conv2d` holds per batch.  The input is copied
+    once into a ``(H+2*pad, C, W, N)`` row buffer (zero rows for the
+    height's padding) and each output row is the :func:`row_operator`
+    times a zero-copy block of ``k`` input rows: one broadcast ``matmul``,
+    then one copy back to ``(C_out, OH, OW, N)``.  The cache is the row
+    buffer and the operator.  An unpadded 1x1 kernel only mixes channels,
+    so it stays a ``(C_out, C)`` GEMM over the ``(C, OH*OW*N)`` pixels —
+    at stride 1 the input's own buffer, which is then the cache.
     """
-    n = x.shape[0]
-    c_out, _, k, _ = weight.shape
-    cols, (oh, ow) = _im2col_channel_major(channel_major(x), k, stride, pad, out=cols_out)
-    out = weight.reshape(c_out, -1) @ cols  # (c_out, oh*ow*n)
-    if bias is not None:
-        out += bias[:, None]
-    return out.reshape(c_out, oh, ow, n).transpose(3, 0, 1, 2), cols
+    c_out, c_in, k, _ = weight.shape
+    src = channel_major(x)
+    _, h, w, n = src.shape
+    oh = _out_size(h, k, stride, pad)
+    ow = _out_size(w, k, stride, pad)
+    if k == 1 and pad == 0:
+        pixels = src if stride == 1 else np.ascontiguousarray(src[:, ::stride, ::stride])
+        out = weight.reshape(c_out, c_in) @ pixels.reshape(c_in, -1)
+        if bias is not None:
+            out += bias[:, None]
+        return out.reshape(c_out, oh, ow, n).transpose(3, 0, 1, 2), pixels
+
+    rows = np.empty((h + 2 * pad, c_in, w, n), dtype=x.dtype)
+    rows[:pad] = 0
+    rows[pad + h :] = 0
+    rows[pad : pad + h] = src.transpose(1, 0, 2, 3)
+    op = row_operator(weight, stride, pad, w)
+    by_row = np.matmul(op, row_windows(rows, k, stride, 0, oh))  # (oh, c_out*ow, n)
+    by_row = by_row.reshape(oh, c_out, ow, n).transpose(1, 0, 2, 3)
+    out = np.empty((c_out, oh, ow, n), dtype=by_row.dtype)
+    if bias is None:
+        out[...] = by_row
+    else:
+        np.add(by_row, bias[:, None, None, None], out=out)
+    return out.transpose(3, 0, 1, 2), (rows, op)
 
 
 def conv2d_backward(
     grad_out: np.ndarray,
-    cols: np.ndarray,
+    cache,
     x_shape: tuple,
     weight: np.ndarray,
     stride: int = 1,
     pad: int = 0,
     with_bias: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Backward pass of :func:`conv2d` given its column matrix.
+    """Backward pass of :func:`conv2d` given its cache.
 
     Returns ``(grad_x, grad_weight, grad_bias)``; ``grad_bias`` is ``None``
-    unless ``with_bias`` is set.  ``grad_weight`` is one GEMM of the
-    gradient against ``cols`` (the sum over the batch happens inside it)
-    and ``grad_x`` is one more:
+    unless ``with_bias`` is set.  With ``g_rows`` the gradient by output
+    row, ``(OH, C_out*OW, N)``:
 
-    - at stride 1 the input gradient is itself a stride-1 convolution —
-      of ``grad_out``, zero-padded by ``k - 1 - pad``, with the kernel
-      flipped and its channel axes swapped — so it is an im2col of the
-      gradient (``k*k`` slice copies) and a GEMM, with no scatter;
-    - at larger strides it is the column gradient ``W.T @ g``, folded
-      back onto the input grid by ``k*k`` strided slice adds.  This
-      branch **writes over** ``cols`` (dead once ``grad_weight`` has read
-      it), so it allocates nothing the size of the columns.
+    - the operator's gradient is ``Σ_oy g_rows[oy] @ windows[oy].T``, one
+      batched ``matmul`` over the forward's zero-copy row blocks, and
+      ``grad_weight`` sums it back over the operator's diagonals
+      (:func:`_taps`);
+    - ``grad_x`` is ``op.T @ g_rows`` — each output row's gradient on its
+      ``k`` input rows — added back onto the row grid by ``k`` strided
+      row adds, at any stride.
+
+    An unpadded 1x1 kernel takes the two GEMMs of its pointwise form and
+    reads its cache without writing to it.
     """
     c_out, c_in, k, _ = weight.shape
     n, _, h, w = x_shape
     g = channel_major(grad_out)
     oh, ow = g.shape[1], g.shape[2]
-    g_mat = g.reshape(c_out, -1)
+    grad_bias = g.reshape(c_out, -1).sum(axis=1) if with_bias else None
+    if k == 1 and pad == 0:
+        pixels = cache.reshape(c_in, -1)
+        g_mat = g.reshape(c_out, -1)
+        # (pixels @ g.T).T rather than g @ pixels.T: same product, but
+        # OpenBLAS runs the tall-output shape faster (DESIGN §3).
+        grad_weight = (pixels @ g_mat.T).T.reshape(weight.shape)
+        grad_pixels = (weight.reshape(c_out, c_in).T @ g_mat).reshape(c_in, oh, ow, n)
+        grad_x = grad_pixels
+        if stride > 1:
+            grad_x = np.zeros((c_in, h, w, n), dtype=grad_pixels.dtype)
+            grad_x[:, ::stride, ::stride] = grad_pixels
+        return grad_x.transpose(3, 0, 1, 2), grad_weight, grad_bias
 
-    # (cols @ g.T).T rather than g @ cols.T: same product, but OpenBLAS
-    # runs the tall-output shape 1.3-2x faster at these channel counts.
-    grad_weight = (cols @ g_mat.T).T.reshape(weight.shape)
-    grad_bias = g_mat.sum(axis=1) if with_bias else None
+    rows, op = cache
+    g_rows = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(oh, c_out * ow, n)
+    windows = row_windows(rows, k, stride, 0, oh)
+    grad_op = np.matmul(g_rows, windows.transpose(0, 2, 1)).sum(axis=0)
+    grad_op = grad_op.reshape(c_out, ow, k, c_in, w)
+    grad_weight = np.zeros(weight.shape, dtype=grad_op.dtype)
+    for kx, taps in _taps(grad_op, stride, pad):
+        taps.sum(axis=1, out=grad_weight[:, :, :, kx].transpose(0, 2, 1))
 
-    if stride == 1 and pad < k:
-        flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-        g_cols, _ = _im2col_channel_major(g, k, 1, k - 1 - pad)
-        grad_x = (flipped @ g_cols).reshape(c_in, h, w, n)
-    else:
-        windows = np.matmul(weight.reshape(c_out, -1).T, g_mat, out=cols)
-        windows = windows.reshape(c_in, k, k, oh, ow, n)
-        grad_x = np.zeros((c_in, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
-        for ky in range(k):
-            rows = slice(ky, ky + stride * oh, stride)
-            for kx in range(k):
-                grad_x[:, rows, kx : kx + stride * ow : stride] += windows[:, ky, kx]
-        if pad:
-            grad_x = np.ascontiguousarray(grad_x[:, pad : pad + h, pad : pad + w])
-    return grad_x.transpose(3, 0, 1, 2), grad_weight, grad_bias
+    grad_windows = np.matmul(op.T, g_rows).reshape(oh, k, -1)  # (oh, k, c_in*w*n)
+    grad_rows = np.zeros((h + 2 * pad, c_in * w * n), dtype=grad_windows.dtype)
+    for ky in range(k):
+        grad_rows[ky : ky + stride * oh : stride] += grad_windows[:, ky]
+    grad_x = grad_rows[pad : pad + h].reshape(h, c_in, w, n).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(grad_x).transpose(3, 0, 1, 2), grad_weight, grad_bias
 
 
 def max_pool2d(

@@ -14,7 +14,10 @@ zero-copy window view of those blocks, written straight into the
 interior rows of the next buffer, where bias, residual add and ReLU run
 in place: no im2col, no padded copy, no column buffer (DESIGN §3 has the
 measurements and the variants that lost).  An unpadded 1x1 conv keeps
-its ``(C_out, C)`` kernel instead (see :class:`_RowConv`).
+its ``(C_out, C)`` kernel instead (see :class:`_RowConv`).  The operator
+and the window view come from :func:`repro.nn.functional.row_operator`
+and :func:`~repro.nn.functional.row_windows`, the ones the training conv
+rebuilds every step from the raw kernel.
 
 A plan folds the weights as they are when it is built and never writes
 to the model, so callers build one per pass and drop it.  Only the
@@ -28,9 +31,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import obs
+from repro.nn import functional as F
 from repro.nn.modules import BatchNorm2d, Conv2d, Identity
 from repro.nn.resnet import ResNet
 
@@ -79,14 +82,7 @@ class _RowConv:
         if self.pointwise:
             self.op = weight.reshape(c_out, c)
         else:
-            # One scatter: op[co, ox, ky, ci, ix] = weight[co, ci, ky, kx] for every
-            # output column ox and tap kx whose input column ix is inside the image.
-            ox, kx = np.divmod(np.arange(ow * k), k)
-            ix = ox * stride - pad + kx
-            inside = (ix >= 0) & (ix < w)
-            op = np.zeros((c_out, ow, k, c, w), dtype=np.float32)
-            op[:, ox[inside], :, :, ix[inside]] = weight.transpose(3, 0, 2, 1)[kx[inside]]
-            self.op = op.reshape(c_out * ow, k * c * w)
+            self.op = F.row_operator(weight, stride, pad, w)
         self.bias = bias[:, None, None]
         self.k, self.stride, self.first = k, stride, 1 - pad
         self.out_shape = (c_out, oh, ow)
@@ -98,8 +94,7 @@ class _RowConv:
         if self.pointwise:  # (oh, C, OW*N): a view at stride 1, a copy of the kept pixels at 2
             windows = buf[1:-1][:: self.stride, :, :: self.stride].reshape(oh, buf.shape[1], -1)
         else:
-            windows = sliding_window_view(buf, self.k, axis=0)[self.first :: self.stride][:oh]
-            windows = np.moveaxis(windows, 4, 1).reshape(oh, -1, n)  # (oh, k*C*W, N), a view
+            windows = F.row_windows(buf, self.k, self.stride, self.first, oh)
         out = _row_buffer(c_out, oh, ow, n)
         inner = out[1:-1]
         np.matmul(self.op, windows, out=inner.reshape(oh, self.op.shape[0], -1))

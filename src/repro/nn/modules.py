@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.contracts import shape_contract
-from repro.nn.scratch import scratch_pool
 
 __all__ = [
     "Parameter",
@@ -209,59 +208,25 @@ class Conv2d(Module):
     @shape_contract("N,C,H,W -> N,K,H',W'")
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.bias is not None else None
-        pool = scratch_pool()
-        cols_shape = F.conv2d_cols_shape(x.shape, self.kernel_size, self.stride, self.padding)
-        if pool is None or cols_shape is None:
-            out, cols = F.conv2d(x, self.weight.data, bias, self.stride, self.padding)
-            if self.training:
-                self._release_cache()
-                self._cache = (cols, x.shape, None)
-            return out
-
-        # Pooled path: the column buffer comes from the scratch arena.
-        # In train mode the lease rides in the cache and is released by
-        # backward(); otherwise it returns here.
-        lease = pool.lease(cols_shape, x.dtype)
-        handed_off = False
-        try:
-            out, cols = F.conv2d(
-                x, self.weight.data, bias, self.stride, self.padding,
-                cols_out=lease.array,
-            )
-            if self.training:
-                self._release_cache()
-                self._cache = (cols, x.shape, lease)
-                handed_off = True
-            return out
-        finally:
-            if not handed_off:
-                lease.release()
-
-    def _release_cache(self) -> None:
-        if self._cache is not None:
-            lease = self._cache[2]
-            self._cache = None
-            if lease is not None:
-                lease.release()
+        out, cache = F.conv2d(x, self.weight.data, bias, self.stride, self.padding)
+        if self.training:
+            self._cache = (cache, x.shape)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or in eval mode)")
-        cols, x_shape, lease = self._cache
+        cache, x_shape = self._cache
         self._cache = None
-        try:
-            grad_x, grad_w, grad_b = F.conv2d_backward(
-                grad_out,
-                cols,
-                x_shape,
-                self.weight.data,
-                self.stride,
-                self.padding,
-                with_bias=self.bias is not None,
-            )
-        finally:
-            if lease is not None:
-                lease.release()
+        grad_x, grad_w, grad_b = F.conv2d_backward(
+            grad_out,
+            cache,
+            x_shape,
+            self.weight.data,
+            self.stride,
+            self.padding,
+            with_bias=self.bias is not None,
+        )
         self.weight.grad += grad_w
         if self.bias is not None:
             self.bias.grad += grad_b

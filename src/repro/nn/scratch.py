@@ -1,16 +1,21 @@
 """Reusable scratch buffers: lease/return instead of allocate/collect.
 
-The steady-state training loop allocates the same large arrays every
-batch — the conv layers' im2col column matrices and the loader's
-gathered ``x``/``y`` batch pair — and immediately drops them, so the
-allocator churns through hundreds of megabytes per epoch for buffers
-whose shapes never change.  :class:`BufferPool` is a small keyed arena
-for exactly that pattern: :meth:`~BufferPool.lease` hands out an array
-of the requested ``(shape, dtype)`` from a free list (allocating only on
-a miss) and :meth:`BufferLease.release` returns it for reuse.  After one
-warm-up epoch every lease is served from the pool and the per-epoch
-allocation count for pooled buffers drops to zero
-(``tests/nn/test_scratch.py`` asserts this against the serial path).
+A loop that allocates the same large arrays every iteration and drops
+them churns the allocator for buffers whose shapes never change.
+:class:`BufferPool` is a small keyed arena for exactly that pattern:
+:meth:`~BufferPool.lease` hands out an array of the requested
+``(shape, dtype)`` from a free list (allocating only on a miss) and
+:meth:`BufferLease.release` returns it for reuse.  After warm-up every
+lease is served from the pool and the allocation count stays flat
+(``tests/nn/test_scratch.py`` asserts this against the unpooled path).
+
+**No ``repro`` code leases from it any more.**  Its one client was
+:class:`repro.nn.modules.Conv2d`, for the im2col column matrix it held
+from forward to backward; the training conv now runs the row operator
+(:mod:`repro.nn.functional`) and has no column buffer.  The module
+stays only because the e2e benchmark reads ``scratch_pool().stats``
+(its ``nn.scratch_reuse_frac`` metric, which now reads 0.0); it goes,
+with lint rule NES007, in the next benchmark-only change.
 
 Leases must be ``with``-managed, released in a ``try/finally``, or
 ownership-transferred (bound to an attribute / returned) — the NES007
@@ -21,10 +26,9 @@ silently re-introduces the churn the pool exists to remove.
 The pool is thread-safe: a lease may be taken on one thread and
 released on another.
 
-``scratch_pool()`` returns the process-wide default pool used by
-:class:`repro.nn.modules.Conv2d` for its column buffers; pass
-``None`` to :func:`set_scratch_pool` to disable pooling globally
-(every lease then allocates, exactly the pre-pool behavior).
+``scratch_pool()`` returns the process-wide default pool; pass ``None``
+to :func:`set_scratch_pool` to disable pooling globally (every lease
+then allocates).
 """
 
 from __future__ import annotations
@@ -139,7 +143,7 @@ class BufferPool:
             self._free.clear()
 
 
-# -- process-wide default pool (conv scratch) --------------------------------
+# -- process-wide default pool ------------------------------------------------
 
 _SCRATCH: BufferPool | None = BufferPool()
 

@@ -134,6 +134,30 @@ class TestGradients:
         gradcheck_module(net, (3, 2, 4, 4))
 
 
+class TestConvCache:
+    """What a ``Conv2d`` holds from forward to backward."""
+
+    @staticmethod
+    def held_bytes(cache) -> int:
+        if isinstance(cache, np.ndarray):
+            return cache.nbytes
+        if isinstance(cache, tuple):
+            return sum(TestConvCache.held_bytes(item) for item in cache)
+        return 0
+
+    @pytest.mark.parametrize("kernel,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
+    def test_at_most_the_padded_input_and_its_operator(self, kernel, stride, pad):
+        n, c, h, w, c_out = 64, 6, 8, 8, 12
+        conv = Conv2d(c, c_out, kernel, stride=stride, padding=pad).train()
+        conv(np.random.default_rng(0).normal(size=(n, c, h, w)).astype(np.float32))
+        ow = (w + 2 * pad - kernel) // stride + 1
+        padded_input = n * c * (h + 2 * pad) * (w + 2 * pad)
+        operator = (c_out * ow) * (kernel * c * w)
+        assert self.held_bytes(conv._cache) <= 4 * (padded_input + operator)
+        conv.backward(np.ones((n, c_out, (h + 2 * pad - kernel) // stride + 1, ow), np.float32))
+        assert conv._cache is None
+
+
 class TestBatchNorm:
     def test_train_normalizes_batch(self):
         rng = np.random.default_rng(8)
