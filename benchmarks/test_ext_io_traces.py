@@ -1,7 +1,7 @@
 """Extension bench: storage access patterns of NeSSA training.
 
-Replays the I/O traces one NeSSA epoch generates against the NAND+link
-models: the sequential candidate scan (selection phase) and the
+Replays the access patterns one NeSSA epoch generates against the
+NAND+link models: the sequential candidate scan (selection phase) and the
 scattered subset gather (training phase).  The headline finding is the
 image-size crossover behind the paper's §4.4 observation that
 storage-assisted training "becomes more effective and necessary" as
@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.data.registry import DATASETS
-from repro.smartssd.trace import (
-    generate_selection_trace,
-    generate_subset_gather_trace,
+from repro.smartssd.access import (
+    selection_scan_pattern,
+    subset_gather_pattern,
     replay,
 )
 
@@ -29,9 +29,9 @@ def epoch_traces():
         n = info.train_size
         k = int(info.subset_fraction * n)
         picked = np.sort(rng.choice(n, size=k, replace=False))
-        scan = replay(generate_selection_trace(n, 512, chunk_records=4096))
-        gather = replay(generate_subset_gather_trace(picked, info.bytes_per_image))
-        full_scan = replay(generate_selection_trace(n, info.bytes_per_image, 4096))
+        scan = replay(selection_scan_pattern(n, 512, chunk_records=4096))
+        gather = replay(subset_gather_pattern(picked, info.bytes_per_image))
+        full_scan = replay(selection_scan_pattern(n, info.bytes_per_image, 4096))
         out[name] = (scan, gather, full_scan)
     return out
 
@@ -77,8 +77,8 @@ def test_ext_defragmented_layout_ablation(benchmark):
         scattered = np.sort(rng.choice(n, size=k, replace=False))
         contiguous = np.arange(k)
         return (
-            replay(generate_subset_gather_trace(scattered, bpi)),
-            replay(generate_subset_gather_trace(contiguous, bpi)),
+            replay(subset_gather_pattern(scattered, bpi)),
+            replay(subset_gather_pattern(contiguous, bpi)),
         )
 
     scattered, contiguous = benchmark(compare)

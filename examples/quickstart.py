@@ -19,14 +19,15 @@ from repro.data import SyntheticConfig, make_train_test
 from repro.nn.resnet import resnet20
 
 EPOCHS = 20
+NUM_SAMPLES = 1600
 
 
-def main():
+def main(epochs: int = EPOCHS, num_samples: int = NUM_SAMPLES):
     # A small CIFAR-10-like problem: 10 classes, clustered with redundant
     # and hard samples — the structure subset selection exploits.
     data_config = SyntheticConfig(
         num_classes=10,
-        num_samples=1600,
+        num_samples=num_samples,
         image_shape=(3, 8, 8),
         within_cluster_noise=0.45,
         hard_fraction=0.2,
@@ -38,9 +39,9 @@ def main():
 
     # The paper's recipe (Section 4.1), compressed from 200 epochs to 20
     # and gentled for the small synthetic problem.
-    base = TrainRecipe().scaled(EPOCHS)
+    base = TrainRecipe().scaled(epochs)
     recipe = TrainRecipe(
-        epochs=EPOCHS,
+        epochs=epochs,
         batch_size=64,
         lr=0.03,
         lr_milestones=base.lr_milestones,
@@ -70,21 +71,12 @@ def main():
     # --- Summary ---------------------------------------------------------
     gap = full_history.stable_accuracy() - nessa_history.stable_accuracy()
     grad_ratio = full_history.total_samples_trained / nessa_history.total_samples_trained
-    # Price the measured NeSSA run on the paper-scale hardware models.
-    from repro.pipeline.cosim import cosimulate
-
-    nessa_cosim = cosimulate(nessa_history, "cifar10")
-    full_cosim = cosimulate(full_history, "cifar10")
-    speedup = full_cosim.total_time / nessa_cosim.total_time
 
     print(f"\naccuracy gap:             {100 * gap:+.2f} points")
     print(f"gradient computations:    {grad_ratio:.1f}x fewer with NeSSA")
     print(f"feedback syncs:           {trainer.feedback.syncs} "
           f"({trainer.feedback.bytes_transferred / 1e3:.0f} KB total)")
     print(f"samples dropped (biased): {trainer.selector.loss_history.num_dropped}")
-    print(f"paper-scale replay:       {full_cosim.total_time:.1f}s -> "
-          f"{nessa_cosim.total_time:.1f}s per run ({speedup:.1f}x faster, "
-          f"modelled on the SmartSSD+V100 system)")
 
 
 if __name__ == "__main__":

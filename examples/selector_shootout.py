@@ -22,6 +22,7 @@ from repro.selection import CraigSelector, KCentersSelector, RandomSelector
 
 FRACTION = 0.10
 EPOCHS = 24
+SCALE = 0.6
 
 
 def cluster_coverage(train_set, positions) -> float:
@@ -32,18 +33,18 @@ def cluster_coverage(train_set, positions) -> float:
     return len(picked) / len(total)
 
 
-def main():
+def main(epochs: int = EPOCHS, scale: float = SCALE):
     # The CIFAR-10 stand-in from the benchmark suite (registry profile).
     from repro.data import scaled_experiment_config
 
-    config = scaled_experiment_config("cifar10", scale=0.6, seed=3)
+    config = scaled_experiment_config("cifar10", scale=scale, seed=3)
     train_set, test_set = make_train_test(config)
     print(f"{len(train_set)} train samples, {train_set.parent.num_clusters} "
           f"ground-truth clusters, selecting {FRACTION:.0%}\n")
 
-    base = TrainRecipe().scaled(EPOCHS)
+    base = TrainRecipe().scaled(epochs)
     recipe = TrainRecipe(
-        epochs=EPOCHS, batch_size=64, lr=0.03,
+        epochs=epochs, batch_size=64, lr=0.03,
         lr_milestones=base.lr_milestones, lr_gamma_div=base.lr_gamma_div,
         clip_grad_norm=5.0,
     )

@@ -14,12 +14,12 @@ Training" (Prakriya et al., HotStorage '23):
   maximization (lazy greedy and stochastic greedy), the CRAIG baseline, the
   greedy k-centers baseline, and the per-chunk/partitioned variants.
 - ``repro.core`` — the NeSSA contribution: the selector with quantized-weight
-  feedback, subset biasing, and dataset partitioning, plus trainers and the
-  dynamic subset-size schedule.
+  feedback, subset biasing, and dataset partitioning, plus the trainers.
 - ``repro.parallel`` — selection work units: deterministic (class x chunk)
   scheduler, the in-process executor, and the proxy-reuse cache.
-- ``repro.smartssd`` — a discrete-event simulator of the Samsung SmartSSD
-  (NAND flash, KU15P FPGA resource model, P2P and host PCIe links).
+- ``repro.smartssd`` — closed-form models of the Samsung SmartSSD (NAND
+  flash, KU15P FPGA resource model, P2P and host PCIe links) and the
+  access patterns a NeSSA epoch issues to it.
 - ``repro.perf`` — GPU throughput catalogue and epoch-time decomposition used
   to regenerate the paper's timing figures.
 - ``repro.pipeline`` — the end-to-end simulated SmartSSD+GPU training system.

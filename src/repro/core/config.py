@@ -58,7 +58,7 @@ class NeSSAConfig:
 
     Attributes
     ----------
-    subset_fraction : initial fraction of the candidate pool to select.
+    subset_fraction : fraction of the candidate pool to select each round.
     select_every : epochs between re-selections (the paper re-selects at
         the start of every epoch; values > 1 amortize selection cost).
     feedback_bits : quantization width of the weight feedback (§3.2.1);
@@ -73,11 +73,6 @@ class NeSSAConfig:
     proxy_cache_entries : LRU capacity of the proxy-reuse cache (skips
         the selection forward pass when the quantized feedback weights
         and candidate pool are unchanged); 0 disables caching.
-    dynamic_subset : shrink the subset when the loss-reduction rate stalls
-        (introduction contribution 4).
-    dynamic_threshold / dynamic_shrink / min_subset_fraction : stall
-        threshold on the relative per-epoch loss reduction, multiplicative
-        shrink factor, and the floor.
     """
 
     subset_fraction: float = 0.3
@@ -95,11 +90,6 @@ class NeSSAConfig:
 
     proxy_cache_entries: int = 4
 
-    dynamic_subset: bool = False
-    dynamic_threshold: float = 0.02
-    dynamic_shrink: float = 0.9
-    min_subset_fraction: float = 0.1
-
     seed: int = 0
 
     def __post_init__(self):
@@ -109,10 +99,6 @@ class NeSSAConfig:
             raise ValueError("select_every must be >= 1")
         if not 2 <= self.feedback_bits <= 32:
             raise ValueError("feedback_bits must be in [2, 32]")
-        if self.dynamic_subset and not (
-            0.0 < self.min_subset_fraction <= self.subset_fraction
-        ):
-            raise ValueError("min_subset_fraction must be in (0, subset_fraction]")
         if self.proxy_cache_entries < 0:
             raise ValueError("proxy_cache_entries must be >= 0")
 

@@ -9,8 +9,8 @@ implements the five steps of paper Figure 3:
    from the counters recorded here;
 2. run the selection model (quantized replica) and pick the subset;
 3. train the target model on the weighted subset;
-4. feed back quantized weights + per-sample losses, update the candidate
-   pool (subset biasing) and the subset size (dynamic schedule);
+4. feed back quantized weights + per-sample losses and update the
+   candidate pool (subset biasing);
 5. repeat for all epochs.
 
 :class:`SubsetTrainer` fills the select phase for the CPU baselines
@@ -30,7 +30,6 @@ from repro import obs
 from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.feedback import FeedbackLoop
 from repro.core.metrics import EpochRecord, TrainingHistory, evaluate_accuracy
-from repro.core.schedule import SubsetSizeSchedule
 from repro.core.selector import NeSSASelector
 from repro.data.dataset import Dataset, Subset
 from repro.data.loader import DataLoader
@@ -46,7 +45,7 @@ class _BaseTrainer:
     """The epoch loop; the hook defaults are the full-data run.
 
     Per epoch: ``_before_epoch`` (biasing drop) → ``_select`` → train →
-    ``_after_train`` (record losses, feedback sync, schedule update) →
+    ``_after_train`` (record losses, feedback sync) →
     eval → one :class:`EpochRecord`.
     """
 
@@ -97,9 +96,7 @@ class _BaseTrainer:
             )
         return result
 
-    def _after_train(
-        self, epoch: int, mean_loss: float, per_sample: np.ndarray, ids: np.ndarray
-    ) -> int:
+    def _after_train(self, epoch: int, per_sample: np.ndarray, ids: np.ndarray) -> int:
         """Post-training feedback; returns bytes shipped to the device."""
         return 0
 
@@ -125,7 +122,7 @@ class _BaseTrainer:
                     subset, self.recipe.batch_size, shuffle=True, seed=self.seed + epoch
                 )
                 mean_loss, per_sample, ids = self._train_one_epoch(loader)
-                feedback_bytes = self._after_train(epoch, mean_loss, per_sample, ids)
+                feedback_bytes = self._after_train(epoch, per_sample, ids)
 
                 record = EpochRecord(
                     epoch=epoch,
@@ -240,13 +237,6 @@ class NeSSATrainer(_BaseTrainer):
         self.feedback = FeedbackLoop(
             model_factory, bits=config.feedback_bits, enabled=config.use_feedback
         )
-        self.schedule = SubsetSizeSchedule(
-            initial_fraction=config.subset_fraction,
-            min_fraction=config.min_subset_fraction,
-            threshold=config.dynamic_threshold,
-            shrink=config.dynamic_shrink,
-            enabled=config.dynamic_subset,
-        )
 
     def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
         return self._run_epochs(train_set, test_set)
@@ -266,14 +256,13 @@ class NeSSATrainer(_BaseTrainer):
         if epoch % self.config.select_every:
             return None
         return self._selection_round(
-            train_set, self.schedule.fraction, self.feedback.selection_model, epoch
+            train_set, self.config.subset_fraction, self.feedback.selection_model, epoch
         )
 
-    def _after_train(self, epoch, mean_loss, per_sample, ids):
+    def _after_train(self, epoch, per_sample, ids):
         self.selector.record_epoch_losses(ids, per_sample)
         # Step 4 of Figure 3: quantize + ship the updated weights back.
         with obs.span("feedback_quantize", epoch=epoch) as fb:
             feedback_bytes = self.feedback.sync(self.model)
             fb.set(link_bytes=int(feedback_bytes), bits=self.feedback.bits)
-        self.schedule.update(mean_loss)
         return feedback_bytes

@@ -8,10 +8,8 @@ counts, train sizes, bytes per image) that the storage and timing models
 consume.
 """
 
-from repro.data.augment import Compose, GaussianNoise, RandomCrop, RandomHorizontalFlip
 from repro.data.dataset import Dataset, Subset, stratified_split
 from repro.data.loader import DataLoader
-from repro.data.storage_format import DatasetLayout, load_dataset_bin, save_dataset_bin
 from repro.data.registry import (
     DATASETS,
     PaperDataset,
@@ -21,10 +19,6 @@ from repro.data.registry import (
 from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset, make_train_test
 
 __all__ = [
-    "Compose",
-    "RandomCrop",
-    "RandomHorizontalFlip",
-    "GaussianNoise",
     "Dataset",
     "Subset",
     "stratified_split",
@@ -36,7 +30,4 @@ __all__ = [
     "DATASETS",
     "get_dataset_info",
     "scaled_experiment_config",
-    "DatasetLayout",
-    "save_dataset_bin",
-    "load_dataset_bin",
 ]

@@ -51,7 +51,6 @@ class DataLoader:
         shuffle: bool = True,
         drop_last: bool = False,
         seed: int = 0,
-        transform=None,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -60,7 +59,6 @@ class DataLoader:
         self.shuffle = shuffle
         self.drop_last = drop_last
         self.seed = seed
-        self.transform = transform
         self._epoch = 0
 
     def __len__(self) -> int:
@@ -81,11 +79,8 @@ class DataLoader:
             if self.drop_last and len(pos) < self.batch_size:
                 break
             w = weights[pos] if weights is not None else None
-            x = self.dataset.x[pos]
-            if self.transform is not None:
-                x = self.transform(x)
             yield Batch(
-                x,
+                self.dataset.x[pos],
                 self.dataset.y[pos],
                 self.dataset.ids[pos],
                 w,

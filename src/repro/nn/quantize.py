@@ -2,9 +2,12 @@
 
 After the GPU trains on a subset, the target model's weights are quantized
 and shipped back to the SmartSSD's FPGA, where the selection model runs
-forward passes with them.  We implement symmetric per-tensor integer
-quantization at a configurable bit width (the paper's kernel uses int8;
-the bit-width ablation bench sweeps 4/8/16/32).
+forward passes with them.  We implement symmetric integer quantization
+at a configurable bit width (the paper's kernel uses int8; the bit-width
+ablation bench sweeps 4/8/16/32).  Weight tensors get one scale per
+output channel (axis 0), and :func:`quantized_state_bytes` charges one
+fp32 scale per output channel; 1-D tensors (biases, batchnorm affine
+parameters) get one scale for the whole tensor.
 
 :class:`QuantizedModel` wraps any :class:`~repro.nn.modules.Module`: it
 snapshots the source model's weights through a quantize→dequantize round

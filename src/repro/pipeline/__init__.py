@@ -6,12 +6,15 @@ data-movement ledgers for each training strategy (full-data, CRAIG,
 k-centers, NeSSA) — the machinery behind Figure 4 and the paper's
 3.47x / 5.37x / 2.14x headline numbers.
 
+:mod:`repro.pipeline.multidevice` extends that model to several
+SmartSSDs and GPUs (the paper's future work).  These models price the
+paper-scale hardware; nothing here replays a measured training run.
+
 :mod:`repro.pipeline.experiment` is the glue the benchmarks use to run
 accuracy experiments (trainers over synthetic data) with consistent
 configuration and reporting.
 """
 
-from repro.pipeline.cosim import CosimResult, cosimulate
 from repro.pipeline.experiment import (
     ExperimentResult,
     build_model,
@@ -37,6 +40,4 @@ __all__ = [
     "scaled_recipe",
     "MultiDeviceSystem",
     "ScalingPoint",
-    "cosimulate",
-    "CosimResult",
 ]

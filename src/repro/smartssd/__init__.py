@@ -1,38 +1,38 @@
-"""Samsung SmartSSD simulator: NAND + KU15P FPGA + PCIe links.
+"""Samsung SmartSSD model: NAND + KU15P FPGA + PCIe links.
 
 The paper's storage-side results are bandwidth/byte/resource arithmetic
-over the SmartSSD's components; this package models each one:
+over the SmartSSD's components; this package models each one in closed
+form:
 
-- :mod:`repro.smartssd.events` — a minimal discrete-event engine.
 - :mod:`repro.smartssd.nand` — the 3.84 TB NAND flash array.
 - :mod:`repro.smartssd.link` — the P2P SSD↔FPGA link (3 GB/s peak, the
   Figure 6 saturation curve) and the conventional host path (1.4 GB/s).
 - :mod:`repro.smartssd.fpga` — the Kintex KU15P resource/clock/power model.
 - :mod:`repro.smartssd.kernel` — the selection kernel's resource mapping
   (Table 4) and cycle model.
+- :mod:`repro.smartssd.dram` — the on-board DRAM embedding cache.
 - :mod:`repro.smartssd.device` — the composed device with data-movement
   accounting.
+- :mod:`repro.smartssd.access` — the scan and gather access patterns of a
+  NeSSA epoch, priced request by request on the NAND + link models.
 """
 
+from repro.smartssd.access import (
+    AccessPattern,
+    IORequest,
+    ReplayCost,
+    replay,
+    selection_scan_pattern,
+    subset_gather_pattern,
+)
 from repro.smartssd.device import DataMovement, SmartSSD
 from repro.smartssd.dram import CachePlan, EmbeddingCache
-from repro.smartssd.events import EventSimulator
 from repro.smartssd.fpga import FPGASpec, KU15P
 from repro.smartssd.kernel import KernelConfig, SelectionKernel
 from repro.smartssd.link import LinkModel, host_path_link, p2p_link
 from repro.smartssd.nand import NANDFlash
-from repro.smartssd.pipeline_sim import PipelineResult, simulate_selection_pipeline
-from repro.smartssd.trace import (
-    IORequest,
-    IOTrace,
-    TraceCost,
-    generate_selection_trace,
-    generate_subset_gather_trace,
-    replay,
-)
 
 __all__ = [
-    "EventSimulator",
     "EmbeddingCache",
     "CachePlan",
     "NANDFlash",
@@ -45,12 +45,10 @@ __all__ = [
     "SelectionKernel",
     "SmartSSD",
     "DataMovement",
-    "simulate_selection_pipeline",
-    "PipelineResult",
     "IORequest",
-    "IOTrace",
-    "TraceCost",
-    "generate_selection_trace",
-    "generate_subset_gather_trace",
+    "AccessPattern",
+    "ReplayCost",
+    "selection_scan_pattern",
+    "subset_gather_pattern",
     "replay",
 ]

@@ -1,15 +1,15 @@
-"""I/O traces: the storage access patterns NeSSA training generates.
+"""Storage access patterns: the I/O NeSSA training generates.
 
 A selection round streams the candidate pool *sequentially* (embeddings
 laid out contiguously); shipping the chosen subset to the GPU, however,
 gathers *scattered* images — the medoids land anywhere in the dataset's
 on-flash layout.  This module makes those patterns explicit:
 
-- :class:`IOTrace` — an ordered list of ``(offset, length, kind)``
+- :class:`AccessPattern` — an ordered list of ``(offset, length, kind)``
   requests;
-- :func:`generate_selection_trace` / :func:`generate_subset_gather_trace`
-  — build the two phases' traces from a selection result;
-- :func:`replay` — price a trace against the NAND + link models,
+- :func:`selection_scan_pattern` / :func:`subset_gather_pattern` — build
+  the two phases' patterns from a selection result;
+- :func:`replay` — price a pattern against the NAND + link models,
   classifying each request as sequential or random by its distance from
   the previous request.
 
@@ -34,10 +34,10 @@ from repro.smartssd.nand import NANDFlash
 
 __all__ = [
     "IORequest",
-    "IOTrace",
-    "TraceCost",
-    "generate_selection_trace",
-    "generate_subset_gather_trace",
+    "AccessPattern",
+    "ReplayCost",
+    "selection_scan_pattern",
+    "subset_gather_pattern",
     "replay",
 ]
 
@@ -65,7 +65,7 @@ class IORequest:
 
 
 @dataclass
-class IOTrace:
+class AccessPattern:
     """An ordered request sequence."""
 
     requests: list = field(default_factory=list)
@@ -92,7 +92,7 @@ class IOTrace:
 
 
 @dataclass(frozen=True)
-class TraceCost:
+class ReplayCost:
     """Replay outcome."""
 
     total_time: float
@@ -112,32 +112,32 @@ class TraceCost:
         return self.random_requests / n if n else 0.0
 
 
-def generate_selection_trace(
+def selection_scan_pattern(
     num_candidates: int,
     bytes_per_record: int,
     chunk_records: int,
     base_offset: int = 0,
-) -> IOTrace:
+) -> AccessPattern:
     """Sequential chunked scan of the candidate pool (selection phase)."""
     if num_candidates < 1 or bytes_per_record < 1 or chunk_records < 1:
-        raise ValueError("invalid trace parameters")
-    trace = IOTrace()
+        raise ValueError("invalid pattern parameters")
+    pattern = AccessPattern()
     offset = base_offset
     remaining = num_candidates
     while remaining > 0:
         take = min(chunk_records, remaining)
-        trace.add(offset, take * bytes_per_record, "stream")
+        pattern.add(offset, take * bytes_per_record, "stream")
         offset += take * bytes_per_record
         remaining -= take
-    return trace
+    return pattern
 
 
-def generate_subset_gather_trace(
+def subset_gather_pattern(
     selected_positions: np.ndarray,
     bytes_per_image: int,
     batch_images: int = 128,
     base_offset: int = 0,
-) -> IOTrace:
+) -> AccessPattern:
     """Gather of the selected images as scatter-gather batches.
 
     The SmartSSD ships the subset in batches of ``batch_images`` (the
@@ -148,32 +148,32 @@ def generate_subset_gather_trace(
     marked contiguous (the firmware merges adjacent LBAs).
     """
     if bytes_per_image < 1 or batch_images < 1:
-        raise ValueError("invalid trace parameters")
+        raise ValueError("invalid pattern parameters")
     positions = np.sort(np.asarray(selected_positions, dtype=np.int64))
     if len(positions) == 0:
-        return IOTrace()
+        return AccessPattern()
 
-    trace = IOTrace()
+    pattern = AccessPattern()
     for start in range(0, len(positions), batch_images):
         batch = positions[start : start + batch_images]
         is_run = len(batch) == batch[-1] - batch[0] + 1
-        trace.add(
+        pattern.add(
             base_offset + int(batch[0]) * bytes_per_image,
             len(batch) * bytes_per_image,
             "gather",
             contiguous=bool(is_run),
             fragments=1 if is_run else len(batch),
         )
-    return trace
+    return pattern
 
 
 def replay(
-    trace: IOTrace,
+    pattern: AccessPattern,
     nand: NANDFlash | None = None,
     link: LinkModel | None = None,
     sequential_gap: int = 0,
-) -> TraceCost:
-    """Price a trace: flash read + link transfer per request, serialized.
+) -> ReplayCost:
+    """Price a pattern: flash read + link transfer per request, serialized.
 
     A request is *sequential* when it starts exactly where the previous
     one ended (within ``sequential_gap`` bytes); sequential requests hit
@@ -182,11 +182,11 @@ def replay(
     nand = nand or NANDFlash()
     link = link or p2p_link()
 
-    with obs.span("io_replay", requests=len(trace)) as sp:
+    with obs.span("io_replay", requests=len(pattern)) as sp:
         total = 0.0
         seq = rnd = 0
         prev_end = None
-        for request in trace:
+        for request in pattern:
             adjacent = (
                 prev_end is not None
                 and 0 <= request.offset - prev_end <= sequential_gap
@@ -206,14 +206,14 @@ def replay(
         # movement — a distinct attr keeps them out of the report's
         # data-moved reconciliation.
         sp.set(
-            replayed_bytes=int(trace.total_bytes),
+            replayed_bytes=int(pattern.total_bytes),
             simulated_s=total,
             sequential=seq,
             random=rnd,
         )
-    return TraceCost(
+    return ReplayCost(
         total_time=total,
         sequential_requests=seq,
         random_requests=rnd,
-        total_bytes=trace.total_bytes,
+        total_bytes=pattern.total_bytes,
     )

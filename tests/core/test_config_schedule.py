@@ -1,9 +1,8 @@
-"""Tests for NeSSAConfig, TrainRecipe and the dynamic subset schedule."""
+"""Tests for NeSSAConfig and TrainRecipe (with its LR milestone schedule)."""
 
 import pytest
 
 from repro.core.config import NeSSAConfig, TrainRecipe
-from repro.core.schedule import SubsetSizeSchedule
 
 
 class TestTrainRecipe:
@@ -63,58 +62,9 @@ class TestNeSSAConfig:
             NeSSAConfig(subset_fraction=0.0)
         with pytest.raises(ValueError):
             NeSSAConfig(feedback_bits=1)
-        with pytest.raises(ValueError):
-            NeSSAConfig(subset_fraction=0.2, min_subset_fraction=0.5, dynamic_subset=True)
 
-    def test_fraction_below_the_dynamic_floor_without_the_schedule(self):
-        # min_subset_fraction is the dynamic schedule's floor; with the
-        # schedule off it must not cap how small a fixed subset can be
+    def test_accepts_fraction_below_a_tenth(self):
+        # nothing caps how small a subset can be short of 0
         assert NeSSAConfig(subset_fraction=0.05).subset_fraction == 0.05
+        assert NeSSAConfig(subset_fraction=0.001).subset_fraction == 0.001
 
-
-class TestSubsetSizeSchedule:
-    def test_no_shrink_while_improving(self):
-        s = SubsetSizeSchedule(0.3, threshold=0.02, patience=2)
-        for loss in [2.0, 1.8, 1.6, 1.4, 1.2]:
-            frac = s.update(loss)
-        assert frac == pytest.approx(0.3)
-        assert not s.shrink_events
-
-    def test_shrinks_on_plateau(self):
-        s = SubsetSizeSchedule(0.3, threshold=0.02, shrink=0.9, patience=2)
-        for loss in [2.0, 2.0, 2.0, 2.0]:
-            frac = s.update(loss)
-        assert frac == pytest.approx(0.27)
-        assert s.shrink_events
-
-    def test_floor_respected(self):
-        s = SubsetSizeSchedule(0.3, min_fraction=0.25, shrink=0.5, patience=1)
-        for _ in range(10):
-            frac = s.update(1.0)
-        assert frac == pytest.approx(0.25)
-
-    def test_disabled_schedule_ignores_the_floor(self):
-        s = SubsetSizeSchedule(0.05, enabled=False)
-        assert s.update(1.0) == pytest.approx(0.05)
-
-    def test_disabled_schedule_is_constant(self):
-        s = SubsetSizeSchedule(0.3, enabled=False)
-        for _ in range(10):
-            frac = s.update(1.0)
-        assert frac == pytest.approx(0.3)
-
-    def test_recovery_resets_stall_counter(self):
-        s = SubsetSizeSchedule(0.3, threshold=0.02, patience=2)
-        s.update(2.0)
-        s.update(2.0)  # stall 1
-        s.update(1.0)  # big improvement resets
-        s.update(1.0)  # stall 1 again
-        assert s.fraction == pytest.approx(0.3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SubsetSizeSchedule(0.3, min_fraction=0.5)
-        with pytest.raises(ValueError):
-            SubsetSizeSchedule(0.3, shrink=1.0)
-        with pytest.raises(ValueError):
-            SubsetSizeSchedule(0.3, patience=0)

@@ -146,3 +146,34 @@ class TestEvaluateAccuracy:
         )
         evaluate_accuracy(net, ds)
         assert net.training
+
+
+class TestHistoryStableAccuracy:
+    def _history(self, accs):
+        h = TrainingHistory(method="x")
+        for e, a in enumerate(accs):
+            h.append(EpochRecord(e, 1.0, a, 10, 0.5, 10))
+        return h
+
+    def test_stable_is_tail_mean(self):
+        h = self._history([0.1, 0.2, 0.8, 0.9, 1.0])
+        assert h.stable_accuracy(window=3) == pytest.approx(0.9)
+
+    def test_window_longer_than_run(self):
+        h = self._history([0.4, 0.6])
+        assert h.stable_accuracy(window=10) == pytest.approx(0.5)
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            TrainingHistory().stable_accuracy()
+
+    def test_stable_less_noisy_than_final(self):
+        rng = np.random.default_rng(0)
+        finals, stables = [], []
+        for seed in range(20):
+            noise = rng.normal(0, 0.05, size=10)
+            accs = np.clip(0.8 + noise, 0, 1)
+            h = self._history(accs.tolist())
+            finals.append(h.final_accuracy)
+            stables.append(h.stable_accuracy())
+        assert np.std(stables) < np.std(finals)

@@ -126,23 +126,7 @@ class TestNeSSATrainer:
         history = trainer.train(train, test)
         assert sum(r.dropped_samples for r in history.records) > 0
 
-    def test_dynamic_schedule_shrinks_subset(self, data):
-        train, test = data
-        config = self._config(
-            dynamic_subset=True,
-            dynamic_threshold=0.9,  # nearly always "stalled"
-            dynamic_shrink=0.7,
-            min_subset_fraction=0.1,
-        )
-        trainer = NeSSATrainer(factory(), recipe(8), config, factory)
-        history = trainer.train(train, test)
-        fracs = [r.subset_fraction for r in history.records]
-        assert fracs[-1] < fracs[0]
-        assert min(fracs) >= 0.1 - 0.02
-
-    def test_trains_below_the_dynamic_floor(self, data):
-        # 0.05 < min_subset_fraction's default 0.1; with the dynamic
-        # schedule off that floor does not apply
+    def test_trains_at_a_fraction_below_a_tenth(self, data):
         train, test = data
         trainer = NeSSATrainer(factory(), recipe(2), self._config(subset_fraction=0.05), factory)
         history = trainer.train(train, test)

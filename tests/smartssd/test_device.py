@@ -67,18 +67,27 @@ class TestSmartSSD:
             ssd.store_dataset(3e12)
 
     def test_run_selection_overlaps_stream_and_kernel(self):
-        ssd = SmartSSD()
-        t = ssd.run_selection(
-            num_candidates=10_000,
-            candidate_bytes=30e6,
-            flops_per_sample=1e5,
-            proxy_dim=10,
-            subset_size=3_000,
-            chunk_size=500,
-        )
-        assert t.total_time <= t.stream_time + t.kernel_time + 1e-3
-        assert t.total_time >= max(t.stream_time, t.kernel_time)
-        assert t.energy_joules == pytest.approx(t.total_time * 7.5)
+        """Streaming overlaps the kernel: one round is the slower of the two
+        plus one request of pipeline fill, in a kernel-bound and a
+        stream-bound round alike."""
+        for candidate_bytes, flops, bound in ((30e6, 1e5, "kernel"), (3e9, 1e2, "stream")):
+            ssd = SmartSSD()
+            t = ssd.run_selection(
+                num_candidates=10_000,
+                candidate_bytes=candidate_bytes,
+                flops_per_sample=flops,
+                proxy_dim=10,
+                subset_size=3_000,
+                chunk_size=500,
+            )
+            stream = SmartSSD().p2p_read_time(candidate_bytes)
+            kernel = ssd.kernel.selection_time(10_000, flops, 10, 3_000, 500)
+            fill = ssd.p2p.request_latency_s
+            assert (t.stream_time, t.kernel_time) == (stream, kernel)
+            assert (kernel > stream) == (bound == "kernel")
+            assert t.total_time == max(stream, kernel) + fill
+            assert t.total_time <= stream + kernel + fill
+            assert t.energy_joules == pytest.approx(t.total_time * 7.5)
 
     def test_selection_charges_p2p_not_host(self):
         ssd = SmartSSD()

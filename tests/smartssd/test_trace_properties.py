@@ -1,13 +1,13 @@
-"""Property-based tests for I/O trace generation and replay."""
+"""Property-based tests for access-pattern generation and replay."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smartssd.trace import (
-    generate_selection_trace,
-    generate_subset_gather_trace,
+from repro.smartssd.access import (
+    selection_scan_pattern,
+    subset_gather_pattern,
     replay,
 )
 
@@ -20,10 +20,10 @@ class TestTraceProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_scan_conserves_bytes_and_is_gapless(self, n, bytes_per, chunk):
-        trace = generate_selection_trace(n, bytes_per, chunk)
-        assert trace.total_bytes == n * bytes_per
-        prev_end = trace.requests[0].offset
-        for request in trace:
+        pattern = selection_scan_pattern(n, bytes_per, chunk)
+        assert pattern.total_bytes == n * bytes_per
+        prev_end = pattern.requests[0].offset
+        for request in pattern:
             assert request.offset == prev_end
             prev_end = request.offset + request.length
 
@@ -39,9 +39,9 @@ class TestTraceProperties:
         rng = np.random.default_rng(seed)
         k = max(1, int(frac * n))
         picked = np.sort(rng.choice(n, size=k, replace=False))
-        trace = generate_subset_gather_trace(picked, bytes_per, batch_images=batch)
-        assert trace.total_bytes == k * bytes_per
-        assert len(trace) == -(-k // batch)
+        pattern = subset_gather_pattern(picked, bytes_per, batch_images=batch)
+        assert pattern.total_bytes == k * bytes_per
+        assert len(pattern) == -(-k // batch)
 
     @given(
         n=st.integers(100, 3000),
@@ -54,8 +54,8 @@ class TestTraceProperties:
         rng = np.random.default_rng(seed)
         k = max(1, int(frac * n))
         picked = np.sort(rng.choice(n, size=k, replace=False))
-        trace = generate_subset_gather_trace(picked, 3000)
-        cost = replay(trace)
+        pattern = subset_gather_pattern(picked, 3000)
+        cost = replay(pattern)
         assert cost.total_time > 0
         assert cost.effective_throughput <= 3.0e9  # link ceiling
 
@@ -66,6 +66,6 @@ class TestTraceProperties:
         k = n // 4
         scattered = np.sort(rng.choice(n, size=k, replace=False))
         contiguous = np.arange(k)
-        t_scattered = replay(generate_subset_gather_trace(scattered, 3000)).total_time
-        t_contiguous = replay(generate_subset_gather_trace(contiguous, 3000)).total_time
+        t_scattered = replay(subset_gather_pattern(scattered, 3000)).total_time
+        t_contiguous = replay(subset_gather_pattern(contiguous, 3000)).total_time
         assert t_contiguous <= t_scattered + 1e-9
