@@ -6,14 +6,13 @@ cache keying.
 """
 
 from repro.parallel.cache import ProxyCache, model_weights_digest
-from repro.parallel.engine import SelectionExecutor, execute_unit
+from repro.parallel.engine import SelectionExecutor
 from repro.parallel.scheduler import WorkUnit, plan_selection_round, unit_rng
 
 __all__ = [
     "ProxyCache",
     "model_weights_digest",
     "SelectionExecutor",
-    "execute_unit",
     "WorkUnit",
     "plan_selection_round",
     "unit_rng",

@@ -30,20 +30,15 @@ from repro.selection.gradients import compute_gradient_proxies
 __all__ = ["LossRankedSelector", "ForgettingEventsSelector", "UncertaintySelector"]
 
 
-def _stratified_top(
-    dataset: Dataset,
-    candidates: np.ndarray,
-    scores: np.ndarray,
-    fraction: float,
-) -> np.ndarray:
-    """Per class, keep the highest-scoring ``fraction`` of candidates."""
-    labels = dataset.y[candidates]
+def _stratified_top(dataset: Dataset, scores: np.ndarray, fraction: float) -> np.ndarray:
+    """Per class, keep the highest-scoring ``fraction`` of ``dataset``."""
+    labels = dataset.y
     chosen = []
     for label in np.unique(labels):
         local = np.flatnonzero(labels == label)
         k = max(1, int(round(fraction * len(local))))
         order = np.argsort(scores[local])[::-1]
-        chosen.append(candidates[local[order[:k]]])
+        chosen.append(local[order[:k]])
     return np.concatenate(chosen)
 
 
@@ -52,23 +47,12 @@ class LossRankedSelector:
 
     name = "loss_ranked"
 
-    def select(
-        self,
-        dataset: Dataset,
-        fraction: float,
-        model,
-        candidates: np.ndarray | None = None,
-    ) -> SelectionResult:
+    def select(self, dataset: Dataset, fraction: float, model) -> SelectionResult:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if candidates is None:
-            candidates = np.arange(len(dataset), dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
 
-        proxy = compute_gradient_proxies(
-            model, dataset.x[candidates], dataset.y[candidates]
-        )
-        positions = _stratified_top(dataset, candidates, proxy.losses, fraction)
+        proxy = compute_gradient_proxies(model, dataset.x, dataset.y)
+        positions = _stratified_top(dataset, proxy.losses, fraction)
         return SelectionResult(
             positions=positions,
             weights=np.ones(len(positions), dtype=np.float64),
@@ -120,28 +104,17 @@ class ForgettingEventsSelector:
                 out[i] = self._forget_counts.get(key, 0)
         return out
 
-    def select(
-        self,
-        dataset: Dataset,
-        fraction: float,
-        model,
-        candidates: np.ndarray | None = None,
-    ) -> SelectionResult:
+    def select(self, dataset: Dataset, fraction: float, model) -> SelectionResult:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if candidates is None:
-            candidates = np.arange(len(dataset), dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
 
-        proxy = compute_gradient_proxies(
-            model, dataset.x[candidates], dataset.y[candidates]
-        )
+        proxy = compute_gradient_proxies(model, dataset.x, dataset.y)
         # Correct iff the true-class gradient entry is the dominant one:
         # softmax(z)[y] - 1 is the y-th entry; prediction == y when that
         # entry's softmax is the max, i.e. vectors[i, y] == min entry.
         preds = np.argmin(proxy.vectors, axis=1)
-        correct = preds == dataset.y[candidates]
-        ids = dataset.ids[candidates]
+        correct = preds == dataset.y
+        ids = dataset.ids
         self.observe(ids, correct)
 
         scores = self.scores(ids)
@@ -150,7 +123,7 @@ class ForgettingEventsSelector:
         if finite.any():
             max_loss = proxy.losses.max() or 1.0
             scores = np.where(finite, scores + proxy.losses / (10 * max_loss), scores)
-        positions = _stratified_top(dataset, candidates, scores, fraction)
+        positions = _stratified_top(dataset, scores, fraction)
         return SelectionResult(
             positions=positions,
             weights=np.ones(len(positions), dtype=np.float64),
@@ -164,30 +137,19 @@ class UncertaintySelector:
 
     name = "uncertainty"
 
-    def select(
-        self,
-        dataset: Dataset,
-        fraction: float,
-        model,
-        candidates: np.ndarray | None = None,
-    ) -> SelectionResult:
+    def select(self, dataset: Dataset, fraction: float, model) -> SelectionResult:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if candidates is None:
-            candidates = np.arange(len(dataset), dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
 
-        proxy = compute_gradient_proxies(
-            model, dataset.x[candidates], dataset.y[candidates]
-        )
+        proxy = compute_gradient_proxies(model, dataset.x, dataset.y)
         # Recover softmax probabilities from the last-layer gradient:
         # grad = p - onehot(y)  =>  p = grad + onehot(y).
         probs = proxy.vectors.copy()
-        probs[np.arange(len(candidates)), dataset.y[candidates]] += 1.0
+        probs[np.arange(len(dataset)), dataset.y] += 1.0
         part = np.partition(probs, -2, axis=1)
         margin = part[:, -1] - part[:, -2]
         scores = -margin  # small margin = uncertain = important
-        positions = _stratified_top(dataset, candidates, scores, fraction)
+        positions = _stratified_top(dataset, scores, fraction)
         return SelectionResult(
             positions=positions,
             weights=np.ones(len(positions), dtype=np.float64),

@@ -58,32 +58,17 @@ class KCentersSelector:
     def __init__(self, seed: int = 0):
         self.rng = np.random.default_rng(seed)
 
-    def select(
-        self,
-        dataset: Dataset,
-        fraction: float,
-        model,
-        candidates: np.ndarray | None = None,
-    ) -> SelectionResult:
+    def select(self, dataset: Dataset, fraction: float, model) -> SelectionResult:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if candidates is None:
-            candidates = np.arange(len(dataset), dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
 
-        proxy = compute_gradient_proxies(
-            model,
-            dataset.x[candidates],
-            dataset.y[candidates],
-            ids=dataset.ids[candidates],
-        )
-        k = max(1, int(round(fraction * len(candidates))))
-        sel = k_centers(proxy.vectors, k, rng=self.rng)
-        positions = candidates[sel]
+        proxy = compute_gradient_proxies(model, dataset.x, dataset.y, ids=dataset.ids)
+        k = max(1, int(round(fraction * len(dataset))))
+        positions = k_centers(proxy.vectors, k, rng=self.rng)
         return SelectionResult(
             positions=positions,
             weights=np.ones(len(positions), dtype=np.float64),
-            pairwise_bytes=len(candidates) * 8,  # only the min-distance vector
+            pairwise_bytes=len(dataset) * 8,  # only the min-distance vector
             proxy_flops=proxy.flops,
         )
 

@@ -23,26 +23,15 @@ class RandomSelector:
     def __init__(self, seed: int = 0):
         self.rng = np.random.default_rng(seed)
 
-    def select(
-        self,
-        dataset: Dataset,
-        fraction: float,
-        model=None,
-        candidates: np.ndarray | None = None,
-    ) -> SelectionResult:
+    def select(self, dataset: Dataset, fraction: float, model=None) -> SelectionResult:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if candidates is None:
-            candidates = np.arange(len(dataset), dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
 
-        labels = dataset.y[candidates]
         chosen = []
-        for label in np.unique(labels):
-            local = np.flatnonzero(labels == label)
+        for label in np.unique(dataset.y):
+            local = np.flatnonzero(dataset.y == label)
             k_c = max(1, int(round(fraction * len(local))))
-            picked = self.rng.choice(local, size=min(k_c, len(local)), replace=False)
-            chosen.append(candidates[picked])
+            chosen.append(self.rng.choice(local, size=min(k_c, len(local)), replace=False))
         positions = np.concatenate(chosen)
         return SelectionResult(
             positions=positions,

@@ -9,6 +9,7 @@ from repro.core.selector import NeSSASelector
 from repro.parallel.engine import SelectionExecutor
 from repro.parallel.scheduler import plan_selection_round
 from repro.selection.craig import craig_select_class
+from repro.selection.partition import chunk_pairwise_bytes
 
 
 def _planned_round(seed):
@@ -17,7 +18,7 @@ def _planned_round(seed):
     labels = gen.integers(0, 4, size=160)
     units = plan_selection_round(labels, 48, seed=seed, round_index=0,
                                  chunk_select=8)
-    return vectors, units
+    return vectors, labels, units
 
 
 def _run_units(vectors, units, traced):
@@ -38,10 +39,11 @@ class TestEngineEquivalence:
     assembled in ``WorkUnit.order``."""
 
     def test_run_units_equals_per_unit_craig(self, seed, traced):
-        vectors, units = _planned_round(seed)
+        vectors, labels, units = _planned_round(seed)
         got, tracer = _run_units(vectors, units, traced)
         assert [u.order for u in units] == list(range(len(units)))
         assert len(got) == len(units)
+        class_weight = dict.fromkeys(np.unique(labels).tolist(), 0.0)
         for unit, (sel, w, nbytes) in zip(units, got):
             ref_sel, ref_w, ref_bytes = craig_select_class(
                 vectors[unit.positions], unit.take
@@ -49,6 +51,14 @@ class TestEngineEquivalence:
             assert np.array_equal(sel, ref_sel)
             assert np.array_equal(w, ref_w)  # bitwise, not approx
             assert nbytes == ref_bytes
+            # §3.2.3: a unit builds only its chunk's tile, never the class's
+            assert nbytes == chunk_pairwise_bytes(len(unit.positions))
+            assert nbytes < chunk_pairwise_bytes(int((labels == unit.label).sum()))
+            class_weight[unit.label] += w.sum()
+        # the chunks' CRAIG weights add up to each class's pool size
+        assert class_weight == {
+            c: float((labels == c).sum()) for c in class_weight
+        }
         if traced:
             # one span per unit, in order, identified by the unit's seed
             # key and carrying its structure

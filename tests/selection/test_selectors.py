@@ -80,12 +80,6 @@ class TestCraigSelector:
         labels = set(train.y[res.positions])
         assert labels == set(range(train.num_classes))
 
-    def test_candidate_restriction_respected(self, train_test_split, tiny_model):
-        train, _ = train_test_split
-        candidates = np.arange(0, len(train), 2)
-        res = CraigSelector().select(train, 0.3, tiny_model, candidates=candidates)
-        assert set(res.positions) <= set(candidates)
-
     def test_subset_wrapper_carries_weights(self, train_test_split, tiny_model):
         train, _ = train_test_split
         sub = CraigSelector().subset(train, 0.2, tiny_model)
