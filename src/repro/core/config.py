@@ -70,9 +70,6 @@ class NeSSAConfig:
         5-epoch loss window and 20-epoch conservative drop period.
     use_partitioning : dataset partitioning (§3.2.3); the trainer selects
         *m* = the mini-batch size per chunk, the paper's convention.
-    proxy_cache_entries : LRU capacity of the proxy-reuse cache (skips
-        the selection forward pass when the quantized feedback weights
-        and candidate pool are unchanged); 0 disables caching.
     """
 
     subset_fraction: float = 0.3
@@ -88,8 +85,6 @@ class NeSSAConfig:
 
     use_partitioning: bool = True
 
-    proxy_cache_entries: int = 4
-
     seed: int = 0
 
     def __post_init__(self):
@@ -99,8 +94,6 @@ class NeSSAConfig:
             raise ValueError("select_every must be >= 1")
         if not 2 <= self.feedback_bits <= 32:
             raise ValueError("feedback_bits must be in [2, 32]")
-        if self.proxy_cache_entries < 0:
-            raise ValueError("proxy_cache_entries must be >= 0")
 
     def vanilla(self) -> "NeSSAConfig":
         """NeSSA without SB and PA — Table 3's 'Vanilla' column."""

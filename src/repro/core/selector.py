@@ -4,9 +4,9 @@ One :meth:`NeSSASelector.select` call is what the paper's FPGA kernel does
 at the start of an epoch (system step 2 in Figure 3):
 
 1. score every candidate with the quantized feedback model (forward pass
-   → last-layer gradient proxies, §3.1 / §3.2.1) — memoized by the
-   :class:`~repro.parallel.cache.ProxyCache` when neither the feedback
-   weights nor the candidate pool changed since the last round;
+   → last-layer gradient proxies, §3.1 / §3.2.1).  The proxies live only
+   for the round that computed them: with feedback on, the replica's
+   weights change every round, so a memo of them could never hit;
 2. restrict candidates to samples not yet "learned" (subset biasing,
    §3.2.2 — the :class:`~repro.selection.biasing.LossHistory` is fed by
    the trainer);
@@ -26,7 +26,6 @@ import numpy as np
 from repro import obs
 from repro.core.config import NeSSAConfig
 from repro.data.dataset import Dataset, Subset
-from repro.parallel.cache import ProxyCache
 from repro.parallel.engine import SelectionExecutor
 from repro.parallel.scheduler import plan_selection_round
 from repro.selection.biasing import LossHistory
@@ -58,11 +57,6 @@ class NeSSASelector:
             drop_quantile=config.biasing_drop_quantile,
             min_history=min(3, config.biasing_window),
         )
-        self.proxy_cache = (
-            ProxyCache(config.proxy_cache_entries)
-            if config.proxy_cache_entries > 0
-            else None
-        )
         self.executor = SelectionExecutor()
         self._round = 0
 
@@ -79,17 +73,16 @@ class NeSSASelector:
         if not self.config.use_biasing or not self.loss_history.should_drop_now(epoch):
             return 0
         candidates = self.loss_history.filter_candidates(dataset.ids)
-        marked = self.loss_history.mark_learned(candidates)
         # Never drop below what one subset needs: keep the pool at least
-        # twice the current subset so selection still has choices.
-        pool_after = len(candidates) - len(marked)
+        # twice the current subset so selection still has choices.  When
+        # that floor binds, the best-learned (lowest-loss) samples go first.
         min_pool = max(
             2 * int(self.config.subset_fraction * len(dataset)),
             dataset.num_classes,
         )
-        if pool_after < min_pool:
-            keep = max(0, len(candidates) - min_pool)
-            marked = marked[:keep]
+        marked = self.loss_history.mark_learned(
+            candidates, limit=max(0, len(candidates) - min_pool)
+        )
         self.loss_history.drop(marked)
         return len(marked)
 
@@ -123,7 +116,6 @@ class NeSSASelector:
             dataset.x[candidates],
             dataset.y[candidates],
             ids=dataset.ids[candidates],
-            cache=self.proxy_cache,
         )
 
         k_total = max(1, int(round(fraction * len(dataset))))
@@ -152,14 +144,6 @@ class NeSSASelector:
             pairwise_bytes=pairwise,
             proxy_flops=proxy.flops,
         )
-
-    @property
-    def proxy_cache_stats(self) -> dict:
-        """Hit/miss accounting of the proxy cache (zeros when disabled)."""
-        if self.proxy_cache is None:
-            return {"hits": 0, "misses": 0, "lookups": 0, "hit_rate": 0.0,
-                    "entries": 0}
-        return self.proxy_cache.stats
 
     def subset(self, dataset: Dataset, fraction: float, model) -> Subset:
         """Run :meth:`select` and wrap the result as a weighted Subset."""

@@ -104,13 +104,17 @@ class QuantizedModel:
     The wrapped model's parameters are replaced by dequantized copies of
     the source model's weights at snapshot time (:meth:`sync_from`), so the
     selector's forward passes see the same rounding the FPGA would.
-    Quantization is weight-only: activations stay fp32.
+    Quantization is weight-only: activations stay fp32.  The replica only
+    runs forward, so its parameters' gradient buffers are freed
+    (``grad is None``).
     """
 
     def __init__(self, model: Module, bits: int = 8):
         self.model = model
         self.bits = bits
         self.model.eval()
+        for param in self.model.parameters():
+            param.grad = None
         self.synced = False
 
     def sync_from(self, source: Module) -> int:

@@ -66,8 +66,8 @@ def craig_select_class(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     if n == 0:
         return (np.zeros(0, np.int64), np.zeros(0, np.float64), 0)
     k = min(k, n)
-    distances = pairwise_distances(vectors)
-    similarity = similarity_from_distances(distances)
+    # the distance matrix is freed as soon as the similarity exists
+    similarity = similarity_from_distances(pairwise_distances(vectors))
     sel = lazy_greedy(similarity, k, validate=False)
     weights = medoid_weights(similarity, sel)
     return sel, weights, chunk_pairwise_bytes(n)

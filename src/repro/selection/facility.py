@@ -8,11 +8,12 @@ gradient estimation error of training on S instead of V (paper Eq. 3-5).
 Two maximizers are provided:
 
 - :func:`lazy_greedy` — Minoux's accelerated greedy.  Exact greedy result,
-  (1 - 1/e)-optimal, using a max-heap of stale marginal gains.  Stale
-  entries are re-evaluated in small vectorized batches against a
+  (1 - 1/e)-optimal, using a max-heap of stale marginal gains.  Every
+  gain is refreshed in one vectorized pass after the first pick; later
+  stale entries are re-evaluated in small vectorized batches against a
   row-contiguous copy of the similarity matrix, which is several times
-  faster than per-entry strided column reads; the selection order is
-  provably identical to the one-at-a-time discipline
+  faster than per-entry strided column reads.  The selection order is
+  identical to the one-at-a-time discipline
   (:func:`lazy_greedy_reference`, kept as the equivalence oracle).
 - :func:`stochastic_greedy` — Mirzasoleiman et al.'s "lazier than lazy
   greedy": each step evaluates a random candidate sample of size
@@ -40,6 +41,10 @@ __all__ = [
     "stochastic_greedy",
     "medoid_weights",
 ]
+
+
+# Rows per block of lazy_greedy's one full refresh after its first pick.
+_REFRESH_ROWS = 64
 
 
 def similarity_from_distances(distances: np.ndarray, c0: float | None = None) -> np.ndarray:
@@ -74,13 +79,16 @@ def lazy_greedy(
 ) -> np.ndarray:
     """Exact greedy facility-location maximization with lazy evaluation.
 
-    Returns the selected column indices in pick order.  With submodular F,
-    a candidate whose stale gain already beats every other stale gain needs
-    no re-evaluation.  Stale entries at the top of the heap are refreshed
-    ``batch_size`` at a time in one vectorized pass; refreshing a few
-    extra entries is harmless (gains only shrink under refresh, so the
-    next fresh top — and hence the selection order — is unchanged; see
-    :func:`lazy_greedy_reference` and the equivalence tests).
+    Returns the selected column indices in pick order.  The first pick is
+    the best singleton.  It covers much of the pool, so nearly every
+    singleton bound goes stale at once: every candidate is refreshed in
+    one vectorised pass right after it.  From then on, with submodular F,
+    a candidate whose stale gain already beats every other stale gain
+    needs no re-evaluation.  Stale entries at the top of the heap are
+    refreshed ``batch_size`` at a time in one vectorized pass; refreshing
+    a few extra entries is harmless (gains only shrink under refresh, so
+    the next fresh top — and hence the selection order — is unchanged;
+    see :func:`lazy_greedy_reference` and the equivalence tests).
     """
     n = _check(similarity, k, validate)
     if k >= n:
@@ -88,7 +96,7 @@ def lazy_greedy(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
-    # Column j of `similarity` is row j of the transpose; the refresh loop
+    # Column j of `similarity` is row j of the transpose; every refresh
     # only ever reads columns, so one O(N^2) contiguous copy up front buys
     # cache-friendly row reads for all O(N*k) refresh work.
     sim_rows = np.ascontiguousarray(similarity.T)
@@ -97,11 +105,22 @@ def lazy_greedy(
     # refresh pass of a float32 similarity (e.g. a float32 proxy
     # matrix's) back to double width.
     current_best = np.zeros(n, dtype=_float_dtype(similarity))
-    gains = similarity.sum(axis=0)  # gain of each singleton from F(empty)=0
-    heap = [(-g, j, 0) for j, g in enumerate(gains)]  # (neg gain, idx, round evaluated)
+    # gain of each singleton from F(empty)=0; argmax breaks ties to the
+    # lowest index, as the heap does
+    first = int(np.argmax(similarity.sum(axis=0)))
+    np.maximum(current_best, sim_rows[first], out=current_best)
+    selected = [first]
+    if k == 1:
+        return np.asarray(selected, dtype=np.int64)
+    # Blocks of rows keep the refresh's temporary at _REFRESH_ROWS x N.
+    gains = np.concatenate([
+        np.maximum(sim_rows[start : start + _REFRESH_ROWS] - current_best, 0.0).sum(axis=1)
+        for start in range(0, n, _REFRESH_ROWS)
+    ])
+    # (neg gain, idx, round evaluated)
+    heap = [(-g, j, 1) for j, g in enumerate(gains.tolist()) if j != first]
     heapq.heapify(heap)
 
-    selected: list[int] = []
     while len(selected) < k and heap:
         neg_gain, j, evaluated_at = heapq.heappop(heap)
         rnd = len(selected)

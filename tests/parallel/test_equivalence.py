@@ -85,50 +85,3 @@ class TestSelectorEquivalence:
         a = selector.select(train, 0.3, tiny_model)
         b = selector.select(train, 0.3, tiny_model)
         assert not np.array_equal(a.positions, b.positions)
-
-
-class TestCacheMetricsSurfacing:
-    """ProxyCache hits/misses surface in the registry and the selector stats."""
-
-    def _run_rounds(self, train, model):
-        registry = obs.MetricsRegistry()
-        previous = obs.set_metrics(registry)
-        try:
-            config = NeSSAConfig(subset_fraction=0.2, use_biasing=False, seed=4)
-            selector = NeSSASelector(config, chunk_select=16)
-            for _ in range(3):
-                selector.select(train, 0.2, model)
-            stats = selector.proxy_cache_stats
-        finally:
-            obs.set_metrics(previous)
-        return registry.snapshot()["counters"], stats
-
-    def test_registry_counters_match_instance_stats(self, train_test_split,
-                                                    tiny_model):
-        train, _ = train_test_split
-        counters, stats = self._run_rounds(train, tiny_model)
-        # Same (weights, pool, mode) every round: 1 miss, then 2 hits.
-        assert stats["misses"] == 1
-        assert stats["hits"] == 2
-        assert stats["hit_rate"] == pytest.approx(2 / 3)
-        assert counters["proxy_cache.misses"] == stats["misses"]
-        assert counters["proxy_cache.hits"] == stats["hits"]
-        assert counters["selection.rounds"] == 3
-
-    def test_hit_pattern_is_repeatable(self, train_test_split, tiny_model):
-        # Each selector owns its cache: a second fresh selector sees the
-        # same miss-then-hits ledger, not state leaked from the first.
-        train, _ = train_test_split
-        assert self._run_rounds(train, tiny_model) == self._run_rounds(
-            train, tiny_model
-        )
-
-    def test_disabled_cache_reports_zero_stats(self, train_test_split, tiny_model):
-        train, _ = train_test_split
-        config = NeSSAConfig(subset_fraction=0.2, use_biasing=False, seed=4,
-                             proxy_cache_entries=0)
-        selector = NeSSASelector(config, chunk_select=16)
-        selector.select(train, 0.2, tiny_model)
-        stats = selector.proxy_cache_stats
-        assert stats["lookups"] == 0
-        assert stats["hit_rate"] == 0.0
