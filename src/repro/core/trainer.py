@@ -200,9 +200,11 @@ class SubsetTrainer(_BaseTrainer):
         super().__init__(model, recipe, seed)
         if not 0.0 < subset_fraction <= 1.0:
             raise ValueError("subset_fraction must be in (0, 1]")
+        if select_every < 1:
+            raise ValueError("select_every must be >= 1")
         self.selector = selector
         self.subset_fraction = subset_fraction
-        self.select_every = max(1, select_every)
+        self.select_every = select_every
         self.name = getattr(selector, "name", "subset")
 
     def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
@@ -217,6 +219,8 @@ class SubsetTrainer(_BaseTrainer):
 class NeSSATrainer(_BaseTrainer):
     """The full NeSSA loop: near-storage selection + feedback + biasing.
 
+    Selects every epoch, as the paper does; what keeps a round cheap is
+    the selector's embedding array (``NeSSAConfig.refresh_period``).
     ``model_factory`` builds the FPGA-side replica architecture (same as
     the target model's).
     """
@@ -253,8 +257,6 @@ class NeSSATrainer(_BaseTrainer):
         return self.selector.maybe_drop_learned(train_set, epoch)
 
     def _select(self, train_set, epoch):
-        if epoch % self.config.select_every:
-            return None
         return self._selection_round(
             train_set, self.config.subset_fraction, self.feedback.selection_model, epoch
         )

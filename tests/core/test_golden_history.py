@@ -5,7 +5,9 @@ four hand-written epoch loops (``python tests/core/test_golden_history.py``
 rewrites it from whatever trainer is checked out).  Every deterministic
 ``EpochRecord`` field must match exactly — floats are compared through
 ``float.hex`` — for the full-data loop, the three live-model baselines
-and NeSSA under each schedule (every epoch, ``select_every=2``).
+and NeSSA at two embedding refresh periods: the default, and
+``refresh_period=1``, whose record is the one NeSSA had when every round
+forwarded every candidate.
 """
 
 import json
@@ -38,7 +40,7 @@ SELECTORS = {
 # Drop period 2 so the biasing drop fires inside a 5-epoch run.
 NESSA_CASES = {
     "nessa": {},
-    "nessa-every2": {"select_every": 2},
+    "nessa-refresh1": {"refresh_period": 1},
 }
 
 CASES = ("full", *SELECTORS, *NESSA_CASES)

@@ -93,6 +93,11 @@ class TestSubsetTrainer:
         with pytest.raises(ValueError):
             SubsetTrainer(factory(), recipe(), RandomSelector(), 0.0)
 
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_rejects_select_every_below_one(self, every):
+        with pytest.raises(ValueError, match="select_every"):
+            SubsetTrainer(factory(), recipe(), RandomSelector(), 0.3, select_every=every)
+
 
 class TestNeSSATrainer:
     def _config(self, **overrides):
