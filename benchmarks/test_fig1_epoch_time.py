@@ -30,8 +30,8 @@ def epoch_times():
     return out
 
 
-def test_fig1_epoch_time_grows_across_the_decade(benchmark):
-    rows = benchmark(epoch_times)
+def test_fig1_epoch_time_grows_across_the_decade():
+    rows = epoch_times()
 
     lines = ["Figure 1: ImageNet-1k epoch time on A100 (model, year, minutes)"]
     for model, seconds in rows:
@@ -54,9 +54,9 @@ def test_fig1_epoch_time_grows_across_the_decade(benchmark):
     assert min(by_year[years[-1]]) > min(by_year[years[0]])
 
 
-def test_fig1_absolute_scale_plausible(benchmark):
+def test_fig1_absolute_scale_plausible():
     """AlexNet epochs are minutes, ViT-H epochs are hours — not seconds/days."""
-    rows = benchmark(epoch_times)
+    rows = epoch_times()
     times = {m.name: s for m, s in rows}
     assert 60 < times["alexnet"] < 3600
     assert 600 < times["vit_h14"] < 86400

@@ -31,8 +31,8 @@ def compute_breakdowns():
     }
 
 
-def test_fig2_movement_shares(benchmark):
-    breakdowns = benchmark(compute_breakdowns)
+def test_fig2_movement_shares():
+    breakdowns = compute_breakdowns()
 
     lines = ["Figure 2: time distribution of training (V100)"]
     lines.append(f"{'dataset':12s} {'ingest(s)':>10s} {'compute(s)':>11s} {'movement%':>10s} {'paper%':>7s}")
@@ -55,7 +55,7 @@ def test_fig2_movement_shares(benchmark):
     assert shares["imagenet100"] > 5 * shares["mnist"]
 
 
-def test_fig2_movement_grows_with_image_bytes_same_model(benchmark):
+def test_fig2_movement_grows_with_image_bytes_same_model():
     """Controlled version of the trend: fix the model, grow the images."""
 
     def shares_for_sizes():
@@ -66,5 +66,5 @@ def test_fig2_movement_grows_with_image_bytes_same_model(benchmark):
             out.append(bd.movement_fraction)
         return out
 
-    fractions = benchmark(shares_for_sizes)
+    fractions = shares_for_sizes()
     assert fractions[0] < fractions[1] < fractions[2]

@@ -19,8 +19,8 @@ def epoch_table():
     return SystemModel("cifar10").epoch_table()
 
 
-def test_fig4_epoch_time(benchmark):
-    table = benchmark(epoch_table)
+def test_fig4_epoch_time():
+    table = epoch_table()
 
     lines = ["Figure 4: CIFAR-10/ResNet-20 per-epoch time (modelled seconds)"]
     lines.append(
@@ -44,7 +44,7 @@ def test_fig4_epoch_time(benchmark):
     assert table["full"].total / table["nessa"].total > 2.0
 
 
-def test_fig4_selection_cost_drives_the_ordering(benchmark):
+def test_fig4_selection_cost_drives_the_ordering():
     """Remove selection costs and the subset methods converge — the
     ordering in Figure 4 is a statement about *selection* overhead."""
 
@@ -54,15 +54,15 @@ def test_fig4_selection_cost_drives_the_ordering(benchmark):
             name: (t.selection_time, t.compute_time) for name, t in table.items()
         }
 
-    parts = benchmark(components)
+    parts = components()
     # Training compute is identical for equal-size subsets...
     assert parts["craig"][1] == pytest.approx(parts["kcenters"][1], rel=0.01)
     # ...so K-Centers' deficit is entirely selection time.
     assert parts["kcenters"][0] > parts["craig"][0] * 1.5
 
 
-def test_fig4_nessa_selection_overlapped(benchmark):
+def test_fig4_nessa_selection_overlapped():
     """NeSSA's near-storage selection runs off the critical path."""
-    table = benchmark(epoch_table)
+    table = epoch_table()
     nessa = table["nessa"]
     assert nessa.selection_time < 0.5 * nessa.compute_time + 0.2

@@ -27,8 +27,8 @@ def throughputs():
     return out
 
 
-def test_fig6_throughput(benchmark):
-    eff = benchmark(throughputs)
+def test_fig6_throughput():
+    eff = throughputs()
 
     lines = ["Figure 6: SSD<->FPGA effective throughput (batch size 128)"]
     lines.append(f"{'dataset':13s} {'batch MB':>9s} {'GB/s(ours)':>11s} {'GB/s(paper)':>12s}")
@@ -52,7 +52,7 @@ def test_fig6_throughput(benchmark):
     assert all(v < 3.0 for v in eff.values())
 
 
-def test_fig6_saturation_curve(benchmark):
+def test_fig6_saturation_curve():
     """Dense sweep of the transfer-size -> throughput curve."""
 
     def sweep():
@@ -60,7 +60,7 @@ def test_fig6_saturation_curve(benchmark):
         sizes = [2**i * 1024 for i in range(6, 26)]  # 64 KB .. 32 GB
         return [(s, ssd.effective_p2p_throughput(s)) for s in sizes]
 
-    curve = benchmark(sweep)
+    curve = sweep()
     effs = [e for _, e in curve]
     # Monotone non-decreasing and asymptotically approaching sustained bw.
     assert all(b >= a - 1e-6 for a, b in zip(effs, effs[1:]))

@@ -20,8 +20,8 @@ def synthesize():
     return kernel.utilization_percent(), kernel.resource_usage()
 
 
-def test_table4_resource_utilization(benchmark):
-    util, used = benchmark(synthesize)
+def test_table4_resource_utilization():
+    util, used = synthesize()
 
     lines = ["Table 4: resource utilization (KU15P)"]
     lines.append(f"{'Resource':9s} {'Available':>10s} {'Used':>9s} {'Util%(ours)':>12s} {'Util%(paper)':>13s}")
@@ -36,21 +36,21 @@ def test_table4_resource_utilization(benchmark):
         assert util[res] == pytest.approx(paper, abs=1.0), res
 
 
-def test_table4_available_column_matches_paper(benchmark):
-    fpga = benchmark(KU15P)
+def test_table4_available_column_matches_paper():
+    fpga = KU15P()
     assert fpga.luts == PAPER_AVAILABLE["LUT"]
     assert fpga.flip_flops == PAPER_AVAILABLE["FF"]
     assert fpga.bram_blocks == PAPER_AVAILABLE["BRAM"]
     assert fpga.dsp_slices == PAPER_AVAILABLE["DSP"]
 
 
-def test_table4_kernel_leaves_headroom(benchmark):
+def test_table4_kernel_leaves_headroom():
     """The kernel must fit with margin — a >95% LUT design won't route."""
-    util, _ = benchmark(synthesize)
+    util, _ = synthesize()
     assert all(v < 90.0 for v in util.values())
 
 
-def test_table4_similarity_tile_respects_onchip_memory(benchmark):
+def test_table4_similarity_tile_respects_onchip_memory():
     """Partition chunks are sized so the similarity tile fits 4.32 MB."""
 
     def tile_check():
@@ -58,13 +58,13 @@ def test_table4_similarity_tile_respects_onchip_memory(benchmark):
         side = kernel.max_chunk_for_onchip()
         return side, kernel.chunk_tile_bytes(side)
 
-    side, tile_bytes = benchmark(tile_check)
+    side, tile_bytes = tile_check()
     assert tile_bytes <= KU15P().onchip_bytes
     # The defaults give usable chunks (hundreds of samples, not tens).
     assert side >= 256
 
 
-def test_table4_bigger_array_fails_synthesis(benchmark):
+def test_table4_bigger_array_fails_synthesis():
     """Pushing the MAC array past the DSP budget must fail like synthesis."""
 
     def try_oversize():
@@ -74,4 +74,4 @@ def test_table4_bigger_array_fails_synthesis(benchmark):
         except ValueError:
             return True
 
-    assert benchmark(try_oversize)
+    assert try_oversize()

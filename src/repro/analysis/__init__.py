@@ -3,16 +3,15 @@
 The reproduction's trustworthiness rests on invariants no unit test
 watches continuously: selection must be deterministic (seeded
 generators only), allocated dtypes must match the similarity-tile
-byte accounting, errors must not be silently swallowed, and nn forward
-shapes must compose.  This package
-machine-checks them with a stdlib-``ast`` engine:
+byte accounting, and errors must not be silently swallowed.  This
+package machine-checks them with a stdlib-``ast`` engine:
 
 - :mod:`repro.analysis.engine` — per-file visitor pipeline + pragmas;
 - :mod:`repro.analysis.scan` — the one scan path: walk, per-file
   rules, sorted findings;
 - :mod:`repro.analysis.registry` — checker registry (one class per rule);
-- :mod:`repro.analysis.rules` — the seven rule implementations
-  (NES001–NES003, NES005–NES007, NES011);
+- :mod:`repro.analysis.rules` — the six rule implementations
+  (NES001–NES003, NES006, NES007, NES011);
 - :mod:`repro.analysis.findings` — structured findings;
 - :mod:`repro.analysis.explain` — ``--explain`` example pairs.
 

@@ -74,22 +74,6 @@ EXAMPLES: dict[str, Example] = {
             "    pass\n"
         ),
     ),
-    "NES005": Example(
-        path=_NN,
-        bad=(
-            "class Conv(Module):\n"
-            "    def forward(self, x):\n"
-            "        return x * self.weight\n"
-        ),
-        good=(
-            "from repro.nn.contracts import shape_contract\n"
-            "\n"
-            "class Conv(Module):\n"
-            "    @shape_contract(\"N,C,H,W -> N,K,H',W'\")\n"
-            "    def forward(self, x):\n"
-            "        return x * self.weight\n"
-        ),
-    ),
     "NES006": Example(
         path=_ANY,
         bad=(

@@ -5,7 +5,6 @@
 | NES001 | allow-determinism      | no global-state randomness in selection/parallel/nn |
 | NES002 | allow-implicit-float64 | allocations in dtype-accounted modules name their dtype |
 | NES003 | allow-broad-except     | broad handlers re-raise, log, or justify themselves |
-| NES005 | allow-shape-contract   | public nn forwards carry composing shape contracts |
 | NES006 | allow-span-with        | obs spans are with-managed at the call site |
 | NES007 | allow-pool-lease       | buffer-pool leases released on all exit paths |
 | NES011 | allow-dynamic-metric   | metric names are declared dotted literals (METRIC_TABLE) |
@@ -21,6 +20,5 @@ from repro.analysis.rules import (  # noqa: F401 - imports register checkers
     metricnames,
     pool,
     precision,
-    shape,
     spans,
 )

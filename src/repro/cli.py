@@ -132,7 +132,7 @@ def _cmd_system(args) -> int:
     from repro import obs
     from repro.pipeline.system import SystemModel, average_speedups, data_movement_summary
 
-    model = SystemModel(args.dataset, host_overlap=args.overlap)
+    model = SystemModel(args.dataset)
     with _traced(args.trace, run=f"system-{args.dataset}"):
         pricers = {
             "full": model.full_epoch,
@@ -270,10 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     system = sub.add_parser("system", help="price the per-epoch strategies")
     system.add_argument("--dataset", choices=sorted(DATASETS), default="cifar10")
-    system.add_argument("--overlap", action="store_true",
-                        help="model host-side selection/training overlap for "
-                             "the CPU baselines (NeSSA always overlaps "
-                             "on-device)")
     system.add_argument("--trace", default=None, metavar="PATH",
                         help="record a repro.obs run-trace (JSONL) to PATH")
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import NeSSAConfig
-from repro.data.dataset import Dataset, Subset
+from repro.data.dataset import Dataset
 from repro.nn.inference import InferencePlan
 from repro.nn.resnet import ResNet
 from repro.parallel.engine import SelectionExecutor
@@ -60,7 +60,6 @@ class NeSSASelector:
     def __init__(self, config: NeSSAConfig, chunk_select: int | None = None):
         self.config = config
         self.chunk_select = chunk_select
-        self.rng = np.random.default_rng(config.seed)
         self.loss_history = LossHistory(
             window=config.biasing_window,
             drop_period=config.biasing_drop_period,
@@ -217,8 +216,3 @@ class NeSSASelector:
         self._emb = None  # drop the old array before allocating its successor
         self._emb = np.empty((len(ids), dim), dtype=np.float32)
         return rows
-
-    def subset(self, dataset: Dataset, fraction: float, model) -> Subset:
-        """Run :meth:`select` and wrap the result as a weighted Subset."""
-        result = self.select(dataset, fraction, model)
-        return Subset(dataset, result.positions, weights=result.weights)

@@ -14,7 +14,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.contracts import shape_contract
 
 __all__ = [
     "Parameter",
@@ -205,7 +204,6 @@ class Conv2d(Module):
         self.bias = Parameter(np.zeros(out_channels), name="conv.bias") if bias else None
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,K,H',W'")
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.bias is not None else None
         out, cache = F.conv2d(x, self.weight.data, bias, self.stride, self.padding)
@@ -260,7 +258,6 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features), name="linear.bias") if bias else None
         self._cache: np.ndarray | None = None
 
-    @shape_contract("N,F -> N,G")
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x
@@ -298,7 +295,6 @@ class BatchNorm2d(Module):
         self._buffers = ("running_mean", "running_var")
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,C,H,W")
     def forward(self, x: np.ndarray) -> np.ndarray:
         # One contiguous row per channel: every reduction below is a row
         # reduction and every temporary is written in place.
@@ -365,7 +361,6 @@ class ReLU(Module):
         super().__init__()
         self._cache: np.ndarray | None = None
 
-    @shape_contract("* -> *")
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x
@@ -388,7 +383,6 @@ class MaxPool2d(Module):
         self.stride = stride or kernel_size
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,C,H',W'")
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, argmax = F.max_pool2d(x, self.kernel_size, self.stride)
         if self.training:
@@ -414,7 +408,6 @@ class AvgPool2d(Module):
         self.stride = stride or kernel_size
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,C,H',W'")
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x.shape
@@ -437,7 +430,6 @@ class GlobalAvgPool2d(Module):
         super().__init__()
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,C")
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x.shape
@@ -462,7 +454,6 @@ class Flatten(Module):
         super().__init__()
         self._cache: tuple | None = None
 
-    @shape_contract("N,... -> N,F")
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x.shape
@@ -480,7 +471,6 @@ class Flatten(Module):
 class Identity(Module):
     """No-op module (used for residual shortcuts with matching shapes)."""
 
-    @shape_contract("* -> *")
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x
 
@@ -495,7 +485,6 @@ class Sequential(Module):
         super().__init__()
         self.layers = list(layers)
 
-    @shape_contract("* -> *")
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer(x)

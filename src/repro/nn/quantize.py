@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.contracts import shape_contract
 from repro.nn.modules import Module
 
 __all__ = ["quantize_tensor", "dequantize_tensor", "QuantizedModel", "quantized_state_bytes"]
@@ -143,7 +142,6 @@ class QuantizedModel:
         self.synced = True
         return quantized_state_bytes(source, self.bits)
 
-    @shape_contract("N,C,H,W -> N,L")
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.model(x)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.contracts import shape_contract
 from repro.nn.modules import (
     BatchNorm2d,
     Conv2d,
@@ -57,7 +56,6 @@ class BasicBlock(Module):
         else:
             self.shortcut = Identity()
 
-    @shape_contract("N,C,H,W -> N,K,H',W'")
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.relu1(self.bn1(self.conv1(x)))
         out = self.bn2(self.conv2(out))
@@ -108,7 +106,6 @@ class Bottleneck(Module):
         else:
             self.shortcut = Identity()
 
-    @shape_contract("N,C,H,W -> N,K,H',W'")
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.relu1(self.bn1(self.conv1(x)))
         out = self.relu2(self.bn2(self.conv2(out)))
@@ -171,11 +168,9 @@ class ResNet(Module):
         self.fc = Linear(current, num_classes, rng=rng)
         self.embedding_dim = current
 
-    @shape_contract("N,C,H,W -> N,L")
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.fc(self.features(x))
 
-    @shape_contract("N,C,H,W -> N,E")
     def features(self, x: np.ndarray) -> np.ndarray:
         """Pooled penultimate-layer embedding, shape ``(N, embedding_dim)``."""
         out = self.stem_relu(self.stem_bn(self.stem_conv(x)))

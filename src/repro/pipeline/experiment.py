@@ -95,6 +95,11 @@ def run_method(
         return ExperimentResult(dataset_name, method, 1.0, history)
 
     if method.startswith("nessa"):
+        if nessa_config is not None and subset_fraction not in (None, nessa_config.subset_fraction):
+            raise ValueError(
+                f"subset_fraction={subset_fraction} differs from "
+                f"nessa_config.subset_fraction={nessa_config.subset_fraction}"
+            )
         base = nessa_config or NeSSAConfig(subset_fraction=fraction, seed=seed)
         variants = {
             "nessa": base,
@@ -108,7 +113,7 @@ def run_method(
         trainer = NeSSATrainer(factory(), recipe, config, factory)
         history = trainer.train(train_set, test_set)
         history.method = method
-        return ExperimentResult(dataset_name, method, fraction, history)
+        return ExperimentResult(dataset_name, method, config.subset_fraction, history)
 
     selectors = {
         "craig": CraigSelector,

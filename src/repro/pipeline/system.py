@@ -84,7 +84,6 @@ class SystemModel:
         cpu_gflops: float = 300.0,
         ingest: HostIngestModel | None = None,
         batch_size: int = 128,
-        host_overlap: bool = False,
     ):
         if isinstance(dataset, str):
             dataset = DATASETS[dataset]
@@ -94,11 +93,6 @@ class SystemModel:
         self.cpu_flops = cpu_gflops * 1e9
         self.ingest = ingest or HostIngestModel()
         self.batch_size = batch_size
-        # Modelled host-side analog of NeSSA's device overlap: when set,
-        # the CPU baselines run round t+1's selection while round t's
-        # subset trains, so only the non-hidden excess is charged to the
-        # critical path (round t-1 feedback weights, like the device).
-        self.host_overlap = host_overlap
         self.forward_flops = MODEL_FORWARD_FLOPS[dataset.name]
         self.compute = GPUComputeModel(self.gpu)
 
@@ -161,8 +155,6 @@ class SystemModel:
         greedy_flops = self.dataset.num_classes * (per_class * k_class * 10 * 2)
         select = proxy + greedy_flops / self.cpu_flops
         train = self._train_time(k)
-        if self.host_overlap:
-            select = max(0.0, select - train)
         nbytes = float(self.dataset.total_bytes)
         return EpochTiming(
             method="craig",
@@ -183,8 +175,6 @@ class SystemModel:
         scan_flops = float(n) * k * 512 * 2
         select = proxy + scan_flops / self.cpu_flops
         train = self._train_time(k)
-        if self.host_overlap:
-            select = max(0.0, select - train)
         nbytes = float(self.dataset.total_bytes)
         return EpochTiming(
             method="kcenters",

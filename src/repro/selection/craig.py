@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.data.dataset import Dataset, Subset
+from repro.data.dataset import Dataset
 from repro.selection.facility import (
     lazy_greedy,
     medoid_weights,
@@ -111,8 +111,3 @@ class CraigSelector:
             pairwise_bytes=pairwise,
             proxy_flops=proxy.flops,
         )
-
-    def subset(self, dataset: Dataset, fraction: float, model) -> Subset:
-        """Convenience: run :meth:`select` and wrap as a weighted Subset."""
-        result = self.select(dataset, fraction, model)
-        return Subset(dataset, result.positions, weights=result.weights)

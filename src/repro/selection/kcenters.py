@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Subset
+from repro.data.dataset import Dataset
 from repro.selection.craig import SelectionResult
 from repro.selection.gradients import compute_gradient_proxies
 
@@ -71,7 +71,3 @@ class KCentersSelector:
             pairwise_bytes=len(dataset) * 8,  # only the min-distance vector
             proxy_flops=proxy.flops,
         )
-
-    def subset(self, dataset: Dataset, fraction: float, model) -> Subset:
-        result = self.select(dataset, fraction, model)
-        return Subset(dataset, result.positions, weights=None)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Subset
+from repro.data.dataset import Dataset
 from repro.selection.craig import SelectionResult
 
 __all__ = ["RandomSelector"]
@@ -39,7 +39,3 @@ class RandomSelector:
             pairwise_bytes=0,
             proxy_flops=0.0,
         )
-
-    def subset(self, dataset: Dataset, fraction: float, model=None) -> Subset:
-        result = self.select(dataset, fraction, model)
-        return Subset(dataset, result.positions, weights=None)

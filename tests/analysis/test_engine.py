@@ -76,10 +76,9 @@ class TestFilters:
 
 
 class TestRegistry:
-    def test_all_seven_rules_registered(self):
+    def test_all_six_rules_registered(self):
         assert rule_ids() == [
-            "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
-            "NES011",
+            "NES001", "NES002", "NES003", "NES006", "NES007", "NES011",
         ]
 
     def test_every_checker_has_pragma_and_description(self):

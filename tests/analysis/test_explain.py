@@ -55,7 +55,7 @@ class TestRendering:
         assert explain_rule("NES999") is None
 
     def test_lowercase_rule_id_accepted(self):
-        assert explain_rule("nes005") is not None
+        assert explain_rule("nes006") is not None
 
 
 class TestCli:

@@ -1,6 +1,5 @@
-"""Known-good / known-bad fixture snippets for every rule NES001–NES006."""
+"""Known-good / known-bad fixture snippets for every rule."""
 
-import numpy as np
 import pytest
 
 SEL = "src/repro/selection/mod.py"
@@ -217,127 +216,6 @@ class TestBroadExcept:
             "NES003",
         )
         assert len(findings) == 1
-
-
-# -- NES005 shape contracts ---------------------------------------------------
-
-
-class TestShapeContracts:
-    def test_missing_contract_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            class Conv(Module):
-                def forward(self, x):
-                    return x * self.weight
-            """,
-            NN,
-            "NES005",
-        )
-        assert len(findings) == 1
-        assert "Conv.forward has no @shape_contract" in findings[0].message
-
-    def test_decorated_forward_clean(self, run_rule):
-        findings, _ = run_rule(
-            """
-            from repro.nn.contracts import shape_contract
-
-            class Conv(Module):
-                @shape_contract("N,C,H,W -> N,K,H',W'")
-                def forward(self, x):
-                    return x
-            """,
-            NN,
-            "NES005",
-        )
-        assert findings == []
-
-    def test_invalid_spec_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            from repro.nn.contracts import shape_contract
-
-            class Conv(Module):
-                @shape_contract("N,C -> ")
-                def forward(self, x):
-                    return x
-            """,
-            NN,
-            "NES005",
-        )
-        assert len(findings) == 1
-        assert "invalid" in findings[0].message
-
-    def test_non_literal_spec_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            from repro.nn.contracts import shape_contract
-
-            SPEC = "N,C -> N,C"
-
-            class Conv(Module):
-                @shape_contract(SPEC)
-                def forward(self, x):
-                    return x
-            """,
-            NN,
-            "NES005",
-        )
-        assert len(findings) == 1
-        assert "literal" in findings[0].message
-
-    def test_abstract_and_multi_arg_forwards_exempt(self, run_rule):
-        findings, _ = run_rule(
-            '''
-            class Module:
-                def forward(self, x):
-                    """Subclasses implement this."""
-                    raise NotImplementedError
-
-            class Loss:
-                def forward(self, logits, targets):
-                    return (logits - targets).sum()
-            ''',
-            NN,
-            "NES005",
-        )
-        assert findings == []
-
-    def test_outside_nn_not_flagged(self, run_rule):
-        findings, _ = run_rule(
-            """
-            class Thing:
-                def forward(self, x):
-                    return x
-            """,
-            OUT,
-            "NES005",
-        )
-        assert findings == []
-
-    def test_real_resnet_contracts_compose(self):
-        """The committed resnet/module contracts must actually chain."""
-        import repro.nn.resnet  # noqa: F401 - populates the registry
-        from repro.nn.contracts import CONTRACTS, check_chain
-
-        out = check_chain(
-            [
-                CONTRACTS["Conv2d.forward"],
-                CONTRACTS["BatchNorm2d.forward"],
-                CONTRACTS["ReLU.forward"],
-                CONTRACTS["GlobalAvgPool2d.forward"],
-                CONTRACTS["Linear.forward"],
-            ]
-        )
-        assert len(out) == 2  # (N, G)
-
-    def test_real_resnet_forward_matches_contract(self):
-        """The runtime network honours its declared 4D -> 2D contract."""
-        from repro.nn.resnet import resnet20
-
-        model = resnet20(num_classes=4, in_channels=3, width=4)
-        x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float64)
-        out = model.forward(x)
-        assert out.shape == (2, 4)
 
 
 # -- NES006 with-managed spans ------------------------------------------------

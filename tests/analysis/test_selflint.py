@@ -28,10 +28,6 @@ VIOLATIONS = {
         "repro/anywhere/bad.py",
         "try:\n    work()\nexcept Exception:\n    pass\n",
     ),
-    "NES005": (
-        "repro/nn/bad.py",
-        "class Layer:\n    def forward(self, x):\n        return x\n",
-    ),
     "NES006": (
         "repro/anywhere/bad.py",
         textwrap.dedent(
@@ -77,8 +73,7 @@ class TestSelfLint:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in (
-            "NES001", "NES002", "NES003", "NES005", "NES006", "NES007",
-            "NES011",
+            "NES001", "NES002", "NES003", "NES006", "NES007", "NES011",
         ):
             assert rule in out
         assert "NES008" not in out

@@ -19,6 +19,8 @@ from repro.nn.modules import (
     ReLU,
     Sequential,
 )
+from repro.nn.quantize import QuantizedModel
+from repro.nn.resnet import resnet20
 
 
 def gradcheck_module(module, in_shape, n_checks=4, eps=1e-5, atol=1e-3):
@@ -289,6 +291,11 @@ class TestShapes:
             (GlobalAvgPool2d(), (2, 3, 8, 8), (2, 3)),
             (Flatten(), (2, 3, 4, 4), (2, 48)),
             (Identity(), (2, 5), (2, 5)),
+            (Linear(6, 4), (2, 6), (2, 4)),
+            (ReLU(), (2, 3, 8, 8), (2, 3, 8, 8)),
+            (Sequential(Conv2d(3, 8, 3, padding=1), ReLU(), GlobalAvgPool2d()), (2, 3, 8, 8),
+             (2, 8)),
+            (QuantizedModel(resnet20(num_classes=4, width=4), bits=8), (2, 3, 8, 8), (2, 4)),
         ],
     )
     def test_forward_shapes(self, layer, in_shape, out_shape):

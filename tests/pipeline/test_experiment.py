@@ -84,6 +84,23 @@ class TestRunMethod:
         )
         assert all(r.feedback_bytes == 0 for r in result.history.records)
 
+    def test_nessa_config_fraction_is_recorded(self, tiny_data):
+        train, test = tiny_data
+        config = NeSSAConfig(subset_fraction=0.5, seed=0)
+        result = run_method("cifar10", "nessa", train, test, RECIPE, nessa_config=config, seed=0)
+        assert result.subset_fraction == 0.5
+        k = result.history.records[0].samples_trained
+        assert k / len(train) == pytest.approx(0.5, abs=0.05)
+
+    def test_conflicting_fractions_raise(self, tiny_data):
+        train, test = tiny_data
+        config = NeSSAConfig(subset_fraction=0.5, seed=0)
+        with pytest.raises(ValueError, match="subset_fraction"):
+            run_method(
+                "cifar10", "nessa", train, test, RECIPE,
+                subset_fraction=0.3, nessa_config=config, seed=0,
+            )
+
     def test_unknown_method_raises(self, tiny_data):
         train, test = tiny_data
         with pytest.raises(ValueError):

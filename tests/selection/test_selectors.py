@@ -80,12 +80,6 @@ class TestCraigSelector:
         labels = set(train.y[res.positions])
         assert labels == set(range(train.num_classes))
 
-    def test_subset_wrapper_carries_weights(self, train_test_split, tiny_model):
-        train, _ = train_test_split
-        sub = CraigSelector().subset(train, 0.2, tiny_model)
-        assert sub.weights is not None
-        assert len(sub.weights) == len(sub)
-
     def test_rejects_bad_fraction(self, train_test_split, tiny_model):
         train, _ = train_test_split
         with pytest.raises(ValueError):
