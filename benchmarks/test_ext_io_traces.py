@@ -10,7 +10,6 @@ multi-page images amortize the seeks.
 """
 
 import numpy as np
-import pytest
 
 from repro.data.registry import DATASETS
 from repro.smartssd.access import (
@@ -36,8 +35,8 @@ def epoch_traces():
     return out
 
 
-def test_ext_io_trace_replay(benchmark):
-    traces = benchmark.pedantic(epoch_traces, rounds=1, iterations=1)
+def test_ext_io_trace_replay():
+    traces = epoch_traces()
 
     lines = ["I/O trace replay per NeSSA epoch (embedding scan + subset gather)"]
     lines.append(
@@ -62,25 +61,5 @@ def test_ext_io_trace_replay(benchmark):
     # The crossover: gather beats the full image scan only for large images.
     small = traces["cifar10"]
     large = traces["imagenet100"]
-    assert small[1].total_time > small[2].total_time * 0.2  # gather not free
+    assert small[1].total_time > small[2].total_time  # gather loses at 3 KB
     assert large[1].total_time < large[2].total_time  # gather wins outright
-
-
-def test_ext_defragmented_layout_ablation(benchmark):
-    """If the device relaid the subset contiguously (a future-work idea),
-    small-image gathers would approach streaming speed."""
-
-    def compare():
-        rng = np.random.default_rng(1)
-        n, bpi = 50_000, 3_000
-        k = int(0.28 * n)
-        scattered = np.sort(rng.choice(n, size=k, replace=False))
-        contiguous = np.arange(k)
-        return (
-            replay(subset_gather_pattern(scattered, bpi)),
-            replay(subset_gather_pattern(contiguous, bpi)),
-        )
-
-    scattered, contiguous = benchmark(compare)
-    assert contiguous.total_time < scattered.total_time / 2
-    assert contiguous.effective_throughput > 1.2e9

@@ -7,8 +7,6 @@ on the 7.5 W FPGA beats burning GPU or CPU watts (§2.2's K1200/A100
 comparison).
 """
 
-import pytest
-
 from repro.data.registry import DATASETS
 from repro.perf.suitability import analyze_selection_workload
 from repro.pipeline.system import SystemModel
@@ -17,7 +15,7 @@ from repro.smartssd.link import p2p_link
 from benchmarks._shared import write_table
 
 
-def test_ext_suitability_criteria(benchmark):
+def test_ext_suitability_criteria():
     def analyze_all():
         sustained = p2p_link().sustained_bytes_per_s
         out = {}
@@ -37,7 +35,7 @@ def test_ext_suitability_criteria(benchmark):
             out[name] = (head, full_cnn)
         return out
 
-    reports = benchmark(analyze_all)
+    reports = analyze_all()
 
     lines = ["Near-storage suitability (paper §2.2 criteria, per dataset)"]
     lines.append(f"{'dataset':13s} {'data ratio':>10s} {'head kernel':>28s} {'full-CNN kernel':>18s}")
@@ -58,11 +56,11 @@ def test_ext_suitability_criteria(benchmark):
         assert 2.5 < head.data_ratio < 7.0
 
 
-def test_ext_energy_per_epoch(benchmark):
+def test_ext_energy_per_epoch():
     def energy_all():
         return {name: SystemModel(name).energy_table() for name in DATASETS}
 
-    tables = benchmark(energy_all)
+    tables = energy_all()
 
     lines = ["Per-epoch energy (modelled joules)"]
     lines.append(f"{'dataset':13s} {'full':>10s} {'craig':>10s} {'kcenters':>10s} {'nessa':>10s}")

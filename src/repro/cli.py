@@ -6,7 +6,6 @@ Commands
 ``train``    run one accuracy experiment (any method, any dataset).
 ``system``   price the per-epoch strategies for a dataset (Figure 4 view).
 ``kernel``   synthesize the selection kernel and print Table 4.
-``scaling``  the multi-SmartSSD scaling curve (the paper's future work).
 ``report``   aggregate a ``--trace`` JSONL run-trace into the paper's
              headline table (time per phase, bytes over the link,
              selection overhead); ``--chrome`` converts it for Perfetto,
@@ -69,6 +68,13 @@ def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return int(text)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    if not 0.0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return float(text)
 
 
 def _cmd_info(args) -> int:
@@ -183,17 +189,6 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _cmd_scaling(args) -> int:
-    from repro.pipeline.multidevice import MultiDeviceSystem
-
-    system = MultiDeviceSystem(args.dataset)
-    print(f"NeSSA scaling for {args.dataset} (devices, epoch s, speedup, efficiency):")
-    for point in system.scaling_curve(max_devices=args.max_devices):
-        print(f"  {point.num_devices:>2d}  {point.epoch_time:8.2f}s "
-              f"{point.speedup_vs_single:6.2f}x  {100 * point.efficiency:5.1f}%")
-    return 0
-
-
 def _cmd_report(args) -> int:
     from repro import obs
 
@@ -259,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--fraction", type=_fraction, default=None)
     train.add_argument("--epochs", type=_positive_int, default=24)
-    train.add_argument("--batch-size", type=int, default=64)
-    train.add_argument("--lr", type=float, default=0.03)
-    train.add_argument("--scale", type=float, default=0.6)
+    train.add_argument("--batch-size", type=_positive_int, default=64)
+    train.add_argument("--lr", type=_positive_float, default=0.03)
+    train.add_argument("--scale", type=_positive_float, default=0.6)
     train.add_argument("--seed", type=int, default=1)
     train.add_argument("--data-seed", type=int, default=3)
     train.add_argument("--save-history", default=None, metavar="PATH")
@@ -274,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record a repro.obs run-trace (JSONL) to PATH")
 
     sub.add_parser("kernel", help="synthesize the selection kernel (Table 4)")
-
-    scaling = sub.add_parser("scaling", help="multi-SmartSSD scaling curve")
-    scaling.add_argument("--dataset", choices=sorted(DATASETS), default="imagenet100")
-    scaling.add_argument("--max-devices", type=int, default=8)
 
     report = sub.add_parser("report", help="aggregate a recorded run-trace")
     report.add_argument("trace", metavar="TRACE",
@@ -322,7 +313,6 @@ def main(argv=None) -> int:
         "train": _cmd_train,
         "system": _cmd_system,
         "kernel": _cmd_kernel,
-        "scaling": _cmd_scaling,
         "report": _cmd_report,
         "obsdiff": _cmd_obsdiff,
     }

@@ -97,7 +97,9 @@ def scaled_experiment_config(
 
     ``scale`` multiplies the default sample budget (1.0 keeps every dataset
     trainable in tens of seconds with the narrow models used in tests; the
-    examples pass larger scales for better-converged curves).
+    examples pass larger scales for better-converged curves).  A small
+    positive ``scale`` is floored at 16 samples per class; a ``scale`` <= 0
+    raises ``ValueError``.
 
     The mapping preserves, per dataset: the class-count ordering (10-class
     CIFAR-10/SVHN/CINIC vs many-class CIFAR-100/TinyImageNet/ImageNet-100),
@@ -105,6 +107,8 @@ def scaled_experiment_config(
     the most redundant (the paper selects its smallest subset, 15%, there)
     and CIFAR-100 the least (largest subset, 38%).
     """
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
     info = get_dataset_info(name)
     # Scaled class counts: keep 10-class datasets exact, compress the
     # many-class ones to stay trainable while preserving the ordering.

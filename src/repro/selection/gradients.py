@@ -21,6 +21,7 @@ import numpy as np
 from repro import obs
 from repro.nn.inference import eval_forward
 from repro.nn.loss import CrossEntropyLoss
+from repro.perf.flops import model_forward_flops
 
 __all__ = ["GradientProxy", "compute_gradient_proxies", "forward_flops", "proxies_from_logits"]
 
@@ -105,15 +106,10 @@ def compute_gradient_proxies(
 
 
 def forward_flops(model, image_shape: tuple) -> float:
-    """Per-sample forward FLOPs on ``(C, H, W)`` inputs; delegated to repro.perf when available.
-
-    ``repro.perf`` is imported on first use, so ``import repro`` does not load it.
-    """
+    """Per-sample forward FLOPs on ``(C, H, W)`` inputs, from :func:`model_forward_flops`."""
     try:
-        from repro.perf.flops import model_forward_flops
-
         return model_forward_flops(model, image_shape)
-    except (ImportError, TypeError, ValueError, AttributeError):
+    except (TypeError, ValueError, AttributeError):
         # The perf model raises TypeError for module types it cannot walk
         # and ValueError for non-(C,H,W) shapes — i.e. exotic models, for
         # which we charge the generic 2 FLOPs/param instead.  Anything

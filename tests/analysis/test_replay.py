@@ -26,7 +26,7 @@ PER_FILE = [
     ),
     (
         "NES003", "src/repro/selection/gradients.py",
-        "except (ImportError, TypeError, ValueError, AttributeError):",
+        "except (TypeError, ValueError, AttributeError):",
         "except Exception:",
     ),
     (

@@ -45,7 +45,8 @@ def test_cli_nessa_trains_below_the_dynamic_floor(capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--fraction", "0"), ("--fraction", "-1"), ("--fraction", "1.5"),
-     ("--epochs", "0")],
+     ("--epochs", "0"), ("--batch-size", "0"), ("--batch-size", "-4"),
+     ("--lr", "0"), ("--scale", "0"), ("--scale", "-1")],
 )
 @pytest.mark.parametrize("method", ["nessa", "random"])
 def test_cli_rejects_out_of_range_flags(flag, value, method, capsys):

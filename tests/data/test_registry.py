@@ -106,5 +106,10 @@ class TestScaledConfigs:
         double = scaled_experiment_config("cifar10", scale=2.0).num_samples
         assert double == pytest.approx(2 * base, rel=0.05)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_non_positive_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            scaled_experiment_config("cifar10", scale=scale)
+
     def test_seed_passes_through(self):
         assert scaled_experiment_config("cifar10", seed=5).seed == 5

@@ -1,51 +1,10 @@
-"""Tests for the multi-device scaling model, energy table, CLI and serialization."""
+"""Tests for the energy table, CLI and serialization."""
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.pipeline.multidevice import MultiDeviceSystem
 from repro.pipeline.system import SystemModel
-
-
-class TestMultiDevice:
-    def test_two_devices_faster_than_one(self):
-        one = MultiDeviceSystem("imagenet100", num_devices=1).nessa_epoch()
-        two = MultiDeviceSystem("imagenet100", num_devices=2).nessa_epoch()
-        assert two.total < one.total
-
-    def test_scaling_curve_monotone_and_subunit_efficiency(self):
-        points = MultiDeviceSystem("imagenet100").scaling_curve(max_devices=6)
-        times = [p.epoch_time for p in points]
-        assert all(b <= a for a, b in zip(times, times[1:]))
-        assert points[0].efficiency == pytest.approx(1.0)
-        # All-reduce + merge overheads keep efficiency below ideal.
-        assert points[-1].efficiency < 1.0
-        assert points[-1].efficiency > 0.5  # but the extension scales usefully
-
-    def test_single_device_matches_base_system(self):
-        base = SystemModel("cifar10").nessa_epoch(pool_fraction=1.0).total
-        multi = MultiDeviceSystem("cifar10", num_devices=1).nessa_epoch().total
-        assert multi == pytest.approx(base, rel=0.01)
-
-    def test_feedback_broadcast_counts_per_device(self):
-        one = MultiDeviceSystem("cifar10", num_devices=1).nessa_epoch()
-        four = MultiDeviceSystem("cifar10", num_devices=4).nessa_epoch()
-        assert four.movement.host_to_fpga == pytest.approx(4 * one.movement.host_to_fpga)
-
-    def test_allreduce_penalizes_chatty_models(self):
-        """Slower collective bandwidth hurts the scaled epoch."""
-        fast = MultiDeviceSystem("imagenet100", num_devices=4,
-                                 allreduce_bytes_per_s=50e9).nessa_epoch()
-        slow = MultiDeviceSystem("imagenet100", num_devices=4,
-                                 allreduce_bytes_per_s=1e9).nessa_epoch()
-        assert slow.total > fast.total
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiDeviceSystem("cifar10", num_devices=0)
-        with pytest.raises(ValueError):
-            MultiDeviceSystem("cifar10").scaling_curve(max_devices=0)
 
 
 class TestEnergyTable:
@@ -66,7 +25,7 @@ class TestCLI:
         parser = build_parser()
         sub = next(a for a in parser._actions if a.dest == "command")
         assert set(sub.choices) == {
-            "info", "train", "system", "kernel", "scaling", "report", "obsdiff",
+            "info", "train", "system", "kernel", "report", "obsdiff",
         }
 
     def test_info_runs(self, capsys):
@@ -82,10 +41,6 @@ class TestCLI:
         assert main(["system", "--dataset", "cifar10"]) == 0
         out = capsys.readouterr().out
         assert "nessa" in out and "joules" in out.lower()
-
-    def test_scaling_runs(self, capsys):
-        assert main(["scaling", "--dataset", "cifar10", "--max-devices", "3"]) == 0
-        assert "3" in capsys.readouterr().out
 
     def test_train_runs_tiny(self, capsys):
         code = main([
