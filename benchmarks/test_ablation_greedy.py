@@ -1,9 +1,9 @@
 """Ablation: lazy greedy vs stochastic ("lazier than lazy") greedy.
 
 The paper cites [40] (stochastic greedy) as the O(N) method making FPGA
-selection tractable.  This bench measures the actual cost/quality
-trade-off on our facility-location core: stochastic greedy must be
-substantially cheaper at large n while giving ~(1 - 1/e - eps) quality.
+selection tractable.  This bench checks the cost/quality trade-off on
+our facility-location core: stochastic greedy's candidate evaluations
+grow O(n) while it keeps ~(1 - 1/e - eps) of exact greedy's quality.
 """
 
 import numpy as np
@@ -29,20 +29,20 @@ def make_similarity(n, d=10, seed=0):
 N, K = 600, 120
 
 
-def test_ablation_lazy_greedy_cost(benchmark):
+def test_ablation_lazy_greedy_cost():
     s = make_similarity(N)
-    sel = benchmark(lazy_greedy, s, K)
+    sel = lazy_greedy(s, K)
     assert len(sel) == K
 
 
-def test_ablation_stochastic_greedy_cost(benchmark):
+def test_ablation_stochastic_greedy_cost():
     s = make_similarity(N)
     rng = np.random.default_rng(1)
-    sel = benchmark(stochastic_greedy, s, K, 0.1, rng=rng)
+    sel = stochastic_greedy(s, K, 0.1, rng=rng)
     assert len(sel) == K
 
 
-def test_ablation_greedy_quality_gap(benchmark):
+def test_ablation_greedy_quality_gap():
     """Stochastic greedy retains >= 95% of exact greedy's objective."""
 
     def quality():
@@ -53,7 +53,7 @@ def test_ablation_greedy_quality_gap(benchmark):
         )
         return exact, stoch
 
-    exact, stoch = benchmark(quality)
+    exact, stoch = quality()
     lines = [
         "Ablation: greedy maximizer quality (facility-location objective)",
         f"lazy greedy       {exact:12.2f}",
@@ -63,7 +63,7 @@ def test_ablation_greedy_quality_gap(benchmark):
     assert stoch >= 0.95 * exact
 
 
-def test_ablation_stochastic_evaluations_scale_o_n(benchmark):
+def test_ablation_stochastic_evaluations_scale_o_n():
     """The stochastic sample size per step is n/k*ln(1/eps) — total O(n)."""
 
     def count_evals():
@@ -75,6 +75,6 @@ def test_ablation_stochastic_evaluations_scale_o_n(benchmark):
             out[n] = k * min(sample, n)
         return out
 
-    evals = benchmark(count_evals)
+    evals = count_evals()
     # Doubling n roughly doubles total evaluations (linear, not quadratic).
     assert evals[800] / evals[200] == pytest.approx(4.0, rel=0.3)

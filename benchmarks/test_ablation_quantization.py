@@ -45,8 +45,8 @@ def proxy_agreement():
     return out
 
 
-def test_ablation_quantization_bits(benchmark):
-    results = benchmark.pedantic(proxy_agreement, rounds=1, iterations=1)
+def test_ablation_quantization_bits():
+    results = proxy_agreement()
 
     lines = ["Ablation: feedback quantization bit width"]
     lines.append(f"{'bits':>5s} {'payload(B)':>11s} {'rank agreement':>15s}")
@@ -65,7 +65,7 @@ def test_ablation_quantization_bits(benchmark):
     assert results[4][1] <= results[8][1] + 1e-6
 
 
-def test_ablation_int8_payload_is_quarter_of_fp32(benchmark):
+def test_ablation_int8_payload_is_quarter_of_fp32():
     def payloads():
         src = factory()
         return (
@@ -73,5 +73,5 @@ def test_ablation_int8_payload_is_quarter_of_fp32(benchmark):
             FeedbackLoop(factory, bits=32).sync(src),
         )
 
-    p8, p32 = benchmark(payloads)
+    p8, p32 = payloads()
     assert p8 == pytest.approx(p32 / 4, rel=0.2)

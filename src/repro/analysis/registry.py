@@ -1,16 +1,10 @@
 """Checker registry: one class per rule id, discovered by import.
 
 Rules live in :mod:`repro.analysis.rules`; importing that package
-registers every checker here.  Each checker declares:
-
-- ``rule`` — the id (``NES001``…), unique;
-- ``pragma`` — the ``# lint: allow-<pragma>(reason)`` name that
-  suppresses it inline;
-- ``description`` — one line for ``--list-rules`` and the docs.
-
-``check(ctx)`` yields :class:`~repro.analysis.findings.Finding`s for one
-parsed file; the engine handles pragma suppression and the scan handles
-rule selection and ordering.
+registers every checker here.  Each checker declares a unique ``rule``
+id (``NES001``…); ``check(ctx)`` yields
+:class:`~repro.analysis.findings.Finding`s for one parsed file, and the
+scan handles rule selection and ordering.
 """
 
 from __future__ import annotations
@@ -28,8 +22,6 @@ class Checker:
     """Base class for one lint rule; ``check(ctx)`` runs once per parsed file."""
 
     rule: str = ""
-    pragma: str = ""
-    description: str = ""
 
     def check(self, ctx) -> Iterator[Finding]:  # pragma: no cover - interface
         raise NotImplementedError

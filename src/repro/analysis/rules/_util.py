@@ -10,6 +10,7 @@ __all__ = [
     "in_module",
     "numpy_aliases",
     "module_aliases",
+    "own_nodes",
 ]
 
 # numpy allocator -> positional index where dtype may appear (NES002)
@@ -26,6 +27,18 @@ def dotted_name(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def own_nodes(scope: ast.AST):
+    """Nodes under ``scope``, excluding the bodies of nested functions and
+    lambdas (code there does not run when ``scope`` does)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def in_module(path: str, prefixes: tuple[str, ...]) -> bool:

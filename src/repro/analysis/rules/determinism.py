@@ -36,12 +36,6 @@ _CLOCK_CALLS = {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter"}
 @register
 class DeterminismChecker(Checker):
     rule = "NES001"
-    pragma = "determinism"
-    description = (
-        "global-state randomness (np.random.* module calls, stdlib random, "
-        "unseeded/time-seeded RNG constructors) in repro.selection, "
-        "repro.parallel or repro.nn"
-    )
 
     def check(self, ctx):
         if not in_module(ctx.path, SCOPE):

@@ -8,11 +8,6 @@ that no reader can anticipate.  This check requires the first argument
 of every ``*.counter(...)`` / ``*.gauge(...)`` call to be a
 dotted-namespace string *literal* present in the table, so the set of
 metric names is knowable without running the code.
-
-Dynamic names that are genuinely needed (a test fixture sweeping
-synthetic series, say) take the escape hatch::
-
-    reg.counter(name)  # lint: allow-dynamic-metric(fixture sweeps synthetic series)
 """
 
 from __future__ import annotations
@@ -36,11 +31,6 @@ def _metric_table() -> dict:
 @register
 class MetricNameChecker(Checker):
     rule = "NES011"
-    pragma = "dynamic-metric"
-    description = (
-        "metric names are dotted string literals declared in "
-        "repro.obs.metrics.METRIC_TABLE"
-    )
 
     def check(self, ctx):
         table = None

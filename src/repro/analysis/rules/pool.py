@@ -23,21 +23,9 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.registry import Checker, register
-from repro.analysis.rules._util import dotted_name
+from repro.analysis.rules._util import dotted_name, own_nodes
 
 _CREATOR_TAILS = {"lease", "BufferLease"}
-
-
-def _own_nodes(func: ast.AST):
-    """Nodes belonging to ``func`` itself, excluding nested function bodies
-    (those scopes are visited on their own and must not be double-reported)."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _is_lease_creation(node: ast.AST) -> bool:
@@ -92,11 +80,6 @@ def _name_is_returned(func: ast.AST, name: str) -> bool:
 @register
 class PoolLeaseChecker(Checker):
     rule = "NES007"
-    pragma = "pool-lease"
-    description = (
-        "BufferPool lease not released on all exit paths "
-        "(with block, try/finally release(), or ownership transfer)"
-    )
 
     def check(self, ctx):
         for func in ast.walk(ctx.tree):
@@ -105,7 +88,9 @@ class PoolLeaseChecker(Checker):
             # Only statements are inspected: a lease that is a `with` item
             # or sits in a `return` expression is neither an Assign nor a
             # bare Expr statement, so those shapes pass by construction.
-            own = list(_own_nodes(func))
+            # Nested function bodies are visited on their own and must
+            # not be double-reported.
+            own = list(own_nodes(func))
             for node in own:
                 if not isinstance(node, ast.Assign):
                     continue

@@ -31,12 +31,6 @@ SCOPE = (
 @register
 class PrecisionChecker(Checker):
     rule = "NES002"
-    pragma = "implicit-float64"
-    description = (
-        "numpy allocation without an explicit dtype (or np.array over bare "
-        "float literals) in modules whose byte accounting assumes a "
-        "declared dtype"
-    )
 
     def check(self, ctx):
         if not in_module(ctx.path, SCOPE):

@@ -36,11 +36,6 @@ def _is_span_call(node: ast.AST) -> bool:
 @register
 class SpanWithChecker(Checker):
     rule = "NES006"
-    pragma = "span-with"
-    description = (
-        "span(...) must be the context expression of a `with` "
-        "(or be returned un-entered to the caller)"
-    )
 
     def check(self, ctx):
         managed: set[ast.Call] = set()

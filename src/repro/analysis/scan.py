@@ -1,4 +1,4 @@
-"""Scan orchestration: the one path behind ``python -m repro.analysis``.
+"""Scan orchestration: the one path behind the tier-1 self-lint.
 
 :func:`lint_paths` walks the scan arguments, lints each file with the
 per-file rules, and returns the findings sorted by (path, line, col,
@@ -51,8 +51,8 @@ def _discover(paths: list) -> list:
     return files
 
 
-def lint_paths(paths: list, select=None) -> tuple:
-    """Lint every python file under ``paths``; returns (findings, suppressed).
+def lint_paths(paths: list, select=None) -> list:
+    """Lint every python file under ``paths``; returns the sorted findings.
 
     ``select`` keeps only the given rule ids (case-insensitive; NES000
     parse errors always survive).  An id no checker owns raises
@@ -69,20 +69,9 @@ def lint_paths(paths: list, select=None) -> tuple:
                 f"unknown rule id(s) {', '.join(unknown)}; "
                 f"valid: {', '.join(sorted(known))}"
             )
+        checkers = [c for c in checkers if c.rule in select]
     findings: list = []
-    suppressed: list = []
     for file_path, recorded in _discover(paths):
         with open(file_path, encoding="utf-8") as f:
-            source = f.read()
-        kept, supp = lint_source(source, recorded, checkers=checkers)
-        findings.extend(kept)
-        suppressed.extend(supp)
-
-    def enabled_sorted(found: list) -> list:
-        return sorted(
-            (f for f in found
-             if select is None or f.rule == "NES000" or f.rule in select),
-            key=Finding.sort_key,
-        )
-
-    return enabled_sorted(findings), enabled_sorted(suppressed)
+            findings.extend(lint_source(f.read(), recorded, checkers=checkers))
+    return sorted(findings, key=Finding.sort_key)

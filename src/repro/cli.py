@@ -70,6 +70,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (a numpy seed)."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _positive_float(text: str) -> float:
     """argparse type: a finite float > 0."""
     if not 0.0 < float(text) < float("inf"):
@@ -257,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--batch-size", type=_positive_int, default=64)
     train.add_argument("--lr", type=_positive_float, default=0.03)
     train.add_argument("--scale", type=_positive_float, default=0.6)
-    train.add_argument("--seed", type=int, default=1)
-    train.add_argument("--data-seed", type=int, default=3)
+    train.add_argument("--seed", type=_nonnegative_int, default=1)
+    train.add_argument("--data-seed", type=_nonnegative_int, default=3)
     train.add_argument("--save-history", default=None, metavar="PATH")
     train.add_argument("--trace", default=None, metavar="PATH",
                        help="record a repro.obs run-trace (JSONL) to PATH")

@@ -208,8 +208,8 @@ def diff_traces(
     min_dur_s: float = 0.005,
 ) -> TraceDiff:
     """Diff two loaded traces (:func:`repro.obs.read_trace` output)."""
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not tolerance >= 0:  # NaN compares False both ways
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     diff = TraceDiff(tolerance=float(tolerance), min_dur_s=float(min_dur_s))
 
     run_a = a["meta"].get("run")

@@ -17,10 +17,7 @@ def run_rule():
     """Lint a snippet at a fake path; return findings for one rule."""
 
     def run(source, path, rule):
-        findings, suppressed = lint_source(textwrap.dedent(source), path)
-        return (
-            [f for f in findings if f.rule == rule],
-            [f for f in suppressed if f.rule == rule],
-        )
+        findings = lint_source(textwrap.dedent(source), path)
+        return [f for f in findings if f.rule == rule]
 
     return run

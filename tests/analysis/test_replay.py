@@ -43,8 +43,8 @@ def test_per_file_defect_is_caught_by_its_rule(rule, path, fixed, broken):
     source = (ROOT / path).read_text()
     assert source.count(fixed) == 1, f"anchor gone from {path}: {fixed!r}"
     line = source[: source.index(fixed)].count("\n") + 1
-    assert lint_source(source, path)[0] == []
+    assert lint_source(source, path) == []
 
-    (finding,) = lint_source(source.replace(fixed, broken), path)[0]
+    (finding,) = lint_source(source.replace(fixed, broken), path)
     assert (finding.rule, finding.line) == (rule, line)
 

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_paths
-from repro.analysis.__main__ import main
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -60,26 +59,10 @@ VIOLATIONS = {
 
 class TestSelfLint:
     def test_repo_tree_is_clean(self):
-        findings, _ = lint_paths([ROOT / "src"])
+        findings = lint_paths([ROOT / "src"])
         assert findings == [], "self-lint failed:\n" + "\n".join(
             f.render() for f in findings
         )
-
-    def test_cli_on_repo_tree_exits_0(self, capsys):
-        assert main([str(ROOT / "src")]) == 0
-        assert "lint: 0 finding(s)" in capsys.readouterr().out
-
-    def test_list_rules_prints_table(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in (
-            "NES001", "NES002", "NES003", "NES006", "NES007", "NES011",
-        ):
-            assert rule in out
-        assert "NES008" not in out
-
-    def test_missing_path_exits_2(self, capsys):
-        assert main(["no/such/path"]) == 2
 
     def test_source_starts_no_threads_or_processes(self):
         # Nothing in src/repro spawns a thread or a process; that is why
@@ -120,13 +103,10 @@ def _seed(tmp_path, rule):
 
 class TestSeededViolations:
     @pytest.mark.parametrize("rule", sorted(VIOLATIONS))
-    def test_each_rule_fails_lint(self, rule, tmp_path, capsys):
+    def test_each_rule_fails_lint(self, rule, tmp_path):
         target = _seed(tmp_path, rule)
-        code = main([str(tmp_path), "--select", rule])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert f"{target.as_posix()}:" in out
-        assert f" {rule} " in out
+        findings = lint_paths([str(tmp_path)], select=[rule])
+        assert [(f.path, f.rule) for f in findings] == [(target.as_posix(), rule)]
 
     def test_violation_in_a_copied_selection_module_is_named(self, tmp_path):
         # The self-lint failure message names file, line and rule.
@@ -134,19 +114,17 @@ class TestSeededViolations:
         target.parent.mkdir(parents=True)
         source = (ROOT / "src/repro/selection/facility.py").read_text()
         target.write_text(source + "x = np.random.rand(3)\n")
-        (finding,) = lint_paths([tmp_path / "src"])[0]
+        (finding,) = lint_paths([tmp_path / "src"])
         line = source.count("\n") + 1
         assert finding.render().startswith(f"{target.as_posix()}:{line}:5: NES001 ")
 
     @pytest.mark.parametrize("select", ["nes003", "NES001, nes003"])
-    def test_select_ids_are_case_insensitive(self, select, tmp_path, capsys):
+    def test_select_ids_are_case_insensitive(self, select, tmp_path):
         _seed(tmp_path, "NES003")
-        assert main([str(tmp_path), "--select", select]) == 1
-        assert " NES003 " in capsys.readouterr().out
+        findings = lint_paths([str(tmp_path)], select=select.split(","))
+        assert [f.rule for f in findings] == ["NES003"]
 
-    def test_unknown_select_id_exits_2_naming_valid_ids(self, tmp_path, capsys):
+    def test_unknown_select_id_exits_2_naming_valid_ids(self, tmp_path):
         _seed(tmp_path, "NES003")
-        assert main([str(tmp_path), "--select", "NES03"]) == 2
-        out = capsys.readouterr().out
-        assert "NES03" in out
-        assert "valid: NES001, NES002, NES003" in out
+        with pytest.raises(ValueError, match="NES03; valid: NES001, NES002, NES003"):
+            lint_paths([str(tmp_path)], select=["NES03"])

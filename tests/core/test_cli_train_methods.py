@@ -46,7 +46,8 @@ def test_cli_nessa_trains_below_the_dynamic_floor(capsys):
     "flag, value",
     [("--fraction", "0"), ("--fraction", "-1"), ("--fraction", "1.5"),
      ("--epochs", "0"), ("--batch-size", "0"), ("--batch-size", "-4"),
-     ("--lr", "0"), ("--scale", "0"), ("--scale", "-1")],
+     ("--lr", "0"), ("--scale", "0"), ("--scale", "-1"),
+     ("--seed", "-1"), ("--data-seed", "-1")],
 )
 @pytest.mark.parametrize("method", ["nessa", "random"])
 def test_cli_rejects_out_of_range_flags(flag, value, method, capsys):

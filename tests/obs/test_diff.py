@@ -100,8 +100,10 @@ class TestValueComparison:
         assert diff_traces(a, b).verdict == "regressed"
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            diff_traces(_trace([]), _trace([]), tolerance=-0.1)
+        # NaN would make every wall-time comparison False: a silent "ok".
+        for tolerance in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                diff_traces(_trace([]), _trace([]), tolerance=tolerance)
 
 
 class TestMetricsReconciliation:
