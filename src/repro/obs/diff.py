@@ -210,6 +210,8 @@ def diff_traces(
     """Diff two loaded traces (:func:`repro.obs.read_trace` output)."""
     if not tolerance >= 0:  # NaN compares False both ways
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if not min_dur_s >= 0:  # a NaN floor would skip every span
+        raise ValueError(f"min_dur_s must be >= 0, got {min_dur_s}")
     diff = TraceDiff(tolerance=float(tolerance), min_dur_s=float(min_dur_s))
 
     run_a = a["meta"].get("run")

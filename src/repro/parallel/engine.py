@@ -5,9 +5,9 @@ facility-location problems — one per (class x chunk) work unit, the
 paper's §3.2.3 partitioning.  :class:`SelectionExecutor` runs a planned
 round's units in-process, in :attr:`WorkUnit.order`.
 
-``repro.parallel`` imports ``repro.selection`` at module level; the one
-import the other way, in :func:`repro.selection.partition.partitioned_select`,
-is made at call time.
+The dependency runs one way: ``repro.parallel`` imports
+``repro.selection``, and nothing in ``repro.selection`` imports
+``repro.parallel``.
 
 Determinism contract: a unit's result depends only on its ``(vectors
 rows, take)`` — never on which units ran before it.

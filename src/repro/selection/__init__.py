@@ -17,15 +17,13 @@
   pairwise-distance kernel.
 - :mod:`repro.selection.partition` — the chunker, per-chunk quotas and
   similarity-tile accounting for the FPGA's on-chip memory budget (paper
-  Section 3.2.3); rounds are planned by :mod:`repro.parallel.scheduler`.
-- :mod:`repro.selection.distributed` — GreeDi two-round selection over
-  shards (the multi-device extension).
+  Section 3.2.3); rounds are planned by :mod:`repro.parallel.scheduler`,
+  which imports this package — never the other way round.
 - :mod:`repro.selection.biasing` — loss-history tracking and learned-sample
   dropping (paper Section 3.2.2).
 """
 
 from repro.selection.biasing import LossHistory
-from repro.selection.distributed import greedi_select, pairwise_similarity
 from repro.selection.dynamics import (
     ForgettingEventsSelector,
     LossRankedSelector,
@@ -43,7 +41,7 @@ from repro.selection.facility import (
 from repro.selection.gradients import GradientProxy, compute_gradient_proxies
 from repro.selection.pairwise import naive_pairwise_distances, pairwise_distances
 from repro.selection.kcenters import KCentersSelector, k_centers
-from repro.selection.partition import partition_positions, partitioned_select
+from repro.selection.partition import partition_positions
 from repro.selection.random_sel import RandomSelector
 
 __all__ = [
@@ -63,10 +61,7 @@ __all__ = [
     "GradientProxy",
     "compute_gradient_proxies",
     "partition_positions",
-    "partitioned_select",
     "LossHistory",
-    "greedi_select",
-    "pairwise_similarity",
     "LossRankedSelector",
     "ForgettingEventsSelector",
     "UncertaintySelector",

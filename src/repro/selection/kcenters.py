@@ -26,7 +26,9 @@ def k_centers(
 
     Starts from a random point, then repeatedly adds the point farthest
     from the current center set.  O(nk) distance evaluations, no pairwise
-    matrix materialized.
+    matrix materialized.  Once every unchosen point sits on a center
+    (distance 0), the lowest-index unchosen point is taken, so the ``k``
+    picks are always distinct.
     """
     n = vectors.shape[0]
     if k < 1:
@@ -38,11 +40,13 @@ def k_centers(
     first = int(rng.integers(0, n))
     selected = [first]
     min_dist = np.linalg.norm(vectors - vectors[first], axis=1)
+    min_dist[first] = -np.inf  # a chosen point is never the farthest
     for _ in range(k - 1):
         nxt = int(np.argmax(min_dist))
         selected.append(nxt)
         dist = np.linalg.norm(vectors - vectors[nxt], axis=1)
         min_dist = np.minimum(min_dist, dist)
+        min_dist[nxt] = -np.inf
     return np.asarray(selected, dtype=np.int64)
 
 

@@ -10,20 +10,17 @@ paper uses ``k/m`` chunks with ``m`` selected per chunk.
 Besides fitting memory, partitioning drops the selection cost from
 O(N²) to O(N²·m/k) similarity evaluations.  Rounds are planned by
 :func:`repro.parallel.scheduler.plan_selection_round`; this module holds
-the chunker and per-chunk quota planner it uses, the tile-size
-accounting, and :func:`partitioned_select`, the planner's single-pool
-form.
+the chunker and per-chunk quota planner it uses and the tile-size
+accounting.  The dependency runs one way: ``repro.parallel`` imports
+this module, and nothing in ``repro.selection`` imports ``repro.parallel``.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "partition_positions",
-    "partitioned_select",
     "plan_chunk_takes",
     "chunk_pairwise_bytes",
 ]
@@ -91,47 +88,3 @@ def plan_chunk_takes(chunk_sizes: list[int], k: int, chunk_select: int) -> list[
             break
     return takes
 
-
-def partitioned_select(
-    vectors: np.ndarray,
-    k: int,
-    select_fn: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, int]],
-    rng: np.random.Generator,
-    chunk_select: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Select ``k`` vectors via random chunks of one candidate pool.
-
-    The pool is planned as a single class by
-    :func:`repro.parallel.scheduler.plan_selection_round`, seeded from
-    ``rng``, so it is chunked exactly as a NeSSA round chunks a class.
-    ``select_fn(chunk_vectors, k_chunk)`` must return
-    ``(local_indices, weights, pairwise_bytes)`` — e.g.
-    :func:`repro.selection.craig.craig_select_class`.  ``chunk_select`` is
-    the per-chunk selection count *m* (default ``min(k, 128)``).
-
-    Returns ``(indices, weights, max_chunk_pairwise_bytes)`` where the last
-    term is the largest similarity matrix any chunk materialized — the
-    quantity that must fit on-chip.
-    """
-    # Imported here: the scheduler imports this module.
-    from repro.parallel.scheduler import plan_selection_round
-
-    n = vectors.shape[0]
-    k = min(k, n)
-    if k <= 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.float64), 0
-    units = plan_selection_round(
-        np.zeros(n, np.int64),
-        k,
-        seed=int(rng.integers(2**32)),
-        round_index=0,
-        chunk_select=chunk_select or min(k, 128),
-    )
-    indices, weights = [], []
-    max_bytes = 0
-    for unit in units:
-        sel, w, nbytes = select_fn(vectors[unit.positions], unit.take)
-        indices.append(unit.positions[sel])
-        weights.append(w)
-        max_bytes = max(max_bytes, nbytes)
-    return np.concatenate(indices), np.concatenate(weights), max_bytes

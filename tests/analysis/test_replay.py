@@ -17,10 +17,6 @@ ROOT = Path(__file__).resolve().parents[2]
 # (rule, file, text as fixed, text as it was when the rule fired)
 PER_FILE = [
     (
-        "NES002", "src/repro/selection/distributed.py",
-        "np.zeros(n, dtype=pool_sim.dtype)", "np.zeros(n)",
-    ),
-    (
         "NES002", "src/repro/selection/dynamics.py",
         "np.empty(len(ids), dtype=np.float64)", "np.empty(len(ids))",
     ),

@@ -105,6 +105,12 @@ class TestValueComparison:
             with pytest.raises(ValueError):
                 diff_traces(_trace([]), _trace([]), tolerance=tolerance)
 
+    def test_nan_or_negative_floor_rejected(self):
+        # A NaN floor would skip every span's wall time: a silent "ok".
+        for min_dur_s in (-0.001, float("nan")):
+            with pytest.raises(ValueError, match="min_dur_s"):
+                diff_traces(_trace([]), _trace([]), min_dur_s=min_dur_s)
+
 
 class TestMetricsReconciliation:
     def test_counter_delta_regresses(self):
@@ -255,6 +261,17 @@ class TestObsdiffCLI:
         self._write(b, slow)
         assert main(["obsdiff", str(a), str(b)]) == 1
         assert main(["obsdiff", str(a), str(b), "--tolerance", "inf"]) == 0
+
+    def test_nan_or_negative_min_dur_exits_two(self, paths, capsys):
+        tmp_path, a, base = paths
+        slow = _trace([_span("epoch#0", dur_s=1.0,
+                             attrs={"link_bytes": 10})],
+                      metrics=base["metrics"])
+        b = tmp_path / "b.jsonl"
+        self._write(b, slow)
+        for floor in ("nan", "-1"):
+            assert main(["obsdiff", str(a), str(b), "--min-dur", floor]) == 2
+            assert "min_dur_s" in capsys.readouterr().out
 
     def test_json_format_round_trips(self, paths, capsys):
         tmp_path, a, base = paths

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.parallel.engine import SelectionExecutor
 from repro.parallel.scheduler import WorkUnit, plan_selection_round, unit_rng
-from repro.selection.partition import plan_chunk_takes
+from repro.selection.partition import chunk_pairwise_bytes, plan_chunk_takes
 
 
 def _labels(rng, n=120, classes=4):
@@ -88,6 +89,57 @@ class TestPlanSelectionRound:
         with pytest.raises(ValueError):
             WorkUnit(order=0, label=0, positions=np.arange(3), take=-1,
                      seed_key=(0, 0, 0, 0))
+
+
+def _select_one_pool(vectors, k, chunk_select, seed=0):
+    """Plan and run one round over a single-class pool of ``vectors``."""
+    n = vectors.shape[0]
+    units = plan_selection_round(np.zeros(n, np.int64), k, seed=seed,
+                                 round_index=0, chunk_select=chunk_select)
+    return SelectionExecutor().run_round(vectors, np.arange(n), units)
+
+
+class TestSelectionRoundOnOnePool:
+    """The §3.2.3 chunked selection of one class, planned and run."""
+
+    def test_selects_exactly_k(self):
+        v = np.random.default_rng(3).normal(size=(120, 5))
+        sel, _, _ = _select_one_pool(v, 30, chunk_select=10, seed=3)
+        assert len(sel) == 30
+        assert len(np.unique(sel)) == 30
+
+    def test_chunk_memory_bounded(self):
+        """Paper §3.2.3: only a chunk's similarity matrix is materialized."""
+        v = np.random.default_rng(4).normal(size=(200, 5))
+        _, _, max_bytes = _select_one_pool(v, 40, chunk_select=10, seed=4)
+        # 40/10 = 4 chunks of 50 -> tile is 50x50x4 bytes, not 200x200x4.
+        assert max_bytes <= chunk_pairwise_bytes(51)
+        assert max_bytes < chunk_pairwise_bytes(200)
+
+    def test_paper_chunk_convention(self):
+        """k/m chunks with m selected per chunk (paper's formula)."""
+        v = np.random.default_rng(5).normal(size=(400, 4))
+        k, m = 64, 16
+        units = plan_selection_round(np.zeros(400, np.int64), k, seed=5,
+                                     round_index=0, chunk_select=m)
+        assert [u.take for u in units] == [m] * (k // m)
+        sel, _, _ = SelectionExecutor().run_round(v, np.arange(400), units)
+        assert len(sel) == k
+
+    def test_weights_conserve_chunk_populations(self):
+        v = np.random.default_rng(6).normal(size=(90, 4))
+        _, w, _ = _select_one_pool(v, 18, chunk_select=6, seed=6)
+        # Each chunk's weights sum to its chunk size; totals sum to n.
+        assert w.sum() == pytest.approx(90)
+
+    def test_empty_input(self):
+        sel, w, b = _select_one_pool(np.zeros((0, 3)), 5, chunk_select=5)
+        assert sel.size == 0 and w.size == 0 and b == 0
+
+    def test_k_larger_than_n_clamped(self):
+        v = np.random.default_rng(7).normal(size=(10, 3))
+        sel, _, _ = _select_one_pool(v, 50, chunk_select=4, seed=7)
+        assert len(sel) == 10
 
 
 class TestUnitRng:

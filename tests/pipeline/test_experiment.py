@@ -64,6 +64,15 @@ class TestRunMethod:
         assert 0.0 <= result.final_accuracy <= 1.0
         assert result.method == method
 
+    @pytest.mark.parametrize("dataset", ["cifar10", "cifar100"])
+    def test_kcenters_survives_points_on_their_centers(self, dataset):
+        """At this size k-centers exhausts the distinct proxies; its subset
+        must still hold distinct samples."""
+        result = run_method(dataset, "kcenters",
+                            *make_data(dataset, scale=0.2, seed=1),
+                            scaled_recipe(3, batch_size=32), seed=1)
+        assert result.history.epochs == 3
+
     def test_full_ignores_fraction(self, tiny_data):
         train, test = tiny_data
         result = run_method("cifar10", "full", train, test, RECIPE, seed=0)

@@ -1,65 +1,13 @@
-"""Tests for GreeDi distributed selection and the training-dynamics baselines."""
+"""Tests for the training-dynamics baselines."""
 
 import numpy as np
 import pytest
 
-from repro.selection.distributed import greedi_select, pairwise_similarity
 from repro.selection.dynamics import (
     ForgettingEventsSelector,
     LossRankedSelector,
     UncertaintySelector,
 )
-from repro.selection.facility import facility_location_value, lazy_greedy
-
-
-def clustered_vectors(n=120, clusters=6, d=5, seed=0):
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(size=(clusters, d)) * 6
-    labels = rng.integers(0, clusters, size=n)
-    return centers[labels] + rng.normal(size=(n, d)) * 0.5
-
-
-class TestGreeDi:
-    def test_selects_k_unique(self):
-        v = clustered_vectors()
-        idx, w = greedi_select(v, 12, num_machines=4, rng=np.random.default_rng(1))
-        assert len(idx) == 12
-        assert len(np.unique(idx)) == 12
-        assert w.sum() == pytest.approx(len(v))
-
-    def test_close_to_centralized_objective(self):
-        """GreeDi retains >= 90% of centralized greedy's objective."""
-        v = clustered_vectors(seed=2)
-        sim = pairwise_similarity(v)
-        central = facility_location_value(sim, lazy_greedy(sim, 10))
-        idx, _ = greedi_select(v, 10, num_machines=4, rng=np.random.default_rng(3))
-        distributed = facility_location_value(sim, idx)
-        assert distributed >= 0.9 * central
-
-    def test_single_machine_matches_centralized(self):
-        v = clustered_vectors(n=60, seed=4)
-        sim = pairwise_similarity(v)
-        central = facility_location_value(sim, lazy_greedy(sim, 8))
-        idx, _ = greedi_select(v, 8, num_machines=1, rng=np.random.default_rng(0))
-        assert facility_location_value(sim, idx) >= 0.99 * central
-
-    def test_k_geq_n(self):
-        v = clustered_vectors(n=10, seed=5)
-        idx, w = greedi_select(v, 50, num_machines=3)
-        assert len(idx) == 10
-        assert w.sum() == pytest.approx(10)
-
-    def test_many_machines_small_shards(self):
-        v = clustered_vectors(n=30, seed=6)
-        idx, _ = greedi_select(v, 6, num_machines=20, rng=np.random.default_rng(7))
-        assert len(idx) == 6
-
-    def test_validation(self):
-        v = clustered_vectors(n=10)
-        with pytest.raises(ValueError):
-            greedi_select(v, 0, num_machines=2)
-        with pytest.raises(ValueError):
-            greedi_select(v, 3, num_machines=0)
 
 
 class TestDynamicsSelectors:

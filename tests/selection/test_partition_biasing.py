@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.selection.biasing import LossHistory
-from repro.selection.craig import craig_select_class
-from repro.selection.partition import (
-    chunk_pairwise_bytes,
-    partition_positions,
-    partitioned_select,
-)
+from repro.selection.partition import partition_positions
 
 
 class TestPartitionPositions:
@@ -45,54 +40,6 @@ class TestPartitionPositions:
         parts = partition_positions(n, chunks, rng)
         combined = np.concatenate(parts) if parts else np.array([])
         assert sorted(combined) == list(range(n))
-
-
-class TestPartitionedSelect:
-    def _select_fn(self, vectors, k):
-        return craig_select_class(vectors, k)
-
-    def test_selects_exactly_k(self):
-        rng = np.random.default_rng(3)
-        v = rng.normal(size=(120, 5))
-        sel, w, _ = partitioned_select(v, 30, self._select_fn, rng, chunk_select=10)
-        assert len(sel) == 30
-        assert len(np.unique(sel)) == 30
-
-    def test_chunk_memory_bounded(self):
-        """Paper §3.2.3: only a chunk's similarity matrix is materialized."""
-        rng = np.random.default_rng(4)
-        v = rng.normal(size=(200, 5))
-        _, _, max_bytes = partitioned_select(v, 40, self._select_fn, rng, chunk_select=10)
-        # 40/10 = 4 chunks of 50 -> tile is 50x50x4 bytes, not 200x200x4.
-        assert max_bytes <= chunk_pairwise_bytes(51)
-        assert max_bytes < chunk_pairwise_bytes(200)
-
-    def test_paper_chunk_convention(self):
-        """k/m chunks with m selected per chunk (paper's formula)."""
-        rng = np.random.default_rng(5)
-        v = rng.normal(size=(400, 4))
-        k, m = 64, 16
-        sel, _, _ = partitioned_select(v, k, self._select_fn, rng, chunk_select=m)
-        assert len(sel) == k
-
-    def test_weights_conserve_chunk_populations(self):
-        rng = np.random.default_rng(6)
-        v = rng.normal(size=(90, 4))
-        sel, w, _ = partitioned_select(v, 18, self._select_fn, rng, chunk_select=6)
-        # Each chunk's weights sum to its chunk size; totals sum to n.
-        assert w.sum() == pytest.approx(90)
-
-    def test_empty_input(self):
-        sel, w, b = partitioned_select(
-            np.zeros((0, 3)), 5, self._select_fn, np.random.default_rng(0)
-        )
-        assert sel.size == 0 and w.size == 0 and b == 0
-
-    def test_k_larger_than_n_clamped(self):
-        rng = np.random.default_rng(7)
-        v = rng.normal(size=(10, 3))
-        sel, _, _ = partitioned_select(v, 50, self._select_fn, rng, chunk_select=4)
-        assert len(sel) == 10
 
 
 class TestLossHistory:

@@ -6,7 +6,6 @@ import pytest
 from repro.data.dataset import Dataset
 from repro.nn.resnet import resnet20
 from repro.selection.craig import CraigSelector, craig_select_class
-from repro.selection.distributed import greedi_select
 from repro.selection.facility import lazy_greedy, medoid_weights, stochastic_greedy
 from repro.selection.kcenters import k_centers
 
@@ -20,9 +19,12 @@ class TestDegenerateGeometry:
         assert w.sum() == pytest.approx(20)
 
     def test_identical_vectors_kcenters(self):
+        """Once every point sits on a center, unchosen points still come next."""
         v = np.zeros((15, 3))
         sel = k_centers(v, 4, rng=np.random.default_rng(0))
         assert len(sel) == 4
+        assert len(np.unique(sel)) == 4
+        assert k_centers(np.zeros((5, 3)), 3).tolist() == [4, 0, 1]
 
     def test_single_point(self):
         v = np.array([[1.0, 2.0]])
@@ -47,11 +49,6 @@ class TestDegenerateGeometry:
         sel2 = stochastic_greedy(sim, 3, rng=np.random.default_rng(0))
         assert len(sel2) == 3
         assert medoid_weights(sim, sel).sum() == pytest.approx(8)
-
-    def test_greedi_with_tiny_shards(self):
-        v = np.random.default_rng(1).normal(size=(7, 3))
-        idx, w = greedi_select(v, 3, num_machines=7, rng=np.random.default_rng(2))
-        assert len(idx) == 3
 
 
 class TestClassImbalance:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.selection.craig import CraigSelector, craig_select_class
 from repro.selection.gradients import compute_gradient_proxies
@@ -127,6 +129,38 @@ class TestKCenters:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             k_centers(np.zeros((5, 2)), 0)
+
+    @given(
+        grid=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                      min_size=2, max_size=30),
+        k_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_picks_match_farthest_point_oracle(self, grid, k_frac, seed):
+        """Always k distinct picks, identical to plain farthest-point
+        traversal wherever that traversal's picks are distinct."""
+        v = np.asarray(grid, dtype=np.float64)
+        n = len(v)
+        k = 1 + int(k_frac * (n - 2))
+
+        def farthest_point_oracle(rng):
+            first = int(rng.integers(0, n))
+            selected = [first]
+            min_dist = np.linalg.norm(v - v[first], axis=1)
+            for _ in range(k - 1):
+                nxt = int(np.argmax(min_dist))
+                selected.append(nxt)
+                min_dist = np.minimum(min_dist, np.linalg.norm(v - v[nxt], axis=1))
+            return selected
+
+        got = k_centers(v, k, rng=np.random.default_rng(seed)).tolist()
+        want = farthest_point_oracle(np.random.default_rng(seed))
+        assert len(got) == k and len(set(got)) == k
+        first_repeat = next(
+            (i for i, j in enumerate(want) if j in want[:i]), len(want)
+        )
+        assert got[:first_repeat] == want[:first_repeat]
 
 
 class TestRandomSelector:
