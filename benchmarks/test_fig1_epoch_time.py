@@ -8,7 +8,7 @@ counts and the A100 throughput model.
 
 import pytest
 
-from repro.perf.flops import MODEL_ZOO, train_step_flops
+from repro.perf.flops import MODEL_ZOO
 from repro.perf.gpus import a100
 from repro.perf.timemodel import GPUComputeModel
 

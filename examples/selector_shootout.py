@@ -65,8 +65,7 @@ def main(epochs: int = EPOCHS, scale: float = SCALE):
         # Selection-quality snapshot with an untrained model (epoch-0 view).
         sel = selector.select(train_set, FRACTION, factory())
         coverage = cluster_coverage(train_set, sel.positions)
-        trainer = SubsetTrainer(factory(), recipe, selector, FRACTION,
-                                select_every=1, seed=1)
+        trainer = SubsetTrainer(factory(), recipe, selector, FRACTION, seed=1)
         history = trainer.train(train_set, test_set)
         results[name] = (history.stable_accuracy(), coverage)
 

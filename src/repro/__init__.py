@@ -5,8 +5,9 @@ This package reimplements, in pure Python + numpy, the complete system from
 Training" (Prakriya et al., HotStorage '23):
 
 - ``repro.nn`` — a from-scratch neural-network training substrate
-  (conv/batchnorm/linear layers, SGD with Nesterov momentum, LR schedules,
-  int8 quantization).
+  (conv/batchnorm/linear layers, SGD with Nesterov momentum, the multi-step
+  LR schedule, int8 quantization).  Of ``repro`` it imports only
+  ``repro.obs``.
 - ``repro.data`` — synthetic image-classification datasets mirroring the six
   datasets the paper evaluates, plus the paper-scale metadata registry used
   for storage modelling.

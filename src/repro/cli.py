@@ -134,7 +134,7 @@ def _cmd_train(args) -> int:
     print(f"samples trained: {history.total_samples_trained:,} "
           f"(mean subset {100 * history.mean_subset_fraction:.1f}%)")
     if args.save_history:
-        from repro.nn.serialize import save_history
+        from repro.core.metrics import save_history
 
         path = save_history(history, args.save_history)
         print(f"history written to {path}")

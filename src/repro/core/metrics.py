@@ -4,11 +4,15 @@ Trainers emit one :class:`EpochRecord` per epoch; :class:`TrainingHistory`
 aggregates them and answers the questions the paper's evaluation asks
 (final accuracy, accuracy-at-epoch curves for Figure 5, total samples
 trained on, data-movement counters for the system model).
+:func:`save_history` / :func:`load_history` round-trip a history through
+JSON, every :class:`EpochRecord` field included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -16,7 +20,7 @@ from repro.data.dataset import Dataset
 from repro.nn.inference import eval_forward
 from repro.nn.modules import Module
 
-__all__ = ["EpochRecord", "TrainingHistory", "evaluate_accuracy"]
+__all__ = ["EpochRecord", "TrainingHistory", "evaluate_accuracy", "save_history", "load_history"]
 
 
 @dataclass
@@ -173,3 +177,21 @@ def evaluate_accuracy(model: Module, dataset: Dataset, batch_size: int = 512) ->
             pred = forward(x).argmax(axis=1)
             correct += int((pred == y).sum())
     return correct / max(1, len(dataset))
+
+
+def save_history(history: TrainingHistory, path) -> Path:
+    """Dump a TrainingHistory to JSON, one object of all fields per record."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    records = [asdict(r) for r in history.records]
+    path.write_text(json.dumps({"method": history.method, "records": records}, indent=1))
+    return path
+
+
+def load_history(path) -> TrainingHistory:
+    """Load a TrainingHistory written by :func:`save_history`."""
+    data = json.loads(Path(path).read_text())
+    history = TrainingHistory(method=data["method"])
+    for r in data["records"]:
+        history.append(EpochRecord(**r))
+    return history

@@ -194,25 +194,19 @@ class SubsetTrainer(_BaseTrainer):
         recipe: TrainRecipe,
         selector,
         subset_fraction: float,
-        select_every: int = 1,
         seed: int = 0,
     ):
         super().__init__(model, recipe, seed)
         if not 0.0 < subset_fraction <= 1.0:
             raise ValueError("subset_fraction must be in (0, 1]")
-        if select_every < 1:
-            raise ValueError("select_every must be >= 1")
         self.selector = selector
         self.subset_fraction = subset_fraction
-        self.select_every = select_every
         self.name = getattr(selector, "name", "subset")
 
     def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
         return self._run_epochs(train_set, test_set)
 
     def _select(self, train_set, epoch):
-        if epoch % self.select_every:
-            return None
         return self._selection_round(train_set, self.subset_fraction, self.model, epoch)
 
 

@@ -57,15 +57,6 @@ class Dataset:
         """View of the samples at the given positions."""
         return Subset(self, np.asarray(positions, dtype=np.int64))
 
-    def subset_by_ids(self, ids: np.ndarray) -> "Subset":
-        """View of the samples with the given global ids."""
-        id_to_pos = {int(i): pos for pos, i in enumerate(self.ids)}
-        try:
-            positions = np.array([id_to_pos[int(i)] for i in ids], dtype=np.int64)
-        except KeyError as exc:
-            raise KeyError(f"id {exc.args[0]} not in dataset") from None
-        return Subset(self, positions)
-
     def __repr__(self) -> str:
         return f"Dataset(n={len(self)}, classes={self.num_classes}, shape={self.image_shape})"
 

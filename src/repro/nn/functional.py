@@ -1,4 +1,4 @@
-"""Low-level numpy kernels: convolution by row operator, pooling, activations.
+"""Low-level numpy kernels: convolution by row operator, activations.
 
 All kernels take and return arrays shaped ``(N, C, H, W)`` (batch,
 channels, height, width) and come in forward/backward pairs.  The
@@ -42,11 +42,12 @@ channels (its row operator would be ``W`` times the useful MACs), so it
 is a ``(C_out, C)`` GEMM over the ``(C, OH*OW*N)`` pixels, which at
 stride 1 are the input's own buffer.
 
-**Pooling and the oracles.**  The pooling kernels use the per-sample
-blocked layout ``(N, C*K*K, OH*OW)`` (:func:`im2col_blocked`), one copy
-of a zero-copy ``as_strided`` window view for any input strides.
-``_im2col_loop`` / ``_col2im_loop`` are the seed's slice loops in the
-row-major ``(N*OH*OW, C*K*K)`` layout, kept as test oracles.
+**The blocked unfold.**  :func:`im2col_blocked` / :func:`col2im_blocked`
+unfold to the per-sample blocked layout ``(N, C*K*K, OH*OW)``, one copy
+of a zero-copy ``as_strided`` window view for any input strides.  No
+layer of the ResNets calls them: every network here ends in a global
+average pool and none pools by window.  The seed's slice-loop
+im2col / col2im, the oracles of the conv tests, live in ``tests/``.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ __all__ = [
     "row_windows",
     "conv2d",
     "conv2d_backward",
-    "max_pool2d",
-    "max_pool2d_backward",
-    "avg_pool2d",
-    "avg_pool2d_backward",
     "relu",
     "relu_backward",
     "softmax",
@@ -76,7 +73,7 @@ __all__ = [
 
 
 def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
-    """Spatial output size of a conv/pool window sweep."""
+    """Spatial output size of a conv window sweep."""
     return (size + 2 * pad - kernel) // stride + 1
 
 
@@ -124,8 +121,8 @@ def im2col_blocked(
     """Unfold into the per-sample blocked ``(N, C*K*K, OH*OW)`` layout.
 
     This layout is a free reshape of the contiguous window copy — no
-    transpose-gather — and keeps each sample's windows together, which is
-    what the pooling kernels reduce over.  Returns ``(cols, (oh, ow))``.
+    transpose-gather — and keeps each sample's windows together.
+    Returns ``(cols, (oh, ow))``.
     """
     n, c, h, w = x.shape
     oh = _out_size(h, kernel, stride, pad)
@@ -171,47 +168,6 @@ def _scatter_windows(
                 x[:, :, :y_max:stride, :x_max:stride] = windows[:, :, 0, 0]
             else:
                 x[:, :, ky:y_max:stride, kx:x_max:stride] += windows[:, :, ky, kx]
-    if pad > 0:
-        return x[:, :, pad : pad + h, pad : pad + w]
-    return x
-
-
-def _im2col_loop(x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Seed ``kernel^2``-slice im2col (test oracle)."""
-    n, c, h, w = x.shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
-    for ky in range(kernel):
-        y_max = ky + stride * oh
-        for kx in range(kernel):
-            x_max = kx + stride * ow
-            cols[:, :, ky, kx, :, :] = x[:, :, ky:y_max:stride, kx:x_max:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
-
-
-def _col2im_loop(
-    cols: np.ndarray,
-    x_shape: tuple,
-    kernel: int,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """Seed ``kernel^2``-slice col2im (test oracle)."""
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    cols = cols.reshape(n, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-
-    x = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for ky in range(kernel):
-        y_max = ky + stride * oh
-        for kx in range(kernel):
-            x_max = kx + stride * ow
-            x[:, :, ky:y_max:stride, kx:x_max:stride] += cols[:, :, ky, kx, :, :]
     if pad > 0:
         return x[:, :, pad : pad + h, pad : pad + w]
     return x
@@ -375,67 +331,6 @@ def conv2d_backward(
         grad_rows[ky : ky + stride * oh : stride] += grad_windows[:, ky]
     grad_x = grad_rows[pad : pad + h].reshape(h, c_in, w, n).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(grad_x).transpose(3, 0, 1, 2), grad_weight, grad_bias
-
-
-def max_pool2d(
-    x: np.ndarray, kernel: int, stride: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Max pooling. Returns ``(output, argmax)`` with argmax cached for backward.
-
-    ``argmax`` is ``(N, C, OH*OW)`` holding flat ``ky*K + kx`` window
-    positions (ties resolve to the first maximum, as in the seed kernel).
-    """
-    n, c, h, w = x.shape
-    cols, (oh, ow) = im2col_blocked(x, kernel, stride or kernel, 0)
-    windows = cols.reshape(n, c, kernel * kernel, oh * ow)
-    argmax = windows.argmax(axis=2)  # (n, c, oh*ow)
-    out = np.take_along_axis(windows, argmax[:, :, None, :], axis=2)[:, :, 0, :]
-    return out.reshape(n, c, oh, ow), argmax
-
-
-def max_pool2d_backward(
-    grad_out: np.ndarray,
-    argmax: np.ndarray,
-    x_shape: tuple,
-    kernel: int,
-    stride: int | None = None,
-) -> np.ndarray:
-    """Backward pass of :func:`max_pool2d` — route gradients to the argmax."""
-    stride = stride or kernel
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel, stride, 0)
-    ow = _out_size(w, kernel, stride, 0)
-
-    grad_windows = np.zeros((n, c, kernel * kernel, oh * ow), dtype=grad_out.dtype)
-    np.put_along_axis(
-        grad_windows, argmax[:, :, None, :], grad_out.reshape(n, c, 1, -1), axis=2
-    )
-    return col2im_blocked(
-        grad_windows.reshape(n, c * kernel * kernel, oh * ow), x_shape, kernel, stride, 0
-    )
-
-
-def avg_pool2d(x: np.ndarray, kernel: int, stride: int | None = None) -> np.ndarray:
-    """Average pooling over non-overlapping (or strided) windows."""
-    n, c, h, w = x.shape
-    cols, (oh, ow) = im2col_blocked(x, kernel, stride or kernel, 0)
-    out = cols.reshape(n, c, kernel * kernel, oh * ow).mean(axis=2)
-    return out.reshape(n, c, oh, ow)
-
-
-def avg_pool2d_backward(
-    grad_out: np.ndarray, x_shape: tuple, kernel: int, stride: int | None = None
-) -> np.ndarray:
-    """Backward pass of :func:`avg_pool2d` — spread gradients uniformly."""
-    stride = stride or kernel
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel, stride, 0)
-    ow = _out_size(w, kernel, stride, 0)
-    grad = grad_out.reshape(n, c, 1, oh * ow) / (kernel * kernel)
-    grad_windows = np.broadcast_to(grad, (n, c, kernel * kernel, oh * ow))
-    return col2im_blocked(
-        grad_windows.reshape(n, c * kernel * kernel, oh * ow), x_shape, kernel, stride, 0
-    )
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -22,10 +22,7 @@ __all__ = [
     "Linear",
     "BatchNorm2d",
     "ReLU",
-    "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
     "Identity",
     "Sequential",
 ]
@@ -55,7 +52,7 @@ class Parameter:
 
 
 class Module:
-    """Base class: parameter discovery, train/eval mode, state (de)serialization."""
+    """Base class: parameter and buffer discovery, train/eval mode."""
 
     def __init__(self):
         self.training = True
@@ -123,30 +120,6 @@ class Module:
             module.training = False
         return self
 
-    def state_dict(self) -> dict:
-        """Copy of every parameter and buffer, keyed by dotted name."""
-        state = {name: p.data.copy() for name, p in self.named_parameters()}
-        for name, buf in self.named_buffers():
-            state[name] = buf.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """In-place load; raises ``KeyError`` on missing and shape mismatch."""
-        own = dict(self.named_parameters())
-        bufs = dict(self.named_buffers())
-        for name, value in state.items():
-            if name in own:
-                target = own[name].data
-            elif name in bufs:
-                target = bufs[name]
-            else:
-                raise KeyError(f"unexpected key in state dict: {name!r}")
-            if target.shape != value.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {target.shape} vs {value.shape}"
-                )
-            target[...] = value
-
     def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
         """Non-trainable state (e.g. batchnorm running stats)."""
         yield from self._named_buffers(prefix="")
@@ -169,11 +142,6 @@ def _kaiming_init(shape: tuple, fan_in: int, rng: np.random.Generator) -> np.nda
     """He-normal initialization, the standard for ReLU networks."""
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
-def _batch_innermost(x: np.ndarray) -> np.ndarray:
-    """``x`` in the memory format the spatial modules emit (see ``F.channel_major``)."""
-    return F.channel_major(x).transpose(3, 0, 1, 2)
 
 
 class Conv2d(Module):
@@ -374,55 +342,6 @@ class ReLU(Module):
         return F.relu_backward(grad_out, x)
 
 
-class MaxPool2d(Module):
-    """Max pooling."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, argmax = F.max_pool2d(x, self.kernel_size, self.stride)
-        if self.training:
-            self._cache = (argmax, x.shape)
-        return _batch_innermost(out)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward (or in eval mode)")
-        argmax, x_shape = self._cache
-        self._cache = None
-        return _batch_innermost(
-            F.max_pool2d_backward(grad_out, argmax, x_shape, self.kernel_size, self.stride)
-        )
-
-
-class AvgPool2d(Module):
-    """Average pooling."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.training:
-            self._cache = x.shape
-        return _batch_innermost(F.avg_pool2d(x, self.kernel_size, self.stride))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward (or in eval mode)")
-        x_shape = self._cache
-        self._cache = None
-        return _batch_innermost(
-            F.avg_pool2d_backward(grad_out, x_shape, self.kernel_size, self.stride)
-        )
-
-
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions, yielding ``(N, C)``."""
 
@@ -445,27 +364,6 @@ class GlobalAvgPool2d(Module):
         grad = np.empty((c, h, w, n), dtype=grad_out.dtype)
         grad[...] = (grad_out.T / (h * w))[:, None, None, :]
         return grad.transpose(3, 0, 1, 2)
-
-
-class Flatten(Module):
-    """Flatten all non-batch dimensions."""
-
-    def __init__(self):
-        super().__init__()
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.training:
-            self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward (or in eval mode)")
-        shape = self._cache
-        self._cache = None
-        grad = grad_out.reshape(shape)
-        return _batch_innermost(grad) if len(shape) == 4 else grad
 
 
 class Identity(Module):

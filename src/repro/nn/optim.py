@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.modules import Parameter
 
-__all__ = ["SGD", "MultiStepLR", "ConstantLR"]
+__all__ = ["SGD", "MultiStepLR"]
 
 
 class SGD:
@@ -98,21 +98,6 @@ class MultiStepLR:
         self.last_epoch += 1
         passed = sum(1 for m in self.milestones if self.last_epoch >= m)
         self.optimizer.lr = self.base_lr / (self.gamma_div**passed)
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
-
-
-class ConstantLR:
-    """A schedule that never changes the LR (baseline / ablation use)."""
-
-    def __init__(self, optimizer: SGD):
-        self.optimizer = optimizer
-        self.last_epoch = -1
-
-    def step(self) -> None:
-        self.last_epoch += 1
 
     @property
     def current_lr(self) -> float:

@@ -24,16 +24,14 @@ from repro.nn.modules import Module
 __all__ = ["quantize_tensor", "dequantize_tensor", "QuantizedModel", "quantized_state_bytes"]
 
 
-def quantize_tensor(
-    x: np.ndarray, bits: int = 8, per_channel: bool = True
-) -> tuple[np.ndarray, np.ndarray | float]:
+def quantize_tensor(x: np.ndarray, bits: int = 8) -> tuple[np.ndarray, np.ndarray | float]:
     """Symmetric quantization to ``bits``-wide signed integers.
 
-    Multi-dimensional tensors default to per-output-channel scales (axis
-    0), the standard scheme for int8 inference kernels — per-tensor
-    scales lose too much precision on small channels.  Returns
-    ``(q, scale)`` with ``x ≈ q * scale`` (scale broadcast over axis 0
-    when per-channel).  ``bits == 32`` is the identity passthrough (fp32
+    Multi-dimensional tensors get per-output-channel scales (axis 0), the
+    standard scheme for int8 inference kernels — per-tensor scales lose
+    too much precision on small channels; 1-D tensors get one scale.
+    Returns ``(q, scale)`` with ``x ≈ q * scale`` (scale broadcast over
+    axis 0 when per-channel).  ``bits == 32`` is the identity passthrough (fp32
     feedback, the no-quantization ablation arm).
     """
     if bits < 2 or bits > 32:
@@ -47,7 +45,7 @@ def quantize_tensor(
         return np.zeros(x.shape, dtype=np.int32), 1.0
     qmax = 2 ** (bits - 1) - 1
 
-    if per_channel and x.ndim >= 2:
+    if x.ndim >= 2:
         flat = np.abs(x).reshape(x.shape[0], -1)
         max_abs = flat.max(axis=1)
         scale = np.where(max_abs > 0, max_abs / qmax, 1.0)

@@ -44,7 +44,6 @@ from repro.obs.metrics import (
 from repro.obs.report import aggregate_trace, render_report
 from repro.obs.sinks import (
     read_trace,
-    render_summary,
     to_chrome_trace,
     to_folded_stacks,
     write_chrome_trace,
@@ -76,7 +75,6 @@ __all__ = [
     "aggregate_trace",
     "render_report",
     "read_trace",
-    "render_summary",
     "to_chrome_trace",
     "to_folded_stacks",
     "write_chrome_trace",

@@ -36,6 +36,7 @@ same config produce structurally identical flamegraphs.  Weights:
 from __future__ import annotations
 
 import json
+import math
 import time
 
 from repro.obs.tracer import Tracer
@@ -49,7 +50,6 @@ __all__ = [
     "to_folded_stacks",
     "write_folded",
     "FLAME_WEIGHTS",
-    "render_summary",
 ]
 
 SCHEMA_VERSION = 2
@@ -96,7 +96,8 @@ def read_trace(path) -> dict:
     ``spans`` are plain dicts in file order.  Raises ``ValueError``,
     naming the line number where there is one, on a schema newer than
     this reader, a line that is not a JSON object, a span missing one of
-    ``id`` / ``name`` / ``start_s`` / ``dur_s``, or a missing meta line.
+    ``id`` / ``name`` / ``start_s`` / ``dur_s``, a span time that is not a
+    finite number (or a negative ``dur_s``), or a missing meta line.
     """
     meta: dict = {}
     spans: list[dict] = []
@@ -132,6 +133,14 @@ def read_trace(path) -> dict:
                     raise ValueError(
                         f"line {lineno}: span lacks {', '.join(missing)}"
                     )
+                for key in ("start_s", "dur_s"):
+                    value = doc[key]
+                    if (type(value) not in (int, float) or not math.isfinite(value)
+                            or (key == "dur_s" and value < 0)):
+                        raise ValueError(
+                            f"line {lineno}: span {key} {value!r} is not a finite"
+                            f"{' non-negative' if key == 'dur_s' else ''} number"
+                        )
                 spans.append(doc)
             elif kind == "metrics":
                 snapshot = doc
@@ -246,16 +255,3 @@ def write_folded(path, spans: list[dict], weight: str = "wall") -> str:
         if folded:
             f.write("\n")
     return str(path)
-
-
-def render_summary(trace: dict) -> str:
-    """Terse per-phase roll-up of a loaded trace (one line per span name)."""
-    from repro.obs.report import aggregate_trace
-
-    agg = aggregate_trace(trace["spans"])
-    lines = [f"run: {trace['meta'].get('run', '?')}  spans: {len(trace['spans'])}"]
-    for name, phase in agg["phases"].items():
-        lines.append(
-            f"  {name:20s} x{phase['count']:<5d} total {phase['total_s']:9.4f}s"
-        )
-    return "\n".join(lines)

@@ -69,7 +69,7 @@ def plan_selection_round(
     round_index: int,
     chunk_select: int | None = None,
 ) -> list[WorkUnit]:
-    """Flatten one selection round into independent work units.
+    """Split one selection round into independent work units.
 
     ``labels`` are the candidate pool's class labels (one per proxy-matrix
     row); ``k_total`` the round's total selection budget, allocated to

@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nn.modules import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
     Identity,
     Linear,
-    MaxPool2d,
     Module,
     ReLU,
     Sequential,
@@ -31,7 +28,6 @@ __all__ = [
     "conv2d_flops",
     "linear_flops",
     "model_forward_flops",
-    "train_step_flops",
     "ZooModel",
     "MODEL_ZOO",
 ]
@@ -54,7 +50,7 @@ def _walk(module: Module, shape: tuple) -> tuple[float, tuple]:
     """Return (flops, output shape) for a module applied at ``shape``.
 
     ``shape`` is ``(C, H, W)`` for spatial tensors or ``(D,)`` after
-    flatten/pool.
+    the global pool.
     """
     if isinstance(module, Conv2d):
         c, h, w = shape
@@ -68,15 +64,9 @@ def _walk(module: Module, shape: tuple) -> tuple[float, tuple]:
         return 4.0 * c * h * w, shape
     if isinstance(module, ReLU):
         return float(_numel(shape)), shape
-    if isinstance(module, MaxPool2d) or isinstance(module, AvgPool2d):
-        c, h, w = shape
-        oh, ow = _out_hw(h, w, module.kernel_size, module.stride, 0)
-        return float(c * oh * ow * module.kernel_size**2), (c, oh, ow)
     if isinstance(module, GlobalAvgPool2d):
         c, h, w = shape
         return float(c * h * w), (c,)
-    if isinstance(module, Flatten):
-        return 0.0, (_numel(shape),)
     if isinstance(module, Identity):
         return 0.0, shape
     if isinstance(module, Sequential):
@@ -137,13 +127,6 @@ def model_forward_flops(model: Module, input_shape: tuple) -> float:
         raise ValueError("input_shape must be (C, H, W)")
     flops, _ = _walk(model, tuple(input_shape))
     return flops
-
-
-def train_step_flops(forward_flops: float) -> float:
-    """Training FLOPs per sample: forward + backward ≈ 3x forward."""
-    if forward_flops < 0:
-        raise ValueError("negative FLOPs")
-    return 3.0 * forward_flops
 
 
 @dataclass(frozen=True)

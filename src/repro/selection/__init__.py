@@ -33,13 +33,12 @@ from repro.selection.craig import CraigSelector, craig_select_class
 from repro.selection.facility import (
     facility_location_value,
     lazy_greedy,
-    lazy_greedy_reference,
     medoid_weights,
     similarity_from_distances,
     stochastic_greedy,
 )
 from repro.selection.gradients import GradientProxy, compute_gradient_proxies
-from repro.selection.pairwise import naive_pairwise_distances, pairwise_distances
+from repro.selection.pairwise import pairwise_distances
 from repro.selection.kcenters import KCentersSelector, k_centers
 from repro.selection.partition import partition_positions
 from repro.selection.random_sel import RandomSelector
@@ -47,9 +46,7 @@ from repro.selection.random_sel import RandomSelector
 __all__ = [
     "facility_location_value",
     "lazy_greedy",
-    "lazy_greedy_reference",
     "pairwise_distances",
-    "naive_pairwise_distances",
     "stochastic_greedy",
     "medoid_weights",
     "similarity_from_distances",

@@ -13,8 +13,8 @@ Two maximizers are provided:
   stale entries are re-evaluated in small vectorized batches against a
   row-contiguous copy of the similarity matrix, which is several times
   faster than per-entry strided column reads.  The selection order is
-  identical to the one-at-a-time discipline
-  (:func:`lazy_greedy_reference`, kept as the equivalence oracle).
+  identical to the seed's one-at-a-time discipline, which the tests keep
+  as the equivalence oracle.
 - :func:`stochastic_greedy` — Mirzasoleiman et al.'s "lazier than lazy
   greedy": each step evaluates a random candidate sample of size
   ``n/k * log(1/eps)``, giving (1 - 1/e - eps) in O(n log 1/eps) total
@@ -37,7 +37,6 @@ __all__ = [
     "similarity_from_distances",
     "facility_location_value",
     "lazy_greedy",
-    "lazy_greedy_reference",
     "stochastic_greedy",
     "medoid_weights",
 ]
@@ -88,7 +87,7 @@ def lazy_greedy(
     refreshed ``batch_size`` at a time in one vectorized pass; refreshing
     a few extra entries is harmless (gains only shrink under refresh, so
     the next fresh top — and hence the selection order — is unchanged;
-    see :func:`lazy_greedy_reference` and the equivalence tests).
+    the equivalence tests hold it to the seed's one-at-a-time greedy).
     """
     n = _check(similarity, k, validate)
     if k >= n:
@@ -137,33 +136,6 @@ def lazy_greedy(
         fresh = np.maximum(sim_rows[idx] - current_best, 0.0).sum(axis=1)
         for jj, gg in zip(stale, fresh.tolist()):
             heapq.heappush(heap, (-gg, jj, rnd))
-    return np.asarray(selected, dtype=np.int64)
-
-
-def lazy_greedy_reference(similarity: np.ndarray, k: int) -> np.ndarray:
-    """The seed one-entry-at-a-time lazy greedy (test oracle).
-
-    Kept verbatim so tests can prove :func:`lazy_greedy` returns the
-    identical selection order.
-    """
-    n = _check(similarity, k, validate=True)
-    if k >= n:
-        return np.arange(n, dtype=np.int64)
-
-    current_best = np.zeros(n, dtype=np.float64)
-    gains = similarity.sum(axis=0)
-    heap = [(-g, j, 0) for j, g in enumerate(gains)]
-    heapq.heapify(heap)
-
-    selected: list[int] = []
-    while len(selected) < k and heap:
-        neg_gain, j, evaluated_at = heapq.heappop(heap)
-        if evaluated_at == len(selected):
-            selected.append(j)
-            current_best = np.maximum(current_best, similarity[:, j])
-        else:
-            gain = float(np.maximum(similarity[:, j] - current_best, 0.0).sum())
-            heapq.heappush(heap, (-gain, j, len(selected)))
     return np.asarray(selected, dtype=np.int64)
 
 

@@ -15,24 +15,15 @@ GEMM.  This module computes the same matrix through the Gram identity
 so the heavy lifting is a single ``V @ V.T`` matrix multiply and the
 peak additional memory is the ``O(N^2)`` result itself.  The result is
 float64 and matches the broadcast formulation to ~1e-12 relative error
-(identical dot products, different rounding).
-
-``naive_pairwise_distances`` keeps the seed broadcast implementation as
-the test oracle.
+(identical dot products, different rounding); the tests keep the seed
+broadcast implementation as its oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pairwise_distances", "naive_pairwise_distances"]
-
-
-def naive_pairwise_distances(vectors: np.ndarray) -> np.ndarray:
-    """The seed ``N x N x D`` broadcast formulation (test oracle)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    diffs = vectors[:, None, :] - vectors[None, :, :]
-    return np.sqrt((diffs**2).sum(axis=2))
+__all__ = ["pairwise_distances"]
 
 
 def pairwise_distances(vectors: np.ndarray) -> np.ndarray:

@@ -35,11 +35,6 @@ class FPGASpec:
         if self.clock_hz <= 0 or self.power_watts <= 0:
             raise ValueError("clock and power must be positive")
 
-    @property
-    def bram_bytes(self) -> float:
-        """Total BRAM capacity (36 Kb per block)."""
-        return self.bram_blocks * 36_000 / 8
-
     def utilization(self, used: dict) -> dict:
         """Percent utilization for a ``{resource: count}`` usage map.
 

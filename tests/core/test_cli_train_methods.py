@@ -27,10 +27,11 @@ def test_cli_train_saves_history(tmp_path, capsys):
     assert code == 0
     assert path.exists()
 
-    from repro.nn.serialize import load_history
+    from repro.core.metrics import load_history
 
     history = load_history(path)
     assert history.epochs == 2
+    assert all(r.wall_time_s > 0 for r in history.records)
 
 
 def test_cli_nessa_trains_below_the_dynamic_floor(capsys):

@@ -9,7 +9,7 @@ from repro.core.feedback import FeedbackLoop
 from repro.core.selector import NeSSASelector
 from repro.core.trainer import NeSSATrainer
 from repro.nn.inference import InferencePlan
-from repro.nn.modules import Flatten, Linear, Sequential
+from repro.nn.modules import GlobalAvgPool2d, Linear, Sequential
 from repro.nn.resnet import resnet20
 from repro.parallel.cache import ProxyCache
 from repro.selection.gradients import GradientProxy, compute_gradient_proxies
@@ -148,7 +148,7 @@ class TestNeSSASelector:
 
     def test_rejects_a_model_without_resnet_embeddings(self, train_test_split):
         train, _ = train_test_split
-        mlp = Sequential(Flatten(), Linear(3 * 8 * 8, 4, rng=np.random.default_rng(0)))
+        mlp = Sequential(GlobalAvgPool2d(), Linear(3, 4, rng=np.random.default_rng(0)))
         with pytest.raises(TypeError, match="ResNet"):
             self._selector().select(train, 0.25, mlp)
 

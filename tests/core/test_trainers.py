@@ -73,15 +73,6 @@ class TestSubsetTrainer:
         for rec in history.records:
             assert rec.subset_fraction == pytest.approx(0.3, abs=0.05)
 
-    def test_select_every_amortizes(self, data):
-        train, test = data
-        t = SubsetTrainer(
-            factory(), recipe(), CraigSelector(), 0.3, select_every=3, seed=0
-        )
-        history = t.train(train, test)
-        ran = [r.selection_ran for r in history.records]
-        assert ran == [True, False, False, True, False, False]
-
     def test_craig_weights_reach_loader(self, data):
         train, test = data
         t = SubsetTrainer(factory(), recipe(3), CraigSelector(), 0.3, seed=0)
@@ -92,11 +83,6 @@ class TestSubsetTrainer:
     def test_rejects_bad_fraction(self, data):
         with pytest.raises(ValueError):
             SubsetTrainer(factory(), recipe(), RandomSelector(), 0.0)
-
-    @pytest.mark.parametrize("every", [0, -1])
-    def test_rejects_select_every_below_one(self, every):
-        with pytest.raises(ValueError, match="select_every"):
-            SubsetTrainer(factory(), recipe(), RandomSelector(), 0.3, select_every=every)
 
 
 class TestNeSSATrainer:

@@ -43,17 +43,6 @@ class TestDataset:
         assert np.array_equal(ds.class_indices(0), [0, 2, 4, 6])
         assert np.array_equal(ds.class_indices(1), [1, 3, 5, 7])
 
-    def test_subset_by_ids_roundtrip(self):
-        ds = make_dataset(10)
-        sub = ds.subset(np.array([2, 5, 7]))
-        again = ds.subset_by_ids(sub.ids)
-        assert np.array_equal(again.x, sub.x)
-
-    def test_subset_by_unknown_id_raises(self):
-        ds = make_dataset(5)
-        with pytest.raises(KeyError):
-            ds.subset_by_ids(np.array([99]))
-
 
 class TestSubset:
     def test_shares_content_with_parent(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.nn import functional as F
 from repro.nn.modules import Conv2d
 from repro.pipeline.experiment import build_model
+from tests.nn.oracles import col2im_loop, im2col_loop
 
 
 def _rows(cols, oh, ow):
@@ -17,7 +18,7 @@ def _rows(cols, oh, ow):
 
 
 class TestIm2Col:
-    """The blocked unfold/fold pair the pooling kernels run on."""
+    """The blocked unfold/fold pair."""
 
     def test_roundtrip_shapes(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
@@ -73,7 +74,7 @@ class TestStridedIm2ColEquivalence:
         x = rng.normal(size=(2, 3, 11, 11)).astype(np.float32)
         cols, (oh, ow) = F.im2col_blocked(x, kernel, stride, pad)
         np.testing.assert_array_equal(
-            _rows(cols, oh, ow), F._im2col_loop(x, kernel, stride, pad)
+            _rows(cols, oh, ow), im2col_loop(x, kernel, stride, pad)
         )
 
     @pytest.mark.parametrize("kernel", [1, 2, 3])
@@ -82,25 +83,25 @@ class TestStridedIm2ColEquivalence:
     def test_col2im_matches_loop(self, kernel, stride, pad):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + pad + 1)
         x_shape = (2, 3, 9, 9)
-        rows_shape = F._im2col_loop(np.zeros(x_shape), kernel, stride, pad).shape
+        rows_shape = im2col_loop(np.zeros(x_shape), kernel, stride, pad).shape
         rows = rng.normal(size=rows_shape)
         blocked = rows.reshape(2, -1, rows.shape[1]).transpose(0, 2, 1)
         np.testing.assert_array_equal(
             F.col2im_blocked(blocked, x_shape, kernel, stride, pad),
-            F._col2im_loop(rows, x_shape, kernel, stride, pad),
+            col2im_loop(rows, x_shape, kernel, stride, pad),
         )
 
     def test_rectangular_input(self):
         x = np.random.default_rng(8).normal(size=(1, 2, 6, 10)).astype(np.float32)
         cols, (oh, ow) = F.im2col_blocked(x, 3, 2, 1)
-        np.testing.assert_array_equal(_rows(cols, oh, ow), F._im2col_loop(x, 3, 2, 1))
+        np.testing.assert_array_equal(_rows(cols, oh, ow), im2col_loop(x, 3, 2, 1))
 
     def test_blocked_layout_is_reshape_of_windows(self):
         """Blocked cols carry the same values as the oracle's row-major layout."""
         x = np.random.default_rng(9).normal(size=(2, 3, 8, 8)).astype(np.float32)
         cols, (oh, ow) = F.im2col_blocked(x, 3, 1, 1)
         assert cols.shape == (2, 3 * 9, oh * ow)
-        np.testing.assert_array_equal(_rows(cols, oh, ow), F._im2col_loop(x, 3, 1, 1))
+        np.testing.assert_array_equal(_rows(cols, oh, ow), im2col_loop(x, 3, 1, 1))
 
     def test_col2im_blocked_is_adjoint(self):
         rng = np.random.default_rng(10)
@@ -171,7 +172,7 @@ class TestBlockedConvEquivalence:
         x = rng.normal(size=(2, 3, 9, 9))
         w = rng.normal(size=(4, 3, 3, 3))
         out, _ = F.conv2d(x, w, stride=stride, pad=pad)
-        cols = F._im2col_loop(x, 3, stride, pad)
+        cols = im2col_loop(x, 3, stride, pad)
         oh = (9 + 2 * pad - 3) // stride + 1
         ref = (cols @ w.reshape(4, -1).T).reshape(2, oh, oh, 4).transpose(0, 3, 1, 2)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
@@ -185,10 +186,10 @@ class TestBlockedConvEquivalence:
         grad_x, grad_w, grad_b = F.conv2d_backward(g, cols, x.shape, w, 1, 1,
                                                    with_bias=True)
 
-        seed_cols = F._im2col_loop(x, 3, 1, 1)
+        seed_cols = im2col_loop(x, 3, 1, 1)
         g_flat = g.transpose(0, 2, 3, 1).reshape(-1, 4)
         ref_w = (g_flat.T @ seed_cols).reshape(4, 3, 3, 3)
-        ref_x = F._col2im_loop(g_flat @ w.reshape(4, -1), x.shape, 3, 1, 1)
+        ref_x = col2im_loop(g_flat @ w.reshape(4, -1), x.shape, 3, 1, 1)
         np.testing.assert_allclose(grad_w, ref_w, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(grad_x, ref_x, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(grad_b, g_flat.sum(axis=0), rtol=1e-12)
@@ -241,14 +242,14 @@ class TestConvAgainstSeedOracle:
         # float32: rtol 1e-5 plus the rounding of a sum of up to N*OH*OW terms
         tol = dict(rtol=1e-5, atol=1e-4) if dtype is np.float32 else dict(rtol=1e-10, atol=1e-10)
 
-        seed_cols = F._im2col_loop(x, kernel, stride, pad)  # (n*oh*ow, c_in*k*k)
+        seed_cols = im2col_loop(x, kernel, stride, pad)  # (n*oh*ow, c_in*k*k)
         w_mat = weight.reshape(c_out, -1)
         ref_out = (seed_cols @ w_mat.T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
         if with_bias:
             ref_out = ref_out + bias[None, :, None, None]
         g_flat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         ref_w = (g_flat.T @ seed_cols).reshape(weight.shape)
-        ref_x = F._col2im_loop(g_flat @ w_mat, x.shape, kernel, stride, pad)
+        ref_x = col2im_loop(g_flat @ w_mat, x.shape, kernel, stride, pad)
 
         out, cache = F.conv2d(_in_format(x, x_memory), weight, bias, stride, pad)
         assert out.shape == ref_out.shape and out.dtype == dtype
@@ -317,50 +318,14 @@ class TestE2EConvGradients:
         g = rng.normal(size=out.shape).astype(np.float32)
         grad_x = conv.backward(g)
 
-        seed_cols = F._im2col_loop(x.astype(np.float64), k, stride, pad)
+        seed_cols = im2col_loop(x.astype(np.float64), k, stride, pad)
         w_mat = conv.weight.data.astype(np.float64).reshape(c_out, -1)
         g_flat = g.astype(np.float64).transpose(0, 2, 3, 1).reshape(-1, c_out)
         ref_out = (seed_cols @ w_mat.T).reshape(64, *out.shape[2:], c_out).transpose(0, 3, 1, 2)
         ref_w = (g_flat.T @ seed_cols).reshape(conv.weight.shape)
-        ref_x = F._col2im_loop(g_flat @ w_mat, x.shape, k, stride, pad)
+        ref_x = col2im_loop(g_flat @ w_mat, x.shape, k, stride, pad)
         for got, want in ((out, ref_out), (conv.weight.grad, ref_w), (grad_x, ref_x)):
             assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
-
-
-class TestPooling:
-    def test_max_pool_picks_maxima(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out, _ = F.max_pool2d(x, kernel=2)
-        assert np.allclose(out[0, 0], [[5, 7], [13, 15]])
-
-    def test_max_pool_backward_routes_to_argmax(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out, argmax = F.max_pool2d(x, kernel=2)
-        g = np.ones_like(out)
-        grad = F.max_pool2d_backward(g, argmax, x.shape, kernel=2)
-        expected = np.zeros((4, 4))
-        for r, c in [(1, 1), (1, 3), (3, 1), (3, 3)]:
-            expected[r, c] = 1.0
-        assert np.allclose(grad[0, 0], expected)
-
-    def test_avg_pool_averages(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(x, kernel=2)
-        assert np.allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_backward_spreads_uniformly(self):
-        x = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        g = np.ones((1, 1, 2, 2), dtype=np.float32)
-        grad = F.avg_pool2d_backward(g, x.shape, kernel=2)
-        assert np.allclose(grad, 0.25)
-
-    def test_multichannel_max_pool(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
-        out, _ = F.max_pool2d(x, kernel=2)
-        for n in range(2):
-            for c in range(3):
-                assert out[n, c, 0, 0] == x[n, c, :2, :2].max()
 
 
 class TestActivations:

@@ -11,7 +11,14 @@ from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticConfig, make_train_test
 from repro.nn.inference import InferencePlan, _RowConv, eval_forward
 from repro.nn.loss import CrossEntropyLoss
-from repro.nn.modules import BatchNorm2d, Conv2d, Flatten, Linear, Parameter, Sequential
+from repro.nn.modules import (
+    BatchNorm2d,
+    Conv2d,
+    GlobalAvgPool2d,
+    Linear,
+    Parameter,
+    Sequential,
+)
 from repro.nn.quantize import QuantizedModel
 from repro.nn.resnet import resnet20
 from repro.nn.scratch import scratch_pool
@@ -58,7 +65,8 @@ def assert_close(got, want, tol=REL_TOL):
 def snapshot(model):
     """Everything a forward pass could disturb, by value or by identity."""
     return {
-        "state": {k: v.tobytes() for k, v in model.state_dict().items()},
+        "params": {k: p.data.tobytes() for k, p in model.named_parameters()},
+        "buffers": {k: v.tobytes() for k, v in model.named_buffers()},
         "training": [m.training for m in model.modules()],
         "caches": [id(getattr(m, "_cache", None)) for m in model.modules()],
     }
@@ -220,7 +228,7 @@ class TestEvalForward:
                 assert engine == "fused" and isinstance(forward, InferencePlan)
 
     def test_fallback_toggles_eval_and_counts(self, rng):
-        mlp = Sequential(Flatten(), Linear(12, 3, rng=rng)).train()
+        mlp = Sequential(GlobalAvgPool2d(), Linear(3, 3, rng=rng)).train()
         registry = obs.MetricsRegistry()
         previous = obs.set_metrics(registry)
         try:

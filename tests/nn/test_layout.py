@@ -13,13 +13,10 @@ from repro import obs
 from repro.nn import functional as F
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.modules import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
     Identity,
-    MaxPool2d,
     ReLU,
     Sequential,
 )
@@ -71,8 +68,6 @@ SPATIAL_MODULES = [
     ("conv1x1-s2", lambda: Conv2d(3, 5, 1, stride=2), (4, 3, 6, 6)),
     ("batchnorm", lambda: BatchNorm2d(3), (4, 3, 6, 6)),
     ("relu", ReLU, (4, 3, 6, 6)),
-    ("maxpool", lambda: MaxPool2d(2), (4, 3, 6, 6)),
-    ("avgpool", lambda: AvgPool2d(2), (4, 3, 6, 6)),
     ("identity", Identity, (4, 3, 6, 6)),
     ("sequential", lambda: Sequential(Conv2d(3, 3, 3, padding=1), BatchNorm2d(3), ReLU()),
      (4, 3, 6, 6)),
@@ -112,15 +107,6 @@ class TestModulesEmitTheFormat:
         assert formatted(grad) and grad.dtype == np.float32
         want = np.broadcast_to(np.arange(12).reshape(4, 3, 1, 1) / 4.0, (4, 3, 2, 2))
         np.testing.assert_array_equal(grad, want)
-
-    def test_flatten_backward(self, rng):
-        flatten = Flatten().train()
-        x = batch_innermost(rng.normal(size=(4, 3, 2, 2)).astype(np.float32))
-        out = flatten(x)
-        np.testing.assert_array_equal(out, np.ascontiguousarray(x).reshape(4, 12))
-        grad = flatten.backward(out)
-        assert formatted(grad)
-        np.testing.assert_array_equal(grad, x)
 
 
 class TestTrainStepRepacks:

@@ -64,8 +64,10 @@ class TestBuffers:
     def test_state_dict_includes_buffers(self):
         bn = BatchNorm2d(3)
         bn.running_mean[:] = 5.0
-        state = bn.state_dict()
-        assert np.allclose(state["running_mean"], 5.0)
+        buffers = dict(bn.named_buffers())
+        assert set(buffers) == {"running_mean", "running_var"}
+        assert buffers["running_mean"] is bn.running_mean
+        assert np.allclose(buffers["running_mean"], 5.0)
 
 
 class TestBatchSizeOne:

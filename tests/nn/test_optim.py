@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.modules import Parameter
-from repro.nn.optim import SGD, ConstantLR, MultiStepLR
+from repro.nn.optim import SGD, MultiStepLR
 
 
 def make_param(value=1.0, grad=1.0):
@@ -116,12 +116,3 @@ class TestMultiStepLR:
         sched.step()
         sched.step()
         assert sched.current_lr == opt.lr == pytest.approx(0.01)
-
-
-class TestConstantLR:
-    def test_never_changes_lr(self):
-        opt = SGD([make_param()], lr=0.3)
-        sched = ConstantLR(opt)
-        for _ in range(50):
-            sched.step()
-        assert opt.lr == pytest.approx(0.3)

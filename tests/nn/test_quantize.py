@@ -125,27 +125,24 @@ class TestDegenerateScales:
         assert dequantize_tensor(q, scale).shape == (0, 4)
 
     def test_all_zero_tensor_identity_scale(self):
-        for per_channel in (False, True):
-            q, scale = quantize_tensor(
-                np.zeros((3, 5)), bits=8, per_channel=per_channel
-            )
+        for shape in ((5,), (3, 5)):  # one scale, then one per channel
+            q, scale = quantize_tensor(np.zeros(shape), bits=8)
             assert not q.any()
             assert np.all(np.asarray(scale) == 1.0)
             assert not dequantize_tensor(q, scale).any()
 
     def test_single_value_tensor_exact(self):
-        x = np.full((1, 1), -0.73)
-        q, scale = quantize_tensor(x, bits=8, per_channel=False)
-        assert q[0, 0] == -127  # the max-abs element always hits the rail
-        assert dequantize_tensor(q, scale)[0, 0] == pytest.approx(
+        x = np.full(1, -0.73)
+        q, scale = quantize_tensor(x, bits=8)
+        assert q[0] == -127  # the max-abs element always hits the rail
+        assert dequantize_tensor(q, scale)[0] == pytest.approx(
             -0.73, rel=1e-6
         )
 
     def test_subnormal_max_abs_never_yields_zero_scale(self):
         tiny = float(np.finfo(np.float32).tiny)
-        x = np.full((2, 2), tiny / 4)
-        for per_channel in (False, True):
-            q, scale = quantize_tensor(x, bits=8, per_channel=per_channel)
+        for x in (np.full(4, tiny / 4), np.full((2, 2), tiny / 4)):
+            q, scale = quantize_tensor(x, bits=8)
             scale32 = np.asarray(scale, dtype=np.float32)
             assert np.all(scale32 > 0.0)  # never flushed to zero
             rebuilt = dequantize_tensor(q, scale)
@@ -153,6 +150,6 @@ class TestDegenerateScales:
 
     def test_mixed_zero_and_live_channels(self):
         x = np.stack([np.zeros(4), np.array([1.0, -2.0, 0.5, 2.0])])
-        q, scale = quantize_tensor(x, bits=8, per_channel=True)
+        q, scale = quantize_tensor(x, bits=8)
         assert not q[0].any() and scale[0] == 1.0
         assert np.abs(q[1]).max() == 127

@@ -1,6 +1,7 @@
 """CLI surface: --trace flags produce traces repro.cli report can read."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +96,19 @@ class TestMalformedTraces:
             [command, str(good), str(bad)]
         assert main(argv) == 2
         assert f"{command}: line 2:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad_dur", [
+        lambda dur: float("nan"), lambda dur: -10 * dur, lambda dur: str(dur),
+    ], ids=["nan", "negative", "string"])
+    def test_reference_with_bad_durations_exits_2(self, tmp_path, capsys, bad_dur):
+        reference = Path(__file__).resolve().parents[2] / "TRACE_REFERENCE.jsonl"
+        lines = []
+        for line in reference.read_text().splitlines():
+            doc = json.loads(line)
+            if doc["kind"] == "span":
+                doc["dur_s"] = bad_dur(doc["dur_s"])
+            lines.append(json.dumps(doc))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["obsdiff", str(reference), str(bad)]) == 2
+        assert "obsdiff: line 2: span dur_s" in capsys.readouterr().out

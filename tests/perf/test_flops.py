@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.nn.modules import Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU, Sequential
+from repro.nn.modules import Conv2d, GlobalAvgPool2d, Linear, ReLU, Sequential
 from repro.nn.resnet import resnet18, resnet20, resnet50
 from repro.perf.flops import (
     MODEL_ZOO,
     conv2d_flops,
     linear_flops,
     model_forward_flops,
-    train_step_flops,
 )
 
 
@@ -21,11 +20,6 @@ class TestPrimitiveCounts:
 
     def test_linear_formula(self):
         assert linear_flops(128, 10) == 2 * 128 * 10
-
-    def test_train_step_is_3x_forward(self):
-        assert train_step_flops(100.0) == 300.0
-        with pytest.raises(ValueError):
-            train_step_flops(-1)
 
 
 class TestModelWalk:

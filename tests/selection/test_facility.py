@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from repro.selection.facility import (
     facility_location_value,
     lazy_greedy,
-    lazy_greedy_reference,
     medoid_weights,
     similarity_from_distances,
     stochastic_greedy,
 )
+from tests.selection.oracles import lazy_greedy_reference
 
 
 def random_similarity(n, d=4, seed=0):

@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.selection.craig import craig_select_class
-from repro.selection.facility import (
-    lazy_greedy_reference,
-    medoid_weights,
-    similarity_from_distances,
-)
-from repro.selection.pairwise import naive_pairwise_distances, pairwise_distances
+from repro.selection.facility import medoid_weights, similarity_from_distances
+from repro.selection.pairwise import pairwise_distances
+from tests.selection.oracles import lazy_greedy_reference, naive_pairwise_distances
 
 
 def random_vectors(n, d, seed=0):
