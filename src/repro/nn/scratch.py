@@ -15,13 +15,13 @@ from forward to backward; the training conv now runs the row operator
 (:mod:`repro.nn.functional`) and has no column buffer.  The module
 stays only because the e2e benchmark reads ``scratch_pool().stats``
 (its ``nn.scratch_reuse_frac`` metric, which now reads 0.0); it goes,
-with lint rule NES007, in the next benchmark-only change.
+with the NES007 check, once a benchmark change drops that read.
 
 Leases must be ``with``-managed, released in a ``try/finally``, or
 ownership-transferred (bound to an attribute / returned) — the NES007
-lint rule enforces it.  A leaked lease is not a correctness bug (the
-array is simply garbage-collected and the pool re-allocates), but it
-silently re-introduces the churn the pool exists to remove.
+check in ``tests/analysis`` enforces it.  A leaked lease is not a
+correctness bug (the array is simply garbage-collected and the pool
+re-allocates), but it silently re-introduces the pool's churn.
 
 The pool is thread-safe: a lease may be taken on one thread and
 released on another.

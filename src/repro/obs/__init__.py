@@ -9,7 +9,7 @@ One import point for the observability subsystem:
 - :mod:`repro.obs.metrics` — process-wide counters / gauges behind
   :func:`metrics`, null-object no-ops until :func:`set_metrics` installs
   a :class:`MetricsRegistry`; :data:`METRIC_TABLE` declares every
-  metric name (NES011's source of truth).
+  metric name (what the NES011 check in ``tests/analysis`` reads).
 - :mod:`repro.obs.sinks` — JSONL run-trace files (schema 2; schema-1
   traces still read), Chrome ``trace_event`` export
   (``chrome://tracing`` / Perfetto), collapsed-stack flamegraphs

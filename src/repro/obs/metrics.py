@@ -18,7 +18,7 @@ global read plus one no-op call.
 
 **The metric table.**  :data:`METRIC_TABLE` is the single declaration
 point for every metric name the codebase records: ``name -> (type,
-help)``.  The NES011 lint rule statically enforces that every
+help)``.  The NES011 check in ``tests/analysis`` enforces that every
 ``metrics().counter/gauge(...)`` call site passes a dotted-namespace
 string *literal* declared here, so the set of names a trace can carry
 — the keys ``report`` prints and ``obsdiff`` aligns on — is knowable

@@ -19,10 +19,10 @@ timestamps:
   call, no allocation.
 
 Spans are *context managers by contract*: ``with obs.span(...) as sp``.
-The NES006 lint rule enforces this (manual ``start()``/``end()`` pairs
-are how spans leak open on error paths).  Spans timed outside the
-tracer (per-unit spans) are forwarded as already-completed records via
-:meth:`Tracer.add_completed`.
+The NES006 check in ``tests/analysis`` enforces this (manual
+``start()``/``end()`` pairs are how spans leak open on error paths).
+Spans timed outside the tracer (per-unit spans) are forwarded as
+already-completed records via :meth:`Tracer.add_completed`.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ class Tracer:
     def span(self, name: str, key=None, **attrs) -> Span:
         """Create a child span of the innermost open span.
 
-        Must be used as a context manager (``with``); NES006 enforces
-        this in the source tree.
+        Must be used as a context manager (``with``); the NES006 source
+        check in ``tests/analysis`` enforces this over ``src/repro``.
         """
         record = SpanRecord(
             id=self._derive_id(self.current_id, name, key=key),

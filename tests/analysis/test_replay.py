@@ -1,4 +1,4 @@
-"""Replay of every defect the linter got fixed, against today's source.
+"""Replay of every defect the source checks got fixed, against today's source.
 
 Each historic fix is undone by a textual mutation of the current file
 and must be caught by exactly the rule that found it.  A mutation whose
@@ -6,11 +6,12 @@ anchor text has gone fails the test: the replay must be re-pointed, not
 silently skipped.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_source
+from tests.analysis.checks import check
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -39,8 +40,8 @@ def test_per_file_defect_is_caught_by_its_rule(rule, path, fixed, broken):
     source = (ROOT / path).read_text()
     assert source.count(fixed) == 1, f"anchor gone from {path}: {fixed!r}"
     line = source[: source.index(fixed)].count("\n") + 1
-    assert lint_source(source, path) == []
+    assert check(ast.parse(source), path) == []
 
-    (finding,) = lint_source(source.replace(fixed, broken), path)
+    (finding,) = check(ast.parse(source.replace(fixed, broken)), path)
     assert (finding.rule, finding.line) == (rule, line)
 

@@ -77,6 +77,34 @@ class TestDeterminism:
         )
         assert findings == []
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from numpy.random import default_rng\nrng = default_rng()",
+            "from numpy.random import rand\nx = rand(3)",
+            "import numpy.random as npr\nx = npr.rand(3)",
+            "from numpy import random as npr\nx = npr.rand(3)",
+            "import numpy as np\nrng = np.random.default_rng(None)",
+            "from numpy.random import default_rng\nrng = default_rng(seed=None)",
+        ],
+    )
+    def test_aliased_or_none_seeded_rng_flagged(self, run_rule, source):
+        assert len(run_rule(source + "\n", SEL, "NES001")) == 1
+
+    def test_aliased_seeded_rng_clean(self, run_rule):
+        findings = run_rule(
+            """
+            import numpy.random as npr
+            from numpy.random import Generator, PCG64, default_rng
+            rng = default_rng(seed=7)
+            g = Generator(PCG64(3))
+            h = npr.default_rng(11)
+            """,
+            SEL,
+            "NES001",
+        )
+        assert findings == []
+
 
 # -- NES002 precision drift ---------------------------------------------------
 
@@ -92,6 +120,9 @@ class TestPrecision:
             "x = np.eye(3)",
             "x = np.array([1.0, 2.0])",
             "x = np.array([[1, 2.5]])",
+            "from numpy import zeros\nx = zeros(5)",
+            "x = np.identity(3)",
+            "x = np.linspace(0, 1, 5)",
         ],
     )
     def test_implicit_float64_flagged(self, run_rule, line):
@@ -108,6 +139,7 @@ class TestPrecision:
             "x = np.array([1, 2])",
             "x = np.array(other)",
             "x = np.array([1.0], dtype=np.float64)",
+            "x = np.linspace(0, 1, 5, True, False, np.float32)",
         ],
     )
     def test_explicit_or_integer_clean(self, run_rule, line):
@@ -431,6 +463,20 @@ class TestMetricNames:
         )
         assert len(findings) == 2
         assert all("not a string literal" in f.message for f in findings)
+
+    def test_keyword_name_flagged(self, run_rule):
+        findings = run_rule(
+            """
+            from repro import obs
+
+            def record(mode):
+                obs.metrics().counter(name="x").inc()
+                obs.metrics().gauge(name=f"selection.{mode}").set(1.0)
+            """,
+            self.PATH,
+            "NES011",
+        )
+        assert len(findings) == 2
 
     def test_undotted_literal_flagged(self, run_rule):
         findings = run_rule(

@@ -1,17 +1,18 @@
-"""The repo must pass its own linter — and seeded violations must fail it.
+"""``src/repro`` must pass its source checks — and seeded violations must fail them.
 
-This is the lint gate: tier-1 fails on any finding in ``src``.
+This is the gate: tier-1 fails on any finding in ``src/repro``.
 """
 
 import ast
+import re
 import textwrap
-from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
+from tests.analysis.checks import lint_tree
+from tests.layering import SRC, parsed
 
-ROOT = Path(__file__).resolve().parents[2]
+ROOT = SRC.parents[1]
 
 # One known-bad snippet per rule, each placed in a scoped mirror path.
 VIOLATIONS = {
@@ -59,10 +60,8 @@ VIOLATIONS = {
 
 class TestSelfLint:
     def test_repo_tree_is_clean(self):
-        findings = lint_paths([ROOT / "src"])
-        assert findings == [], "self-lint failed:\n" + "\n".join(
-            f.render() for f in findings
-        )
+        findings = lint_tree()
+        assert findings == [], "self-lint failed:\n" + "\n".join(findings)
 
     def test_source_starts_no_threads_or_processes(self):
         # Nothing in src/repro spawns a thread or a process; that is why
@@ -75,8 +74,8 @@ class TestSelfLint:
             )
 
         offenders = []
-        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for path, tree in parsed():
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.module:
@@ -105,8 +104,10 @@ class TestSeededViolations:
     @pytest.mark.parametrize("rule", sorted(VIOLATIONS))
     def test_each_rule_fails_lint(self, rule, tmp_path):
         target = _seed(tmp_path, rule)
-        findings = lint_paths([str(tmp_path)], select=[rule])
-        assert [(f.path, f.rule) for f in findings] == [(target.as_posix(), rule)]
+        findings = lint_tree(tmp_path)
+        assert [
+            re.match(r"(.+):\d+:\d+: (NES\d{3}) ", f).groups() for f in findings
+        ] == [(target.as_posix(), rule)]
 
     def test_violation_in_a_copied_selection_module_is_named(self, tmp_path):
         # The self-lint failure message names file, line and rule.
@@ -114,17 +115,6 @@ class TestSeededViolations:
         target.parent.mkdir(parents=True)
         source = (ROOT / "src/repro/selection/facility.py").read_text()
         target.write_text(source + "x = np.random.rand(3)\n")
-        (finding,) = lint_paths([tmp_path / "src"])
+        (finding,) = lint_tree(tmp_path / "src")
         line = source.count("\n") + 1
-        assert finding.render().startswith(f"{target.as_posix()}:{line}:5: NES001 ")
-
-    @pytest.mark.parametrize("select", ["nes003", "NES001, nes003"])
-    def test_select_ids_are_case_insensitive(self, select, tmp_path):
-        _seed(tmp_path, "NES003")
-        findings = lint_paths([str(tmp_path)], select=select.split(","))
-        assert [f.rule for f in findings] == ["NES003"]
-
-    def test_unknown_select_id_exits_2_naming_valid_ids(self, tmp_path):
-        _seed(tmp_path, "NES003")
-        with pytest.raises(ValueError, match="NES03; valid: NES001, NES002, NES003"):
-            lint_paths([str(tmp_path)], select=["NES03"])
+        assert finding.startswith(f"{target.as_posix()}:{line}:5: NES001 ")

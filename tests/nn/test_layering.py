@@ -5,18 +5,18 @@ substrate, so an import from ``repro.nn`` back up into them would be a
 cycle; history I/O therefore lives in ``repro.core.metrics``.
 """
 
-from pathlib import Path
+import ast
 
-from tests.layering import imported_names
+from tests.layering import SRC, imported_names, parsed
 
-NN = Path(__file__).resolve().parents[2] / "src" / "repro" / "nn"
+NN = SRC / "nn"
 ALLOWED = ("repro.nn", "repro.obs")
 
 
-def foreign_imports(source: str, package: str = "repro.nn") -> list[int]:
-    """Lines of ``source`` that import a ``repro`` package outside ``ALLOWED``."""
+def foreign_imports(tree: ast.AST, package: str = "repro.nn") -> list[int]:
+    """Lines of ``tree`` that import a ``repro`` package outside ``ALLOWED``."""
     return sorted({
-        line for line, name in imported_names(source, package)
+        line for line, name in imported_names(tree, package)
         if name.split(".")[0] == "repro"
         and not any(name == ok or name.startswith(ok + ".") for ok in ALLOWED)
     })
@@ -25,8 +25,8 @@ def foreign_imports(source: str, package: str = "repro.nn") -> list[int]:
 def test_nn_imports_only_nn_and_obs():
     found = {
         path.name: lines
-        for path in sorted(NN.glob("*.py"))
-        if (lines := foreign_imports(path.read_text()))
+        for path, tree in parsed()
+        if path.parent == NN and (lines := foreign_imports(tree))
     }
     assert found == {}
 
@@ -45,4 +45,4 @@ def test_foreign_imports_at_any_depth_are_seen():
         "from . import modules\n"
         "from .quantize import quantize_tensor\n"
     )
-    assert foreign_imports(source) == [5, 6, 7, 8, 9]
+    assert foreign_imports(ast.parse(source)) == [5, 6, 7, 8, 9]

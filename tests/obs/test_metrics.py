@@ -69,7 +69,7 @@ class TestMetricTable:
             assert help_text and "\n" not in help_text, name
 
     def test_every_recorded_metric_name_is_declared(self):
-        # The NES011 lint rule enforces this statically over src/; this
+        # The NES011 source check enforces this statically over src/; this
         # is the dynamic cross-check on one real instrumented component.
         registry = obs.MetricsRegistry()
         obs.set_metrics(registry)

@@ -4,17 +4,17 @@
 chunker and per-class selector; the dependency runs one way.
 """
 
-from pathlib import Path
+import ast
 
-from tests.layering import imported_names
+from tests.layering import SRC, imported_names, parsed
 
-SELECTION = Path(__file__).resolve().parents[2] / "src" / "repro" / "selection"
+SELECTION = SRC / "selection"
 
 
-def parallel_imports(source: str, package: str = "repro.selection") -> list[int]:
-    """Lines of ``source`` that import ``repro.parallel``, at any depth."""
+def parallel_imports(tree: ast.AST, package: str = "repro.selection") -> list[int]:
+    """Lines of ``tree`` that import ``repro.parallel``, at any depth."""
     return sorted({
-        line for line, name in imported_names(source, package)
+        line for line, name in imported_names(tree, package)
         if name == "repro.parallel" or name.startswith("repro.parallel.")
     })
 
@@ -22,8 +22,8 @@ def parallel_imports(source: str, package: str = "repro.selection") -> list[int]
 def test_selection_never_imports_parallel():
     found = {
         path.name: lines
-        for path in sorted(SELECTION.glob("*.py"))
-        if (lines := parallel_imports(path.read_text()))
+        for path, tree in parsed()
+        if path.parent == SELECTION and (lines := parallel_imports(tree))
     }
     assert found == {}
 
@@ -38,4 +38,4 @@ def test_imports_inside_functions_and_relative_forms_are_seen():
         "import repro.parallel.engine as e\n"
         "from repro.selection.partition import plan_chunk_takes\n"
     )
-    assert parallel_imports(source) == [3, 4, 5, 6]
+    assert parallel_imports(ast.parse(source)) == [3, 4, 5, 6]
