@@ -17,6 +17,7 @@ import functools
 from pathlib import Path
 
 from repro.core.config import NeSSAConfig, TrainRecipe
+from repro.core.metrics import TrainingHistory
 from repro.pipeline.experiment import ExperimentResult, make_data, run_method
 
 OUT_DIR = Path(__file__).parent / "out"
@@ -78,6 +79,11 @@ def cached_run(
         nessa_config=nessa_config,
         seed=seed,
     )
+
+
+def per_epoch(history: TrainingHistory) -> str:
+    """Samples trained per epoch, the subset size a column is compared at."""
+    return f"{history.total_samples_trained / history.epochs:g}"
 
 
 def write_table(name: str, lines: list) -> Path:

@@ -19,20 +19,20 @@ from repro.selection.dynamics import (
 )
 from repro.selection.random_sel import RandomSelector
 
-from benchmarks._shared import bench_recipe, cached_data, cached_run, write_table
+from benchmarks._shared import bench_recipe, cached_data, cached_run, per_epoch, write_table
 
 FRACTION = 0.3
 
 
 @pytest.fixture(scope="module")
-def baseline_scores():
+def baseline_histories():
     train, test = cached_data("cifar10")
     recipe = bench_recipe()
 
     def factory():
         return build_model("cifar10", train.num_classes, seed=1)
 
-    scores = {}
+    histories = {}
     for selector in (
         LossRankedSelector(),
         ForgettingEventsSelector(),
@@ -40,21 +40,21 @@ def baseline_scores():
         RandomSelector(seed=1),
     ):
         trainer = SubsetTrainer(factory(), recipe, selector, FRACTION, seed=1)
-        scores[selector.name] = trainer.train(train, test).stable_accuracy()
+        histories[selector.name] = trainer.train(train, test)
 
-    scores["nessa"] = cached_run(
-        "cifar10", "nessa", fraction=FRACTION, seed=1
-    ).history.stable_accuracy()
-    scores["goal"] = cached_run("cifar10", "full", seed=1).history.stable_accuracy()
-    return scores
+    histories["nessa"] = cached_run("cifar10", "nessa", fraction=FRACTION, seed=1).history
+    histories["goal"] = cached_run("cifar10", "full", seed=1).history
+    return histories
 
 
-def test_ext_training_dynamics_baselines(baseline_scores, benchmark):
-    scores = benchmark.pedantic(lambda: baseline_scores, rounds=1, iterations=1)
+def test_ext_training_dynamics_baselines(baseline_histories, benchmark):
+    histories = benchmark.pedantic(lambda: baseline_histories, rounds=1, iterations=1)
+    scores = {name: h.stable_accuracy() for name, h in histories.items()}
 
     lines = [f"Training-dynamics baselines at a {FRACTION:.0%} subset (CIFAR-10 stand-in)"]
+    lines.append(f"{'method':14s} {'acc':>7s} {'n/epoch':>8s}")
     for name, acc in sorted(scores.items(), key=lambda kv: -kv[1]):
-        lines.append(f"{name:14s} {100 * acc:6.2f}%")
+        lines.append(f"{name:14s} {100 * acc:6.2f}% {per_epoch(histories[name]):>8s}")
     write_table("ext_baselines", lines)
 
     # The goal stays the ceiling (within noise).

@@ -13,7 +13,7 @@ import pytest
 
 from repro.data.registry import DATASETS
 
-from benchmarks._shared import cached_run, write_table
+from benchmarks._shared import cached_run, per_epoch, write_table
 
 DATASET_NAMES = list(DATASETS)
 SEEDS = (1, 2)
@@ -45,14 +45,21 @@ def test_table2_accuracy(table2_scores, benchmark):
     lines = ["Table 2: accuracy and data ratio, NeSSA vs full dataset"]
     lines.append(
         f"{'dataset':13s} {'full(ours)':>10s} {'nessa(ours)':>11s} {'gap':>6s} "
-        f"{'subset%':>8s} | {'full(paper)':>11s} {'nessa(paper)':>12s}"
+        f"{'subset%':>8s} {'n full':>7s} {'n nessa':>8s} | "
+        f"{'full(paper)':>11s} {'nessa(paper)':>12s}"
     )
     for name in DATASET_NAMES:
         info = DATASETS[name]
         full, nessa = scores[name]
+        # samples trained per epoch (seed 1; the size does not depend on the seed)
+        n_full = per_epoch(cached_run(name, "full", seed=SEEDS[0]).history)
+        n_nessa = per_epoch(
+            cached_run(name, "nessa", fraction=info.subset_fraction, seed=SEEDS[0]).history
+        )
         lines.append(
             f"{name:13s} {100 * full:10.2f} {100 * nessa:11.2f} "
-            f"{100 * (full - nessa):6.2f} {info.paper_subset_pct:8d} | "
+            f"{100 * (full - nessa):6.2f} {info.paper_subset_pct:8d} "
+            f"{n_full:>7s} {n_nessa:>8s} | "
             f"{info.paper_full_acc:11.2f} {info.paper_nessa_acc:12.2f}"
         )
     write_table("table2_accuracy", lines)

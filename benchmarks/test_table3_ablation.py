@@ -18,7 +18,7 @@ Shape properties we reproduce:
 import numpy as np
 import pytest
 
-from benchmarks._shared import cached_run, write_table
+from benchmarks._shared import cached_run, per_epoch, write_table
 
 FRACTIONS = [0.1, 0.3, 0.5]
 METHODS = ["nessa-vanilla", "nessa-sb", "nessa-pa", "nessa", "craig", "kcenters"]
@@ -69,6 +69,14 @@ def test_table3_ablation(table3, benchmark):
             f"{int(100 * frac):>6d}" + "".join(f"{c:>18s}" for c in cells)
             + f"{100 * goal:6.2f} ({PAPER_GOAL:5.2f})"
         )
+    # Samples each column trained per epoch: the methods compare at one size.
+    lines += ["", "Samples trained per epoch", header]
+    n_goal = per_epoch(cached_run("cifar10", "full", seed=1).history)
+    for frac in FRACTIONS:
+        cells = [per_epoch(cached_run("cifar10", m, fraction=frac, seed=1).history)
+                 for m in METHODS]
+        lines.append(f"{int(100 * frac):>6d}" + "".join(f"{c:>18s}" for c in cells)
+                     + f"{n_goal:>10s}")
     write_table("table3_ablation", lines)
 
     # K-Centers collapses at 10% — clearly the worst method there.

@@ -41,6 +41,7 @@ from repro.parallel.scheduler import plan_selection_round
 from repro.selection.biasing import LossHistory
 from repro.selection.craig import SelectionResult
 from repro.selection.gradients import GradientProxy, forward_flops, proxies_from_logits
+from repro.selection.partition import subset_budget
 
 __all__ = ["NeSSASelector"]
 
@@ -130,8 +131,7 @@ class NeSSASelector:
         candidates = self.snapshot_candidates(dataset)
         proxy = self._proxies(dataset, candidates, replica)
 
-        k_total = max(1, int(round(fraction * len(dataset))))
-        k_total = min(k_total, len(candidates))
+        k_total = min(subset_budget(fraction, len(dataset)), len(candidates))
         labels = dataset.y[candidates]
 
         chunk_select = None

@@ -11,10 +11,9 @@ alone produces *bit-identical* picks to the same unit run inside the
 round — the equivalence suite in ``tests/parallel`` asserts exactly
 that.
 
-It is the one place a NeSSA round's budget is split over classes and
-chunks; the chunks and per-chunk quotas come from
-:func:`repro.selection.partition.partition_positions` and
-:func:`repro.selection.partition.plan_chunk_takes`.
+The budget goes to classes, and a class's budget to its chunks, by
+:func:`repro.selection.partition.apportion`, so a round takes exactly
+``min(k_total, n)``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.selection.partition import partition_positions, plan_chunk_takes
+from repro.selection.partition import apportion, partition_positions
 
 __all__ = ["WorkUnit", "unit_rng", "plan_selection_round"]
 
@@ -72,48 +71,37 @@ def plan_selection_round(
     """Split one selection round into independent work units.
 
     ``labels`` are the candidate pool's class labels (one per proxy-matrix
-    row); ``k_total`` the round's total selection budget, allocated to
-    classes proportionally to class size.
-    ``chunk_select`` enables §3.2.3 partitioning with *m* picks per chunk;
-    ``None`` plans one whole-class unit per class.
+    row); ``k_total`` the round's budget, apportioned by class size.
+    ``chunk_select`` (*m*) enables §3.2.3 partitioning: a class with
+    budget ``k_c`` gets ``ceil(k_c/m)`` near-equal chunks that apportion
+    ``k_c``.  ``None`` plans one whole-class unit per class.  A class or
+    chunk whose budget is 0 gets no unit.
 
     Returns units in assembly order (classes in ``np.unique`` order,
     chunks in partition order).
     """
     labels = np.asarray(labels)
-    n = labels.shape[0]
-    if n == 0:
+    if len(labels) == 0:
         return []
     if k_total < 1:
         raise ValueError("k_total must be >= 1")
     if chunk_select is not None and chunk_select < 1:
         raise ValueError("chunk_select must be >= 1")
 
+    classes, counts = np.unique(labels, return_counts=True)
     units: list[WorkUnit] = []
     order = 0
-    for class_rank, label in enumerate(np.unique(labels)):
-        local = np.flatnonzero(labels == label)
-        k_c = max(1, int(round(k_total * len(local) / n)))
-        k_c = min(k_c, len(local))
-        class_key = (seed, round_index, class_rank)
-
-        if chunk_select is None:
-            units.append(
-                WorkUnit(
-                    order=order,
-                    label=int(label),
-                    positions=local,
-                    take=k_c,
-                    seed_key=class_key + (0,),
-                )
-            )
-            order += 1
+    for class_rank, (label, k_c) in enumerate(zip(classes, apportion(counts, k_total))):
+        if k_c == 0:
             continue
-
-        m = chunk_select
-        num_chunks = max(1, int(np.ceil(k_c / m)))
-        chunks = partition_positions(len(local), num_chunks, unit_rng(class_key))
-        takes = plan_chunk_takes([len(c) for c in chunks], k_c, m)
+        local = np.flatnonzero(labels == label)
+        class_key = (seed, round_index, class_rank)
+        if chunk_select is None:
+            chunks, takes = [np.arange(len(local))], [k_c]
+        else:
+            num_chunks = -(-k_c // chunk_select)
+            chunks = partition_positions(len(local), num_chunks, unit_rng(class_key))
+            takes = apportion([len(c) for c in chunks], k_c)
         for chunk_idx, (chunk, take) in enumerate(zip(chunks, takes)):
             if take <= 0:
                 continue

@@ -15,7 +15,8 @@
   by all selectors.
 - :mod:`repro.selection.pairwise` — the one-GEMM Gram-matrix
   pairwise-distance kernel.
-- :mod:`repro.selection.partition` — the chunker, per-chunk quotas and
+- :mod:`repro.selection.partition` — the one subset-budget rule
+  (``subset_budget``, ``apportion``), the chunker and the
   similarity-tile accounting for the FPGA's on-chip memory budget (paper
   Section 3.2.3); rounds are planned by :mod:`repro.parallel.scheduler`,
   which imports this package — never the other way round.

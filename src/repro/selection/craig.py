@@ -22,7 +22,7 @@ from repro.selection.facility import (
 )
 from repro.selection.gradients import compute_gradient_proxies
 from repro.selection.pairwise import pairwise_distances
-from repro.selection.partition import chunk_pairwise_bytes
+from repro.selection.partition import chunk_pairwise_bytes, class_budgets
 
 __all__ = ["SelectionResult", "craig_select_class", "CraigSelector"]
 
@@ -76,9 +76,9 @@ def craig_select_class(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
 class CraigSelector:
     """Per-class CRAIG selection over a dataset.
 
-    Subset sizes are allocated to classes proportionally to class size, so
-    the selected fraction is uniform across classes (what both CRAIG and
-    the paper do).
+    The subset budget is apportioned to classes by class size
+    (:func:`~repro.selection.partition.class_budgets`), so the selected
+    fraction is uniform across classes (what both CRAIG and the paper do).
     """
 
     name = "craig"
@@ -93,13 +93,10 @@ class CraigSelector:
             raise ValueError("fraction must be in (0, 1]")
         proxy = compute_gradient_proxies(model, dataset.x, dataset.y, ids=dataset.ids)
 
-        k_total = max(1, int(round(fraction * len(dataset))))
+        budgets = class_budgets(dataset.y, fraction)
         positions, weights, pairwise = [], [], 0
-        unique_labels = np.unique(dataset.y)
-        with obs.span("chunk_select", units=len(unique_labels)):
-            for label in unique_labels:
-                local = np.flatnonzero(dataset.y == label)
-                k_c = max(1, int(round(k_total * len(local) / len(dataset))))
+        with obs.span("chunk_select", units=len(budgets)):
+            for local, k_c in budgets:
                 sel, w, nbytes = craig_select_class(proxy.vectors[local], k_c)
                 positions.append(local[sel])
                 weights.append(w)

@@ -26,17 +26,15 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.selection.craig import SelectionResult
 from repro.selection.gradients import compute_gradient_proxies
+from repro.selection.partition import class_budgets
 
 __all__ = ["LossRankedSelector", "ForgettingEventsSelector", "UncertaintySelector"]
 
 
 def _stratified_top(dataset: Dataset, scores: np.ndarray, fraction: float) -> np.ndarray:
-    """Per class, keep the highest-scoring ``fraction`` of ``dataset``."""
-    labels = dataset.y
+    """Per class, keep the highest-scoring samples of its subset budget."""
     chosen = []
-    for label in np.unique(labels):
-        local = np.flatnonzero(labels == label)
-        k = max(1, int(round(fraction * len(local))))
+    for local, k in class_budgets(dataset.y, fraction):
         order = np.argsort(scores[local])[::-1]
         chosen.append(local[order[:k]])
     return np.concatenate(chosen)

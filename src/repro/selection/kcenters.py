@@ -15,6 +15,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.selection.craig import SelectionResult
 from repro.selection.gradients import compute_gradient_proxies
+from repro.selection.partition import subset_budget
 
 __all__ = ["k_centers", "KCentersSelector"]
 
@@ -67,8 +68,7 @@ class KCentersSelector:
             raise ValueError("fraction must be in (0, 1]")
 
         proxy = compute_gradient_proxies(model, dataset.x, dataset.y, ids=dataset.ids)
-        k = max(1, int(round(fraction * len(dataset))))
-        positions = k_centers(proxy.vectors, k, rng=self.rng)
+        positions = k_centers(proxy.vectors, subset_budget(fraction, len(dataset)), rng=self.rng)
         return SelectionResult(
             positions=positions,
             weights=np.ones(len(positions), dtype=np.float64),

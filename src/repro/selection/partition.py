@@ -1,18 +1,20 @@
-"""Dataset partitioning for on-chip-memory-bounded selection (paper §3.2.3).
+"""Subset budgets and dataset partitioning (paper §3.2.3).
 
-The pairwise-similarity matrix of a whole class does not fit in the
-SmartSSD FPGA's 4.32 MB of on-chip memory once classes grow past a few
-thousand samples.  The paper's fix: randomly partition the candidate pool
-into chunks, select a small subset from each chunk, and concatenate.  For
-mini-batch size ``m`` and target subset size ``k`` out of ``N`` points, the
-paper uses ``k/m`` chunks with ``m`` selected per chunk.
+Every selector trains :func:`subset_budget` samples, split over classes
+(and a class's chunks) by :func:`apportion`, so methods compared at one
+fraction train subsets of one size.  The pairwise-similarity matrix of a
+whole class does not fit in the SmartSSD FPGA's 4.32 MB of on-chip
+memory once classes grow past a few thousand samples.  The paper's fix:
+randomly partition the candidate pool into chunks, select a small subset
+from each chunk, and concatenate.  For mini-batch size ``m`` and target
+subset size ``k`` out of ``N`` points, the paper uses ``k/m`` chunks with
+``m`` selected per chunk; here the ``ceil(k/m)`` near-equal chunks
+apportion ``k``.
 
 Besides fitting memory, partitioning drops the selection cost from
 O(N²) to O(N²·m/k) similarity evaluations.  Rounds are planned by
-:func:`repro.parallel.scheduler.plan_selection_round`; this module holds
-the chunker and per-chunk quota planner it uses and the tile-size
-accounting.  The dependency runs one way: ``repro.parallel`` imports
-this module, and nothing in ``repro.selection`` imports ``repro.parallel``.
+:func:`repro.parallel.scheduler.plan_selection_round`, which imports
+this module; nothing in ``repro.selection`` imports ``repro.parallel``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,61 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "subset_budget",
+    "apportion",
+    "class_budgets",
     "partition_positions",
-    "plan_chunk_takes",
     "chunk_pairwise_bytes",
 ]
+
+
+def subset_budget(fraction: float, n: int) -> int:
+    """Samples a selector trains at ``fraction`` of ``n``: ``max(1, round(f·n))``."""
+    return max(1, round(fraction * n))
+
+
+def apportion(sizes, k: int) -> list[int]:
+    """Split ``min(k, sum(sizes))`` over groups of ``sizes`` by largest remainder.
+
+    Each group's share is ``k·s/n``.  It gets the floor of its share, and
+    the seats left go to the largest fractional parts, ties to the
+    lower group rank.  When ``k`` covers every non-empty group, a group
+    whose share is under one gets exactly one and the rest is
+    re-shared among the others.  The takes sum to ``min(k, n)`` exactly
+    and never exceed their group; when every share is at least one,
+    each take is the floor or the ceiling of its share.  No RNG is used.
+    """
+    sizes = [int(s) for s in sizes]
+    if any(s < 0 for s in sizes):
+        raise ValueError("group sizes must be non-negative")
+    k = max(0, min(int(k), sum(sizes)))
+    takes = [0] * len(sizes)
+    live = [i for i, s in enumerate(sizes) if s > 0]
+    n = sum(sizes)
+    if k >= len(live):
+        while small := [i for i in live if k * sizes[i] < n]:
+            for i in small:
+                takes[i] = 1
+            k -= len(small)
+            live = [i for i in live if takes[i] == 0]
+            n = sum(sizes[i] for i in live)
+    if n:
+        # integer remainders, so equal shares tie exactly and break by rank
+        rest = {}
+        for i in live:
+            takes[i], rest[i] = divmod(k * sizes[i], n)
+        left = k - sum(takes[i] for i in live)
+        for i in sorted(live, key=rest.get, reverse=True)[:left]:
+            takes[i] += 1
+    return takes
+
+
+def class_budgets(labels: np.ndarray, fraction: float) -> list[tuple[np.ndarray, int]]:
+    """``(rows, budget)`` of each class with a budget: the subset budget of
+    ``fraction`` apportioned by class size."""
+    classes, counts = np.unique(labels, return_counts=True)
+    budgets = apportion(counts, subset_budget(fraction, len(labels)))
+    return [(np.flatnonzero(labels == c), k) for c, k in zip(classes, budgets) if k]
 
 
 def partition_positions(
@@ -46,45 +99,3 @@ def chunk_pairwise_bytes(chunk_size: int) -> int:
     fp32 tile, 4 bytes per entry.
     """
     return chunk_size * chunk_size * 4
-
-
-def plan_chunk_takes(chunk_sizes: list[int], k: int, chunk_select: int) -> list[int]:
-    """Per-chunk selection counts summing to exactly ``min(k, sum(sizes))``.
-
-    The paper's convention asks every chunk for ``m = chunk_select``
-    picks, but when ``k`` is not divisible by ``m`` — or when biasing
-    drops have left a chunk with fewer candidates than its quota — the
-    naive "last chunk absorbs the remainder" accounting can ask a chunk
-    for more picks than it has candidates.  This planner clamps each
-    chunk to its population and re-spreads any shortfall
-    deterministically (round-robin in chunk order over chunks with spare
-    capacity), so the total is exact for *any* size distribution and
-    independent of execution order.
-    """
-    if chunk_select < 1:
-        raise ValueError("chunk_select must be >= 1")
-    if any(s < 0 for s in chunk_sizes):
-        raise ValueError("chunk sizes must be non-negative")
-    k = min(k, int(sum(chunk_sizes)))
-    if k <= 0 or not chunk_sizes:
-        return [0] * len(chunk_sizes)
-
-    takes = []
-    remaining = k
-    for i, size in enumerate(chunk_sizes):
-        quota = remaining if i == len(chunk_sizes) - 1 else min(chunk_select, remaining)
-        take = min(quota, size)
-        takes.append(take)
-        remaining -= take
-    # Re-spread any shortfall over chunks that still have candidates.
-    while remaining > 0:
-        spread = False
-        for i, size in enumerate(chunk_sizes):
-            if remaining > 0 and takes[i] < size:
-                takes[i] += 1
-                remaining -= 1
-                spread = True
-        if not spread:  # pragma: no cover - k is clamped to sum(sizes)
-            break
-    return takes
-

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.selection.craig import SelectionResult
+from repro.selection.partition import class_budgets
 
 __all__ = ["RandomSelector"]
 
@@ -15,7 +16,9 @@ class RandomSelector:
 
     Stratified rather than fully uniform so tiny fractions cannot drop an
     entire class (which would make the comparison to informed selectors
-    unfairly noisy at 10%).
+    unfairly noisy at 10%).  The class budgets are CRAIG's
+    (:func:`~repro.selection.partition.class_budgets`), so random trains
+    subsets of the same size.
     """
 
     name = "random"
@@ -27,12 +30,10 @@ class RandomSelector:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
 
-        chosen = []
-        for label in np.unique(dataset.y):
-            local = np.flatnonzero(dataset.y == label)
-            k_c = max(1, int(round(fraction * len(local))))
-            chosen.append(self.rng.choice(local, size=min(k_c, len(local)), replace=False))
-        positions = np.concatenate(chosen)
+        positions = np.concatenate([
+            self.rng.choice(local, size=k_c, replace=False)
+            for local, k_c in class_budgets(dataset.y, fraction)
+        ])
         return SelectionResult(
             positions=positions,
             weights=np.ones(len(positions), dtype=np.float64),

@@ -1,6 +1,7 @@
 """Source invariants of ``src/repro``, checked by plain walks over its ``ast``.
 
-Each rule is one function ``nesNNN(tree, path)`` yielding ``(node,
+Each rule is one function ``nesNNN(src)`` over a :class:`Source` (one
+file's nodes, walked once, and its import map) yielding ``(node,
 message)`` pairs; :func:`check` runs all six on one parsed file and
 :func:`lint_tree` on every file under a root.  Rules scope on posix path
 fragments (``repro/selection/``), so fixtures can check snippets under
@@ -31,6 +32,15 @@ class Finding(NamedTuple):
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
+class Source(NamedTuple):
+    """One parsed file as every rule reads it: the tree is walked once."""
+
+    path: str
+    nodes: list[ast.AST]  # every node, in ``ast.walk`` order
+    calls: list[ast.Call]
+    bound: dict[str, str]  # :func:`imports` of the file
+
+
 # -- shared helpers -----------------------------------------------------------
 
 # numpy allocator -> positional index where dtype may appear (NES002)
@@ -54,7 +64,7 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def imports(tree: ast.Module) -> dict[str, str]:
+def imports(nodes) -> dict[str, str]:
     """Local name -> the dotted name the file's imports bind it to.
 
     ``import numpy.random as npr`` binds ``npr`` to ``numpy.random``,
@@ -62,7 +72,7 @@ def imports(tree: ast.Module) -> dict[str, str]:
     ``numpy.random.rand``; relative (``repro``-internal) imports are skipped.
     """
     bound = dict(_DEFAULT_BINDINGS)
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -110,7 +120,7 @@ def _unseeded(call: ast.Call) -> bool:
     return not seeds or (isinstance(seeds[0], ast.Constant) and seeds[0].value is None)
 
 
-def nes001(tree: ast.Module, path: str):
+def nes001(src: Source):
     """No global-state randomness in selection, parallel or nn code.
 
     Selection draws every random choice from SeedSequence-keyed
@@ -118,11 +128,10 @@ def nes001(tree: ast.Module, path: str):
     unseeded or clock-seeded ``default_rng`` make the result depend on
     call order or the wall clock.  Fix: thread a ``Generator`` from config.
     """
-    if not any(p in path for p in ("repro/selection/", "repro/parallel/", "repro/nn/")):
+    if not any(p in src.path for p in ("repro/selection/", "repro/parallel/", "repro/nn/")):
         return
-    bound = imports(tree)
-    for node in calls(tree):
-        parts = (resolve(node.func, bound) or "").split(".")
+    for node in src.calls:
+        parts = (resolve(node.func, src.bound) or "").split(".")
         if len(parts) == 2 and parts[0] == "random":
             yield node, f"stdlib random.{parts[1]}() uses process-global state"
         if len(parts) != 3 or parts[:2] != ["numpy", "random"] or parts[2] in _ALLOWED_NP_RANDOM:
@@ -132,7 +141,7 @@ def nes001(tree: ast.Module, path: str):
             yield node, f"np.random.{fn}() uses global RNG state — results depend on call order"
         elif _unseeded(node):
             yield node, f"np.random.{fn}() without a seed draws OS entropy — differs run to run"
-        elif any(resolve(c.func, bound) in _CLOCK_CALLS for c in calls(node) if c is not node):
+        elif any(resolve(c.func, src.bound) in _CLOCK_CALLS for c in calls(node) if c is not node):
             yield node, f"np.random.{fn}(...) seeded from the wall clock"
 
 
@@ -145,7 +154,7 @@ def _has_bare_float_literal(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
 
-def nes002(tree: ast.Module, path: str):
+def nes002(src: Source):
     """Allocations in dtype-accounted modules name their dtype.
 
     ``chunk_pairwise_bytes`` and the SmartSSD kernel model charge an fp32
@@ -153,11 +162,10 @@ def nes002(tree: ast.Module, path: str):
     byte accounting and changes rounding, which can flip selection order.
     """
     scope = ("repro/selection/", "repro/parallel/", "repro/smartssd/kernel.py")
-    if not any(p in path for p in scope):
+    if not any(p in src.path for p in scope):
         return
-    bound = imports(tree)
-    for node in calls(tree):
-        module, _, fn = (resolve(node.func, bound) or "").rpartition(".")
+    for node in src.calls:
+        module, _, fn = (resolve(node.func, src.bound) or "").rpartition(".")
         if module != "numpy" or any(kw.arg == "dtype" for kw in node.keywords):
             continue
         if fn in ALLOCATORS and len(node.args) <= ALLOCATORS[fn]:
@@ -198,14 +206,13 @@ def _handles_error(handler: ast.ExceptHandler, bound: dict[str, str]) -> bool:
     return False
 
 
-def nes003(tree: ast.Module, path: str):
+def nes003(src: Source):
     """Broad handlers re-raise or log: a silent one turns a typo'd attribute
     or a shape mismatch into a silently wrong result."""
-    bound = imports(tree)
-    for node in ast.walk(tree):
+    for node in src.nodes:
         if not isinstance(node, ast.ExceptHandler) or not _is_broad(node):
             continue
-        if not _handles_error(node, bound):
+        if not _handles_error(node, src.bound):
             what = "bare except:" if node.type is None else "except Exception"
             yield node, f"{what} swallows errors without re-raising or logging"
 
@@ -213,7 +220,7 @@ def nes003(tree: ast.Module, path: str):
 # -- NES006 with-managed spans ------------------------------------------------
 
 
-def nes006(tree: ast.Module, path: str):
+def nes006(src: Source):
     """Trace spans are context managers: ``with obs.span(...)``.
 
     A span's record is emitted only on ``__exit__``, so one never entered
@@ -223,13 +230,13 @@ def nes006(tree: ast.Module, path: str):
     timed elsewhere go through ``Tracer.add_completed``.
     """
     allowed: set[ast.AST] = set()
-    for node in ast.walk(tree):
+    for node in src.nodes:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             allowed.update(item.context_expr for item in node.items)
         elif isinstance(node, ast.Return) and node.value is not None:
             value = node.value
             allowed.update(value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value])
-    for node in calls(tree):
+    for node in src.calls:
         name = dotted_name(node.func) or ""
         if (name == "span" or name.endswith(".span")) and node not in allowed:
             yield node, (
@@ -273,7 +280,7 @@ def _returned(func: ast.AST, name: str) -> bool:
     return False
 
 
-def nes007(tree: ast.Module, path: str):
+def nes007(src: Source):
     """Buffer-pool leases are released on every exit path.
 
     A leaked lease re-introduces the allocation churn the pool removes
@@ -282,7 +289,9 @@ def nes007(tree: ast.Module, path: str):
     ``self.<attr>``, or returning the lease (also in nested tuples).
     Each function is checked on its own nodes, so nesting never reports twice.
     """
-    for func in ast.walk(tree):
+    if not any(_is_lease_creation(node) for node in src.calls):
+        return
+    for func in src.nodes:
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for node in own_nodes(func):
@@ -299,14 +308,14 @@ def nes007(tree: ast.Module, path: str):
 # -- NES011 declared metric names ---------------------------------------------
 
 
-def nes011(tree: ast.Module, path: str):
+def nes011(src: Source):
     """Metric names are dotted literals declared in ``METRIC_TABLE``.
 
     ``repro.cli report`` and ``obsdiff`` read metrics by name, so the name
     every ``*.counter`` / ``*.gauge`` call passes (first argument or
     ``name=``) must be knowable without running the code.
     """
-    for node in calls(tree):
+    for node in src.calls:
         method = getattr(node.func, "attr", None)
         names = node.args[:1] or [kw.value for kw in node.keywords if kw.arg == "name"]
         if method not in ("counter", "gauge") or not names:
@@ -328,10 +337,12 @@ RULES = {"NES001": nes001, "NES002": nes002, "NES003": nes003,
 
 def check(tree: ast.Module, path: str) -> list[Finding]:
     """Every rule's findings on one parsed file recorded at ``path``, sorted."""
+    nodes = list(ast.walk(tree))
+    src = Source(path, nodes, [n for n in nodes if isinstance(n, ast.Call)], imports(nodes))
     return sorted(
         Finding(path, node.lineno, node.col_offset + 1, rule, message)
         for rule, rule_fn in RULES.items()
-        for node, message in rule_fn(tree, path)
+        for node, message in rule_fn(src)
     )
 
 

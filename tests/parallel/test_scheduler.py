@@ -5,7 +5,7 @@ import pytest
 
 from repro.parallel.engine import SelectionExecutor
 from repro.parallel.scheduler import WorkUnit, plan_selection_round, unit_rng
-from repro.selection.partition import chunk_pairwise_bytes, plan_chunk_takes
+from repro.selection.partition import apportion, chunk_pairwise_bytes
 
 
 def _labels(rng, n=120, classes=4):
@@ -26,16 +26,16 @@ class TestPlanSelectionRound:
             assert set(covered) <= set(local)
 
     def test_takes_sum_matches_serial_accounting(self, rng):
+        # Every budget, not one lucky one: the classes apportion k_total by
+        # class size and the round takes exactly k_total.
         labels = _labels(rng)
-        n = len(labels)
-        k_total = 40
-        units = plan_selection_round(labels, k_total, seed=0, round_index=0,
-                                     chunk_select=8)
-        for label in np.unique(labels):
-            local = np.flatnonzero(labels == label)
-            k_c = min(max(1, int(round(k_total * len(local) / n))), len(local))
-            got = sum(u.take for u in units if u.label == label)
-            assert got == k_c
+        counts = np.bincount(labels)
+        for k_total in range(1, len(labels) + 1):
+            units = plan_selection_round(labels, k_total, seed=0, round_index=0,
+                                         chunk_select=8)
+            got = [sum(u.take for u in units if u.label == c) for c in range(len(counts))]
+            assert got == apportion(counts, k_total)
+            assert sum(got) == k_total
 
     def test_orders_are_contiguous_and_sorted(self, rng):
         units = plan_selection_round(_labels(rng), 30, seed=1, round_index=2,
@@ -155,17 +155,20 @@ class TestUnitRng:
 
 
 class TestPlanChunkTakes:
+    """A class's chunks share its budget by ``apportion``, as classes do."""
+
     def test_exact_total_when_k_not_divisible(self):
-        # k=10, m=4 over chunks of 6: naive per-chunk m would overshoot.
-        takes = plan_chunk_takes([6, 6, 6], 10, 4)
-        assert sum(takes) == 10
-        assert all(t <= s for t, s in zip(takes, [6, 6, 6]))
+        # k=10 over three chunks of 6: shares 3.33 each, the first chunk
+        # takes the one seat left over.
+        takes = apportion([6, 6, 6], 10)
+        assert takes == [4, 3, 3]
 
     def test_short_chunks_respread_deterministically(self):
-        # Chunk 1 can only supply 1; the shortfall must land elsewhere.
-        takes = plan_chunk_takes([5, 1, 5], 9, 4)
-        assert sum(takes) == 9
-        assert takes[1] <= 1
+        # A one-row chunk (biasing drops) can supply at most its row; the
+        # rest lands on the full chunks, the same way every time.
+        takes = apportion([5, 1, 5], 9)
+        assert takes == [4, 1, 4]
+        assert apportion([5, 1, 5], 9) == takes
 
     def test_pathological_uneven_sizes(self):
         rng = np.random.default_rng(0)
@@ -173,20 +176,17 @@ class TestPlanChunkTakes:
             sizes = list(rng.integers(0, 12, size=rng.integers(1, 8)))
             total = int(sum(sizes))
             k = int(rng.integers(1, max(2, 2 * total)))
-            m = int(rng.integers(1, 10))
-            takes = plan_chunk_takes(sizes, k, m)
+            takes = apportion(sizes, k)
             assert sum(takes) == min(k, total)
             assert all(0 <= t <= s for t, s in zip(takes, sizes))
 
     def test_k_larger_than_population_clamps(self):
-        assert plan_chunk_takes([3, 2], 99, 4) == [3, 2]
+        assert apportion([3, 2], 99) == [3, 2]
 
     def test_zero_k_and_empty_chunks(self):
-        assert plan_chunk_takes([4, 4], 0, 2) == [0, 0]
-        assert plan_chunk_takes([], 5, 2) == []
+        assert apportion([4, 4], 0) == [0, 0]
+        assert apportion([], 5) == []
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            plan_chunk_takes([4], 2, 0)
-        with pytest.raises(ValueError):
-            plan_chunk_takes([-1], 2, 2)
+            apportion([-1], 2)

@@ -36,6 +36,6 @@ def test_imports_inside_functions_and_relative_forms_are_seen():
         "from repro import parallel\n"
         "from ..parallel import engine\n"
         "import repro.parallel.engine as e\n"
-        "from repro.selection.partition import plan_chunk_takes\n"
+        "from repro.selection.partition import apportion\n"
     )
     assert parallel_imports(ast.parse(source)) == [3, 4, 5, 6]
