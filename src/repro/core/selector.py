@@ -90,7 +90,7 @@ class NeSSASelector:
         # twice the current subset so selection still has choices.  When
         # that floor binds, the best-learned (lowest-loss) samples go first.
         min_pool = max(
-            2 * int(self.config.subset_fraction * len(dataset)),
+            2 * subset_budget(self.config.subset_fraction, len(dataset)),
             dataset.num_classes,
         )
         marked = self.loss_history.mark_learned(

@@ -54,7 +54,7 @@ class Dataset:
         return np.flatnonzero(self.y == label)
 
     def subset(self, positions: np.ndarray) -> "Subset":
-        """View of the samples at the given positions."""
+        """Copy of the samples at the given positions (see :class:`Subset`)."""
         return Subset(self, np.asarray(positions, dtype=np.int64))
 
     def __repr__(self) -> str:
@@ -62,7 +62,10 @@ class Dataset:
 
 
 class Subset(Dataset):
-    """A dataset that shares storage with a parent but exposes a subset.
+    """A dataset holding copies of a parent's rows at ``positions``.
+
+    ``x``, ``y`` and ``ids`` are copied out of the parent (``parent.x[positions]``),
+    so writes to one never reach the other; ``parent`` keeps the parent alive.
 
     ``weights`` carries the optional per-sample CRAIG weights (cluster
     sizes); ``None`` means uniform.

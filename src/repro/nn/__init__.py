@@ -23,7 +23,6 @@ from repro.nn.modules import (
     Sequential,
 )
 from repro.nn.optim import SGD, MultiStepLR
-from repro.nn.scratch import BufferLease, BufferPool, scratch_pool, set_scratch_pool
 from repro.nn.quantize import QuantizedModel, dequantize_tensor, quantize_tensor
 from repro.nn.resnet import BasicBlock, Bottleneck, ResNet, resnet18, resnet20, resnet50
 from repro.nn.inference import InferencePlan
@@ -56,8 +55,4 @@ __all__ = [
     "resnet18",
     "resnet50",
     "InferencePlan",
-    "BufferLease",
-    "BufferPool",
-    "scratch_pool",
-    "set_scratch_pool",
 ]

@@ -8,7 +8,7 @@ allocation and no dict lookups.  ``repro.cli``'s ``--trace`` flag
 installs a real :class:`MetricsRegistry` for the run and dumps its
 snapshot into the trace file's final JSONL line.
 
-Names are dotted (``proxy_cache.hits``, ``selection.rounds``);
+Names are dotted (``selection.rounds``, ``nn.layout.repacks``);
 instruments are created on first use and accumulate for the registry's
 lifetime.  Everything here is stdlib-only and single-process.  Each
 real instrument's read-modify-write goes through its own lock, so an
@@ -54,14 +54,6 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
     "nn.loss.zero_weight_batches": (
         "counter",
         "Weighted loss batches whose weights sum to 0 (loss 0, zero gradient)",
-    ),
-    "proxy_cache.hits": (
-        "counter",
-        "Gradient-proxy cache hits",
-    ),
-    "proxy_cache.misses": (
-        "counter",
-        "Gradient-proxy cache misses",
     ),
     "selection.rounds": (
         "counter",

@@ -34,6 +34,7 @@ from repro.core.config import NeSSAConfig
 from repro.data.registry import DATASETS, PaperDataset
 from repro.perf.gpus import GPUSpec, v100
 from repro.perf.timemodel import GPUComputeModel, HostIngestModel
+from repro.selection.partition import subset_budget
 from repro.smartssd.device import DataMovement, SmartSSD
 
 __all__ = ["EpochTiming", "SystemModel", "average_speedups", "data_movement_summary"]
@@ -144,7 +145,7 @@ class SystemModel:
         """CPU-side CRAIG: full pool to host + GPU proxy pass + CPU greedy."""
         frac = subset_fraction or self.dataset.subset_fraction
         n = self.dataset.train_size
-        k = int(frac * n)
+        k = subset_budget(frac, n)
         # The whole pool crosses to the host for proxy computation.
         pool_ingest = self._ingest_images(n)
         # Proxy forward pass for the pool, on the GPU (reference CRAIG).
@@ -169,7 +170,7 @@ class SystemModel:
         """K-Centers: embedding pass + O(N·k·512) CPU farthest-point scan."""
         frac = subset_fraction or self.dataset.subset_fraction
         n = self.dataset.train_size
-        k = int(frac * n)
+        k = subset_budget(frac, n)
         pool_ingest = self._ingest_images(n)
         proxy = self.compute.epoch_compute_time(n, self.forward_flops) / 3.0
         scan_flops = float(n) * k * 512 * 2
@@ -217,7 +218,7 @@ class SystemModel:
             raise ValueError("refresh_period must be >= 1")
         n = self.dataset.train_size
         pool = int(n * pool_fraction)
-        k = int(frac * n)
+        k = subset_budget(frac, n)
         batch_bytes = self.batch_size * self.dataset.bytes_per_image
         d_emb = _embedding_dim(self.dataset.name)
 

@@ -26,11 +26,6 @@ PER_FILE = [
         "except (TypeError, ValueError, AttributeError):",
         "except Exception:",
     ),
-    (
-        "NES003", "src/repro/parallel/cache.py",
-        "except (TypeError, ValueError, AttributeError):",
-        "except Exception:",
-    ),
 ]
 
 @pytest.mark.parametrize(

@@ -8,11 +8,12 @@ from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.feedback import FeedbackLoop
 from repro.core.selector import NeSSASelector
 from repro.core.trainer import NeSSATrainer
+from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset
 from repro.nn.inference import InferencePlan
 from repro.nn.modules import GlobalAvgPool2d, Linear, Sequential
 from repro.nn.resnet import resnet20
-from repro.parallel.cache import ProxyCache
 from repro.selection.gradients import GradientProxy, compute_gradient_proxies
+from repro.selection.partition import subset_budget
 
 
 def factory():
@@ -111,7 +112,18 @@ class TestNeSSASelector:
             sel.record_epoch_losses(train.ids, np.zeros(len(train)))
         sel.maybe_drop_learned(train, epoch=1)
         remaining = len(train) - sel.loss_history.num_dropped
-        assert remaining >= 2 * int(0.25 * len(train))
+        assert remaining >= 2 * subset_budget(0.25, len(train))
+
+    def test_pool_floor_is_twice_the_subset_budget(self):
+        """At N = 192, f = 0.4 the subset is round(76.8) = 77, so 154 stay."""
+        train = SyntheticImageDataset(
+            SyntheticConfig(num_classes=4, num_samples=192, image_shape=(3, 8, 8), seed=0)
+        )
+        sel = self._selector(subset_fraction=0.4, biasing_drop_period=1,
+                             biasing_drop_quantile=0.95)
+        for _ in range(5):
+            sel.record_epoch_losses(train.ids, np.zeros(len(train)))
+        assert sel.maybe_drop_learned(train, epoch=1) == 192 - 154
 
     def test_floor_drops_the_lowest_losses_first(self, train_test_split):
         """When the pool floor binds, the best-learned marked samples go."""
@@ -318,7 +330,7 @@ class TestResidentState:
         trainer = NeSSATrainer(factory(), recipe, config, factory)
         history = trainer.train(train, test)
         assert [r.selection_ran for r in history.records] == [True] * 3
-        assert _reachable(trainer.selector, (GradientProxy, ProxyCache)) == []
+        assert _reachable(trainer.selector, GradientProxy) == []
         replica = trainer.feedback.selection_model.model
         assert all(p.grad is None for p in replica.parameters())
         # The live model still trains on its own gradient buffers.

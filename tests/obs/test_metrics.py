@@ -1,15 +1,21 @@
 """Metrics registry: instruments, snapshots, the null no-op mode, and the
 declared metric table."""
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.config import NeSSAConfig
+from repro.core.selector import NeSSASelector
+from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset
+from repro.nn.loss import CrossEntropyLoss
+from repro.nn.resnet import resnet20
 from repro.obs.metrics import METRIC_TABLE, NULL_REGISTRY
 
 
 class TestInstruments:
     def test_counter_accumulates_and_rejects_negatives(self, registry):
-        c = registry.counter("proxy_cache.hits")
+        c = registry.counter("selection.rounds")
         c.inc()
         c.inc(4)
         assert c.value == 5
@@ -68,17 +74,19 @@ class TestMetricTable:
             assert kind in ("counter", "gauge"), name
             assert help_text and "\n" not in help_text, name
 
-    def test_every_recorded_metric_name_is_declared(self):
+    def test_every_recorded_metric_name_is_declared(self, registry):
         # The NES011 source check enforces this statically over src/; this
-        # is the dynamic cross-check on one real instrumented component.
-        registry = obs.MetricsRegistry()
-        obs.set_metrics(registry)
-        try:
-            from repro.parallel.cache import ProxyCache
+        # is the dynamic cross-check on one NeSSA selection round and one
+        # loss batch whose weights sum to 0.
+        dataset = SyntheticImageDataset(
+            SyntheticConfig(num_classes=2, num_samples=24, image_shape=(3, 8, 8), seed=0)
+        )
+        model = resnet20(num_classes=2, width=4, seed=0)
+        NeSSASelector(NeSSAConfig(subset_fraction=0.25, seed=0)).select(dataset, 0.25, model)
+        CrossEntropyLoss()(np.zeros((2, 2), np.float32), np.zeros(2, np.int64), np.zeros(2))
 
-            assert ProxyCache().get("no-such-key") is None
-        finally:
-            obs.set_metrics(None)
-        snap = registry.snapshot()
-        for name in snap["counters"]:
+        counters = registry.snapshot()["counters"]
+        assert {"selection.rounds", "selection.units_executed",
+                "nn.loss.zero_weight_batches"} <= set(counters)
+        for name in counters:
             assert name in METRIC_TABLE

@@ -48,7 +48,7 @@ class TestNoOpOverhead:
                 pass
 
         def noop_metrics():
-            obs.metrics().counter("proxy_cache.hits").inc()
+            obs.metrics().counter("selection.rounds").inc()
 
         per_op = max(_time_per_call(noop_span), _time_per_call(noop_metrics))
 

@@ -21,7 +21,7 @@ def _record_run(tracer):
 class TestJsonlRoundTrip:
     def test_meta_spans_metrics_round_trip(self, tmp_path, tracer, registry):
         _record_run(tracer)
-        registry.counter("proxy_cache.hits").inc(3)
+        registry.counter("selection.rounds").inc(3)
         path = tmp_path / "trace.jsonl"
         obs.write_jsonl(path, tracer, registry)
 
@@ -33,7 +33,7 @@ class TestJsonlRoundTrip:
 
         trace = obs.read_trace(path)
         assert trace["meta"]["run"] == "test"
-        assert trace["metrics"]["counters"] == {"proxy_cache.hits": 3}
+        assert trace["metrics"]["counters"] == {"selection.rounds": 3}
         assert [s["id"] for s in trace["spans"]] == [
             "epoch#0/selection_round#0",
             "epoch#0",

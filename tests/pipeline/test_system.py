@@ -1,5 +1,7 @@
 """Tests for the end-to-end system model (Figure 4 / headline claims)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.data.registry import DATASETS
@@ -40,6 +42,13 @@ class TestEpochTable:
         subset_bytes = int(0.28 * 50_000) * 3_000
         assert nessa.movement.host_to_gpu == pytest.approx(subset_bytes, rel=0.01)
         assert nessa.movement.host_to_fpga > 0
+
+    def test_every_strategy_prices_the_subset_budget(self):
+        """k = round(f·N): at N = 50,002 and f = 0.28 that is 14,001, not 14,000."""
+        m = SystemModel(replace(DATASETS["cifar10"], train_size=50_002))
+        assert m.nessa_epoch().movement.host_to_gpu == 14_001 * 3_000
+        assert m.craig_epoch().compute_time == m._train_time(14_001)
+        assert m.kcenters_epoch().compute_time == m._train_time(14_001)
 
     def test_selection_overlap_caps_critical_path(self):
         """NeSSA's selection shows up only as its non-overlapped excess."""
