@@ -17,8 +17,8 @@ Training" (Prakriya et al., HotStorage '23):
 - ``repro.core`` — the NeSSA contribution: the selector with quantized-weight
   feedback, subset biasing, and dataset partitioning, plus the trainers.
 - ``repro.parallel`` — selection work units: deterministic (class x chunk)
-  scheduler, the in-process executor, and the proxy-reuse cache.  It
-  imports ``repro.selection``, never the other way round.
+  scheduler and the in-process executor.  It imports ``repro.selection``,
+  never the other way round.
 - ``repro.smartssd`` — closed-form models of the Samsung SmartSSD (NAND
   flash, KU15P FPGA resource model, P2P and host PCIe links) and the
   access patterns a NeSSA epoch issues to it.

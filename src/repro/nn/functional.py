@@ -41,26 +41,16 @@ to backward is the row buffer and the operator, not a
 channels (its row operator would be ``W`` times the useful MACs), so it
 is a ``(C_out, C)`` GEMM over the ``(C, OH*OW*N)`` pixels, which at
 stride 1 are the input's own buffer.
-
-**The blocked unfold.**  :func:`im2col_blocked` / :func:`col2im_blocked`
-unfold to the per-sample blocked layout ``(N, C*K*K, OH*OW)``, one copy
-of a zero-copy ``as_strided`` window view for any input strides.  No
-layer of the ResNets calls them: every network here ends in a global
-average pool and none pools by window.  The seed's slice-loop
-im2col / col2im, the oracles of the conv tests, live in ``tests/``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro import obs
 
 __all__ = [
     "channel_major",
-    "im2col_blocked",
-    "col2im_blocked",
     "row_operator",
     "row_windows",
     "conv2d",
@@ -90,87 +80,6 @@ def channel_major(x: np.ndarray) -> np.ndarray:
         return buffer
     obs.metrics().counter("nn.layout.repacks").inc()
     return np.ascontiguousarray(buffer)
-
-
-def _pad2d(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two spatial axes (cheaper than generic ``np.pad``)."""
-    if pad == 0:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[:, :, pad : pad + h, pad : pad + w] = x
-    return out
-
-
-def _window_view(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Zero-copy ``(N, C, K, K, OH, OW)`` sliding-window view of a padded input."""
-    n, c, h, w = x.shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    sn, sc, sh, sw = x.strides
-    return as_strided(
-        x,
-        shape=(n, c, kernel, kernel, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-    )
-
-
-def im2col_blocked(
-    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Unfold into the per-sample blocked ``(N, C*K*K, OH*OW)`` layout.
-
-    This layout is a free reshape of the contiguous window copy — no
-    transpose-gather — and keeps each sample's windows together.
-    Returns ``(cols, (oh, ow))``.
-    """
-    n, c, h, w = x.shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    view = _window_view(_pad2d(x, pad), kernel, stride)
-    cols = np.ascontiguousarray(view).reshape(n, c * kernel * kernel, oh * ow)
-    return cols, (oh, ow)
-
-
-def col2im_blocked(
-    cols: np.ndarray,
-    x_shape: tuple,
-    kernel: int,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """Adjoint of :func:`im2col_blocked`: fold ``(N, C*K*K, OH*OW)`` back.
-
-    The kernel-position slices here are contiguous reads, which makes the
-    scatter-add memory-bandwidth bound instead of gather-bound.
-    """
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    windows = cols.reshape(n, c, kernel, kernel, oh, ow)
-    return _scatter_windows(windows, x_shape, kernel, stride, pad)
-
-
-def _scatter_windows(
-    windows: np.ndarray, x_shape: tuple, kernel: int, stride: int, pad: int
-) -> np.ndarray:
-    """Sum ``(N, C, K, K, OH, OW)`` window gradients back onto the input grid."""
-    n, c, h, w = x_shape
-    oh, ow = windows.shape[4], windows.shape[5]
-    x = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=windows.dtype)
-    for ky in range(kernel):
-        y_max = ky + stride * oh
-        for kx in range(kernel):
-            x_max = kx + stride * ow
-            if ky == 0 and kx == 0:
-                # The accumulator starts at zero: plain assignment saves a
-                # full read pass over the largest array.
-                x[:, :, :y_max:stride, :x_max:stride] = windows[:, :, 0, 0]
-            else:
-                x[:, :, ky:y_max:stride, kx:x_max:stride] += windows[:, :, ky, kx]
-    if pad > 0:
-        return x[:, :, pad : pad + h, pad : pad + w]
-    return x
 
 
 def row_operator(weight: np.ndarray, stride: int, pad: int, width: int) -> np.ndarray:
@@ -217,8 +126,9 @@ def row_windows(rows: np.ndarray, k: int, stride: int, first: int, oh: int) -> n
     Block ``oy`` is rows ``first + oy*stride`` to ``... + k - 1``: with the
     batch innermost they are one contiguous ``(k*C*W, N)`` slab, so the
     blocks are a zero-copy view that ``np.matmul`` takes as ``OH`` GEMM
-    operands.  Built directly rather than through ``sliding_window_view``,
-    whose argument handling costs more than a small conv's GEMM.
+    operands.  Built directly with the ``np.ndarray`` constructor rather
+    than through numpy's sliding-window helper, whose argument handling
+    costs more than a small conv's GEMM.
     """
     row, _, column, item = rows.strides
     shape = (oh, k * rows.shape[1] * rows.shape[2], rows.shape[3])

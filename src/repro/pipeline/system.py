@@ -119,6 +119,13 @@ class SystemModel:
             count, self.dataset.bytes_per_image, self.pixels_per_image, compressed
         )
 
+    def _subset_size(self, subset_fraction: float | None) -> int:
+        """Images a selector trains at ``subset_fraction`` (``None``: the dataset's)."""
+        f = self.dataset.subset_fraction if subset_fraction is None else subset_fraction
+        if not 0.0 < f <= 1.0:
+            raise ValueError("subset_fraction must be in (0, 1]")
+        return subset_budget(f, self.dataset.train_size)
+
     def _train_time(self, count: int) -> float:
         return self.compute.epoch_compute_time(count, self.forward_flops)
 
@@ -143,9 +150,8 @@ class SystemModel:
 
     def craig_epoch(self, subset_fraction: float | None = None) -> EpochTiming:
         """CPU-side CRAIG: full pool to host + GPU proxy pass + CPU greedy."""
-        frac = subset_fraction or self.dataset.subset_fraction
         n = self.dataset.train_size
-        k = subset_budget(frac, n)
+        k = self._subset_size(subset_fraction)
         # The whole pool crosses to the host for proxy computation.
         pool_ingest = self._ingest_images(n)
         # Proxy forward pass for the pool, on the GPU (reference CRAIG).
@@ -168,9 +174,8 @@ class SystemModel:
 
     def kcenters_epoch(self, subset_fraction: float | None = None) -> EpochTiming:
         """K-Centers: embedding pass + O(N·k·512) CPU farthest-point scan."""
-        frac = subset_fraction or self.dataset.subset_fraction
         n = self.dataset.train_size
-        k = subset_budget(frac, n)
+        k = self._subset_size(subset_fraction)
         pool_ingest = self._ingest_images(n)
         proxy = self.compute.epoch_compute_time(n, self.forward_flops) / 3.0
         scan_flops = float(n) * k * 512 * 2
@@ -211,14 +216,13 @@ class SystemModel:
         Only the selected subset and the quantized-weight feedback cross
         the host interconnect.
         """
-        frac = subset_fraction or self.dataset.subset_fraction
+        k = self._subset_size(subset_fraction)
         if not 0.0 < pool_fraction <= 1.0:
             raise ValueError("pool_fraction must be in (0, 1]")
         if refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
         n = self.dataset.train_size
         pool = int(n * pool_fraction)
-        k = subset_budget(frac, n)
         batch_bytes = self.batch_size * self.dataset.bytes_per_image
         d_emb = _embedding_dim(self.dataset.name)
 

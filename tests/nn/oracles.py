@@ -2,8 +2,9 @@
 
 Both work in the row-major ``(N*OH*OW, C*K*K)`` column layout, so a conv
 is ``cols @ weight.reshape(C_out, -1).T`` and its input gradient is
-``col2im_loop(g_rows @ weight_matrix, ...)``.  The row-operator conv and
-the blocked unfold in :mod:`repro.nn.functional` are tested against them.
+``col2im_loop(g_rows @ weight_matrix, ...)``.  The row-operator conv in
+:mod:`repro.nn.functional` is tested against them, and
+``TestSeedOracles`` checks that the pair are adjoint.
 """
 
 import numpy as np

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
 from repro.nn.modules import (
     BatchNorm2d,
     Conv2d,
@@ -21,15 +20,6 @@ class TestRectangularInputs:
         layer = Conv2d(3, 4, 3, padding=1, rng=rng)
         out = layer(x)
         assert out.shape == (2, 4, 6, 10)
-
-    def test_im2col_col2im_rectangular_adjoint(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 2, 5, 9))
-        cols, _ = F.im2col_blocked(x, kernel=3, stride=2, pad=1)
-        y = rng.normal(size=cols.shape)
-        lhs = float((cols * y).sum())
-        rhs = float((x * F.col2im_blocked(y, x.shape, 3, 2, 1)).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_resnet_accepts_rectangular(self):
         net = resnet20(num_classes=3, width=4)

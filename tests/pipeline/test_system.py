@@ -56,6 +56,13 @@ class TestEpochTable:
         nessa = m.nessa_epoch()
         assert nessa.selection_time < nessa.compute_time + 1.0
 
+    @pytest.mark.parametrize("method", ["craig_epoch", "kcenters_epoch", "nessa_epoch"])
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_subset_fraction_outside_unit_interval_raises(self, method, fraction):
+        """0.0 is not "the default" and 1.5 is not 1.5x the train set."""
+        with pytest.raises(ValueError, match="subset_fraction"):
+            getattr(SystemModel("cifar10"), method)(subset_fraction=fraction)
+
     def test_pool_fraction_validated(self):
         with pytest.raises(ValueError):
             SystemModel("cifar10").nessa_epoch(pool_fraction=0.0)
