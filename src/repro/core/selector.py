@@ -131,7 +131,7 @@ class NeSSASelector:
         candidates = self.snapshot_candidates(dataset)
         proxy = self._proxies(dataset, candidates, replica)
 
-        k_total = min(subset_budget(fraction, len(dataset)), len(candidates))
+        k_total = subset_budget(fraction, len(dataset), pool=len(candidates))
         labels = dataset.y[candidates]
 
         chunk_select = None

@@ -10,11 +10,7 @@ snapshot into the trace file's final JSONL line.
 
 Names are dotted (``selection.rounds``, ``nn.layout.repacks``);
 instruments are created on first use and accumulate for the registry's
-lifetime.  Everything here is stdlib-only and single-process.  Each
-real instrument's read-modify-write goes through its own lock, so an
-update is atomic from any thread that holds the registry.  The
-null-registry fast path stays lock-free: disabled mode is still one
-global read plus one no-op call.
+lifetime.  Everything here is stdlib-only and single-process.
 
 **The metric table.**  :data:`METRIC_TABLE` is the single declaration
 point for every metric name the codebase records: ``name -> (type,
@@ -26,8 +22,6 @@ without running the code.
 """
 
 from __future__ import annotations
-
-import threading
 
 __all__ = [
     "METRIC_TABLE",
@@ -69,33 +63,29 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
 class Counter:
     """Monotone accumulator (``inc`` by a non-negative amount)."""
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0
-        self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only increase; use a gauge")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
 
 class Gauge:
     """Last-write-wins sample (``set``)."""
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0.0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
+        self.value = float(value)
 
 
 class MetricsRegistry:
@@ -104,34 +94,29 @@ class MetricsRegistry:
     def __init__(self):
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
         if instrument is None:
-            with self._lock:
-                instrument = self._counters.setdefault(name, Counter(name))
+            instrument = self._counters[name] = Counter(name)
         return instrument
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
         if instrument is None:
-            with self._lock:
-                instrument = self._gauges.setdefault(name, Gauge(name))
+            instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def snapshot(self) -> dict:
         """JSON-able dump of every instrument's current state."""
-        with self._lock:
-            return {
-                "counters": {n: c.value for n, c in sorted(self._counters.items())},
-                "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            }
+        return {
+            "counters": {n: c.value for n, c in sorted(self._counters.items())},
+            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
+        }
 
     def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
+        self._counters.clear()
+        self._gauges.clear()
 
 
 class _NullCounter:

@@ -119,12 +119,13 @@ class SystemModel:
             count, self.dataset.bytes_per_image, self.pixels_per_image, compressed
         )
 
-    def _subset_size(self, subset_fraction: float | None) -> int:
-        """Images a selector trains at ``subset_fraction`` (``None``: the dataset's)."""
+    def _subset_size(self, subset_fraction: float | None, pool: int | None = None) -> int:
+        """Images a selector trains at ``subset_fraction`` (``None``: the
+        dataset's), drawn from a ``pool`` of candidates when given."""
         f = self.dataset.subset_fraction if subset_fraction is None else subset_fraction
         if not 0.0 < f <= 1.0:
             raise ValueError("subset_fraction must be in (0, 1]")
-        return subset_budget(f, self.dataset.train_size)
+        return subset_budget(f, self.dataset.train_size, pool)
 
     def _train_time(self, count: int) -> float:
         return self.compute.epoch_compute_time(count, self.forward_flops)
@@ -213,16 +214,17 @@ class SystemModel:
 
         ``pool_fraction`` models subset biasing: the candidate pool the
         FPGA scores shrinks as learned samples are dropped (§3.2.2).
-        Only the selected subset and the quantized-weight feedback cross
-        the host interconnect.
+        The subset is drawn from that pool, so a pool smaller than the
+        subset budget caps it.  Only the selected subset and the
+        quantized-weight feedback cross the host interconnect.
         """
-        k = self._subset_size(subset_fraction)
         if not 0.0 < pool_fraction <= 1.0:
             raise ValueError("pool_fraction must be in (0, 1]")
         if refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
         n = self.dataset.train_size
         pool = int(n * pool_fraction)
+        k = self._subset_size(subset_fraction, pool)
         batch_bytes = self.batch_size * self.dataset.bytes_per_image
         d_emb = _embedding_dim(self.dataset.name)
 

@@ -19,8 +19,6 @@ extended-baselines benchmark compares them against NeSSA.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.data.dataset import Dataset
@@ -75,21 +73,16 @@ class ForgettingEventsSelector:
         self._last_correct: dict[int, bool] = {}
         self._forget_counts: dict[int, int] = {}
         self._ever_correct: dict[int, bool] = {}
-        # select() runs its own evaluation pass through observe(), as
-        # does the trainer once per epoch; each observe() updates the
-        # three tables as one step under the lock
-        self._lock = threading.Lock()
 
     def observe(self, ids: np.ndarray, correct: np.ndarray) -> None:
         """Update forgetting statistics from one evaluation pass."""
-        with self._lock:
-            for sample_id, ok in zip(ids, correct):
-                key = int(sample_id)
-                was = self._last_correct.get(key)
-                if was and not ok:
-                    self._forget_counts[key] = self._forget_counts.get(key, 0) + 1
-                self._last_correct[key] = bool(ok)
-                self._ever_correct[key] = self._ever_correct.get(key, False) or bool(ok)
+        for sample_id, ok in zip(ids, correct):
+            key = int(sample_id)
+            was = self._last_correct.get(key)
+            if was and not ok:
+                self._forget_counts[key] = self._forget_counts.get(key, 0) + 1
+            self._last_correct[key] = bool(ok)
+            self._ever_correct[key] = self._ever_correct.get(key, False) or bool(ok)
 
     def scores(self, ids: np.ndarray) -> np.ndarray:
         """Forgetting score: count, with never-learned samples ranked first."""

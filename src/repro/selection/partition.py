@@ -30,9 +30,11 @@ __all__ = [
 ]
 
 
-def subset_budget(fraction: float, n: int) -> int:
-    """Samples a selector trains at ``fraction`` of ``n``: ``max(1, round(f·n))``."""
-    return max(1, round(fraction * n))
+def subset_budget(fraction: float, n: int, pool: int | None = None) -> int:
+    """Samples a selector trains at ``fraction`` of ``n``: ``max(1, round(f·n))``,
+    capped at the ``pool`` of candidates it draws them from when given."""
+    k = max(1, round(fraction * n))
+    return k if pool is None else min(k, pool)
 
 
 def apportion(sizes, k: int) -> list[int]:

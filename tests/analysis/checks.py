@@ -2,7 +2,7 @@
 
 Each rule is one function ``nesNNN(src)`` over a :class:`Source` (one
 file's nodes, walked once, and its import map) yielding ``(node,
-message)`` pairs; :func:`check` runs all six on one parsed file and
+message)`` pairs; :func:`check` runs all five on one parsed file and
 :func:`lint_tree` on every file under a root.  Rules scope on posix path
 fragments (``repro/selection/``), so fixtures can check snippets under
 fake paths.  A finding is fixed in the code: there is no suppression.
@@ -245,66 +245,6 @@ def nes006(src: Source):
             )
 
 
-# -- NES007 pool leases -------------------------------------------------------
-
-
-def _is_lease_creation(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    # `scratch_pool().lease(...)` has a call at the chain root: classify on the tail.
-    tail = node.func.attr if isinstance(node.func, ast.Attribute) else dotted_name(node.func)
-    return tail in ("lease", "BufferLease")
-
-
-def _released_in_finally(func: ast.AST, name: str) -> bool:
-    return any(
-        isinstance(sub, ast.Attribute) and sub.attr == "release"
-        and isinstance(sub.value, ast.Name) and sub.value.id == name
-        for node in ast.walk(func) if isinstance(node, ast.Try)
-        for stmt in node.finalbody
-        for sub in ast.walk(stmt)
-    )
-
-
-def _returned(func: ast.AST, name: str) -> bool:
-    """Returned directly or inside nested tuples/lists (``return lease.array``
-    only reads through the lease)."""
-    for node in ast.walk(func):
-        stack = [node.value] if isinstance(node, ast.Return) and node.value else []
-        while stack:
-            sub = stack.pop()
-            if isinstance(sub, (ast.Tuple, ast.List)):
-                stack.extend(sub.elts)
-            elif isinstance(sub, ast.Name) and sub.id == name:
-                return True
-    return False
-
-
-def nes007(src: Source):
-    """Buffer-pool leases are released on every exit path.
-
-    A leaked lease re-introduces the allocation churn the pool removes
-    and drifts its ``outstanding`` count.  Accepted: ``with``, a
-    ``release()`` in a ``finally`` (flag-guarded counts), binding to
-    ``self.<attr>``, or returning the lease (also in nested tuples).
-    Each function is checked on its own nodes, so nesting never reports twice.
-    """
-    if not any(_is_lease_creation(node) for node in src.calls):
-        return
-    for func in src.nodes:
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in own_nodes(func):
-            if isinstance(node, ast.Expr) and _is_lease_creation(node.value):
-                yield node, "buffer lease created and immediately dropped: nothing releases it"
-            if not (isinstance(node, ast.Assign) and _is_lease_creation(node.value)):
-                continue
-            # Only a bare name is tracked: `self.<attr> = ...` is owned by the object.
-            name = next((t.id for t in node.targets if isinstance(t, ast.Name)), None)
-            if name and not _released_in_finally(func, name) and not _returned(func, name):
-                yield node, f"buffer lease {name!r} may never return to its pool: not released"
-
-
 # -- NES011 declared metric names ---------------------------------------------
 
 
@@ -332,7 +272,7 @@ def nes011(src: Source):
 # -- the walk -----------------------------------------------------------------
 
 RULES = {"NES001": nes001, "NES002": nes002, "NES003": nes003,
-         "NES006": nes006, "NES007": nes007, "NES011": nes011}
+         "NES006": nes006, "NES011": nes011}
 
 
 def check(tree: ast.Module, path: str) -> list[Finding]:

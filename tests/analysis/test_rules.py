@@ -3,7 +3,6 @@
 import pytest
 
 SEL = "src/repro/selection/mod.py"
-NN = "src/repro/nn/blocks.py"
 OUT = "src/repro/data/mod.py"  # outside every scoped rule's modules
 
 
@@ -296,154 +295,6 @@ class TestSpanWith:
             "NES006",
         )
         assert findings == []
-
-
-# -- NES007 pool leases -------------------------------------------------------
-
-
-class TestPoolLease:
-    def test_unreleased_lease_flagged(self, run_rule):
-        findings = run_rule(
-            """
-            def f(pool):
-                lease = pool.lease((4, 4))
-                lease.array[:] = 0
-                return lease.array.sum()
-            """,
-            NN,
-            "NES007",
-        )
-        assert len(findings) == 1
-        assert "lease" in findings[0].message
-
-    def test_dropped_lease_flagged(self, run_rule):
-        findings = run_rule(
-            """
-            def f(pool):
-                pool.lease((4, 4))
-            """,
-            NN,
-            "NES007",
-        )
-        assert len(findings) == 1
-        assert "dropped" in findings[0].message
-
-    def test_with_managed_lease_clean(self, run_rule):
-        findings = run_rule(
-            """
-            def f(pool):
-                with pool.lease((4, 4)) as lease:
-                    return lease.array.sum()
-            """,
-            NN,
-            "NES007",
-        )
-        assert findings == []
-
-    def test_finally_release_clean(self, run_rule):
-        findings = run_rule(
-            """
-            def f(pool):
-                lease = pool.lease((4, 4))
-                try:
-                    return lease.array.sum()
-                finally:
-                    lease.release()
-            """,
-            NN,
-            "NES007",
-        )
-        assert findings == []
-
-    def test_conditional_handed_off_release_clean(self, run_rule):
-        # the hand-off shape: released in finally unless the
-        # lease was handed off to the caller
-        findings = run_rule(
-            """
-            def f(pool):
-                lease = pool.lease((4, 4))
-                handed_off = False
-                try:
-                    batch = build(lease.array)
-                    handed_off = True
-                    return batch, lease
-                finally:
-                    if not handed_off:
-                        lease.release()
-            """,
-            NN,
-            "NES007",
-        )
-        assert findings == []
-
-    def test_nested_tuple_return_transfers_ownership(self, run_rule):
-        findings = run_rule(
-            """
-            def gather(pool):
-                x_lease = pool.lease((8,))
-                y_lease = pool.lease((8,))
-                batch = make_batch(x_lease.array, y_lease.array)
-                return batch, (x_lease, y_lease)
-            """,
-            NN,
-            "NES007",
-        )
-        assert findings == []
-
-    def test_nested_function_not_double_reported(self, run_rule):
-        findings = run_rule(
-            """
-            def outer(pool):
-                def inner():
-                    lease = pool.lease((4, 4))
-                    return lease.array.sum()
-                return inner
-            """,
-            NN,
-            "NES007",
-        )
-        assert len(findings) == 1
-
-    def test_self_attribute_transfers_ownership(self, run_rule):
-        findings = run_rule(
-            """
-            class Layer:
-                def forward(self, pool):
-                    self._lease = pool.lease((4, 4))
-                    return self._lease.array
-            """,
-            NN,
-            "NES007",
-        )
-        assert findings == []
-
-    def test_scratch_pool_chain_recognized(self, run_rule):
-        # scratch_pool() is a call, so the creator chain's root is not a
-        # dotted name — the attribute tail must still classify it
-        findings = run_rule(
-            """
-            from repro.nn.scratch import scratch_pool
-
-            def f():
-                lease = scratch_pool().lease((4, 4))
-                return lease.array.sum()
-            """,
-            NN,
-            "NES007",
-        )
-        assert len(findings) == 1
-
-    def test_reading_through_lease_is_not_a_transfer(self, run_rule):
-        findings = run_rule(
-            """
-            def f(pool):
-                lease = pool.lease((4, 4))
-                return lease.array
-            """,
-            NN,
-            "NES007",
-        )
-        assert len(findings) == 1
 
 
 class TestMetricNames:

@@ -40,10 +40,6 @@ VIOLATIONS = {
             """
         ),
     ),
-    "NES007": (
-        "repro/nn/bad.py",
-        "def f(pool):\n    lease = pool.lease((4, 4))\n    return lease.array.sum()\n",
-    ),
     "NES011": (
         "repro/anywhere/bad.py",
         textwrap.dedent(
@@ -58,6 +54,36 @@ VIOLATIONS = {
 }
 
 
+# Modules whose every name is banned from src/repro, ``threading`` included.
+THREAD_MODULES = ("threading", "_thread", "concurrent.futures", "multiprocessing")
+
+
+def thread_offenders(root=SRC):
+    """``path:line: name`` for every import or attribute under ``root``
+    that names one of :data:`THREAD_MODULES` or anything inside one."""
+
+    def banned(name):
+        return any(name == mod or name.startswith(mod + ".") for mod in THREAD_MODULES)
+
+    offenders = []
+    for path, tree in parsed(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(root).as_posix()}:{node.lineno}: {name}"
+                for name in names
+                if banned(name)
+            ]
+    return offenders
+
+
 class TestSelfLint:
     def test_repo_tree_is_clean(self):
         findings = lint_tree()
@@ -65,31 +91,41 @@ class TestSelfLint:
 
     def test_source_starts_no_threads_or_processes(self):
         # Nothing in src/repro spawns a thread or a process; that is why
-        # the tree needs no cross-thread race rule and no per-thread
-        # tracing mute.  Locks (threading.Lock) stay allowed.
-        def banned(name):
-            return name == "threading.Thread" or any(
-                name == mod or name.startswith(mod + ".")
-                for mod in ("concurrent.futures", "multiprocessing", "_thread")
-            )
+        # the tree needs no cross-thread race rule, no per-thread tracing
+        # mute and no locks.
+        assert thread_offenders() == []
 
-        offenders = []
-        for path, tree in parsed():
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-                elif isinstance(node, ast.Attribute):
-                    names = [ast.unparse(node)]
-                else:
-                    continue
-                offenders += [
-                    f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
-                    for name in names
-                    if banned(name)
-                ]
-        assert offenders == []
+
+class TestThreadScan:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import threading\n",
+            "from threading import Lock\n",
+            "class Registry:\n    def __init__(self):\n        self._lock = threading.Lock()\n",
+            "threading.Thread(target=print).start()\n",
+            "import concurrent.futures\n",
+            "from concurrent.futures import ThreadPoolExecutor\n",
+            "import multiprocessing\n",
+            "from multiprocessing import Pool\n",
+            "import _thread\n",
+        ],
+        ids=[
+            "import-threading", "from-threading-import-lock", "threading-lock-attribute",
+            "threading-thread", "import-concurrent-futures", "from-concurrent-futures",
+            "import-multiprocessing", "from-multiprocessing", "import-_thread",
+        ],
+    )
+    def test_seeded_thread_use_is_flagged(self, source, tmp_path):
+        (tmp_path / "bad.py").write_text(source)
+        offenders = thread_offenders(tmp_path)
+        assert offenders and all(o.startswith("bad.py:") for o in offenders)
+
+    def test_lookalike_names_pass(self, tmp_path):
+        (tmp_path / "ok.py").write_text(
+            "import threadingx\nfrom repro.obs import threading_free\nx = spec.threading\n"
+        )
+        assert thread_offenders(tmp_path) == []
 
 
 def _seed(tmp_path, rule):

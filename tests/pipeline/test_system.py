@@ -63,6 +63,16 @@ class TestEpochTable:
         with pytest.raises(ValueError, match="subset_fraction"):
             getattr(SystemModel("cifar10"), method)(subset_fraction=fraction)
 
+    def test_subset_never_exceeds_the_pool_it_is_drawn_from(self):
+        """At pool_fraction 0.1 the CIFAR-10 pool is 5,000 images, fewer
+        than the 14,000 the subset budget asks for: the pool caps both the
+        images trained and the images moved host→GPU."""
+        m = SystemModel("cifar10")
+        capped = m.nessa_epoch(pool_fraction=0.1)
+        assert capped.compute_time == m._train_time(5_000)
+        assert capped.movement.host_to_gpu == 5_000 * 3_000
+        assert capped.total < m.nessa_epoch(pool_fraction=1.0).total
+
     def test_pool_fraction_validated(self):
         with pytest.raises(ValueError):
             SystemModel("cifar10").nessa_epoch(pool_fraction=0.0)

@@ -99,8 +99,14 @@ def test_planner_total_is_exact_after_biasing_drops_unbalance_the_pool(tinyimage
     keep = np.random.default_rng(5).random(len(tinyimagenet)) >= 0.17
     labels = tinyimagenet.y[keep]
     assert len(set(np.bincount(labels))) > 1
-    k_total = min(subset_budget(0.34, len(tinyimagenet)), len(labels))
+    k_total = subset_budget(0.34, len(tinyimagenet), pool=len(labels))
     for chunk_select in (None, 8, 64):
         units = plan_selection_round(labels, k_total, seed=1, round_index=0,
                                      chunk_select=chunk_select)
         assert sum(u.take for u in units) == k_total == 490
+
+
+def test_subset_budget_is_capped_at_the_pool():
+    assert subset_budget(0.28, 50_000) == 14_000
+    assert subset_budget(0.28, 50_000, pool=20_000) == 14_000
+    assert subset_budget(0.28, 50_000, pool=5_000) == 5_000
