@@ -71,7 +71,7 @@ def test_ablation_biasing_drop_period():
     base_loss = np.where(rng.uniform(size=1000) < 0.7, 0.05, 2.0)
     dropped = {}
     for period in (10, 20, 40):
-        hist = LossHistory(window=5, drop_period=period, drop_quantile=0.3)
+        hist = LossHistory(len(ids), window=5, drop_period=period, drop_quantile=0.3)
         pool = ids
         for epoch in range(epochs):
             noise = rng.normal(0, 0.01, size=len(pool))
@@ -79,7 +79,7 @@ def test_ablation_biasing_drop_period():
             if hist.should_drop_now(epoch):
                 marked = hist.mark_learned(pool)
                 hist.drop(marked)
-                pool = hist.filter_candidates(ids)
+                pool = ids[~hist.dropped]
         dropped[period] = hist.num_dropped
 
     lines = ["Ablation: biasing drop period over a 60-epoch run (1000 samples)"]
@@ -98,7 +98,7 @@ def test_ablation_biasing_drops_easy_not_hard():
     ids = np.arange(400)
     easy = rng.uniform(size=400) < 0.5
     losses = np.where(easy, 0.02, 3.0)
-    hist = LossHistory(window=5, drop_period=20, drop_quantile=0.4)
+    hist = LossHistory(len(ids), window=5, drop_period=20, drop_quantile=0.4)
     for _ in range(5):
         hist.record(ids, losses + rng.normal(0, 0.005, size=400))
     marked = hist.mark_learned(ids)

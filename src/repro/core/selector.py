@@ -7,8 +7,8 @@ at the start of an epoch (system step 2 in Figure 3), and the algorithm
 1. score every candidate with the quantized feedback model (§3.1 /
    §3.2.1).  CRAIG's proxy ``softmax(z) - onehot(y)`` depends on a sample
    only through its penultimate embedding, so the selector keeps the
-   pool's embeddings as a float32 ``(ids x d)`` array sorted by id.  Each
-   round re-forwards, through the quantized replica, the
+   embeddings as a float32 ``(num_ids x d)`` array whose row is the
+   sample id.  Each round re-forwards, through the quantized replica, the
    ``1/refresh_period`` slice of ids that is due (``id % refresh_period ==
    round % refresh_period``), so each row is re-forwarded once every
    ``refresh_period`` rounds; then it applies the replica's *current*
@@ -61,21 +61,27 @@ class NeSSASelector:
     def __init__(self, config: NeSSAConfig, chunk_select: int | None = None):
         self.config = config
         self.chunk_select = chunk_select
-        self.loss_history = LossHistory(
-            window=config.biasing_window,
-            drop_period=config.biasing_drop_period,
-            drop_quantile=config.biasing_drop_quantile,
-            min_history=min(3, config.biasing_window),
-        )
         self.executor = SelectionExecutor()
         self._round = 0
-        # Penultimate embeddings as of each row's last forward, rows sorted by id.
-        self._emb_ids = np.empty(0, dtype=np.int64)
-        self._emb = np.empty((0, 0), dtype=np.float32)
+        # Per-sample state, row = sample id, sized by the first dataset seen.
+        self.loss_history: LossHistory | None = None
+        self._known = self._emb = None  # rows ever forwarded; their last embeddings
+
+    def _size(self, dataset: Dataset) -> None:
+        """Allocate the per-sample arrays for the first dataset's root."""
+        if self.loss_history is None:
+            c = self.config
+            self.loss_history = LossHistory(
+                dataset.num_ids, c.biasing_window, c.biasing_drop_period,
+                c.biasing_drop_quantile, min_history=min(3, c.biasing_window),
+            )
+            self._known = np.zeros(dataset.num_ids, dtype=bool)
 
     def record_epoch_losses(self, ids: np.ndarray, losses: np.ndarray) -> None:
         """Trainer feedback: per-sample losses of the samples just trained."""
         if self.config.use_biasing:
+            if self.loss_history is None:
+                raise RuntimeError("record_epoch_losses before the selector saw a dataset")
             self.loss_history.record(ids, losses)
 
     def maybe_drop_learned(self, dataset: Dataset, epoch: int) -> int:
@@ -83,9 +89,10 @@ class NeSSASelector:
 
         Returns the number of samples dropped this call.
         """
+        self._size(dataset)
         if not self.config.use_biasing or not self.loss_history.should_drop_now(epoch):
             return 0
-        candidates = self.loss_history.filter_candidates(dataset.ids)
+        candidates = dataset.ids[~self.loss_history.dropped[dataset.ids]]
         # Never drop below what one subset needs: keep the pool at least
         # twice the current subset so selection still has choices.  When
         # that floor binds, the best-learned (lowest-loss) samples go first.
@@ -104,12 +111,12 @@ class NeSSASelector:
 
         :meth:`select` takes its pool from here at the start of every
         round: every position whose sample the loss history has not yet
-        dropped as learned (all positions when biasing is off).
+        dropped as learned (all positions when biasing is off, or when
+        every sample was dropped).
         """
-        if self.config.use_biasing:
-            candidate_ids = self.loss_history.filter_candidates(dataset.ids)
-            return np.flatnonzero(np.isin(dataset.ids, candidate_ids))
-        return np.arange(len(dataset), dtype=np.int64)
+        self._size(dataset)
+        keep = np.flatnonzero(~self.loss_history.dropped[dataset.ids])
+        return keep if len(keep) else np.arange(len(dataset), dtype=np.int64)
 
     def select(self, dataset: Dataset, fraction: float, model) -> SelectionResult:
         """One selection round over ``dataset`` at the given fraction.
@@ -119,8 +126,8 @@ class NeSSASelector:
         a hypothetical unquantized FPGA.  Either way it must be a
         :class:`~repro.nn.resnet.ResNet` (or wrap one): the embedding
         array is its penultimate layer.  The candidate pool is
-        :meth:`snapshot_candidates` at the time of the call.  The array is
-        keyed by sample id, so one selector serves one dataset.
+        :meth:`snapshot_candidates` at the time of the call.  The arrays
+        are indexed by sample id, so one selector serves one root dataset.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
@@ -164,7 +171,7 @@ class NeSSASelector:
 
         Forwards the candidates whose rows are due -- ids with ``id %
         refresh_period == round % refresh_period`` -- or every candidate
-        when one is missing from the array.  Then applies the replica's
+        when one was never forwarded.  Then applies the replica's
         current ``fc`` to all the candidates' rows.  Both passes run in
         batches of ``batch_size`` in candidate order.  Staggering the
         forwards by id, rather than forwarding the whole pool every
@@ -174,13 +181,14 @@ class NeSSASelector:
         """
         ids = dataset.ids[candidates]
         n = len(candidates)
-        if np.isin(ids, self._emb_ids).all():
-            rows = np.searchsorted(self._emb_ids, ids)
+        if self._emb is None:
+            self._emb = np.empty((len(self._known), replica.embedding_dim), dtype=np.float32)
+        if self._known[ids].all():
             period = self.config.refresh_period
             due = np.flatnonzero(ids % period == self._round % period)
         else:
-            rows = self._rebuild(ids, replica.embedding_dim)
             due = np.arange(n)
+        self._known[ids[due]] = True
         weight_t, bias = replica.fc.weight.data.T, replica.fc.bias
         flops = (
             forward_flops(replica, dataset.x.shape[1:]) * len(due)
@@ -191,13 +199,13 @@ class NeSSASelector:
                 plan = InferencePlan(replica, dataset.x.shape[1:])
                 for start in range(0, len(due), batch_size):
                     block = due[start : start + batch_size]
-                    self._emb[rows[block]] = plan.features(dataset.x[candidates[block]])
+                    self._emb[ids[block]] = plan.features(dataset.x[candidates[block]])
             labels = dataset.y[candidates]
             vectors = np.empty((n, weight_t.shape[1]), dtype=np.float64)
             losses = np.empty(n, dtype=np.float64)
             for start in range(0, n, batch_size):
                 block = slice(start, start + batch_size)
-                logits = self._emb[rows[block]] @ weight_t
+                logits = self._emb[ids[block]] @ weight_t
                 if bias is not None:
                     logits += bias.data
                 vectors[block], losses[block] = proxies_from_logits(logits, labels[block])
@@ -205,14 +213,4 @@ class NeSSASelector:
                 cache_hit=len(due) < n, forwarded=int(len(due)), flops=float(flops),
                 engine="fused",
             )
-        return GradientProxy(vectors=vectors, losses=losses, ids=ids, flops=flops)
-
-    def _rebuild(self, ids: np.ndarray, dim: int) -> np.ndarray:
-        """Allocate an empty array for ``ids`` (rows sorted by id); return their rows."""
-        order = np.argsort(ids, kind="stable")
-        rows = np.empty(len(ids), dtype=np.int64)
-        rows[order] = np.arange(len(ids), dtype=np.int64)
-        self._emb_ids = ids[order]
-        self._emb = None  # drop the old array before allocating its successor
-        self._emb = np.empty((len(ids), dim), dtype=np.float32)
-        return rows
+        return GradientProxy(vectors=vectors, losses=losses, flops=flops)

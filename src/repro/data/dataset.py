@@ -14,12 +14,13 @@ class Dataset:
     ----------
     x : ``(N, C, H, W)`` float32 images.
     y : ``(N,)`` int64 labels.
-    ids : ``(N,)`` int64 stable global sample ids — selection bookkeeping
-        (loss histories, drop sets) is keyed on these, not on positions,
-        so subsetting never invalidates state.
+    ids : ``(N,)`` int64 sample ids, ``arange(N)`` for a root dataset.
+        Selection state (loss histories, drop masks, embeddings) lives in
+        arrays whose row is the id, so subsetting never invalidates it.
+    num_ids : the root dataset's size; every id is in ``[0, num_ids)``.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, ids: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=np.float32)
         y = np.asarray(y, dtype=np.int64)
         if x.ndim != 4:
@@ -28,15 +29,8 @@ class Dataset:
             raise ValueError("y must be (N,) aligned with x")
         self.x = x
         self.y = y
-        if ids is None:
-            ids = np.arange(x.shape[0], dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != y.shape:
-                raise ValueError("ids must be (N,) aligned with x")
-            if len(np.unique(ids)) != len(ids):
-                raise ValueError("ids must be unique")
-        self.ids = ids
+        self.ids = np.arange(x.shape[0], dtype=np.int64)
+        self.num_ids = x.shape[0]
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -66,6 +60,7 @@ class Subset(Dataset):
 
     ``x``, ``y`` and ``ids`` are copied out of the parent (``parent.x[positions]``),
     so writes to one never reach the other; ``parent`` keeps the parent alive.
+    ``num_ids`` is the parent's; a repeated position would give two rows one id.
 
     ``weights`` carries the optional per-sample CRAIG weights (cluster
     sizes); ``None`` means uniform.
@@ -75,7 +70,10 @@ class Subset(Dataset):
         positions = np.asarray(positions, dtype=np.int64)
         if len(positions) and (positions.min() < 0 or positions.max() >= len(parent)):
             raise IndexError("subset positions out of range")
-        super().__init__(parent.x[positions], parent.y[positions], parent.ids[positions])
+        if len(np.unique(positions)) != len(positions):
+            raise ValueError("subset positions must be unique")
+        super().__init__(parent.x[positions], parent.y[positions])
+        self.ids, self.num_ids = parent.ids[positions], parent.num_ids
         self.parent = parent
         self.positions = positions
         if weights is not None:

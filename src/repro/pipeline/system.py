@@ -223,7 +223,7 @@ class SystemModel:
         if refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
         n = self.dataset.train_size
-        pool = int(n * pool_fraction)
+        pool = subset_budget(pool_fraction, n)
         k = self._subset_size(subset_fraction, pool)
         batch_bytes = self.batch_size * self.dataset.bytes_per_image
         d_emb = _embedding_dim(self.dataset.name)
@@ -235,7 +235,7 @@ class SystemModel:
         from repro.smartssd.dram import EmbeddingCache
 
         EmbeddingCache(self.ssd.fpga).plan(
-            num_samples=max(1, pool),
+            num_samples=pool,
             embedding_dim=d_emb,
             replica_bytes=float(feedback_bytes),
         )

@@ -5,17 +5,17 @@ most recent five epochs, mark the samples with small values, and drop the
 marked samples from the training set every twenty epochs."*
 
 :class:`LossHistory` keeps a bounded per-sample window of recent losses
-keyed by global sample id (so it survives subsetting), and implements the
-marking/dropping policy.  "Small" is defined by a quantile of the mean
-recent loss over samples that have enough history — the paper leaves the
-threshold unspecified; the quantile and the conservative 20-epoch period
-are both exposed as knobs and swept by the ablation benchmark.
+and implements the marking/dropping policy.  "Small" is defined by a
+quantile of the mean recent loss over samples that have enough history —
+the paper leaves the threshold unspecified; the quantile and the
+conservative 20-epoch period are both exposed as knobs and swept by the
+ablation benchmark.
 
-The window is one dense ``(tracked ids x window)`` float64 ring plus a
-per-id record count, rows sorted by id so lookups are one
-``searchsorted``.  Means are taken over each sample's entries in
-insertion order, oldest first, so they are bit-identical to averaging a
-per-sample deque.
+Every array is indexed by sample id, in ``[0, num_ids)``, so the state
+survives subsetting: a ``(num_ids x window)`` float64 ring, a per-id
+record count and the boolean ``dropped`` mask.  Means are taken over each
+sample's entries in insertion order, oldest first, so they are
+bit-identical to averaging a per-sample deque.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ class LossHistory:
 
     def __init__(
         self,
+        num_ids: int,
         window: int = 5,
         drop_period: int = 20,
         drop_quantile: float = 0.3,
@@ -41,22 +42,22 @@ class LossHistory:
             raise ValueError("drop_period must be >= 1")
         if not 0.0 <= drop_quantile < 1.0:
             raise ValueError("drop_quantile must be in [0, 1)")
+        if min_history < 1:
+            raise ValueError("min_history must be >= 1")
         self.window = window
         self.drop_period = drop_period
         self.drop_quantile = drop_quantile
         self.min_history = min_history
-        self._ids = np.zeros(0, dtype=np.int64)  # sorted; row r holds _ids[r]
-        self._ring = np.zeros((0, window), dtype=np.float64)
-        self._count = np.zeros(0, dtype=np.int64)  # records ever made per row
-        self._dropped: set[int] = set()
+        self._ring = np.zeros((num_ids, window), dtype=np.float64)
+        self._count = np.zeros(num_ids, dtype=np.int64)  # records ever made per id
+        self.dropped = np.zeros(num_ids, dtype=bool)
 
-    def _rows(self, ids: np.ndarray) -> np.ndarray:
-        """Ring row of each id, ``-1`` for ids never recorded."""
+    def _checked(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` as int64, refusing any that is not a row."""
         ids = np.asarray(ids, dtype=np.int64)
-        pos = np.searchsorted(self._ids, ids)
-        found = pos < len(self._ids)
-        found[found] = self._ids[pos[found]] == ids[found]
-        return np.where(found, pos, -1)
+        if len(ids) and (ids.min() < 0 or ids.max() >= len(self._count)):
+            raise ValueError(f"sample ids must be in [0, {len(self._count)})")
+        return ids
 
     def record(self, ids: np.ndarray, losses: np.ndarray) -> None:
         """Record one epoch's per-sample losses (only for samples seen).
@@ -64,30 +65,23 @@ class LossHistory:
         Each id may appear once per call: a sample is trained at most
         once an epoch, and the ring holds one entry per epoch.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._checked(ids)
         losses = np.asarray(losses, dtype=np.float64)
         if len(ids) != len(losses):
             raise ValueError("ids and losses must align")
         if len(np.unique(ids)) != len(ids):
             raise ValueError("ids must be unique within one record call")
-        new = np.setdiff1d(ids, self._ids)
-        if len(new):
-            at = np.searchsorted(self._ids, new)
-            self._ids = np.insert(self._ids, at, new)
-            self._ring = np.insert(self._ring, at, 0.0, axis=0)
-            self._count = np.insert(self._count, at, 0)
-        rows = np.searchsorted(self._ids, ids)
-        self._ring[rows, self._count[rows] % self.window] = losses
-        self._count[rows] += 1
+        self._ring[ids, self._count[ids] % self.window] = losses
+        self._count[ids] += 1
 
-    def _means(self, rows: np.ndarray) -> np.ndarray:
-        """Mean of each row's window, entries taken oldest first."""
-        count = self._count[rows]
+    def _means(self, ids: np.ndarray) -> np.ndarray:
+        """Mean of each id's window, entries taken oldest first."""
+        count = self._count[ids]
         held = np.minimum(count, self.window)
         oldest = np.where(count > self.window, count % self.window, 0)
         slots = (oldest[:, None] + np.arange(self.window)) % self.window
-        ordered = self._ring[rows[:, None], slots]
-        means = np.empty(len(rows), dtype=np.float64)
+        ordered = self._ring[ids[:, None], slots]
+        means = np.empty(len(ids), dtype=np.float64)
         for n in np.unique(held):
             same = held == n
             means[same] = ordered[same, :n].mean(axis=1)
@@ -95,10 +89,8 @@ class LossHistory:
 
     def mean_recent_loss(self, sample_id: int) -> float | None:
         """Mean loss over the recent window, or None if never recorded."""
-        rows = self._rows(np.array([sample_id]))
-        if rows[0] < 0:
-            return None
-        return float(self._means(rows)[0])
+        ids = self._checked([sample_id])
+        return float(self._means(ids)[0]) if self._count[ids[0]] else None
 
     def should_drop_now(self, epoch: int) -> bool:
         """The paper drops every ``drop_period`` epochs (not at epoch 0)."""
@@ -115,41 +107,25 @@ class LossHistory:
         ties going to the earlier candidate.  Marked ids keep their order
         in ``candidate_ids``.
         """
-        candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-        rows = self._rows(candidate_ids)
-        eligible = rows >= 0
-        eligible[eligible] = (
-            np.minimum(self._count[rows[eligible]], self.window) >= self.min_history
-        )
-        if not eligible.any():
+        candidate_ids = self._checked(candidate_ids)
+        held = np.minimum(self._count[candidate_ids], self.window)
+        eligible = candidate_ids[held >= self.min_history]
+        if not len(eligible):
             return np.zeros(0, dtype=np.int64)
-        means = self._means(rows[eligible])
+        means = self._means(eligible)
         low = np.flatnonzero(means <= np.quantile(means, self.drop_quantile))
         if limit is not None and len(low) > limit:
             low = np.sort(low[np.argsort(means[low], kind="stable")[:limit]])
-        return candidate_ids[eligible][low]
+        return eligible[low]
 
     def drop(self, ids: np.ndarray) -> None:
         """Permanently remove ids from future candidate pools."""
-        self._dropped.update(int(i) for i in ids)
-
-    def filter_candidates(self, candidate_ids: np.ndarray) -> np.ndarray:
-        """Remove previously-dropped ids from a candidate pool.
-
-        Never returns an empty pool: if everything was dropped (degenerate
-        configuration), the original pool is returned untouched.
-        """
-        candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-        dropped = np.fromiter(self._dropped, dtype=np.int64, count=len(self._dropped))
-        keep = ~np.isin(candidate_ids, dropped)
-        if not keep.any():
-            return candidate_ids
-        return candidate_ids[keep]
+        self.dropped[self._checked(ids)] = True
 
     @property
     def num_dropped(self) -> int:
-        return len(self._dropped)
+        return int(np.count_nonzero(self.dropped))
 
     @property
     def num_tracked(self) -> int:
-        return len(self._ids)
+        return int(np.count_nonzero(self._count))

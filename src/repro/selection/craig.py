@@ -91,7 +91,7 @@ class CraigSelector:
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        proxy = compute_gradient_proxies(model, dataset.x, dataset.y, ids=dataset.ids)
+        proxy = compute_gradient_proxies(model, dataset.x, dataset.y)
 
         budgets = class_budgets(dataset.y, fraction)
         positions, weights, pairwise = [], [], 0

@@ -65,40 +65,38 @@ class ForgettingEventsSelector:
     call, and counts correct→incorrect transitions.  Never-learned
     samples score ``+inf``-like (they sort first), matching the paper's
     treatment of unforgettable vs never-learned examples.
+
+    The counters are arrays whose row is the sample id, sized by
+    ``num_ids`` or else by the first dataset handed to :meth:`select`.
     """
 
     name = "forgetting"
 
-    def __init__(self):
-        self._last_correct: dict[int, bool] = {}
-        self._forget_counts: dict[int, int] = {}
-        self._ever_correct: dict[int, bool] = {}
+    def __init__(self, num_ids: int = 0):
+        self._size(num_ids)
+
+    def _size(self, num_ids: int) -> None:
+        self._correct = np.zeros(num_ids, dtype=bool)  # at the last observation
+        self._forgets = np.zeros(num_ids, dtype=np.int64)  # correct -> incorrect so far
+        self._learned = np.zeros(num_ids, dtype=bool)  # correct at any observation
 
     def observe(self, ids: np.ndarray, correct: np.ndarray) -> None:
-        """Update forgetting statistics from one evaluation pass."""
-        for sample_id, ok in zip(ids, correct):
-            key = int(sample_id)
-            was = self._last_correct.get(key)
-            if was and not ok:
-                self._forget_counts[key] = self._forget_counts.get(key, 0) + 1
-            self._last_correct[key] = bool(ok)
-            self._ever_correct[key] = self._ever_correct.get(key, False) or bool(ok)
+        """Update forgetting statistics from one evaluation pass (ids unique)."""
+        correct = np.asarray(correct, dtype=bool)
+        self._forgets[ids] += self._correct[ids] & ~correct
+        self._correct[ids] = correct
+        self._learned[ids] |= correct
 
     def scores(self, ids: np.ndarray) -> np.ndarray:
         """Forgetting score: count, with never-learned samples ranked first."""
-        out = np.empty(len(ids), dtype=np.float64)
-        for i, sample_id in enumerate(ids):
-            key = int(sample_id)
-            if not self._ever_correct.get(key, False):
-                out[i] = np.inf  # never learned -> most important
-            else:
-                out[i] = self._forget_counts.get(key, 0)
-        return out
+        return np.where(self._learned[ids], self._forgets[ids], np.inf)
 
     def select(self, dataset: Dataset, fraction: float, model) -> SelectionResult:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
 
+        if not len(self._forgets):
+            self._size(dataset.num_ids)
         proxy = compute_gradient_proxies(model, dataset.x, dataset.y)
         # Correct iff the true-class gradient entry is the dominant one:
         # softmax(z)[y] - 1 is the y-th entry; prediction == y when that

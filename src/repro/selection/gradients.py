@@ -34,22 +34,17 @@ class GradientProxy:
     ----------
     vectors : ``(N, D)`` proxy vectors (the space medoids are found in).
     losses : ``(N,)`` per-sample cross-entropy (subset-biasing input).
-    ids : ``(N,)`` global sample ids aligned with rows.
     flops : forward-pass FLOP estimate for the computation, used by the
         FPGA timing model.
     """
 
     vectors: np.ndarray
     losses: np.ndarray
-    ids: np.ndarray
     flops: float = 0.0
 
     def __post_init__(self):
-        # Note: a chained `a != b != c` comparison would skip comparing
-        # vectors against ids, letting misaligned ids slip through.
-        n = self.vectors.shape[0]
-        if self.losses.shape[0] != n or self.ids.shape[0] != n:
-            raise ValueError("vectors, losses and ids must align")
+        if self.losses.shape[0] != self.vectors.shape[0]:
+            raise ValueError("vectors and losses must align")
 
 
 def proxies_from_logits(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +59,6 @@ def compute_gradient_proxies(
     model,
     x: np.ndarray,
     y: np.ndarray,
-    ids: np.ndarray | None = None,
     batch_size: int = 256,
 ) -> GradientProxy:
     """Run the selection model forward and derive per-sample proxies.
@@ -83,9 +77,6 @@ def compute_gradient_proxies(
     ``selection.proxy_samples`` only the candidates of spans without a hit.
     """
     n = x.shape[0]
-    if ids is None:
-        ids = np.arange(n, dtype=np.int64)
-
     with obs.span("proxy_compute", candidates=int(n)) as sp:
         vec_chunks, loss_chunks = [], []
         with eval_forward(model, x.shape[1:]) as (forward, engine):
@@ -98,7 +89,6 @@ def compute_gradient_proxies(
         proxy = GradientProxy(
             vectors=np.concatenate(vec_chunks).astype(np.float64),
             losses=np.concatenate(loss_chunks).astype(np.float64),
-            ids=np.asarray(ids),
             flops=forward_flops(getattr(model, "model", model), x.shape[1:]) * n,
         )
         sp.set(cache_hit=False, flops=float(proxy.flops), engine=engine)

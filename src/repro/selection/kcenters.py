@@ -67,7 +67,7 @@ class KCentersSelector:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
 
-        proxy = compute_gradient_proxies(model, dataset.x, dataset.y, ids=dataset.ids)
+        proxy = compute_gradient_proxies(model, dataset.x, dataset.y)
         positions = k_centers(proxy.vectors, subset_budget(fraction, len(dataset)), rng=self.rng)
         return SelectionResult(
             positions=positions,

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[2]
 PER_FILE = [
     (
         "NES002", "src/repro/selection/dynamics.py",
-        "np.empty(len(ids), dtype=np.float64)", "np.empty(len(ids))",
+        "np.zeros(num_ids, dtype=np.int64)", "np.zeros(num_ids)",
     ),
     (
         "NES003", "src/repro/selection/gradients.py",

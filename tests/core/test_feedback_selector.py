@@ -86,20 +86,20 @@ class TestNeSSASelector:
         # Feed loss history: first half of the ids have tiny loss.
         ids = train.ids
         losses = np.where(np.arange(len(ids)) < len(ids) // 2, 0.001, 3.0)
+        sel.snapshot_candidates(train)  # sizes the per-sample arrays
         for _ in range(5):
             sel.record_epoch_losses(ids, losses)
         dropped = sel.maybe_drop_learned(train, epoch=1)
         assert dropped > 0
         res = sel.select(train, 0.25, tiny_model)
-        dropped_ids = {
-            int(i) for i in ids if int(i) in sel.loss_history._dropped
-        }
+        dropped_ids = {int(i) for i in ids if sel.loss_history.dropped[i]}
         chosen_ids = set(int(i) for i in train.ids[res.positions])
         assert not chosen_ids & dropped_ids
 
     def test_drop_respects_schedule(self, train_test_split, tiny_model):
         train, _ = train_test_split
         sel = self._selector(biasing_drop_period=20)
+        sel.snapshot_candidates(train)
         sel.record_epoch_losses(train.ids, np.zeros(len(train)))
         assert sel.maybe_drop_learned(train, epoch=5) == 0  # not a drop epoch
         assert sel.maybe_drop_learned(train, epoch=0) == 0  # never at 0
@@ -108,6 +108,7 @@ class TestNeSSASelector:
         """Even aggressive dropping must leave >= 2x subset size candidates."""
         train, _ = train_test_split
         sel = self._selector(biasing_drop_period=1, biasing_drop_quantile=0.95)
+        sel.snapshot_candidates(train)
         for _ in range(5):
             sel.record_epoch_losses(train.ids, np.zeros(len(train)))
         sel.maybe_drop_learned(train, epoch=1)
@@ -121,6 +122,7 @@ class TestNeSSASelector:
         )
         sel = self._selector(subset_fraction=0.4, biasing_drop_period=1,
                              biasing_drop_quantile=0.95)
+        sel.snapshot_candidates(train)
         for _ in range(5):
             sel.record_epoch_losses(train.ids, np.zeros(len(train)))
         assert sel.maybe_drop_learned(train, epoch=1) == 192 - 154
@@ -132,12 +134,23 @@ class TestNeSSASelector:
         # Loss falls along the candidate order, so keeping the first
         # marked candidates would drop the worst-learned ones.
         losses = np.linspace(3.0, 0.01, len(train))
+        sel.snapshot_candidates(train)
         for _ in range(5):
             sel.record_epoch_losses(train.ids, losses)
         dropped = sel.maybe_drop_learned(train, epoch=1)
         assert 0 < dropped < 0.9 * len(train)  # the floor bound
         lowest = train.ids[np.argsort(losses)[:dropped]]
-        assert sel.loss_history._dropped == {int(i) for i in lowest}
+        assert set(np.flatnonzero(sel.loss_history.dropped)) == {int(i) for i in lowest}
+
+    def test_losses_before_any_dataset_are_refused(self, train_test_split):
+        """The per-sample arrays are sized by the first dataset handed in."""
+        train, _ = train_test_split
+        sel = self._selector()
+        with pytest.raises(RuntimeError, match="before the selector saw a dataset"):
+            sel.record_epoch_losses(train.ids, np.zeros(len(train)))
+        sel.maybe_drop_learned(train, epoch=0)
+        sel.record_epoch_losses(train.ids, np.zeros(len(train)))
+        assert sel.loss_history.num_tracked == len(train)
 
     def test_biasing_disabled_keeps_everything(self, train_test_split, tiny_model):
         train, _ = train_test_split

@@ -8,8 +8,13 @@ rewrites it from whatever trainer is checked out).  Every deterministic
 and NeSSA at two embedding refresh periods: the default, and
 ``refresh_period=1``, whose record is the one NeSSA had when every round
 forwarded every candidate.
+
+``golden_drops.json`` (rewritten by the same command) holds, for the two
+NeSSA cases, the ids each biasing drop removed, in the order they were
+marked; the history only records how many.
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -19,11 +24,13 @@ from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.trainer import FullTrainer, NeSSATrainer, SubsetTrainer
 from repro.data.synthetic import SyntheticConfig, make_train_test
 from repro.nn.resnet import resnet20
+from repro.selection.biasing import LossHistory
 from repro.selection.craig import CraigSelector
 from repro.selection.kcenters import KCentersSelector
 from repro.selection.random_sel import RandomSelector
 
 FIXTURE = Path(__file__).with_name("golden_history.json")
+DROPS = Path(__file__).with_name("golden_drops.json")
 
 FIELDS = (
     "train_loss", "test_accuracy", "subset_size", "samples_trained",
@@ -54,7 +61,24 @@ def model():
     return resnet20(num_classes=4, width=4, seed=13)
 
 
+@functools.cache
 def run_case(name):
+    """``(per-epoch records, ids of each biasing drop)`` of one case."""
+    drops = []
+    drop = LossHistory.drop
+
+    def recording_drop(self, ids):
+        drops.append([int(i) for i in ids])
+        drop(self, ids)
+
+    LossHistory.drop = recording_drop
+    try:
+        return _records(name), drops
+    finally:
+        LossHistory.drop = drop
+
+
+def _records(name):
     train_set, test_set = make_train_test(
         SyntheticConfig(num_classes=4, num_samples=240, image_shape=(3, 8, 8), seed=21)
     )
@@ -80,10 +104,19 @@ def run_case(name):
 @pytest.mark.parametrize("name", CASES)
 def test_history_matches_recording(name):
     golden = json.loads(FIXTURE.read_text())
-    assert run_case(name) == golden[name]
+    assert run_case(name)[0] == golden[name]
+
+
+@pytest.mark.parametrize("name", NESSA_CASES)
+def test_drop_sets_match_recording(name):
+    golden = json.loads(DROPS.read_text())
+    assert run_case(name)[1] == golden[name]
 
 
 if __name__ == "__main__":
     FIXTURE.write_text(
-        json.dumps({name: run_case(name) for name in CASES}, indent=1) + "\n"
+        json.dumps({name: run_case(name)[0] for name in CASES}, indent=1) + "\n"
+    )
+    DROPS.write_text(
+        json.dumps({name: run_case(name)[1] for name in NESSA_CASES}) + "\n"
     )

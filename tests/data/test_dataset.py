@@ -35,8 +35,9 @@ class TestDataset:
             Dataset(np.zeros((5, 3, 4, 4)), np.zeros(4))
 
     def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((3, 1, 2, 2)), np.zeros(3), ids=np.array([0, 0, 1]))
+        # A repeated position would give two rows one id, aliasing their state.
+        with pytest.raises(ValueError, match="unique"):
+            make_dataset(3).subset(np.array([0, 0, 1]))
 
     def test_class_indices(self):
         ds = make_dataset(8, 2)
@@ -50,6 +51,7 @@ class TestSubset:
         sub = Subset(ds, np.array([1, 3]))
         assert np.array_equal(sub.x[0], ds.x[1])
         assert np.array_equal(sub.ids, ds.ids[[1, 3]])
+        assert sub.num_ids == ds.num_ids == 10
 
     def test_out_of_range_positions_raise(self):
         ds = make_dataset(5)

@@ -250,11 +250,10 @@ class TestEvalForward:
 class TestProxies:
     def test_same_proxies_as_module_path(self, small_dataset, tiny_model, rng):
         randomise_bn(tiny_model, rng)
-        x, y, ids = small_dataset.x[:70], small_dataset.y[:70], small_dataset.ids[:70] + 1000
+        x, y = small_dataset.x[:70], small_dataset.y[:70]
         # 70 = 2 * 32 + 6: the tail batch is short
-        fused = compute_gradient_proxies(tiny_model, x, y, ids=ids, batch_size=32)
-        module = compute_gradient_proxies(Opaque(tiny_model), x, y, ids=ids, batch_size=32)
-        assert np.array_equal(fused.ids, ids)
+        fused = compute_gradient_proxies(tiny_model, x, y, batch_size=32)
+        module = compute_gradient_proxies(Opaque(tiny_model), x, y, batch_size=32)
         assert fused.vectors.dtype == fused.losses.dtype == np.float64
         assert fused.flops == model_forward_flops(tiny_model, x.shape[1:]) * 70
         assert_close(fused.vectors, module.vectors)

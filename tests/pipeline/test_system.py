@@ -73,6 +73,14 @@ class TestEpochTable:
         assert capped.movement.host_to_gpu == 5_000 * 3_000
         assert capped.total < m.nessa_epoch(pool_fraction=1.0).total
 
+    def test_a_tiny_pool_still_trains_one_image(self):
+        """The pool goes through the one budget rule, so a pool under one
+        image's share holds one image rather than pricing an empty epoch."""
+        m = SystemModel("cifar10")
+        tiny = m.nessa_epoch(pool_fraction=1e-5)
+        assert tiny.compute_time == m._train_time(1) > 0.0
+        assert tiny.movement.host_to_gpu == 3_000
+
     def test_pool_fraction_validated(self):
         with pytest.raises(ValueError):
             SystemModel("cifar10").nessa_epoch(pool_fraction=0.0)

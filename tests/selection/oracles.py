@@ -1,8 +1,8 @@
 """The seed's selection kernels, kept as test oracles.
 
 The fast paths in :mod:`repro.selection` must reproduce these exactly
-(:func:`lazy_greedy_reference`) or to rounding
-(:func:`naive_pairwise_distances`).
+(:func:`lazy_greedy_reference`, :class:`ForgettingEventsReference`) or to
+rounding (:func:`naive_pairwise_distances`).
 """
 
 import heapq
@@ -42,3 +42,35 @@ def naive_pairwise_distances(vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     diffs = vectors[:, None, :] - vectors[None, :, :]
     return np.sqrt((diffs**2).sum(axis=2))
+
+
+class ForgettingEventsReference:
+    """The dict-per-counter forgetting statistics, one sample at a time.
+
+    ``ForgettingEventsSelector`` keeps the same counters in arrays indexed
+    by sample id and must score every id identically.
+    """
+
+    def __init__(self):
+        self._last_correct: dict[int, bool] = {}
+        self._forget_counts: dict[int, int] = {}
+        self._ever_correct: dict[int, bool] = {}
+
+    def observe(self, ids, correct):
+        for sample_id, ok in zip(ids, correct):
+            key = int(sample_id)
+            was = self._last_correct.get(key)
+            if was and not ok:
+                self._forget_counts[key] = self._forget_counts.get(key, 0) + 1
+            self._last_correct[key] = bool(ok)
+            self._ever_correct[key] = self._ever_correct.get(key, False) or bool(ok)
+
+    def scores(self, ids):
+        out = np.empty(len(ids), dtype=np.float64)
+        for i, sample_id in enumerate(ids):
+            key = int(sample_id)
+            if not self._ever_correct.get(key, False):
+                out[i] = np.inf  # never learned -> most important
+            else:
+                out[i] = self._forget_counts.get(key, 0)
+        return out

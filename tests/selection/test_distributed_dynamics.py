@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.selection.dynamics import (
     ForgettingEventsSelector,
     LossRankedSelector,
     UncertaintySelector,
 )
+from tests.selection.oracles import ForgettingEventsReference
 
 
 class TestDynamicsSelectors:
@@ -36,7 +39,7 @@ class TestDynamicsSelectors:
             assert proxy.losses[mask & picked].mean() >= proxy.losses[mask & ~picked].mean()
 
     def test_forgetting_counts_transitions(self):
-        sel = ForgettingEventsSelector()
+        sel = ForgettingEventsSelector(num_ids=4)
         ids = np.array([1, 2, 3])
         sel.observe(ids, np.array([True, True, False]))
         sel.observe(ids, np.array([False, True, False]))  # 1 forgotten
@@ -83,3 +86,30 @@ class TestDynamicsSelectors:
         trainer = SubsetTrainer(model, recipe, LossRankedSelector(), 0.3, seed=0)
         history = trainer.train(train, test)
         assert history.epochs == 2
+
+
+@st.composite
+def _observations(draw):
+    """A root size and a run of passes, each over distinct ids of it."""
+    num_ids = draw(st.integers(1, 40))
+    passes = []
+    for _ in range(draw(st.integers(0, 10))):
+        ids = draw(st.lists(st.integers(0, num_ids - 1), unique=True, max_size=num_ids))
+        correct = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+        passes.append((np.asarray(ids, dtype=np.int64), np.asarray(correct, dtype=bool)))
+    return num_ids, passes
+
+
+class TestForgettingArraysMatchDicts:
+    @given(case=_observations())
+    @settings(max_examples=60, deadline=None)
+    def test_scores_match_the_dict_oracle(self, case):
+        num_ids, passes = case
+        arrays, oracle = ForgettingEventsSelector(num_ids=num_ids), ForgettingEventsReference()
+        every_id = np.arange(num_ids)
+        for ids, correct in passes:
+            arrays.observe(ids, correct)
+            oracle.observe(ids, correct)
+            # Never-observed and never-learned ids score inf; ties stay ties.
+            np.testing.assert_array_equal(arrays.scores(every_id), oracle.scores(every_id))
+        np.testing.assert_array_equal(arrays.scores(every_id), oracle.scores(every_id))

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import NeSSAConfig
+from repro.core.selector import NeSSASelector
+from repro.data.dataset import Dataset
 from repro.selection.biasing import LossHistory
 from repro.selection.partition import partition_positions
 
@@ -44,18 +47,18 @@ class TestPartitionPositions:
 
 class TestLossHistory:
     def test_window_keeps_recent_only(self):
-        h = LossHistory(window=3)
+        h = LossHistory(2, window=3)
         ids = np.array([1])
         for loss in [5.0, 4.0, 3.0, 2.0, 1.0]:
             h.record(ids, np.array([loss]))
         assert h.mean_recent_loss(1) == pytest.approx((3 + 2 + 1) / 3)
 
     def test_unseen_sample_has_no_history(self):
-        h = LossHistory()
+        h = LossHistory(43)
         assert h.mean_recent_loss(42) is None
 
     def test_drop_schedule_every_period(self):
-        h = LossHistory(drop_period=20)
+        h = LossHistory(1, drop_period=20)
         assert not h.should_drop_now(0)
         assert not h.should_drop_now(19)
         assert h.should_drop_now(20)
@@ -63,7 +66,7 @@ class TestLossHistory:
         assert not h.should_drop_now(21)
 
     def test_mark_learned_picks_low_loss_quantile(self):
-        h = LossHistory(window=5, drop_quantile=0.5, min_history=3)
+        h = LossHistory(10, window=5, drop_quantile=0.5, min_history=3)
         ids = np.arange(10)
         # Samples 0-4 have low loss, 5-9 high loss.
         losses = np.array([0.01] * 5 + [3.0] * 5)
@@ -73,33 +76,51 @@ class TestLossHistory:
         assert set(marked) == set(range(5))
 
     def test_min_history_guards_fresh_samples(self):
-        h = LossHistory(min_history=3)
+        h = LossHistory(4, min_history=3)
         ids = np.arange(4)
         h.record(ids, np.zeros(4))  # only one epoch of history
         assert h.mark_learned(ids).size == 0
 
     def test_filter_removes_dropped(self):
-        h = LossHistory()
+        h = LossHistory(6)
         h.drop(np.array([2, 4]))
-        out = h.filter_candidates(np.arange(6))
-        assert sorted(out) == [0, 1, 3, 5]
+        assert np.flatnonzero(~h.dropped).tolist() == [0, 1, 3, 5]
         assert h.num_dropped == 2
 
     def test_filter_never_empties_pool(self):
-        h = LossHistory()
-        h.drop(np.arange(5))
-        out = h.filter_candidates(np.arange(5))
-        assert len(out) == 5  # degenerate config: pool returned untouched
+        dataset = Dataset(np.zeros((5, 3, 4, 4)), np.arange(5) % 2)
+        sel = NeSSASelector(NeSSAConfig(subset_fraction=0.4))
+        sel.snapshot_candidates(dataset)
+        sel.loss_history.drop(np.arange(5))
+        # Degenerate config: the pool comes back untouched.
+        assert sel.snapshot_candidates(dataset).tolist() == [0, 1, 2, 3, 4]
+
+    def test_out_of_range_ids_are_refused(self):
+        # Ids are rows: a negative one must not wrap round to the last row.
+        h = LossHistory(4, window=2)
+        h.record(np.array([3]), np.array([1.0]))
+        for bad in ([-1], [4], [0, 7]):
+            ids = np.asarray(bad)
+            with pytest.raises(ValueError, match="must be in"):
+                h.record(ids, np.zeros(len(ids)))
+            with pytest.raises(ValueError, match="must be in"):
+                h.drop(ids)
+            with pytest.raises(ValueError, match="must be in"):
+                h.mark_learned(ids)
+        with pytest.raises(ValueError, match="must be in"):
+            h.mean_recent_loss(-1)
+        assert h.mean_recent_loss(3) == 1.0
+        assert h.num_tracked == 1 and h.num_dropped == 0
 
     def test_record_alignment_checked(self):
-        h = LossHistory()
+        h = LossHistory(3)
         with pytest.raises(ValueError):
             h.record(np.arange(3), np.zeros(2))
 
     def test_record_rejects_duplicate_ids(self):
         # One ring slot per epoch: a sample seen twice in one call cannot
         # be represented, so the call is refused and records nothing.
-        h = LossHistory(window=3)
+        h = LossHistory(10, window=3)
         h.record(np.array([4, 9]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="unique"):
             h.record(np.array([9, 4, 9]), np.array([0.5, 0.5, 0.5]))
@@ -108,7 +129,7 @@ class TestLossHistory:
         assert h.num_tracked == 2
 
     def test_limit_keeps_the_lowest_losses(self):
-        h = LossHistory(window=2, drop_quantile=0.9, min_history=1)
+        h = LossHistory(51, window=2, drop_quantile=0.9, min_history=1)
         ids = np.array([30, 10, 20, 40, 50])
         h.record(ids, np.array([0.4, 0.1, 0.3, 0.2, 5.0]))
         assert h.mark_learned(ids).tolist() == [30, 10, 20, 40]
@@ -117,16 +138,18 @@ class TestLossHistory:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LossHistory(window=0)
+            LossHistory(1, window=0)
         with pytest.raises(ValueError):
-            LossHistory(drop_period=0)
+            LossHistory(1, drop_period=0)
         with pytest.raises(ValueError):
-            LossHistory(drop_quantile=1.0)
+            LossHistory(1, drop_quantile=1.0)
+        with pytest.raises(ValueError):
+            LossHistory(1, min_history=0)
 
     @given(quantile=st.floats(0.1, 0.9))
     @settings(max_examples=15, deadline=None)
     def test_marked_fraction_tracks_quantile(self, quantile):
-        h = LossHistory(window=5, drop_quantile=quantile, min_history=2)
+        h = LossHistory(100, window=5, drop_quantile=quantile, min_history=2)
         rng = np.random.default_rng(int(quantile * 100))
         ids = np.arange(100)
         losses = rng.uniform(0, 1, size=100)
@@ -187,10 +210,11 @@ class _DequeLossHistory:
 
 @st.composite
 def _loss_histories(draw):
-    """A window, a sparse pool of large ids and an epoch schedule over it."""
+    """A window, a root size, a pool of its ids and an epoch schedule over it."""
     window = draw(st.integers(1, 6))
+    num_ids = draw(st.integers(1, 60))
     pool = np.asarray(
-        draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=30, unique=True)),
+        draw(st.lists(st.integers(0, num_ids - 1), min_size=1, max_size=30, unique=True)),
         dtype=np.int64,
     )
     losses = st.floats(0.0, 5.0) | st.sampled_from([0.0, 0.25, 1.0])  # ties too
@@ -202,7 +226,7 @@ def _loss_histories(draw):
             np.asarray(draw(st.lists(losses, min_size=len(seen), max_size=len(seen)))),
             draw(st.booleans()),  # drop after this epoch
         ))
-    return window, pool, epochs
+    return window, num_ids, pool, epochs
 
 
 class TestDenseLossHistoryMatchesDeques:
@@ -213,14 +237,17 @@ class TestDenseLossHistoryMatchesDeques:
     )
     @settings(max_examples=60, deadline=None)
     def test_means_marks_and_drops_match_bit_for_bit(self, case, quantile, min_history):
-        window, pool, epochs = case
-        dense = LossHistory(window=window, drop_quantile=quantile, min_history=min_history)
+        window, num_ids, pool, epochs = case
+        dense = LossHistory(
+            num_ids, window=window, drop_quantile=quantile, min_history=min_history
+        )
         oracle = _DequeLossHistory(window, quantile, min_history)
         for ids, losses, drop_now in epochs:
             dense.record(ids, losses)
             oracle.record(ids, losses)
             candidates = oracle.filter_candidates(pool)
-            np.testing.assert_array_equal(dense.filter_candidates(pool), candidates)
+            kept = pool[~dense.dropped[pool]]
+            np.testing.assert_array_equal(kept if len(kept) else pool, candidates)
             marked = oracle.mark_learned(candidates)
             np.testing.assert_array_equal(dense.mark_learned(candidates), marked)
             if drop_now:

@@ -16,10 +16,9 @@ from repro.smartssd.kernel import SelectionKernel
 class TestGradientProxies:
     def test_shapes_and_alignment(self, train_test_split, tiny_model):
         train, _ = train_test_split
-        proxy = compute_gradient_proxies(tiny_model, train.x, train.y, ids=train.ids)
+        proxy = compute_gradient_proxies(tiny_model, train.x, train.y)
         assert proxy.vectors.shape == (len(train), train.num_classes)
         assert proxy.losses.shape == (len(train),)
-        assert np.array_equal(proxy.ids, train.ids)
         assert proxy.flops > 0
 
     def test_rows_sum_to_zero(self, train_test_split, tiny_model):

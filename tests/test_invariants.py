@@ -79,10 +79,11 @@ class TestSelectionInvariants:
 
         rng = np.random.default_rng(seed)
         losses = rng.uniform(0, 3, size=len(dataset))
+        selector.snapshot_candidates(dataset)  # sizes the per-sample arrays
         for _ in range(5):
             selector.record_epoch_losses(dataset.ids, losses)
         selector.maybe_drop_learned(dataset, epoch=1)
-        dropped = selector.loss_history._dropped
+        dropped = set(np.flatnonzero(selector.loss_history.dropped))
         if not dropped:
             return
         result = selector.select(dataset, fraction, model)
