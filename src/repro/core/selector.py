@@ -68,7 +68,7 @@ class NeSSASelector:
         self._known = self._emb = None  # rows ever forwarded; their last embeddings
 
     def _size(self, dataset: Dataset) -> None:
-        """Allocate the per-sample arrays for the first dataset's root."""
+        """Allocate the per-sample arrays for the first root; refuse another root."""
         if self.loss_history is None:
             c = self.config
             self.loss_history = LossHistory(
@@ -76,6 +76,8 @@ class NeSSASelector:
                 c.biasing_drop_quantile, min_history=min(3, c.biasing_window),
             )
             self._known = np.zeros(dataset.num_ids, dtype=bool)
+        elif dataset.num_ids != len(self._known):
+            raise ValueError("one selector serves one root dataset")
 
     def record_epoch_losses(self, ids: np.ndarray, losses: np.ndarray) -> None:
         """Trainer feedback: per-sample losses of the samples just trained."""

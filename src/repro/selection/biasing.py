@@ -22,7 +22,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LossHistory"]
+__all__ = ["LossHistory", "checked_ids"]
+
+
+def checked_ids(ids: np.ndarray, num_ids: int, unique: bool = False) -> np.ndarray:
+    """``ids`` as int64 rows of a ``num_ids``-row array, refusing one off the rows
+    (numpy would wrap it round) and, with ``unique``, a repeat (written once)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) and (ids.min() < 0 or ids.max() >= num_ids):
+        raise ValueError(f"sample ids must be in [0, {num_ids})")
+    if unique and len(np.unique(ids)) != len(ids):
+        raise ValueError("ids must be unique within one call")
+    return ids
 
 
 class LossHistory:
@@ -52,25 +63,16 @@ class LossHistory:
         self._count = np.zeros(num_ids, dtype=np.int64)  # records ever made per id
         self.dropped = np.zeros(num_ids, dtype=bool)
 
-    def _checked(self, ids: np.ndarray) -> np.ndarray:
-        """``ids`` as int64, refusing any that is not a row."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) and (ids.min() < 0 or ids.max() >= len(self._count)):
-            raise ValueError(f"sample ids must be in [0, {len(self._count)})")
-        return ids
-
     def record(self, ids: np.ndarray, losses: np.ndarray) -> None:
         """Record one epoch's per-sample losses (only for samples seen).
 
         Each id may appear once per call: a sample is trained at most
         once an epoch, and the ring holds one entry per epoch.
         """
-        ids = self._checked(ids)
+        ids = checked_ids(ids, len(self._count), unique=True)
         losses = np.asarray(losses, dtype=np.float64)
         if len(ids) != len(losses):
             raise ValueError("ids and losses must align")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("ids must be unique within one record call")
         self._ring[ids, self._count[ids] % self.window] = losses
         self._count[ids] += 1
 
@@ -89,7 +91,7 @@ class LossHistory:
 
     def mean_recent_loss(self, sample_id: int) -> float | None:
         """Mean loss over the recent window, or None if never recorded."""
-        ids = self._checked([sample_id])
+        ids = checked_ids([sample_id], len(self._count))
         return float(self._means(ids)[0]) if self._count[ids[0]] else None
 
     def should_drop_now(self, epoch: int) -> bool:
@@ -107,7 +109,7 @@ class LossHistory:
         ties going to the earlier candidate.  Marked ids keep their order
         in ``candidate_ids``.
         """
-        candidate_ids = self._checked(candidate_ids)
+        candidate_ids = checked_ids(candidate_ids, len(self._count))
         held = np.minimum(self._count[candidate_ids], self.window)
         eligible = candidate_ids[held >= self.min_history]
         if not len(eligible):
@@ -120,7 +122,7 @@ class LossHistory:
 
     def drop(self, ids: np.ndarray) -> None:
         """Permanently remove ids from future candidate pools."""
-        self.dropped[self._checked(ids)] = True
+        self.dropped[checked_ids(ids, len(self._count))] = True
 
     @property
     def num_dropped(self) -> int:

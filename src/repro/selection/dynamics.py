@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.selection.biasing import checked_ids
 from repro.selection.craig import SelectionResult
 from repro.selection.gradients import compute_gradient_proxies
 from repro.selection.partition import class_budgets
@@ -29,13 +30,20 @@ from repro.selection.partition import class_budgets
 __all__ = ["LossRankedSelector", "ForgettingEventsSelector", "UncertaintySelector"]
 
 
-def _stratified_top(dataset: Dataset, scores: np.ndarray, fraction: float) -> np.ndarray:
-    """Per class, keep the highest-scoring samples of its subset budget."""
+def _stratified_top(
+    dataset: Dataset, scores: np.ndarray, fraction: float, proxy_flops: float
+) -> SelectionResult:
+    """Per class, keep the highest-scoring samples of its subset budget, unweighted."""
     chosen = []
     for local, k in class_budgets(dataset.y, fraction):
         order = np.argsort(scores[local])[::-1]
         chosen.append(local[order[:k]])
-    return np.concatenate(chosen)
+    positions = np.concatenate(chosen)
+    return SelectionResult(
+        positions=positions,
+        weights=np.ones(len(positions), dtype=np.float64),
+        proxy_flops=proxy_flops,
+    )
 
 
 class LossRankedSelector:
@@ -48,13 +56,7 @@ class LossRankedSelector:
             raise ValueError("fraction must be in (0, 1]")
 
         proxy = compute_gradient_proxies(model, dataset.x, dataset.y)
-        positions = _stratified_top(dataset, proxy.losses, fraction)
-        return SelectionResult(
-            positions=positions,
-            weights=np.ones(len(positions), dtype=np.float64),
-            pairwise_bytes=0,
-            proxy_flops=proxy.flops,
-        )
+        return _stratified_top(dataset, proxy.losses, fraction, proxy.flops)
 
 
 class ForgettingEventsSelector:
@@ -66,22 +68,30 @@ class ForgettingEventsSelector:
     samples score ``+inf``-like (they sort first), matching the paper's
     treatment of unforgettable vs never-learned examples.
 
-    The counters are arrays whose row is the sample id, sized by
-    ``num_ids`` or else by the first dataset handed to :meth:`select`.
+    The counters are arrays whose row is the sample id, sized by the
+    first dataset handed to :meth:`select`; one selector serves one root
+    dataset.
     """
 
     name = "forgetting"
 
-    def __init__(self, num_ids: int = 0):
-        self._size(num_ids)
+    def __init__(self):
+        self._forgets = None  # sized by the first select
 
     def _size(self, num_ids: int) -> None:
-        self._correct = np.zeros(num_ids, dtype=bool)  # at the last observation
-        self._forgets = np.zeros(num_ids, dtype=np.int64)  # correct -> incorrect so far
-        self._learned = np.zeros(num_ids, dtype=bool)  # correct at any observation
+        """Allocate the per-sample arrays for the first dataset's root."""
+        if self._forgets is None:
+            self._correct = np.zeros(num_ids, dtype=bool)  # at the last observation
+            self._forgets = np.zeros(num_ids, dtype=np.int64)  # correct -> incorrect so far
+            self._learned = np.zeros(num_ids, dtype=bool)  # correct at any observation
+        elif num_ids != len(self._forgets):
+            raise ValueError("one selector serves one root dataset")
 
     def observe(self, ids: np.ndarray, correct: np.ndarray) -> None:
         """Update forgetting statistics from one evaluation pass (ids unique)."""
+        if self._forgets is None:
+            raise RuntimeError("observe before the selector saw a dataset")
+        ids = checked_ids(ids, len(self._forgets), unique=True)
         correct = np.asarray(correct, dtype=bool)
         self._forgets[ids] += self._correct[ids] & ~correct
         self._correct[ids] = correct
@@ -95,30 +105,20 @@ class ForgettingEventsSelector:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
 
-        if not len(self._forgets):
-            self._size(dataset.num_ids)
+        self._size(dataset.num_ids)
         proxy = compute_gradient_proxies(model, dataset.x, dataset.y)
         # Correct iff the true-class gradient entry is the dominant one:
         # softmax(z)[y] - 1 is the y-th entry; prediction == y when that
         # entry's softmax is the max, i.e. vectors[i, y] == min entry.
-        preds = np.argmin(proxy.vectors, axis=1)
-        correct = preds == dataset.y
-        ids = dataset.ids
-        self.observe(ids, correct)
+        self.observe(dataset.ids, np.argmin(proxy.vectors, axis=1) == dataset.y)
 
-        scores = self.scores(ids)
+        scores = self.scores(dataset.ids)
         # Tie-break equal forgetting counts by current loss.
         finite = np.isfinite(scores)
         if finite.any():
             max_loss = proxy.losses.max() or 1.0
             scores = np.where(finite, scores + proxy.losses / (10 * max_loss), scores)
-        positions = _stratified_top(dataset, scores, fraction)
-        return SelectionResult(
-            positions=positions,
-            weights=np.ones(len(positions), dtype=np.float64),
-            pairwise_bytes=0,
-            proxy_flops=proxy.flops,
-        )
+        return _stratified_top(dataset, scores, fraction, proxy.flops)
 
 
 class UncertaintySelector:
@@ -138,10 +138,4 @@ class UncertaintySelector:
         part = np.partition(probs, -2, axis=1)
         margin = part[:, -1] - part[:, -2]
         scores = -margin  # small margin = uncertain = important
-        positions = _stratified_top(dataset, scores, fraction)
-        return SelectionResult(
-            positions=positions,
-            weights=np.ones(len(positions), dtype=np.float64),
-            pairwise_bytes=0,
-            proxy_flops=proxy.flops,
-        )
+        return _stratified_top(dataset, scores, fraction, proxy.flops)

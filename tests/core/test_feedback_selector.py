@@ -8,6 +8,7 @@ from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.feedback import FeedbackLoop
 from repro.core.selector import NeSSASelector
 from repro.core.trainer import NeSSATrainer
+from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset
 from repro.nn.inference import InferencePlan
 from repro.nn.modules import GlobalAvgPool2d, Linear, Sequential
@@ -151,6 +152,15 @@ class TestNeSSASelector:
         sel.maybe_drop_learned(train, epoch=0)
         sel.record_epoch_losses(train.ids, np.zeros(len(train)))
         assert sel.loss_history.num_tracked == len(train)
+
+    def test_dataset_of_another_root_is_refused(self, train_test_split):
+        """Ids index the arrays directly, so a second root would share rows."""
+        train, _ = train_test_split
+        sel = self._selector()
+        sel.snapshot_candidates(train)
+        sel.snapshot_candidates(train.subset(np.arange(10)))  # same root
+        with pytest.raises(ValueError, match="one root dataset"):
+            sel.snapshot_candidates(Dataset(train.x[:40], train.y[:40]))
 
     def test_biasing_disabled_keeps_everything(self, train_test_split, tiny_model):
         train, _ = train_test_split

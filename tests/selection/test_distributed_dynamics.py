@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.dataset import Dataset
 from repro.selection.dynamics import (
     ForgettingEventsSelector,
     LossRankedSelector,
@@ -39,7 +40,8 @@ class TestDynamicsSelectors:
             assert proxy.losses[mask & picked].mean() >= proxy.losses[mask & ~picked].mean()
 
     def test_forgetting_counts_transitions(self):
-        sel = ForgettingEventsSelector(num_ids=4)
+        sel = ForgettingEventsSelector()
+        sel._size(4)
         ids = np.array([1, 2, 3])
         sel.observe(ids, np.array([True, True, False]))
         sel.observe(ids, np.array([False, True, False]))  # 1 forgotten
@@ -105,7 +107,8 @@ class TestForgettingArraysMatchDicts:
     @settings(max_examples=60, deadline=None)
     def test_scores_match_the_dict_oracle(self, case):
         num_ids, passes = case
-        arrays, oracle = ForgettingEventsSelector(num_ids=num_ids), ForgettingEventsReference()
+        arrays, oracle = ForgettingEventsSelector(), ForgettingEventsReference()
+        arrays._size(num_ids)
         every_id = np.arange(num_ids)
         for ids, correct in passes:
             arrays.observe(ids, correct)
@@ -113,3 +116,23 @@ class TestForgettingArraysMatchDicts:
             # Never-observed and never-learned ids score inf; ties stay ties.
             np.testing.assert_array_equal(arrays.scores(every_id), oracle.scores(every_id))
         np.testing.assert_array_equal(arrays.scores(every_id), oracle.scores(every_id))
+
+    @pytest.mark.parametrize("ids", [[-1], [4], [1, 1]])
+    def test_ids_off_the_rows_or_repeated_are_refused(self, ids):
+        """A negative id would wrap round; a repeated one would count once."""
+        sel = ForgettingEventsSelector()
+        sel._size(4)
+        with pytest.raises(ValueError):
+            sel.observe(np.array(ids), np.zeros(len(ids), dtype=bool))
+        np.testing.assert_array_equal(sel.scores(np.arange(4)), np.full(4, np.inf))
+
+    def test_observe_before_any_dataset_is_refused(self):
+        with pytest.raises(RuntimeError, match="before the selector saw a dataset"):
+            ForgettingEventsSelector().observe(np.array([0]), np.array([True]))
+
+    def test_dataset_of_another_root_is_refused(self, train_test_split, tiny_model):
+        train, _ = train_test_split
+        sel = ForgettingEventsSelector()
+        sel.select(train, 0.2, tiny_model)
+        with pytest.raises(ValueError, match="one root dataset"):
+            sel.select(Dataset(train.x[:40], train.y[:40]), 0.2, tiny_model)
