@@ -20,15 +20,17 @@ def test_ext_suitability_criteria():
         sustained = p2p_link().sustained_bytes_per_s
         out = {}
         for name, info in DATASETS.items():
+            model = SystemModel(name)
+            # The head reads one int8 byte per embedding dimension.
             head = analyze_selection_workload(
-                bytes_read_per_sample=512,
-                macs_per_sample=512 * info.num_classes,
+                bytes_read_per_sample=model.embedding_dim,
+                macs_per_sample=model.embedding_dim * info.num_classes,
                 subset_fraction=info.subset_fraction,
                 drive_bytes_per_s=sustained,
             )
             full_cnn = analyze_selection_workload(
                 bytes_read_per_sample=info.bytes_per_image,
-                macs_per_sample=_macs(info.name),
+                macs_per_sample=model.forward_flops / 2.0,
                 subset_fraction=info.subset_fraction,
                 drive_bytes_per_s=sustained,
             )
@@ -75,9 +77,3 @@ def test_ext_energy_per_epoch():
         assert table["nessa"] == min(table.values()), name
         # The energy win is at least 2x vs full training.
         assert table["full"] / table["nessa"] > 2.0, name
-
-
-def _macs(name: str) -> float:
-    from repro.pipeline.system import MODEL_FORWARD_FLOPS
-
-    return MODEL_FORWARD_FLOPS[name] / 2.0

@@ -68,18 +68,6 @@ DATASETS: dict[str, PaperDataset] = {
     ]
 }
 
-# MNIST appears only in the Figure 2 data-movement profile, not in the
-# accuracy evaluation; keep its byte metadata separately.
-FIG2_DATASETS: dict[str, tuple[int, int]] = {
-    # name -> (train size, bytes/image); the paper quotes 0.5 KB MNIST,
-    # 3 KB CIFAR, 130 KB ImageNet-100 images in Section 1.
-    "mnist": (60_000, 500),
-    "cifar10": (50_000, 3_000),
-    "cifar100": (50_000, 3_000),
-    "imagenet100": (130_000, 130_000),
-}
-
-
 def get_dataset_info(name: str) -> PaperDataset:
     """Look up a paper dataset by name (raises ``KeyError`` with options)."""
     try:

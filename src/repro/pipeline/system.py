@@ -24,38 +24,52 @@ stored alongside the full images) — the paper's own suitability argument
 intensity*) requires the selection kernel to track the drive's bandwidth,
 which a full-resolution ResNet-50 forward pass would not.
 DESIGN.md documents this substitution.
+
+Each network's FLOPs, embedding width and feedback bytes are counted on
+the ``repro.nn`` network the dataset names (DESIGN §2).
+:class:`EpochTiming` is the one record of an epoch's modelled bytes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.core.config import NeSSAConfig
 from repro.data.registry import DATASETS, PaperDataset
-from repro.perf.gpus import GPUSpec, v100
+from repro.nn import resnet
+from repro.nn.quantize import quantized_state_bytes
+from repro.perf.flops import MODEL_ZOO, model_forward_flops
+from repro.perf.gpus import v100
 from repro.perf.timemodel import GPUComputeModel, HostIngestModel
 from repro.selection.partition import subset_budget
 from repro.smartssd.device import DataMovement, SmartSSD
 
 __all__ = ["EpochTiming", "SystemModel", "average_speedups", "data_movement_summary"]
 
-# Forward FLOPs per image of each Table 1 network at its dataset's input
-# resolution, in the repo-wide convention of 2 FLOPs per multiply-add
-# (exact counts from repro.perf.flops for the 32x32 models; 4x/49x
-# resolution scaling for the 64- and 224-pixel datasets).
-MODEL_FORWARD_FLOPS = {
-    "cifar10": 82e6,  # ResNet-20 @ 32x32
-    "svhn": 1.114e9,  # ResNet-18 @ 32x32
-    "cinic10": 1.114e9,  # ResNet-18 @ 32x32
-    "cifar100": 1.114e9,  # ResNet-18 @ 32x32
-    "tinyimagenet": 4.46e9,  # ResNet-18 @ 64x64
-    "imagenet100": 8.2e9,  # ResNet-50 @ 224x224
-}
-
 # Selection-side scoring resolution cap (pixels per side).  Images larger
 # than this are scored from stored thumbnails, keeping the FPGA kernel's
 # operational intensity low (see module docstring).
 SELECTION_RESOLUTION = 64
+
+@functools.cache
+def _network_costs(model: str, num_classes: int, image_shape: tuple) -> tuple[float, int, int]:
+    """Forward FLOPs per image, embedding width and feedback bytes of a
+    Table 1 network, counted on its ``repro.nn`` builder at the default
+    width (each network built once per process).
+
+    Feedback bytes are what ``FeedbackLoop.sync`` charges.  The code's
+    ResNets have the CIFAR 3x3 stem, the paper's network up to 64 px; at
+    224 px one walks to ~128 GFLOPs, not the ImageNet ResNet-50's 8.2, so
+    larger inputs price the published forward that Figure 1 plots
+    (``MODEL_ZOO`` counts GMACs, 2 FLOPs each).
+    """
+    net = getattr(resnet, model)(num_classes)
+    if image_shape[1] <= 64:
+        flops = model_forward_flops(net, image_shape)
+    else:
+        flops = 2e9 * next(zoo for zoo in MODEL_ZOO if zoo.name == model).gflops_per_image
+    return flops, net.embedding_dim, quantized_state_bytes(net)
 
 
 @dataclass(frozen=True)
@@ -77,25 +91,20 @@ class EpochTiming:
 class SystemModel:
     """Per-epoch timing + movement model for one paper-scale dataset."""
 
-    def __init__(
-        self,
-        dataset: PaperDataset | str,
-        gpu: GPUSpec | None = None,
-        ssd: SmartSSD | None = None,
-        cpu_gflops: float = 300.0,
-        ingest: HostIngestModel | None = None,
-        batch_size: int = 128,
-    ):
+    CPU_FLOPS = 300e9  # host CPU running CRAIG / K-Centers selection
+    BATCH_SIZE = 128  # images per device-to-host transfer request
+
+    def __init__(self, dataset: PaperDataset | str):
         if isinstance(dataset, str):
             dataset = DATASETS[dataset]
         self.dataset = dataset
-        self.gpu = gpu or v100()
-        self.ssd = ssd or SmartSSD()
-        self.cpu_flops = cpu_gflops * 1e9
-        self.ingest = ingest or HostIngestModel()
-        self.batch_size = batch_size
-        self.forward_flops = MODEL_FORWARD_FLOPS[dataset.name]
+        self.gpu = v100()
+        self.ssd = SmartSSD()
+        self.ingest = HostIngestModel()
         self.compute = GPUComputeModel(self.gpu)
+        self.forward_flops, self.embedding_dim, self.feedback_bytes = _network_costs(
+            dataset.model, dataset.num_classes, dataset.image_shape
+        )
 
     # -- shared pieces -----------------------------------------------------
 
@@ -112,11 +121,15 @@ class SystemModel:
             return self.forward_flops
         return self.forward_flops * (SELECTION_RESOLUTION / h) ** 2
 
+    @property
+    def compressed(self) -> bool:
+        """Large images are stored compressed and decoded on ingest."""
+        return self.dataset.bytes_per_image > 10_000
+
     def _ingest_images(self, count: int) -> float:
         """Host-path ingest time for ``count`` training images."""
-        compressed = self.dataset.bytes_per_image > 10_000
         return self.ingest.ingest_time(
-            count, self.dataset.bytes_per_image, self.pixels_per_image, compressed
+            count, self.dataset.bytes_per_image, self.pixels_per_image, self.compressed
         )
 
     def _subset_size(self, subset_fraction: float | None, pool: int | None = None) -> int:
@@ -161,7 +174,7 @@ class SystemModel:
         per_class = n / max(1, self.dataset.num_classes)
         k_class = k / max(1, self.dataset.num_classes)
         greedy_flops = self.dataset.num_classes * (per_class * k_class * 10 * 2)
-        select = proxy + greedy_flops / self.cpu_flops
+        select = proxy + greedy_flops / self.CPU_FLOPS
         train = self._train_time(k)
         nbytes = float(self.dataset.total_bytes)
         return EpochTiming(
@@ -180,7 +193,7 @@ class SystemModel:
         pool_ingest = self._ingest_images(n)
         proxy = self.compute.epoch_compute_time(n, self.forward_flops) / 3.0
         scan_flops = float(n) * k * 512 * 2
-        select = proxy + scan_flops / self.cpu_flops
+        select = proxy + scan_flops / self.CPU_FLOPS
         train = self._train_time(k)
         nbytes = float(self.dataset.total_bytes)
         return EpochTiming(
@@ -225,28 +238,27 @@ class SystemModel:
         n = self.dataset.train_size
         pool = subset_budget(pool_fraction, n)
         k = self._subset_size(subset_fraction, pool)
-        batch_bytes = self.batch_size * self.dataset.bytes_per_image
-        d_emb = _embedding_dim(self.dataset.name)
+        batch_bytes = self.BATCH_SIZE * self.dataset.bytes_per_image
 
         # The whole working set (int8 embedding cache + staging + weight
         # replica) must fit the FPGA's 4 GB DRAM; raises if it cannot.
         if feedback_bytes is None:
-            feedback_bytes = _default_feedback_bytes(self.dataset.name)
+            feedback_bytes = self.feedback_bytes
         from repro.smartssd.dram import EmbeddingCache
 
         EmbeddingCache(self.ssd.fpga).plan(
             num_samples=pool,
-            embedding_dim=d_emb,
+            embedding_dim=self.embedding_dim,
             replica_bytes=float(feedback_bytes),
         )
 
         # Per-epoch scoring: stream int8 embeddings, apply the head, run
         # the per-chunk facility-location greedy.
-        embedding_bytes = pool * float(d_emb)
+        embedding_bytes = pool * float(self.embedding_dim)
         scoring = self.ssd.run_selection(
             num_candidates=pool,
             candidate_bytes=embedding_bytes,
-            flops_per_sample=2.0 * d_emb * self.dataset.num_classes,
+            flops_per_sample=2.0 * self.embedding_dim * self.dataset.num_classes,
             proxy_dim=self.dataset.num_classes,
             subset_size=k,
             chunk_size=min(self.ssd.kernel.max_chunk_for_onchip(), 512),
@@ -271,16 +283,14 @@ class SystemModel:
         subset_bytes = k * float(self.dataset.bytes_per_image)
         subset_transfer = self.ssd.send_subset_to_host(subset_bytes, batch_bytes=batch_bytes)
         subset_decode = self._ingest_images(k) - k * self.dataset.bytes_per_image / (
-            self.ingest.decode_bytes_per_s
-            if self.dataset.bytes_per_image > 10_000
-            else self.ingest.raw_bytes_per_s
+            self.ingest.decode_bytes_per_s if self.compressed else self.ingest.raw_bytes_per_s
         )
         # Host-side per-image handling still applies to the subset, but
         # the storage read happened device-side, so only transfer+collate.
         subset_ingest = subset_transfer + max(0.0, subset_decode)
 
         train = self._train_time(k)
-        # Quantized-weight feedback (§3.2.1): int8 params + fp32 scales.
+        # Quantized-weight feedback (§3.2.1), as `FeedbackLoop.sync` charges it.
         feedback = self.ssd.receive_feedback(feedback_bytes)
 
         # Device-side selection of epoch t+1 overlaps GPU training of
@@ -359,31 +369,6 @@ class SystemModel:
         base = table[baseline]().total
         nessa = self.nessa_epoch(pool_fraction=pool_fraction).total
         return base / nessa
-
-
-def _embedding_dim(dataset_name: str) -> int:
-    """Penultimate embedding width of each Table 1 network."""
-    return {
-        "cifar10": 64,  # ResNet-20
-        "svhn": 512,  # ResNet-18
-        "cinic10": 512,
-        "cifar100": 512,
-        "tinyimagenet": 512,
-        "imagenet100": 2048,  # ResNet-50
-    }[dataset_name]
-
-
-def _default_feedback_bytes(dataset_name: str) -> float:
-    """int8 payload of each Table 1 network's parameters."""
-    params = {
-        "cifar10": 0.27e6,  # ResNet-20
-        "svhn": 11.2e6,  # ResNet-18
-        "cinic10": 11.2e6,
-        "cifar100": 11.2e6,
-        "tinyimagenet": 11.3e6,
-        "imagenet100": 25.6e6,  # ResNet-50
-    }[dataset_name]
-    return params  # one byte per int8 parameter
 
 
 def average_speedups(

@@ -1,4 +1,4 @@
-"""The composed SmartSSD device and its data-movement ledger.
+"""The composed SmartSSD device, and the record of where an epoch's bytes go.
 
 :class:`SmartSSD` wires the NAND array, the KU15P kernel and the two links
 together and answers the questions the pipeline asks:
@@ -6,13 +6,16 @@ together and answers the questions the pipeline asks:
 - how long does it take to stream the candidate pool from flash into the
   FPGA over P2P (overlapped with the kernel's forward pass)?
 - how long does one near-storage selection round take?
-- how many bytes crossed which boundary? (:class:`DataMovement` is the
-  ledger behind the paper's 3.47x data-movement-reduction claim.)
+
+Pricing a transfer has no side effect: the device keeps no byte count.
+:class:`DataMovement` records which boundary an epoch's bytes cross, and
+:class:`~repro.pipeline.system.SystemModel` fills one per priced epoch
+(the record behind the paper's 3.47x data-movement-reduction claim).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.smartssd.fpga import FPGASpec, KU15P
 from repro.smartssd.kernel import KernelConfig, SelectionKernel
@@ -64,7 +67,6 @@ class SelectionTiming:
     stream_time: float  # SSD → FPGA candidate streaming (P2P)
     kernel_time: float  # forward + similarity + greedy on the FPGA
     total_time: float  # with streaming overlapped against compute
-    energy_joules: float
 
 
 class SmartSSD:
@@ -81,7 +83,6 @@ class SmartSSD:
         self.kernel = SelectionKernel(kernel_config, self.fpga)
         self.p2p = p2p_link()
         self.host_path = host_path_link()
-        self.movement = DataMovement()
 
     def store_dataset(self, nbytes: float) -> None:
         """Write a training set to the drive (capacity-checked)."""
@@ -97,7 +98,6 @@ class SmartSSD:
         requests = 1 if not batch_bytes else max(1, int(-(-nbytes // batch_bytes)))
         link_time = self.p2p.transfer_time(nbytes, requests=requests)
         flash_time = self.nand.read_time(nbytes, sequential=True)
-        self.movement.ssd_to_fpga += nbytes
         return max(link_time, flash_time)
 
     def host_read_time(self, nbytes: float, batch_bytes: float | None = None) -> float:
@@ -105,7 +105,6 @@ class SmartSSD:
         requests = 1 if not batch_bytes else max(1, int(-(-nbytes // batch_bytes)))
         link_time = self.host_path.transfer_time(nbytes, requests=requests)
         flash_time = self.nand.read_time(nbytes, sequential=True)
-        self.movement.ssd_to_host += nbytes
         return max(link_time, flash_time)
 
     def effective_p2p_throughput(self, batch_bytes: float) -> float:
@@ -134,26 +133,13 @@ class SmartSSD:
         )
         fill = self.p2p.request_latency_s
         total = max(stream, kernel) + fill
-        return SelectionTiming(
-            stream_time=stream,
-            kernel_time=kernel,
-            total_time=total,
-            energy_joules=self.kernel.energy_joules(total),
-        )
+        return SelectionTiming(stream_time=stream, kernel_time=kernel, total_time=total)
 
     def receive_feedback(self, nbytes: float) -> float:
         """Host → FPGA quantized-weight feedback transfer (§3.2.1)."""
-        self.movement.host_to_fpga += nbytes
         return self.host_path.transfer_time(nbytes)
 
     def send_subset_to_host(self, nbytes: float, batch_bytes: float | None = None) -> float:
         """Selected subset leaves the device for the GPU (host-bus traffic)."""
         requests = 1 if not batch_bytes else max(1, int(-(-nbytes // batch_bytes)))
-        self.movement.host_to_gpu += nbytes
         return self.host_path.transfer_time(nbytes, requests=requests)
-
-    def reset_movement(self) -> DataMovement:
-        """Return and clear the movement ledger."""
-        out = self.movement
-        self.movement = DataMovement()
-        return out

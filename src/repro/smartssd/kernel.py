@@ -190,9 +190,3 @@ class SelectionKernel:
             self.config.chunk_capacity,
             int(math.floor((self.fpga.onchip_bytes / chunk_pairwise_bytes(1)) ** 0.5)),
         )
-
-    def energy_joules(self, seconds: float) -> float:
-        """FPGA energy for a kernel activity (7.5 W envelope, §2.2)."""
-        if seconds < 0:
-            raise ValueError("negative time")
-        return seconds * self.fpga.power_watts

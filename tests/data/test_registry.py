@@ -4,7 +4,6 @@ import pytest
 
 from repro.data.registry import (
     DATASETS,
-    FIG2_DATASETS,
     get_dataset_info,
     scaled_experiment_config,
 )
@@ -69,9 +68,6 @@ class TestByteMetadata:
     def test_imagenet100_image_is_126kb(self):
         """Section 4.4 quotes 0.126 MB/image for ImageNet-100."""
         assert get_dataset_info("imagenet100").bytes_per_image == 126_000
-
-    def test_fig2_has_mnist(self):
-        assert FIG2_DATASETS["mnist"] == (60_000, 500)
 
     def test_total_bytes(self):
         info = get_dataset_info("cifar10")

@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.feedback import FeedbackLoop
 from repro.data.registry import DATASETS
+from repro.nn import resnet
+from repro.perf.flops import MODEL_ZOO, model_forward_flops
 from repro.pipeline.system import (
     SystemModel,
     average_speedups,
@@ -42,6 +45,9 @@ class TestEpochTable:
         subset_bytes = int(0.28 * 50_000) * 3_000
         assert nessa.movement.host_to_gpu == pytest.approx(subset_bytes, rel=0.01)
         assert nessa.movement.host_to_fpga > 0
+        # Candidates reach the FPGA over P2P; none are read to the host.
+        assert nessa.movement.ssd_to_host == 0
+        assert nessa.movement.ssd_to_fpga > 0
 
     def test_every_strategy_prices_the_subset_budget(self):
         """k = round(f·N): at N = 50,002 and f = 0.28 that is 14,001, not 14,000."""
@@ -88,6 +94,29 @@ class TestEpochTable:
     def test_unknown_baseline_raises(self):
         with pytest.raises(KeyError):
             SystemModel("cifar10").speedup("bogus")
+
+
+class TestNetworkCosts:
+    """Each per-network number is counted on the network the code builds."""
+
+    def test_feedback_bytes_are_what_the_feedback_loop_charges(self):
+        charged = FeedbackLoop(lambda: resnet.resnet20(10)).sync(resnet.resnet20(10))
+        assert charged == 282_094
+        assert SystemModel("cifar10").nessa_epoch().movement.host_to_fpga == charged
+
+    @pytest.mark.parametrize("name", list(DATASETS))
+    def test_forward_flops_and_embedding_width_follow_the_builder(self, name):
+        m = SystemModel(name)
+        info = m.dataset
+        net = getattr(resnet, info.model)(info.num_classes)
+        assert m.embedding_dim == net.embedding_dim
+        if info.image_shape[1] <= 64:
+            assert m.forward_flops == model_forward_flops(net, info.image_shape)
+        else:
+            # The code's resnet50 has the CIFAR stem; 224-px ImageNet-100
+            # prices the published ResNet-50 (2 FLOPs per MAC).
+            published = next(zoo for zoo in MODEL_ZOO if zoo.name == "resnet50")
+            assert m.forward_flops == 2e9 * published.gflops_per_image
 
 
 class TestHeadlineClaims:

@@ -1,4 +1,4 @@
-"""Tests for the composed SmartSSD device and its movement ledger."""
+"""Tests for the composed SmartSSD device and its movement record."""
 
 import pytest
 
@@ -28,25 +28,6 @@ class TestSmartSSD:
         ssd = SmartSSD()
         nbytes = 1e9
         assert ssd.p2p_read_time(nbytes) < ssd.host_read_time(nbytes)
-
-    def test_movement_ledger_tracks_reads(self):
-        ssd = SmartSSD()
-        ssd.p2p_read_time(1000)
-        ssd.host_read_time(500)
-        ssd.send_subset_to_host(200)
-        ssd.receive_feedback(10)
-        m = ssd.movement
-        assert m.ssd_to_fpga == 1000
-        assert m.ssd_to_host == 500
-        assert m.host_to_gpu == 200
-        assert m.host_to_fpga == 10
-
-    def test_reset_movement_returns_and_clears(self):
-        ssd = SmartSSD()
-        ssd.p2p_read_time(100)
-        ledger = ssd.reset_movement()
-        assert ledger.ssd_to_fpga == 100
-        assert ssd.movement.ssd_to_fpga == 0
 
     def test_batched_transfers_pay_per_request_latency(self):
         ssd = SmartSSD()
@@ -87,17 +68,3 @@ class TestSmartSSD:
             assert (kernel > stream) == (bound == "kernel")
             assert t.total_time == max(stream, kernel) + fill
             assert t.total_time <= stream + kernel + fill
-            assert t.energy_joules == pytest.approx(t.total_time * 7.5)
-
-    def test_selection_charges_p2p_not_host(self):
-        ssd = SmartSSD()
-        ssd.run_selection(
-            num_candidates=1_000,
-            candidate_bytes=3e6,
-            flops_per_sample=1e5,
-            proxy_dim=10,
-            subset_size=300,
-            chunk_size=256,
-        )
-        assert ssd.movement.ssd_to_fpga == pytest.approx(3e6)
-        assert ssd.movement.over_host_interconnect == 0

@@ -96,12 +96,6 @@ class TestSelectionKernelTiming:
         )
         assert t > k.forward_time(10_000, 1e6)
 
-    def test_energy_follows_power_envelope(self):
-        k = SelectionKernel()
-        assert k.energy_joules(2.0) == pytest.approx(15.0)
-        with pytest.raises(ValueError):
-            k.energy_joules(-1.0)
-
     def test_negative_work_rejected(self):
         k = SelectionKernel()
         with pytest.raises(ValueError):
