@@ -34,7 +34,7 @@ def proxy_agreement():
     for bits in sorted(BITS, reverse=True):
         loop = FeedbackLoop(factory, bits=bits)
         payload = loop.sync(source)
-        proxies = compute_gradient_proxies(loop.selection_model, x, y)
+        proxies = compute_gradient_proxies(loop.replica, x, y)
         norms = np.linalg.norm(proxies.vectors, axis=1)
         if reference is None:
             reference = norms

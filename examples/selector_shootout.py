@@ -72,7 +72,7 @@ def main(epochs: int = EPOCHS, scale: float = SCALE):
     nessa_cfg = NeSSAConfig(subset_fraction=FRACTION, biasing_drop_period=8, seed=1)
     nessa = NeSSATrainer(factory(), recipe, nessa_cfg, factory)
     history = nessa.train(train_set, test_set)
-    sel = nessa.selector.select(train_set, FRACTION, nessa.feedback.selection_model)
+    sel = nessa.selector.select(train_set, FRACTION, nessa.feedback.replica)
     results["nessa"] = (history.stable_accuracy(), cluster_coverage(train_set, sel.positions))
 
     print(f"{'method':14s} {'accuracy':>9s} {'cluster coverage':>17s}")

@@ -66,10 +66,6 @@ class NeSSAConfig:
         window; 1 forwards every candidate every round.
         :meth:`repro.pipeline.system.SystemModel.nessa_epoch` prices the
         same period.
-    feedback_bits : quantization width of the weight feedback (§3.2.1);
-        32 disables quantization error (fp32 feedback ablation).
-    use_feedback : ship updated weights back each round; off means the
-        selection model keeps the initial weights forever (ablation arm).
     use_biasing : subset biasing (§3.2.2).
     biasing_window / biasing_drop_period / biasing_drop_quantile : the
         5-epoch loss window and 20-epoch conservative drop period.
@@ -79,9 +75,6 @@ class NeSSAConfig:
 
     subset_fraction: float = 0.3
     refresh_period: int = 5
-
-    use_feedback: bool = True
-    feedback_bits: int = 8
 
     use_biasing: bool = True
     biasing_window: int = 5
@@ -97,8 +90,6 @@ class NeSSAConfig:
             raise ValueError("subset_fraction must be in (0, 1]")
         if self.refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
-        if not 2 <= self.feedback_bits <= 32:
-            raise ValueError("feedback_bits must be in [2, 32]")
 
     def vanilla(self) -> "NeSSAConfig":
         """NeSSA without SB and PA — Table 3's 'Vanilla' column."""

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.nn.inference import eval_forward
-from repro.nn.modules import Module
+from repro.nn.inference import InferencePlan
+from repro.nn.resnet import ResNet
 
 __all__ = ["EpochRecord", "TrainingHistory", "evaluate_accuracy", "save_history", "load_history"]
 
@@ -167,15 +167,14 @@ class TrainingHistory:
         }
 
 
-def evaluate_accuracy(model: Module, dataset: Dataset, batch_size: int = 512) -> float:
-    """Top-1 accuracy of ``model`` on ``dataset`` (eval-mode forward, batched)."""
+def evaluate_accuracy(model: ResNet, dataset: Dataset, batch_size: int = 512) -> float:
+    """Top-1 accuracy of ``model`` on ``dataset`` (the fused eval forward, batched)."""
+    forward = InferencePlan(model, dataset.x.shape[1:])
     correct = 0
-    with eval_forward(model, dataset.x.shape[1:]) as (forward, _):
-        for start in range(0, len(dataset), batch_size):
-            x = dataset.x[start : start + batch_size]
-            y = dataset.y[start : start + batch_size]
-            pred = forward(x).argmax(axis=1)
-            correct += int((pred == y).sum())
+    for start in range(0, len(dataset), batch_size):
+        x = dataset.x[start : start + batch_size]
+        y = dataset.y[start : start + batch_size]
+        correct += int((forward(x).argmax(axis=1) == y).sum())
     return correct / max(1, len(dataset))
 
 

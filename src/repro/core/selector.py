@@ -38,9 +38,10 @@ from repro.nn.inference import InferencePlan
 from repro.nn.resnet import ResNet
 from repro.parallel.engine import SelectionExecutor
 from repro.parallel.scheduler import plan_selection_round
+from repro.perf.flops import model_forward_flops
 from repro.selection.biasing import LossHistory
 from repro.selection.craig import SelectionResult
-from repro.selection.gradients import GradientProxy, forward_flops, proxies_from_logits
+from repro.selection.gradients import GradientProxy, proxies_from_logits
 from repro.selection.partition import subset_budget
 
 __all__ = ["NeSSASelector"]
@@ -120,25 +121,24 @@ class NeSSASelector:
         keep = np.flatnonzero(~self.loss_history.dropped[dataset.ids])
         return keep if len(keep) else np.arange(len(dataset), dtype=np.int64)
 
-    def select(self, dataset: Dataset, fraction: float, model) -> SelectionResult:
+    def select(self, dataset: Dataset, fraction: float, model: ResNet) -> SelectionResult:
         """One selection round over ``dataset`` at the given fraction.
 
-        ``model`` must be the quantized feedback replica when feedback is
-        on (the trainer guarantees this); passing the live model emulates
-        a hypothetical unquantized FPGA.  Either way it must be a
-        :class:`~repro.nn.resnet.ResNet` (or wrap one): the embedding
-        array is its penultimate layer.  The candidate pool is
+        ``model`` is the quantized feedback replica (the trainer passes
+        ``FeedbackLoop.replica``); passing the live model emulates a
+        hypothetical unquantized FPGA.  Either way it must be a
+        :class:`~repro.nn.resnet.ResNet`: the embedding array is its
+        penultimate layer.  The candidate pool is
         :meth:`snapshot_candidates` at the time of the call.  The arrays
         are indexed by sample id, so one selector serves one root dataset.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        replica = getattr(model, "model", model)
-        if not isinstance(replica, ResNet):
-            raise TypeError(f"NeSSA scores ResNet embeddings, got {type(replica).__name__}")
+        if not isinstance(model, ResNet):
+            raise TypeError(f"NeSSA scores ResNet embeddings, got {type(model).__name__}")
 
         candidates = self.snapshot_candidates(dataset)
-        proxy = self._proxies(dataset, candidates, replica)
+        proxy = self._proxies(dataset, candidates, model)
 
         k_total = subset_budget(fraction, len(dataset), pool=len(candidates))
         labels = dataset.y[candidates]
@@ -193,7 +193,7 @@ class NeSSASelector:
         self._known[ids[due]] = True
         weight_t, bias = replica.fc.weight.data.T, replica.fc.bias
         flops = (
-            forward_flops(replica, dataset.x.shape[1:]) * len(due)
+            model_forward_flops(replica, dataset.x.shape[1:]) * len(due)
             + 2.0 * weight_t.size * (n - len(due))
         )
         with obs.span("proxy_compute", candidates=int(n)) as sp:
@@ -211,8 +211,5 @@ class NeSSASelector:
                 if bias is not None:
                     logits += bias.data
                 vectors[block], losses[block] = proxies_from_logits(logits, labels[block])
-            sp.set(
-                cache_hit=len(due) < n, forwarded=int(len(due)), flops=float(flops),
-                engine="fused",
-            )
+            sp.set(cache_hit=len(due) < n, forwarded=int(len(due)), flops=float(flops))
         return GradientProxy(vectors=vectors, losses=losses, flops=flops)

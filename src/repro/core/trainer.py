@@ -216,7 +216,8 @@ class NeSSATrainer(_BaseTrainer):
     Selects every epoch, as the paper does; what keeps a round cheap is
     the selector's embedding array (``NeSSAConfig.refresh_period``).
     ``model_factory`` builds the FPGA-side replica architecture (same as
-    the target model's).
+    the target model's), which :class:`FeedbackLoop` syncs at int8, the
+    paper kernel's width.
     """
 
     name = "nessa"
@@ -232,9 +233,7 @@ class NeSSATrainer(_BaseTrainer):
         super().__init__(model, recipe, seed=config.seed)
         self.config = config
         self.selector = NeSSASelector(config, chunk_select=recipe.batch_size)
-        self.feedback = FeedbackLoop(
-            model_factory, bits=config.feedback_bits, enabled=config.use_feedback
-        )
+        self.feedback = FeedbackLoop(model_factory)
 
     def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
         return self._run_epochs(train_set, test_set)
@@ -252,7 +251,7 @@ class NeSSATrainer(_BaseTrainer):
 
     def _select(self, train_set, epoch):
         return self._selection_round(
-            train_set, self.config.subset_fraction, self.feedback.selection_model, epoch
+            train_set, self.config.subset_fraction, self.feedback.replica, epoch
         )
 
     def _after_train(self, epoch, per_sample, ids):

@@ -80,6 +80,8 @@ class Subset(Dataset):
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (len(positions),):
                 raise ValueError("weights must align with positions")
+            if not np.isfinite(weights).all():
+                raise ValueError("weights must be finite")
             if (weights < 0).any():
                 raise ValueError("weights must be non-negative")
         self.weights = weights

@@ -23,7 +23,7 @@ from repro.nn.modules import (
     Sequential,
 )
 from repro.nn.optim import SGD, MultiStepLR
-from repro.nn.quantize import QuantizedModel, dequantize_tensor, quantize_tensor
+from repro.nn.quantize import dequantize_tensor, quantize_tensor
 from repro.nn.resnet import BasicBlock, Bottleneck, ResNet, resnet18, resnet20, resnet50
 from repro.nn.inference import InferencePlan
 
@@ -47,7 +47,6 @@ __all__ = [
     "MultiStepLR",
     "quantize_tensor",
     "dequantize_tensor",
-    "QuantizedModel",
     "ResNet",
     "BasicBlock",
     "Bottleneck",

@@ -28,16 +28,13 @@ forward itself).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
-from repro import obs
 from repro.nn import functional as F
 from repro.nn.modules import BatchNorm2d, Conv2d, Identity
 from repro.nn.resnet import ResNet
 
-__all__ = ["InferencePlan", "eval_forward"]
+__all__ = ["InferencePlan"]
 
 
 def _fold(conv: Conv2d, bn: BatchNorm2d) -> tuple[np.ndarray, np.ndarray]:
@@ -112,10 +109,14 @@ class InferencePlan:
     Built for one ``image_shape`` ``(C, H, W)``: ``plan(x)`` and
     ``plan.features(x)`` take ``(N, C, H, W)`` input of that shape and
     match ``model(x)`` / ``model.features(x)`` in eval mode.  Not a
-    ``Module``: no parameters, no backward, no train/eval state.
+    ``Module``: no parameters, no backward, no train/eval state.  Any
+    model but a ``ResNet`` raises ``TypeError``: this is the only eval
+    forward, of the accuracy pass and of every selection proxy.
     """
 
     def __init__(self, model: ResNet, image_shape: tuple[int, int, int]):
+        if not isinstance(model, ResNet):
+            raise TypeError(f"the eval forward runs ResNets, got {type(model).__name__}")
         self.image_shape = tuple(image_shape)
         self._stem = _RowConv(model.stem_conv, model.stem_bn, self.image_shape)
         shape = self._stem.out_shape
@@ -156,29 +157,3 @@ class InferencePlan:
         if bias is not None:
             out += bias
         return out
-
-
-@contextmanager
-def eval_forward(model, image_shape: tuple[int, int, int]):
-    """Yield ``(forward, engine)``: the eval-mode forward of ``model`` for one pass.
-
-    ``image_shape`` is the ``(C, H, W)`` of every input the pass will see.
-    ``engine`` is ``"fused"`` — ``forward`` is a fresh :class:`InferencePlan`
-    for that shape — when ``model``, or the replica inside a
-    ``QuantizedModel``, is a ``ResNet``.  Anything
-    else is ``"module"``: ``model`` itself, in eval mode for the duration
-    and counted in ``nn.inference.module_fallbacks``.
-    """
-    inner = getattr(model, "model", model)
-    if isinstance(inner, ResNet):
-        yield InferencePlan(inner, image_shape), "fused"
-        return
-    obs.metrics().counter("nn.inference.module_fallbacks").inc()
-    was_training = getattr(inner, "training", False)
-    if hasattr(inner, "eval"):
-        inner.eval()
-    try:
-        yield model, "module"
-    finally:
-        if was_training and hasattr(inner, "train"):
-            inner.train()

@@ -9,10 +9,9 @@ output channel (axis 0), and :func:`quantized_state_bytes` charges one
 fp32 scale per output channel; 1-D tensors (biases, batchnorm affine
 parameters) get one scale for the whole tensor.
 
-:class:`QuantizedModel` wraps any :class:`~repro.nn.modules.Module`: it
-snapshots the source model's weights through a quantize→dequantize round
-trip, so forward passes through it behave exactly like the FPGA's
-fixed-point inference, including the induced rounding error.
+:class:`~repro.core.feedback.FeedbackLoop` round-trips every parameter of
+the target model through these two functions into its replica, so the
+selection model's forward passes see the FPGA's rounding error.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from repro.nn.modules import Module
 
-__all__ = ["quantize_tensor", "dequantize_tensor", "QuantizedModel", "quantized_state_bytes"]
+__all__ = ["quantize_tensor", "dequantize_tensor", "quantized_state_bytes"]
 
 
 def quantize_tensor(x: np.ndarray, bits: int = 8) -> tuple[np.ndarray, np.ndarray | float]:
@@ -93,54 +92,3 @@ def quantized_state_bytes(model: Module, bits: int = 8) -> int:
     )
     buffer_bits = sum(buf.size * 32 for _, buf in model.named_buffers())
     return (param_bits + buffer_bits + 7) // 8
-
-
-class QuantizedModel:
-    """A frozen, quantized snapshot of a model for selection-side inference.
-
-    The wrapped model's parameters are replaced by dequantized copies of
-    the source model's weights at snapshot time (:meth:`sync_from`), so the
-    selector's forward passes see the same rounding the FPGA would.
-    Quantization is weight-only: activations stay fp32.  The replica only
-    runs forward, so its parameters' gradient buffers are freed
-    (``grad is None``).
-    """
-
-    def __init__(self, model: Module, bits: int = 8):
-        self.model = model
-        self.bits = bits
-        self.model.eval()
-        for param in self.model.parameters():
-            param.grad = None
-        self.synced = False
-
-    def sync_from(self, source: Module) -> int:
-        """Copy ``source``'s state through quantization. Returns payload bytes.
-
-        This is one trip of the feedback loop: GPU weights → quantize →
-        (PCIe transfer, charged by the caller using the returned size) →
-        dequantize into the FPGA-side model.
-        """
-        src_params = dict(source.named_parameters())
-        dst_params = dict(self.model.named_parameters())
-        if src_params.keys() != dst_params.keys():
-            raise ValueError("source and quantized model architectures differ")
-        for name, src in src_params.items():
-            if src.data.shape != dst_params[name].data.shape:
-                raise ValueError(
-                    f"source and quantized model architectures differ at {name!r}: "
-                    f"{src.data.shape} vs {dst_params[name].data.shape}"
-                )
-            q, scale = quantize_tensor(src.data, self.bits)
-            dst_params[name].data = dequantize_tensor(q, scale)
-        src_bufs = dict(source.named_buffers())
-        for name, buf in self.model.named_buffers():
-            buf[...] = src_bufs[name]
-        self.model.eval()
-        self.synced = True
-        return quantized_state_bytes(source, self.bits)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.model(x)
-
-    __call__ = forward

@@ -37,10 +37,6 @@ __all__ = [
 # The single source of truth for metric identity: every name recorded
 # through this registry appears here (NES011-enforced).
 METRIC_TABLE: dict[str, tuple[str, str]] = {
-    "nn.inference.module_fallbacks": (
-        "counter",
-        "Eval-mode passes (proxy or accuracy) that ran model(x) instead of the fused InferencePlan",
-    ),
     "nn.layout.repacks": (
         "counter",
         "Arrays copied into the batch-innermost (C, H, W, N) memory format by F.channel_major",

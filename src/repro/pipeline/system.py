@@ -9,9 +9,12 @@ training strategy:
   (proxies need a forward pass, run on the GPU as the reference
   implementation does), facility-location greedy runs on the CPU, then
   the weighted subset trains.
-- **kcenters** — like craig, but the selection operates on penultimate
-  embeddings (512-dim) with an O(N·k·d) farthest-point scan on the CPU,
-  which is why it is the slowest method in Figure 4.
+- **kcenters** — like craig, but the selection is an O(N·k·d)
+  farthest-point scan on the CPU over the paper's 512-dim penultimate
+  embeddings, which is why it is the slowest method in Figure 4.  The
+  code's :class:`~repro.selection.kcenters.KCentersSelector` scans the
+  ``num_classes``-dim gradient proxies instead (DESIGN §2); the model
+  prices the paper's scan.
 - **nessa** — near-storage: candidates stream SSD→FPGA over the on-board
   P2P link (never touching the host bus), the int8 kernel scores and
   selects them *overlapped with the GPU training on the previous
@@ -33,6 +36,7 @@ the ``repro.nn`` network the dataset names (DESIGN §2).
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 
 from repro.core.config import NeSSAConfig
@@ -56,20 +60,35 @@ SELECTION_RESOLUTION = 64
 def _network_costs(model: str, num_classes: int, image_shape: tuple) -> tuple[float, int, int]:
     """Forward FLOPs per image, embedding width and feedback bytes of a
     Table 1 network, counted on its ``repro.nn`` builder at the default
-    width (each network built once per process).
+    width.
 
-    Feedback bytes are what ``FeedbackLoop.sync`` charges.  The code's
-    ResNets have the CIFAR 3x3 stem, the paper's network up to 64 px; at
-    224 px one walks to ~128 GFLOPs, not the ImageNet ResNet-50's 8.2, so
-    larger inputs price the published forward that Figure 1 plots
-    (``MODEL_ZOO`` counts GMACs, 2 FLOPs each).
+    Each count is a polynomial of degree at most 2 in the builder's
+    ``width`` (conv weights and MACs grow with its square; BatchNorm,
+    scales, activations and the head with it), so three narrow builds at
+    widths 1, 2 and 3 fix it exactly at the default width without drawing
+    the paper-width weights.  Feedback bytes are what ``FeedbackLoop.sync``
+    charges.  The code's ResNets have the CIFAR 3x3 stem, the paper's
+    network up to 64 px; at 224 px one walks to ~128 GFLOPs, not the
+    ImageNet ResNet-50's 8.2, so larger inputs price the published forward
+    that Figure 1 plots (``MODEL_ZOO`` counts GMACs, 2 FLOPs each).
     """
-    net = getattr(resnet, model)(num_classes)
-    if image_shape[1] <= 64:
-        flops = model_forward_flops(net, image_shape)
-    else:
+    builder = getattr(resnet, model)
+    width = inspect.signature(builder).parameters["width"].default
+    counted = image_shape[1] <= 64
+    samples = []
+    for w in (1, 2, 3):
+        net = builder(num_classes, width=w)
+        flops = model_forward_flops(net, image_shape) if counted else 0.0
+        samples.append((flops, net.embedding_dim, quantized_state_bytes(net)))
+    # The Lagrange basis on the nodes 1, 2, 3 at ``width``: integers, so
+    # the integer counts come out exact.
+    basis = (
+        (width - 2) * (width - 3) // 2, -(width - 1) * (width - 3), (width - 1) * (width - 2) // 2
+    )
+    flops, dim, feedback = (sum(b * c for b, c in zip(basis, col)) for col in zip(*samples))
+    if not counted:
         flops = 2e9 * next(zoo for zoo in MODEL_ZOO if zoo.name == model).gflops_per_image
-    return flops, net.embedding_dim, quantized_state_bytes(net)
+    return flops, dim, feedback
 
 
 @dataclass(frozen=True)

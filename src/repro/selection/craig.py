@@ -46,6 +46,8 @@ class SelectionResult:
     def __post_init__(self):
         if self.positions.shape != self.weights.shape:
             raise ValueError("positions and weights must align")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
 
 
 def craig_select_class(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.nn.inference import eval_forward
+from repro.nn.inference import InferencePlan
 from repro.nn.loss import CrossEntropyLoss
+from repro.nn.resnet import ResNet
 from repro.perf.flops import model_forward_flops
 
-__all__ = ["GradientProxy", "compute_gradient_proxies", "forward_flops", "proxies_from_logits"]
+__all__ = ["GradientProxy", "compute_gradient_proxies", "proxies_from_logits"]
 
 
 @dataclass
@@ -56,18 +57,17 @@ def proxies_from_logits(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
 
 
 def compute_gradient_proxies(
-    model,
+    model: ResNet,
     x: np.ndarray,
     y: np.ndarray,
     batch_size: int = 256,
 ) -> GradientProxy:
     """Run the selection model forward and derive per-sample proxies.
 
-    ``model`` is any callable with torch-like ``__call__`` (logits) — in
-    practice either the live target model or its
-    :class:`~repro.nn.quantize.QuantizedModel` snapshot.  Runs in eval
-    mode semantics (no caching, no BN updates); a ResNet goes through the
-    fused :class:`~repro.nn.inference.InferencePlan`.
+    ``model`` is a ResNet: the live target model, or the
+    :class:`~repro.core.feedback.FeedbackLoop` replica.  The forward is
+    the fused eval-mode :class:`~repro.nn.inference.InferencePlan` (no
+    caching, no BN updates, the model untouched).
 
     The ``proxy_compute`` span carries ``cache_hit=False``: this function
     always runs the forward pass.  :class:`~repro.core.selector.NeSSASelector`
@@ -78,31 +78,18 @@ def compute_gradient_proxies(
     """
     n = x.shape[0]
     with obs.span("proxy_compute", candidates=int(n)) as sp:
+        forward = InferencePlan(model, x.shape[1:])
         vec_chunks, loss_chunks = [], []
-        with eval_forward(model, x.shape[1:]) as (forward, engine):
-            for start in range(0, n, batch_size):
-                xb = x[start : start + batch_size]
-                yb = y[start : start + batch_size]
-                vectors, losses = proxies_from_logits(forward(xb), yb)
-                vec_chunks.append(vectors)
-                loss_chunks.append(losses)
+        for start in range(0, n, batch_size):
+            xb = x[start : start + batch_size]
+            yb = y[start : start + batch_size]
+            vectors, losses = proxies_from_logits(forward(xb), yb)
+            vec_chunks.append(vectors)
+            loss_chunks.append(losses)
         proxy = GradientProxy(
             vectors=np.concatenate(vec_chunks).astype(np.float64),
             losses=np.concatenate(loss_chunks).astype(np.float64),
-            flops=forward_flops(getattr(model, "model", model), x.shape[1:]) * n,
+            flops=model_forward_flops(model, x.shape[1:]) * n,
         )
-        sp.set(cache_hit=False, flops=float(proxy.flops), engine=engine)
+        sp.set(cache_hit=False, flops=float(proxy.flops))
     return proxy
-
-
-def forward_flops(model, image_shape: tuple) -> float:
-    """Per-sample forward FLOPs on ``(C, H, W)`` inputs, from :func:`model_forward_flops`."""
-    try:
-        return model_forward_flops(model, image_shape)
-    except (TypeError, ValueError, AttributeError):
-        # The perf model raises TypeError for module types it cannot walk
-        # and ValueError for non-(C,H,W) shapes — i.e. exotic models, for
-        # which we charge the generic 2 FLOPs/param instead.  Anything
-        # else (a bug in the walker) must surface, not be absorbed here.
-        num_params = getattr(model, "num_parameters", lambda: 0)()
-        return 2.0 * num_params

@@ -22,8 +22,11 @@ PER_FILE = [
         "np.zeros(num_ids, dtype=np.int64)", "np.zeros(num_ids)",
     ),
     (
-        "NES003", "src/repro/selection/gradients.py",
-        "except (TypeError, ValueError, AttributeError):",
+        # First fixed in the 2-FLOPs-per-parameter fallback of
+        # selection/gradients.py, which is gone; replayed on the report's
+        # narrow handler of the same shape.
+        "NES003", "src/repro/obs/report.py",
+        "except (TypeError, ValueError):",
         "except Exception:",
     ),
 ]

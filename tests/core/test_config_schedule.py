@@ -39,15 +39,13 @@ class TestTrainRecipe:
 class TestNeSSAConfig:
     def test_paper_defaults(self):
         c = NeSSAConfig()
-        assert c.feedback_bits == 8
         assert c.biasing_window == 5  # losses from most recent five epochs
         assert c.biasing_drop_period == 20  # drop every twenty epochs
-        assert c.use_feedback and c.use_biasing and c.use_partitioning
+        assert c.use_biasing and c.use_partitioning
 
     def test_vanilla_strips_sb_and_pa(self):
         c = NeSSAConfig().vanilla()
         assert not c.use_biasing and not c.use_partitioning
-        assert c.use_feedback  # feedback is part of all Table 3 variants
 
     def test_sb_only(self):
         c = NeSSAConfig().with_only_biasing()
@@ -61,7 +59,7 @@ class TestNeSSAConfig:
         with pytest.raises(ValueError):
             NeSSAConfig(subset_fraction=0.0)
         with pytest.raises(ValueError):
-            NeSSAConfig(feedback_bits=1)
+            NeSSAConfig(refresh_period=0)
 
     def test_accepts_fraction_below_a_tenth(self):
         # nothing caps how small a subset can be short of 0

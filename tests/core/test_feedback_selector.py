@@ -30,17 +30,8 @@ class TestFeedbackLoop:
         assert loop.syncs == 1
         assert loop.bytes_transferred == payload
         src_w = dict(src.named_parameters())["fc.weight"].data
-        rep_w = dict(loop.replica.model.named_parameters())["fc.weight"].data
+        rep_w = dict(loop.replica.named_parameters())["fc.weight"].data
         assert np.abs(src_w - rep_w).max() < 0.1
-
-    def test_disabled_loop_keeps_initial_weights(self):
-        src = resnet20(num_classes=4, width=4, seed=1)
-        loop = FeedbackLoop(factory, enabled=False)
-        before = dict(loop.replica.model.named_parameters())["fc.weight"].data.copy()
-        assert loop.sync(src) == 0
-        after = dict(loop.replica.model.named_parameters())["fc.weight"].data
-        assert np.array_equal(before, after)
-        assert loop.syncs == 0
 
     def test_payload_scales_with_bits(self):
         src = resnet20(num_classes=4, width=4, seed=1)
@@ -54,7 +45,7 @@ class TestFeedbackLoop:
         loop.sync(src)
         dict(src.named_parameters())["fc.weight"].data[:] = 0.5
         loop.sync(src)
-        rep_w = dict(loop.replica.model.named_parameters())["fc.weight"].data
+        rep_w = dict(loop.replica.named_parameters())["fc.weight"].data
         assert np.allclose(rep_w, 0.5, atol=0.01)
         assert loop.syncs == 2
 
@@ -173,7 +164,7 @@ class TestNeSSASelector:
         loop = FeedbackLoop(lambda: resnet20(num_classes=4, width=4, seed=7), bits=8)
         loop.sync(resnet20(num_classes=4, width=4, seed=7))
         sel = self._selector()
-        res = sel.select(train, 0.2, loop.selection_model)
+        res = sel.select(train, 0.2, loop.replica)
         assert len(res.positions) > 0
 
     def test_rejects_bad_fraction(self, train_test_split, tiny_model):
@@ -256,9 +247,9 @@ class TestEmbeddingRefresh:
         train, _ = train_test_split
         loop = FeedbackLoop(factory, bits=8)
         loop.sync(resnet20(num_classes=4, width=4, seed=1))
-        replica = loop.selection_model.model
+        replica = loop.replica
         sel = self._selector(biasing_drop_period=1)
-        sel.select(train, 0.25, loop.selection_model)  # round 0 forwards every row
+        sel.select(train, 0.25, loop.replica)  # round 0 forwards every row
         old = InferencePlan(replica, train.image_shape).features(train.x)
 
         # Drop the low-loss half as learned, then ship new weights.
@@ -279,7 +270,7 @@ class TestEmbeddingRefresh:
             return run_round(vectors, candidates, units)
 
         monkeypatch.setattr(sel.executor, "run_round", capture)
-        sel.select(train, 0.25, loop.selection_model)  # round 1
+        sel.select(train, 0.25, loop.replica)  # round 1
         pool = seen["pool"]
         assert 0 < len(pool) < len(train)
         due = train.ids[pool] % PERIOD == 1
@@ -289,7 +280,7 @@ class TestEmbeddingRefresh:
         expected = _softmax(logits) - np.eye(train.num_classes)[train.y[pool]]
         np.testing.assert_allclose(seen["vectors"], expected, rtol=1e-5, atol=1e-6)
         # A fresh forward of every row would score the rows not due differently.
-        fresh = compute_gradient_proxies(loop.selection_model, train.x[pool], train.y[pool])
+        fresh = compute_gradient_proxies(loop.replica, train.x[pool], train.y[pool])
         np.testing.assert_allclose(
             seen["vectors"][due], fresh.vectors[due], rtol=1e-5, atol=1e-6
         )
@@ -354,7 +345,7 @@ class TestResidentState:
         history = trainer.train(train, test)
         assert [r.selection_ran for r in history.records] == [True] * 3
         assert _reachable(trainer.selector, GradientProxy) == []
-        replica = trainer.feedback.selection_model.model
+        replica = trainer.feedback.replica
         assert all(p.grad is None for p in replica.parameters())
         # The live model still trains on its own gradient buffers.
         assert all(p.grad is not None for p in trainer.model.parameters())

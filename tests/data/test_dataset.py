@@ -65,6 +65,12 @@ class TestSubset:
         with pytest.raises(ValueError):
             Subset(ds, np.array([0, 1]), weights=np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_raise(self, bad):
+        """A NaN or infinite CRAIG weight would make the weighted loss NaN."""
+        with pytest.raises(ValueError, match="finite"):
+            Subset(make_dataset(5), np.array([0, 1]), weights=np.array([bad, 1.0]))
+
     def test_nested_subset_keeps_global_ids(self):
         ds = make_dataset(12)
         s1 = ds.subset(np.arange(0, 12, 2))  # ids 0,2,4,6,8,10

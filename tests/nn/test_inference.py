@@ -6,10 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.config import NeSSAConfig
+from repro.core.feedback import FeedbackLoop
 from repro.core.metrics import evaluate_accuracy
+from repro.core.selector import NeSSASelector
 from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticConfig, make_train_test
-from repro.nn.inference import InferencePlan, _RowConv, eval_forward
+from repro.nn.inference import InferencePlan, _RowConv
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.modules import (
     BatchNorm2d,
@@ -19,12 +22,12 @@ from repro.nn.modules import (
     Parameter,
     Sequential,
 )
-from repro.nn.quantize import QuantizedModel
 from repro.nn.resnet import resnet20
 from repro.perf.flops import model_forward_flops
 from repro.pipeline.experiment import build_model
+from repro.selection import craig
 from repro.selection.craig import CraigSelector
-from repro.selection.gradients import compute_gradient_proxies
+from repro.selection.gradients import GradientProxy, compute_gradient_proxies, proxies_from_logits
 
 # One registry dataset per Table 1 architecture, as build_model makes them:
 # resnet20(w6), resnet18(w6), resnet50(w4).
@@ -71,17 +74,15 @@ def snapshot(model):
     }
 
 
-class Opaque:
-    """Hides a ResNet's type, so ``eval_forward`` takes the module path."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __call__(self, x):
-        return self._inner(x)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+def module_proxies(model, x, y, batch_size=256):
+    """The proxies of the module eval forward, the reference the plan replaces."""
+    model.eval()
+    parts = [
+        proxies_from_logits(model(x[i : i + batch_size]), y[i : i + batch_size])
+        for i in range(0, len(x), batch_size)
+    ]
+    vectors, losses = (np.concatenate(p).astype(np.float64) for p in zip(*parts))
+    return GradientProxy(vectors=vectors, losses=losses)
 
 
 class TestEquivalence:
@@ -211,40 +212,37 @@ class TestNoSideEffects:
     def test_plan_reads_weights_at_construction(self, tiny_model, rng):
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
         source = resnet20(num_classes=4, width=4, seed=9)
-        replica = QuantizedModel(tiny_model, bits=8)
-        before = InferencePlan(replica.model, x.shape[1:])(x)
-        replica.sync_from(source)  # what feedback does between rounds
-        after = InferencePlan(replica.model, x.shape[1:])(x)
+        loop = FeedbackLoop(lambda: tiny_model, bits=8)
+        before = InferencePlan(loop.replica, x.shape[1:])(x)
+        loop.sync(source)  # what feedback does between rounds
+        after = InferencePlan(loop.replica, x.shape[1:])(x)
         assert not np.array_equal(before, after)
-        assert_close(after, replica(x))
+        assert_close(after, loop.replica.eval()(x))
 
 
 class TestEvalForward:
-    def test_resnet_and_fp32_replica_are_fused(self, tiny_model):
-        for model in (tiny_model, QuantizedModel(tiny_model, bits=8)):
-            with eval_forward(model, (3, 8, 8)) as (forward, engine):
-                assert engine == "fused" and isinstance(forward, InferencePlan)
+    def test_resnet_and_fp32_replica_are_fused(self, tiny_model, monkeypatch):
+        """Each accuracy or proxy pass builds one plan, of the live model or the replica."""
+        built, init = [], InferencePlan.__init__
 
-    def test_fallback_toggles_eval_and_counts(self, rng):
-        mlp = Sequential(GlobalAvgPool2d(), Linear(3, 3, rng=rng)).train()
-        registry = obs.MetricsRegistry()
-        previous = obs.set_metrics(registry)
-        try:
-            with eval_forward(mlp, (3, 2, 2)) as (forward, engine):
-                assert engine == "module" and forward is mlp and not mlp.training
-            with pytest.raises(RuntimeError), eval_forward(mlp, (3, 2, 2)):
-                raise RuntimeError("mid-pass failure")
-        finally:
-            obs.set_metrics(previous)
-        assert mlp.training and all(m.training for m in mlp.modules())
-        assert registry.snapshot()["counters"]["nn.inference.module_fallbacks"] == 2
+        def recording(plan, model, image_shape):
+            built.append(model)
+            init(plan, model, image_shape)
+
+        monkeypatch.setattr(InferencePlan, "__init__", recording)
+        replica = FeedbackLoop(lambda: resnet20(num_classes=4, width=4), bits=32).replica
+        x, y = np.zeros((3, 3, 8, 8), dtype=np.float32), np.zeros(3, dtype=np.int64)
+        for model in (tiny_model, replica):
+            evaluate_accuracy(model, Dataset(x, y), batch_size=2)
+            compute_gradient_proxies(model, x, y, batch_size=2)
+        assert built == [tiny_model, tiny_model, replica, replica]
 
     def test_evaluate_accuracy_matches_module_path(self, train_test_split, tiny_model, rng):
         _, test_set = train_test_split
         randomise_bn(tiny_model, rng)
-        assert evaluate_accuracy(tiny_model, test_set, batch_size=50) == evaluate_accuracy(
-            Opaque(tiny_model), test_set, batch_size=50
-        )
+        pred = tiny_model.eval()(test_set.x).argmax(axis=1)
+        module = float((pred == test_set.y).mean())
+        assert evaluate_accuracy(tiny_model, test_set, batch_size=50) == module
 
 
 class TestProxies:
@@ -253,32 +251,45 @@ class TestProxies:
         x, y = small_dataset.x[:70], small_dataset.y[:70]
         # 70 = 2 * 32 + 6: the tail batch is short
         fused = compute_gradient_proxies(tiny_model, x, y, batch_size=32)
-        module = compute_gradient_proxies(Opaque(tiny_model), x, y, batch_size=32)
+        module = module_proxies(tiny_model, x, y, batch_size=32)
         assert fused.vectors.dtype == fused.losses.dtype == np.float64
         assert fused.flops == model_forward_flops(tiny_model, x.shape[1:]) * 70
         assert_close(fused.vectors, module.vectors)
         assert_close(fused.losses, module.losses)
 
-    def test_span_names_the_engine(self, small_dataset, tiny_model):
+    def test_span_carries_the_pool_and_its_flops(self, small_dataset, tiny_model):
         x, y = small_dataset.x[:8], small_dataset.y[:8]
-        tracer = obs.Tracer(run="engine")
+        tracer = obs.Tracer(run="proxies")
         previous = obs.set_tracer(tracer)
         try:
-            compute_gradient_proxies(tiny_model, x, y)
-            compute_gradient_proxies(Opaque(tiny_model), x, y)
+            proxy = compute_gradient_proxies(tiny_model, x, y)
         finally:
             obs.set_tracer(previous)
-        spans = [sp for sp in tracer.records if sp.name == "proxy_compute"]
-        assert [sp.attrs["engine"] for sp in spans] == ["fused", "module"]
-        assert all(sp.attrs["cache_hit"] is False and sp.attrs["candidates"] == 8 for sp in spans)
+        (span,) = [sp for sp in tracer.records if sp.name == "proxy_compute"]
+        assert span.attrs == {"candidates": 8, "cache_hit": False, "flops": proxy.flops}
 
-    def test_golden_seed_selection_is_unchanged(self):
+    def test_golden_seed_selection_is_unchanged(self, monkeypatch):
         """The golden-history problem: fused and module proxies pick the same subset."""
         train_set, _ = make_train_test(
             SyntheticConfig(num_classes=4, num_samples=240, image_shape=(3, 8, 8), seed=21)
         )
         model = resnet20(num_classes=4, width=4, seed=13)
         fused = CraigSelector().select(train_set, 0.4, model)
-        module = CraigSelector().select(train_set, 0.4, Opaque(model))
+        monkeypatch.setattr(craig, "compute_gradient_proxies", module_proxies)
+        module = CraigSelector().select(train_set, 0.4, model)
         assert np.array_equal(fused.positions, module.positions)
         assert np.array_equal(fused.weights, module.weights)
+
+
+MLP = Sequential(GlobalAvgPool2d(), Linear(3, 4, rng=np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda data: InferencePlan(MLP, data.image_shape),
+    lambda data: evaluate_accuracy(MLP, data),
+    lambda data: compute_gradient_proxies(MLP, data.x, data.y),
+    lambda data: NeSSASelector(NeSSAConfig()).select(data, 0.3, MLP),
+], ids=["plan", "evaluate_accuracy", "gradient_proxies", "nessa_select"])
+def test_every_eval_pass_refuses_a_model_that_is_not_a_resnet(small_dataset, entry):
+    with pytest.raises(TypeError, match="ResNet"):
+        entry(small_dataset)

@@ -16,7 +16,6 @@ from repro.nn.modules import (
     ReLU,
     Sequential,
 )
-from repro.nn.quantize import QuantizedModel
 from repro.nn.resnet import resnet20
 
 
@@ -271,7 +270,7 @@ class TestShapes:
             (ReLU(), (2, 3, 8, 8), (2, 3, 8, 8)),
             (Sequential(Conv2d(3, 8, 3, padding=1), ReLU(), GlobalAvgPool2d()), (2, 3, 8, 8),
              (2, 8)),
-            (QuantizedModel(resnet20(num_classes=4, width=4), bits=8), (2, 3, 8, 8), (2, 4)),
+            (resnet20(num_classes=4, width=4), (2, 3, 8, 8), (2, 4)),
         ],
     )
     def test_forward_shapes(self, layer, in_shape, out_shape):

@@ -1,16 +1,13 @@
-"""Tests for quantization and the feedback-model snapshot."""
+"""Tests for quantization and the feedback loop's quantized replica."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.quantize import (
-    QuantizedModel,
-    dequantize_tensor,
-    quantize_tensor,
-    quantized_state_bytes,
-)
+from repro.core.feedback import FeedbackLoop
+from repro.nn.inference import InferencePlan
+from repro.nn.quantize import dequantize_tensor, quantize_tensor, quantized_state_bytes
 from repro.nn.resnet import resnet20
 
 
@@ -66,45 +63,50 @@ class TestQuantizeTensor:
 
 
 class TestQuantizedModel:
+    """The quantized model is :class:`FeedbackLoop`'s replica, a plain ResNet."""
+
     def test_sync_copies_weights_with_quantization_error(self):
         src = resnet20(num_classes=4, width=4, seed=1)
-        qm = QuantizedModel(resnet20(num_classes=4, width=4, seed=2), bits=8)
-        qm.sync_from(src)
+        loop = FeedbackLoop(lambda: resnet20(num_classes=4, width=4, seed=2), bits=8)
+        loop.sync(src)
         src_w = dict(src.named_parameters())["fc.weight"].data
-        dst_w = dict(qm.model.named_parameters())["fc.weight"].data
+        dst_w = dict(loop.replica.named_parameters())["fc.weight"].data
         assert not np.array_equal(src_w, dst_w)  # rounding happened
         assert np.abs(src_w - dst_w).max() < np.abs(src_w).max() / 50  # but small
 
     def test_fp32_sync_is_exact(self):
         src = resnet20(num_classes=4, width=4, seed=1)
-        qm = QuantizedModel(resnet20(num_classes=4, width=4, seed=2), bits=32)
-        qm.sync_from(src)
-        for (_, ps), (_, pd) in zip(src.named_parameters(), qm.model.named_parameters()):
+        loop = FeedbackLoop(lambda: resnet20(num_classes=4, width=4, seed=2), bits=32)
+        loop.sync(src)
+        for (_, ps), (_, pd) in zip(src.named_parameters(), loop.replica.named_parameters()):
             assert np.array_equal(ps.data, pd.data)
 
     def test_sync_copies_bn_running_stats(self):
         src = resnet20(num_classes=4, width=4, seed=1)
         src.stem_bn.running_mean[:] = 3.0
-        qm = QuantizedModel(resnet20(num_classes=4, width=4, seed=2), bits=8)
-        qm.sync_from(src)
-        assert np.allclose(qm.model.stem_bn.running_mean, 3.0)
+        loop = FeedbackLoop(lambda: resnet20(num_classes=4, width=4, seed=2), bits=8)
+        loop.sync(src)
+        assert np.allclose(loop.replica.stem_bn.running_mean, 3.0)
 
     def test_outputs_close_to_source(self):
         rng = np.random.default_rng(2)
         src = resnet20(num_classes=4, width=4, seed=1)
-        qm = QuantizedModel(resnet20(num_classes=4, width=4, seed=3), bits=8)
-        qm.sync_from(src)
+        loop = FeedbackLoop(lambda: resnet20(num_classes=4, width=4, seed=3), bits=8)
+        loop.sync(src)
         x = rng.normal(size=(8, 3, 8, 8)).astype(np.float32)
-        src.eval()
-        ref = src(x)
-        out = qm(x)
+        ref = src.eval()(x)
+        out = InferencePlan(loop.replica, x.shape[1:])(x)
         assert np.abs(ref - out).max() < 0.35 * np.abs(ref).max()
 
     def test_architecture_mismatch_raises(self):
         src = resnet20(num_classes=4, width=4)
-        qm = QuantizedModel(resnet20(num_classes=5, width=4))
-        with pytest.raises(ValueError):
-            qm.sync_from(src)
+        loop = FeedbackLoop(lambda: resnet20(num_classes=5, width=4, seed=2))
+        before = [p.data.copy() for p in loop.replica.parameters()]
+        with pytest.raises(ValueError, match="architectures differ"):
+            loop.sync(src)
+        assert loop.syncs == 0 and loop.bytes_transferred == 0
+        # the mismatch is the last layer; no earlier one was overwritten
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, loop.replica.parameters()))
 
     def test_payload_bytes_scale_with_bits(self):
         model = resnet20(num_classes=4, width=4)
@@ -114,6 +116,8 @@ class TestQuantizedModel:
         assert b4 < b8 < b32
         # int8 payload is roughly 1 byte per parameter plus buffers.
         assert b8 >= model.num_parameters()
+        # ... and it is what one sync charges.
+        assert FeedbackLoop(lambda: resnet20(num_classes=4, width=4, seed=2)).sync(model) == b8
 
 
 class TestDegenerateScales:

@@ -7,9 +7,11 @@ import pytest
 from repro.core.feedback import FeedbackLoop
 from repro.data.registry import DATASETS
 from repro.nn import resnet
+from repro.nn.quantize import quantized_state_bytes
 from repro.perf.flops import MODEL_ZOO, model_forward_flops
 from repro.pipeline.system import (
     SystemModel,
+    _network_costs,
     average_speedups,
     data_movement_summary,
 )
@@ -103,6 +105,13 @@ class TestNetworkCosts:
         charged = FeedbackLoop(lambda: resnet.resnet20(10)).sync(resnet.resnet20(10))
         assert charged == 282_094
         assert SystemModel("cifar10").nessa_epoch().movement.host_to_fpga == charged
+
+    def test_counts_from_narrow_builds_equal_a_default_width_build(self):
+        """Widths 1, 2 and 3 fix every count at the default width 16 exactly."""
+        net = resnet.resnet20(10)
+        assert _network_costs("resnet20", 10, (3, 32, 32)) == (
+            model_forward_flops(net, (3, 32, 32)), net.embedding_dim, quantized_state_bytes(net)
+        )
 
     @pytest.mark.parametrize("name", list(DATASETS))
     def test_forward_flops_and_embedding_width_follow_the_builder(self, name):
