@@ -16,7 +16,7 @@ Usage:
 
 from repro import NeSSAConfig, NeSSATrainer, TrainRecipe
 from repro.core.trainer import FullTrainer, SubsetTrainer
-from repro.data import make_train_test
+from repro.data import SyntheticImageDataset, make_train_test
 from repro.nn.resnet import resnet20
 from repro.selection import CraigSelector, KCentersSelector, RandomSelector
 
@@ -25,11 +25,10 @@ EPOCHS = 24
 SCALE = 0.6
 
 
-def cluster_coverage(train_set, positions) -> float:
+def cluster_coverage(generated, train_set, positions) -> float:
     """Fraction of the generator's clusters hit by the selected subset."""
-    parent = train_set.parent
-    picked = set(parent.cluster_ids[train_set.ids[positions]])
-    total = set(parent.cluster_ids[train_set.ids])
+    picked = set(generated.cluster_ids[train_set.ids[positions]])
+    total = set(generated.cluster_ids[train_set.ids])
     return len(picked) / len(total)
 
 
@@ -39,7 +38,8 @@ def main(epochs: int = EPOCHS, scale: float = SCALE):
 
     config = scaled_experiment_config("cifar10", scale=scale, seed=3)
     train_set, test_set = make_train_test(config)
-    print(f"{len(train_set)} train samples, {train_set.parent.num_clusters} "
+    generated = SyntheticImageDataset(config)  # the split's ids index its metadata
+    print(f"{len(train_set)} train samples, {generated.num_clusters} "
           f"ground-truth clusters, selecting {FRACTION:.0%}\n")
 
     base = TrainRecipe().scaled(epochs)
@@ -64,7 +64,7 @@ def main(epochs: int = EPOCHS, scale: float = SCALE):
     ]:
         # Selection-quality snapshot with an untrained model (epoch-0 view).
         sel = selector.select(train_set, FRACTION, factory())
-        coverage = cluster_coverage(train_set, sel.positions)
+        coverage = cluster_coverage(generated, train_set, sel.positions)
         trainer = SubsetTrainer(factory(), recipe, selector, FRACTION, seed=1)
         history = trainer.train(train_set, test_set)
         results[name] = (history.stable_accuracy(), coverage)
@@ -73,7 +73,8 @@ def main(epochs: int = EPOCHS, scale: float = SCALE):
     nessa = NeSSATrainer(factory(), recipe, nessa_cfg, factory)
     history = nessa.train(train_set, test_set)
     sel = nessa.selector.select(train_set, FRACTION, nessa.feedback.replica)
-    results["nessa"] = (history.stable_accuracy(), cluster_coverage(train_set, sel.positions))
+    coverage = cluster_coverage(generated, train_set, sel.positions)
+    results["nessa"] = (history.stable_accuracy(), coverage)
 
     print(f"{'method':14s} {'accuracy':>9s} {'cluster coverage':>17s}")
     for name, (acc, cov) in sorted(results.items(), key=lambda kv: -kv[1][0]):

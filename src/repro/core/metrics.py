@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.nn.inference import InferencePlan
+from repro.nn.inference import EVAL_BLOCK, InferencePlan
 from repro.nn.resnet import ResNet
 
 __all__ = ["EpochRecord", "TrainingHistory", "evaluate_accuracy", "save_history", "load_history"]
@@ -167,13 +167,13 @@ class TrainingHistory:
         }
 
 
-def evaluate_accuracy(model: ResNet, dataset: Dataset, batch_size: int = 512) -> float:
-    """Top-1 accuracy of ``model`` on ``dataset`` (the fused eval forward, batched)."""
+def evaluate_accuracy(model: ResNet, dataset: Dataset) -> float:
+    """Top-1 accuracy of ``model`` on ``dataset`` (the fused eval forward, in blocks)."""
     forward = InferencePlan(model, dataset.x.shape[1:])
     correct = 0
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.x[start : start + batch_size]
-        y = dataset.y[start : start + batch_size]
+    for start in range(0, len(dataset), EVAL_BLOCK):
+        x = dataset.x[start : start + EVAL_BLOCK]
+        y = dataset.y[start : start + EVAL_BLOCK]
         correct += int((forward(x).argmax(axis=1) == y).sum())
     return correct / max(1, len(dataset))
 

@@ -34,7 +34,7 @@ import numpy as np
 from repro import obs
 from repro.core.config import NeSSAConfig
 from repro.data.dataset import Dataset
-from repro.nn.inference import InferencePlan
+from repro.nn.inference import EVAL_BLOCK, InferencePlan
 from repro.nn.resnet import ResNet
 from repro.parallel.engine import SelectionExecutor
 from repro.parallel.scheduler import plan_selection_round
@@ -167,7 +167,7 @@ class NeSSASelector:
         )
 
     def _proxies(
-        self, dataset: Dataset, candidates: np.ndarray, replica: ResNet, batch_size: int = 256
+        self, dataset: Dataset, candidates: np.ndarray, replica: ResNet
     ) -> GradientProxy:
         """This round's proxies of ``candidates``, with the FLOPs they cost.
 
@@ -175,11 +175,11 @@ class NeSSASelector:
         refresh_period == round % refresh_period`` -- or every candidate
         when one was never forwarded.  Then applies the replica's
         current ``fc`` to all the candidates' rows.  Both passes run in
-        batches of ``batch_size`` in candidate order.  Staggering the
-        forwards by id, rather than forwarding the whole pool every
-        ``refresh_period`` rounds, costs the same but keeps consecutive
-        rounds from scoring one frozen set of embeddings and so picking
-        nearly the same subset.
+        blocks of :data:`~repro.nn.inference.EVAL_BLOCK` in candidate
+        order.  Staggering the forwards by id, rather than forwarding the
+        whole pool every ``refresh_period`` rounds, costs the same but
+        keeps consecutive rounds from scoring one frozen set of
+        embeddings and so picking nearly the same subset.
         """
         ids = dataset.ids[candidates]
         n = len(candidates)
@@ -199,14 +199,14 @@ class NeSSASelector:
         with obs.span("proxy_compute", candidates=int(n)) as sp:
             if len(due):
                 plan = InferencePlan(replica, dataset.x.shape[1:])
-                for start in range(0, len(due), batch_size):
-                    block = due[start : start + batch_size]
+                for start in range(0, len(due), EVAL_BLOCK):
+                    block = due[start : start + EVAL_BLOCK]
                     self._emb[ids[block]] = plan.features(dataset.x[candidates[block]])
             labels = dataset.y[candidates]
             vectors = np.empty((n, weight_t.shape[1]), dtype=np.float64)
             losses = np.empty(n, dtype=np.float64)
-            for start in range(0, n, batch_size):
-                block = slice(start, start + batch_size)
+            for start in range(0, n, EVAL_BLOCK):
+                block = slice(start, start + EVAL_BLOCK)
                 logits = self._emb[ids[block]] @ weight_t
                 if bias is not None:
                     logits += bias.data

@@ -59,8 +59,10 @@ class Subset(Dataset):
     """A dataset holding copies of a parent's rows at ``positions``.
 
     ``x``, ``y`` and ``ids`` are copied out of the parent (``parent.x[positions]``),
-    so writes to one never reach the other; ``parent`` keeps the parent alive.
-    ``num_ids`` is the parent's; a repeated position would give two rows one id.
+    so writes to one never reach the other.  No reference to the parent is
+    kept, so it is freed once its last other holder lets go; ``ids`` index
+    any per-sample array of the root (``num_ids`` is the parent's, and a
+    repeated position would give two rows one id).
 
     ``weights`` carries the optional per-sample CRAIG weights (cluster
     sizes); ``None`` means uniform.
@@ -74,7 +76,6 @@ class Subset(Dataset):
             raise ValueError("subset positions must be unique")
         super().__init__(parent.x[positions], parent.y[positions])
         self.ids, self.num_ids = parent.ids[positions], parent.num_ids
-        self.parent = parent
         self.positions = positions
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
@@ -87,8 +88,7 @@ class Subset(Dataset):
         self.weights = weights
 
     def __repr__(self) -> str:
-        frac = 100.0 * len(self) / max(1, len(self.parent))
-        return f"Subset(n={len(self)}, {frac:.1f}% of parent)"
+        return f"Subset(n={len(self)}, of {self.num_ids} ids)"
 
 
 def stratified_split(

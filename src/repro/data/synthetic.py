@@ -80,20 +80,24 @@ class SyntheticImageDataset(Dataset):
 
         prototypes = _make_prototypes(config, rng)
 
-        # Zipf-like cluster populations within each class.
+        # Zipf-like cluster populations within each class.  Each cluster is
+        # drawn in float64 and written straight into the float32 arrays.
         per_class = _split_sizes(config.num_samples, config.num_classes)
-        xs, ys, cluster_ids, difficulty = [], [], [], []
-        cluster_counter = 0
+        x = np.empty((config.num_samples, c, h, w), dtype=np.float32)
+        y = np.empty(config.num_samples, dtype=np.int64)
+        cluster_ids = np.empty(config.num_samples, dtype=np.int64)
+        difficulty = np.zeros(config.num_samples)
+        start = 0
         for label in range(config.num_classes):
             weights = 1.0 / np.arange(1, config.clusters_per_class + 1) ** config.zipf_exponent
             weights /= weights.sum()
             counts = _allocate(per_class[label], weights, rng)
             for k in range(config.clusters_per_class):
-                proto = prototypes[label, k]
                 n = counts[k]
-                noise = rng.normal(0.0, config.within_cluster_noise, size=(n, c, h, w))
-                samples = proto[None] + noise
-                diff = np.zeros(n)
+                rows = slice(start, start + n)
+                samples = rng.normal(0.0, config.within_cluster_noise, size=(n, c, h, w))
+                samples += prototypes[label, k]
+                diff = difficulty[rows]
                 n_hard = int(round(n * config.hard_fraction))
                 if n_hard:
                     hard_idx = rng.choice(n, size=n_hard, replace=False)
@@ -102,23 +106,18 @@ class SyntheticImageDataset(Dataset):
                     )
                     other_k = rng.integers(0, config.clusters_per_class, size=n_hard)
                     pull = config.hard_pull * rng.uniform(0.6, 1.0, size=n_hard)
-                    for i, (hi, ol, ok, p) in enumerate(
-                        zip(hard_idx, other_labels, other_k, pull)
-                    ):
+                    for hi, ol, ok, p in zip(hard_idx, other_labels, other_k, pull):
                         samples[hi] = (1 - p) * samples[hi] + p * prototypes[ol, ok]
                         diff[hi] = p
-                xs.append(samples)
-                ys.append(np.full(n, label))
-                cluster_ids.append(np.full(n, cluster_counter))
-                difficulty.append(diff)
-                cluster_counter += 1
+                x[rows] = samples
+                y[rows] = label
+                cluster_ids[rows] = label * config.clusters_per_class + k
+                start += n
 
-        x = np.concatenate(xs).astype(np.float32)
-        y = np.concatenate(ys)
         order = rng.permutation(len(y))
         super().__init__(x[order], y[order])
-        self.cluster_ids = np.concatenate(cluster_ids)[order]
-        self.difficulty = np.concatenate(difficulty)[order]
+        self.cluster_ids = cluster_ids[order]
+        self.difficulty = difficulty[order]
         self.config = config
         self.prototypes = prototypes
 

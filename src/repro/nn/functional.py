@@ -36,11 +36,15 @@ operator's gradient, summed back onto the kernel along the same
 diagonals, and ``opᵀ @ g_rows`` is each output row's gradient on its
 ``k`` input rows, folded onto the row grid by ``k`` strided row adds at
 either stride.  What :class:`repro.nn.modules.Conv2d` holds from forward
-to backward is the row buffer and the operator, not a
-``(C*k*k, OH*OW*N)`` column matrix.  An unpadded 1x1 kernel only mixes
-channels (its row operator would be ``W`` times the useful MACs), so it
-is a ``(C_out, C)`` GEMM over the ``(C, OH*OW*N)`` pixels, which at
-stride 1 are the input's own buffer.
+to backward is its channel-major input and the operator, not the row
+buffer and not a ``(C*k*k, OH*OW*N)`` column matrix: backward rebuilds
+the zero-row-padded rows with one copy.  The input is held by
+reference, so when a ReLU feeds the conv (as in every ResNet block) the
+activation between them is one array that both caches share, and
+nothing may write into a conv's input after forward.  An unpadded 1x1
+kernel only mixes channels (its row operator would be ``W`` times the
+useful MACs), so it is a ``(C_out, C)`` GEMM over the ``(C, OH*OW*N)``
+pixels, which at stride 1 are the input's own buffer.
 """
 
 from __future__ import annotations
@@ -150,10 +154,12 @@ def conv2d(
     once into a ``(H+2*pad, C, W, N)`` row buffer (zero rows for the
     height's padding) and each output row is the :func:`row_operator`
     times a zero-copy block of ``k`` input rows: one broadcast ``matmul``,
-    then one copy back to ``(C_out, OH, OW, N)``.  The cache is the row
-    buffer and the operator.  An unpadded 1x1 kernel only mixes channels,
-    so it stays a ``(C_out, C)`` GEMM over the ``(C, OH*OW*N)`` pixels —
-    at stride 1 the input's own buffer, which is then the cache.
+    then one copy back to ``(C_out, OH, OW, N)``.  The cache is the
+    channel-major input (:func:`channel_major`, a view of ``x`` when it
+    has the batch-innermost format) and the operator; the row buffer is
+    dropped on return.  An unpadded 1x1 kernel only mixes channels, so it
+    stays a ``(C_out, C)`` GEMM over the ``(C, OH*OW*N)`` pixels — at
+    stride 1 the input's own buffer, which is then the cache.
     """
     c_out, c_in, k, _ = weight.shape
     src = channel_major(x)
@@ -167,19 +173,26 @@ def conv2d(
             out += bias[:, None]
         return out.reshape(c_out, oh, ow, n).transpose(3, 0, 1, 2), pixels
 
-    rows = np.empty((h + 2 * pad, c_in, w, n), dtype=x.dtype)
-    rows[:pad] = 0
-    rows[pad + h :] = 0
-    rows[pad : pad + h] = src.transpose(1, 0, 2, 3)
     op = row_operator(weight, stride, pad, w)
-    by_row = np.matmul(op, row_windows(rows, k, stride, 0, oh))  # (oh, c_out*ow, n)
+    windows = row_windows(_padded_rows(src, pad), k, stride, 0, oh)
+    by_row = np.matmul(op, windows)  # (oh, c_out*ow, n)
     by_row = by_row.reshape(oh, c_out, ow, n).transpose(1, 0, 2, 3)
     out = np.empty((c_out, oh, ow, n), dtype=by_row.dtype)
     if bias is None:
         out[...] = by_row
     else:
         np.add(by_row, bias[:, None, None, None], out=out)
-    return out.transpose(3, 0, 1, 2), (rows, op)
+    return out.transpose(3, 0, 1, 2), (src, op)
+
+
+def _padded_rows(src: np.ndarray, pad: int) -> np.ndarray:
+    """The ``(H+2*pad, C, W, N)`` row buffer of a ``(C, H, W, N)`` input: one copy."""
+    c, h, w, n = src.shape
+    rows = np.empty((h + 2 * pad, c, w, n), dtype=src.dtype)
+    rows[:pad] = 0
+    rows[pad + h :] = 0
+    rows[pad : pad + h] = src.transpose(1, 0, 2, 3)
+    return rows
 
 
 def conv2d_backward(
@@ -198,7 +211,8 @@ def conv2d_backward(
     row, ``(OH, C_out*OW, N)``:
 
     - the operator's gradient is ``Σ_oy g_rows[oy] @ windows[oy].T``, one
-      batched ``matmul`` over the forward's zero-copy row blocks, and
+      batched ``matmul`` over zero-copy row blocks of the padded rows,
+      rebuilt from the cached input with one copy, and
       ``grad_weight`` sums it back over the operator's diagonals
       (:func:`_taps`);
     - ``grad_x`` is ``op.T @ g_rows`` — each output row's gradient on its
@@ -226,9 +240,9 @@ def conv2d_backward(
             grad_x[:, ::stride, ::stride] = grad_pixels
         return grad_x.transpose(3, 0, 1, 2), grad_weight, grad_bias
 
-    rows, op = cache
+    src, op = cache
     g_rows = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(oh, c_out * ow, n)
-    windows = row_windows(rows, k, stride, 0, oh)
+    windows = row_windows(_padded_rows(src, pad), k, stride, 0, oh)
     grad_op = np.matmul(g_rows, windows.transpose(0, 2, 1)).sum(axis=0)
     grad_op = grad_op.reshape(c_out, ow, k, c_in, w)
     grad_weight = np.zeros(weight.shape, dtype=grad_op.dtype)
@@ -248,9 +262,9 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Backward pass of :func:`relu` given the forward input."""
-    return grad_out * (x > 0)
+def relu_backward(grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Backward pass of :func:`relu` given the forward output (``out > 0`` iff ``x > 0``)."""
+    return grad_out * (out > 0)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -34,7 +34,10 @@ from repro.nn import functional as F
 from repro.nn.modules import BatchNorm2d, Conv2d, Identity
 from repro.nn.resnet import ResNet
 
-__all__ = ["InferencePlan"]
+__all__ = ["EVAL_BLOCK", "InferencePlan"]
+
+EVAL_BLOCK = 256
+"""Images per plan call in every eval pass: accuracy, proxies, embeddings."""
 
 
 def _fold(conv: Conv2d, bn: BatchNorm2d) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +114,8 @@ class InferencePlan:
     match ``model(x)`` / ``model.features(x)`` in eval mode.  Not a
     ``Module``: no parameters, no backward, no train/eval state.  Any
     model but a ``ResNet`` raises ``TypeError``: this is the only eval
-    forward, of the accuracy pass and of every selection proxy.
+    forward, of the accuracy pass and of every selection proxy, and each
+    of those passes calls it on blocks of :data:`EVAL_BLOCK` images.
     """
 
     def __init__(self, model: ResNet, image_shape: tuple[int, int, int]):

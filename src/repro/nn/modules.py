@@ -323,23 +323,28 @@ class BatchNorm2d(Module):
 
 
 class ReLU(Module):
-    """Rectified linear unit."""
+    """Rectified linear unit.
+
+    Caches its output, not its input: the conv that reads the output holds
+    the same array, so the activation between them is resident once.
+    """
 
     def __init__(self):
         super().__init__()
         self._cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        out = F.relu(x)
         if self.training:
-            self._cache = x
-        return F.relu(x)
+            self._cache = out
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or in eval mode)")
-        x = self._cache
+        out = self._cache
         self._cache = None
-        return F.relu_backward(grad_out, x)
+        return F.relu_backward(grad_out, out)
 
 
 class GlobalAvgPool2d(Module):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.nn.inference import InferencePlan
+from repro.nn.inference import EVAL_BLOCK, InferencePlan
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.resnet import ResNet
 from repro.perf.flops import model_forward_flops
@@ -56,18 +56,14 @@ def proxies_from_logits(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     )
 
 
-def compute_gradient_proxies(
-    model: ResNet,
-    x: np.ndarray,
-    y: np.ndarray,
-    batch_size: int = 256,
-) -> GradientProxy:
+def compute_gradient_proxies(model: ResNet, x: np.ndarray, y: np.ndarray) -> GradientProxy:
     """Run the selection model forward and derive per-sample proxies.
 
     ``model`` is a ResNet: the live target model, or the
     :class:`~repro.core.feedback.FeedbackLoop` replica.  The forward is
     the fused eval-mode :class:`~repro.nn.inference.InferencePlan` (no
-    caching, no BN updates, the model untouched).
+    caching, no BN updates, the model untouched), in blocks of
+    :data:`~repro.nn.inference.EVAL_BLOCK` images.
 
     The ``proxy_compute`` span carries ``cache_hit=False``: this function
     always runs the forward pass.  :class:`~repro.core.selector.NeSSASelector`
@@ -80,9 +76,9 @@ def compute_gradient_proxies(
     with obs.span("proxy_compute", candidates=int(n)) as sp:
         forward = InferencePlan(model, x.shape[1:])
         vec_chunks, loss_chunks = [], []
-        for start in range(0, n, batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size]
+        for start in range(0, n, EVAL_BLOCK):
+            xb = x[start : start + EVAL_BLOCK]
+            yb = y[start : start + EVAL_BLOCK]
             vectors, losses = proxies_from_logits(forward(xb), yb)
             vec_chunks.append(vectors)
             loss_chunks.append(losses)

@@ -15,10 +15,15 @@ def small_dataset():
 
 
 @pytest.fixture(scope="session")
-def train_test_split():
+def split_config():
+    """The generator config of :func:`train_test_split`."""
+    return SyntheticConfig(num_classes=4, num_samples=320, image_shape=(3, 8, 8), seed=7)
+
+
+@pytest.fixture(scope="session")
+def train_test_split(split_config):
     """Train/test split of a 4-class problem for selection tests."""
-    config = SyntheticConfig(num_classes=4, num_samples=320, image_shape=(3, 8, 8), seed=7)
-    return make_train_test(config)
+    return make_train_test(split_config)
 
 
 @pytest.fixture()

@@ -1,5 +1,7 @@
 """Tests for dataset containers and splits."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,14 @@ class TestStratifiedSplit:
         a = stratified_split(ds, 0.3, seed=4)[0]
         b = stratified_split(ds, 0.3, seed=4)[0]
         assert np.array_equal(a.ids, b.ids)
+
+    def test_split_leaves_the_parent_collectable(self):
+        ds = make_dataset(50)
+        parent = weakref.ref(ds)
+        train, test = stratified_split(ds, 0.2)
+        del ds
+        assert parent() is None
+        assert train.num_ids == test.num_ids == 50
 
     def test_invalid_fraction_raises(self):
         ds = make_dataset(10)

@@ -116,11 +116,13 @@ class TestMakeTrainTest:
         assert len(train) + len(test) == 200
         assert abs(len(test) - 50) <= 4
 
-    def test_metadata_reachable_through_parent(self):
+    def test_metadata_reachable_through_ids(self):
         cfg = SyntheticConfig(num_classes=4, num_samples=200, seed=8)
         train, _ = make_train_test(cfg)
-        parent = train.parent
-        assert isinstance(parent, SyntheticImageDataset)
-        # Global ids index the parent's metadata arrays.
-        cluster_of_first = parent.cluster_ids[train.ids[0]]
-        assert 0 <= cluster_of_first < parent.num_clusters
+        # The split keeps no generated set; one rebuilt from the config has
+        # the same rows, and the split's ids index its metadata arrays.
+        generated = SyntheticImageDataset(cfg)
+        assert np.array_equal(train.x, generated.x[train.ids])
+        assert np.array_equal(train.y, generated.y[train.ids])
+        cluster_of_first = generated.cluster_ids[train.ids[0]]
+        assert 0 <= cluster_of_first < generated.num_clusters

@@ -257,7 +257,7 @@ class TestActivations:
     def test_relu_backward_masks(self):
         x = np.array([-1.0, 0.5], dtype=np.float32)
         g = np.array([3.0, 3.0], dtype=np.float32)
-        assert np.allclose(F.relu_backward(g, x), [0, 3])
+        assert np.allclose(F.relu_backward(g, F.relu(x)), [0, 3])
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(6)

@@ -233,8 +233,8 @@ class TestEvalForward:
         replica = FeedbackLoop(lambda: resnet20(num_classes=4, width=4), bits=32).replica
         x, y = np.zeros((3, 3, 8, 8), dtype=np.float32), np.zeros(3, dtype=np.int64)
         for model in (tiny_model, replica):
-            evaluate_accuracy(model, Dataset(x, y), batch_size=2)
-            compute_gradient_proxies(model, x, y, batch_size=2)
+            evaluate_accuracy(model, Dataset(x, y))
+            compute_gradient_proxies(model, x, y)
         assert built == [tiny_model, tiny_model, replica, replica]
 
     def test_evaluate_accuracy_matches_module_path(self, train_test_split, tiny_model, rng):
@@ -242,15 +242,14 @@ class TestEvalForward:
         randomise_bn(tiny_model, rng)
         pred = tiny_model.eval()(test_set.x).argmax(axis=1)
         module = float((pred == test_set.y).mean())
-        assert evaluate_accuracy(tiny_model, test_set, batch_size=50) == module
+        assert evaluate_accuracy(tiny_model, test_set) == module
 
 
 class TestProxies:
     def test_same_proxies_as_module_path(self, small_dataset, tiny_model, rng):
         randomise_bn(tiny_model, rng)
         x, y = small_dataset.x[:70], small_dataset.y[:70]
-        # 70 = 2 * 32 + 6: the tail batch is short
-        fused = compute_gradient_proxies(tiny_model, x, y, batch_size=32)
+        fused = compute_gradient_proxies(tiny_model, x, y)
         module = module_proxies(tiny_model, x, y, batch_size=32)
         assert fused.vectors.dtype == fused.losses.dtype == np.float64
         assert fused.flops == model_forward_flops(tiny_model, x.shape[1:]) * 70

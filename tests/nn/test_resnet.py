@@ -140,3 +140,42 @@ class TestArchitectures:
             net.backward(crit.backward())
             opt.step()
         assert losses[-1] < losses[0]
+
+
+def _held_buffers(model: ResNet) -> dict:
+    """Bytes of every array the module caches reach, keyed by owning buffer."""
+    found = {}
+
+    def visit(item):
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            found[id(item)] = item.nbytes
+        elif isinstance(item, tuple):
+            for part in item:
+                visit(part)
+
+    for module in model.modules():
+        visit(getattr(module, "_cache", None))
+    return found
+
+
+class TestActivationCaches:
+    """What a training forward leaves for backward: each activation once."""
+
+    @pytest.fixture()
+    def trained_forward(self):
+        model = resnet20(10, width=6).train()
+        model(np.random.default_rng(0).normal(size=(64, 3, 8, 8)).astype(np.float32))
+        return model
+
+    def test_caches_hold_each_buffer_once(self, trained_forward):
+        assert sum(_held_buffers(trained_forward).values()) <= 3.2e6
+
+    def test_conv_after_relu_shares_its_cache(self, trained_forward):
+        relu = trained_forward.stem_relu
+        for stage in trained_forward.stages:
+            for block in stage.layers:
+                assert np.shares_memory(block.conv1._cache[0][0], relu._cache)
+                assert np.shares_memory(block.conv2._cache[0][0], block.relu1._cache)
+                relu = block.relu2

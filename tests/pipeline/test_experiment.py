@@ -1,5 +1,8 @@
 """Tests for the experiment runner glue used by benchmarks and examples."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,29 @@ class TestHelpers:
         train, test = make_data("svhn", scale=0.2, seed=1)
         assert train.num_classes == 10
         assert len(train) > len(test)
+
+    @pytest.mark.parametrize("name,digest", [
+        ("cifar10", "d2f51d130be94669cda32ba65e1fe6450ae6de06bcb3d46e06e5ce347ad1e5a6"),
+        ("cifar100", "722ff93cbf324cbb32801b09da1d63e0d71f5ff5539000852340254fc73f9974"),
+    ])
+    def test_make_data_bytes_are_pinned(self, name, digest):
+        """A drift here is the generator's, not the trainer's (golden histories)."""
+        h = hashlib.sha256()
+        for part in make_data(name, scale=2.0, seed=1001):
+            for array in (part.x, part.y, part.ids):
+                h.update(array.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_make_data_peak_is_near_the_images_it_returns(self):
+        """Clusters are written straight into the float32 images; the parent is freed."""
+        make_data("cifar10", scale=0.2, seed=1001)  # imports and one-off setup
+        tracemalloc.start()
+        try:
+            train, test = make_data("cifar10", scale=2.0, seed=1001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (train.x.nbytes + test.x.nbytes)
 
     def test_build_model_matches_table1(self):
         m20 = build_model("cifar10", 10)

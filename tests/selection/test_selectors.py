@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.synthetic import SyntheticImageDataset
+from repro.nn.inference import EVAL_BLOCK, InferencePlan
 from repro.selection.craig import CraigSelector, craig_select_class
-from repro.selection.gradients import compute_gradient_proxies
+from repro.selection.gradients import compute_gradient_proxies, proxies_from_logits
 from repro.selection.kcenters import KCentersSelector, k_centers
 from repro.selection.partition import chunk_pairwise_bytes
 from repro.selection.random_sel import RandomSelector
@@ -27,10 +29,13 @@ class TestGradientProxies:
         assert np.allclose(proxy.vectors.sum(axis=1), 0.0, atol=1e-5)
 
     def test_batching_invariant(self, train_test_split, tiny_model):
-        train, _ = train_test_split
-        a = compute_gradient_proxies(tiny_model, train.x, train.y, batch_size=32)
-        b = compute_gradient_proxies(tiny_model, train.x, train.y, batch_size=999)
-        assert np.allclose(a.vectors, b.vectors, atol=1e-6)
+        """Blocks of ``EVAL_BLOCK`` (a short tail here) give one whole-set pass's proxies."""
+        train, test = train_test_split
+        x, y = np.concatenate([train.x, test.x]), np.concatenate([train.y, test.y])
+        assert len(x) % EVAL_BLOCK
+        blocked = compute_gradient_proxies(tiny_model, x, y)
+        whole, _ = proxies_from_logits(InferencePlan(tiny_model, x.shape[1:])(x), y)
+        assert np.allclose(blocked.vectors, whole, atol=1e-6)
 
     def test_restores_training_mode(self, train_test_split, tiny_model):
         train, _ = train_test_split
@@ -86,13 +91,13 @@ class TestCraigSelector:
         with pytest.raises(ValueError):
             CraigSelector().select(train, 0.0, tiny_model)
 
-    def test_covers_all_ground_truth_clusters(self, train_test_split, tiny_model):
+    def test_covers_all_ground_truth_clusters(self, train_test_split, split_config, tiny_model):
         """Facility location must cover every generator cluster at 25%."""
         train, _ = train_test_split
-        parent = train.parent
+        generated = SyntheticImageDataset(split_config)  # train.ids index its rows
         res = CraigSelector().select(train, 0.25, tiny_model)
-        picked_clusters = set(parent.cluster_ids[train.ids[res.positions]])
-        all_clusters = set(parent.cluster_ids[train.ids])
+        picked_clusters = set(generated.cluster_ids[train.ids[res.positions]])
+        all_clusters = set(generated.cluster_ids[train.ids])
         assert len(picked_clusters) >= 0.9 * len(all_clusters)
 
 
