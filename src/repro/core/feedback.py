@@ -25,7 +25,9 @@ class FeedbackLoop:
     parameters' gradient buffers are freed (``grad is None``).  Each
     :meth:`sync` replaces its parameters with dequantized copies of the
     source's, so the selector sees the rounding the FPGA would;
-    quantization is weight-only, activations stay fp32.
+    quantization is weight-only, activations stay fp32.  The payload of a
+    sync depends only on the shapes, which :meth:`sync` checks against the
+    replica's, so it is counted once, as ``payload_bytes``.
 
     Parameters
     ----------
@@ -39,6 +41,7 @@ class FeedbackLoop:
         self.replica = model_factory()
         for param in self.replica.parameters():
             param.grad = None
+        self.payload_bytes = quantized_state_bytes(self.replica, bits)
         self.syncs = 0
         self.bytes_transferred = 0
 
@@ -65,7 +68,6 @@ class FeedbackLoop:
         src_bufs = dict(source.named_buffers())
         for name, buf in self.replica.named_buffers():
             buf[...] = src_bufs[name]
-        payload = quantized_state_bytes(source, self.bits)
         self.syncs += 1
-        self.bytes_transferred += payload
-        return payload
+        self.bytes_transferred += self.payload_bytes
+        return self.payload_bytes

@@ -26,21 +26,23 @@ slab and :func:`row_windows` is a zero-copy view of all of them.  The
 :func:`row_operator` is the ``(C_out*OW, k*C*W)`` matrix that maps such
 a slab to one output row, the width's zero padding built in as zero
 columns; it is rebuilt from the kernel every forward (no state, no
-index maps: :func:`_taps` writes each kernel column as one strided
-diagonal).  Forward copies the input once into a zero-row-padded
+index maps: each kernel column is one strided diagonal assignment).
+Forward copies the input once into a zero-row-padded
 ``(H+2*pad, C, W, N)`` buffer, runs one broadcast ``matmul`` of the
 operator against the windows and copies the result back to
-``(C_out, OH, OW, N)``.  Backward is two more broadcast ``matmul``
-calls over the same windows: ``Σ_oy g_row · window_rowᵀ`` is the
-operator's gradient, summed back onto the kernel along the same
-diagonals, and ``opᵀ @ g_rows`` is each output row's gradient on its
-``k`` input rows, folded onto the row grid by ``k`` strided row adds at
-either stride.  What :class:`repro.nn.modules.Conv2d` holds from forward
-to backward is its channel-major input and the operator, not the row
-buffer and not a ``(C*k*k, OH*OW*N)`` column matrix: backward rebuilds
-the zero-row-padded rows with one copy.  The input is held by
-reference, so when a ReLU feeds the conv (as in every ResNet block) the
-activation between them is one array that both caches share, and
+``(C_out, OH, OW, N)``.  Backward is two more ``matmul`` calls.
+``opᵀ @ g_rows`` is each output row's gradient on its ``k`` input rows,
+folded onto the row grid by ``k`` strided row adds at either stride.
+The weight gradient does not go through the operator: it is one batched
+product of the output gradient, laid on the stride-1 output grid with
+the width's padding as zero columns, against ``k*k`` zero-copy shifted
+views of one zero-padded ``(C, H+2*pad+1, W+2*pad, N)`` input copy,
+with no sum over output rows and no gather off the operator's
+diagonals.  What :class:`repro.nn.modules.Conv2d` holds from forward to
+backward is its channel-major input and the operator, not a padded
+buffer and not a ``(C*k*k, OH*OW*N)`` column matrix.  The input is held
+by reference, so when a ReLU feeds the conv (as in every ResNet block)
+the activation between them is one array that both caches share, and
 nothing may write into a conv's input after forward.  An unpadded 1x1
 kernel only mixes channels (its row operator would be ``W`` times the
 useful MACs), so it is a ``(C_out, C)`` GEMM over the ``(C, OH*OW*N)``
@@ -92,36 +94,26 @@ def row_operator(weight: np.ndarray, stride: int, pad: int, width: int) -> np.nd
     It maps ``k`` consecutive input rows, flattened from ``(k, C, W)``, to
     one output row flattened from ``(C_out, OW)``, for inputs ``width``
     columns wide.  The width's zero padding is zero columns of it; the
-    height's is the caller's (zero rows in the buffer).  Built with one
-    strided assignment per kernel column (:func:`_taps`), in ``weight``'s
-    dtype.
+    height's is the caller's (zero rows in the buffer).  Built in
+    ``weight``'s dtype with one strided assignment per kernel column:
+    output column ``ox`` reads input column ``ox*stride - pad + kx``, so
+    for a fixed ``kx`` the entries ``op[:, ox, :, :, ox*stride - pad + kx]``
+    over the ``ox`` whose column is inside the image are one zero-copy
+    ``(C_out, n, k, C)`` diagonal view.
     """
     c_out, c, k, _ = weight.shape
     ow = _out_size(width, k, stride, pad)
     op = np.zeros((c_out, ow, k, c, width), dtype=weight.dtype)
-    for kx, taps in _taps(op, stride, pad):
-        taps[...] = weight[:, None, :, :, kx].transpose(0, 1, 3, 2)
-    return op.reshape(c_out * ow, k * c * width)
-
-
-def _taps(op: np.ndarray, stride: int, pad: int):
-    """Yield ``(kx, view)``: the entries of ``op`` that hold kernel column ``kx``.
-
-    ``op`` is a C-contiguous ``(C_out, OW, k, C, W)`` operator.  Output
-    column ``ox`` reads input column ``ox*stride - pad + kx``, so for a
-    fixed ``kx`` the entries ``op[:, ox, :, :, ox*stride - pad + kx]`` over
-    the ``ox`` whose column is inside the image are a strided diagonal: one
-    zero-copy ``(C_out, n, k, C)`` view, yielded only when ``n > 0``.
-    """
-    c_out, ow, k, c, w = op.shape
     s_co, s_ox, s_ky, s_c, s_ix = op.strides
     for kx in range(k):
         first = max(0, -((kx - pad) // stride))  # smallest ox with ix >= 0
-        stop = min(ow, (w - 1 + pad - kx) // stride + 1)  # past the last with ix < w
+        stop = min(ow, (width - 1 + pad - kx) // stride + 1)  # past the last with ix < width
         if stop > first:
             offset = first * s_ox + (first * stride - pad + kx) * s_ix
             strides = (s_co, s_ox + stride * s_ix, s_ky, s_c)
-            yield kx, np.ndarray((c_out, stop - first, k, c), op.dtype, op, offset, strides)
+            taps = np.ndarray((c_out, stop - first, k, c), op.dtype, op, offset, strides)
+            taps[...] = weight[:, None, :, :, kx].transpose(0, 1, 3, 2)
+    return op.reshape(c_out * ow, k * c * width)
 
 
 def row_windows(rows: np.ndarray, k: int, stride: int, first: int, oh: int) -> np.ndarray:
@@ -207,17 +199,15 @@ def conv2d_backward(
     """Backward pass of :func:`conv2d` given its cache.
 
     Returns ``(grad_x, grad_weight, grad_bias)``; ``grad_bias`` is ``None``
-    unless ``with_bias`` is set.  With ``g_rows`` the gradient by output
-    row, ``(OH, C_out*OW, N)``:
+    unless ``with_bias`` is set.
 
-    - the operator's gradient is ``Σ_oy g_rows[oy] @ windows[oy].T``, one
-      batched ``matmul`` over zero-copy row blocks of the padded rows,
-      rebuilt from the cached input with one copy, and
-      ``grad_weight`` sums it back over the operator's diagonals
-      (:func:`_taps`);
-    - ``grad_x`` is ``op.T @ g_rows`` — each output row's gradient on its
-      ``k`` input rows — added back onto the row grid by ``k`` strided
-      row adds, at any stride.
+    - ``grad_weight`` is one batched ``matmul`` of the width-padded output
+      gradient against ``k*k`` zero-copy shifted views of one zero-padded
+      input copy, at any stride (:func:`_shifted_weight_grad`);
+    - ``grad_x`` is ``op.T @ g_rows``, with ``g_rows`` the gradient by
+      output row, ``(OH, C_out*OW, N)``: each output row's gradient on its
+      ``k`` input rows, added back onto the row grid by ``k`` strided row
+      adds, at any stride.
 
     An unpadded 1x1 kernel takes the two GEMMs of its pointwise form and
     reads its cache without writing to it.
@@ -241,20 +231,45 @@ def conv2d_backward(
         return grad_x.transpose(3, 0, 1, 2), grad_weight, grad_bias
 
     src, op = cache
-    g_rows = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(oh, c_out * ow, n)
-    windows = row_windows(_padded_rows(src, pad), k, stride, 0, oh)
-    grad_op = np.matmul(g_rows, windows.transpose(0, 2, 1)).sum(axis=0)
-    grad_op = grad_op.reshape(c_out, ow, k, c_in, w)
-    grad_weight = np.zeros(weight.shape, dtype=grad_op.dtype)
-    for kx, taps in _taps(grad_op, stride, pad):
-        taps.sum(axis=1, out=grad_weight[:, :, :, kx].transpose(0, 2, 1))
+    grad_weight = _shifted_weight_grad(g, src, k, stride, pad).transpose(2, 3, 0, 1)
 
+    g_rows = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(oh, c_out * ow, n)
     grad_windows = np.matmul(op.T, g_rows).reshape(oh, k, -1)  # (oh, k, c_in*w*n)
     grad_rows = np.zeros((h + 2 * pad, c_in * w * n), dtype=grad_windows.dtype)
     for ky in range(k):
         grad_rows[ky : ky + stride * oh : stride] += grad_windows[:, ky]
     grad_x = grad_rows[pad : pad + h].reshape(h, c_in, w, n).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(grad_x).transpose(3, 0, 1, 2), grad_weight, grad_bias
+
+
+def _shifted_weight_grad(
+    g: np.ndarray, src: np.ndarray, k: int, stride: int, pad: int
+) -> np.ndarray:
+    """The ``(k, k, C_out, C)`` weight gradient of a padded conv: one batched ``matmul``.
+
+    ``g`` is the channel-major ``(C_out, OH, OW, N)`` output gradient and
+    ``src`` the channel-major input.  With ``Wp = W + 2*pad``, the input
+    is copied once into a zero-padded ``(C, H+2*pad+1, Wp, N)`` buffer and
+    ``g`` into a ``(C_out, OH1, Wp, N)`` one on the stride-1 output grid
+    (``OH1 = H + 2*pad - k + 1``): zero-dilated at stride > 1, zero past
+    column ``OW``.  Flattened over ``(row, column, item)`` both are one run
+    of ``L = OH1*Wp*N`` entries per channel, and tap ``(ky, kx)`` of the
+    input is the same run shifted by ``ky`` rows and ``kx`` columns: a
+    zero-copy view.  A shift that runs past a row's end reads the next
+    row (or the spare bottom row) only where ``g`` is zero.
+    """
+    c_out, oh, ow, n = g.shape
+    c, h, w, _ = src.shape
+    wp = w + 2 * pad
+    oh1 = h + 2 * pad - k + 1
+    padded = np.zeros((c, h + 2 * pad + 1, wp, n), dtype=src.dtype)
+    padded[:, pad : pad + h, pad : pad + w] = src
+    g_wide = np.zeros((c_out, oh1, wp, n), dtype=g.dtype)
+    g_wide[:, : stride * oh : stride, : stride * ow : stride] = g
+    s_c, s_row, s_col, item = padded.strides
+    length = oh1 * wp * n
+    taps = np.ndarray((k, k, length, c), padded.dtype, padded, 0, (s_row, s_col, item, s_c))
+    return np.matmul(g_wide.reshape(c_out, length), taps)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,23 @@ __all__ = ["SGD", "MultiStepLR"]
 
 
 class SGD:
-    """SGD with (optionally Nesterov) momentum and decoupled-from-loss weight decay."""
+    """SGD with (optionally Nesterov) momentum and decoupled-from-loss weight decay.
+
+    Every parameter, gradient and momentum lives in one contiguous float32
+    store.  Construction copies each parameter's current ``data`` and
+    ``grad`` into it and rebinds both to views of it, so :meth:`step`, the
+    clip norm and :meth:`zero_grad` are a few whole-store float32
+    operations, in place.  Write into a parameter (``p.data[...] = x``)
+    rather than rebinding it: a rebound ``data`` or ``grad`` would no
+    longer be trained, so :meth:`step` raises on one.
+
+    The rule, each operation rounded to float32: when the global norm of
+    ``g`` exceeds ``clip_grad_norm``, ``g`` is scaled in place (as torch's
+    ``clip_grad_norm_`` does); ``e = weight_decay * w + g``;
+    ``v = momentum * v + e``; then ``w -= lr * e`` and
+    ``w -= (lr * momentum) * v`` (Nesterov), ``w -= lr * v`` (heavy ball)
+    or ``w -= lr * e`` (no momentum).
+    """
 
     def __init__(
         self,
@@ -45,35 +61,60 @@ class SGD:
         self.weight_decay = weight_decay
         self.nesterov = nesterov
         self.clip_grad_norm = clip_grad_norm
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+
+        size = sum(p.size for p in self.params)
+        self._data = np.empty(size, dtype=np.float32)
+        self._grad = np.empty(size, dtype=np.float32)
+        self._velocity = np.zeros(size, dtype=np.float32)
+        self._views = []
+        start = 0
+        for p in self.params:
+            stop = start + p.size
+            self._data[start:stop] = p.data.ravel()
+            self._grad[start:stop] = p.grad.ravel()
+            p.data = self._data[start:stop].reshape(p.shape)
+            p.grad = self._grad[start:stop].reshape(p.shape)
+            self._views.append((p.data, p.grad))
+            start = stop
 
     def _clip_scale(self) -> float:
         """Global-norm gradient clipping factor (1.0 when under the cap)."""
         if self.clip_grad_norm is None:
             return 1.0
-        total = np.sqrt(sum(float((p.grad**2).sum()) for p in self.params))
+        total = float(np.sqrt(np.dot(self._grad, self._grad)))
         if total <= self.clip_grad_norm or total == 0.0:
             return 1.0
         return self.clip_grad_norm / total
 
     def step(self) -> None:
         """Apply one update from the gradients accumulated in ``param.grad``."""
+        for p, (data, grad) in zip(self.params, self._views):
+            if p.data is not data or p.grad is not grad:
+                raise RuntimeError(
+                    f"{p!r} was rebound after SGD took it and would no longer be "
+                    "trained; write into p.data / p.grad in place instead"
+                )
+        data, grad, velocity = self._data, self._grad, self._velocity
         scale = self._clip_scale()
-        for p, v in zip(self.params, self._velocity):
-            grad = p.grad * scale if scale != 1.0 else p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                update = grad + self.momentum * v if self.nesterov else v
+        if scale != 1.0:
+            grad *= scale
+        update = np.multiply(data, self.weight_decay)
+        update += grad
+        if self.momentum:
+            velocity *= self.momentum
+            velocity += update
+            if self.nesterov:
+                update *= self.lr
+                data -= update
+                np.multiply(velocity, self.lr * self.momentum, out=update)
             else:
-                update = grad
-            p.data -= self.lr * update
+                np.multiply(velocity, self.lr, out=update)
+        else:
+            update *= self.lr
+        data -= update
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self._grad.fill(0.0)
 
 
 class MultiStepLR:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import feedback
 from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.feedback import FeedbackLoop
 from repro.core.selector import NeSSASelector
@@ -12,6 +13,7 @@ from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset
 from repro.nn.inference import InferencePlan
 from repro.nn.modules import GlobalAvgPool2d, Linear, Sequential
+from repro.nn.quantize import quantized_state_bytes
 from repro.nn.resnet import resnet20
 from repro.selection.gradients import GradientProxy, compute_gradient_proxies
 from repro.selection.partition import subset_budget
@@ -38,6 +40,18 @@ class TestFeedbackLoop:
         p8 = FeedbackLoop(factory, bits=8).sync(src)
         p4 = FeedbackLoop(factory, bits=4).sync(src)
         assert p4 < p8
+
+    def test_payload_is_counted_once_at_construction(self, monkeypatch):
+        src = resnet20(num_classes=4, width=4, seed=1)
+        loop = FeedbackLoop(factory, bits=8)
+        assert loop.payload_bytes == quantized_state_bytes(src, 8)
+
+        def walk(*_):
+            raise AssertionError("sync walked the model for its payload")
+
+        monkeypatch.setattr(feedback, "quantized_state_bytes", walk)
+        assert loop.sync(src) == loop.sync(src) == loop.payload_bytes
+        assert loop.bytes_transferred == 2 * loop.payload_bytes
 
     def test_repeated_syncs_track_source(self):
         src = resnet20(num_classes=4, width=4, seed=1)

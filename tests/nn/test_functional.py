@@ -248,6 +248,32 @@ class TestE2EConvGradients:
         for got, want in ((out, ref_out), (conv.weight.grad, ref_w), (grad_x, ref_x)):
             assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
 
+    @given(
+        k=st.sampled_from([1, 3]),
+        stride=st.sampled_from([1, 2, 3]),
+        pad=st.sampled_from([0, 1, 2]),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        n=st.sampled_from([1, 5, 64]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_weight_gradient_matches_float64(self, k, stride, pad, h, w, n):
+        """The shifted-product ``grad_weight`` at any geometry, float32 against float64."""
+        assume(min(h, w) + 2 * pad >= k)
+        c_in, c_out = 3, 4
+        rng = np.random.default_rng([k, stride, pad, h, w, n])
+        x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
+        weight = rng.normal(size=(c_out, c_in, k, k)).astype(np.float32)
+        out, cache = F.conv2d(x, weight, None, stride, pad)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        _, grad_w, _ = F.conv2d_backward(g, cache, x.shape, weight, stride, pad)
+
+        seed_cols = im2col_loop(x.astype(np.float64), k, stride, pad)
+        g_flat = g.astype(np.float64).transpose(0, 2, 3, 1).reshape(-1, c_out)
+        want = (g_flat.T @ seed_cols).reshape(weight.shape)
+        assert grad_w.shape == weight.shape and grad_w.dtype == np.float32
+        assert np.abs(grad_w - want).max() <= 2e-6 * np.abs(want).max()
+
 
 class TestActivations:
     def test_relu_clamps_negatives(self):
